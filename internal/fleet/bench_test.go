@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"honeynet/internal/obs"
 	"honeynet/internal/store"
 )
 
@@ -45,6 +46,55 @@ func BenchmarkFleetForward(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recs/s")
+	fwd.Close()
+	if srv.Len() != b.N {
+		b.Fatalf("collector has %d records, want %d", srv.Len(), b.N)
+	}
+}
+
+// BenchmarkFleetCatchUpSealed measures an edge returning from a
+// partition: b.N records, all sealed before the forwarder starts
+// (daemon-default segment and block sizes), replayed to a SyncAck
+// collector. blocks/rec is the edge's decompression work; one pass over
+// the backlog is its floor. Run it with a fixed count, e.g.
+// -benchtime 200000x.
+func BenchmarkFleetCatchUpSealed(b *testing.B) {
+	srv, err := NewServer(b.TempDir(), ServerOptions{SyncAck: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < b.N; i++ {
+		if err := st.Append(mkRec(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st.Register(reg)
+
+	b.ResetTimer()
+	fwd, err := NewForwarder(addr.String(), "bench-edge", st, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !fwd.WaitCaughtUp(10 * time.Minute) {
+		b.Fatalf("catch-up never completed: acked %d of %d", fwd.Acked(), st.NextSeq())
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recs/s")
+	b.ReportMetric(reg.Snapshot()["honeynet_store_blocks_read_total"]/float64(b.N), "blocks/rec")
 	fwd.Close()
 	if srv.Len() != b.N {
 		b.Fatalf("collector has %d records, want %d", srv.Len(), b.N)

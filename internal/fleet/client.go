@@ -114,6 +114,15 @@ var errStopped = errors.New("fleet: forwarder stopped")
 // send), so a crashed-and-restarted edge can only redeliver records
 // the collector deduplicates — never mint new records under sequences
 // the collector has already accepted.
+//
+// Snapshot lifetime: a session reads the store through one
+// store.SeqCursor at a time, kept across batches until it is exhausted,
+// until the send cursor leaves its position (a collector rewind), or
+// until the session ends — so a sealed backlog is opened and
+// decompressed once per session, not once per batch. A snapshot pins
+// the segments and the tail it was taken over, so none is ever held
+// while the forwarder waits for new appends: an exhausted one is closed
+// before the loop blocks.
 type Forwarder struct {
 	addr, node string
 	st         *store.Store
@@ -314,6 +323,17 @@ func (f *Forwarder) session() (established bool, err error) {
 func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{}, readerDone chan struct{}, readerErr *error) error {
 	watch := f.st.Watch()
 	var head, body []byte
+	// snap is the open store snapshot, positioned at sequence snapAt; it
+	// outlives a batch so a backlog is decoded once, not once per batch.
+	var snap *store.SeqCursor
+	var snapAt uint64
+	closeSnap := func() {
+		if snap != nil {
+			snap.Close()
+			snap = nil
+		}
+	}
+	defer closeSnap()
 	var deadline time.Time // first-pending-record linger bound
 	for {
 		select {
@@ -331,6 +351,7 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 
 		if avail <= 0 {
 			deadline = time.Time{}
+			closeSnap() // never pin a snapshot across a wait for appends
 			select {
 			case <-f.stop:
 				return errStopped
@@ -377,23 +398,37 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 			continue
 		}
 
-		// Assemble one batch from the store snapshot at the cursor.
-		cur := f.st.ScanSeq(cursor)
+		// Assemble one batch from the open snapshot. A new one is taken
+		// only when a collector rewind moved the cursor off its position
+		// or it ran out, and then the batch goes on filling from what
+		// was appended since.
+		if snapAt != cursor {
+			closeSnap()
+		}
 		count := 0
 		body = body[:0]
-		for count < f.opts.batch() && cur.Next() {
-			if cur.Seq() != cursor+uint64(count) {
-				cur.Close()
-				return fmt.Errorf("fleet: store sequence jumped to %d at cursor %d", cur.Seq(), cursor)
+		for count < f.opts.batch() {
+			if snap == nil {
+				snap = f.st.ScanSeq(cursor + uint64(count))
 			}
-			body = appendBatchRecord(body, cur.Line())
-			count++
+			if snap.Next() {
+				if snap.Seq() != cursor+uint64(count) {
+					return fmt.Errorf("fleet: store sequence jumped to %d at cursor %d", snap.Seq(), cursor)
+				}
+				body = appendBatchRecord(body, snap.Line())
+				count++
+				continue
+			}
+			err := snap.Err()
+			closeSnap()
+			if err != nil {
+				return err
+			}
+			if f.st.NextSeq() <= cursor+uint64(count) {
+				break
+			}
 		}
-		err := cur.Err()
-		cur.Close()
-		if err != nil {
-			return err
-		}
+		snapAt = cursor + uint64(count)
 		if count == 0 {
 			continue
 		}

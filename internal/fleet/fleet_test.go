@@ -75,24 +75,7 @@ func lines(t *testing.T, st *store.Store) [][]byte {
 // the edge store's records, byte for byte, in the same order.
 func assertShardEquals(t *testing.T, srv *Server, node string, edge *store.Store) {
 	t.Helper()
-	var shard *store.Store
-	for _, sh := range srv.Fleet().Shards() {
-		if sh.Node == node {
-			shard = sh.Store
-		}
-	}
-	if shard == nil {
-		t.Fatalf("collector has no shard for node %s", node)
-	}
-	got, want := lines(t, shard), lines(t, edge)
-	if len(got) != len(want) {
-		t.Fatalf("shard %s has %d records, edge has %d", node, len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("shard %s record %d differs:\n got %s\nwant %s", node, i, got[i], want[i])
-		}
-	}
+	assertShardLines(t, srv, node, lines(t, edge))
 }
 
 func TestFleetOptionsValidate(t *testing.T) {

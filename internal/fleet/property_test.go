@@ -18,6 +18,32 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 	return c
 }
 
+// helloOn says hello as node on an open connection and returns the
+// resume cursor the collector answers.
+func helloOn(t *testing.T, c net.Conn, node string) uint64 {
+	t.Helper()
+	if err := writeJSONFrame(c, frameHello, helloMsg{V: ProtocolVersion, Node: node}); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	typ, payload, err := readFrame(c, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume, err := parseCursorFrame(typ, payload, frameHelloAck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resume
+}
+
+// helloRaw dials the collector and says hello as node.
+func helloRaw(t *testing.T, addr, node string) (net.Conn, uint64) {
+	t.Helper()
+	c := dialRaw(t, addr)
+	return c, helloOn(t, c, node)
+}
+
 // TestDedupProperty is the delivery property test: whatever redelivery,
 // reordering, or duplication an edge inflicts on the wire — batches
 // resent, shuffled, overlapping, or skipping ahead — the collector
@@ -26,7 +52,10 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 // forwarder never reorders; the adversarial one here may), followed by
 // one clean in-order sweep standing in for the forwarder's eventual
 // rewind-and-resend, after which the shard must hold exactly the
-// canonical sequence.
+// canonical sequence. A third of the way in a second connection says
+// hello for the same node, as a reconnecting forwarder does while the
+// collector is still draining the dropped link, and from then on every
+// batch goes down one of the two at random.
 func TestDedupProperty(t *testing.T) {
 	srv, err := NewServer(t.TempDir(), ServerOptions{})
 	if err != nil {
@@ -47,18 +76,8 @@ func TestDedupProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		node := nodeName(trial)
 
-		c := dialRaw(t, addr.String())
-		if err := writeJSONFrame(c, frameHello, helloMsg{V: ProtocolVersion, Node: node}); err != nil {
-			t.Fatal(err)
-		}
-		var buf []byte
-		typ, payload, err := readFrame(c, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := parseCursorFrame(typ, payload, frameHelloAck); err != nil {
-			t.Fatal(err)
-		}
+		c, _ := helloRaw(t, addr.String(), node)
+		conns := []net.Conn{c}
 
 		// Build an adversarial schedule: contiguous batches covering
 		// 0..total, shuffled, with random batches duplicated and a few
@@ -85,32 +104,22 @@ func TestDedupProperty(t *testing.T) {
 		// at-least-once guarantee that delivery eventually completes.
 		sched = append(sched, batch{0, total})
 
-		send := func(b batch) uint64 {
-			var body []byte
-			for s := b.base; s < b.end; s++ {
-				line := []byte(`{"id":0}`) // filler for out-of-range seqs
-				if s < total {
-					line = recLines[s]
-				}
-				body = appendBatchRecord(body, line)
-			}
-			head := batchHeader(nil, uint64(b.base), b.end-b.base)
-			if err := writeFrame(c, frameBatch, head, body); err != nil {
+		send := func(c net.Conn, b batch) uint64 {
+			if _, err := c.Write(batchFrame(t, recLines, b.base, b.end-b.base)); err != nil {
 				t.Fatal(err)
 			}
-			typ, payload, err := readFrame(c, &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			next, err := parseCursorFrame(typ, payload, frameAck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return next
+			return readAck(t, c)
 		}
 		var last uint64
-		for _, b := range sched {
-			next := send(b)
+		for i, b := range sched {
+			if i == len(sched)/3 {
+				c2, resume := helloRaw(t, addr.String(), node)
+				if resume != last {
+					t.Fatalf("trial %d: second hello resumes at %d, cursor is %d", trial, resume, last)
+				}
+				conns = append(conns, c2)
+			}
+			next := send(conns[rng.Intn(len(conns))], b)
 			if next < last {
 				t.Fatalf("trial %d: collector cursor went backwards: %d after %d", trial, next, last)
 			}
@@ -119,23 +128,12 @@ func TestDedupProperty(t *testing.T) {
 		if last != total {
 			t.Fatalf("trial %d: final cursor %d, want %d", trial, last, total)
 		}
-		c.Close()
+		for _, c := range conns {
+			c.Close()
+		}
 
 		// The shard holds exactly the canonical sequence.
-		var shardLines [][]byte
-		for _, sh := range srv.Fleet().Shards() {
-			if sh.Node == node {
-				shardLines = lines(t, sh.Store)
-			}
-		}
-		if len(shardLines) != total {
-			t.Fatalf("trial %d: shard holds %d records, want %d", trial, len(shardLines), total)
-		}
-		for i := range shardLines {
-			if string(shardLines[i]) != string(recLines[i]) {
-				t.Fatalf("trial %d: record %d differs", trial, i)
-			}
-		}
+		assertShardLines(t, srv, node, recLines)
 	}
 }
 

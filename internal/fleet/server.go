@@ -3,6 +3,7 @@ package fleet
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -25,11 +26,35 @@ type ServerOptions struct {
 	// lost from the fleet, but the collector's copy lags until the
 	// edges resend or operators re-sync. On by default in hncollect.
 	SyncAck bool
-	// OnRecord, if set, observes every record after it commits to its
-	// node's shard (exactly once per sequence — duplicates and gaps
-	// never reach it). It runs on the connection's ingest goroutine;
-	// hncollect points it at the live analytics pipeline.
+	// OnRecord, if set, observes every record once its shard has
+	// accepted it: after Append returns and before the fsync that
+	// SyncAck puts ahead of the ack, so a collector crash can lose a
+	// record OnRecord has already seen (the edge then redelivers it to
+	// the shard, and OnRecord sees it again in the new process). Within
+	// one process it fires exactly once per sequence, in sequence order
+	// per node — duplicates and gaps never reach it. It runs on the
+	// connection's ingest goroutine with the node's ingest lock held, so
+	// it must not call back into the Server; hncollect points it at the
+	// live analytics pipeline.
 	OnRecord func(node string, r *session.Record)
+}
+
+// maxAckGroup bounds how many batch frames one flush and one ack may
+// cover: it caps both how long a batch waits for its ack behind frames
+// that arrived with it and how much an edge resends if the collector
+// dies before the flush.
+const maxAckGroup = 8
+
+// nodeIngest is one node's shard plus the state every connection of
+// that node shares. The shard's record count is the dedup ledger, and
+// mu makes "read the ledger, append what is new" one step, so a stale
+// connection still draining its read buffer and the reconnected one
+// that replaced it cannot both append the same sequence.
+type nodeIngest struct {
+	st *store.Store
+
+	mu      sync.Mutex // held while a batch is applied to st
+	durable uint64     // every sequence below it has been flushed
 }
 
 // Server is the collector: it accepts edge connections, writes one
@@ -45,7 +70,7 @@ type Server struct {
 	ln     net.Listener
 	wg     sync.WaitGroup
 	mu     sync.Mutex // guards shards, conns, closed
-	shards map[string]*store.Store
+	shards map[string]*nodeIngest
 	conns  map[net.Conn]struct{}
 	closed bool
 
@@ -70,7 +95,7 @@ func NewServer(dir string, opts ServerOptions) (*Server, error) {
 	s := &Server{
 		dir:    dir,
 		opts:   opts,
-		shards: map[string]*store.Store{},
+		shards: map[string]*nodeIngest{},
 		conns:  map[net.Conn]struct{}{},
 	}
 	entries, err := os.ReadDir(dir)
@@ -86,12 +111,10 @@ func NewServer(dir string, opts ServerOptions) (*Server, error) {
 			continue
 		}
 		node := e.Name()[len(p):]
-		st, err := store.Open(store.ShardDir(dir, node), opts.Store)
-		if err != nil {
+		if _, err := s.shard(node); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("fleet: reopen shard %s: %w", node, err)
 		}
-		s.shards[node] = st
 	}
 	return s, nil
 }
@@ -142,29 +165,42 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// shard returns (opening if needed) the store for one node.
-func (s *Server) shard(node string) (*store.Store, error) {
+// shard returns (opening if needed) the ingest state for one node.
+func (s *Server) shard(node string) (*nodeIngest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, fmt.Errorf("fleet: server closed")
 	}
-	if st, ok := s.shards[node]; ok {
-		return st, nil
+	if n, ok := s.shards[node]; ok {
+		return n, nil
 	}
 	st, err := store.Open(store.ShardDir(s.dir, node), s.opts.Store)
 	if err != nil {
 		return nil, err
 	}
-	s.shards[node] = st
-	return st, nil
+	// What Open recovered came off the disk.
+	n := &nodeIngest{st: st, durable: st.NextSeq()}
+	s.shards[node] = n
+	return n, nil
 }
 
 // handle runs one edge connection: hello, resume ack, then the batch
-// loop. One goroutine per connection; reads, appends, and acks are
-// sequential, so per-node sequence checks need no extra locking (one
-// node id should have at most one live connection; a second one is
-// safe but they will duplicate-suppress each other).
+// loop. One goroutine per connection; a node normally has one live
+// connection, but after a dropped link the old handler may still be
+// draining its read buffer when the reconnected one starts, so every
+// batch is checked against the shard itself under the node's ingest
+// lock (applyBatch) and any number of connections for one node dedup
+// against one ledger.
+//
+// Acks are group-committed: after a batch that appended in full, a
+// frame already complete in the read buffer is applied before the
+// flush and the ack, up to maxAckGroup frames, so under backlog one
+// fsync and one ack cover several batches; with nothing buffered every
+// batch is flushed and acked on its own. A batch that did not append in
+// full (duplicates, a gap) never joins a group: what is pending is
+// acked first, so that its own no-progress ack still reads as no
+// progress to the forwarder, whose rewind signal that is.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 256<<10)
@@ -188,22 +224,20 @@ func (s *Server) handle(conn net.Conn) {
 		s.reject(bw, fmt.Sprintf("invalid node id %q", hello.Node))
 		return
 	}
-	st, err := s.shard(hello.Node)
+	n, err := s.shard(hello.Node)
 	if err != nil {
 		s.reject(bw, "shard open failed")
 		return
 	}
-	next := st.NextSeq()
-	if err := writeJSONFrame(bw, frameHelloAck, cursorMsg{Next: next}); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
+	if err := s.sendCursor(n, bw, frameHelloAck, n.st.NextSeq()); err != nil {
 		return
 	}
 	s.sessions.Add(1)
 	defer s.sessions.Add(-1)
 
 	dec := &session.JSONDecoder{}
+	var next uint64 // node cursor after the last applied batch
+	pending := 0    // earlier batches, appended in full, that the next ack will cover
 	for {
 		typ, payload, err := readFrame(br, &buf)
 		if err != nil {
@@ -214,60 +248,110 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.batchesIn.Add(1)
-		base, count, rest, err := parseBatch(payload)
+		after, full, err := s.applyBatch(n, hello.Node, dec, payload)
 		if err != nil {
 			s.reject(bw, err.Error())
 			return
 		}
-		progressed := false
-		for i := 0; i < count; i++ {
-			var line []byte
-			if line, rest, err = nextBatchRecord(rest); err != nil {
-				s.reject(bw, err.Error())
+		if !full && pending > 0 {
+			if err := s.sendCursor(n, bw, frameAck, next); err != nil {
 				return
 			}
-			seq := base + uint64(i)
-			switch {
-			case seq < next:
-				s.dups.Add(1) // already committed: at-least-once redelivery
-			case seq > next:
-				// A sequence from the future: drop the remainder and
-				// re-state our cursor; the no-progress ack tells the
-				// client to rewind (a TCP client never triggers this).
-				s.gaps.Add(1)
-				i = count
-			default:
-				r := &session.Record{}
-				if err := dec.Decode(line, r); err != nil {
-					s.reject(bw, fmt.Sprintf("corrupt record at seq %d: %v", seq, err))
-					return
-				}
-				if err := st.Append(r); err != nil {
-					s.reject(bw, "append failed")
-					return
-				}
-				if s.opts.OnRecord != nil {
-					s.opts.OnRecord(hello.Node, r)
-				}
-				next++
-				progressed = true
-				s.received.Add(1)
-			}
+			pending = 0
 		}
-		if progressed && s.opts.SyncAck {
-			if err := st.Flush(); err != nil {
-				s.reject(bw, "flush failed")
-				return
-			}
+		next = after
+		if full && pending+1 < maxAckGroup && frameBuffered(br) {
+			pending++
+			continue
 		}
-		if err := writeJSONFrame(bw, frameAck, cursorMsg{Next: next}); err != nil {
+		if err := s.sendCursor(n, bw, frameAck, next); err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
-			return
+		pending = 0
+	}
+}
+
+// applyBatch commits one batch frame to the node's shard and returns
+// the node's cursor after it and whether every record of the batch was
+// appended. The cursor is read from the shard under the node's ingest
+// lock, not remembered per connection, and the lock is held until the
+// batch is in, OnRecord calls included: that is what keeps sequences
+// dense and OnRecord in sequence order however many connections feed
+// the node. A returned error is the reject message for the peer.
+func (s *Server) applyBatch(n *nodeIngest, node string, dec *session.JSONDecoder, payload []byte) (next uint64, full bool, err error) {
+	base, count, rest, err := parseBatch(payload)
+	if err != nil {
+		return 0, false, err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	next = n.st.NextSeq()
+	full = count > 0 && base == next
+	for i := 0; i < count; i++ {
+		var line []byte
+		if line, rest, err = nextBatchRecord(rest); err != nil {
+			return 0, false, err
 		}
+		seq := base + uint64(i)
+		switch {
+		case seq < next:
+			s.dups.Add(1) // already committed: at-least-once redelivery
+		case seq > next:
+			// A sequence from the future: drop the remainder and
+			// re-state our cursor; the no-progress ack tells the
+			// client to rewind (a TCP client never triggers this).
+			s.gaps.Add(1)
+			i = count
+		default:
+			r := &session.Record{}
+			if err := dec.Decode(line, r); err != nil {
+				return 0, false, fmt.Errorf("corrupt record at seq %d: %v", seq, err)
+			}
+			if err := n.st.Append(r); err != nil {
+				return 0, false, errors.New("append failed")
+			}
+			if s.opts.OnRecord != nil {
+				s.opts.OnRecord(node, r)
+			}
+			next++
+			s.received.Add(1)
+		}
+	}
+	return next, full, nil
+}
+
+// sendCursor states the node's cursor to the peer in a helloAck or ack
+// frame. Under SyncAck the shard is flushed first unless everything
+// below next already has been, so no cursor is ever stated — by this
+// connection or another of the same node — ahead of what would survive
+// a kill -9.
+func (s *Server) sendCursor(n *nodeIngest, bw *bufio.Writer, typ byte, next uint64) error {
+	if s.opts.SyncAck {
+		n.mu.Lock()
+		var err error
+		if next > n.durable {
+			// Nothing is appended while mu is held, so the flush covers
+			// the shard up to its cursor now, which may be past next.
+			if err = n.st.Flush(); err == nil {
+				n.durable = n.st.NextSeq()
+			}
+		}
+		n.mu.Unlock()
+		if err != nil {
+			s.reject(bw, "flush failed")
+			return err
+		}
+	}
+	if err := writeJSONFrame(bw, typ, cursorMsg{Next: next}); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if typ == frameAck {
 		s.acksOut.Add(1)
 	}
+	return nil
 }
 
 // reject sends a best-effort error frame before closing.
@@ -285,8 +369,8 @@ func (s *Server) Fleet() *store.Fleet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	shards := make([]store.Shard, 0, len(s.shards))
-	for node, st := range s.shards {
-		shards = append(shards, store.Shard{Node: node, Store: st})
+	for node, n := range s.shards {
+		shards = append(shards, store.Shard{Node: node, Store: n.st})
 	}
 	return store.NewFleet(shards)
 }
@@ -302,8 +386,8 @@ func (s *Server) Nodes() int {
 func (s *Server) Len() int {
 	s.mu.Lock()
 	shards := make([]*store.Store, 0, len(s.shards))
-	for _, st := range s.shards {
-		shards = append(shards, st)
+	for _, n := range s.shards {
+		shards = append(shards, n.st)
 	}
 	s.mu.Unlock()
 	n := 0
@@ -334,12 +418,12 @@ func (s *Server) Close() error {
 	var err error
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, st := range s.shards {
-		if cerr := st.Close(); err == nil {
+	for _, n := range s.shards {
+		if cerr := n.st.Close(); err == nil {
 			err = cerr
 		}
 	}
-	s.shards = map[string]*store.Store{}
+	s.shards = map[string]*nodeIngest{}
 	return err
 }
 

@@ -28,6 +28,7 @@
 package fleet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -123,6 +124,17 @@ func readFrame(r io.Reader, buf *[]byte) (typ byte, payload []byte, err error) {
 		return 0, nil, err
 	}
 	return typ, payload, nil
+}
+
+// frameBuffered reports whether a whole frame already sits in br's
+// buffer, so that reading it cannot block. A nonsense length prefix may
+// report true; readFrame then rejects it.
+func frameBuffered(br *bufio.Reader) bool {
+	pre, err := br.Peek(min(4, br.Buffered()))
+	if err != nil || len(pre) < 4 {
+		return false
+	}
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(pre))
 }
 
 // appendBatchRecord appends one record line (uvarint length + bytes)

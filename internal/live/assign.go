@@ -36,6 +36,12 @@ type assigner struct {
 	reservoir []sampleItem
 	seen      int64 // observations offered to the reservoir
 
+	// matrix holds the reservoir's pairwise distances as of the last
+	// drift check; stale marks the slots (re)filled since, whose rows
+	// are all the next check has to recompute.
+	matrix *cluster.Matrix
+	stale  []bool
+
 	sinceCheck int
 	silhouette float64 // last computed reservoir silhouette (NaN-free; 0 before first check)
 
@@ -73,6 +79,7 @@ func newAssigner(maxClusters, reservoir int, newClusterDist, silhouetteMin float
 		silhouetteMin:  silhouetteMin,
 		recheckEvery:   recheckEvery,
 		reservoir:      make([]sampleItem, 0, reservoir),
+		stale:          make([]bool, reservoir),
 	}
 }
 
@@ -134,6 +141,7 @@ func (a *assigner) nearest(tokens []int32) (int, float64) {
 func (a *assigner) sample(text string, tokens []int32) {
 	a.seen++
 	if len(a.reservoir) < cap(a.reservoir) {
+		a.stale[len(a.reservoir)] = true
 		a.reservoir = append(a.reservoir, sampleItem{text: text, tokens: tokens})
 		return
 	}
@@ -141,8 +149,47 @@ func (a *assigner) sample(text string, tokens []int32) {
 		return
 	}
 	if j := a.rng.Int63n(a.seen); j < int64(len(a.reservoir)) {
+		a.stale[j] = true
 		a.reservoir[j] = sampleItem{text: text, tokens: tokens}
 	}
+}
+
+// reservoirMatrix brings the persistent distance matrix up to date with
+// the reservoir and returns it. Only pairs with a stale slot are
+// recomputed, each with the lower slot as the kernel's first argument,
+// so every cell holds exactly what a from-scratch build would put there.
+func (a *assigner) reservoirMatrix() *cluster.Matrix {
+	n := len(a.reservoir)
+	m := a.matrix
+	if m == nil || m.N != n {
+		// The reservoir grew (it never shrinks): the packed layout
+		// depends on N, so carry the old cells into a matrix of the new
+		// size. The new slots are already marked stale.
+		m = cluster.NewMatrix(n)
+		if old := a.matrix; old != nil {
+			for i := 0; i < old.N; i++ {
+				for j := i + 1; j < old.N; j++ {
+					m.Set(i, j, old.At(i, j))
+				}
+			}
+		}
+		a.matrix = m
+	}
+	for s := 0; s < n; s++ {
+		if !a.stale[s] {
+			continue
+		}
+		for t := 0; t < n; t++ {
+			// A pair of two stale slots is computed from its lower one.
+			if t == s || (t < s && a.stale[t]) {
+				continue
+			}
+			i, j := min(s, t), max(s, t)
+			m.Set(i, j, a.scratch.NormalizedIDs(a.reservoir[i].tokens, a.reservoir[j].tokens))
+		}
+	}
+	clear(a.stale)
+	return m
 }
 
 // maybeRecluster scores the current medoid set by mean silhouette over
@@ -155,12 +202,7 @@ func (a *assigner) maybeRecluster() {
 		return
 	}
 	a.checks++
-	m := cluster.NewMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, a.scratch.NormalizedIDs(a.reservoir[i].tokens, a.reservoir[j].tokens))
-		}
-	}
+	m := a.reservoirMatrix()
 	// Label each reservoir point with its nearest current medoid; the
 	// silhouette of that labeling over the reservoir matrix is the
 	// drift score for the live medoid set.

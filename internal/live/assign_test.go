@@ -1,9 +1,12 @@
 package live
 
 import (
+	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"honeynet/internal/cluster"
 	"honeynet/internal/textdist"
 )
 
@@ -160,5 +163,135 @@ func TestAssignZeroClusters(t *testing.T) {
 		if c, _ := a.observe(txt); c != -1 {
 			t.Fatalf("expected -1 with MaxClusters 0, got %d", c)
 		}
+	}
+}
+
+// fullMatrix is the oracle for the persistent reservoir matrix: every
+// pair computed from scratch, the way each drift check used to.
+func fullMatrix(a *assigner) *cluster.Matrix {
+	n := len(a.reservoir)
+	ref := textdist.NewScratch()
+	m := cluster.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Set(i, j, ref.NormalizedIDs(a.reservoir[i].tokens, a.reservoir[j].tokens))
+		}
+	}
+	return m
+}
+
+// forceFullRebuild makes a's next drift check recompute every pair.
+func forceFullRebuild(a *assigner) {
+	a.matrix = nil
+	for i := range a.reservoir {
+		a.stale[i] = true
+	}
+}
+
+// TestReservoirMatrixExact: after every drift check the persistent
+// matrix must equal a from-scratch build cell for cell — while the
+// reservoir is still growing (the packed layout changes with N), once
+// it is full and a check only refreshes the slots replaced since the
+// last one, and across forced re-clusterings.
+func TestReservoirMatrixExact(t *testing.T) {
+	var simTexts []string
+	for _, r := range simRecords(t, 5000, 21) {
+		if len(r.Downloads) > 0 {
+			simTexts = append(simTexts, r.CommandText())
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		a     *assigner
+		texts []string
+	}{
+		{"growth", newAssigner(8, 128, 0.4, 0.3, 10, 7), assignCorpus(1500, 42)},
+		{"steady", newAssigner(8, 64, 0.4, 0.3, 100, 3), assignCorpus(6000, 9)},
+		{"recluster every check", newAssigner(4, 64, 0.3, 0.99, 50, 1), assignCorpus(600, 13)}, // TestReclusterTriggers
+		{"simulate corpus, defaults", newAssigner(24, 192, 0.6, 0.25, 256, 1), simTexts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tc.a
+			var grew, partial int // checks that resized the matrix; that refreshed some slots, not all
+			for _, txt := range tc.texts {
+				checks, oldN := a.checks, 0
+				if a.matrix != nil {
+					oldN = a.matrix.N
+				}
+				stale := 0
+				for _, s := range a.stale[:len(a.reservoir)] {
+					if s {
+						stale++
+					}
+				}
+				a.observe(txt) // its sample() may make one more slot stale
+				if a.checks == checks {
+					continue
+				}
+				want := fullMatrix(a)
+				if a.matrix.N != want.N || !slices.Equal(a.matrix.Packed(), want.Packed()) {
+					t.Fatalf("check %d: persistent matrix (n=%d) differs from the full build (n=%d)", a.checks, a.matrix.N, want.N)
+				}
+				if slices.Contains(a.stale, true) {
+					t.Fatalf("check %d left stale slots behind", a.checks)
+				}
+				if oldN > 0 && a.matrix.N != oldN {
+					grew++
+				}
+				if oldN == a.matrix.N && stale+1 < oldN {
+					partial++
+				}
+			}
+			if a.checks == 0 {
+				t.Fatal("no drift check ran")
+			}
+			t.Logf("%d checks: %d resized the matrix, %d refreshed only part of it, %d reclusters", a.checks, grew, partial, a.reclusters)
+			switch tc.name {
+			case "growth":
+				if grew == 0 {
+					t.Error("the matrix never changed size: growth phase not covered")
+				}
+			case "recluster every check":
+				if a.reclusters == 0 {
+					t.Error("no recluster ran")
+				}
+				fallthrough
+			default:
+				if partial == 0 {
+					t.Error("no check was incremental")
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotMatchesFullRebuild: the /live document for a fixed seed
+// and arrival order is byte-identical whether drift checks refresh the
+// matrix incrementally or rebuild it whole.
+func TestSnapshotMatchesFullRebuild(t *testing.T) {
+	recs := simRecords(t, 100000, 8)
+	run := func(full bool) []byte {
+		// A floor this high makes most checks re-cluster, so the matrix
+		// decides the medoids the snapshot shows.
+		p := NewPipeline(Options{Seed: 5, SilhouetteFloor: 0.9, RecheckEvery: 64})
+		for _, r := range recs {
+			if full {
+				forceFullRebuild(p.asg)
+			}
+			p.Observe(r)
+		}
+		s := p.Snapshot()
+		if s.Reclusters == 0 {
+			t.Fatal("no recluster ran: the matrix never reached the snapshot")
+		}
+		s.Uptime = ""
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if inc, full := run(false), run(true); string(inc) != string(full) {
+		t.Fatalf("snapshots differ:\nincremental %s\nfull        %s", inc, full)
 	}
 }
