@@ -732,7 +732,7 @@ func BenchmarkRekey(b *testing.B) {
 func BenchmarkFigAllFromStore(b *testing.B) {
 	w := benchPipeline(b)
 	dir := b.TempDir()
-	if err := persistStore(dir, "", "", w.Store.All()); err != nil {
+	if err := persistStore(dir, w.Store.All()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -174,23 +174,14 @@ func loadDataset(path string, seed int64) (*core.Pipeline, error) {
 // (node-<id>/ shards) streams transparently, one month resident at a
 // time, merged into the fleet's canonical (time, node, seq) order.
 func loadStore(dir string, seed int64) (*core.Pipeline, error) {
-	w := &analysis.World{Registry: asdb.NewRegistry(seed+1, 2000)}
-	if store.IsFleetDir(dir) {
-		fl, err := store.OpenFleet(dir, store.Options{ReadOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		defer fl.Close()
-		return core.FromRecordCursor(fl.Stream(), w)
-	}
-	st, err := store.Open(dir, store.Options{ReadOnly: true})
+	src, err := store.OpenDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	src := st.Stream()
 	defer src.Close()
-	return core.FromRecordCursor(src, w)
+	cur := src.Stream()
+	defer cur.Close()
+	return core.FromRecordCursor(cur, &analysis.World{Registry: asdb.NewRegistry(seed+1, 2000)})
 }
 
 func runOne(p *core.Pipeline, fig string, ccfg analysis.ClusterConfig, csv bool) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"io"
 	"os"
 	"path/filepath"
@@ -200,11 +201,13 @@ func TestStoreGzipInputParity(t *testing.T) {
 }
 
 // TestMixedFormatStoreByteIdentical: a store whose sealed segments
-// span all three on-disk generations — v1 DEFLATE rows, v2 LZ rows,
-// v3 columnar stripes — must produce -fig all output byte-identical
-// to a uniform store over the same records. Each segment's codec is
-// recorded in the manifest; the figure pipeline must not care.
+// span all three on-disk generations — v1 DEFLATE rows and v2 LZ rows
+// from internal/store's legacy fixture (nothing writes them any more),
+// v3 columnar stripes sealed on top by this tree — must produce -fig all
+// output byte-identical to a uniform store over the same records, and
+// must leave the legacy segment files untouched.
 func TestMixedFormatStoreByteIdentical(t *testing.T) {
+	const fixture = "../../internal/store/testdata/legacy"
 	p, err := core.Simulate(simulate.Config{
 		Scale: 20000,
 		Seed:  7,
@@ -213,53 +216,62 @@ func TestMixedFormatStoreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := p.World.Store.All()
-
-	dir := t.TempDir()
-	uniformDir := filepath.Join(dir, "uniform")
-	st, err := store.Open(uniformDir, store.Options{})
+	f, err := os.Open(filepath.Join(fixture, "records.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := st.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
+	legacy, err := session.ReadAll(f)
+	f.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The mixed store seals one third of the stream per generation, by
-	// reopening with different options between seals.
-	mixedDir := filepath.Join(dir, "mixed")
-	phases := []store.Options{
-		{Codec: store.CodecFlate},
-		{Codec: store.CodecLZ},
-		{Format: store.FormatV3},
-	}
-	chunk := (len(recs) + len(phases) - 1) / len(phases)
-	for pi, opt := range phases {
-		ms, err := store.Open(mixedDir, opt)
+	// fill appends recs to the store at dir and closes it, sealing them
+	// as v3 segments beside whatever the store already holds.
+	fill := func(dir string, recs []*session.Record) {
+		t.Helper()
+		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := pi*chunk, (pi+1)*chunk
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		for _, r := range recs[lo:hi] {
-			if err := ms.Append(r); err != nil {
+		for _, r := range recs {
+			if err := st.Append(r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := ms.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ms.Close(); err != nil {
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	dir := t.TempDir()
+	uniformDir, mixedDir := filepath.Join(dir, "uniform"), filepath.Join(dir, "mixed")
+	fill(uniformDir, append(legacy, p.World.Store.All()...))
+
+	legacyFiles := []string{"MANIFEST.json", "seg-000000.hns", "seg-000001.hns"}
+	sums := func(dir string) (out [2][sha256.Size]byte) {
+		t.Helper()
+		for i, name := range legacyFiles[1:] {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = sha256.Sum256(data)
+		}
+		return out
+	}
+	if err := os.Mkdir(mixedDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range legacyFiles {
+		data, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(mixedDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill(mixedDir, p.World.Store.All())
 
 	ccfg := analysis.ClusterConfig{K: 4, SampleSize: 50, Seed: 7, Workers: 2}
 	run := func(dir string) string {
@@ -277,5 +289,8 @@ func TestMixedFormatStoreByteIdentical(t *testing.T) {
 	}
 	if run(uniformDir) != run(mixedDir) {
 		t.Fatal("-fig all output differs between uniform and mixed-format stores")
+	}
+	if sums(mixedDir) != sums(fixture) {
+		t.Fatal("legacy segment files changed under appends, seals or reads")
 	}
 }

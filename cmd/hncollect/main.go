@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hncollect -dir fleet/ [-listen :7070] [-admin :9091]
-//	          [-store-codec lz] [-store-max-batch N] [-store-max-delay D]
+//	          [-store-max-batch N] [-store-max-delay D]
 //	          [-sync-ack=true] [-live=true]
 //
 // Delivery is at-least-once from the edges and exactly-once in the
@@ -44,7 +44,6 @@ func main() {
 		dir      = flag.String("dir", "", "fleet directory to write per-node shards under (required)")
 		listen   = flag.String("listen", ":7070", "address to accept edge connections on")
 		admin    = flag.String("admin", "", "admin listen address serving /metrics, /healthz, /live (empty to disable)")
-		codec    = flag.String("store-codec", "", `block codec for newly sealed shard segments: "lz" (default) or "flate"`)
 		batch    = flag.Int("store-max-batch", 0, "records per group-commit WAL write in each shard (0 = default)")
 		delay    = flag.Duration("store-max-delay", 0, "longest a record may wait in a shard's group-commit batch (0 = default)")
 		syncAck  = flag.Bool("sync-ack", true, "fsync a shard's WAL before acknowledging, so acked records survive a collector crash")
@@ -61,7 +60,7 @@ func main() {
 		pipeline = live.NewPipeline(live.Options{Seed: *liveSeed})
 	}
 	opts := fleet.ServerOptions{
-		Store:   store.Options{Codec: *codec, MaxBatch: *batch, MaxDelay: *delay},
+		Store:   store.Options{MaxBatch: *batch, MaxDelay: *delay},
 		SyncAck: *syncAck,
 	}
 	if pipeline != nil {

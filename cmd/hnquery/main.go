@@ -99,18 +99,12 @@ func main() {
 	}
 }
 
-// source is what hnquery needs from a store or fleet handle.
-type source interface {
-	query.Source
-	Close() error
-}
-
 // openSource opens dir read-only as a single store or, transparently,
 // as a fleet of per-node shards. A directory whose writer has a
 // background seal in flight (frozen WAL present) can fail to open for a
 // moment mid-rename; instead of dying with an opaque error, wait the
 // seal out with a clear message and retry briefly.
-func openSource(dir string) (source, error) {
+func openSource(dir string) (store.Reader, error) {
 	const (
 		tries = 20
 		pause = 250 * time.Millisecond
@@ -120,7 +114,7 @@ func openSource(dir string) (source, error) {
 		if attempt > 0 {
 			time.Sleep(pause)
 		}
-		src, err := openSourceOnce(dir)
+		src, err := store.OpenDir(dir)
 		if err == nil {
 			return src, nil
 		}
@@ -134,13 +128,6 @@ func openSource(dir string) (source, error) {
 	}
 	return nil, fmt.Errorf("%w (a background seal kept the store busy for %v; retry once the writer's seal finishes)",
 		lastErr, time.Duration(tries)*pause)
-}
-
-func openSourceOnce(dir string) (source, error) {
-	if store.IsFleetDir(dir) {
-		return store.OpenFleet(dir, store.Options{ReadOnly: true})
-	}
-	return store.Open(dir, store.Options{ReadOnly: true})
 }
 
 // sealingAnywhere reports whether dir — or any node shard under it —
@@ -210,7 +197,7 @@ func runFollow(dir, pred string, interval time.Duration) error {
 }
 
 // runOne executes one statement and prints its result.
-func runOne(src source, stmt string, csv bool) error {
+func runOne(src store.Reader, stmt string, csv bool) error {
 	res, err := query.Run(src, stmt)
 	if err != nil {
 		// Positioned errors get a caret line so the offending token is

@@ -41,8 +41,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "deterministic RNG seed")
 		out      = flag.String("out", "", "output JSONL path, gzip-compressed when it ends in .gz (default stdout; empty when -store is set)")
 		storeDir = flag.String("store", "", "write a month-partitioned session store at this directory instead of (or alongside) -out")
-		codec    = flag.String("store-codec", "", `block codec for -store segments: "lz" (default) or "flate" (v1-compatible)`)
-		segfmt   = flag.String("store-format", "", `segment layout for -store segments: "v2" (row blocks, default) or "v3" (columnar stripes; fastest projected scans)`)
 		months   = flag.Int("months", 0, "simulate only the first N months (0 = full 33-month window)")
 		format   = flag.String("format", "records", `output format: "records" (one session per line) or "cowrie" (Cowrie-compatible event log)`)
 	)
@@ -52,7 +50,7 @@ func main() {
 	var flushes []func() error
 
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{Codec: *codec, Format: *segfmt})
+		st, err := store.Open(*storeDir, store.Options{})
 		if err != nil {
 			log.Fatalf("hnsim: store: %v", err)
 		}

@@ -31,19 +31,17 @@ const (
 // Config is every honeypotd knob in one struct. Flags register against
 // it, Validate checks it, and ServeConfig converts it for the facade.
 type Config struct {
-	SSHAddr     string
-	TelnetAddr  string
-	AdminAddr   string
-	ID          string
-	Hostname    string
-	Timeout     time.Duration
-	Out         string
-	Store       string
-	StoreCodec  string
-	StoreFormat string
-	StoreBatch  int
-	StoreDelay  time.Duration
-	Persistent  bool
+	SSHAddr    string
+	TelnetAddr string
+	AdminAddr  string
+	ID         string
+	Hostname   string
+	Timeout    time.Duration
+	Out        string
+	Store      string
+	StoreBatch int
+	StoreDelay time.Duration
+	Persistent bool
 
 	Forward      string
 	NodeID       string
@@ -74,8 +72,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.Timeout, "timeout", honeypot.DefaultTimeout, "hard session timeout")
 	fs.StringVar(&c.Out, "out", "", "session JSONL output file (default stdout)")
 	fs.StringVar(&c.Store, "store", "", "also sink sessions into a month-partitioned session store at this directory (queryable via hnanalyze -store)")
-	fs.StringVar(&c.StoreCodec, "store-codec", "", `block codec for newly sealed store segments: "lz" (default) or "flate" (v1-compatible)`)
-	fs.StringVar(&c.StoreFormat, "store-format", "", `segment layout for newly sealed store segments: "v2" (row blocks, default) or "v3" (columnar stripes; fastest projected scans)`)
 	fs.IntVar(&c.StoreBatch, "store-max-batch", 0, "records per group-commit WAL write in the store (0 = default)")
 	fs.DurationVar(&c.StoreDelay, "store-max-delay", 0, "longest a record may wait in the store's group-commit batch (0 = default)")
 	fs.BoolVar(&c.Persistent, "persistent", false, "retain each client's filesystem across connections (defeats attacker consistency checks)")
@@ -106,9 +102,9 @@ func (c *Config) Validate() error {
 	if c.SSHAddr == "" {
 		return fmt.Errorf("-ssh must not be empty")
 	}
-	opts := store.Options{Codec: c.StoreCodec, Format: c.StoreFormat, MaxBatch: c.StoreBatch, MaxDelay: c.StoreDelay}
+	opts := store.Options{MaxBatch: c.StoreBatch, MaxDelay: c.StoreDelay}
 	if err := opts.Validate(); err != nil {
-		return fmt.Errorf("-store-codec/-store-format/-store-max-batch/-store-max-delay: %w", err)
+		return fmt.Errorf("-store-max-batch/-store-max-delay: %w", err)
 	}
 	fopts := fleet.Options{Batch: c.ForwardBatch, MaxDelay: c.ForwardDelay, AckWindow: c.AckWindow}
 	if err := fopts.Validate(); err != nil {
@@ -145,8 +141,6 @@ func (c *Config) ServeConfig() honeynet.ServeConfig {
 		Rate:            c.Rate,
 		DownloadBudget:  c.DLBudget,
 		StorePath:       c.Store,
-		StoreCodec:      c.StoreCodec,
-		StoreFormat:     c.StoreFormat,
 		StoreMaxBatch:   c.StoreBatch,
 		StoreMaxDelay:   c.StoreDelay,
 		ForwardAddr:     c.Forward,

@@ -28,14 +28,13 @@ func main() {
 
 	// A store-only node: no JSONL session log, every record appended to
 	// the store's WAL and sealed into per-month segments on drain. The
-	// store knobs are the write-path tuning surface: the block codec
-	// for sealed segments and the group-commit batch bounds (one WAL
-	// write and fsync is amortized over up to StoreMaxBatch records or
-	// StoreMaxDelay of arrivals, whichever comes first).
+	// store knobs are the write-path tuning surface: the group-commit
+	// batch bounds (one WAL write and fsync is amortized over up to
+	// StoreMaxBatch records or StoreMaxDelay of arrivals, whichever
+	// comes first).
 	srv, err := honeynet.Serve(honeynet.ServeConfig{
 		SSHAddr:       "127.0.0.1:0",
 		StorePath:     dir,
-		StoreCodec:    store.CodecLZ,
 		StoreMaxBatch: 256,
 		StoreMaxDelay: 2 * time.Millisecond,
 	})
@@ -84,13 +83,11 @@ func main() {
 	fmt.Printf("\nfacade Open: %d session(s); first: kind=%s commands=%d downloads=%d\n",
 		p.World.Store.Len(), rec.Kind(), len(rec.Commands), len(rec.Downloads))
 
-	// Route two: the hnquery DSL. Where callers used to hand-roll an
-	// opaque Filter closure — defeating every index the store keeps —
-	// one statement now compiles to a structured store.Query with real
-	// pushdown. The old Rollup becomes a GROUP BY, and because month,
-	// kind, and proto live in sealed segment metadata, the aggregate
-	// answers with zero block reads. EXPLAIN proves it.
-	st, err := store.Open(dir, store.Options{ReadOnly: true})
+	// Route two: the hnquery DSL. One statement compiles to a structured
+	// store.Query with real pushdown. A monthly rollup is a GROUP BY, and
+	// because month, kind, and proto live in sealed segment metadata, the
+	// aggregate answers with zero block reads. EXPLAIN proves it.
+	st, err := store.OpenDir(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -135,7 +132,6 @@ func main() {
 	}
 	defer os.RemoveAll(burstDir)
 	bs, err := store.Open(burstDir, store.Options{
-		Codec:    store.CodecLZ,
 		MaxBatch: 512,
 		MaxDelay: 2 * time.Millisecond,
 	})
@@ -163,6 +159,6 @@ func main() {
 		log.Fatal(err)
 	}
 	el := time.Since(begin)
-	fmt.Printf("\ningest burst: %d records in %v (%.0f recs/s, group-committed WAL + %s codec)\n",
-		burst, el.Round(time.Millisecond), float64(burst)/el.Seconds(), store.CodecLZ)
+	fmt.Printf("\ningest burst: %d records in %v (%.0f recs/s, group-committed WAL, sealed columnar)\n",
+		burst, el.Round(time.Millisecond), float64(burst)/el.Seconds())
 }

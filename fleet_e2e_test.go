@@ -369,17 +369,22 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 
 	// The analysis suite over the fleet directory matches the same
 	// session set in a single-node store, byte for byte.
-	fl, err := store.OpenFleet(fleetDir, store.Options{ReadOnly: true})
+	fl, err := store.OpenDir(fleetDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := fl.Load(4)
-	if err != nil {
+	var recs []*Record
+	cur := fl.Stream()
+	for cur.Next() {
+		recs = append(recs, cur.Record())
+	}
+	if err := cur.Err(); err != nil {
 		t.Fatal(err)
 	}
+	cur.Close()
 	fl.Close()
 	if len(recs) != total {
-		t.Fatalf("fleet Load returned %d records, want %d", len(recs), total)
+		t.Fatalf("fleet Stream returned %d records, want %d", len(recs), total)
 	}
 	singleDir := filepath.Join(base, "single")
 	single, err := store.Open(singleDir, store.Options{})

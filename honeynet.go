@@ -87,8 +87,6 @@ type config struct {
 	tracer      *obs.Tracer
 	matrixCache string
 	storeDir    string
-	storeCodec  string
-	storeFormat string
 }
 
 // Option tunes Simulate and Load. Options are applied in order; the
@@ -146,27 +144,6 @@ func WithStore(dir string) Option {
 	return optionFunc(func(c *config) { c.storeDir = dir })
 }
 
-// WithCodec selects the block codec for segments sealed by WithStore:
-// store.CodecLZ (the default: the fast in-tree LZ codec, v2 segments)
-// or store.CodecFlate (DEFLATE, v1 segments byte-compatible with older
-// stores). Reading is unaffected — every store opens with whatever
-// codec its manifest records. Query output is byte-identical across
-// codecs.
-func WithCodec(name string) Option {
-	return optionFunc(func(c *config) { c.storeCodec = name })
-}
-
-// WithFormat selects the segment layout for segments sealed by
-// WithStore: store.FormatV2 (the default row layout: blocks of whole
-// records, WithCodec applies) or store.FormatV3 (columnar: per-field
-// stripes, always LZ-compressed, fastest projected scans). Reading is
-// unaffected — every store opens with whatever layout its manifest
-// records, and formats mix freely within one store. Query output is
-// byte-identical across formats.
-func WithFormat(name string) Option {
-	return optionFunc(func(c *config) { c.storeFormat = name })
-}
-
 // SimOptions selects the scale and seed of a dataset generation run.
 //
 // Deprecated: use the functional options (WithScale, WithSeed, ...)
@@ -202,7 +179,7 @@ func Simulate(opts ...Option) (*Pipeline, error) {
 	}
 	p.World.MatrixCache = c.matrixCache
 	if c.storeDir != "" {
-		if err := persistStore(c.storeDir, c.storeCodec, c.storeFormat, p.World.Store.All()); err != nil {
+		if err := persistStore(c.storeDir, p.World.Store.All()); err != nil {
 			return nil, err
 		}
 	}
@@ -210,8 +187,8 @@ func Simulate(opts ...Option) (*Pipeline, error) {
 }
 
 // persistStore seals records into the session store at dir.
-func persistStore(dir, codec, format string, recs []*session.Record) error {
-	st, err := store.Open(dir, store.Options{Codec: codec, Format: format})
+func persistStore(dir string, recs []*session.Record) error {
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return err
 	}
@@ -248,11 +225,11 @@ func Load(r io.Reader, opts ...Option) (*Pipeline, error) {
 
 // Open builds a pipeline over a session store directory previously
 // written by Simulate(WithStore), cmd/hnsim -store, or a live
-// cmd/honeypotd -store. Sealed segments are decompressed in parallel
-// and records are restored in exact append order, so figure output is
-// byte-identical to the equivalent Load over JSONL. Only WithWorkers,
-// WithObserver, and WithMatrixCache apply; as with Load, figures that
-// join on simulation-only feeds render empty (see Pipeline.MissingJoins).
+// cmd/honeypotd -store. Records stream out of the sealed segments in
+// exact append order, so figure output is byte-identical to the
+// equivalent Load over JSONL. Only WithWorkers, WithObserver, and
+// WithMatrixCache apply; as with Load, figures that join on
+// simulation-only feeds render empty (see Pipeline.MissingJoins).
 //
 // A fleet directory written by cmd/hncollect (per-node shards under
 // node-<id>/) opens transparently: shards are scatter-gathered and the
@@ -263,7 +240,16 @@ func Open(dir string, opts ...Option) (*Pipeline, error) {
 	for _, o := range opts {
 		o.apply(&c)
 	}
-	p, err := streamStoreDir(dir)
+	src, err := store.OpenDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	// One record at a time in canonical order: peak memory is the
+	// collector's working set, not a second copy of the dataset.
+	cur := src.Stream()
+	defer cur.Close()
+	p, err := core.FromRecordCursor(cur, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -292,41 +278,10 @@ type QueryResult = query.Result
 // plan and its pruning statistics in QueryResult.Explain. A fleet
 // directory scatter-gathers across its per-node shards transparently.
 func Query(dir, stmt string) (*QueryResult, error) {
-	if store.IsFleetDir(dir) {
-		fl, err := store.OpenFleet(dir, store.Options{ReadOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		defer fl.Close()
-		return query.Run(fl, stmt)
-	}
-	st, err := store.Open(dir, store.Options{ReadOnly: true})
+	src, err := store.OpenDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	return query.Run(st, stmt)
-}
-
-// streamStoreDir streams every record of a store or fleet directory
-// into a pipeline, one at a time in exact canonical order — identical
-// output to the old materializing Load, with peak memory bounded by
-// the collector's working set instead of twice the dataset.
-func streamStoreDir(dir string) (*core.Pipeline, error) {
-	if store.IsFleetDir(dir) {
-		fl, err := store.OpenFleet(dir, store.Options{ReadOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		defer fl.Close()
-		return core.FromRecordCursor(fl.Stream(), nil)
-	}
-	st, err := store.Open(dir, store.Options{ReadOnly: true})
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	src := st.Stream()
 	defer src.Close()
-	return core.FromRecordCursor(src, nil)
+	return query.Run(src, stmt)
 }

@@ -132,15 +132,18 @@ func BenchmarkFleetScanScatterGather(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur := fl.Scan(store.TimeRange{}, nil)
-		got := 0
-		for cur.Next() {
-			got++
-		}
-		if err := cur.Err(); err != nil {
+		res, err := fl.RunQuery(&store.Query{})
+		if err != nil {
 			b.Fatal(err)
 		}
-		cur.Close()
+		got := 0
+		for res.Next() {
+			got++
+		}
+		if err := res.Err(); err != nil {
+			b.Fatal(err)
+		}
+		res.Close()
 		if got != nodes*per {
 			b.Fatalf("scanned %d records, want %d", got, nodes*per)
 		}

@@ -98,7 +98,11 @@ func TestFleetSoak(t *testing.T) {
 					return
 				default:
 				}
-				cur := srv.Fleet().Scan(store.TimeRange{}, nil)
+				cur, err := srv.Fleet().RunQuery(&store.Query{})
+				if err != nil {
+					t.Errorf("soak scan: %v", err)
+					return
+				}
 				var prev time.Time
 				var prevMonth time.Time
 				for cur.Next() {

@@ -2,6 +2,7 @@ package honeypot
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -133,9 +134,15 @@ func TestSSHInteractiveShellSession(t *testing.T) {
 	if !strings.Contains(out, "/tmp") {
 		t.Errorf("pwd = %q", out)
 	}
-	// exit terminates the session cleanly.
+	// exit terminates the session cleanly. Read until the shell closes the
+	// channel before closing the connection: a close with the server's
+	// last prompt bytes still unread can reset the connection, and the
+	// server then never sees the "exit" it had not read yet.
 	if _, err := sh.Write([]byte("exit\n")); err != nil {
 		t.Fatal(err)
+	}
+	if out, err := sh.ReadUntil("\x00"); err != io.EOF {
+		t.Fatalf("shell stayed open after exit: %q, %v", out, err)
 	}
 	cli.Close()
 	rec := sk.wait(t)

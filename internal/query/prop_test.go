@@ -115,21 +115,23 @@ func dslRecords(t *testing.T, src Source, dsl string) []*session.Record {
 	return res.Records
 }
 
-// filterRecords runs the same predicate as an opaque legacy Filter
-// through the deprecated Scan path — zero pushdown, full decode.
-func filterRecords(t *testing.T, cur interface {
-	Next() bool
-	Record() *session.Record
-	Err() error
-	Close() error
-}) []*session.Record {
+// filterRecords is the oracle: the unfiltered, unprojected row query —
+// no predicate for the planner to push anywhere, full decode — with the
+// same predicate applied as a plain Go func over what comes back.
+func filterRecords(t *testing.T, src Source, keep func(*session.Record) bool) []*session.Record {
 	t.Helper()
-	defer cur.Close()
-	var out []*session.Record
-	for cur.Next() {
-		out = append(out, cur.Record())
+	res, err := src.RunQuery(&store.Query{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := cur.Err(); err != nil {
+	defer res.Close()
+	var out []*session.Record
+	for res.Next() {
+		if keep(res.Record()) {
+			out = append(out, res.Record())
+		}
+	}
+	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -137,7 +139,7 @@ func filterRecords(t *testing.T, cur interface {
 
 // TestDSLEquivalentToFilterProperty is the PR's contract: every
 // generated DSL predicate must return the byte-identical record set to
-// the hand-rolled Filter it replaces — over a single store and over a
+// the hand-rolled Go func it mirrors — over a single store and over a
 // fleet directory — no matter what the planner pruned or skipped
 // decoding.
 func TestDSLEquivalentToFilterProperty(t *testing.T) {
@@ -173,14 +175,14 @@ func TestDSLEquivalentToFilterProperty(t *testing.T) {
 		dsl, fn := genPred(rng, 3)
 
 		got := recordBytes(t, dslRecords(t, s, dsl))
-		want := recordBytes(t, filterRecords(t, s.Scan(store.TimeRange{}, fn)))
+		want := recordBytes(t, filterRecords(t, s, fn))
 		if got != want {
 			t.Fatalf("store: DSL %q diverged from hand-rolled filter\ndsl:    %d bytes\nfilter: %d bytes",
 				dsl, len(got), len(want))
 		}
 
 		fgot := recordBytes(t, dslRecords(t, fl, dsl))
-		fwant := recordBytes(t, filterRecords(t, fl.Scan(store.TimeRange{}, fn)))
+		fwant := recordBytes(t, filterRecords(t, fl, fn))
 		if fgot != fwant {
 			t.Fatalf("fleet: DSL %q diverged from hand-rolled filter\ndsl:    %d bytes\nfilter: %d bytes",
 				dsl, len(fgot), len(fwant))

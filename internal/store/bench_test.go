@@ -115,14 +115,17 @@ func BenchmarkStoreScanMonth(b *testing.B) {
 	b.ResetTimer()
 	var total int
 	for i := 0; i < b.N; i++ {
-		cur := s.Scan(Month(month), nil)
-		for cur.Next() {
-			total += len(cur.Record().ClientIP)
-		}
-		if err := cur.Err(); err != nil {
+		res, err := s.RunQuery(&Query{Time: Month(month)})
+		if err != nil {
 			b.Fatal(err)
 		}
-		cur.Close()
+		for res.Next() {
+			total += len(res.Record().ClientIP)
+		}
+		if err := res.Err(); err != nil {
+			b.Fatal(err)
+		}
+		res.Close()
 	}
 	b.StopTimer()
 	close(stop)
@@ -197,7 +200,10 @@ func TestScanMemoryBounded(t *testing.T) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	cur := s.Scan(TimeRange{}, nil)
+	cur, err := s.RunQuery(&Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	count := 0
 	var peak uint64
 	var ms runtime.MemStats
@@ -226,94 +232,54 @@ func TestScanMemoryBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryProjectionColumnar is the PR-9 acceptance benchmark: a
-// narrow projection (ip, start) over one sealed month, row format vs
-// columnar. The v3 reader touches only the projected columns' stripes
-// at the byte level; the row reader must decompress whole blocks. The
-// CI tripwire holds the v3/v2 ratio at >=3x.
-//
-// The two formats are measured PAIRED — every iteration runs one v2 op
-// then one v3 op, each on its own clock — so a noisy neighbour or a
-// thermal window degrades both sides of the ratio equally. Running them
-// as separate sub-benchmarks put every v2 op minutes before every v3
-// op, which systematically flattered whichever format ran on the
-// cooler CPU.
+// BenchmarkQueryProjectionColumnar: a narrow projection (ip, start) over
+// one sealed month. The reader touches only the projected columns'
+// stripes at the byte level.
 func BenchmarkQueryProjectionColumnar(b *testing.B) {
 	const n = 30000
-	open := func(format string) *Store {
-		s, err := Open(b.TempDir(), Options{SealBytes: -1, SyncEvery: -1, Format: format})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { s.Close() })
-		for i := 0; i < n; i++ {
-			if err := s.Append(benchRecord(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := s.Seal(); err != nil {
-			b.Fatal(err)
-		}
-		return s
+	s, err := Open(b.TempDir(), Options{SealBytes: -1, SyncEvery: -1})
+	if err != nil {
+		b.Fatal(err)
 	}
-	s2, s3 := open("v2"), open(FormatV3)
-	month := s2.Months()[0]
-	perOp := monthLen(s2, month)
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		if err := s.Append(benchRecord(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Seal(); err != nil {
+		b.Fatal(err)
+	}
 	q := &Query{
-		Time:   Month(month),
+		Time:   Month(s.Months()[0]),
 		Select: []Field{FieldIP, FieldStart},
 	}
-	scan := func(s *Store) int {
+	rows := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		res, err := s.RunQuery(q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := 0
 		for res.Next() {
-			rows += len(res.Record().ClientIP)
+			if res.Record().ClientIP != "" {
+				rows++
+			}
 		}
 		if err := res.Err(); err != nil {
 			b.Fatal(err)
 		}
 		res.Close()
-		return rows
-	}
-	var t2, t3 time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		r2 := scan(s2)
-		t2 += time.Since(start)
-		start = time.Now()
-		r3 := scan(s3)
-		t3 += time.Since(start)
-		if r2 == 0 || r2 != r3 {
-			b.Fatalf("projection mismatch: v2 %d bytes, v3 %d bytes", r2, r3)
-		}
 	}
 	b.StopTimer()
-	ops := float64(b.N) * float64(perOp)
-	b.ReportMetric(ops/t2.Seconds(), "v2-recs/s")
-	b.ReportMetric(ops/t3.Seconds(), "v3-recs/s")
-	b.ReportMetric(t2.Seconds()/t3.Seconds(), "speedup")
-}
-
-// monthLen counts the records of one partition month (for normalizing
-// bench metrics).
-func monthLen(s *Store, m time.Time) int {
-	cur := s.Scan(Month(m), nil)
-	defer cur.Close()
-	n := 0
-	for cur.Next() {
-		n++
+	if rows != b.N*n/12 { // benchRecord round-robins twelve months
+		b.Fatalf("projected %d rows, want %d", rows, b.N*n/12)
 	}
-	return n
+	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "v3-recs/s")
 }
 
-// BenchmarkStreamLoad compares the materializing Load against the
-// streaming cursor on a 50k-record store, reporting each side's peak
-// heap growth. The PR-9 acceptance bar: the stream's peak is <=10% of
-// Load's — O(open blocks), not O(store).
+// BenchmarkStreamLoad drains the streaming cursor over a 50k-record
+// store and reports its peak live heap: O(open blocks), not O(store).
 func BenchmarkStreamLoad(b *testing.B) {
 	const n = 50000
 	dir := b.TempDir()
@@ -334,16 +300,12 @@ func BenchmarkStreamLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// The peak metric is peak LIVE heap — what the O(store) vs O(open
-	// blocks) claim is about. Each run calls sample() at the points
-	// where its working set is held (Load: while the materialized slice
-	// is still alive, its maximum by construction; stream: every n/8
-	// records mid-drain, while the merge's open segments are resident);
-	// sample forces a collection first, so floating garbage — a product
-	// of the pacer and the allocation rate, not of what the code under
-	// test holds — never lands in a sample. Both sides pay the same
-	// per-sample GC tax.
-	measure := func(b *testing.B, run func(sample func()) int) {
+	b.Run("stream", func(b *testing.B) {
+		// The peak metric is peak LIVE heap: sampled every n/8 records
+		// mid-drain, while the merge's open segments are resident, after a
+		// forced collection, so floating garbage — a product of the pacer
+		// and the allocation rate, not of what the code under test holds —
+		// never lands in a sample.
 		runtime.GC()
 		var base runtime.MemStats
 		runtime.ReadMemStats(&base)
@@ -359,31 +321,6 @@ func BenchmarkStreamLoad(b *testing.B) {
 		b.ResetTimer()
 		total := 0
 		for i := 0; i < b.N; i++ {
-			total += run(sample)
-		}
-		b.StopTimer()
-		if total != n*b.N {
-			b.Fatalf("drained %d records, want %d", total, n*b.N)
-		}
-		b.ReportMetric(float64(peak), "peak-bytes")
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "recs/s")
-	}
-
-	b.Run("load", func(b *testing.B) {
-		measure(b, func(sample func()) int {
-			recs, err := s.Load(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sample()
-			// Without this the compiler proves the records dead before
-			// sample's forced GC and the peak under-reads.
-			runtime.KeepAlive(recs)
-			return len(recs)
-		})
-	})
-	b.Run("stream", func(b *testing.B) {
-		measure(b, func(sample func()) int {
 			c := s.Stream()
 			count := 0
 			for c.Next() {
@@ -396,8 +333,14 @@ func BenchmarkStreamLoad(b *testing.B) {
 				b.Fatal(err)
 			}
 			c.Close()
-			return count
-		})
+			total += count
+		}
+		b.StopTimer()
+		if total != n*b.N {
+			b.Fatalf("drained %d records, want %d", total, n*b.N)
+		}
+		b.ReportMetric(float64(peak), "peak-bytes")
+		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "recs/s")
 	})
 }
 
@@ -407,7 +350,7 @@ func BenchmarkStreamLoad(b *testing.B) {
 func BenchmarkOrderByLimitPushdown(b *testing.B) {
 	const n, k = 30000, 20
 	dir := b.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1, Format: FormatV3})
+	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package store
 
 // A hand-rolled Bloom filter over client IPs, one per sealed segment:
-// campaign queries (ScanIP) skip every segment whose filter excludes the
+// campaign queries (`ip =`) skip every segment whose filter excludes the
 // address, which turns a "find the mdrfckr IPs" pass over years of data
 // into a read of only the months the campaign touched. Stdlib only —
 // FNV-1a double hashing, Kirsch-Mitzenmacher style.
@@ -20,8 +20,9 @@ const (
 // straight from the FNV hashes modulo an arbitrary M. Version 1 sizes M
 // as a power of two and finalizes the hashes with a mixing step first:
 // reducing raw FNV-1a modulo 2^k keeps only its low bits, which evolve
-// independently of the high ones and collide structurally. Old filters
-// keep reading with the scheme they were written under.
+// independently of the high ones and collide structurally. Only version
+// 1 is written; version-0 filters in older manifests keep reading with
+// the scheme they were written under.
 type Bloom struct {
 	M    uint64 `json:"m"` // filter size in bits
 	K    int    `json:"k"` // hash probes per key
@@ -88,19 +89,12 @@ func (b *Bloom) idx(probe uint64) uint64 {
 	return probe % b.M
 }
 
-// Add inserts key into the filter.
+// Add inserts key into a filter made by newBloom (M a power of two).
 func (b *Bloom) Add(key string) {
 	h1, h2 := b.bases(fnvHashes(key))
-	if b.M&(b.M-1) == 0 {
-		mask := b.M - 1
-		for i := 0; i < b.K; i++ {
-			bit := (h1 + uint64(i)*h2) & mask
-			b.Bits[bit/8] |= 1 << (bit % 8)
-		}
-		return
-	}
+	mask := b.M - 1
 	for i := 0; i < b.K; i++ {
-		bit := (h1 + uint64(i)*h2) % b.M
+		bit := (h1 + uint64(i)*h2) & mask
 		b.Bits[bit/8] |= 1 << (bit % 8)
 	}
 }

@@ -10,85 +10,50 @@ import (
 	"math/bits"
 )
 
-// Codec names accepted by Options.Codec.
+// Manifest codec tags: the values segmentMeta.Codec may hold. Seals
+// write codecV3; the others name the row layouts older stores sealed,
+// which are read in place and never written (see segment.go).
 const (
-	// CodecLZ is the default block codec for new segments: a
-	// dependency-free LZ77 byte-oriented format (hash-table match
-	// finder, literal/copy tokens, 64 KiB window) that compresses and
-	// decompresses roughly an order of magnitude faster than DEFLATE at
-	// a modestly lower ratio. Segments written with it carry the
-	// HNSTORE2 magic and `"codec":"lz"` in the manifest.
-	CodecLZ = "lz"
-	// CodecFlate writes v1 segments (DEFLATE blocks, HNSTORE1 magic),
-	// byte-compatible with stores written before the codec existed.
-	CodecFlate = "flate"
+	codecV3    = "v3"    // HNSTORE3: column stripes, each LZ-compressed
+	codecLZ    = "lz"    // HNSTORE2: row blocks, in-tree LZ
+	codecFlate = "flate" // HNSTORE1: row blocks, DEFLATE; "" in manifests that predate the field
 )
 
-// validCodec reports whether name is a known codec ("" = default).
-func validCodec(name string) bool {
-	switch name {
-	case "", CodecLZ, CodecFlate:
-		return true
-	}
-	return false
-}
-
-// blockCodec compresses and decompresses one segment block. Instances
-// hold scratch state (hash tables, flate streams) and are not safe for
-// concurrent use: sealing creates one per compression worker.
+// blockCodec decompresses one row-layout block. Instances hold scratch
+// state (flate streams) and are not safe for concurrent use.
 type blockCodec interface {
-	// compress appends src's compressed form to dst.
-	compress(dst, src []byte) ([]byte, error)
 	// decompress fills dst (pre-sized to the block's uncompressed
 	// length) from src.
 	decompress(dst, src []byte) error
 }
 
-// newBlockCodec returns a codec instance by manifest name; "" selects
-// flate, matching manifests written before the codec field existed.
-func newBlockCodec(name string) (blockCodec, error) {
-	switch name {
-	case CodecLZ:
+// newBlockCodec returns the decoder for a row segment's manifest tag;
+// "" selects flate, matching manifests written before the field existed.
+func newBlockCodec(tag string) (blockCodec, error) {
+	switch tag {
+	case codecLZ:
 		return &lzCodec{}, nil
-	case "", CodecFlate:
+	case "", codecFlate:
 		return &flateCodec{}, nil
 	}
-	return nil, fmt.Errorf("store: unknown codec %q", name)
+	return nil, fmt.Errorf("store: unknown codec %q", tag)
 }
 
-// segmentMagic returns the file magic for a codec/layout name.
-func segmentMagic(name string) [8]byte {
-	switch name {
-	case FormatV3:
+// segmentMagic returns the file magic for a manifest codec tag.
+func segmentMagic(tag string) [8]byte {
+	switch tag {
+	case codecV3:
 		return segMagicV3
-	case CodecLZ:
+	case codecLZ:
 		return segMagicV2
 	}
 	return segMagicV1
 }
 
-// flateCodec is the v1 block codec: DEFLATE at the default level.
+// flateCodec decodes v1 blocks: DEFLATE.
 type flateCodec struct {
-	fw  *flate.Writer
-	fr  io.ReadCloser
-	br  *bytes.Reader
-	buf bytes.Buffer
-}
-
-func (c *flateCodec) compress(dst, src []byte) ([]byte, error) {
-	c.buf.Reset()
-	if c.fw == nil {
-		c.fw, _ = flate.NewWriter(&c.buf, flate.DefaultCompression)
-	} else {
-		c.fw.Reset(&c.buf)
-	}
-	if _, err := c.fw.Write(src); err != nil {
-		return dst, err
-	}
-	if err := c.fw.Close(); err != nil {
-		return dst, err
-	}
-	return append(dst, c.buf.Bytes()...), nil
+	fr io.ReadCloser
+	br *bytes.Reader
 }
 
 func (c *flateCodec) decompress(dst, src []byte) error {
@@ -108,14 +73,15 @@ func (c *flateCodec) decompress(dst, src []byte) error {
 	return err
 }
 
-// lzCodec is the v2 block codec. Format, LZ4-flavoured: a stream of
-// sequences, each a token byte (high nibble literal length, low nibble
-// match length − 4, 15 meaning "extended by following bytes: +255 per
-// 0xFF byte, terminated by a byte < 0xFF"), the literals, then a 2-byte
-// little-endian back-reference offset (1..65535) and any extended match
-// length. The final sequence is literals only (the stream ends after
-// them). Integrity is covered by the per-block CRC the manifest already
-// stores, so the frame carries no checksum of its own.
+// lzCodec compresses v3 stripes, and decodes them and v2 row blocks.
+// Format, LZ4-flavoured: a stream of sequences, each a token byte (high
+// nibble literal length, low nibble match length − 4, 15 meaning
+// "extended by following bytes: +255 per 0xFF byte, terminated by a byte
+// < 0xFF"), the literals, then a 2-byte little-endian back-reference
+// offset (1..65535) and any extended match length. The final sequence is
+// literals only (the stream ends after them). Integrity is covered by
+// the CRCs the manifest and block directory already store, so the frame
+// carries no checksum of its own.
 type lzCodec struct {
 	// table holds biased positions: pos + 1 + off at store time. The
 	// bias advances by the input length after every block, so an entry
@@ -141,10 +107,11 @@ func lzHash(u uint32) int { return int((u * 2654435761) >> lzHashShift) }
 
 var errLZCorrupt = errors.New("store: lz block corrupt")
 
-func (c *lzCodec) compress(dst, src []byte) ([]byte, error) {
+// compress appends src's compressed form to dst.
+func (c *lzCodec) compress(dst, src []byte) []byte {
 	n := len(src)
 	if n == 0 {
-		return dst, nil
+		return dst
 	}
 	if int64(c.off)+int64(n)+1 > 1<<31-1 {
 		clear(c.table[:])
@@ -217,7 +184,7 @@ func (c *lzCodec) compress(dst, src []byte) ([]byte, error) {
 		dst = append(dst, 0xF0)
 		dst = appendLZLen(dst, litLen-15)
 	}
-	return append(dst, src[anchor:]...), nil
+	return append(dst, src[anchor:]...)
 }
 
 // appendLZLen emits an extended length: v in 0xFF-saturated bytes.

@@ -34,10 +34,7 @@ func codecTestInputs() [][]byte {
 func TestLZRoundTrip(t *testing.T) {
 	var c lzCodec
 	for i, in := range codecTestInputs() {
-		comp, err := c.compress(nil, in)
-		if err != nil {
-			t.Fatalf("input %d: compress: %v", i, err)
-		}
+		comp := c.compress(nil, in)
 		out := make([]byte, len(in))
 		if err := c.decompress(out, comp); err != nil {
 			t.Fatalf("input %d: decompress: %v", i, err)
@@ -51,10 +48,7 @@ func TestLZRoundTrip(t *testing.T) {
 func TestLZCompresses(t *testing.T) {
 	var c lzCodec
 	in := bytes.Repeat([]byte(`{"id":1,"proto":"ssh","client_ip":"203.0.113.9"}`+"\n"), 2000)
-	comp, err := c.compress(nil, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := c.compress(nil, in)
 	if len(comp) > len(in)/10 {
 		t.Fatalf("repetitive JSONL compressed to %d of %d bytes; want ≤ 10%%", len(comp), len(in))
 	}
@@ -77,7 +71,7 @@ func TestLZDecompressRejectsGarbage(t *testing.T) {
 		}
 	}
 	// Wrong declared size must error too.
-	comp, _ := c.compress(nil, []byte("hello hello hello hello"))
+	comp := c.compress(nil, []byte("hello hello hello hello"))
 	if err := c.decompress(make([]byte, 5), comp); err == nil {
 		t.Error("short dst accepted")
 	}
@@ -94,10 +88,7 @@ func FuzzBlockCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var c lzCodec
-		comp, err := c.compress(nil, in)
-		if err != nil {
-			t.Fatalf("compress: %v", err)
-		}
+		comp := c.compress(nil, in)
 		out := make([]byte, len(in))
 		if err := c.decompress(out, comp); err != nil {
 			t.Fatalf("decompress(compress(x)): %v", err)
@@ -114,31 +105,23 @@ func FuzzBlockCodec(f *testing.F) {
 
 func BenchmarkBlockCodec(b *testing.B) {
 	in := bytes.Repeat([]byte(`{"id":123,"start":"2021-07-03T12:30:45Z","hp":"hp-1","client_ip":"203.0.113.9","proto":"ssh","logins":[{"user":"root","pass":"123456","ok":false}]}`+"\n"), 1500)
-	for _, name := range []string{CodecLZ, CodecFlate} {
-		c, err := newBlockCodec(name)
-		if err != nil {
-			b.Fatal(err)
+	var c lzCodec
+	comp := c.compress(nil, in)
+	b.Run("compress-lz", func(b *testing.B) {
+		b.SetBytes(int64(len(in)))
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = c.compress(buf[:0], in)
 		}
-		comp, err := c.compress(nil, in)
-		if err != nil {
-			b.Fatal(err)
+		b.ReportMetric(float64(len(in))/float64(len(comp)), "ratio")
+	})
+	b.Run("decompress-lz", func(b *testing.B) {
+		b.SetBytes(int64(len(in)))
+		out := make([]byte, len(in))
+		for i := 0; i < b.N; i++ {
+			if err := c.decompress(out, comp); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.Run("compress-"+name, func(b *testing.B) {
-			b.SetBytes(int64(len(in)))
-			var buf []byte
-			for i := 0; i < b.N; i++ {
-				buf, _ = c.compress(buf[:0], in)
-			}
-			b.ReportMetric(float64(len(in))/float64(len(comp)), "ratio")
-		})
-		b.Run("decompress-"+name, func(b *testing.B) {
-			b.SetBytes(int64(len(in)))
-			out := make([]byte, len(in))
-			for i := 0; i < b.N; i++ {
-				if err := c.decompress(out, comp); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	})
 }

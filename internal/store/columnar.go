@@ -14,8 +14,8 @@ import (
 	"honeynet/internal/session"
 )
 
-// v3 columnar segments. A v3 block holds the same records as a v2 block
-// would, but shredded: each record's canonical JSON line is split into
+// v3 columnar segments: the format every seal writes. A block's records
+// are stored shredded: each record's canonical JSON line is split into
 // per-field fragments (session.ShredJSON) and like fragments are stored
 // together in per-field column stripes, each LZ-compressed on its own.
 // The block opens with an uncompressed directory — row count, min/max
@@ -35,15 +35,8 @@ import (
 // The directory's CRC lives in the manifest (blockMeta.CRC) and each
 // stripe's CRC lives in the directory, so corruption is detected before
 // any decompression. The manifest entry records Codec: "v3" and the
-// file carries the HNSTORE3 magic; v1/v2 segments are untouched and
-// keep reading through blockReader.
-
-// FormatV3 is the manifest codec/layout tag for columnar segments.
-const FormatV3 = "v3"
-
-// FormatV2 names the row segment layout explicitly (the default when
-// Options.Format is empty): blocks of whole records, Codec-compressed.
-const FormatV2 = "v2"
+// file carries the HNSTORE3 magic; v1/v2 segments of older stores keep
+// reading through blockReader.
 
 // Stripe indices inside a v3 block.
 const (
@@ -343,16 +336,20 @@ func encodeColDir(dst []byte, be *colBlockEnc, clens [numStripes]int, crcs [numS
 	return dst
 }
 
-// writeSegmentColumnar is writeSegment's v3 twin: same inputs, same
-// manifest aggregates, columnar block layout. Stripes compress in
-// parallel across SealWorkers, one (block, stripe) pair per job.
-func (s *Store) writeSegmentColumnar(file string, recs []*session.Record, lines [][]byte, idxs []int32, baseSeq uint64) (*segmentMeta, error) {
+// writeSegment seals one month's records — those of recs selected by
+// idxs, with global append sequence baseSeq+index — into a new segment
+// file and returns its metadata. The WAL lines are shredded as they are,
+// no re-marshal, and the per-segment aggregates fold in the same pass;
+// stripes then compress in parallel across SealWorkers, one (block,
+// stripe) pair per job. The file is fsynced before return; the caller
+// commits it via the manifest.
+func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte, idxs []int32, baseSeq uint64) (*segmentMeta, error) {
 	meta := &segmentMeta{
 		File:   file,
 		Month:  recs[idxs[0]].Month().Format(monthLayout),
 		MinSeq: baseSeq + uint64(idxs[0]),
 		MaxSeq: baseSeq + uint64(idxs[len(idxs)-1]),
-		Codec:  FormatV3,
+		Codec:  codecV3,
 		Bloom:  newBloom(len(idxs)),
 	}
 	if s.sealCol == nil {
@@ -397,8 +394,7 @@ func (s *Store) writeSegmentColumnar(file string, recs []*session.Record, lines 
 	}
 
 	// Flatten the non-empty (block, stripe) pairs into one job list and
-	// compress them in parallel, reusing the seal codec and output
-	// caches (v3 always LZ-compresses stripes; Validate rejects flate).
+	// compress them in parallel, reusing the seal codec and output caches.
 	type job struct{ bi, st int }
 	var jobs []job
 	for bi := range blocks {
@@ -410,46 +406,30 @@ func (s *Store) writeSegmentColumnar(file string, recs []*session.Record, lines 
 	}
 	workers := s.sealWorkers(len(jobs))
 	for len(s.sealCodecs) < workers {
-		c, err := newBlockCodec(s.opts.codec())
-		if err != nil {
-			return nil, err
-		}
-		s.sealCodecs = append(s.sealCodecs, c)
+		s.sealCodecs = append(s.sealCodecs, &lzCodec{})
 	}
 	for len(s.sealComps) < len(jobs) {
 		s.sealComps = append(s.sealComps, nil)
 	}
 	comps := s.sealComps[:len(jobs)]
 	crcs := make([]uint32, len(jobs))
-	errs := make([]error, workers)
 	parallel.ForEach(len(jobs), workers, 1, func(worker, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			sp := blocks[jobs[j].bi].spans[jobs[j].st]
-			comp, err := s.sealCodecs[worker].compress(comps[j][:0], arena[sp.off:sp.off+sp.len])
-			if err != nil {
-				errs[worker] = err
-				return
-			}
-			comps[j] = comp
-			crcs[j] = crc32.ChecksumIEEE(comp)
+			comps[j] = s.sealCodecs[worker].compress(comps[j][:0], arena[sp.off:sp.off+sp.len])
+			crcs[j] = crc32.ChecksumIEEE(comps[j])
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("store: compress stripe: %w", err)
-		}
-	}
 
 	f, err := os.OpenFile(filepath.Join(s.dir, file), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	magic := segmentMagic(FormatV3)
-	if _, err := f.Write(magic[:]); err != nil {
+	if _, err := f.Write(segMagicV3[:]); err != nil {
 		return nil, err
 	}
-	off := int64(len(magic))
+	off := int64(len(segMagicV3))
 	var dirBuf []byte
 	ji := 0
 	for bi := range blocks {
@@ -903,7 +883,7 @@ func (cs *colSeg) loadRaw(d *colDir, stats *PlanStats) error {
 // colReader reads a v3 segment as (seq, canonical line) pairs — the
 // segReader contract blockReader satisfies for v1/v2 — by loading every
 // stripe and reassembling each line. The sequence-ordered paths
-// (replication, Load) use it; masked scans use colCursor instead.
+// (replication, Stream) use it; masked scans use colCursor instead.
 type colReader struct {
 	cs    *colSeg
 	stats *PlanStats

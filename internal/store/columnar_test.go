@@ -3,19 +3,18 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"honeynet/internal/session"
 )
 
-// openFmt opens a fresh store in dir with the given segment format.
-func openFmt(t *testing.T, dir, format string) *Store {
+// openSmall opens a fresh store with blocks small enough that a few
+// hundred test records span several.
+func openSmall(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(dir, Options{BlockBytes: 2048, Format: format})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := openArm(t, "v3")
 	return s
 }
 
@@ -32,41 +31,34 @@ func sealAll(t *testing.T, s *Store, recs []*session.Record) {
 	}
 }
 
+// TestColumnarLoadMatchesRowFormat: what a sealed store streams back is
+// what was appended, record for record (the name predates the row
+// writers' removal; the oracle is now the input, not a second format).
 func TestColumnarLoadMatchesRowFormat(t *testing.T) {
 	recs := make([]*session.Record, 0, 400)
 	for i := 0; i < 400; i++ {
 		recs = append(recs, mkRecord(i%3, i))
 	}
-	v2, v3 := openFmt(t, t.TempDir(), ""), openFmt(t, t.TempDir(), FormatV3)
-	defer v2.Close()
-	defer v3.Close()
-	sealAll(t, v2, recs)
-	sealAll(t, v3, recs)
+	s := openSmall(t)
+	sealAll(t, s, recs)
 
-	a, err := v2.Load(2)
-	if err != nil {
-		t.Fatal(err)
+	got := drainStream(t, s.Stream())
+	if len(got) != len(recs) {
+		t.Fatalf("streamed %d records, appended %d", len(got), len(recs))
 	}
-	b, err := v3.Load(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("Load lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			t.Fatalf("record %d differs:\n v2 %+v\n v3 %+v", i, a[i], b[i])
+	for i := range recs {
+		if !reflect.DeepEqual(got[i], recs[i]) {
+			t.Fatalf("record %d differs:\n appended %+v\n streamed %+v", i, recs[i], got[i])
 		}
 	}
-	// The v3 manifest must say so, and the file must carry HNSTORE3.
-	man, _ := v3.snapshot()
+	// The manifest must say v3, and the file must carry HNSTORE3.
+	man, _ := s.snapshot()
 	if len(man.Segments) == 0 {
 		t.Fatal("no sealed segments")
 	}
 	for _, seg := range man.Segments {
-		if seg.Codec != FormatV3 {
-			t.Fatalf("segment %s: codec %q, want %q", seg.File, seg.Codec, FormatV3)
+		if seg.Codec != codecV3 {
+			t.Fatalf("segment %s: codec %q, want %q", seg.File, seg.Codec, codecV3)
 		}
 		if seg.Blocks[0].DirLen <= 0 {
 			t.Fatalf("segment %s: missing directory length", seg.File)
@@ -74,55 +66,70 @@ func TestColumnarLoadMatchesRowFormat(t *testing.T) {
 	}
 }
 
+// TestColumnarRunQueryMatchesRowFormat: every query route over sealed
+// columnar segments returns what a Go loop over the appended records
+// selects, in scan order (months ascend, append order within each).
 func TestColumnarRunQueryMatchesRowFormat(t *testing.T) {
 	recs := make([]*session.Record, 0, 600)
 	for i := 0; i < 600; i++ {
 		recs = append(recs, mkRecord(i%2, i))
 	}
-	v2, v3 := openFmt(t, t.TempDir(), "v2"), openFmt(t, t.TempDir(), FormatV3)
-	defer v2.Close()
-	defer v3.Close()
-	sealAll(t, v2, recs)
-	sealAll(t, v3, recs)
+	s := openSmall(t)
+	sealAll(t, s, recs)
+	scan := append([]*session.Record(nil), recs...)
+	sort.SliceStable(scan, func(i, j int) bool { return scan[i].Month().Before(scan[j].Month()) })
 
-	queries := []*Query{
-		{Where: Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH)),
+	june := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
+	may := Month(time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC))
+	cases := []struct {
+		q    *Query
+		keep func(*session.Record) bool
+		// same compares a returned row with the appended record; nil
+		// means the query returns full records and DeepEqual applies.
+		same func(got, want *session.Record) bool
+	}{
+		{q: &Query{Where: Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH)),
 			Select: []Field{FieldIP, FieldStart}},
-		{Where: Cmp(FieldKind, CmpEq, KindValue(session.CommandExec))},
-		{Where: And(
+			keep: func(r *session.Record) bool { return r.Protocol == session.ProtoSSH },
+			// A projection promises the selected fields and the always-
+			// decoded scalars; the rest of the row is unspecified.
+			same: func(got, want *session.Record) bool {
+				return got.ID == want.ID && got.Start.Equal(want.Start) && got.ClientIP == want.ClientIP
+			}},
+		{q: &Query{Where: Cmp(FieldKind, CmpEq, KindValue(session.CommandExec))},
+			keep: func(r *session.Record) bool { return r.Kind() == session.CommandExec }},
+		{q: &Query{Where: And(
 			Cmp(FieldProto, CmpEq, StringValue(session.ProtoTelnet)),
-			Cmp(FieldStart, CmpGe, TimeValue(time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC))))},
-		{IP: recs[42].ClientIP},
-		{Where: Not(Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH)))},
-		{Time: Month(time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC)), Limit: 7},
+			Cmp(FieldStart, CmpGe, TimeValue(june)))},
+			keep: func(r *session.Record) bool { return r.Protocol == session.ProtoTelnet && !r.Start.Before(june) }},
+		{q: &Query{IP: recs[42].ClientIP},
+			keep: func(r *session.Record) bool { return r.ClientIP == recs[42].ClientIP }},
+		{q: &Query{Where: Not(Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH)))},
+			keep: func(r *session.Record) bool { return r.Protocol != session.ProtoSSH }},
+		{q: &Query{Time: may, Limit: 7},
+			keep: func(r *session.Record) bool { return may.contains(r.Start) }},
 	}
-	for qi, q := range queries {
-		collect := func(s *Store) []*session.Record {
-			// Queries are stateless values; reuse is safe across stores.
-			res, err := s.RunQuery(q)
-			if err != nil {
-				t.Fatalf("query %d: %v", qi, err)
+	for qi, tc := range cases {
+		var want []*session.Record
+		for _, r := range scan {
+			if tc.keep(r) && (tc.q.Limit == 0 || len(want) < tc.q.Limit) {
+				want = append(want, r)
 			}
-			defer res.Close()
-			var out []*session.Record
-			for res.Next() {
-				out = append(out, res.Record())
-			}
-			if err := res.Err(); err != nil {
-				t.Fatalf("query %d: %v", qi, err)
-			}
-			return out
 		}
 		// Full-record DeepEqual, not just IDs: the columnar path decodes
 		// (and sidecar-prefills) field by field, and every byte of every
-		// projected field must match the row reader's output.
-		a, b := collect(v2), collect(v3)
-		if len(a) != len(b) {
-			t.Fatalf("query %d: v2 returned %d rows, v3 %d rows", qi, len(a), len(b))
+		// field must match what was appended.
+		same := tc.same
+		if same == nil {
+			same = func(got, want *session.Record) bool { return reflect.DeepEqual(got, want) }
 		}
-		for i := range a {
-			if !reflect.DeepEqual(a[i], b[i]) {
-				t.Fatalf("query %d row %d differs:\n v2 %+v\n v3 %+v", qi, i, a[i], b[i])
+		got := runRows(t, s, tc.q)
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d rows, want %d", qi, len(got), len(want))
+		}
+		for i := range want {
+			if !same(got[i], want[i]) {
+				t.Fatalf("query %d row %d differs:\n got %+v\nwant %+v", qi, i, got[i], want[i])
 			}
 		}
 	}
@@ -135,8 +142,7 @@ func TestColumnarZonePruning(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		recs = append(recs, mkRecord(0, i))
 	}
-	s := openFmt(t, t.TempDir(), FormatV3)
-	defer s.Close()
+	s := openSmall(t)
 	sealAll(t, s, recs)
 
 	// Records ascend in time; the last few land in the last block.
@@ -181,8 +187,7 @@ func TestColumnarProjectionSkipsStripes(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		recs = append(recs, mkRecord(0, i))
 	}
-	s := openFmt(t, t.TempDir(), FormatV3)
-	defer s.Close()
+	s := openSmall(t)
 	sealAll(t, s, recs)
 
 	run := func(sel []Field) PlanStats {
@@ -212,8 +217,7 @@ func TestColumnarProjectionSkipsStripes(t *testing.T) {
 // TestColumnarRawOverflow: lines ShredJSON rejects (non-canonical key
 // order) must round-trip through the raw stripe.
 func TestColumnarRawOverflow(t *testing.T) {
-	s := openFmt(t, t.TempDir(), FormatV3)
-	defer s.Close()
+	s := openSmall(t)
 
 	recs := make([]*session.Record, 6)
 	lines := make([][]byte, 6)
@@ -232,7 +236,7 @@ func TestColumnarRawOverflow(t *testing.T) {
 		}
 		idxs[i] = int32(i)
 	}
-	meta, err := s.writeSegmentColumnar(segFileName(0), recs, lines, idxs, 0)
+	meta, err := s.writeSegment(segFileName(0), recs, lines, idxs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +245,9 @@ func TestColumnarRawOverflow(t *testing.T) {
 	s.man.NextSeq = 6
 	s.mu.Unlock()
 
-	got, err := s.Load(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := drainStream(t, s.Stream())
 	if len(got) != len(recs) {
-		t.Fatalf("loaded %d records, want %d", len(got), len(recs))
+		t.Fatalf("streamed %d records, want %d", len(got), len(recs))
 	}
 	for i := range recs {
 		want := *recs[i]
@@ -284,14 +285,13 @@ func TestColumnarRawOverflow(t *testing.T) {
 // TestScanPoolBalanced: every scan path — full scans, LIMIT early
 // exits, mid-stream Close — must return its pooled block scratch.
 func TestScanPoolBalanced(t *testing.T) {
-	for _, format := range []string{"v2", FormatV3} {
-		t.Run(format, func(t *testing.T) {
+	for _, arm := range []string{"v2", "v3"} {
+		t.Run(arm, func(t *testing.T) {
 			recs := make([]*session.Record, 0, 800)
 			for i := 0; i < 800; i++ {
 				recs = append(recs, mkRecord(i%2, i))
 			}
-			s := openFmt(t, t.TempDir(), format)
-			defer s.Close()
+			s, _ := openArm(t, arm)
 			sealAll(t, s, recs)
 
 			g0, p0 := PoolCounters()
@@ -328,34 +328,5 @@ func TestScanPoolBalanced(t *testing.T) {
 				t.Fatal("no pool traffic recorded; counters not wired")
 			}
 		})
-	}
-}
-
-// TestShimScanCounters: the deprecated Scan/ScanIP shims must feed the
-// store's query counters like RunQuery does.
-func TestShimScanCounters(t *testing.T) {
-	recs := make([]*session.Record, 0, 100)
-	for i := 0; i < 100; i++ {
-		recs = append(recs, mkRecord(0, i))
-	}
-	s := openFmt(t, t.TempDir(), "")
-	defer s.Close()
-	sealAll(t, s, recs)
-
-	before := s.queriesTotal.Load()
-	cur := s.Scan(TimeRange{}, nil)
-	for cur.Next() {
-	}
-	cur.Close()
-	ipCur := s.ScanIP("198.51.100.9", TimeRange{})
-	for ipCur.Next() {
-	}
-	ipCur.Close()
-	if got := s.queriesTotal.Load() - before; got != 2 {
-		t.Fatalf("queriesTotal rose by %d, want 2", got)
-	}
-	// The Bloom-pruned ScanIP should show up as pruned segments too.
-	if s.querySegsPruned.Load() == 0 {
-		t.Fatal("ScanIP pruning not reflected in querySegsPruned")
 	}
 }

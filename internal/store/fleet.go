@@ -8,14 +8,13 @@ import (
 	"strings"
 	"time"
 
-	"honeynet/internal/collector"
 	"honeynet/internal/session"
 )
 
 // Fleet mode: a collector holds one shard — a complete, independent
 // Store — per edge node, under node-<id> subdirectories of one fleet
 // directory. This file is the scatter-gather query layer over those
-// shards: the same Scan/ScanIP/Rollup/Load surface as a single Store,
+// shards: the same RunQuery/Stream surface as a single Store (Reader),
 // with results merged across shards by (time, node, seq), so the
 // analysis pipeline runs unchanged — and byte-identically — against a
 // fleet directory.
@@ -102,6 +101,32 @@ func ValidNodeID(id string) bool {
 		}
 	}
 	return true
+}
+
+// Reader is the read surface a Store and a Fleet share: structured
+// queries, the full record stream in canonical order, and Close.
+type Reader interface {
+	RunQuery(*Query) (*Result, error)
+	Stream() RecordCursor
+	Close() error
+}
+
+// OpenDir opens dir read-only for querying, as a fleet of per-node
+// shards when IsFleetDir says so and as a single store otherwise.
+func OpenDir(dir string) (Reader, error) {
+	opts := Options{ReadOnly: true}
+	if IsFleetDir(dir) {
+		fl, err := OpenFleet(dir, opts)
+		if err != nil {
+			return nil, err
+		}
+		return fl, nil
+	}
+	st, err := Open(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // OpenFleet opens every node-<id> shard under dir with opts. Shards
@@ -193,25 +218,6 @@ func (f *Fleet) Months() []time.Time {
 	return out
 }
 
-// Rollup sums one month's aggregates across shards — still zero block
-// reads: each shard answers from sealed metadata plus its tail.
-//
-// Deprecated: use Fleet.RunQuery with GROUP BY month/kind/proto.
-func (f *Fleet) Rollup(month time.Time) Rollup {
-	out := Rollup{Month: time.Date(month.Year(), month.Month(), 1, 0, 0, 0, 0, time.UTC)}
-	for _, sh := range f.shards {
-		r := sh.Store.Rollup(month)
-		out.Records += r.Records
-		out.Sealed += r.Sealed
-		out.SSH += r.SSH
-		out.Telnet += r.Telnet
-		for k, v := range r.Kinds {
-			out.Kinds[k] += v
-		}
-	}
-	return out
-}
-
 // FleetCursor merges per-shard cursors: months ascend fleet-wide, and
 // within a month the shard heads are merged by (Start, node, seq) —
 // the fleet's canonical record order. When each shard's within-month
@@ -225,26 +231,10 @@ type FleetCursor struct {
 	nodes []string
 	heads []*session.Record // nil = exhausted
 	cur   *session.Record
-	node  string
 	err   error
 }
 
-// Scan returns a merged cursor over records in tr satisfying filter.
-//
-// Deprecated: build a Query and use Fleet.RunQuery, which adds
-// predicate, projection, and metadata pushdown per shard.
-func (f *Fleet) Scan(tr TimeRange, filter Filter) *FleetCursor {
-	return f.scatter(func(s *Store) *Cursor { return s.Scan(tr, filter) })
-}
-
-// ScanIP returns a merged cursor over one client IP's records; every
-// shard prunes its own segments by Bloom filter.
-//
-// Deprecated: use Fleet.RunQuery with Query.IP or an `ip =` predicate.
-func (f *Fleet) ScanIP(ip string, tr TimeRange) *FleetCursor {
-	return f.scatter(func(s *Store) *Cursor { return s.ScanIP(ip, tr) })
-}
-
+// scatter opens one cursor per shard and merges them.
 func (f *Fleet) scatter(open func(*Store) *Cursor) *FleetCursor {
 	c := &FleetCursor{
 		curs:  make([]*Cursor, len(f.shards)),
@@ -290,7 +280,7 @@ func (c *FleetCursor) Next() bool {
 		c.cur = nil
 		return false
 	}
-	c.cur, c.node = c.heads[best], c.nodes[best]
+	c.cur = c.heads[best]
 	// A refill error surfaces on the following Next; the record already
 	// selected is still valid.
 	c.advance(best)
@@ -314,9 +304,6 @@ func headLess(a *session.Record, an string, b *session.Record, bn string) bool {
 // Record returns the record Next advanced to.
 func (c *FleetCursor) Record() *session.Record { return c.cur }
 
-// Node returns the node id of the shard the current record came from.
-func (c *FleetCursor) Node() string { return c.node }
-
 // Err returns the first error the scan hit, if any.
 func (c *FleetCursor) Err() error { return c.err }
 
@@ -329,75 +316,4 @@ func (c *FleetCursor) Close() error {
 		}
 	}
 	return err
-}
-
-// Stats computes fleet-wide dataset statistics by streaming every
-// shard, mirroring Store.Stats.
-func (f *Fleet) Stats() (collector.Stats, error) {
-	st := collector.Stats{ByKind: map[session.Kind]int{}}
-	ips := map[string]bool{}
-	cur := f.Scan(TimeRange{}, nil)
-	defer cur.Close()
-	for cur.Next() {
-		r := cur.Record()
-		st.Total++
-		switch r.Protocol {
-		case session.ProtoSSH:
-			st.SSH++
-		case session.ProtoTelnet:
-			st.Telnet++
-		}
-		k := r.Kind()
-		st.ByKind[k]++
-		if k == session.CommandExec {
-			st.CommandExec++
-			if r.StateChanged {
-				st.StateChanged++
-			}
-		}
-		ips[r.ClientIP] = true
-	}
-	if err := cur.Err(); err != nil {
-		return st, err
-	}
-	st.UniqueIPs = len(ips)
-	return st, nil
-}
-
-// Load materializes every record across shards in the fleet's
-// canonical total order — (Start, node, seq) — so the figure pipeline
-// over a fleet matches a single store whose records were appended in
-// that order, byte for byte. Shards decompress their segments in
-// parallel on the shared worker pool.
-func (f *Fleet) Load(workers int) ([]*session.Record, error) {
-	type ent struct {
-		r     *session.Record
-		shard int32
-		idx   int32
-	}
-	var ents []ent
-	for si, sh := range f.shards {
-		recs, err := sh.Store.Load(workers)
-		if err != nil {
-			return nil, fmt.Errorf("store: fleet shard %s: %w", sh.Node, err)
-		}
-		for i, r := range recs {
-			ents = append(ents, ent{r: r, shard: int32(si), idx: int32(i)})
-		}
-	}
-	sort.Slice(ents, func(i, j int) bool {
-		a, b := ents[i], ents[j]
-		if !a.r.Start.Equal(b.r.Start) {
-			return a.r.Start.Before(b.r.Start)
-		}
-		if a.shard != b.shard {
-			return f.shards[a.shard].Node < f.shards[b.shard].Node
-		}
-		return a.idx < b.idx
-	})
-	out := make([]*session.Record, len(ents))
-	for i, e := range ents {
-		out[i] = e.r
-	}
-	return out, nil
 }

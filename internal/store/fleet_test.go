@@ -2,7 +2,7 @@ package store
 
 import (
 	"bytes"
-	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -180,8 +180,8 @@ func TestIsFleetDir(t *testing.T) {
 }
 
 // TestFleetScatterGather builds three shards with interleaved session
-// times and checks the merged scan order, Load's canonical total order,
-// rollups, and stats against a single store holding the same records.
+// times and checks the merged scan order, Stream's canonical total
+// order, and aggregates against a single store holding the same records.
 func TestFleetScatterGather(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteFleetMarker(dir); err != nil {
@@ -199,6 +199,7 @@ func TestFleetScatterGather(t *testing.T) {
 			// third record shares an exact Start across nodes to
 			// exercise the node-id tiebreak.
 			r := mkRecord(i%3, i*len(nodes)+ni)
+			r.HoneypotID = node // lets the scan check below see the merge's node tiebreak
 			if i%3 == 0 {
 				r.Start = mkRecord(0, i).Start
 				r.End = r.Start.Add(45 * time.Second)
@@ -226,84 +227,69 @@ func TestFleetScatterGather(t *testing.T) {
 		t.Fatalf("fleet Len = %d, want %d", fl.Len(), len(nodes)*perNode)
 	}
 
-	// Load: total order by (Start, node, per-shard index).
-	recs, err := fl.Load(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Stream: total order by (Start, node, per-shard index).
+	recs := drainStream(t, fl.Stream())
 	if len(recs) != len(nodes)*perNode {
-		t.Fatalf("Load returned %d records, want %d", len(recs), len(nodes)*perNode)
+		t.Fatalf("Stream returned %d records, want %d", len(recs), len(nodes)*perNode)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Start.Before(recs[i-1].Start) {
-			t.Fatalf("Load order violated at %d: %v after %v", i, recs[i].Start, recs[i-1].Start)
+			t.Fatalf("Stream order violated at %d: %v after %v", i, recs[i].Start, recs[i-1].Start)
 		}
 	}
 
-	// Scan: merged stream ordered by (month, Start, node) at each step.
-	cur := fl.Scan(TimeRange{}, nil)
+	// Row query: merged stream ordered by (month, Start, node) at each step.
+	res, err := fl.RunQuery(&Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := 0
-	var prev *sessRef
-	for cur.Next() {
-		r, node := cur.Record(), cur.Node()
+	var prev *session.Record
+	for res.Next() {
+		r := res.Record()
 		if prev != nil {
-			pm, cm := prev.r.Month(), r.Month()
+			pm, cm := prev.Month(), r.Month()
 			if cm.Before(pm) {
 				t.Fatalf("scan month went backwards at %d", n)
 			}
-			if cm.Equal(pm) && r.Start.Before(prev.r.Start) {
+			if cm.Equal(pm) && r.Start.Before(prev.Start) {
 				t.Fatalf("scan time went backwards at %d within month", n)
 			}
-			if cm.Equal(pm) && r.Start.Equal(prev.r.Start) && node < prev.node {
-				t.Fatalf("scan node tiebreak violated at %d: %s after %s", n, node, prev.node)
+			if cm.Equal(pm) && r.Start.Equal(prev.Start) && r.HoneypotID < prev.HoneypotID {
+				t.Fatalf("scan node tiebreak violated at %d: %s after %s", n, r.HoneypotID, prev.HoneypotID)
 			}
 		}
-		prev = &sessRef{r: r, node: node}
+		prev = r
 		n++
 	}
-	if err := cur.Err(); err != nil {
+	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	cur.Close()
+	res.Close()
 	if n != len(nodes)*perNode {
 		t.Fatalf("scan yielded %d records, want %d", n, len(nodes)*perNode)
 	}
 
-	// Rollups and stats agree with a single store over the same records.
-	sdir := t.TempDir()
-	ss, err := Open(sdir, Options{})
+	// Aggregates agree with a single store over the same records: the
+	// monthly kind and protocol counts metadata answers, and one that has
+	// to read blocks.
+	ss, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ss.Close()
 	for _, r := range recs {
 		if err := ss.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fs, err := fl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sst, err := ss.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(fs) != fmt.Sprint(sst) {
-		t.Fatalf("fleet stats %v != single-store stats %v", fs, sst)
-	}
-	for _, m := range fl.Months() {
-		fr, sr := fl.Rollup(m), ss.Rollup(m)
-		fr.Sealed, sr.Sealed = 0, 0 // sealing state legitimately differs
-		if fr != sr {
-			t.Fatalf("rollup %v: fleet %+v != single %+v", m, fr, sr)
+	for qi, q := range []*Query{
+		{GroupBy: []Field{FieldMonth, FieldKind}, Aggs: []AggSpec{{Op: AggCount}}},
+		{GroupBy: []Field{FieldMonth, FieldProto}, Aggs: []AggSpec{{Op: AggCount}}},
+		{GroupBy: []Field{FieldKind}, Aggs: []AggSpec{{Op: AggCount}, {Op: AggCountDistinct, Field: FieldIP}}},
+	} {
+		if f, s := runIDsOrGroups(t, fl, q), runIDsOrGroups(t, ss, q); !reflect.DeepEqual(f, s) {
+			t.Fatalf("aggregate %d: fleet %v != single store %v", qi, f, s)
 		}
 	}
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type sessRef struct {
-	r    *session.Record
-	node string
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,8 +14,6 @@ func TestOptionsValidate(t *testing.T) {
 	ok := []Options{
 		{},
 		{SealBytes: -1, SyncEvery: -1}, // documented disable sentinels
-		{Codec: CodecLZ},
-		{Codec: CodecFlate},
 		{BlockBytes: 4096, MaxBatch: 64, MaxDelay: time.Millisecond, SealWorkers: 2},
 	}
 	for i, o := range ok {
@@ -27,7 +26,6 @@ func TestOptionsValidate(t *testing.T) {
 		{MaxBatch: -1},
 		{MaxDelay: -time.Millisecond},
 		{SealWorkers: -1},
-		{Codec: "zstd"},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -64,12 +62,9 @@ func TestBackgroundSealOverlapsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, err := s2.Load(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := drainStream(t, s2.Stream())
 	if len(got) != n {
-		t.Fatalf("loaded %d records, want %d", len(got), n)
+		t.Fatalf("streamed %d records, want %d", len(got), n)
 	}
 	for i := range want {
 		if w, g := marshal(t, want[i]), marshal(t, got[i]); !bytes.Equal(w, g) {
@@ -127,10 +122,7 @@ func TestCrashDuringBackgroundSealFinished(t *testing.T) {
 	if got := s2.Len(); got != sealed+during {
 		t.Fatalf("store holds %d records, want %d", got, sealed+during)
 	}
-	got, err := s2.Load(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := drainStream(t, s2.Stream())
 	for i := range want {
 		if w, g := marshal(t, want[i]), marshal(t, got[i]); !bytes.Equal(w, g) {
 			t.Fatalf("record %d not identical after seal recovery:\n want %s\n  got %s", i, w, g)
@@ -185,91 +177,70 @@ func TestStaleFrozenWALDiscarded(t *testing.T) {
 	}
 }
 
-// TestCodecsByteIdentical is the cross-codec property: the same records
-// sealed through the v1 (flate) and v2 (lz) codecs must scan back
-// byte-identically, and each store must carry its own format markers
-// (segment magic, manifest codec field).
+// TestCodecsByteIdentical holds the two row codecs to the same oracle:
+// the fixture's v1 (flate) and v2 (lz) segments must each read back, line
+// for line, the bytes records.jsonl says were appended, and each must
+// carry its own format markers (segment magic, manifest codec field).
 func TestCodecsByteIdentical(t *testing.T) {
-	const n = 400
-	type out struct {
-		dir   string
-		lines [][]byte
+	dir := t.TempDir()
+	want := copyLegacy(t, dir)
+	s, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	outs := map[string]*out{}
-	for _, codec := range []string{CodecFlate, CodecLZ} {
-		dir := t.TempDir()
-		s, err := Open(dir, Options{Codec: codec, BlockBytes: 2048, SealBytes: -1, SyncEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fill(t, s, n, 3)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s2, err := Open(dir, Options{ReadOnly: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := s2.Load(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := &out{dir: dir}
-		for _, r := range recs {
-			o.lines = append(o.lines, marshal(t, r))
-		}
-		s2.Close()
-		outs[codec] = o
+	defer s.Close()
+	man, _ := s.snapshot()
+	if len(man.Segments) != 2 {
+		t.Fatalf("fixture has %d segments, want 2", len(man.Segments))
 	}
 
-	fl, lz := outs[CodecFlate], outs[CodecLZ]
-	if len(fl.lines) != n || len(lz.lines) != n {
-		t.Fatalf("loaded %d flate / %d lz records, want %d each", len(fl.lines), len(lz.lines), n)
-	}
-	for i := range fl.lines {
-		if !bytes.Equal(fl.lines[i], lz.lines[i]) {
-			t.Fatalf("record %d differs across codecs:\n flate %s\n    lz %s", i, fl.lines[i], lz.lines[i])
+	for i, tc := range []struct {
+		magic [8]byte
+		codec string
+	}{{segMagicV1, ""}, {segMagicV2, codecLZ}} {
+		seg := man.Segments[i]
+		if seg.Codec != tc.codec {
+			t.Fatalf("%s: manifest codec %q, want %q", seg.File, seg.Codec, tc.codec)
 		}
-	}
-
-	// Format markers: flate segments are v1 files referenced by a
-	// manifest without a codec field — byte-compatible with stores
-	// written before the codec existed. LZ segments are v2.
-	checkMagic := func(dir string, magic [8]byte) {
-		t.Helper()
-		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.hns"))
-		if len(segs) == 0 {
-			t.Fatal("no segment files")
+		data, err := os.ReadFile(filepath.Join(dir, seg.File))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, seg := range segs {
-			head := make([]byte, 8)
-			f, err := os.Open(seg)
+		if !bytes.HasPrefix(data, tc.magic[:]) {
+			t.Fatalf("%s: magic %q, want %q", seg.File, data[:8], tc.magic[:])
+		}
+		if len(seg.Blocks) < 2 {
+			t.Fatalf("%s: %d blocks; the fixture must be multi-block", seg.File, len(seg.Blocks))
+		}
+		br, err := s.openSegment(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := seg.MinSeq; seq <= seg.MaxSeq; seq++ {
+			gotSeq, line, err := br.next()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: seq %d: %v", seg.File, seq, err)
 			}
-			if _, err := f.Read(head); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			if !bytes.Equal(head, magic[:]) {
-				t.Fatalf("%s: magic %q, want %q", seg, head, magic[:])
+			if exp := marshal(t, want[seq]); gotSeq != seq || !bytes.Equal(line, exp) {
+				t.Fatalf("%s: got seq %d %s\nwant seq %d %s", seg.File, gotSeq, line, seq, exp)
 			}
 		}
+		if _, _, err := br.next(); err != io.EOF {
+			t.Fatalf("%s: trailing entry or error past max_seq: %v", seg.File, err)
+		}
+		br.close()
 	}
-	checkMagic(fl.dir, segMagicV1)
-	checkMagic(lz.dir, segMagicV2)
-	flMan, err := os.ReadFile(filepath.Join(fl.dir, manifestName))
+
+	// v1 manifests predate the codec field and must keep reading without
+	// it; the v1 entry's filter is the V=0 scheme, which omits "v" too.
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(flMan, []byte(`"codec"`)) {
-		t.Fatal("flate manifest carries a codec field; v1 manifests must stay byte-identical")
+	if bytes.Count(raw, []byte(`"codec"`)) != 1 || !bytes.Contains(raw, []byte(`"codec":"lz"`)) {
+		t.Fatal("fixture manifest: want exactly one codec field, on the lz entry")
 	}
-	lzMan, err := os.ReadFile(filepath.Join(lz.dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(lzMan, []byte(`"codec":"lz"`)) {
-		t.Fatal("lz manifest missing codec field")
+	if bytes.Count(raw, []byte(`"v":1`)) != 1 || man.Segments[0].Bloom.V != 0 {
+		t.Fatal("fixture manifest: want a V=0 filter on the v1 entry and V=1 on the v2 entry")
 	}
 }

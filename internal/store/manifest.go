@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -106,7 +108,69 @@ func loadManifest(dir string) (*manifest, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("store: manifest version %d not supported", m.Version)
 	}
+	for i, sm := range m.Segments {
+		if sm == nil {
+			return nil, fmt.Errorf("store: manifest: segment %d: null entry", i)
+		}
+		if err := sm.validate(dir, m); err != nil {
+			return nil, fmt.Errorf("store: manifest: segment %d (%q): %w", i, sm.File, err)
+		}
+	}
 	return m, nil
+}
+
+// maxExpand bounds a block's declared uncompressed length by its
+// compressed one. DEFLATE, the denser of the block codecs, tops out at
+// 1032:1, so no genuine block exceeds it, and a hostile manifest cannot
+// make a reader allocate more than that multiple of a file it names.
+const maxExpand = 1032
+
+// validate checks every value of the entry a reader later opens, indexes,
+// slices or allocates by, so a corrupt or hostile manifest fails Open
+// with the field named instead of panicking (or reading outside dir, or
+// filing records under the zero month) at the first query.
+func (sm *segmentMeta) validate(dir string, m *manifest) error {
+	digits, _ := strings.CutPrefix(sm.File, "seg-")
+	digits, _ = strings.CutSuffix(digits, ".hns")
+	if n, err := strconv.Atoi(digits); err != nil || n < 0 || n >= m.NextSeg || segFileName(n) != sm.File {
+		return fmt.Errorf("file: not a seg-NNNNNN.hns name below next_seg %d", m.NextSeg)
+	}
+	if _, err := time.Parse(monthLayout, sm.Month); err != nil {
+		return fmt.Errorf("month: %w", err)
+	}
+	switch sm.Codec {
+	case "", codecFlate, codecLZ, codecV3:
+	default:
+		return fmt.Errorf("codec: unknown tag %q", sm.Codec)
+	}
+	if b := sm.Bloom; b != nil && (b.K < 1 || b.K > 32 || b.M == 0 || uint64(len(b.Bits))*8 < b.M) {
+		return fmt.Errorf("bloom: k=%d, m=%d over %d bytes", b.K, b.M, len(b.Bits))
+	}
+	if sm.MinSeq > sm.MaxSeq || sm.MaxSeq >= m.NextSeq {
+		return fmt.Errorf("min_seq/max_seq: [%d, %d] not below next_seq %d", sm.MinSeq, sm.MaxSeq, m.NextSeq)
+	}
+	fi, err := os.Stat(filepath.Join(dir, sm.File))
+	if err != nil {
+		return err
+	}
+	records := 0
+	for bi, b := range sm.Blocks {
+		switch {
+		case b.Off < int64(len(segMagicV3)) || b.CLen <= 0 || b.Off > fi.Size()-int64(b.CLen):
+			return fmt.Errorf("block %d: off=%d clen=%d outside the %d-byte file", bi, b.Off, b.CLen, fi.Size())
+		case b.DirLen < 0 || b.DirLen > b.CLen:
+			return fmt.Errorf("block %d: dlen=%d outside clen=%d", bi, b.DirLen, b.CLen)
+		case b.ULen < 0 || int64(b.ULen) > maxExpand*int64(b.CLen):
+			return fmt.Errorf("block %d: ulen=%d implausible for clen=%d", bi, b.ULen, b.CLen)
+		case b.Count <= 0 || b.Count > sm.Records-records:
+			return fmt.Errorf("block %d: count=%d does not fit records=%d", bi, b.Count, sm.Records)
+		}
+		records += b.Count
+	}
+	if records != sm.Records {
+		return fmt.Errorf("records: %d, but blocks hold %d", sm.Records, records)
+	}
+	return nil
 }
 
 // save writes the manifest atomically: temp file, fsync, rename over

@@ -9,54 +9,45 @@ import (
 )
 
 // Mixed-format coverage: one store (or fleet) whose sealed segments
-// span every on-disk generation — v1 (DEFLATE rows), v2 (LZ rows), v3
-// (columnar stripes) — must behave byte-identically to a uniform
-// store over the same records. The manifest records each segment's
-// codec, so readers dispatch per segment; nothing else may care.
+// span every on-disk generation — v1 (DEFLATE rows) and v2 (LZ rows)
+// from the legacy fixture, v3 (columnar stripes) from this tree's
+// writer — must behave byte-identically to a uniform store over the
+// same records. The manifest records each segment's codec, so readers
+// dispatch per segment; nothing else may care.
 
-// mixedStore seals three chunks of recs into dir, one per format
-// generation, by reopening the store with different options between
-// seals. Chunks interleave months, so single months end up holding
-// segments of several formats at once.
-func mixedStore(t *testing.T, dir string, recs []*session.Record) {
-	t.Helper()
-	phases := []Options{
-		{Codec: CodecFlate}, // v1
-		{Codec: CodecLZ},    // v2
-		{Format: FormatV3},  // v3
+// mixedRecs are the records the tests seal on top of the fixture: three
+// months around the fixture's own (2021-12), so that month ends up
+// holding segments of all three formats.
+func mixedRecs(n int) []*session.Record {
+	recs := make([]*session.Record, 0, n)
+	for i := 0; i < n; i++ {
+		recs = append(recs, mkRecord(6+i%3, i))
 	}
-	chunk := (len(recs) + len(phases) - 1) / len(phases)
-	for pi, opt := range phases {
-		opt.BlockBytes = 2048
-		s, err := Open(dir, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := pi*chunk, (pi+1)*chunk
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		for _, r := range recs[lo:hi] {
-			if err := s.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	return recs
+}
+
+// sealInto opens the store at dir (creating it if need be), appends and
+// seals recs — as v3 segments, whatever the store already holds — and
+// closes it.
+func sealInto(t *testing.T, dir string, recs []*session.Record) {
+	t.Helper()
+	s, err := Open(dir, Options{BlockBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealAll(t, s, recs)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestMixedFormatStore(t *testing.T) {
-	recs := make([]*session.Record, 0, 600)
-	for i := 0; i < 600; i++ {
-		recs = append(recs, mkRecord(i%3, i))
-	}
 	dir := t.TempDir()
-	mixedStore(t, dir, recs)
+	legacy := copyLegacy(t, dir)
+	sums := legacySums(t, dir)
+	added := mixedRecs(600)
+	sealInto(t, dir, added) // seals v3 beside the fixture's v1 and v2
+	recs := append(legacy, added...)
 
 	mixed, err := Open(dir, Options{ReadOnly: true})
 	if err != nil {
@@ -70,41 +61,37 @@ func TestMixedFormatStore(t *testing.T) {
 	for _, seg := range man.Segments {
 		codecs[seg.Codec] = true
 	}
-	if len(codecs) != 3 || !codecs[FormatV3] {
+	if !reflect.DeepEqual(codecs, map[string]bool{"": true, codecLZ: true, codecV3: true}) {
 		t.Fatalf("expected three segment generations, manifest has %v", codecs)
 	}
 
-	ref := openFmt(t, t.TempDir(), "")
+	refDir := t.TempDir()
+	sealInto(t, refDir, recs)
+	ref, err := Open(refDir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ref.Close()
-	sealAll(t, ref, recs)
 
-	// Load: identical records in identical order.
-	a, err := ref.Load(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mixed.Load(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Stream: identical records in identical order, through the
+	// per-format readers.
+	a, b := drainStream(t, ref.Stream()), drainStream(t, mixed.Stream())
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("mixed-format Load differs from uniform (lengths %d vs %d)", len(a), len(b))
+		t.Fatalf("mixed-format Stream differs from uniform (lengths %d vs %d)", len(a), len(b))
+	}
+	if !reflect.DeepEqual(a, recs) {
+		t.Fatalf("Stream differs from the appended records")
 	}
 
-	// Stream: same sequence again, through the per-format readers.
-	got := drainStream(t, mixed.Stream())
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("mixed-format Stream differs from uniform Load")
-	}
-
-	// RunQuery: every route — predicate scan, IP/Bloom, aggregate,
-	// ORDER BY pushdown — returns the same rows from both stores.
+	// RunQuery: every route — predicate scan, projection, IP/Bloom, time
+	// range, ORDER BY pushdown, aggregate — returns the same rows from
+	// both stores.
 	queries := []*Query{
 		{Where: Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH))},
 		{Where: Cmp(FieldKind, CmpEq, KindValue(session.CommandExec)),
 			Select: []Field{FieldIP, FieldStart}},
-		{IP: recs[123].ClientIP},
-		{Time: Month(time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)), Limit: 9},
+		{IP: legacy[10].ClientIP},
+		{Time: Month(time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)), Limit: 9},
 		{OrderBy: FieldPort, Desc: true, Limit: 11},
 		{GroupBy: []Field{FieldProto}, Aggs: []AggSpec{{Op: AggCount}}},
 	}
@@ -113,11 +100,14 @@ func TestMixedFormatStore(t *testing.T) {
 			t.Fatalf("query %d: mixed store result differs from uniform", qi)
 		}
 	}
+	if got := legacySums(t, dir); got != sums {
+		t.Fatalf("legacy segment files changed: %v, were %v", got, sums)
+	}
 }
 
 // runIDsOrGroups runs q and flattens the result to a comparable shape:
 // record IDs for row mode, group rows for aggregate mode.
-func runIDsOrGroups(t *testing.T, s *Store, q *Query) interface{} {
+func runIDsOrGroups(t *testing.T, s Reader, q *Query) interface{} {
 	t.Helper()
 	res, err := s.RunQuery(q)
 	if err != nil {
@@ -137,54 +127,42 @@ func runIDsOrGroups(t *testing.T, s *Store, q *Query) interface{} {
 	return ids
 }
 
-// TestMixedFormatFleet: a fleet whose shards were written by nodes
-// running different store generations must scatter-gather exactly like
-// a uniform fleet.
+// TestMixedFormatFleet: a fleet one of whose shards still holds legacy
+// segments must scatter-gather exactly like a uniform fleet.
 func TestMixedFormatFleet(t *testing.T) {
-	build := func(formats []Options) *Fleet {
+	build := func(withFixture bool) (*Fleet, string) {
 		dir := t.TempDir()
 		if err := WriteFleetMarker(dir); err != nil {
 			t.Fatal(err)
 		}
 		for ni, node := range []string{"n-a", "n-b", "n-c"} {
-			opt := formats[ni]
-			opt.BlockBytes = 2048
-			sh, err := Open(ShardDir(dir, node), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 120; i++ {
-				if err := sh.Append(mkRecord(i%2, i*3+ni)); err != nil {
-					t.Fatal(err)
+			var recs []*session.Record
+			if ni == 0 {
+				if withFixture {
+					copyLegacy(t, ShardDir(dir, node))
+				} else {
+					recs = legacyRecords(t)
 				}
 			}
-			if err := sh.Seal(); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 120; i++ {
+				recs = append(recs, mkRecord(6+i%2, i*3+ni))
 			}
-			if err := sh.Close(); err != nil {
-				t.Fatal(err)
-			}
+			sealInto(t, ShardDir(dir, node), recs)
 		}
 		fl, err := OpenFleet(dir, Options{ReadOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { fl.Close() })
-		return fl
+		return fl, ShardDir(dir, "n-a")
 	}
-	uniform := build([]Options{{}, {}, {}})
-	mixed := build([]Options{{Codec: CodecFlate}, {}, {Format: FormatV3}})
+	uniform, _ := build(false)
+	mixed, legacyShard := build(true)
+	sums := legacySums(t, legacyShard)
 
-	wantRecs, err := uniform.Load(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRecs, err := mixed.Load(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantRecs, gotRecs) {
-		t.Fatalf("mixed fleet Load differs from uniform")
+	want, got := drainStream(t, uniform.Stream()), drainStream(t, mixed.Stream())
+	if len(want) != 100+3*120 || !reflect.DeepEqual(want, got) {
+		t.Fatalf("mixed fleet Stream differs from uniform (lengths %d vs %d)", len(got), len(want))
 	}
 
 	queries := []*Query{
@@ -192,27 +170,12 @@ func TestMixedFormatFleet(t *testing.T) {
 		{OrderBy: FieldIP, Limit: 13},
 		{GroupBy: []Field{FieldKind}, Aggs: []AggSpec{{Op: AggCount}}},
 	}
-	collect := func(fl *Fleet, q *Query) interface{} {
-		res, err := fl.RunQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.Close()
-		if res.Aggregated() {
-			return res.Groups()
-		}
-		var ids []uint64
-		for res.Next() {
-			ids = append(ids, res.Record().ID)
-		}
-		if err := res.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return ids
-	}
 	for qi, q := range queries {
-		if !reflect.DeepEqual(collect(uniform, q), collect(mixed, q)) {
+		if !reflect.DeepEqual(runIDsOrGroups(t, uniform, q), runIDsOrGroups(t, mixed, q)) {
 			t.Fatalf("fleet query %d: mixed result differs from uniform", qi)
 		}
+	}
+	if got := legacySums(t, legacyShard); got != sums {
+		t.Fatalf("legacy segment files changed: %v, were %v", got, sums)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"honeynet/internal/collector"
-	"honeynet/internal/parallel"
 	"honeynet/internal/session"
 )
 
@@ -34,7 +32,8 @@ func (tr TimeRange) contains(t time.Time) bool {
 	return true
 }
 
-// Filter selects records during a scan. A nil Filter selects all.
+// Filter is a compiled predicate (see CompilePred). A nil Filter selects
+// all.
 type Filter func(*session.Record) bool
 
 // part is one unit of cursor iteration: either a sealed segment or a
@@ -58,13 +57,12 @@ type Cursor struct {
 	ti     int
 	tr     TimeRange
 	filter Filter
-	ip     string            // non-empty for ScanIP: exact client-IP match
+	ip     string            // non-empty for the `ip =` route: exact client-IP match
 	mask   session.FieldMask // projection: fields to decode (0 = all)
 	pred   *Pred             // pushed predicate: prefilter only, Next re-checks
 	prog   *vecProg          // compiled vectorized prefilter (lazy)
 	progOK bool
 	stats  *PlanStats // per-query plan stats; may be nil
-	note   func()     // deprecated-shim hook: fold stats into counters once
 	cur    *session.Record
 	err    error
 	dec    session.JSONDecoder
@@ -86,36 +84,6 @@ func (a *recArena) alloc() *session.Record {
 	r := &a.chunk[0]
 	a.chunk = a.chunk[1:]
 	return r
-}
-
-// Scan returns a cursor over records in tr satisfying filter.
-//
-// Deprecated: build a Query and use RunQuery, which adds predicate,
-// projection, and metadata pushdown. Scan remains as a thin shim; its
-// plan stats feed the same honeynet_query_* counters RunQuery reports.
-func (s *Store) Scan(tr TimeRange, filter Filter) *Cursor {
-	return s.shimScan(tr, filter, "")
-}
-
-// ScanIP returns a cursor over records from one client IP, using the
-// per-segment Bloom filters to skip months the address never touched.
-//
-// Deprecated: use RunQuery with Query.IP (or an `ip =` predicate,
-// which routes through the same Bloom probes). ScanIP remains as a
-// thin shim; its plan stats feed the honeynet_query_* counters.
-func (s *Store) ScanIP(ip string, tr TimeRange) *Cursor {
-	return s.shimScan(tr, nil, ip)
-}
-
-// shimScan backs the deprecated Scan/ScanIP entry points: a full scan
-// with private plan stats that fold into the store's query counters
-// when the cursor finishes (exhaustion or Close), so shim traffic shows
-// up beside RunQuery's in the metrics.
-func (s *Store) shimScan(tr TimeRange, filter Filter, ip string) *Cursor {
-	stats := &PlanStats{}
-	c := s.scanQ(tr, filter, ip, session.FAllFields, nil, stats)
-	c.note = func() { s.noteQuery(stats) }
-	return c
 }
 
 // scanQ builds the streaming cursor every query path shares: month and
@@ -265,7 +233,7 @@ func (c *Cursor) Next() bool {
 func (c *Cursor) nextRaw() (*session.Record, error) {
 	for c.pi < len(c.parts) {
 		p := &c.parts[c.pi]
-		if p.seg != nil && p.seg.Codec == FormatV3 {
+		if p.seg != nil && p.seg.Codec == codecV3 {
 			// Columnar segment: the vectorized cursor prunes blocks on
 			// zone maps, prefilters rows column-at-a-time, and decodes
 			// only the projected columns of the selected rows.
@@ -355,10 +323,6 @@ func (c *Cursor) Close() error {
 		}
 		c.cc = nil
 	}
-	if c.note != nil {
-		c.note()
-		c.note = nil
-	}
 	return err
 }
 
@@ -378,155 +342,4 @@ func (s *Store) Months() []time.Time {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
 	return out
-}
-
-// Rollup is the precomputed monthly aggregate behind the longitudinal
-// figures: session counts by kind and protocol for one partition.
-type Rollup struct {
-	Month   time.Time
-	Records int
-	// Kinds counts records per session.Kind (index = kind value).
-	Kinds  [4]int
-	SSH    int
-	Telnet int
-	// Sealed is how many of the records are in sealed segments (the
-	// rest are unsealed tail records, tallied by a bounded scan).
-	Sealed int
-}
-
-// Rollup aggregates one month from sealed segment metadata — no block
-// is read — plus a pass over the in-memory unsealed tail.
-//
-// Deprecated: use RunQuery with GROUP BY month/kind/proto, which
-// answers the same aggregates from metadata (and composes with WHERE).
-// Rollup remains as a shim over two such queries.
-func (s *Store) Rollup(month time.Time) Rollup {
-	m := time.Date(month.Year(), month.Month(), 1, 0, 0, 0, 0, time.UTC)
-	out := Rollup{Month: m}
-	byKind := &Query{Time: Month(m), GroupBy: []Field{FieldKind}, Aggs: []AggSpec{{Op: AggCount}}}
-	if res, err := s.RunQuery(byKind); err == nil {
-		for _, g := range res.Groups() {
-			if k := int(g.Keys[0].Int); k >= 0 && k < len(out.Kinds) {
-				out.Kinds[k] += int(g.Aggs[0].Int)
-				out.Records += int(g.Aggs[0].Int)
-			}
-		}
-	}
-	byProto := &Query{Time: Month(m), GroupBy: []Field{FieldProto}, Aggs: []AggSpec{{Op: AggCount}}}
-	if res, err := s.RunQuery(byProto); err == nil {
-		for _, g := range res.Groups() {
-			switch g.Keys[0].Str {
-			case session.ProtoSSH:
-				out.SSH = int(g.Aggs[0].Int)
-			case session.ProtoTelnet:
-				out.Telnet = int(g.Aggs[0].Int)
-			}
-		}
-	}
-	// The sealed-vs-tail split is a storage fact, not a record
-	// predicate; it comes straight from the manifest.
-	man, _ := s.snapshot()
-	for _, seg := range man.Segments {
-		if seg.month().Equal(m) {
-			out.Sealed += seg.Records
-		}
-	}
-	return out
-}
-
-// Stats computes dataset statistics by streaming the store month at a
-// time — identical to collector.Store.Stats over the same records, but
-// with scan memory bounded by the block size (the unique-IP set is the
-// only dataset-sized state).
-func (s *Store) Stats() (collector.Stats, error) {
-	st := collector.Stats{ByKind: map[session.Kind]int{}}
-	ips := map[string]bool{}
-	cur := s.Scan(TimeRange{}, nil)
-	defer cur.Close()
-	for cur.Next() {
-		r := cur.Record()
-		st.Total++
-		switch r.Protocol {
-		case session.ProtoSSH:
-			st.SSH++
-		case session.ProtoTelnet:
-			st.Telnet++
-		}
-		k := r.Kind()
-		st.ByKind[k]++
-		if k == session.CommandExec {
-			st.CommandExec++
-			if r.StateChanged {
-				st.StateChanged++
-			}
-		}
-		ips[r.ClientIP] = true
-	}
-	if err := cur.Err(); err != nil {
-		return st, err
-	}
-	st.UniqueIPs = len(ips)
-	return st, nil
-}
-
-// Load materializes every record in exact global append order, reading
-// sealed segments in parallel on the shared worker pool. The result is
-// byte-for-byte the sequence of Appends that produced the store, so
-// the figure pipeline over it matches the in-memory path identically
-// for any worker count.
-func (s *Store) Load(workers int) ([]*session.Record, error) {
-	man, tail := s.snapshot()
-	total := int(man.NextSeq) + len(tail)
-	out := make([]*session.Record, total)
-	errs := make([]error, len(man.Segments))
-	parallel.ForEach(len(man.Segments), parallel.Workers(workers), 1, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			errs[i] = s.loadSegment(man.Segments[i], out)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i, r := range tail {
-		out[int(man.NextSeq)+i] = r
-	}
-	for i, r := range out {
-		if r == nil {
-			return nil, fmt.Errorf("store: missing record at seq %d (corrupt manifest?)", i)
-		}
-	}
-	return out, nil
-}
-
-// loadSegment decodes one segment, placing each record at its global
-// append sequence in out.
-func (s *Store) loadSegment(seg *segmentMeta, out []*session.Record) error {
-	br, err := s.openSegment(seg)
-	if err != nil {
-		return err
-	}
-	defer br.close()
-	var (
-		dec   session.JSONDecoder
-		arena recArena
-	)
-	for {
-		seq, line, err := br.next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if seq >= uint64(len(out)) {
-			return fmt.Errorf("store: %s: seq %d out of range", seg.File, seq)
-		}
-		r := arena.alloc()
-		if err := dec.Decode(line, r); err != nil {
-			return fmt.Errorf("store: decoding record: %w", err)
-		}
-		out[seq] = r
-	}
 }

@@ -2,12 +2,11 @@ package store
 
 // The unified query surface: a structured Query (typed predicate tree +
 // projection + aggregation) that Store, Fleet, and the hnquery planner
-// all execute through one entry point, RunQuery. The executor does the
-// pushdown the hand-rolled Filter API could not: time predicates prune
+// all execute through one entry point, RunQuery. The executor sees
+// through the predicate, so it can push work down: time predicates prune
 // via segment bounds, `ip =` conjuncts route through the Bloom filters,
 // kind/protocol-only aggregates answer from sealed metadata with zero
 // block reads, and projections skip decoding unused record fields.
-// Scan/ScanIP/Rollup remain as thin shims over the same machinery.
 
 import (
 	"fmt"
@@ -590,13 +589,11 @@ type AggSpec struct {
 
 // Query is the structured query every execution path shares: an
 // optional time range and exact-IP route, an optional typed predicate
-// tree (or an opaque legacy Filter, which disables pushdown), a
-// projection, and an optional aggregation.
+// tree, a projection, and an optional aggregation.
 type Query struct {
-	Time   TimeRange
-	IP     string
-	Filter Filter // opaque legacy filter; defeats pushdown and projection
-	Where  *Pred
+	Time  TimeRange
+	IP    string
+	Where *Pred
 
 	// Select lists the fields a row-mode caller will read; the decoder
 	// skips the rest. Empty means all fields (full records).
@@ -719,9 +716,9 @@ type GroupRow struct {
 	Aggs []Value // one per Query.Aggs spec
 }
 
-// recordCursor is the streaming-record interface both Cursor and
-// FleetCursor satisfy.
-type recordCursor interface {
+// RecordCursor is the streaming-record interface every cursor of this
+// package satisfies: query results and the Stream of a Store or Fleet.
+type RecordCursor interface {
 	Next() bool
 	Record() *session.Record
 	Err() error
@@ -733,7 +730,7 @@ type recordCursor interface {
 type Result struct {
 	agg   bool
 	rows  []GroupRow
-	cur   recordCursor
+	cur   RecordCursor
 	n     int
 	limit int
 	stats *PlanStats
@@ -856,13 +853,9 @@ func (q *Query) validate() (Filter, error) {
 	return CompilePred(q.Where)
 }
 
-// mask computes the decoder field mask the query needs. An opaque
-// Filter forces full decoding; otherwise only the fields the predicate,
-// projection, and aggregates read are decoded.
+// mask computes the decoder field mask the query needs: only the fields
+// the predicate, projection, and aggregates read are decoded.
 func (q *Query) mask(ip string) session.FieldMask {
-	if q.Filter != nil {
-		return session.FAllFields
-	}
 	if len(q.Aggs) == 0 && len(q.Select) == 0 {
 		return session.FAllFields // full records requested
 	}
@@ -1078,8 +1071,6 @@ func (s *Store) runQuery(q *Query, ev Filter) (*Result, *aggTable, error) {
 	contradiction := !ok || (q.IP != "" && pip != "" && q.IP != pip) || emptyRange(tr)
 	stats.From, stats.To, stats.IP = tr.From, tr.To, ip
 
-	filter := combineFilters(ev, q.Filter)
-
 	if contradiction {
 		stats.Mode = "empty"
 		if len(q.Aggs) > 0 {
@@ -1089,7 +1080,7 @@ func (s *Store) runQuery(q *Query, ev Filter) (*Result, *aggTable, error) {
 	}
 
 	if len(q.Aggs) > 0 {
-		tab, err := s.runAgg(q, filter, tr, ip, stats)
+		tab, err := s.runAgg(q, ev, tr, ip, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1100,7 +1091,7 @@ func (s *Store) runQuery(q *Query, ev Filter) (*Result, *aggTable, error) {
 	if ip != "" {
 		stats.Mode = "ip-scan"
 	}
-	cur := s.scanQ(tr, filter, ip, q.mask(ip), q.Where, stats)
+	cur := s.scanQ(tr, ev, ip, q.mask(ip), q.Where, stats)
 	if q.OrderBy != FieldNone {
 		// ORDER BY pushdown: stream the scan through a bounded top-k
 		// heap instead of materializing and sorting the result.
@@ -1116,16 +1107,6 @@ func (s *Store) runQuery(q *Query, ev Filter) (*Result, *aggTable, error) {
 	return &Result{cur: cur, limit: q.Limit, stats: stats}, nil, nil
 }
 
-func combineFilters(a, b Filter) Filter {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	return func(r *session.Record) bool { return a(r) && b(r) }
-}
-
 // metadataEligible reports whether an aggregation query can be answered
 // from sealed segment metadata alone: all aggregates are counts over
 // whole records, grouping and predicates touch only what segments
@@ -1133,7 +1114,7 @@ func combineFilters(a, b Filter) Filter {
 // since segments hold kind and protocol *marginals*, not their joint —
 // at most one of kind/proto appears anywhere.
 func metadataEligible(q *Query, ip string) bool {
-	if q.Filter != nil || ip != "" {
+	if ip != "" {
 		return false
 	}
 	for _, a := range q.Aggs {
@@ -1751,10 +1732,9 @@ func (f *Fleet) RunQuery(q *Query) (*Result, error) {
 	if ip != "" {
 		total.Mode = "ip-scan"
 	}
-	filter := combineFilters(ev, q.Filter)
 	mask := q.mask(ip)
 	cur := f.scatter(func(s *Store) *Cursor {
-		c := s.scanQ(tr, filter, ip, mask, q.Where, total)
+		c := s.scanQ(tr, ev, ip, mask, q.Where, total)
 		s.queriesTotal.Add(1)
 		return c
 	})

@@ -9,19 +9,18 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-
-	"honeynet/internal/parallel"
-	"honeynet/internal/session"
 )
 
-// Segment file layout: an 8-byte magic followed by back-to-back
-// compressed blocks. Each block's uncompressed payload is a run of
-// entries — uvarint(seq), uvarint(len), record JSON — and the block
-// index (offsets, lengths, counts, CRCs) lives in the manifest, so a
-// reader never parses a segment blind. The magic's version digit names
-// the block codec: '1' is DEFLATE (the original format), '2' is the
-// in-tree LZ codec; the manifest's per-segment codec field must agree.
-// Segments are immutable once the manifest references them.
+// Segment file layout: an 8-byte magic followed by back-to-back blocks,
+// with the block index (offsets, lengths, counts, CRCs) in the manifest,
+// so a reader never parses a segment blind. The magic's version digit
+// names the layout and the manifest's per-segment codec field must agree
+// with it. Seals write '3', the columnar layout (columnar.go). '1' and
+// '2' are the row layouts older stores sealed — each block one compressed
+// run of uvarint(seq), uvarint(len), record JSON entries, DEFLATE for
+// '1' and the in-tree LZ codec for '2' — and are read in place, never
+// written; testdata/legacy holds one segment of each. Segments are
+// immutable once the manifest references them.
 
 var (
 	segMagicV1 = [8]byte{'H', 'N', 'S', 'T', 'O', 'R', 'E', '1'}
@@ -41,158 +40,6 @@ type segReader interface {
 
 // segFileName names segment n.
 func segFileName(n int) string { return fmt.Sprintf("seg-%06d.hns", n) }
-
-// blockSpan marks one block's slice of the framed payload.
-type blockSpan struct {
-	start, end int // byte range in the frame buffer
-	count      int // records in the block
-}
-
-// writeSegment seals one month's records — those of recs selected by
-// idxs, with global append sequence baseSeq+index — into a new segment
-// file and returns its metadata. Records are framed once into a
-// contiguous buffer — the WAL lines are reused verbatim, no re-marshal
-// — then the blocks are compressed in parallel across SealWorkers. The
-// file is fsynced before return; the caller commits it via the
-// manifest.
-func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte, idxs []int32, baseSeq uint64) (*segmentMeta, error) {
-	if s.opts.Format == FormatV3 {
-		return s.writeSegmentColumnar(file, recs, lines, idxs, baseSeq)
-	}
-	codecName := s.opts.codec()
-	manifestCodec := codecName
-	if manifestCodec == CodecFlate {
-		manifestCodec = "" // v1 manifests predate the field; keep them byte-identical
-	}
-	meta := &segmentMeta{
-		File:   file,
-		Month:  recs[idxs[0]].Month().Format(monthLayout),
-		MinSeq: baseSeq + uint64(idxs[0]),
-		MaxSeq: baseSeq + uint64(idxs[len(idxs)-1]),
-		Codec:  manifestCodec,
-		Bloom:  newBloom(len(idxs)),
-	}
-
-	// Frame every record into one contiguous payload, recording block
-	// boundaries, and fold the per-segment aggregates in the same pass.
-	// The frame buffer is seal scratch: reused across segments and
-	// seals (seals are serialized, see Store.sealFrames).
-	blockBytes := s.opts.blockBytes()
-	var total int
-	for _, i := range idxs {
-		total += len(lines[i]) + 2*binary.MaxVarintLen64
-	}
-	if cap(s.sealFrames) < total {
-		s.sealFrames = make([]byte, 0, total)
-	}
-	frames := s.sealFrames[:0]
-	defer func() { s.sealFrames = frames[:0] }()
-	var (
-		spans  []blockSpan
-		start  int
-		count  int
-		varint [binary.MaxVarintLen64]byte
-	)
-	for _, i := range idxs {
-		r, line := recs[i], lines[i]
-		n := binary.PutUvarint(varint[:], baseSeq+uint64(i))
-		frames = append(frames, varint[:n]...)
-		n = binary.PutUvarint(varint[:], uint64(len(line)))
-		frames = append(frames, varint[:n]...)
-		frames = append(frames, line...)
-		count++
-
-		meta.Records++
-		meta.Kinds[r.Kind()]++
-		switch r.Protocol {
-		case session.ProtoSSH:
-			meta.SSH++
-		case session.ProtoTelnet:
-			meta.Telnet++
-		}
-		meta.Bloom.Add(r.ClientIP)
-		if meta.MinTime.IsZero() || r.Start.Before(meta.MinTime) {
-			meta.MinTime = r.Start
-		}
-		if r.Start.After(meta.MaxTime) {
-			meta.MaxTime = r.Start
-		}
-
-		if len(frames)-start >= blockBytes {
-			spans = append(spans, blockSpan{start, len(frames), count})
-			start, count = len(frames), 0
-		}
-	}
-	if count > 0 {
-		spans = append(spans, blockSpan{start, len(frames), count})
-	}
-
-	// Compress the blocks in parallel: one codec instance per worker
-	// and one output buffer per block index, all cached across seals so
-	// steady-state sealing allocates nothing block-sized.
-	workers := s.sealWorkers(len(spans))
-	for len(s.sealCodecs) < workers {
-		c, err := newBlockCodec(codecName)
-		if err != nil {
-			return nil, err
-		}
-		s.sealCodecs = append(s.sealCodecs, c)
-	}
-	for len(s.sealComps) < len(spans) {
-		s.sealComps = append(s.sealComps, nil)
-	}
-	comps := s.sealComps[:len(spans)]
-	crcs := make([]uint32, len(spans))
-	errs := make([]error, len(spans))
-	parallel.ForEach(len(spans), workers, 1, func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sp := spans[i]
-			comp, err := s.sealCodecs[worker].compress(comps[i][:0], frames[sp.start:sp.end])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			comps[i] = comp
-			crcs[i] = crc32.ChecksumIEEE(comp)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("store: compress block: %w", err)
-		}
-	}
-
-	f, err := os.OpenFile(filepath.Join(s.dir, file), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	magic := segmentMagic(codecName)
-	if _, err := f.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	off := int64(len(magic))
-	for i, sp := range spans {
-		if _, err := f.Write(comps[i]); err != nil {
-			return nil, err
-		}
-		meta.Blocks = append(meta.Blocks, blockMeta{
-			Off:   off,
-			CLen:  len(comps[i]),
-			ULen:  sp.end - sp.start,
-			Count: sp.count,
-			CRC:   crcs[i],
-		})
-		off += int64(len(comps[i]))
-		meta.RawBytes += int64(sp.end - sp.start)
-		meta.CompBytes += int64(len(comps[i]))
-	}
-	s.sealBlocks.Add(int64(len(spans)))
-	if err := f.Sync(); err != nil {
-		return nil, err
-	}
-	return meta, nil
-}
 
 // blockBufPool recycles block scratch buffers (compressed and payload)
 // across readers, so a scan over many segments allocates a bounded
@@ -222,7 +69,7 @@ type blockReader struct {
 // dispatching on the segment's layout. The block codec comes from the
 // segment's manifest entry; the file magic must agree with it.
 func (s *Store) openSegment(meta *segmentMeta) (segReader, error) {
-	if meta.Codec == FormatV3 {
+	if meta.Codec == codecV3 {
 		return s.openColReader(meta)
 	}
 	return s.openRowSegment(meta)
@@ -326,15 +173,6 @@ func (br *blockReader) close() error {
 		br.comp, br.payload, br.buf = nil, nil, nil
 	}
 	return br.f.Close()
-}
-
-// decodeRecord parses one stored record line.
-func decodeRecord(line []byte) (*session.Record, error) {
-	r := &session.Record{}
-	if err := session.DecodeJSON(line, r); err != nil {
-		return nil, fmt.Errorf("store: decoding record: %w", err)
-	}
-	return r, nil
 }
 
 // overlaps reports whether the segment's time bounds intersect [from,

@@ -8,17 +8,21 @@
 // records enqueue in memory and a latency-bounded flusher amortizes one
 // WAL write over a whole batch (Options.MaxBatch/MaxDelay), fsynced on
 // the SyncEvery cadence. Sealing folds the WAL into immutable per-month
-// segment files — compressed blocks with a block index, per-segment
-// time bounds, kind/protocol counts, and a Bloom filter over client
-// IPs — committed through an atomically renamed, fsynced manifest.
+// segment files — columnar blocks of per-field compressed stripes
+// behind a block directory, with a block index, per-segment time
+// bounds, kind/protocol counts, and a Bloom filter over client IPs —
+// committed through an atomically renamed, fsynced manifest. Segments
+// are sealed in one format (HNSTORE3); the row-layout segments older
+// stores hold (HNSTORE1, HNSTORE2) are read in place and never written.
 // Auto-sealing runs in the background: the WAL rotates aside and a
-// worker compresses blocks in parallel while appends continue into a
-// fresh WAL. On top sits a streaming query engine: Scan yields records
-// month by month without materializing the dataset, Rollup answers the
-// monthly aggregates behind the paper's longitudinal figures from
-// sealed metadata alone, ScanIP prunes segments by Bloom filter for
-// campaign lookups, and Load reconstructs the exact global append order
-// in parallel for the byte-identical figure pipeline.
+// worker compresses stripes in parallel while appends continue into a
+// fresh WAL. The store is read one way: RunQuery executes a structured
+// Query with pushdown (time bounds prune segments and blocks, `ip =`
+// routes through the Bloom filters, kind/protocol counts answer from
+// sealed metadata alone, projections touch only the stripes they name),
+// and Stream yields every record in exact global append order for the
+// byte-identical figure pipeline. OpenDir opens either a single store or
+// a fleet directory of per-node shards behind that same read surface.
 //
 // Crash safety, by case:
 //
@@ -78,18 +82,6 @@ type Options struct {
 	// group-commit batch before the flusher writes it to the WAL. Zero
 	// means 2ms; negative is rejected.
 	MaxDelay time.Duration
-	// Codec names the block codec for newly sealed segments: CodecLZ
-	// (the default) or CodecFlate (v1-compatible segments). Existing
-	// segments are always read with the codec their manifest records,
-	// whatever this is set to. Unknown names are rejected.
-	Codec string
-	// Format selects the layout of newly sealed segments: "" or "v2"
-	// for the row layout (blocks of whole records, Codec applies), "v3"
-	// for the columnar layout (per-field stripes, always LZ — v3 with
-	// CodecFlate is rejected). Existing segments are always read with
-	// the layout their manifest records; mixing formats in one store is
-	// fully supported.
-	Format string
 	// SealWorkers caps how many goroutines compress blocks during a
 	// seal. Zero means GOMAXPROCS; negative is rejected.
 	SealWorkers int
@@ -112,16 +104,6 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("store: negative MaxDelay %v", o.MaxDelay)
 	case o.SealWorkers < 0:
 		return fmt.Errorf("store: negative SealWorkers %d", o.SealWorkers)
-	case !validCodec(o.Codec):
-		return fmt.Errorf("store: unknown codec %q (want %q or %q)", o.Codec, CodecLZ, CodecFlate)
-	}
-	switch o.Format {
-	case "", FormatV2, FormatV3:
-	default:
-		return fmt.Errorf("store: unknown segment format %q (want \"v2\" or %q)", o.Format, FormatV3)
-	}
-	if o.Format == FormatV3 && o.Codec == CodecFlate {
-		return fmt.Errorf("store: format v3 stripes are always LZ-compressed; Codec %q conflicts", o.Codec)
 	}
 	return nil
 }
@@ -159,13 +141,6 @@ func (o *Options) maxDelay() time.Duration {
 		return 2 * time.Millisecond
 	}
 	return o.MaxDelay
-}
-
-func (o *Options) codec() string {
-	if o.Codec == "" {
-		return CodecLZ
-	}
-	return o.Codec
 }
 
 // Store is an append-only, month-partitioned session store rooted at a
@@ -213,8 +188,8 @@ type Store struct {
 	// seal.
 	sealFrames []byte
 	sealComps  [][]byte
-	sealCodecs []blockCodec
-	sealCol    *colWriter // v3 columnar block builder
+	sealCodecs []*lzCodec
+	sealCol    *colWriter // block builder
 
 	sealsTotal     atomic.Int64
 	sealBackground atomic.Int64
@@ -1086,7 +1061,7 @@ func (s *Store) Register(reg *obs.Registry) {
 	reg.CounterFunc("honeynet_store_stale_wal_drops_total",
 		"Stale WALs (already sealed before a crash) discarded on open.", s.staleWALDrops.Load)
 	reg.CounterFunc("honeynet_query_total",
-		"Structured queries executed via RunQuery (including shims).", s.queriesTotal.Load)
+		"Structured queries executed via RunQuery.", s.queriesTotal.Load)
 	reg.CounterFunc("honeynet_query_meta_only_total",
 		"Queries answered entirely from sealed metadata: zero block reads.", s.queryMetaOnly.Load)
 	reg.CounterFunc("honeynet_query_segments_pruned_total",

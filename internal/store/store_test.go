@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"honeynet/internal/collector"
 	"honeynet/internal/session"
 )
 
@@ -88,10 +86,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, err := s2.Load(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := drainStream(t, s2.Stream())
 	if len(got) != len(want) {
 		t.Fatalf("loaded %d records, want %d", len(got), len(want))
 	}
@@ -139,9 +134,9 @@ func TestRoundTripCowrieImported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, err := s2.Load(2)
-	if err != nil {
-		t.Fatal(err)
+	got := drainStream(t, s2.Stream())
+	if len(got) != len(imported) {
+		t.Fatalf("streamed %d records, want %d", len(got), len(imported))
 	}
 	for i := range imported {
 		if w, g := marshal(t, imported[i]), marshal(t, got[i]); !bytes.Equal(w, g) {
@@ -174,12 +169,9 @@ func TestSealPartitionsByMonth(t *testing.T) {
 	}
 	// Scanning one month yields exactly that month's records, in
 	// append order.
-	cur := s.Scan(Month(months[1]), nil)
-	defer cur.Close()
 	var n int
 	var lastID uint64
-	for cur.Next() {
-		r := cur.Record()
+	for _, r := range runRows(t, s, &Query{Time: Month(months[1])}) {
 		if !r.Month().Equal(months[1]) {
 			t.Fatalf("record %d outside scanned month", r.ID)
 		}
@@ -188,9 +180,6 @@ func TestSealPartitionsByMonth(t *testing.T) {
 		}
 		lastID = r.ID
 		n++
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
 	}
 	if n != 75 {
 		t.Fatalf("month scan yielded %d records, want 75", n)
@@ -213,19 +202,12 @@ func TestScanSealedPlusTailAndFilter(t *testing.T) {
 	}
 	fill(t, s, 60, 2) // unsealed tail on top of sealed segments
 
-	cur := s.Scan(TimeRange{}, func(r *session.Record) bool {
-		return r.Kind() == session.CommandExec
-	})
-	defer cur.Close()
 	var got int
-	for cur.Next() {
-		if cur.Record().Kind() != session.CommandExec {
+	for _, r := range runRows(t, s, &Query{Where: Cmp(FieldKind, CmpEq, KindValue(session.CommandExec))}) {
+		if r.Kind() != session.CommandExec {
 			t.Fatal("filter leaked a non-exec record")
 		}
 		got++
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
 	}
 	want := 0
 	for i := 0; i < 120; i++ {
@@ -240,68 +222,6 @@ func TestScanSealedPlusTailAndFilter(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("filtered scan yielded %d, want %d", got, want)
-	}
-}
-
-func TestRollupMatchesInMemory(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	recs := fill(t, s, 400, 3)
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	recs = append(recs, fill(t, s, 50, 3)...) // tail included in rollups
-
-	byMonth := collector.GroupByMonth(recs)
-	for m, want := range byMonth {
-		ru := s.Rollup(m)
-		if ru.Records != len(want) {
-			t.Fatalf("%s: rollup records = %d, want %d", m.Format("2006-01"), ru.Records, len(want))
-		}
-		var kinds [4]int
-		ssh := 0
-		for _, r := range want {
-			kinds[r.Kind()]++
-			if r.Protocol == session.ProtoSSH {
-				ssh++
-			}
-		}
-		if ru.Kinds != kinds {
-			t.Fatalf("%s: rollup kinds = %v, want %v", m.Format("2006-01"), ru.Kinds, kinds)
-		}
-		if ru.SSH != ssh {
-			t.Fatalf("%s: rollup ssh = %d, want %d", m.Format("2006-01"), ru.SSH, ssh)
-		}
-	}
-}
-
-func TestStreamingStatsMatchesCollector(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{BlockBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	recs := fill(t, s, 300, 3)
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	mem := collector.NewStore()
-	for _, r := range recs {
-		mem.Add(r)
-	}
-	want := mem.Stats()
-	got, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streaming stats = %+v, want %+v", got, want)
 	}
 }
 
@@ -327,20 +247,15 @@ func TestScanIPBloomPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cur := s.ScanIP(campaign, TimeRange{})
-	defer cur.Close()
 	var got int
-	for cur.Next() {
-		if cur.Record().ClientIP != campaign {
-			t.Fatal("ScanIP yielded a foreign record")
+	for _, r := range runRows(t, s, &Query{Where: Cmp(FieldIP, CmpEq, StringValue(campaign))}) {
+		if r.ClientIP != campaign {
+			t.Fatal("ip = yielded a foreign record")
 		}
 		got++
 	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if got != 10 {
-		t.Fatalf("ScanIP found %d sessions, want 10", got)
+		t.Fatalf("ip = found %d sessions, want 10", got)
 	}
 	if s.bloomChecks.Load() != 3 {
 		t.Fatalf("bloom checks = %d, want 3 (one per segment)", s.bloomChecks.Load())
@@ -350,45 +265,6 @@ func TestScanIPBloomPruning(t *testing.T) {
 	// size).
 	if s.bloomSkips.Load() != 2 {
 		t.Fatalf("bloom skips = %d, want 2", s.bloomSkips.Load())
-	}
-}
-
-func TestLoadDeterministicAcrossWorkers(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: 1 << 14}) // force several seals
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(t, s, 800, 5)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir, Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Segments() < 5 {
-		t.Fatalf("expected several segments, got %d", s2.Segments())
-	}
-	ref, err := s2.Load(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := s2.Load(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d records, want %d", workers, len(got), len(ref))
-		}
-		for i := range ref {
-			if !bytes.Equal(marshal(t, ref[i]), marshal(t, got[i])) {
-				t.Fatalf("workers=%d: record %d differs from serial load", workers, i)
-			}
-		}
 	}
 }
 
@@ -420,11 +296,7 @@ func TestReopenAppendsContinue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	recs, err := s.Load(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 150 {
+	if recs := drainStream(t, s.Stream()); len(recs) != 150 {
 		t.Fatalf("after reopen+append: %d records, want 150", len(recs))
 	}
 }
@@ -456,8 +328,8 @@ func TestUnsealedTailSurvivesReopen(t *testing.T) {
 }
 
 func TestStoreSoak(t *testing.T) {
-	// Race-hunting soak: concurrent appenders, scanners, rollups, and
-	// seals over a live store. Run under -race in CI.
+	// Race-hunting soak: concurrent appenders, scanners, metadata
+	// aggregates, and seals over a live store. Run under -race in CI.
 	dir := t.TempDir()
 	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1, BlockBytes: 4096})
 	if err != nil {
@@ -504,17 +376,24 @@ func TestStoreSoak(t *testing.T) {
 					return
 				default:
 				}
-				cur := s.Scan(TimeRange{}, nil)
-				for cur.Next() {
-					_ = cur.Record().Kind()
-				}
-				if err := cur.Err(); err != nil {
+				res, err := s.RunQuery(&Query{})
+				if err != nil {
 					t.Errorf("scan: %v", err)
 					return
 				}
-				cur.Close()
+				for res.Next() {
+					_ = res.Record().Kind()
+				}
+				if err := res.Err(); err != nil {
+					t.Errorf("scan: %v", err)
+					return
+				}
+				res.Close()
 				for _, m := range s.Months() {
-					_ = s.Rollup(m)
+					if _, err := s.RunQuery(&Query{Time: Month(m), GroupBy: []Field{FieldKind}, Aggs: []AggSpec{{Op: AggCount}}}); err != nil {
+						t.Errorf("aggregate: %v", err)
+						return
+					}
 				}
 			}
 		}()
@@ -542,8 +421,8 @@ func TestStoreSoak(t *testing.T) {
 	if got := s2.Len(); got != writers*perWriter {
 		t.Fatalf("soak store holds %d records, want %d", got, writers*perWriter)
 	}
-	if _, err := s2.Load(4); err != nil {
-		t.Fatalf("load after soak: %v", err)
+	if got := len(drainStream(t, s2.Stream())); got != writers*perWriter {
+		t.Fatalf("stream after soak yielded %d records, want %d", got, writers*perWriter)
 	}
 }
 
@@ -573,16 +452,23 @@ func TestCorruptBlockDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.Load(1); err == nil {
-		t.Fatal("corrupt block must fail the load, not return bad data")
+	st := s2.Stream()
+	for st.Next() {
 	}
-	cur := s2.Scan(TimeRange{}, nil)
-	for cur.Next() {
+	if st.Err() == nil {
+		t.Fatal("corrupt block must fail the stream, not return bad data")
 	}
-	if cur.Err() == nil {
-		t.Fatal("corrupt block must surface through Cursor.Err")
+	st.Close()
+	res, err := s2.RunQuery(&Query{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cur.Close()
+	for res.Next() {
+	}
+	if res.Err() == nil {
+		t.Fatal("corrupt block must surface through Result.Err")
+	}
+	res.Close()
 }
 
 func TestBloom(t *testing.T) {

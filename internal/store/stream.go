@@ -8,18 +8,16 @@ import (
 	"honeynet/internal/session"
 )
 
-// Streaming replacements for the materializing Load paths. Load builds
-// the whole record set in memory before the first record is consumed —
-// O(store) peak, fine for a month of data, hostile at the paper's 635M
-// sessions. Stream yields the identical sequence one record at a time:
-// Store.Stream holds one open block per live segment of the sequence
-// merge (O(open blocks)), Fleet.Stream buffers one month at a time
-// (O(largest month)), and both orders are exactly Load's, so a consumer
-// that folds records as they arrive — the figure pipeline, hncollect —
-// computes byte-identical results without the up-front copy.
+// Stream yields every record one at a time in the canonical order the
+// figure pipeline depends on, without building the record set in memory
+// first (hostile at the paper's 635M sessions): Store.Stream holds one
+// open block per live segment of the sequence merge (O(open blocks)),
+// Fleet.Stream buffers one month at a time (O(largest month)). A
+// consumer that folds records as they arrive — the figure pipeline,
+// hncollect — computes byte-identical results from either.
 
 // StreamCursor streams a snapshot of one store in exact global append
-// order — the same sequence Load materializes.
+// order.
 type StreamCursor struct {
 	sc    *SeqCursor
 	dec   session.JSONDecoder
@@ -32,7 +30,7 @@ type StreamCursor struct {
 // Peak memory is one open block per segment overlapping the merge
 // frontier, not the dataset. Records the cursor yields stay valid after
 // the next call (they are arena-allocated, never reused).
-func (s *Store) Stream() *StreamCursor {
+func (s *Store) Stream() RecordCursor {
 	return &StreamCursor{sc: s.ScanSeq(0)}
 }
 
@@ -68,8 +66,8 @@ func (c *StreamCursor) Err() error { return c.err }
 func (c *StreamCursor) Close() error { return c.sc.Close() }
 
 // FleetStream streams a fleet snapshot in the canonical total order —
-// (Start, node, seq), exactly Fleet.Load's — buffering one month at a
-// time instead of the whole fleet.
+// (Start, node, seq) — buffering one month at a time instead of the
+// whole fleet.
 type FleetStream struct {
 	f      *Fleet
 	months []time.Time
@@ -85,7 +83,7 @@ type FleetStream struct {
 // month, the global (Start, node, seq) sort decomposes into ascending
 // months sorted independently — so only one month is resident at a
 // time.
-func (f *Fleet) Stream() *FleetStream {
+func (f *Fleet) Stream() RecordCursor {
 	return &FleetStream{f: f, months: f.Months()}
 }
 
@@ -112,7 +110,7 @@ func (fs *FleetStream) Next() bool {
 // loadMonth gathers one month from every shard and sorts it into the
 // canonical order. A shard's month-scoped scan yields its records in
 // sequence order, so the within-month (node, arrival) tie-break equals
-// Load's global (node, seq) one restricted to the month.
+// the global (node, seq) one restricted to the month.
 func (fs *FleetStream) loadMonth(m time.Time) bool {
 	type ent struct {
 		r     *session.Record
@@ -159,6 +157,5 @@ func (fs *FleetStream) Record() *session.Record { return fs.cur }
 // Err returns the first error the stream hit, if any.
 func (fs *FleetStream) Err() error { return fs.err }
 
-// Close is a no-op (month scans close as they finish); it exists so
-// FleetStream satisfies the same cursor shape as StreamCursor.
+// Close is a no-op: month scans close as they finish.
 func (fs *FleetStream) Close() error { return nil }

@@ -9,8 +9,8 @@ import (
 	"honeynet/internal/session"
 )
 
-// drainStream collects a StreamCursor for comparison against Load.
-func drainStream(t *testing.T, c *StreamCursor) []*session.Record {
+// drainStream collects and closes a Stream.
+func drainStream(t testing.TB, c RecordCursor) []*session.Record {
 	t.Helper()
 	var out []*session.Record
 	for c.Next() {
@@ -25,36 +25,33 @@ func drainStream(t *testing.T, c *StreamCursor) []*session.Record {
 	return out
 }
 
-// TestStreamMatchesLoad: Stream must yield exactly Load's sequence —
-// sealed segments merged by seq plus the live tail — for both the row
-// and columnar formats.
+// TestStreamMatchesLoad: Stream must yield exactly what was appended, in
+// append order — sealed segments merged by seq plus the live tail — from
+// a fresh store and on top of the legacy row segments.
 func TestStreamMatchesLoad(t *testing.T) {
-	for _, format := range []string{"v2", FormatV3} {
-		t.Run(format, func(t *testing.T) {
-			s := openFmt(t, t.TempDir(), format)
-			defer s.Close()
-			fill(t, s, 500, 3)
+	for _, arm := range []string{"v2", "v3"} {
+		t.Run(arm, func(t *testing.T) {
+			s, want := openArm(t, arm)
+			want = append(want, fill(t, s, 500, 3)...)
 			if err := s.Seal(); err != nil {
 				t.Fatal(err)
 			}
 			// Leave a live unsealed tail on top of the sealed segments.
 			for i := 500; i < 560; i++ {
-				if err := s.Append(mkRecord(i%3, i)); err != nil {
+				r := mkRecord(i%3, i)
+				if err := s.Append(r); err != nil {
 					t.Fatal(err)
 				}
+				want = append(want, r)
 			}
 
-			want, err := s.Load(4)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got := drainStream(t, s.Stream())
 			if len(got) != len(want) {
-				t.Fatalf("stream yielded %d records, Load %d", len(got), len(want))
+				t.Fatalf("stream yielded %d records, appended %d", len(got), len(want))
 			}
 			for i := range want {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("record %d differs:\n stream %+v\n   load %+v", i, got[i], want[i])
+					t.Fatalf("record %d differs:\n   stream %+v\n appended %+v", i, got[i], want[i])
 				}
 			}
 		})
@@ -62,8 +59,9 @@ func TestStreamMatchesLoad(t *testing.T) {
 }
 
 // TestFleetStreamMatchesLoad: the month-at-a-time fleet stream must
-// reproduce Fleet.Load's canonical (Start, node, seq) order exactly,
-// including cross-node Start ties.
+// yield every appended record in the canonical (Start, node, seq) order,
+// including cross-node Start ties — checked against a Go sort of what
+// each node appended.
 func TestFleetStreamMatchesLoad(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteFleetMarker(dir); err != nil {
@@ -71,13 +69,13 @@ func TestFleetStreamMatchesLoad(t *testing.T) {
 	}
 	nodes := []string{"edge-a", "edge-b", "edge-c"}
 	perNode := 150
+	type ent struct {
+		r    *session.Record
+		node string
+	}
+	var want []ent
 	for ni, node := range nodes {
-		// Mix formats across shards: the stream must not care.
-		format := ""
-		if ni == 1 {
-			format = FormatV3
-		}
-		sh, err := Open(ShardDir(dir, node), Options{BlockBytes: 2048, Format: format})
+		sh, err := Open(ShardDir(dir, node), Options{BlockBytes: 2048})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,6 +89,7 @@ func TestFleetStreamMatchesLoad(t *testing.T) {
 			if err := sh.Append(r); err != nil {
 				t.Fatal(err)
 			}
+			want = append(want, ent{r, node})
 		}
 		if ni != 2 { // two shards sealed, one with a live tail
 			if err := sh.Seal(); err != nil {
@@ -101,6 +100,14 @@ func TestFleetStreamMatchesLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// want is in (node, seq) order; a stable sort on (Start, node) is the
+	// canonical order.
+	sort.SliceStable(want, func(i, j int) bool {
+		if !want[i].r.Start.Equal(want[j].r.Start) {
+			return want[i].r.Start.Before(want[j].r.Start)
+		}
+		return want[i].node < want[j].node
+	})
 
 	fl, err := OpenFleet(dir, Options{ReadOnly: true})
 	if err != nil {
@@ -108,24 +115,13 @@ func TestFleetStreamMatchesLoad(t *testing.T) {
 	}
 	defer fl.Close()
 
-	want, err := fl.Load(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := fl.Stream()
-	var got []*session.Record
-	for fs.Next() {
-		got = append(got, fs.Record())
-	}
-	if err := fs.Err(); err != nil {
-		t.Fatal(err)
-	}
+	got := drainStream(t, fl.Stream())
 	if len(got) != len(want) {
-		t.Fatalf("fleet stream yielded %d records, Load %d", len(got), len(want))
+		t.Fatalf("fleet stream yielded %d records, appended %d", len(got), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("record %d differs:\n stream %+v\n   load %+v", i, got[i], want[i])
+		if !reflect.DeepEqual(got[i], want[i].r) {
+			t.Fatalf("record %d differs:\n   stream %+v\n appended %+v", i, got[i], want[i].r)
 		}
 	}
 }
@@ -133,12 +129,12 @@ func TestFleetStreamMatchesLoad(t *testing.T) {
 // TestOrderByLimitMatchesFullSort: the pushed-down top-k heap must
 // return exactly what a stable full sort of the unordered result would
 // — same keys, same tie order (store order) — for asc and desc, with
-// and without LIMIT, on both formats.
+// and without LIMIT, over v3 segments alone and beside the legacy row
+// segments.
 func TestOrderByLimitMatchesFullSort(t *testing.T) {
-	for _, format := range []string{"v2", FormatV3} {
-		t.Run(format, func(t *testing.T) {
-			s := openFmt(t, t.TempDir(), format)
-			defer s.Close()
+	for _, arm := range []string{"v2", "v3"} {
+		t.Run(arm, func(t *testing.T) {
+			s, _ := openArm(t, arm)
 			recs := make([]*session.Record, 0, 900)
 			for i := 0; i < 900; i++ {
 				recs = append(recs, mkRecord(i%2, i))

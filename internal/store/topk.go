@@ -111,7 +111,7 @@ func (t *topK) finish() []*session.Record {
 
 // collectTopK drains a record cursor through a top-k heap and closes
 // it, returning the ordered survivors.
-func collectTopK(cur recordCursor, f Field, desc bool, k int) ([]*session.Record, error) {
+func collectTopK(cur RecordCursor, f Field, desc bool, k int) ([]*session.Record, error) {
 	t := newTopK(f, desc, k)
 	for cur.Next() {
 		t.add(cur.Record())
@@ -126,7 +126,7 @@ func collectTopK(cur recordCursor, f Field, desc bool, k int) ([]*session.Record
 	return t.finish(), nil
 }
 
-// sliceCursor adapts an ordered record slice to the recordCursor
+// sliceCursor adapts an ordered record slice to the RecordCursor
 // interface Result streams from.
 type sliceCursor struct {
 	rows []*session.Record

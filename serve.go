@@ -68,13 +68,6 @@ type ServeConfig struct {
 	// Drain seals the store so the partitions are immediately
 	// queryable by hnanalyze -store and honeynet.Open.
 	StorePath string
-	// StoreCodec selects the block codec for segments the store seals:
-	// store.CodecLZ (default) or store.CodecFlate (v1-compatible).
-	StoreCodec string
-	// StoreFormat selects the segment layout the store seals: "" or
-	// store.FormatV2 for row blocks, store.FormatV3 for columnar
-	// stripes (fastest projected scans; always LZ-compressed).
-	StoreFormat string
 	// StoreMaxBatch caps how many records one group-commit WAL write
 	// may carry (0 = store default).
 	StoreMaxBatch int
@@ -187,8 +180,6 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	}
 	if cfg.StorePath != "" {
 		s.store, err = store.Open(cfg.StorePath, store.Options{
-			Codec:    cfg.StoreCodec,
-			Format:   cfg.StoreFormat,
 			MaxBatch: cfg.StoreMaxBatch,
 			MaxDelay: cfg.StoreMaxDelay,
 		})
