@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -417,18 +418,24 @@ func BenchmarkAblationKMedoidsSeeding(b *testing.B) {
 func BenchmarkAblationClassifierPrefilter(b *testing.B) {
 	cls := classify.New()
 	// Worst-case text: no rule matches, so every rule is tried. The
-	// literal prefilter short-circuits most of them.
+	// automaton refutes most of them without running a regex.
 	text := "ps aux | sort | head; ls -la /var/log; cat /etc/os-release"
 	b.Run("classify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cls.Classify(text)
+			cls.ClassifyStats(text, nil)
 		}
 	})
 	b.Run("all-rules-regex", func(b *testing.B) {
-		rules := cls.Rules()
+		var res []*regexp.Regexp
+		for _, r := range cls.Rules() {
+			for _, expr := range r.Require {
+				res = append(res, regexp.MustCompile(expr))
+			}
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for j := range rules {
-				rules[j].Matches(text)
+			for _, re := range res {
+				re.MatchString(text)
 			}
 		}
 	})

@@ -31,7 +31,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"honeynet/internal/classify"
 	"honeynet/internal/fleet"
 	"honeynet/internal/live"
 	"honeynet/internal/obs"
@@ -81,7 +80,6 @@ func main() {
 	var routes []obs.Route
 	if pipeline != nil {
 		pipeline.Register(reg)
-		classify.Register(reg)
 		routes = append(routes, obs.Route{Pattern: "/live", Handler: pipeline.Handler()})
 	}
 	var adminSrv *http.Server

@@ -25,8 +25,7 @@ type KSelection struct {
 // is drawn deterministically (by seed) from the DLDSample built for
 // ccfg, and its distance submatrix is copied out of the already-filled
 // shared matrix — no pairwise DLD is recomputed, which the
-// kselect.submatrix span's pairs_reused tag and the
-// honeynet_analysis_dld_pairs_reused_total counter surface.
+// kselect.submatrix span's pairs_reused tag surfaces.
 func SelectK(w *World, ks []int, sweepSize int, seed int64, ccfg ClusterConfig) (*KSelection, error) {
 	if sweepSize <= 0 {
 		sweepSize = 500
@@ -47,9 +46,7 @@ func SelectK(w *World, ks []int, sweepSize int, seed int64, ccfg ClusterConfig) 
 	}
 	sp := w.span("kselect.submatrix")
 	m := submatrix(smp.Matrix, idx)
-	reused := int64(len(idx)) * int64(len(idx)-1) / 2
-	dldPairsReused.Add(reused)
-	sp.Tag("pairs_reused", reused)
+	sp.Tag("pairs_reused", int64(len(idx))*int64(len(idx)-1)/2)
 	sp.End()
 
 	var valid []int

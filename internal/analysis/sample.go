@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"honeynet/internal/cluster"
+	"honeynet/internal/obs"
 	"honeynet/internal/session"
 	"honeynet/internal/textdist"
 )
@@ -57,8 +58,6 @@ func (w *World) DLDSample(cfg ClusterConfig) (*DLDSample, error) {
 	w.sampleMu.Lock()
 	defer w.sampleMu.Unlock()
 	if w.sample != nil && w.sampleCfg == key {
-		matrixReuse.Add(1)
-		dldPairsReused.Add(int64(w.sample.Matrix.N) * int64(w.sample.Matrix.N-1) / 2)
 		w.Tracer.Tag("cluster.dld-matrix", "reused", 1)
 		return w.sample, nil
 	}
@@ -130,24 +129,22 @@ func buildDLDSample(w *World, cfg ClusterConfig) (*DLDSample, error) {
 
 	sp = w.span("cluster.dld-matrix")
 	defer sp.End()
-	if m, ok := w.loadCachedMatrix(s.Texts); ok {
+	if m, ok := w.loadCachedMatrix(sp, s.Texts); ok {
 		s.Matrix, s.FromCache = m, true
-		matrixCacheHits.Add(1)
 		sp.Tag("cache_hits", 1)
 		return s, nil
 	}
 	if w.MatrixCache != "" {
-		matrixCacheMisses.Add(1)
+		sp.Tag("cache_misses", 1)
 	}
 	var st textdist.KernelStats
 	s.Matrix, st = fillDLDMatrix(s.Tokens, cfg.Workers)
-	addKernelStats(st)
 	sp.Tag("pairs", st.Pairs)
 	sp.Tag("pairs_trivial", st.Trivial)
 	sp.Tag("band_passes", st.BandPasses)
 	sp.Tag("cells_dp", st.CellsDP)
 	sp.Tag("cells_saved", st.CellsFull-st.CellsDP)
-	w.storeCachedMatrix(s.Texts, s.Matrix)
+	w.storeCachedMatrix(sp, s.Texts, s.Matrix)
 	return s, nil
 }
 
@@ -201,8 +198,9 @@ func (w *World) matrixCachePath(texts []string) string {
 }
 
 // loadCachedMatrix reads a cached matrix for texts; any mismatch or read
-// failure is a miss.
-func (w *World) loadCachedMatrix(texts []string) (*cluster.Matrix, bool) {
+// failure is a miss, and an entry that is present but unusable is also
+// tagged on sp (the matrix span) so hnanalyze -timings shows it.
+func (w *World) loadCachedMatrix(sp *obs.Span, texts []string) (*cluster.Matrix, bool) {
 	if w.MatrixCache == "" {
 		return nil, false
 	}
@@ -216,7 +214,7 @@ func (w *World) loadCachedMatrix(texts []string) (*cluster.Matrix, bool) {
 	if len(raw) != header+8*cells ||
 		string(raw[:len(matrixCacheMagic)]) != matrixCacheMagic ||
 		binary.LittleEndian.Uint32(raw[len(matrixCacheMagic):]) != uint32(n) {
-		matrixCacheErrors.Add(1)
+		sp.Tag("cache_errors", 1)
 		return nil, false
 	}
 	packed := make([]float64, cells)
@@ -226,7 +224,7 @@ func (w *World) loadCachedMatrix(texts []string) (*cluster.Matrix, bool) {
 	}
 	m, err := cluster.NewMatrixFromPacked(n, packed)
 	if err != nil {
-		matrixCacheErrors.Add(1)
+		sp.Tag("cache_errors", 1)
 		return nil, false
 	}
 	return m, true
@@ -235,12 +233,12 @@ func (w *World) loadCachedMatrix(texts []string) (*cluster.Matrix, bool) {
 // storeCachedMatrix writes the matrix for texts via a unique temp file
 // and an atomic rename, so concurrent writers and crashes never leave a
 // partial entry under the final name.
-func (w *World) storeCachedMatrix(texts []string, m *cluster.Matrix) {
+func (w *World) storeCachedMatrix(sp *obs.Span, texts []string, m *cluster.Matrix) {
 	if w.MatrixCache == "" {
 		return
 	}
 	if err := os.MkdirAll(w.MatrixCache, 0o755); err != nil {
-		matrixCacheErrors.Add(1)
+		sp.Tag("cache_errors", 1)
 		return
 	}
 	packed := m.Packed()
@@ -253,18 +251,18 @@ func (w *World) storeCachedMatrix(texts []string, m *cluster.Matrix) {
 	}
 	tmp, err := os.CreateTemp(w.MatrixCache, "dldm-*.tmp")
 	if err != nil {
-		matrixCacheErrors.Add(1)
+		sp.Tag("cache_errors", 1)
 		return
 	}
 	_, werr := tmp.Write(buf)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
-		matrixCacheErrors.Add(1)
+		sp.Tag("cache_errors", 1)
 		os.Remove(tmp.Name())
 		return
 	}
 	if err := os.Rename(tmp.Name(), w.matrixCachePath(texts)); err != nil {
-		matrixCacheErrors.Add(1)
+		sp.Tag("cache_errors", 1)
 		os.Remove(tmp.Name())
 	}
 }

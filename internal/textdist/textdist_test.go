@@ -192,9 +192,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestNormalizedPrefilterExact: the clearly-dissimilar banded routing
-// inside Normalized must be invisible — every pair, including the routed
-// ones, gets exactly full-DP distance over max length.
+// TestNormalizedPrefilterExact: every pair, skewed lengths and empty
+// sides included, gets exactly full-DP distance over max length.
 func TestNormalizedPrefilterExact(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	vocab := []string{"a", "b", "c", "d"}
@@ -206,7 +205,7 @@ func TestNormalizedPrefilterExact(t *testing.T) {
 		return out
 	}
 	for i := 0; i < 2000; i++ {
-		// Skewed lengths so the prefilter branch is hit often.
+		// Skewed lengths, either side the longer.
 		a, b := gen(r.Intn(40)), gen(r.Intn(8))
 		if r.Intn(2) == 0 {
 			a, b = b, a
@@ -290,8 +289,9 @@ func BenchmarkDamerauBanded(b *testing.B) {
 	}
 }
 
-// TestInternedMatchesStrings pins the interned-ID DP to the string DP:
-// equal tokens get equal IDs, so every distance must match exactly.
+// TestInternedMatchesStrings pins the interned path to the string
+// full DP: equal tokens get equal IDs, so the ID reference and the
+// hybrid kernel must both match it exactly.
 func TestInternedMatchesStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vocab := []string{"wget", "curl", "-O", "/tmp/a", "/tmp/b", "chmod", "+x", "sh", "rm", "-rf", "cd", "mdrfckr", "echo", "127.0.0.1"}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"honeynet/internal/analysis"
 	"honeynet/internal/fleet"
 	"honeynet/internal/guard"
 	"honeynet/internal/honeypot"
@@ -282,7 +281,6 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	if s.livep != nil {
 		s.livep.Register(s.reg)
 	}
-	analysis.Register(s.reg)
 
 	s.sshAddr, err = node.ListenSSH(cfg.SSHAddr)
 	if err != nil {
