@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"honeynet"
 	"honeynet/internal/analysis"
 	"honeynet/internal/botnet"
 	"honeynet/internal/core"
@@ -17,9 +18,9 @@ import (
 	"honeynet/internal/store"
 )
 
-// TestRunOneCoversEveryFigure executes the CLI dispatch for every figure
-// selector over a small dataset, so a renamed analyzer cannot silently
-// break the tool.
+// TestRunOneCoversEveryFigure runs every selector of core's figure
+// table, as text and as CSV, over a small dataset, so a renamed analyzer
+// cannot silently break the tool.
 func TestRunOneCoversEveryFigure(t *testing.T) {
 	p, err := core.Simulate(simulate.Config{
 		Scale: 5000,
@@ -30,22 +31,18 @@ func TestRunOneCoversEveryFigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ccfg := analysis.ClusterConfig{K: 8, SampleSize: 100, Seed: 9}
-	figs := []string{
-		"stats", "1", "2", "3a", "3b", "4a", "4b", "5", "6", "7", "8", "9",
-		"10", "11", "12", "13", "14", "16", "17", "kselect", "table1",
-		"storage", "mdrfckr", "appc", "events",
-	}
-	for _, fig := range figs {
-		if err := runOne(p, fig, ccfg, false); err != nil {
-			t.Errorf("fig %q: %v", fig, err)
+	for _, fig := range core.Selectors() {
+		for _, csv := range []bool{false, true} {
+			var buf bytes.Buffer
+			if err := p.Run(&buf, fig, ccfg, csv); err != nil {
+				t.Errorf("fig %q csv=%v: %v", fig, csv, err)
+			} else if buf.Len() == 0 {
+				t.Errorf("fig %q csv=%v: no output", fig, csv)
+			}
 		}
 	}
-	if err := runOne(p, "nope", ccfg, false); err == nil {
+	if err := p.Run(io.Discard, "nope", ccfg, false); err == nil {
 		t.Error("unknown figure must error")
-	}
-	// CSV mode works for a representative figure.
-	if err := runOne(p, "stats", ccfg, true); err != nil {
-		t.Errorf("csv mode: %v", err)
 	}
 }
 
@@ -112,13 +109,13 @@ func TestStoreAndJSONLByteIdentical(t *testing.T) {
 		return buf.String()
 	}
 
-	pj, err := loadDataset(jsonl, 11)
+	pj, err := load(jsonl, "", honeynet.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := run(pj, 1)
 	for _, workers := range []int{1, 3, 8} {
-		ps, err := loadStore(storeDir, 11)
+		ps, err := load("", storeDir, honeynet.WithSeed(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +125,7 @@ func TestStoreAndJSONLByteIdentical(t *testing.T) {
 		}
 	}
 	// The JSONL path itself is worker-invariant too (regression guard).
-	pj2, err := loadDataset(jsonl, 11)
+	pj2, err := load(jsonl, "", honeynet.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +181,7 @@ func TestStoreGzipInputParity(t *testing.T) {
 	ccfg := analysis.ClusterConfig{K: 4, SampleSize: 50, Seed: 3}
 	outs := make([]string, 2)
 	for i, path := range []string{plain, gzPath} {
-		p, err := loadDataset(path, 3)
+		p, err := load(path, "", honeynet.WithSeed(3))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -276,7 +273,7 @@ func TestMixedFormatStoreByteIdentical(t *testing.T) {
 	ccfg := analysis.ClusterConfig{K: 4, SampleSize: 50, Seed: 7, Workers: 2}
 	run := func(dir string) string {
 		t.Helper()
-		p, err := loadStore(dir, 7)
+		p, err := load("", dir, honeynet.WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,5 +289,66 @@ func TestMixedFormatStoreByteIdentical(t *testing.T) {
 	}
 	if sums(mixedDir) != sums(fixture) {
 		t.Fatal("legacy segment files changed under appends, seals or reads")
+	}
+}
+
+// TestOpenHonoursSeed: WithSeed selects the AS registry of a loaded
+// dataset by the formula the simulation uses. honeynet.Open and
+// hnanalyze's own path then attribute every client IP to the AS the
+// simulation that wrote the store did (storage ASes are allocated while
+// a simulation runs and no seed rebuilds them, so the AS-joined figures
+// themselves are compared between the load paths, not against the
+// simulation); seed 0 is the registry core.FromRecords substitutes when
+// given none.
+func TestOpenHonoursSeed(t *testing.T) {
+	const seed = 7
+	dir := t.TempDir()
+	sim, err := honeynet.Simulate(honeynet.WithScale(20000), honeynet.WithSeed(seed), honeynet.WithStore(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sim.World.Store.All()
+	ccfg := analysis.ClusterConfig{K: 4, SampleSize: 50, Seed: seed}
+	render := func(p *core.Pipeline, figs ...string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		for _, fig := range figs {
+			if err := p.Run(&buf, fig, ccfg, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.String()
+	}
+	want := render(core.FromRecords(recs, &analysis.World{Registry: simulate.Registry(seed)}), "7", "8", "17")
+	for name, open := range map[string]func(...honeynet.Option) (*core.Pipeline, error){
+		"honeynet.Open": func(o ...honeynet.Option) (*core.Pipeline, error) { return honeynet.Open(dir, o...) },
+		"hnanalyze":     func(o ...honeynet.Option) (*core.Pipeline, error) { return load("", dir, o...) },
+	} {
+		p, err := open(honeynet.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			a, okA := sim.World.Registry.Lookup(r.ClientIP, r.Start)
+			b, okB := p.World.Registry.Lookup(r.ClientIP, r.Start)
+			if okA != okB || (okA && (a.ASN != b.ASN || a.Type != b.Type)) {
+				t.Fatalf("%s: client %s attributed to %+v, the simulation says %+v", name, r.ClientIP, b, a)
+			}
+		}
+		if got := render(p, "7", "8", "17"); got != want {
+			t.Errorf("%s: figures 7/8/17 differ from the seed's registry over the same records", name)
+		}
+		if p, err = open(honeynet.WithSeed(seed + 1)); err != nil {
+			t.Fatal(err)
+		}
+		if got := render(p, "7", "8", "17"); got == want {
+			t.Errorf("%s ignores WithSeed: another seed's registry gave the same figures", name)
+		}
+		if p, err = open(); err != nil {
+			t.Fatal(err)
+		}
+		if render(p, "all") != render(core.FromRecords(recs, nil), "all") {
+			t.Errorf("%s at seed 0 differs from core.FromRecords(recs, nil)", name)
+		}
 	}
 }

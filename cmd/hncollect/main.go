@@ -5,7 +5,6 @@
 // Usage:
 //
 //	hncollect -dir fleet/ [-listen :7070] [-admin :9091]
-//	          [-store-max-batch N] [-store-max-delay D]
 //	          [-sync-ack=true] [-live=true]
 //
 // Delivery is at-least-once from the edges and exactly-once in the
@@ -25,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -35,7 +33,6 @@ import (
 	"honeynet/internal/live"
 	"honeynet/internal/obs"
 	"honeynet/internal/session"
-	"honeynet/internal/store"
 )
 
 func main() {
@@ -43,8 +40,6 @@ func main() {
 		dir      = flag.String("dir", "", "fleet directory to write per-node shards under (required)")
 		listen   = flag.String("listen", ":7070", "address to accept edge connections on")
 		admin    = flag.String("admin", "", "admin listen address serving /metrics, /healthz, /live (empty to disable)")
-		batch    = flag.Int("store-max-batch", 0, "records per group-commit WAL write in each shard (0 = default)")
-		delay    = flag.Duration("store-max-delay", 0, "longest a record may wait in a shard's group-commit batch (0 = default)")
 		syncAck  = flag.Bool("sync-ack", true, "fsync a shard's WAL before acknowledging, so acked records survive a collector crash")
 		liveOn   = flag.Bool("live", true, "run the streaming analytics pipeline over committed records (honeynet_live_* metrics, /live on -admin)")
 		liveSeed = flag.Int64("live-seed", 0, "seed for the live cluster engine's sampling (0 = default)")
@@ -58,10 +53,7 @@ func main() {
 	if *liveOn {
 		pipeline = live.NewPipeline(live.Options{Seed: *liveSeed})
 	}
-	opts := fleet.ServerOptions{
-		Store:   store.Options{MaxBatch: *batch, MaxDelay: *delay},
-		SyncAck: *syncAck,
-	}
+	opts := fleet.ServerOptions{SyncAck: *syncAck}
 	if pipeline != nil {
 		opts.OnRecord = func(_ string, r *session.Record) { pipeline.Observe(r) }
 	}
@@ -84,14 +76,10 @@ func main() {
 	}
 	var adminSrv *http.Server
 	if *admin != "" {
-		mux := obs.AdminMux(reg, func() error { return nil }, routes...)
-		ln, err := net.Listen("tcp", *admin)
-		if err != nil {
+		if adminSrv, err = obs.ServeAdmin(*admin, reg, nil, routes...); err != nil {
 			log.Fatalf("hncollect: admin: %v", err)
 		}
-		adminSrv = &http.Server{Handler: mux}
-		go func() { _ = adminSrv.Serve(ln) }()
-		fmt.Printf("hncollect: admin on http://%s/metrics\n", ln.Addr())
+		fmt.Printf("hncollect: admin on http://%s/metrics\n", adminSrv.Addr)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -32,25 +32,68 @@ import (
 	"syscall"
 
 	"honeynet"
+	"honeynet/internal/honeypot"
 	"honeynet/internal/session"
+	"honeynet/internal/sessionlog"
 )
 
+// defaultLogMaxSize is -log-max-size's default, in the flag's syntax.
+const defaultLogMaxSize = "256MB"
+
+// parseFlags registers every honeypotd flag straight onto the facade's
+// configuration and parses args. Defaults the library has are read from
+// it (so -h, Serve and the README cannot drift apart); the guardrail
+// defaults below are honeypotd's alone, because a zero ServeConfig
+// field means "unlimited". Rate, node id and the -forward/-store
+// pairing are validated by Serve, before any listener opens.
+func parseFlags(fs *flag.FlagSet, args []string) (honeynet.ServeConfig, error) {
+	var cfg honeynet.ServeConfig
+	cfg.Defaults()
+	fs.StringVar(&cfg.SSHAddr, "ssh", cfg.SSHAddr, "SSH listen address")
+	fs.StringVar(&cfg.TelnetAddr, "telnet", ":2323", "Telnet listen address (empty to disable)")
+	fs.StringVar(&cfg.AdminAddr, "admin", "", "admin listen address serving /metrics, /healthz, /debug/pprof (empty to disable)")
+	fs.StringVar(&cfg.ID, "id", cfg.ID, "honeypot node id")
+	fs.StringVar(&cfg.Hostname, "hostname", cfg.Hostname, "fake hostname the shell presents")
+	fs.DurationVar(&cfg.Timeout, "timeout", honeypot.DefaultTimeout, "hard session timeout")
+	fs.StringVar(&cfg.LogPath, "out", "", "session JSONL output file (default stdout)")
+	fs.StringVar(&cfg.StorePath, "store", "", "also sink sessions into a month-partitioned session store at this directory (queryable via hnanalyze -store)")
+	fs.BoolVar(&cfg.Persistent, "persistent", false, "retain each client's filesystem across connections (defeats attacker consistency checks)")
+	fs.StringVar(&cfg.ForwardAddr, "forward", "", "stream stored sessions to the fleet collector (hncollect) at this address; requires -store")
+	fs.StringVar(&cfg.ForwardNodeID, "node-id", "", "node identity for fleet forwarding, [A-Za-z0-9._-] (default the -id value)")
+	live := fs.Bool("live", true, "run the streaming analytics pipeline on ingest (honeynet_live_* metrics, /live on -admin)")
+	fs.IntVar(&cfg.MaxConns, "max-conns", 512, "global concurrent connection cap; oldest connection is shed at the cap (0 = unlimited)")
+	fs.IntVar(&cfg.MaxConnsPerIP, "max-conns-per-ip", 8, "per-IP concurrent connection cap; newcomers beyond it are shed (0 = unlimited)")
+	fs.StringVar(&cfg.Rate, "rate", "5/s", "per-IP connection admission rate, e.g. 5/s, 300/m (empty = unlimited)")
+	setLogMaxSize := func(s string) (err error) {
+		cfg.LogMaxSize, err = sessionlog.ParseSize(s)
+		return err
+	}
+	_ = setLogMaxSize(defaultLogMaxSize)
+	fs.Func("log-max-size", "rotate the session log past this size, e.g. 64MB, 1GB (0 = never) (default "+defaultLogMaxSize+")", setLogMaxSize)
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "on SIGTERM, wait this long for in-flight sessions before force-closing")
+	fs.IntVar(&cfg.DownloadBudget, "download-budget", 120, "per-IP emulated fetches allowed per minute (0 = unlimited)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	cfg.LiveOff = !*live
+	if cfg.SSHAddr == "" {
+		return cfg, fmt.Errorf("-ssh must not be empty")
+	}
+	return cfg, nil
+}
+
 func main() {
-	var cfg Config
-	cfg.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		log.Fatalf("honeypotd: %v", err)
 	}
-
-	scfg := cfg.ServeConfig()
-	if cfg.Out == "" && cfg.Store == "" {
-		scfg.LogOutput = os.Stdout
+	if cfg.LogPath == "" && cfg.StorePath == "" {
+		cfg.LogOutput = os.Stdout
 	}
-	scfg.OnRecord = func(r *session.Record) {
+	cfg.OnRecord = func(r *session.Record) {
 		log.Printf("session %d from %s: %s, %d commands", r.ID, r.ClientIP, r.Kind(), len(r.Commands))
 	}
-	srv, err := honeynet.Serve(scfg)
+	srv, err := honeynet.Serve(cfg)
 	if err != nil {
 		log.Fatalf("honeypotd: %v", err)
 	}

@@ -17,8 +17,6 @@ import (
 	"honeynet/internal/session"
 	"honeynet/internal/simulate"
 	"honeynet/internal/sshclient"
-
-	"honeynet/internal/asdb"
 )
 
 func main() {
@@ -45,7 +43,7 @@ func main() {
 	fmt.Println("honeynet nodes:", addrs)
 
 	// Pick the two campaign models from the catalog.
-	env := botnet.NewEnv(asdb.NewRegistry(1, 100))
+	env := botnet.NewEnv(simulate.Registry(0))
 	rng := rand.New(rand.NewSource(7))
 	day := botnet.D(2022, 6, 15)
 	var mdrfckr, mirai *botnet.Bot

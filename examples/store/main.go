@@ -27,16 +27,12 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// A store-only node: no JSONL session log, every record appended to
-	// the store's WAL and sealed into per-month segments on drain. The
-	// store knobs are the write-path tuning surface: the group-commit
-	// batch bounds (one WAL write and fsync is amortized over up to
-	// StoreMaxBatch records or StoreMaxDelay of arrivals, whichever
-	// comes first).
+	// the store's WAL (group-committed: one write and fsync is
+	// amortized over up to 512 records or 2 ms of arrivals, whichever
+	// comes first) and sealed into per-month segments on drain.
 	srv, err := honeynet.Serve(honeynet.ServeConfig{
-		SSHAddr:       "127.0.0.1:0",
-		StorePath:     dir,
-		StoreMaxBatch: 256,
-		StoreMaxDelay: 2 * time.Millisecond,
+		SSHAddr:   "127.0.0.1:0",
+		StorePath: dir,
 	})
 	if err != nil {
 		log.Fatal(err)

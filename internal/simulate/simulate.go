@@ -77,7 +77,7 @@ func (c *Config) defaults() {
 		c.Bots = botnet.Catalog()
 	}
 	if c.Registry == nil {
-		c.Registry = asdb.NewRegistry(c.Seed+1, 2000)
+		c.Registry = Registry(c.Seed)
 	}
 	if c.AbuseDB == nil {
 		c.AbuseDB = abusedb.New()
@@ -86,6 +86,12 @@ func (c *Config) defaults() {
 		c.AbuseDB.LabelFraction = 0
 	}
 }
+
+// Registry returns the AS registry a run with the given seed starts
+// from. Its client ASes are drawn here, deterministically, so rebuilding
+// it from the seed restores a persisted dataset's client-side (IP, time)
+// -> AS attribution; storage ASes are added as a run consumes them.
+func Registry(seed int64) *asdb.Registry { return asdb.NewRegistry(seed+1, 2000) }
 
 // maintenanceStart/End: the 48h window with no recorded sessions
 // (section 3.3).

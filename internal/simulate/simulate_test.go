@@ -28,7 +28,7 @@ func TestSessionMixMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Store.Stats()
+	st := res.Store.StatsN(1)
 	if st.Total < 50_000 {
 		t.Fatalf("total = %d, too small to judge", st.Total)
 	}

@@ -52,8 +52,21 @@ func startEcho(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go srv.Serve(ln) //nolint:errcheck
+	go acceptLoop(ln, srv.HandleConn)
 	return ln.Addr().String()
+}
+
+// acceptLoop hands every connection on ln to handle, each on its own
+// goroutine, until ln closes: what honeypot.Node's accept loop does in
+// production, minus admission.
+func acceptLoop(ln net.Listener, handle func(net.Conn) error) {
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go handle(c) //nolint:errcheck
+	}
 }
 
 func TestDialRejectsBadAddress(t *testing.T) {

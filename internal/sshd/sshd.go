@@ -1,7 +1,9 @@
-// Package sshd implements a minimal SSH server (RFC 4252 password
-// authentication and RFC 4254 session channels) on top of
-// internal/sshwire. It is the protocol engine under the honeypot: policy
-// (which logins succeed, what the shell does) is injected via callbacks.
+// Package sshd implements the server side of SSH for one connection
+// (RFC 4252 password authentication and RFC 4254 session channels) on
+// top of internal/sshwire. It is the protocol engine under the honeypot:
+// the caller accepts and admits connections and hands each to
+// HandleConn; policy (which logins succeed, what the shell does) is
+// injected via callbacks.
 package sshd
 
 import (
@@ -9,10 +11,8 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"honeynet/internal/obs"
 	"honeynet/internal/sshwire"
 )
 
@@ -71,11 +71,6 @@ type Config struct {
 	ConnTimeout time.Duration
 	// HandshakeTimeout bounds the transport handshake.
 	HandshakeTimeout time.Duration
-	// Gate, if set, is consulted by Serve for each accepted connection
-	// (e.g. a guard.Limiter). ok=false sheds the connection: Serve
-	// closes it without handshaking. On ok, release (which may be nil)
-	// is called when the connection ends.
-	Gate func(nc net.Conn) (release func(), ok bool)
 }
 
 func (c *Config) maxTries() int {
@@ -85,32 +80,9 @@ func (c *Config) maxTries() int {
 	return 6
 }
 
-// Server accepts SSH connections and dispatches sessions.
+// Server runs the SSH protocol over connections the caller accepted.
 type Server struct {
 	cfg Config
-
-	// Accept-loop counters (Serve only; HandleConn callers count their
-	// own accepts).
-	accepted atomic.Int64
-	shed     atomic.Int64
-}
-
-// AcceptStats returns how many connections Serve admitted and how many
-// its Gate shed.
-func (s *Server) AcceptStats() (accepted, shed int64) {
-	return s.accepted.Load(), s.shed.Load()
-}
-
-// Register exposes the accept-loop counters on reg:
-//
-//	honeynet_sshd_conns_total{result="accepted"|"shed"}
-func (s *Server) Register(reg *obs.Registry) {
-	reg.CounterFunc("honeynet_sshd_conns_total",
-		"Connections seen by the SSH accept loop, by admission result.",
-		s.accepted.Load, obs.L("result", "accepted"))
-	reg.CounterFunc("honeynet_sshd_conns_total",
-		"Connections seen by the SSH accept loop, by admission result.",
-		s.shed.Load, obs.L("result", "shed"))
 }
 
 // New validates cfg and returns a Server.
@@ -125,33 +97,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("sshd: Config.Handler is required")
 	}
 	return &Server{cfg: cfg}, nil
-}
-
-// Serve accepts connections from ln until it is closed. Each connection
-// is handled on its own goroutine.
-func (s *Server) Serve(ln net.Listener) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		var release func()
-		if s.cfg.Gate != nil {
-			var ok bool
-			if release, ok = s.cfg.Gate(c); !ok {
-				s.shed.Add(1)
-				_ = c.Close()
-				continue
-			}
-		}
-		s.accepted.Add(1)
-		go func() {
-			if release != nil {
-				defer release()
-			}
-			_ = s.HandleConn(c)
-		}()
-	}
 }
 
 // HandleConn runs the complete SSH lifecycle for one TCP connection:

@@ -193,15 +193,6 @@ func (f *Fleet) Len() int {
 	return n
 }
 
-// Segments returns the total sealed segment count across shards.
-func (f *Fleet) Segments() int {
-	n := 0
-	for _, sh := range f.shards {
-		n += sh.Store.Segments()
-	}
-	return n
-}
-
 // Months returns the sorted distinct partition months across shards.
 func (f *Fleet) Months() []time.Time {
 	seen := map[time.Time]bool{}

@@ -147,19 +147,15 @@ func (s *Store) scanQ(tr TimeRange, filter Filter, ip string, mask session.Field
 		}
 		if ip != "" && len(cand) > 0 {
 			keep = bloomPrune(cand, h1, h2, keep)
-			s.bloomChecks.Add(int64(len(cand)))
 			if stats != nil {
 				stats.BloomChecked += len(cand)
 			}
 			for i, seg := range cand {
 				if keep[i] {
 					c.parts = append(c.parts, part{seg: seg})
-				} else {
-					s.bloomSkips.Add(1)
-					if stats != nil {
-						stats.BloomPruned++
-						stats.BlocksSkipped += int64(len(seg.Blocks))
-					}
+				} else if stats != nil {
+					stats.BloomPruned++
+					stats.BlocksSkipped += int64(len(seg.Blocks))
 				}
 			}
 		} else {

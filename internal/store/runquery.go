@@ -1041,18 +1041,7 @@ func (s *Store) RunQuery(q *Query) (*Result, error) {
 	if tab != nil {
 		res.rows = tab.finalize()
 	}
-	s.noteQuery(res.stats)
 	return res, nil
-}
-
-// noteQuery folds one query's plan stats into the store's counters.
-func (s *Store) noteQuery(ps *PlanStats) {
-	s.queriesTotal.Add(1)
-	if ps.Mode == "metadata" || ps.Mode == "empty" {
-		s.queryMetaOnly.Add(1)
-	}
-	s.querySegsPruned.Add(int64(ps.TimePruned + ps.BloomPruned))
-	s.queryBlocksSkipped.Add(ps.BlocksSkipped)
 }
 
 // runQuery plans and executes; aggregation queries additionally return
@@ -1702,7 +1691,6 @@ func (f *Fleet) RunQuery(q *Query) (*Result, error) {
 				total.Mode = "hybrid"
 			}
 			total.From, total.To, total.IP = st.From, st.To, st.IP
-			sh.Store.noteQuery(&st)
 			if tab == nil {
 				tab = t
 			} else {
@@ -1734,9 +1722,7 @@ func (f *Fleet) RunQuery(q *Query) (*Result, error) {
 	}
 	mask := q.mask(ip)
 	cur := f.scatter(func(s *Store) *Cursor {
-		c := s.scanQ(tr, ev, ip, mask, q.Where, total)
-		s.queriesTotal.Add(1)
-		return c
+		return s.scanQ(tr, ev, ip, mask, q.Where, total)
 	})
 	if q.OrderBy != FieldNone {
 		// The scatter cursor already merges shards in global store

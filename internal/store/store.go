@@ -198,16 +198,9 @@ type Store struct {
 	batchRecords   atomic.Int64
 	batchBytes     atomic.Int64
 	blocksRead     atomic.Int64
-	bloomChecks    atomic.Int64
-	bloomSkips     atomic.Int64
 	recoveredBytes atomic.Int64
 	staleWALDrops  atomic.Int64
 	appended       atomic.Int64
-
-	queriesTotal       atomic.Int64
-	queryMetaOnly      atomic.Int64
-	querySegsPruned    atomic.Int64
-	queryBlocksSkipped atomic.Int64
 }
 
 // walHeader is the first line of the WAL: it binds the file to the
@@ -534,9 +527,6 @@ func (s *Store) internLine(line []byte) []byte {
 	}
 	return s.lineArena[off : len(s.lineArena)-1 : len(s.lineArena)-1]
 }
-
-// Sink adapts the store to honeypot.Config.Sink.
-func (s *Store) Sink(r *session.Record) error { return s.Append(r) }
 
 // flushLoop is the group-commit flusher: woken by the first append of a
 // batch, it lingers up to MaxDelay so later appends can join, then
@@ -1017,14 +1007,8 @@ func (s *Store) sealWorkers(blocks int) int {
 //	honeynet_store_batch_bytes_total
 //	honeynet_store_appended_total
 //	honeynet_store_blocks_read_total
-//	honeynet_store_bloom_checks_total
-//	honeynet_store_bloom_skips_total
 //	honeynet_store_recovered_bytes
 //	honeynet_store_stale_wal_drops_total
-//	honeynet_query_total
-//	honeynet_query_meta_only_total
-//	honeynet_query_segments_pruned_total
-//	honeynet_query_blocks_skipped_total
 func (s *Store) Register(reg *obs.Registry) {
 	reg.GaugeFunc("honeynet_store_records",
 		"Session records held by the store (sealed + unsealed).",
@@ -1051,21 +1035,9 @@ func (s *Store) Register(reg *obs.Registry) {
 		"Records appended to the store.", s.appended.Load)
 	reg.CounterFunc("honeynet_store_blocks_read_total",
 		"Compressed blocks read and verified by queries.", s.blocksRead.Load)
-	reg.CounterFunc("honeynet_store_bloom_checks_total",
-		"Segment Bloom-filter membership checks by IP-scoped scans.", s.bloomChecks.Load)
-	reg.CounterFunc("honeynet_store_bloom_skips_total",
-		"Segments skipped entirely because the Bloom filter excluded the IP.", s.bloomSkips.Load)
 	reg.GaugeFunc("honeynet_store_recovered_bytes",
 		"Torn-tail WAL bytes truncated away when the store was opened.",
 		func() float64 { return float64(s.RecoveredBytes()) })
 	reg.CounterFunc("honeynet_store_stale_wal_drops_total",
 		"Stale WALs (already sealed before a crash) discarded on open.", s.staleWALDrops.Load)
-	reg.CounterFunc("honeynet_query_total",
-		"Structured queries executed via RunQuery.", s.queriesTotal.Load)
-	reg.CounterFunc("honeynet_query_meta_only_total",
-		"Queries answered entirely from sealed metadata: zero block reads.", s.queryMetaOnly.Load)
-	reg.CounterFunc("honeynet_query_segments_pruned_total",
-		"Segments skipped by query pushdown (time bounds + Bloom filters).", s.querySegsPruned.Load)
-	reg.CounterFunc("honeynet_query_blocks_skipped_total",
-		"Compressed blocks never read because pushdown skipped their segment.", s.queryBlocksSkipped.Load)
 }

@@ -247,24 +247,33 @@ func TestScanIPBloomPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	res, err := s.RunQuery(&Query{Where: Cmp(FieldIP, CmpEq, StringValue(campaign))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
 	var got int
-	for _, r := range runRows(t, s, &Query{Where: Cmp(FieldIP, CmpEq, StringValue(campaign))}) {
-		if r.ClientIP != campaign {
+	for res.Next() {
+		if res.Record().ClientIP != campaign {
 			t.Fatal("ip = yielded a foreign record")
 		}
 		got++
 	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if got != 10 {
 		t.Fatalf("ip = found %d sessions, want 10", got)
 	}
-	if s.bloomChecks.Load() != 3 {
-		t.Fatalf("bloom checks = %d, want 3 (one per segment)", s.bloomChecks.Load())
+	st := res.Stats()
+	if st.BloomChecked != 3 {
+		t.Fatalf("bloom checks = %d, want 3 (one per segment)", st.BloomChecked)
 	}
 	// The two campaign-free months must be pruned (modulo Bloom false
 	// positives, which the ~1% rate makes vanishingly unlikely at this
 	// size).
-	if s.bloomSkips.Load() != 2 {
-		t.Fatalf("bloom skips = %d, want 2", s.bloomSkips.Load())
+	if st.BloomPruned != 2 {
+		t.Fatalf("bloom skips = %d, want 2", st.BloomPruned)
 	}
 }
 

@@ -10,52 +10,10 @@ import (
 	"time"
 )
 
-// This file is the live-tail surface: Tail streams a writable store's
-// appends in-process (watch-driven, no polling), and Follow tails a
-// store or fleet directory from the outside (polling ReadOnly
-// snapshots), the engine behind `hnquery -follow`.
-
-// Tail streams every record with sequence >= from, in order, then
-// blocks for new appends and streams those as they arrive, until ctx is
-// done or fn returns an error (which Tail returns). The line passed to
-// fn is the record's canonical JSON, valid only for the duration of the
-// call.
-//
-// Tail is for the writing process: it rides the store's append signal
-// (see Watch) and never misses progress. A ReadOnly open is a frozen
-// snapshot — tailing one only ever yields the records present at Open;
-// use Follow to tail another process's store.
-func (s *Store) Tail(ctx context.Context, from uint64, fn func(seq uint64, line []byte) error) error {
-	w := s.Watch()
-	next := from
-	for {
-		c := s.ScanSeq(next)
-		for c.Next() {
-			if err := fn(c.Seq(), c.Line()); err != nil {
-				c.Close()
-				return err
-			}
-			next = c.Seq() + 1
-		}
-		err := c.Err()
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		// Drain-then-recheck per the Watch contract: an append landing
-		// after the NextSeq check leaves a signal in w for the select.
-		if s.NextSeq() > next {
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-w:
-		}
-	}
-}
+// This file is the outside-in live tail: Follow tails a store or fleet
+// directory from another process (polling ReadOnly snapshots), the
+// engine behind `hnquery -follow`. The writing process itself rides
+// the append signal instead (Watch + ScanSeq, as fleet.Forwarder does).
 
 // Sealing reports whether dir currently holds a WAL rotated aside for a
 // background seal. Purely informational — opens are safe mid-seal — but

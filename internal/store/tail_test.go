@@ -125,8 +125,45 @@ func TestSeqStreamUnderConcurrentSeal(t *testing.T) {
 	}
 }
 
-// TestTailStreamsLiveAppends: Tail must deliver history, then block and
-// deliver new appends, across a seal boundary, in dense order.
+// tail is an in-process live reader over the store's append signal,
+// the way fleet.Forwarder consumes it: stream every record with
+// sequence >= from, then block on Watch for new appends and stream
+// those, until ctx is done or fn returns an error.
+func tail(ctx context.Context, s *Store, from uint64, fn func(seq uint64, line []byte) error) error {
+	w := s.Watch()
+	next := from
+	for {
+		c := s.ScanSeq(next)
+		for c.Next() {
+			if err := fn(c.Seq(), c.Line()); err != nil {
+				c.Close()
+				return err
+			}
+			next = c.Seq() + 1
+		}
+		err := c.Err()
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		// Drain-then-recheck per the Watch contract: an append landing
+		// after the NextSeq check leaves a signal in w for the select.
+		if s.NextSeq() > next {
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-w:
+		}
+	}
+}
+
+// TestTailStreamsLiveAppends: a Watch + ScanSeq reader must deliver
+// history, then block and deliver new appends, across a seal boundary,
+// in dense order.
 func TestTailStreamsLiveAppends(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
@@ -149,7 +186,7 @@ func TestTailStreamsLiveAppends(t *testing.T) {
 	var got atomic.Uint64
 	done := make(chan error, 1)
 	go func() {
-		done <- s.Tail(ctx, 0, func(seq uint64, line []byte) error {
+		done <- tail(ctx, s, 0, func(seq uint64, line []byte) error {
 			if seq != got.Load() {
 				return errors.New("gap")
 			}
@@ -178,17 +215,18 @@ func TestTailStreamsLiveAppends(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Tail returned %v", err)
+			t.Fatalf("tail returned %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("Tail hung at seq %d", got.Load())
+		t.Fatalf("tail hung at seq %d", got.Load())
 	}
 	if got.Load() != total {
 		t.Fatalf("tailed %d records, want %d", got.Load(), total)
 	}
 }
 
-// TestTailPropagatesCallbackError: fn's error must abort and surface.
+// TestTailPropagatesCallbackError: a reader that stops mid-scan (its
+// callback failed) closes the cursor and leaves the store appendable.
 func TestTailPropagatesCallbackError(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
@@ -200,9 +238,12 @@ func TestTailPropagatesCallbackError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("stop here")
-	err = s.Tail(context.Background(), 0, func(uint64, []byte) error { return sentinel })
+	err = tail(context.Background(), s, 0, func(uint64, []byte) error { return sentinel })
 	if !errors.Is(err, sentinel) {
-		t.Fatalf("Tail returned %v, want sentinel", err)
+		t.Fatalf("tail returned %v, want sentinel", err)
+	}
+	if err := s.Append(mkRecord(0, 2)); err != nil {
+		t.Fatalf("append after an abandoned scan: %v", err)
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package telnetd implements the Telnet (RFC 854) side of the honeypot:
-// option negotiation refusal, a login/password prompt, and a line-oriented
-// shell hookup. The honeynet in the paper listens on both 22 and 23 with
-// the same authentication rules.
+// Package telnetd implements the Telnet (RFC 854) side of the honeypot
+// for one connection: option negotiation refusal, a login/password
+// prompt, and a line-oriented shell hookup. The caller accepts and
+// admits connections and hands each to HandleConn. The honeynet in the
+// paper listens on both 22 and 23 with the same authentication rules.
 package telnetd
 
 import (
@@ -9,10 +10,7 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync/atomic"
 	"time"
-
-	"honeynet/internal/obs"
 )
 
 // Telnet protocol bytes.
@@ -41,11 +39,6 @@ type Config struct {
 	MaxAuthTries int
 	// ConnTimeout is the hard session deadline (the honeynet's 3 min).
 	ConnTimeout time.Duration
-	// Gate, if set, is consulted by Serve for each accepted connection
-	// (e.g. a guard.Limiter). ok=false sheds the connection: Serve
-	// closes it immediately. On ok, release (which may be nil) is
-	// called when the connection ends.
-	Gate func(nc net.Conn) (release func(), ok bool)
 }
 
 func (c *Config) maxTries() int {
@@ -55,32 +48,9 @@ func (c *Config) maxTries() int {
 	return 3
 }
 
-// Server accepts Telnet connections.
+// Server runs the Telnet protocol over connections the caller accepted.
 type Server struct {
 	cfg Config
-
-	// Accept-loop counters (Serve only; HandleConn callers count their
-	// own accepts).
-	accepted atomic.Int64
-	shed     atomic.Int64
-}
-
-// AcceptStats returns how many connections Serve admitted and how many
-// its Gate shed.
-func (s *Server) AcceptStats() (accepted, shed int64) {
-	return s.accepted.Load(), s.shed.Load()
-}
-
-// Register exposes the accept-loop counters on reg:
-//
-//	honeynet_telnetd_conns_total{result="accepted"|"shed"}
-func (s *Server) Register(reg *obs.Registry) {
-	reg.CounterFunc("honeynet_telnetd_conns_total",
-		"Connections seen by the Telnet accept loop, by admission result.",
-		s.accepted.Load, obs.L("result", "accepted"))
-	reg.CounterFunc("honeynet_telnetd_conns_total",
-		"Connections seen by the Telnet accept loop, by admission result.",
-		s.shed.Load, obs.L("result", "shed"))
 }
 
 // New validates cfg and returns a Server.
@@ -89,32 +59,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("telnetd: Auth and Handler are required")
 	}
 	return &Server{cfg: cfg}, nil
-}
-
-// Serve accepts connections until ln closes.
-func (s *Server) Serve(ln net.Listener) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		var release func()
-		if s.cfg.Gate != nil {
-			var ok bool
-			if release, ok = s.cfg.Gate(c); !ok {
-				s.shed.Add(1)
-				_ = c.Close()
-				continue
-			}
-		}
-		s.accepted.Add(1)
-		go func() {
-			if release != nil {
-				defer release()
-			}
-			_ = s.HandleConn(c)
-		}()
-	}
 }
 
 // conn wraps a net.Conn with telnet IAC stripping on read and IAC

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"time"
 
@@ -67,12 +66,6 @@ type ServeConfig struct {
 	// Drain seals the store so the partitions are immediately
 	// queryable by hnanalyze -store and honeynet.Open.
 	StorePath string
-	// StoreMaxBatch caps how many records one group-commit WAL write
-	// may carry (0 = store default).
-	StoreMaxBatch int
-	// StoreMaxDelay bounds how long an append may wait in the
-	// group-commit batch (0 = store default).
-	StoreMaxDelay time.Duration
 
 	// ForwardAddr, when non-empty, streams every stored record to the
 	// fleet collector at that address (requires StorePath: the local
@@ -83,14 +76,12 @@ type ServeConfig struct {
 	// collector writes this node's shard under node-<id>. Defaults to
 	// ID. Restricted to [A-Za-z0-9._-].
 	ForwardNodeID string
-	// ForwardBatch caps records per batch frame (0 = 256).
-	ForwardBatch int
 	// ForwardMaxDelay bounds how long an appended record may wait for
-	// a batch to fill before being forwarded anyway (0 = 2ms).
+	// a batch to fill before being forwarded anyway (0 = 2ms). No
+	// program sets it; it stays because TestFleetE2EByteIdentity holds
+	// its helper edge's forwarder lingering with it, so that kill -9
+	// lands on records not yet forwarded.
 	ForwardMaxDelay time.Duration
-	// AckWindow caps unacknowledged in-flight records before the
-	// forwarder waits for collector acks (0 = 4x ForwardBatch).
-	AckWindow int
 
 	// DrainTimeout bounds how long Drain waits for in-flight sessions
 	// before force-closing them (default 30s).
@@ -116,7 +107,10 @@ type ServeConfig struct {
 	Registry *Registry
 }
 
-func (c *ServeConfig) defaults() {
+// Defaults fills every unset field that has a default. Serve calls it;
+// cmd/honeypotd calls it before registering flags, so its -h shows the
+// values spelled here.
+func (c *ServeConfig) Defaults() {
 	if c.SSHAddr == "" {
 		c.SSHAddr = ":2222"
 	}
@@ -150,7 +144,6 @@ type Server struct {
 	reg     *obs.Registry
 
 	sshAddr, telnetAddr, adminAddr string
-	adminLn                        net.Listener
 	adminSrv                       *http.Server
 }
 
@@ -159,7 +152,7 @@ type Server struct {
 // admin endpoint (if configured) serving. Callers own shutdown: call
 // Drain for a graceful stop or Close to cut listeners immediately.
 func Serve(cfg ServeConfig) (*Server, error) {
-	cfg.defaults()
+	cfg.Defaults()
 	rate, err := guard.ParseRate(cfg.Rate)
 	if err != nil {
 		return nil, fmt.Errorf("honeynet: rate: %w", err)
@@ -178,10 +171,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		return nil, errors.New("honeynet: ServeConfig needs LogPath, LogOutput, or StorePath")
 	}
 	if cfg.StorePath != "" {
-		s.store, err = store.Open(cfg.StorePath, store.Options{
-			MaxBatch: cfg.StoreMaxBatch,
-			MaxDelay: cfg.StoreMaxDelay,
-		})
+		s.store, err = store.Open(cfg.StorePath, store.Options{})
 		if err != nil {
 			if s.writer != nil {
 				s.writer.Close()
@@ -200,11 +190,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		if node == "" {
 			node = cfg.ID
 		}
-		s.fwd, err = fleet.NewForwarder(cfg.ForwardAddr, node, s.store, fleet.Options{
-			Batch:     cfg.ForwardBatch,
-			MaxDelay:  cfg.ForwardMaxDelay,
-			AckWindow: cfg.AckWindow,
-		})
+		s.fwd, err = fleet.NewForwarder(cfg.ForwardAddr, node, s.store, fleet.Options{MaxDelay: cfg.ForwardMaxDelay})
 		if err != nil {
 			if s.writer != nil {
 				s.writer.Close()
@@ -295,35 +281,23 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		}
 	}
 	if cfg.AdminAddr != "" {
-		if err := s.serveAdmin(cfg.AdminAddr); err != nil {
+		var routes []obs.Route
+		if s.livep != nil {
+			routes = append(routes, obs.Route{Pattern: "/live", Handler: s.livep.Handler()})
+		}
+		s.adminSrv, err = obs.ServeAdmin(cfg.AdminAddr, s.reg, func() error {
+			if s.node.Draining() {
+				return errors.New("draining")
+			}
+			return nil
+		}, routes...)
+		if err != nil {
 			s.close()
 			return nil, fmt.Errorf("honeynet: admin: %w", err)
 		}
+		s.adminAddr = s.adminSrv.Addr
 	}
 	return s, nil
-}
-
-// serveAdmin starts the admin HTTP listener.
-func (s *Server) serveAdmin(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.adminLn = ln
-	s.adminAddr = ln.Addr().String()
-	var routes []obs.Route
-	if s.livep != nil {
-		routes = append(routes, obs.Route{Pattern: "/live", Handler: s.livep.Handler()})
-	}
-	mux := obs.AdminMux(s.reg, func() error {
-		if s.node.Draining() {
-			return errors.New("draining")
-		}
-		return nil
-	}, routes...)
-	s.adminSrv = &http.Server{Handler: mux}
-	go func() { _ = s.adminSrv.Serve(ln) }()
-	return nil
 }
 
 // SSHAddr returns the bound SSH address.

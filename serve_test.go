@@ -125,29 +125,6 @@ func adminGet(t *testing.T, srv *Server, path string) string {
 	return string(b)
 }
 
-// TestFunctionalOptionsMatchLegacyStruct: the deprecated SimOptions shim
-// and the new options must configure identical runs.
-func TestFunctionalOptionsMatchLegacyStruct(t *testing.T) {
-	pNew, err := Simulate(WithScale(200000), WithSeed(7), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pOld, err := Simulate(SimOptions{Scale: 200000, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := pNew.World.Store.Len(), pOld.World.Store.Len()
-	if a != b || a == 0 {
-		t.Fatalf("session counts differ: options=%d struct=%d", a, b)
-	}
-	ra, rb := pNew.World.Store.All(), pOld.World.Store.All()
-	for i := range ra {
-		if ra[i].ClientIP != rb[i].ClientIP || !ra[i].Start.Equal(rb[i].Start) {
-			t.Fatalf("record %d differs between option styles", i)
-		}
-	}
-}
-
 // TestWithObserverRecordsPhases: an attached tracer sees the simulate
 // phases without changing the dataset.
 func TestWithObserverRecordsPhases(t *testing.T) {
@@ -266,6 +243,7 @@ func TestServeLivePipeline(t *testing.T) {
 		SSHAddr:      "127.0.0.1:0",
 		AdminAddr:    "127.0.0.1:0",
 		LogOutput:    io.Discard,
+		StorePath:    t.TempDir(),
 		Timeout:      10 * time.Second,
 		DrainTimeout: 5 * time.Second,
 	})
@@ -314,14 +292,15 @@ func TestServeLivePipeline(t *testing.T) {
 		"honeynet_live_sessions_total",
 		"honeynet_live_classified_total 1",
 		"honeynet_live_rules_skipped_total",
+		"honeynet_store_blocks_read_total",
 	} {
 		if !strings.Contains(metrics, line) {
 			t.Errorf("metrics missing %q", line)
 		}
 	}
-	// The batch pipeline never runs in the daemon: none of its work
-	// counters belong on this endpoint.
-	for _, prefix := range []string{"honeynet_analysis_", "honeynet_classify_"} {
+	// Neither the batch pipeline nor a query ever runs in the daemon:
+	// none of their work counters belong on this endpoint.
+	for _, prefix := range []string{"honeynet_analysis_", "honeynet_classify_", "honeynet_query_", "honeynet_store_bloom_"} {
 		if strings.Contains(metrics, prefix) {
 			t.Errorf("metrics carry a %s* series", prefix)
 		}
