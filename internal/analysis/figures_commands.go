@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"honeynet/internal/collector"
-	"honeynet/internal/parallel"
 	"honeynet/internal/report"
 	"honeynet/internal/session"
 )
@@ -26,41 +25,15 @@ type DatasetStats struct {
 // session; the four kind counters cover the SSH subset, exactly as the
 // paper reports them (546M SSH of 635M total).
 func Stats(w *World) *DatasetStats {
-	workers := w.workers()
-	st := w.Store.StatsN(workers)
-	d := &DatasetStats{
+	st := w.Store.StatsN(w.workers())
+	return &DatasetStats{
 		Total: st.Total, SSH: st.SSH, Telnet: st.Telnet,
+		Scanning:        st.SSHByKind[session.Scanning],
+		Scouting:        st.SSHByKind[session.Scouting],
+		Intrusion:       st.SSHByKind[session.Intrusion],
+		CommandExec:     st.SSHByKind[session.CommandExec],
 		UniqueClientIPs: st.UniqueIPs,
 	}
-	// Kind() re-derives the session kind per record (command/login scans),
-	// so shard the pass and merge the four order-invariant counters.
-	recs := w.Store.All()
-	parts := make([]DatasetStats, parallel.Workers(workers))
-	parallel.ForEach(len(recs), workers, 4096, func(wk, lo, hi int) {
-		p := &parts[wk]
-		for _, r := range recs[lo:hi] {
-			if !IsSSH(r) {
-				continue
-			}
-			switch r.Kind() {
-			case session.Scanning:
-				p.Scanning++
-			case session.Scouting:
-				p.Scouting++
-			case session.Intrusion:
-				p.Intrusion++
-			case session.CommandExec:
-				p.CommandExec++
-			}
-		}
-	})
-	for i := range parts {
-		d.Scanning += parts[i].Scanning
-		d.Scouting += parts[i].Scouting
-		d.Intrusion += parts[i].Intrusion
-		d.CommandExec += parts[i].CommandExec
-	}
-	return d
 }
 
 // Table renders the stats.

@@ -43,8 +43,8 @@ func TestStoreAddAndStats(t *testing.T) {
 	if st.Total != 5 || st.SSH != 5 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.ByKind[session.CommandExec] != 2 || st.ByKind[session.Scanning] != 1 {
-		t.Errorf("kind counts = %v", st.ByKind)
+	if st.SSHByKind[session.CommandExec] != 2 || st.SSHByKind[session.Scanning] != 1 {
+		t.Errorf("kind counts = %v", st.SSHByKind)
 	}
 	if st.UniqueIPs != 5 {
 		t.Errorf("unique IPs = %d", st.UniqueIPs)
@@ -91,26 +91,15 @@ func TestStatsNWorkerInvariance(t *testing.T) {
 		if i%7 == 0 {
 			r.Protocol = session.ProtoTelnet
 		}
-		if i%5 == 0 {
-			r.StateChanged = true
-		}
 		s.Add(r)
 	}
 	want := s.StatsN(1)
+	if want.SSH+want.Telnet != want.Total || want.SSHByKind[session.Scouting] == 0 {
+		t.Fatalf("implausible serial stats: %+v", want)
+	}
 	for _, workers := range []int{2, 8, 33} {
-		got := s.StatsN(workers)
-		if got.Total != want.Total || got.SSH != want.SSH || got.Telnet != want.Telnet ||
-			got.UniqueIPs != want.UniqueIPs || got.CommandExec != want.CommandExec ||
-			got.StateChanged != want.StateChanged {
+		if got := s.StatsN(workers); got != want {
 			t.Errorf("workers=%d: %+v != %+v", workers, got, want)
-		}
-		if len(got.ByKind) != len(want.ByKind) {
-			t.Fatalf("workers=%d: kind map size differs", workers)
-		}
-		for k, v := range want.ByKind {
-			if got.ByKind[k] != v {
-				t.Errorf("workers=%d: ByKind[%v] = %d, want %d", workers, k, got.ByKind[k], v)
-			}
 		}
 	}
 }

@@ -33,10 +33,10 @@ func TestSessionMixMatchesPaper(t *testing.T) {
 		t.Fatalf("total = %d, too small to judge", st.Total)
 	}
 	frac := func(k session.Kind) float64 {
-		return float64(st.ByKind[k]) / float64(st.Total)
+		return float64(st.SSHByKind[k]) / float64(st.SSH)
 	}
 	// Paper: scanning 45M, scouting 258M, intrusion 80M, cmdexec 163M of
-	// 546M.
+	// the 546M SSH sessions.
 	checks := []struct {
 		kind     session.Kind
 		lo, hi   float64

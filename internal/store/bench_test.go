@@ -115,7 +115,7 @@ func BenchmarkStoreScanMonth(b *testing.B) {
 	b.ResetTimer()
 	var total int
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunQuery(&Query{Time: Month(month)})
+		res, err := s.RunQuery(&Query{Where: inMonth(month)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func BenchmarkQueryProjectionColumnar(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := &Query{
-		Time:   Month(s.Months()[0]),
+		Where:  inMonth(s.Months()[0]),
 		Select: []Field{FieldIP, FieldStart},
 	}
 	rows := 0

@@ -103,6 +103,11 @@ const (
 	lzMarginIn = 12
 )
 
+// lzMaxExpand bounds how far an LZ stream can expand: a length
+// extension byte, the densest thing in the format, stands for at most
+// 255 output bytes.
+const lzMaxExpand = 255
+
 func lzHash(u uint32) int { return int((u * 2654435761) >> lzHashShift) }
 
 var errLZCorrupt = errors.New("store: lz block corrupt")

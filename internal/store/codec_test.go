@@ -96,6 +96,9 @@ func FuzzBlockCodec(f *testing.F) {
 		if !bytes.Equal(out, in) {
 			t.Fatal("round trip mismatch")
 		}
+		if len(in) > lzMaxExpand*len(comp) {
+			t.Fatalf("%d bytes compressed to %d: past the expansion bound parseColDir enforces", len(in), len(comp))
+		}
 		// Treat the raw input as a compressed stream: must not panic,
 		// any error is fine.
 		_ = c.decompress(make([]byte, 1024), in)

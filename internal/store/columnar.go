@@ -61,7 +61,7 @@ func protoMaskBit(proto string) byte {
 	case session.ProtoTelnet:
 		return 2
 	}
-	return 4
+	return protoOther
 }
 
 // colBuf accumulates one column's fragments for the block being built:
@@ -556,19 +556,32 @@ func parseColDir(buf []byte, bm *blockMeta, d *colDir) error {
 	if r.err || n != numStripes || d.rows <= 0 || d.rows != bm.Count {
 		return fmt.Errorf("store: corrupt block directory")
 	}
-	off := bm.Off + int64(bm.DirLen)
+	// The lengths size reads and allocations, so each is bounded before
+	// it becomes an int: the stripes share exactly the block's bytes
+	// after the directory (readDir has checked 0 < DirLen <= CLen), and
+	// none expands past what LZ can make of it.
+	off, rest := bm.Off+int64(bm.DirLen), uint64(bm.CLen-bm.DirLen)
 	for st := 0; st < numStripes; st++ {
-		d.clen[st] = int(r.uvarint())
-		d.ulen[st] = int(r.uvarint())
+		clen, ulen := r.uvarint(), r.uvarint()
+		if clen > rest || ulen > lzMaxExpand*clen || ulen > maxStripeLen {
+			return fmt.Errorf("store: corrupt block directory")
+		}
+		rest -= clen
+		d.clen[st], d.ulen[st] = int(clen), int(ulen)
 		d.crc[st] = uint32(r.uvarint())
 		d.off[st] = off
-		off += int64(d.clen[st])
+		off += int64(clen)
 	}
-	if r.err || r.i != len(buf) || off != bm.Off+int64(bm.CLen) {
+	if r.err || r.i != len(buf) || rest != 0 {
 		return fmt.Errorf("store: corrupt block directory")
 	}
 	return nil
 }
+
+// maxStripeLen caps one stripe's declared uncompressed length: far
+// above any block a writer seals (BlockBytes defaults to 256 KiB), far
+// below an allocation that could hurt.
+const maxStripeLen = 1 << 30
 
 // colData is one decoded column inside the current block: fragment
 // offsets and lengths into the stripe's data section. lens[i] == 0

@@ -80,7 +80,7 @@ func TestColumnarRunQueryMatchesRowFormat(t *testing.T) {
 	sort.SliceStable(scan, func(i, j int) bool { return scan[i].Month().Before(scan[j].Month()) })
 
 	june := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
-	may := Month(time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC))
+	may := time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC)
 	cases := []struct {
 		q    *Query
 		keep func(*session.Record) bool
@@ -102,12 +102,12 @@ func TestColumnarRunQueryMatchesRowFormat(t *testing.T) {
 			Cmp(FieldProto, CmpEq, StringValue(session.ProtoTelnet)),
 			Cmp(FieldStart, CmpGe, TimeValue(june)))},
 			keep: func(r *session.Record) bool { return r.Protocol == session.ProtoTelnet && !r.Start.Before(june) }},
-		{q: &Query{IP: recs[42].ClientIP},
+		{q: &Query{Where: Cmp(FieldIP, CmpEq, StringValue(recs[42].ClientIP))},
 			keep: func(r *session.Record) bool { return r.ClientIP == recs[42].ClientIP }},
 		{q: &Query{Where: Not(Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH)))},
 			keep: func(r *session.Record) bool { return r.Protocol != session.ProtoSSH }},
-		{q: &Query{Time: may, Limit: 7},
-			keep: func(r *session.Record) bool { return may.contains(r.Start) }},
+		{q: &Query{Where: inMonth(may), Limit: 7},
+			keep: func(r *session.Record) bool { return r.Month().Equal(may) }},
 	}
 	for qi, tc := range cases {
 		var want []*session.Record

@@ -90,8 +90,8 @@ func TestMixedFormatStore(t *testing.T) {
 		{Where: Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH))},
 		{Where: Cmp(FieldKind, CmpEq, KindValue(session.CommandExec)),
 			Select: []Field{FieldIP, FieldStart}},
-		{IP: legacy[10].ClientIP},
-		{Time: Month(time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)), Limit: 9},
+		{Where: Cmp(FieldIP, CmpEq, StringValue(legacy[10].ClientIP))},
+		{Where: inMonth(time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)), Limit: 9},
 		{OrderBy: FieldPort, Desc: true, Limit: 11},
 		{GroupBy: []Field{FieldProto}, Aggs: []AggSpec{{Op: AggCount}}},
 	}

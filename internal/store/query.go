@@ -15,31 +15,16 @@ type TimeRange struct {
 	From, To time.Time
 }
 
-// Month returns the range covering exactly one partition month.
-func Month(m time.Time) TimeRange {
-	from := time.Date(m.Year(), m.Month(), 1, 0, 0, 0, 0, time.UTC)
-	return TimeRange{From: from, To: from.AddDate(0, 1, 0)}
-}
-
-// contains reports whether t falls in the range.
-func (tr TimeRange) contains(t time.Time) bool {
-	if !tr.From.IsZero() && t.Before(tr.From) {
-		return false
-	}
-	if !tr.To.IsZero() && !t.Before(tr.To) {
-		return false
-	}
-	return true
-}
-
 // Filter is a compiled predicate (see CompilePred). A nil Filter selects
 // all.
 type Filter func(*session.Record) bool
 
 // part is one unit of cursor iteration: either a sealed segment or a
-// month's slice of the unsealed tail.
+// month's slice of the unsealed tail. all marks a segment whose zone
+// says every record matches, so none of them needs the row filter.
 type part struct {
 	seg  *segmentMeta
+	all  bool
 	tail []*session.Record
 }
 
@@ -49,24 +34,18 @@ type part struct {
 // tail). Peak memory is bounded by one compressed block plus its
 // uncompressed payload. A Cursor is not safe for concurrent use.
 type Cursor struct {
-	s      *Store
-	parts  []part
-	pi     int
-	br     segReader  // open v1/v2 segment, if any
-	cc     *colCursor // open v3 segment, if any
-	ti     int
-	tr     TimeRange
-	filter Filter
-	ip     string            // non-empty for the `ip =` route: exact client-IP match
-	mask   session.FieldMask // projection: fields to decode (0 = all)
-	pred   *Pred             // pushed predicate: prefilter only, Next re-checks
-	prog   *vecProg          // compiled vectorized prefilter (lazy)
-	progOK bool
-	stats  *PlanStats // per-query plan stats; may be nil
-	cur    *session.Record
-	err    error
-	dec    session.JSONDecoder
-	arena  recArena
+	s     *Store
+	p     *plan // the lowered statement: row filter, decoder mask, block prefilter
+	parts []part
+	pi    int
+	br    segReader  // open v1/v2 segment, if any
+	cc    *colCursor // open v3 segment, if any
+	ti    int
+	stats *PlanStats // per-query plan stats; may be nil
+	cur   *session.Record
+	err   error
+	dec   session.JSONDecoder
+	arena recArena
 }
 
 // recArena bump-allocates records in chunks, so decoding a block of
@@ -86,12 +65,13 @@ func (a *recArena) alloc() *session.Record {
 	return r
 }
 
-// scanQ builds the streaming cursor every query path shares: month and
-// segment time-bound pruning, Bloom routing for exact-IP scans, a
-// decoder field mask for projection pushdown, an optional pushed
-// predicate (vectorized prefilter over v3 segments — Next re-checks, so
-// it is advisory), and optional plan-stat accounting.
-func (s *Store) scanQ(tr TimeRange, filter Filter, ip string, mask session.FieldMask, pred *Pred, stats *PlanStats) *Cursor {
+// scanQ builds the streaming cursor every query path shares over the
+// segments a lowered statement cannot rule out: a segment whose zone
+// refutes the predicate is skipped, a required client IP is probed
+// against the survivors' Bloom filters, and — for a count(*) plan,
+// when tab is non-nil — a segment whose metadata buckets all come out
+// definite is folded into tab instead of scanned.
+func (s *Store) scanQ(p *plan, tab *aggTable, stats *PlanStats) *Cursor {
 	man, tail := s.snapshot()
 	if stats != nil {
 		stats.Segments += len(man.Segments)
@@ -120,73 +100,50 @@ func (s *Store) scanQ(tr TimeRange, filter Filter, ip string, mask session.Field
 	}
 	sort.Slice(months, func(i, j int) bool { return months[i].Before(months[j]) })
 
-	// For IP scans, hash the address once and batch-probe each month's
-	// filters: a cheap first-probe sweep rejects most segments before
-	// the full probe sequence runs.
-	var h1, h2 uint64
-	if ip != "" {
-		h1, h2 = fnvHashes(ip)
-	}
 	var cand []*segmentMeta
+	var zones []zone // parallel to cand
 	var keep []bool
-	c := &Cursor{s: s, tr: tr, filter: filter, ip: ip, mask: mask, pred: pred, stats: stats}
+	c := &Cursor{s: s, p: p, stats: stats}
 	for _, m := range months {
-		if !monthOverlaps(m, tr) {
-			if stats != nil {
-				stats.TimePruned += len(segsByMonth[m])
-			}
-			continue
-		}
-		cand = cand[:0]
+		cand, zones = cand[:0], zones[:0]
 		for _, seg := range segsByMonth[m] {
-			if seg.overlaps(tr.From, tr.To) {
-				cand = append(cand, seg)
+			if z := seg.zone(); p.tri(z) != triFalse {
+				cand, zones = append(cand, seg), append(zones, z)
 			} else if stats != nil {
 				stats.TimePruned++
 			}
 		}
-		if ip != "" && len(cand) > 0 {
-			keep = bloomPrune(cand, h1, h2, keep)
+		// For IP scans the address is hashed once per statement and each
+		// month's filters are batch-probed: a cheap first-probe sweep
+		// rejects most segments before the full probe sequence runs.
+		if p.ip != "" && len(cand) > 0 {
+			keep = bloomPrune(cand, p.h1, p.h2, keep)
 			if stats != nil {
 				stats.BloomChecked += len(cand)
 			}
-			for i, seg := range cand {
-				if keep[i] {
-					c.parts = append(c.parts, part{seg: seg})
-				} else if stats != nil {
+		}
+		for i, seg := range cand {
+			switch {
+			case p.ip != "" && !keep[i]:
+				if stats != nil {
 					stats.BloomPruned++
 					stats.BlocksSkipped += int64(len(seg.Blocks))
 				}
-			}
-		} else {
-			for _, seg := range cand {
-				c.parts = append(c.parts, part{seg: seg})
+			case tab != nil && p.segFromMetadata(seg, zones[i], tab):
+				stats.MetaSegments++
+				stats.BlocksSkipped += int64(len(seg.Blocks))
+			default:
+				c.parts = append(c.parts, part{seg: seg, all: p.tri(zones[i]) == triTrue})
+				if stats != nil {
+					stats.ScannedSegments++
+				}
 			}
 		}
 		if t := tailByMonth[m]; len(t) > 0 {
 			c.parts = append(c.parts, part{tail: t})
 		}
 	}
-	if stats != nil {
-		for _, p := range c.parts {
-			if p.seg != nil {
-				stats.ScannedSegments++
-			}
-		}
-	}
 	return c
-}
-
-// monthOverlaps reports whether the partition month [m, m+1mo)
-// intersects the range.
-func monthOverlaps(m time.Time, tr TimeRange) bool {
-	if !tr.To.IsZero() && !m.Before(tr.To) {
-		return false
-	}
-	if !tr.From.IsZero() && !tr.From.Before(m.AddDate(0, 1, 0)) {
-		return false
-	}
-	return true
 }
 
 // Next advances to the next matching record. It returns false at the
@@ -208,13 +165,7 @@ func (c *Cursor) Next() bool {
 			c.Close()
 			return false
 		}
-		if !c.tr.contains(r.Start) {
-			continue
-		}
-		if c.ip != "" && r.ClientIP != c.ip {
-			continue
-		}
-		if c.filter != nil && !c.filter(r) {
+		if f := c.p.filter; f != nil && !c.parts[c.pi].all && !f(r) {
 			continue
 		}
 		if c.stats != nil {
@@ -231,14 +182,10 @@ func (c *Cursor) nextRaw() (*session.Record, error) {
 		p := &c.parts[c.pi]
 		if p.seg != nil && p.seg.Codec == codecV3 {
 			// Columnar segment: the vectorized cursor prunes blocks on
-			// zone maps, prefilters rows column-at-a-time, and decodes
+			// their zones, prefilters rows column-at-a-time, and decodes
 			// only the projected columns of the selected rows.
 			if c.cc == nil {
-				if !c.progOK {
-					c.prog = compileVec(c.pred, c.ip, c.tr)
-					c.progOK = true
-				}
-				cc, err := c.s.openColCursor(p.seg, c.prog, c.mask, c.stats, &c.dec, &c.arena)
+				cc, err := c.s.openColCursor(p.seg, c.p.prog, c.p.mask, c.stats, &c.dec, &c.arena)
 				if err != nil {
 					return nil, err
 				}
@@ -276,7 +223,7 @@ func (c *Cursor) nextRaw() (*session.Record, error) {
 				return nil, err
 			}
 			r := c.arena.alloc()
-			if err := c.dec.DecodeMasked(line, r, c.mask); err != nil {
+			if err := c.dec.DecodeMasked(line, r, c.p.mask); err != nil {
 				return nil, fmt.Errorf("store: decoding record: %w", err)
 			}
 			if c.stats != nil {

@@ -3,13 +3,18 @@ package store
 // The unified query surface: a structured Query (typed predicate tree +
 // projection + aggregation) that Store, Fleet, and the hnquery planner
 // all execute through one entry point, RunQuery. The executor sees
-// through the predicate, so it can push work down: time predicates prune
-// via segment bounds, `ip =` conjuncts route through the Bloom filters,
-// kind/protocol-only aggregates answer from sealed metadata with zero
-// block reads, and projections skip decoding unused record fields.
+// through the predicate, so it can push work down: a statement is
+// lowered once (plan) into a compiled tree that is asked one
+// three-valued question of a zone summary — a segment's, a metadata
+// bucket's, a block directory's — so segments and blocks the predicate
+// refutes are never read and count(*) aggregates whose buckets all
+// come out definite answer from sealed metadata with zero block reads;
+// `ip =` conjuncts route through the Bloom filters, and projections
+// skip decoding unused record fields.
 
 import (
 	"fmt"
+	"math/bits"
 	"regexp"
 	"sort"
 	"strconv"
@@ -588,11 +593,9 @@ type AggSpec struct {
 }
 
 // Query is the structured query every execution path shares: an
-// optional time range and exact-IP route, an optional typed predicate
-// tree, a projection, and an optional aggregation.
+// optional typed predicate tree, a projection, and an optional
+// aggregation.
 type Query struct {
-	Time  TimeRange
-	IP    string
 	Where *Pred
 
 	// Select lists the fields a row-mode caller will read; the decoder
@@ -620,10 +623,18 @@ type Query struct {
 // PlanStats describes what the planner chose and what pruning achieved,
 // so pushdown is observable rather than assumed.
 type PlanStats struct {
-	Mode string // "metadata", "hybrid", "scan", "ip-scan", "empty"
+	// Mode is "empty" for a contradictory predicate, "ip-scan" when a
+	// required client IP routed the scan through the Bloom filters, and
+	// otherwise says where the answer came from: "metadata" (no segment
+	// scanned), "hybrid" (some answered from metadata, some scanned) or
+	// "scan".
+	Mode string
 
-	Segments        int // sealed segments in the snapshot
-	TimePruned      int // segments skipped via time bounds
+	Segments int // sealed segments in the snapshot
+	// TimePruned counts segments skipped unread because their zone —
+	// start-time bounds, kinds and protocols present — refutes the
+	// predicate. Time bounds are the common case, hence the name.
+	TimePruned      int
 	BloomChecked    int // segments probed by the Bloom route
 	BloomPruned     int // segments the Bloom filter excluded
 	MetaSegments    int // segments answered from sealed metadata
@@ -633,8 +644,9 @@ type PlanStats struct {
 	BlocksRead    int64 // compressed blocks read and decoded
 	BlocksSkipped int64 // blocks in segments answered without reading
 
-	// Columnar (v3) pushdown: blocks pruned by per-block zone maps
-	// before any stripe decompressed, and the stripes actually touched.
+	// Columnar (v3) pushdown: blocks whose directory zone refutes the
+	// predicate, pruned before any stripe decompressed, and the stripes
+	// actually touched.
 	BlocksZonePruned int64
 	StripesRead      int64
 	StripeBytes      int64 // compressed bytes of stripes read
@@ -855,7 +867,7 @@ func (q *Query) validate() (Filter, error) {
 
 // mask computes the decoder field mask the query needs: only the fields
 // the predicate, projection, and aggregates read are decoded.
-func (q *Query) mask(ip string) session.FieldMask {
+func (q *Query) mask() session.FieldMask {
 	if len(q.Aggs) == 0 && len(q.Select) == 0 {
 		return session.FAllFields // full records requested
 	}
@@ -875,9 +887,6 @@ func (q *Query) mask(ip string) session.FieldMask {
 	if q.OrderBy != FieldNone {
 		m |= q.OrderBy.Mask()
 	}
-	if ip != "" {
-		m |= session.FClientIP
-	}
 	return m
 }
 
@@ -893,69 +902,6 @@ func predMask(p *Pred) session.FieldMask {
 		m |= predMask(k)
 	}
 	return m
-}
-
-// predTimeRange extracts a conservative time range implied by the
-// predicate: every matching record's Start falls inside it. AND
-// intersects, OR takes the hull, NOT is open.
-func predTimeRange(p *Pred) TimeRange {
-	if p == nil {
-		return TimeRange{}
-	}
-	switch p.Op {
-	case PredAnd:
-		var tr TimeRange
-		for _, k := range p.Kids {
-			tr = intersectRange(tr, predTimeRange(k))
-		}
-		return tr
-	case PredOr:
-		tr := predTimeRange(p.Kids[0])
-		for _, k := range p.Kids[1:] {
-			tr = hullRange(tr, predTimeRange(k))
-		}
-		return tr
-	case PredNot:
-		return TimeRange{}
-	}
-	switch p.Field {
-	case FieldStart:
-		if p.Val.Kind != ValTime {
-			return TimeRange{}
-		}
-		return boundRange(p.Cmp, p.Val.Time, p.Val.Time.Add(time.Nanosecond))
-	case FieldMonth:
-		if p.Val.Kind != ValMonth && p.Val.Kind != ValTime {
-			return TimeRange{}
-		}
-		m := time.Date(p.Val.Time.Year(), p.Val.Time.Month(), 1, 0, 0, 0, 0, time.UTC)
-		return boundRange(p.Cmp, m, m.AddDate(0, 1, 0))
-	case FieldDay:
-		if p.Val.Kind != ValDay && p.Val.Kind != ValTime {
-			return TimeRange{}
-		}
-		d := p.Val.Time.UTC().Truncate(24 * time.Hour)
-		return boundRange(p.Cmp, d, d.Add(24*time.Hour))
-	}
-	return TimeRange{}
-}
-
-// boundRange maps a comparison against a bucket [lo, hi) — a point in
-// time is the degenerate bucket [t, t+1ns) — to a Start range.
-func boundRange(cmp CmpOp, lo, hi time.Time) TimeRange {
-	switch cmp {
-	case CmpEq:
-		return TimeRange{From: lo, To: hi}
-	case CmpLt:
-		return TimeRange{To: lo}
-	case CmpLe:
-		return TimeRange{To: hi}
-	case CmpGt:
-		return TimeRange{From: hi}
-	case CmpGe:
-		return TimeRange{From: lo}
-	}
-	return TimeRange{}
 }
 
 // intersectRange narrows to the overlap of two ranges (zero = open).
@@ -1026,435 +972,252 @@ func predIP(p *Pred) (string, bool) {
 	return "", true
 }
 
-// RunQuery executes a structured query against the store. Aggregation
-// queries return finalized group rows; row queries return a streaming
-// cursor. The caller must Close the result.
-func (s *Store) RunQuery(q *Query) (*Result, error) {
-	ev, err := q.validate()
-	if err != nil {
-		return nil, err
-	}
-	res, tab, err := s.runQuery(q, ev)
-	if err != nil {
-		return nil, err
-	}
-	if tab != nil {
-		res.rows = tab.finalize()
-	}
-	return res, nil
+// plan is one statement lowered once — validated, type-checked and
+// compiled — and run unchanged by every shard: the row Filter that
+// decides a record, the compiled tree that answers for zones and
+// blocks, the Bloom route, the decoder mask and the facts EXPLAIN
+// prints.
+type plan struct {
+	q      *Query
+	filter Filter            // the truth test; nil selects all
+	prog   *vecProg          // q.Where compiled; nil when it decides no zone or column
+	mask   session.FieldMask // fields the statement reads
+	tr     TimeRange         // start-time range the predicate implies
+	ip     string            // required client IP, probed as h1, h2
+	h1, h2 uint64
+	empty  bool    // the predicate contradicts itself
+	splits []Field // see metaSplits
 }
 
-// runQuery plans and executes; aggregation queries additionally return
-// the un-finalized table so Fleet can merge across shards.
-func (s *Store) runQuery(q *Query, ev Filter) (*Result, *aggTable, error) {
-	stats := &PlanStats{}
-
-	// Pushdown: narrow the time range by predicate-implied bounds and
-	// route required `ip =` conjuncts through the Bloom filters.
-	tr := intersectRange(q.Time, predTimeRange(q.Where))
-	pip, ok := predIP(q.Where)
-	ip := q.IP
-	if ok && ip == "" {
-		ip = pip
+// lower validates q and compiles it into a plan.
+func lower(q *Query) (*plan, error) {
+	filter, err := q.validate()
+	if err != nil {
+		return nil, err
 	}
-	contradiction := !ok || (q.IP != "" && pip != "" && q.IP != pip) || emptyRange(tr)
-	stats.From, stats.To, stats.IP = tr.From, tr.To, ip
-
-	if contradiction {
-		stats.Mode = "empty"
-		if len(q.Aggs) > 0 {
-			return &Result{agg: true, stats: stats}, newAggTable(q.GroupBy, q.Aggs), nil
+	p := &plan{q: q, filter: filter, mask: q.mask()}
+	if q.Where != nil {
+		prog := &vecProg{}
+		prog.root = prog.compile(q.Where)
+		if prog.root.decidesAnything() {
+			p.prog = prog
 		}
-		return &Result{cur: &Cursor{}, limit: q.Limit, stats: stats}, nil, nil
-	}
-
-	if len(q.Aggs) > 0 {
-		tab, err := s.runAgg(q, ev, tr, ip, stats)
-		if err != nil {
-			return nil, nil, err
+		p.tr = prog.root.timeRange()
+		ip, ok := predIP(q.Where)
+		if p.ip = ip; ip != "" {
+			p.h1, p.h2 = fnvHashes(ip)
 		}
-		return &Result{agg: true, stats: stats}, tab, nil
+		p.empty = !ok || emptyRange(p.tr)
 	}
 
-	stats.Mode = "scan"
-	if ip != "" {
-		stats.Mode = "ip-scan"
+	p.splits = metaSplits(q)
+	return p, nil
+}
+
+// metaSplits lists the ways a statement lets a segment's records be
+// bucketed from its manifest entry — whole, by kind, by protocol — or
+// nil when metadata cannot answer it: every aggregate must be
+// count(*), and since segments record kind and protocol marginals, not
+// their joint, the GROUP BY can name at most one of the two.
+func metaSplits(q *Query) []Field {
+	if len(q.Aggs) == 0 {
+		return nil
 	}
-	cur := s.scanQ(tr, ev, ip, q.mask(ip), q.Where, stats)
+	for _, a := range q.Aggs {
+		if a.Op != AggCount || a.Field != FieldNone {
+			return nil
+		}
+	}
+	by := FieldNone
+	for _, f := range q.GroupBy {
+		switch {
+		case f == FieldMonth:
+		case (f == FieldKind || f == FieldProto) && by == FieldNone:
+			by = f
+		default:
+			return nil
+		}
+	}
+	if by != FieldNone {
+		return []Field{by}
+	}
+	return []Field{FieldNone, FieldKind, FieldProto}
+}
+
+// tri asks the predicate of a zone.
+func (p *plan) tri(z zone) tri {
+	switch {
+	case p.q.Where == nil:
+		return triTrue
+	case p.prog == nil:
+		return triUnknown
+	}
+	return p.prog.root.tri(&z)
+}
+
+// newStats starts a shard's plan statistics from what lowering decided.
+func (p *plan) newStats() *PlanStats {
+	st := &PlanStats{Mode: "scan", From: p.tr.From, To: p.tr.To, IP: p.ip}
+	switch {
+	case p.empty:
+		st.Mode = "empty"
+	case p.ip != "":
+		st.Mode = "ip-scan"
+	}
+	return st
+}
+
+// run executes the plan given how its source aggregates and scans:
+// Store and Fleet differ only in those two.
+func (p *plan) run(stats *PlanStats, agg func() (*aggTable, error), scan func() RecordCursor) (*Result, error) {
+	q := p.q
+	switch {
+	case len(q.Aggs) > 0:
+		tab := newAggTable(q.GroupBy, q.Aggs)
+		if !p.empty {
+			var err error
+			if tab, err = agg(); err != nil {
+				return nil, err
+			}
+		}
+		return &Result{agg: true, rows: tab.finalize(), stats: stats}, nil
+	case p.empty:
+		return &Result{cur: &sliceCursor{}, limit: q.Limit, stats: stats}, nil
+	}
+	cur := scan()
 	if q.OrderBy != FieldNone {
 		// ORDER BY pushdown: stream the scan through a bounded top-k
-		// heap instead of materializing and sorting the result.
+		// heap instead of materializing and sorting the result. A fleet
+		// scan already merges shards in global store order, so the same
+		// heap gives the fleet-wide answer with the same tie-break.
 		rows, err := collectTopK(cur, q.OrderBy, q.Desc, q.Limit)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if q.Limit > 0 {
 			stats.TopK = q.Limit
 		}
-		return &Result{cur: &sliceCursor{rows: rows}, limit: q.Limit, stats: stats}, nil, nil
+		cur = &sliceCursor{rows: rows}
 	}
-	return &Result{cur: cur, limit: q.Limit, stats: stats}, nil, nil
+	return &Result{cur: cur, limit: q.Limit, stats: stats}, nil
 }
 
-// metadataEligible reports whether an aggregation query can be answered
-// from sealed segment metadata alone: all aggregates are counts over
-// whole records, grouping and predicates touch only what segments
-// record (month, time bounds, kind counts, protocol counts), and —
-// since segments hold kind and protocol *marginals*, not their joint —
-// at most one of kind/proto appears anywhere.
-func metadataEligible(q *Query, ip string) bool {
-	if ip != "" {
-		return false
+// RunQuery executes a structured query against the store. Aggregation
+// queries return finalized group rows; row queries return a streaming
+// cursor. The caller must Close the result.
+func (s *Store) RunQuery(q *Query) (*Result, error) {
+	p, err := lower(q)
+	if err != nil {
+		return nil, err
 	}
-	for _, a := range q.Aggs {
-		if a.Op != AggCount || a.Field != FieldNone {
-			return false
-		}
-	}
-	needKind, needProto := false, false
-	for _, f := range q.GroupBy {
-		switch f {
-		case FieldMonth:
-		case FieldKind:
-			needKind = true
-		case FieldProto:
-			needProto = true
-		default:
-			return false
-		}
-	}
-	okFields := predFieldsIn(q.Where, &needKind, &needProto)
-	return okFields && !(needKind && needProto)
+	stats := p.newStats()
+	return p.run(stats,
+		func() (*aggTable, error) { return s.runAgg(p, stats) },
+		func() RecordCursor { return s.scanQ(p, nil, stats) })
 }
 
-// predFieldsIn walks the tree checking every leaf field is
-// metadata-decidable, flagging kind/proto use.
-func predFieldsIn(p *Pred, needKind, needProto *bool) bool {
-	if p == nil {
-		return true
+// runAgg executes an aggregation plan over one store: segments the
+// metadata answers are folded in by scanQ (zero block reads), the rest
+// — and the unsealed tail — stream through the same table.
+func (s *Store) runAgg(p *plan, stats *PlanStats) (*aggTable, error) {
+	tab := newAggTable(p.q.GroupBy, p.q.Aggs)
+	meta := tab
+	if p.splits == nil {
+		meta = nil
 	}
-	if p.Op != PredCmp {
-		for _, k := range p.Kids {
-			if !predFieldsIn(k, needKind, needProto) {
-				return false
+	cur := s.scanQ(p, meta, stats)
+	defer cur.Close()
+	for cur.Next() {
+		tab.addRecord(cur.Record())
+	}
+	if meta != nil && p.ip == "" {
+		switch {
+		case stats.ScannedSegments == 0:
+			stats.Mode = "metadata"
+		case stats.MetaSegments > 0:
+			stats.Mode = "hybrid"
+		}
+	}
+	return tab, cur.Err()
+}
+
+// segFromMetadata folds one sealed segment into a count(*) table from
+// its manifest entry alone, if some split the plan allows leaves the
+// predicate definite on every bucket. It returns false — contributing
+// nothing — when every split has an undecidable bucket, and the caller
+// scans the segment's blocks instead.
+func (p *plan) segFromMetadata(seg *segmentMeta, z zone, tab *aggTable) bool {
+	month := MonthValue(seg.month())
+	for _, by := range p.splits {
+		buckets, n := seg.buckets(by, z)
+		var verdicts [len(buckets)]tri
+		definite := n > 0
+		for i := 0; i < n && definite; i++ {
+			verdicts[i] = p.tri(buckets[i].zone)
+			definite = verdicts[i] != triUnknown
+		}
+		if !definite {
+			continue
+		}
+		for i, b := range buckets[:n] {
+			if verdicts[i] == triFalse {
+				continue
 			}
+			keys := make([]Value, len(p.q.GroupBy))
+			for j, f := range p.q.GroupBy {
+				switch f {
+				case FieldMonth:
+					keys[j] = month
+				case FieldKind:
+					keys[j] = KindValue(session.Kind(bits.TrailingZeros8(b.kinds)))
+				case FieldProto:
+					keys[j] = StringValue(maskProtos[bits.TrailingZeros8(b.protos)])
+				}
+			}
+			tab.addCount(keys, int64(b.n))
 		}
-		return true
-	}
-	switch p.Field {
-	case FieldStart, FieldMonth, FieldDay:
-		return true
-	case FieldKind:
-		*needKind = true
-		return true
-	case FieldProto:
-		*needProto = true
 		return true
 	}
 	return false
 }
 
-// runAgg executes an aggregation query: the metadata path when
-// eligible (zero block reads), falling back per segment — and for the
-// unsealed tail — to a streaming scan through the same table.
-func (s *Store) runAgg(q *Query, filter Filter, tr TimeRange, ip string, stats *PlanStats) (*aggTable, error) {
-	tab := newAggTable(q.GroupBy, q.Aggs)
-
-	if !metadataEligible(q, ip) {
-		stats.Mode = "scan"
-		if ip != "" {
-			stats.Mode = "ip-scan"
-		}
-		cur := s.scanQ(tr, filter, ip, q.mask(ip), q.Where, stats)
-		defer cur.Close()
-		for cur.Next() {
-			tab.addRecord(cur.Record())
-		}
-		return tab, cur.Err()
-	}
-
-	man, tail := s.snapshot()
-	stats.Segments = len(man.Segments)
-	var scanSegs []*segmentMeta
-	for _, seg := range man.Segments {
-		if !seg.overlaps(tr.From, tr.To) {
-			stats.TimePruned++
-			continue
-		}
-		if segFromMetadata(seg, q, tr, tab) {
-			stats.MetaSegments++
-			stats.BlocksSkipped += int64(len(seg.Blocks))
-		} else {
-			scanSegs = append(scanSegs, seg)
-		}
-	}
-
-	stats.Mode = "metadata"
-	if len(scanSegs) > 0 {
-		stats.Mode = "hybrid"
-		cur := &Cursor{s: s, tr: tr, filter: filter, mask: q.mask(ip), pred: q.Where, stats: stats}
-		for _, seg := range scanSegs {
-			cur.parts = append(cur.parts, part{seg: seg})
-		}
-		for cur.Next() {
-			tab.addRecord(cur.Record())
-		}
-		if err := cur.Err(); err != nil {
-			cur.Close()
-			return nil, err
-		}
-		cur.Close()
-		stats.ScannedSegments += len(scanSegs)
-	}
-
-	// The unsealed tail is already in memory: evaluate it record by
-	// record, no decoding involved.
-	for _, r := range tail {
-		if !tr.contains(r.Start) {
-			continue
-		}
-		if filter != nil && !filter(r) {
-			continue
-		}
-		stats.TailRecords++
-		stats.MatchedRecords++
-		tab.addRecord(r)
-	}
-	return tab, nil
+// bucket is a group of a segment's records its manifest entry counts:
+// their zone, narrowed to one kind or protocol, and how many they are.
+type bucket struct {
+	zone
+	n int
 }
 
-// tri is Kleene three-valued logic for evaluating predicates against
-// segment metadata, where some facts (the exact start time, the
-// protocol of a specific record) are only bounded, not known.
-type tri int8
+// maxBuckets is the most buckets a split yields: one per kind.
+const maxBuckets = len(segmentMeta{}.Kinds)
 
-const (
-	triFalse tri = iota
-	triTrue
-	triUnknown
-)
-
-func triNot(t tri) tri {
-	switch t {
-	case triTrue:
-		return triFalse
-	case triFalse:
-		return triTrue
-	}
-	return triUnknown
-}
-
-// metaEnv is what sealed metadata knows about one bucket of a
-// segment's records.
-type metaEnv struct {
-	month      time.Time // partition month (definite)
-	minT, maxT time.Time // Start bounds (inclusive)
-	kind       session.Kind
-	hasKind    bool
-	proto      string
-	hasProto   bool
-}
-
-// triEval evaluates a predicate over a metadata bucket.
-func triEval(p *Pred, env *metaEnv) tri {
-	switch p.Op {
-	case PredAnd:
-		out := triTrue
-		for _, k := range p.Kids {
-			switch triEval(k, env) {
-			case triFalse:
-				return triFalse
-			case triUnknown:
-				out = triUnknown
-			}
-		}
-		return out
-	case PredOr:
-		out := triFalse
-		for _, k := range p.Kids {
-			switch triEval(k, env) {
-			case triTrue:
-				return triTrue
-			case triUnknown:
-				out = triUnknown
-			}
-		}
-		return out
-	case PredNot:
-		return triNot(triEval(p.Kids[0], env))
-	}
-	switch p.Field {
-	case FieldMonth:
-		return triCmpDefinite(MonthValue(env.month), p.Cmp, p.Val)
-	case FieldKind:
-		if !env.hasKind {
-			return triUnknown
-		}
-		return triCmpDefinite(KindValue(env.kind), p.Cmp, p.Val)
-	case FieldProto:
-		if !env.hasProto {
-			return triUnknown
-		}
-		if p.Cmp == CmpMatch || p.Cmp == CmpNotMatch {
-			if evalCmp(StringValue(env.proto), p.Cmp, p.Val, p.Re) {
-				return triTrue
-			}
-			return triFalse
-		}
-		return triCmpDefinite(StringValue(env.proto), p.Cmp, p.Val)
-	case FieldStart:
-		return triInterval(env.minT, env.maxT, p.Cmp, p.Val.Time)
-	case FieldDay:
-		// Compare the day-bucket interval of the segment bounds.
-		lo := env.minT.UTC().Truncate(24 * time.Hour)
-		hi := env.maxT.UTC().Truncate(24 * time.Hour)
-		return triInterval(lo, hi, p.Cmp, p.Val.Time)
-	}
-	return triUnknown
-}
-
-// triCmpDefinite compares a known value.
-func triCmpDefinite(v Value, cmp CmpOp, val Value) tri {
-	if evalCmp(v, cmp, val, nil) {
-		return triTrue
-	}
-	return triFalse
-}
-
-// triInterval decides cmp(x, v) where all that is known is
-// x ∈ [lo, hi].
-func triInterval(lo, hi time.Time, cmp CmpOp, v time.Time) tri {
-	all := func(b bool) tri {
-		if b {
-			return triTrue
-		}
-		return triUnknown
-	}
-	switch cmp {
-	case CmpLt:
-		if !lo.Before(v) {
-			return triFalse
-		}
-		return all(hi.Before(v))
-	case CmpLe:
-		if lo.After(v) {
-			return triFalse
-		}
-		return all(!hi.After(v))
-	case CmpGt:
-		if !hi.After(v) {
-			return triFalse
-		}
-		return all(lo.After(v))
-	case CmpGe:
-		if hi.Before(v) {
-			return triFalse
-		}
-		return all(!lo.Before(v))
-	case CmpEq:
-		if v.Before(lo) || v.After(hi) {
-			return triFalse
-		}
-		if lo.Equal(hi) && lo.Equal(v) {
-			return triTrue
-		}
-		return triUnknown
-	case CmpNe:
-		return triNot(triInterval(lo, hi, CmpEq, v))
-	}
-	return triUnknown
-}
-
-// segFromMetadata tries to fold one segment into the table using only
-// sealed metadata. It returns false — contributing nothing — when any
-// bucket's predicate is undecidable, in which case the caller scans
-// the segment's blocks instead.
-func segFromMetadata(seg *segmentMeta, q *Query, tr TimeRange, tab *aggTable) bool {
-	env := metaEnv{month: seg.month(), minT: seg.MinTime, maxT: seg.MaxTime}
-	// The pushed range may cut through the segment: records outside tr
-	// must not be counted, and metadata cannot say how many those are.
-	if !tr.From.IsZero() && seg.MinTime.Before(tr.From) {
-		return false
-	}
-	if !tr.To.IsZero() && !seg.MaxTime.Before(tr.To) {
-		return false
-	}
-
-	needKind, needProto := false, false
-	for _, f := range q.GroupBy {
-		switch f {
-		case FieldKind:
-			needKind = true
-		case FieldProto:
-			needProto = true
+// buckets splits the records of a segment whose zone is z the way its
+// manifest entry counts them: whole (FieldNone), per kind or per
+// protocol. It returns none when those counts do not cover every
+// record.
+func (sm *segmentMeta) buckets(by Field, z zone) (out [maxBuckets]bucket, n int) {
+	add := func(b zone, count int) {
+		if count > 0 {
+			out[n], n = bucket{b, count}, n+1
 		}
 	}
-	predFieldsIn(q.Where, &needKind, &needProto)
-
-	type bucket struct {
-		env metaEnv
-		n   int
-	}
-	var buckets []bucket
 	switch {
-	case needKind:
-		for k, n := range seg.Kinds {
-			if n == 0 {
-				continue
-			}
-			e := env
-			e.kind, e.hasKind = session.Kind(k), true
-			buckets = append(buckets, bucket{e, n})
+	case by == FieldNone:
+		add(z, sm.Records)
+	case by == FieldKind && z.kinds != 0xff:
+		for k, count := range sm.Kinds {
+			b := z
+			b.kinds = 1 << uint(k)
+			add(b, count)
 		}
-	case needProto:
-		if seg.SSH+seg.Telnet != seg.Records {
-			return false // records with an unrecorded protocol: scan
+	case by == FieldProto && z.protos < protoOther:
+		for i, count := range [...]int{sm.SSH, sm.Telnet} {
+			b := z
+			b.protos = 1 << uint(i)
+			add(b, count)
 		}
-		if seg.SSH > 0 {
-			e := env
-			e.proto, e.hasProto = session.ProtoSSH, true
-			buckets = append(buckets, bucket{e, seg.SSH})
-		}
-		if seg.Telnet > 0 {
-			e := env
-			e.proto, e.hasProto = session.ProtoTelnet, true
-			buckets = append(buckets, bucket{e, seg.Telnet})
-		}
-	default:
-		buckets = append(buckets, bucket{env, seg.Records})
 	}
-
-	type hit struct {
-		keys []Value
-		n    int
-	}
-	var hits []hit
-	for _, b := range buckets {
-		if q.Where != nil {
-			switch triEval(q.Where, &b.env) {
-			case triFalse:
-				continue
-			case triUnknown:
-				return false
-			}
-		}
-		keys := make([]Value, len(q.GroupBy))
-		for i, f := range q.GroupBy {
-			switch f {
-			case FieldMonth:
-				keys[i] = MonthValue(b.env.month)
-			case FieldKind:
-				keys[i] = KindValue(b.env.kind)
-			case FieldProto:
-				keys[i] = StringValue(b.env.proto)
-			}
-		}
-		hits = append(hits, hit{keys, b.n})
-	}
-	for _, h := range hits {
-		tab.addCount(h.keys, int64(h.n))
-	}
-	return true
+	return out, n
 }
 
 // aggTable accumulates streaming group-by state: one row per distinct
@@ -1667,75 +1430,36 @@ func sumValue(f Field, sum float64) Value {
 	return FloatValue(sum)
 }
 
-// RunQuery executes a structured query fleet-wide: aggregation tables
+// RunQuery executes a structured query fleet-wide: the statement is
+// lowered once and every shard runs the same plan; aggregation tables
 // merge across shards, row queries stream through the canonical
 // (month, Start, node) merge order, and plan statistics sum.
 func (f *Fleet) RunQuery(q *Query) (*Result, error) {
-	ev, err := q.validate()
+	p, err := lower(q)
 	if err != nil {
 		return nil, err
 	}
-	total := &PlanStats{}
-	if len(q.Aggs) > 0 {
-		var tab *aggTable
-		for _, sh := range f.shards {
-			res, t, err := sh.Store.runQuery(q, ev)
-			if err != nil {
-				return nil, fmt.Errorf("store: fleet shard %s: %w", sh.Node, err)
-			}
-			st := res.Stats()
-			total.add(&st)
-			if total.Mode == "" || total.Mode == st.Mode {
-				total.Mode = st.Mode
-			} else {
-				total.Mode = "hybrid"
-			}
-			total.From, total.To, total.IP = st.From, st.To, st.IP
-			if tab == nil {
-				tab = t
-			} else {
+	total := p.newStats()
+	return p.run(total,
+		func() (*aggTable, error) {
+			tab := newAggTable(q.GroupBy, q.Aggs)
+			for i, sh := range f.shards {
+				st := p.newStats()
+				t, err := sh.Store.runAgg(p, st)
+				if err != nil {
+					return nil, fmt.Errorf("store: fleet shard %s: %w", sh.Node, err)
+				}
 				tab.merge(t)
+				total.add(st)
+				if i > 0 && st.Mode != total.Mode {
+					total.Mode = "hybrid"
+				} else {
+					total.Mode = st.Mode
+				}
 			}
-		}
-		if tab == nil {
-			tab = newAggTable(q.GroupBy, q.Aggs)
-		}
-		return &Result{agg: true, rows: tab.finalize(), stats: total}, nil
-	}
-
-	// Row mode: pushdown happens per shard inside scanQ; compute the
-	// shared plan once.
-	tr := intersectRange(q.Time, predTimeRange(q.Where))
-	pip, ok := predIP(q.Where)
-	ip := q.IP
-	if ok && ip == "" {
-		ip = pip
-	}
-	total.From, total.To, total.IP = tr.From, tr.To, ip
-	if !ok || (q.IP != "" && pip != "" && q.IP != pip) || emptyRange(tr) {
-		total.Mode = "empty"
-		return &Result{cur: &FleetCursor{}, limit: q.Limit, stats: total}, nil
-	}
-	total.Mode = "scan"
-	if ip != "" {
-		total.Mode = "ip-scan"
-	}
-	mask := q.mask(ip)
-	cur := f.scatter(func(s *Store) *Cursor {
-		return s.scanQ(tr, ev, ip, mask, q.Where, total)
-	})
-	if q.OrderBy != FieldNone {
-		// The scatter cursor already merges shards in global store
-		// order, so the same streaming top-k gives the fleet-wide
-		// answer with the same deterministic tie-break.
-		rows, err := collectTopK(cur, q.OrderBy, q.Desc, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		if q.Limit > 0 {
-			total.TopK = q.Limit
-		}
-		return &Result{cur: &sliceCursor{rows: rows}, limit: q.Limit, stats: total}, nil
-	}
-	return &Result{cur: cur, limit: q.Limit, stats: total}, nil
+			return tab, nil
+		},
+		func() RecordCursor {
+			return f.scatter(func(s *Store) *Cursor { return s.scanQ(p, nil, total) })
+		})
 }

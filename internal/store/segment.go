@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // Segment file layout: an 8-byte magic followed by back-to-back blocks,
@@ -116,7 +115,7 @@ func (br *blockReader) next() (seq uint64, line []byte, err error) {
 	}
 	br.poff += n
 	ln, n := binary.Uvarint(br.buf[br.poff:])
-	if n <= 0 || br.poff+n+int(ln) > len(br.buf) {
+	if n <= 0 || ln > uint64(len(br.buf)-br.poff-n) {
 		return 0, nil, fmt.Errorf("store: %s: corrupt entry length", br.meta.File)
 	}
 	br.poff += n
@@ -173,16 +172,4 @@ func (br *blockReader) close() error {
 		br.comp, br.payload, br.buf = nil, nil, nil
 	}
 	return br.f.Close()
-}
-
-// overlaps reports whether the segment's time bounds intersect [from,
-// to); zero bounds are open.
-func (sm *segmentMeta) overlaps(from, to time.Time) bool {
-	if !to.IsZero() && !sm.MinTime.Before(to) {
-		return false
-	}
-	if !from.IsZero() && sm.MaxTime.Before(from) {
-		return false
-	}
-	return true
 }

@@ -17,9 +17,14 @@
 // Auto-sealing runs in the background: the WAL rotates aside and a
 // worker compresses stripes in parallel while appends continue into a
 // fresh WAL. The store is read one way: RunQuery executes a structured
-// Query with pushdown (time bounds prune segments and blocks, `ip =`
-// routes through the Bloom filters, kind/protocol counts answer from
-// sealed metadata alone, projections touch only the stripes they name),
+// Query with pushdown (the statement is lowered once into a plan whose
+// compiled predicate is asked one three-valued question of a zone —
+// start-time bounds plus the kinds and protocols present — at segment,
+// metadata-bucket and block level: "none match" skips the segment or
+// block unread, which PlanStats counts as TimePruned and
+// BlocksZonePruned, and all-definite buckets answer a count(*) from
+// sealed metadata alone; `ip =` routes through the Bloom filters, and
+// projections touch only the stripes they name),
 // and Stream yields every record in exact global append order for the
 // byte-identical figure pipeline. OpenDir opens either a single store or
 // a fleet directory of per-node shards behind that same read surface.

@@ -171,7 +171,7 @@ func TestSealPartitionsByMonth(t *testing.T) {
 	// append order.
 	var n int
 	var lastID uint64
-	for _, r := range runRows(t, s, &Query{Time: Month(months[1])}) {
+	for _, r := range runRows(t, s, &Query{Where: inMonth(months[1])}) {
 		if !r.Month().Equal(months[1]) {
 			t.Fatalf("record %d outside scanned month", r.ID)
 		}
@@ -399,7 +399,7 @@ func TestStoreSoak(t *testing.T) {
 				}
 				res.Close()
 				for _, m := range s.Months() {
-					if _, err := s.RunQuery(&Query{Time: Month(m), GroupBy: []Field{FieldKind}, Aggs: []AggSpec{{Op: AggCount}}}); err != nil {
+					if _, err := s.RunQuery(&Query{Where: inMonth(m), GroupBy: []Field{FieldKind}, Aggs: []AggSpec{{Op: AggCount}}}); err != nil {
 						t.Errorf("aggregate: %v", err)
 						return
 					}

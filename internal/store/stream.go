@@ -118,9 +118,13 @@ func (fs *FleetStream) loadMonth(m time.Time) bool {
 		idx   int32
 	}
 	var ents []ent
-	tr := Month(m)
+	p, err := lower(&Query{Where: Cmp(FieldMonth, CmpEq, MonthValue(m))})
+	if err != nil {
+		fs.err = err
+		return false
+	}
 	for si, sh := range fs.f.shards {
-		cur := sh.Store.scanQ(tr, nil, "", session.FAllFields, nil, nil)
+		cur := sh.Store.scanQ(p, nil, nil)
 		idx := int32(0)
 		for cur.Next() {
 			ents = append(ents, ent{r: cur.Record(), shard: int32(si), idx: idx})

@@ -190,6 +190,9 @@ func TestOrderByLimitMatchesFullSort(t *testing.T) {
 }
 
 // runRows drains a row-mode query into a slice.
+// inMonth is the predicate for one partition month.
+func inMonth(m time.Time) *Pred { return Cmp(FieldMonth, CmpEq, MonthValue(m)) }
+
 func runRows(t *testing.T, s *Store, q *Query) []*session.Record {
 	t.Helper()
 	res, err := s.RunQuery(q)

