@@ -29,12 +29,10 @@ import (
 
 	"honeynet"
 	"honeynet/internal/botnet"
-	"honeynet/internal/collector"
 	"honeynet/internal/core"
 	"honeynet/internal/obs"
 	"honeynet/internal/query"
 	"honeynet/internal/simulate"
-	"honeynet/internal/store"
 )
 
 func main() {
@@ -58,7 +56,7 @@ func main() {
 	// -where compiles through the hnquery planner before any data is
 	// simulated or loaded, so a typo fails in milliseconds, with a
 	// position, not after a multi-second dataset build.
-	var pre store.Filter
+	var pre func(*honeynet.Record) bool
 	if *where != "" {
 		var err error
 		if pre, err = query.CompileFilter(*where); err != nil {
@@ -101,14 +99,8 @@ func main() {
 	}
 	if pre != nil {
 		total := p.World.Store.Len()
-		kept := collector.NewStore()
-		for _, r := range p.World.Store.All() {
-			if pre(r) {
-				kept.Add(r)
-			}
-		}
-		p.World.Store = kept
-		fmt.Fprintf(os.Stderr, "hnanalyze: -where kept %d of %d sessions\n", kept.Len(), total)
+		p = narrow(p, pre)
+		fmt.Fprintf(os.Stderr, "hnanalyze: -where kept %d of %d sessions\n", p.World.Store.Len(), total)
 	}
 	fmt.Fprintf(os.Stderr, "hnanalyze: dataset ready in %v (%d sessions)\n",
 		time.Since(start).Round(time.Millisecond), p.World.Store.Len())
@@ -124,6 +116,13 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 		tracer.WriteTable(os.Stderr)
 	}
+}
+
+// narrow re-collects the dataset, simulated or loaded, keeping the
+// sessions pre accepts — through core's one constructor, in the same
+// World, so every figure sees only those.
+func narrow(p *core.Pipeline, pre func(*honeynet.Record) bool) *core.Pipeline {
+	return core.FromRecords(p.World.Store.Filter(pre), p.World)
 }
 
 // load opens -in (JSONL, plain or gzip) or -store (a store or fleet

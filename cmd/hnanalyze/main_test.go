@@ -13,6 +13,7 @@ import (
 	"honeynet/internal/analysis"
 	"honeynet/internal/botnet"
 	"honeynet/internal/core"
+	"honeynet/internal/query"
 	"honeynet/internal/session"
 	"honeynet/internal/simulate"
 	"honeynet/internal/store"
@@ -131,6 +132,36 @@ func TestStoreAndJSONLByteIdentical(t *testing.T) {
 	}
 	if got := run(pj2, 6); got != want {
 		t.Fatal("-in output differs across -workers")
+	}
+
+	// -where narrows whatever was loaded; both load paths must match
+	// the same predicate applied to the records by hand.
+	pre, err := query.CompileFilter("proto = 'ssh'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []*session.Record
+	for _, r := range recs {
+		if pre(r) {
+			kept = append(kept, r)
+		}
+	}
+	if len(kept) == 0 || len(kept) == len(recs) {
+		t.Fatalf("the predicate keeps %d of %d sessions: it must split the dataset", len(kept), len(recs))
+	}
+	want = run(core.FromRecords(kept, &analysis.World{Registry: simulate.Registry(11)}), 1)
+	for _, path := range [][2]string{{jsonl, ""}, {"", storeDir}} {
+		pw, err := load(path[0], path[1], honeynet.WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw = narrow(pw, pre)
+		if n := pw.World.Store.Len(); n != len(kept) {
+			t.Fatalf("-where over %q%q holds %d sessions, want %d", path[0], path[1], n, len(kept))
+		}
+		if got := run(pw, 3); got != want {
+			t.Fatalf("-where over %q%q differs from the same filter applied by hand", path[0], path[1])
+		}
 	}
 }
 

@@ -204,22 +204,18 @@ func (c *config) world() *analysis.World {
 }
 
 // Load builds a pipeline over records previously written as JSONL,
-// plain or gzip (for example by cmd/hnsim or a live cmd/honeypotd).
-// WithSeed, WithWorkers, WithObserver, and WithMatrixCache apply: pass
-// the seed the dataset was simulated with and client IPs resolve to the
-// ASes the simulation drew them from; the default seed 0 suits captured
-// data. Storage ASes are allocated while a simulation runs and no seed
-// rebuilds them, so the AS-joined figures (7, 8, 17) cover only flows
-// whose storage host is itself a client, and figures that join on the
-// simulation-populated abuse feeds render empty; the returned
-// Pipeline's MissingJoins field names the substituted databases.
+// plain or gzip (for example by cmd/hnsim or a live cmd/honeypotd),
+// streaming them in one at a time. WithSeed, WithWorkers, WithObserver,
+// and WithMatrixCache apply: pass the seed the dataset was simulated
+// with and client IPs resolve to the ASes the simulation drew them
+// from; the default seed 0 suits captured data. Storage ASes are
+// allocated while a simulation runs and no seed rebuilds them, so the
+// AS-joined figures (7, 8, 17) cover only flows whose storage host is
+// itself a client, and figures that join on the simulation-populated
+// abuse feeds render empty; the returned Pipeline's MissingJoins field
+// names the substituted databases.
 func Load(r io.Reader, opts ...Option) (*Pipeline, error) {
-	c := configOf(opts)
-	recs, err := session.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return core.FromRecords(recs, c.world()), nil
+	return core.FromRecordCursor(session.NewReader(r), configOf(opts).world())
 }
 
 // Open builds a pipeline over a session store directory previously

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"honeynet/internal/botnet"
 	"honeynet/internal/classify"
 	"honeynet/internal/simulate"
 )
@@ -610,6 +611,24 @@ func TestEventCorrelation(t *testing.T) {
 	}
 	if EventsTable(rows).String() == "" {
 		t.Error("empty table")
+	}
+}
+
+// TestEventCalendarIsTheDropWindows: the section 10 calendar the
+// analysis reads and the drop windows the generator schedules are the
+// same eight published periods, kept apart only so the analysis does
+// not import generator internals.
+func TestEventCalendarIsTheDropWindows(t *testing.T) {
+	if len(EventCalendar) != len(botnet.MdrfckrDropWindows) {
+		t.Fatalf("%d calendar events, %d drop windows", len(EventCalendar), len(botnet.MdrfckrDropWindows))
+	}
+	for i, ev := range EventCalendar {
+		if w := botnet.MdrfckrDropWindows[i]; !ev.From.Equal(w.From) || !ev.To.Equal(w.To) {
+			t.Errorf("event %d (%s) spans %v-%v, the generator drops %v-%v", i, ev.Name, ev.From, ev.To, w.From, w.To)
+		}
+		if mid := ev.From.Add(ev.To.Sub(ev.From) / 2); !inDropWindow(mid) || inDropWindow(ev.To) {
+			t.Errorf("inDropWindow disagrees with event %d (%s)", i, ev.Name)
+		}
 	}
 }
 

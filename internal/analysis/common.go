@@ -45,6 +45,16 @@ type World struct {
 	sampleMu  sync.Mutex
 	sampleCfg sampleKey
 	sample    *DLDSample
+
+	// The memoized views of Store several figures share, each derived
+	// once: the classified command sessions (Figures 2-4, 14, Table 1)
+	// and the (session, download) join (section 7, Figures 7-9, 17).
+	// Like the sample above they outlive a Store swap: give a new
+	// dataset its World before any figure has run, or a new World.
+	cmdOnce sync.Once
+	cmd     []classified
+	dlOnce  sync.Once
+	dls     []downloadSession
 }
 
 // workers resolves the configured worker count.
@@ -126,38 +136,57 @@ func (m *MonthlyCategoryShares) Share(month time.Time, cat string) float64 {
 	return float64(m.Counts[month][cat]) / float64(t)
 }
 
-// categorize builds monthly category shares for a session subset. The
-// classification fans out over `workers` goroutines via the classifier's
-// batch API; the monthly tally stays serial (counts are order-invariant
-// anyway).
-func categorize(w *World, recs []*session.Record) *MonthlyCategoryShares {
-	texts := make([]string, len(recs))
-	for i, r := range recs {
-		texts[i] = r.CommandText()
-	}
-	cats := w.classifyAll(texts)
+// classified is one SSH command session and the category of its text.
+type classified struct {
+	rec *session.Record
+	cat string
+}
+
+// commandSessions returns every SSH command session in store order with
+// its category, classifying them all in one batch (parallel over
+// distinct texts, under a "classify.batch" span) the first time a
+// figure asks. A text's category does not depend on the batch it is
+// in, so figures over a subset tally from this view.
+func (w *World) commandSessions() []classified {
+	w.cmdOnce.Do(func() {
+		recs := CmdExecSessions(w.Store)
+		texts := make([]string, len(recs))
+		for i, r := range recs {
+			texts[i] = r.CommandText()
+		}
+		sp := w.span("classify.batch")
+		cats := w.Classifier.ClassifyAll(texts, w.workers())
+		sp.End()
+		w.cmd = make([]classified, len(recs))
+		for i, r := range recs {
+			w.cmd[i] = classified{r, cats[i]}
+		}
+	})
+	return w.cmd
+}
+
+// categorize builds monthly category shares over the command sessions
+// keep selects; the tally is serial (counts are order-invariant anyway).
+func categorize(w *World, keep func(*session.Record) bool) *MonthlyCategoryShares {
 	out := &MonthlyCategoryShares{
 		Counts: map[time.Time]map[string]int{},
 		Totals: map[time.Time]int{},
 	}
-	for i, r := range recs {
-		m := r.Month()
+	for _, c := range w.commandSessions() {
+		if !keep(c.rec) {
+			continue
+		}
+		m := c.rec.Month()
 		byCat, ok := out.Counts[m]
 		if !ok {
 			byCat = map[string]int{}
 			out.Counts[m] = byCat
 		}
-		byCat[cats[i]]++
+		byCat[c.cat]++
 		out.Totals[m]++
 	}
 	out.Months = collector.SortedMonths(out.Counts)
 	return out
-}
-
-// classifyAll runs the batch classifier under a "classify.batch" span.
-func (w *World) classifyAll(texts []string) []string {
-	defer w.span("classify.batch").End()
-	return w.Classifier.ClassifyAll(texts, w.workers())
 }
 
 // quantile returns the q-quantile (0..1) of sorted values.

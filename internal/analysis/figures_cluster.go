@@ -330,21 +330,16 @@ func Fig14(w *World, perCategory int) *Fig14Result {
 	if perCategory <= 0 {
 		perCategory = 20
 	}
-	recs := CmdExecSessions(w.Store)
-	texts := make([]string, len(recs))
-	for i, r := range recs {
-		texts[i] = r.CommandText()
-	}
-	catOf := w.classifyAll(texts)
 	// Exemplar selection walks records in store order, so it is
 	// independent of how the batch classification was sharded.
 	byCat := map[string][]string{}
 	seen := map[string]map[string]bool{}
-	for i, txt := range texts {
-		cat := catOf[i]
+	for _, c := range w.commandSessions() {
+		cat := c.cat
 		if len(byCat[cat]) >= perCategory {
 			continue
 		}
+		txt := c.rec.CommandText()
 		if seen[cat] == nil {
 			seen[cat] = map[string]bool{}
 		}

@@ -146,27 +146,18 @@ func Fig1Table(rows []Fig1Month) *report.Table {
 // 3 covers them), so they are excluded here even when the target file
 // was missing.
 func Fig2(w *World) *MonthlyCategoryShares {
-	recs := w.Store.Filter(func(r *session.Record) bool {
-		return IsSSH(r) && r.Kind() == session.CommandExec && !r.StateChanged && !HasExec(r)
-	})
-	return categorize(w, recs)
+	return categorize(w, func(r *session.Record) bool { return !r.StateChanged && !HasExec(r) })
 }
 
 // Fig3a classifies sessions that add/modify/delete files WITHOUT
 // executing them.
 func Fig3a(w *World) *MonthlyCategoryShares {
-	recs := w.Store.Filter(func(r *session.Record) bool {
-		return IsSSH(r) && r.Kind() == session.CommandExec && r.StateChanged && !HasExec(r)
-	})
-	return categorize(w, recs)
+	return categorize(w, func(r *session.Record) bool { return r.StateChanged && !HasExec(r) })
 }
 
 // Fig3b classifies sessions that attempt to execute files.
 func Fig3b(w *World) *MonthlyCategoryShares {
-	recs := w.Store.Filter(func(r *session.Record) bool {
-		return IsSSH(r) && r.Kind() == session.CommandExec && HasExec(r)
-	})
-	return categorize(w, recs)
+	return categorize(w, HasExec)
 }
 
 // SharesTable renders a monthly category-share analysis with the top-n
@@ -201,20 +192,9 @@ type Fig4Result struct {
 // Fig4 splits execution sessions by whether the executed file was
 // present on the honeypot.
 func Fig4(w *World) *Fig4Result {
-	var exists, missing []*session.Record
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) || r.Kind() != session.CommandExec || !HasExec(r) {
-			continue
-		}
-		if ExecFileExists(r) {
-			exists = append(exists, r)
-		} else {
-			missing = append(missing, r)
-		}
-	}
 	return &Fig4Result{
-		Exists:  categorize(w, exists),
-		Missing: categorize(w, missing),
+		Exists:  categorize(w, ExecFileExists),
+		Missing: categorize(w, func(r *session.Record) bool { return HasExec(r) && !ExecFileExists(r) }),
 	}
 }
 
@@ -298,20 +278,14 @@ type Table1Result struct {
 	Categories int
 }
 
-// Table1 applies the classifier to every command session. The per-text
-// classification runs on the batch API (parallel over distinct texts);
+// Table1 tallies the classifier's verdict on every command session;
 // the coverage tally is order-invariant counting.
 func Table1(w *World) *Table1Result {
 	res := &Table1Result{PerCat: map[string]int{}, Categories: w.Classifier.NumCategories()}
-	recs := CmdExecSessions(w.Store)
-	texts := make([]string, len(recs))
-	for i, r := range recs {
-		texts[i] = r.CommandText()
-	}
-	for _, cat := range w.classifyAll(texts) {
+	for _, c := range w.commandSessions() {
 		res.Total++
-		res.PerCat[cat]++
-		if cat == "unknown" {
+		res.PerCat[c.cat]++
+		if c.cat == "unknown" {
 			res.Unknown++
 		} else {
 			res.Matched++

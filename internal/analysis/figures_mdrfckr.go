@@ -158,22 +158,11 @@ func Mdrfckr(w *World, keyHash string) *CaseStudy {
 }
 
 // inDropWindow mirrors botnet.InMdrfckrDrop without importing it (the
-// analysis must not depend on generator internals; the windows are the
-// published event calendar of section 10).
-var dropWindows = [][2]time.Time{
-	{time.Date(2022, 3, 16, 0, 0, 0, 0, time.UTC), time.Date(2022, 3, 25, 0, 0, 0, 0, time.UTC)},
-	{time.Date(2022, 4, 2, 0, 0, 0, 0, time.UTC), time.Date(2022, 4, 13, 0, 0, 0, 0, time.UTC)},
-	{time.Date(2022, 8, 1, 0, 0, 0, 0, time.UTC), time.Date(2022, 8, 3, 0, 0, 0, 0, time.UTC)},
-	{time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC), time.Date(2022, 10, 17, 0, 0, 0, 0, time.UTC)},
-	{time.Date(2023, 3, 2, 0, 0, 0, 0, time.UTC), time.Date(2023, 3, 11, 0, 0, 0, 0, time.UTC)},
-	{time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC), time.Date(2023, 9, 9, 0, 0, 0, 0, time.UTC)},
-	{time.Date(2024, 1, 19, 0, 0, 0, 0, time.UTC), time.Date(2024, 1, 22, 0, 0, 0, 0, time.UTC)},
-	{time.Date(2024, 4, 4, 0, 0, 0, 0, time.UTC), time.Date(2024, 4, 11, 0, 0, 0, 0, time.UTC)},
-}
-
+// analysis must not depend on generator internals): the drop windows
+// are the published event calendar of section 10.
 func inDropWindow(t time.Time) bool {
-	for _, w := range dropWindows {
-		if !t.Before(w[0]) && t.Before(w[1]) {
+	for _, ev := range EventCalendar {
+		if !t.Before(ev.From) && t.Before(ev.To) {
 			return true
 		}
 	}

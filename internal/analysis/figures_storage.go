@@ -16,19 +16,22 @@ type downloadSession struct {
 	dl  session.Download
 }
 
+// downloads returns the join in store order, built the first time a
+// figure asks.
 func downloads(w *World) []downloadSession {
-	var out []downloadSession
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) {
-			continue
-		}
-		for _, d := range r.Downloads {
-			if d.SourceIP != "" {
-				out = append(out, downloadSession{rec: r, dl: d})
+	w.dlOnce.Do(func() {
+		for _, r := range w.Store.All() {
+			if !IsSSH(r) {
+				continue
+			}
+			for _, d := range r.Downloads {
+				if d.SourceIP != "" {
+					w.dls = append(w.dls, downloadSession{rec: r, dl: d})
+				}
 			}
 		}
-	}
-	return out
+	})
+	return w.dls
 }
 
 // ---------- Section 7 headline storage statistics ----------

@@ -26,9 +26,9 @@ type Pipeline struct {
 	World *analysis.World
 	// Scale records the simulation scale for paper-vs-measured notes.
 	Scale float64
-	// MissingJoins lists the join databases FromRecords substituted with
-	// empty ones because the caller had none. Figures that join on them
-	// (7, 8, 9, 17, and the mdrfckr case study) render empty.
+	// MissingJoins lists the join databases FromRecordCursor substituted
+	// with empty ones because the caller had none. Figures that join on
+	// them (7, 8, 9, 17, and the mdrfckr case study) render empty.
 	MissingJoins []string
 }
 
@@ -55,47 +55,34 @@ func Simulate(cfg simulate.Config) (*Pipeline, error) {
 	return &Pipeline{World: w, Scale: scale}, nil
 }
 
-// FromRecords builds a pipeline over an existing record set (e.g. loaded
-// from JSONL or captured by live honeypots). Registry- and abuse-joined
-// figures need the corresponding databases; passing nil substitutes
-// fresh empty ones and records the substitution in Pipeline.MissingJoins
-// so callers can warn instead of silently printing empty joins.
-func FromRecords(recs []*session.Record, w *analysis.World) *Pipeline {
-	store := collector.NewStore()
-	for _, r := range recs {
-		store.Add(r)
-	}
-	return fromStore(store, w)
-}
-
 // RecordSource is the streaming iterator FromRecordCursor consumes:
-// the Next/Record/Err shape of store.StreamCursor, store.FleetStream,
-// and every store cursor.
+// the Next/Record/Err shape of session.Reader, store.StreamCursor,
+// store.FleetStream, and every store cursor.
 type RecordSource interface {
 	Next() bool
 	Record() *session.Record
 	Err() error
 }
 
-// FromRecordCursor builds a pipeline by draining a streaming record
-// source — one record at a time, no intermediate slice — so loading a
-// disk store costs the collector's working set instead of twice the
-// dataset. The source must yield records in the same order FromRecords
-// would receive them for byte-identical figures.
+// FromRecordCursor is the one way a dataset becomes a pipeline: it
+// drains a streaming record source — one record at a time, no
+// intermediate slice — into the collector, so a load costs the
+// collector's working set instead of twice the dataset. The source's
+// order is the figures' order. Registry- and abuse-joined figures need
+// the corresponding databases; a nil w, or nil databases in it,
+// substitutes fresh empty ones and records the substitution in
+// Pipeline.MissingJoins so callers can warn instead of silently
+// printing empty joins.
 func FromRecordCursor(src RecordSource, w *analysis.World) (*Pipeline, error) {
+	if w == nil {
+		w = &analysis.World{}
+	}
 	store := collector.NewStore()
 	for src.Next() {
 		store.Add(src.Record())
 	}
 	if err := src.Err(); err != nil {
 		return nil, err
-	}
-	return fromStore(store, w), nil
-}
-
-func fromStore(store *collector.Store, w *analysis.World) *Pipeline {
-	if w == nil {
-		w = &analysis.World{}
 	}
 	w.Store = store
 	if w.Classifier == nil {
@@ -110,6 +97,23 @@ func fromStore(store *collector.Store, w *analysis.World) *Pipeline {
 		w.Registry = simulate.Registry(0)
 		p.MissingJoins = append(p.MissingJoins, "asdb")
 	}
+	return p, nil
+}
+
+// sliceSource is a record slice as a RecordSource.
+type sliceSource struct {
+	recs []*session.Record
+	i    int
+}
+
+func (s *sliceSource) Next() bool              { s.i++; return s.i <= len(s.recs) }
+func (s *sliceSource) Record() *session.Record { return s.recs[s.i-1] }
+func (s *sliceSource) Err() error              { return nil }
+
+// FromRecords is FromRecordCursor over a record set already in memory
+// (captured by live honeypots, or a dataset hnanalyze -where narrowed).
+func FromRecords(recs []*session.Record, w *analysis.World) *Pipeline {
+	p, _ := FromRecordCursor(&sliceSource{recs: recs}, w) // a slice never errs
 	return p
 }
 

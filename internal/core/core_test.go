@@ -7,14 +7,17 @@ import (
 
 	"honeynet/internal/analysis"
 	"honeynet/internal/botnet"
+	"honeynet/internal/obs"
 	"honeynet/internal/session"
 	"honeynet/internal/simulate"
 )
 
 func TestSimulateAndRunAll(t *testing.T) {
+	tracer := obs.NewTracer()
 	p, err := Simulate(simulate.Config{
-		Scale: 20000,
-		Seed:  5,
+		Scale:  20000,
+		Seed:   5,
+		Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -25,6 +28,17 @@ func TestSimulateAndRunAll(t *testing.T) {
 	var buf bytes.Buffer
 	if err := p.RunAll(&buf, analysis.ClusterConfig{K: 10, SampleSize: 150, Seed: 5}); err != nil {
 		t.Fatal(err)
+	}
+	// Figures 2-4, 14 and Table 1 tally from one classified view of the
+	// command sessions: every figure together classifies them once.
+	var passes int64
+	for _, ph := range tracer.Phases() {
+		if ph.Name == "classify.batch" {
+			passes = ph.Count
+		}
+	}
+	if passes != 1 {
+		t.Errorf("-fig all ran %d classify.batch passes, want 1", passes)
 	}
 	out := buf.String()
 	for _, want := range []string{

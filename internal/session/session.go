@@ -211,31 +211,70 @@ func MaybeGzipReader(r io.Reader) (io.Reader, error) {
 	return br, nil
 }
 
-// ReadAll parses a JSONL stream of records (plain or gzip-compressed),
-// skipping blank lines and the metrics-snapshot trailer lines a
-// draining honeypotd appends (see IsObsTrailer).
-func ReadAll(r io.Reader) ([]*Record, error) {
+// Reader streams the records of a JSONL dataset, plain or
+// gzip-compressed, one at a time: the Next/Record/Err shape of every
+// store cursor, so a file and a store directory load through the same
+// consumer. Blank lines and the metrics-snapshot trailer lines a
+// draining honeypotd appends (see IsObsTrailer) are skipped.
+type Reader struct {
+	br  *bufio.Reader
+	dec JSONDecoder
+	rec *Record
+	n   int
+	eof bool
+	err error
+}
+
+// NewReader returns a Reader over r. A stream that cannot be opened (a
+// bad gzip header) reports through Err after the first Next.
+func NewReader(r io.Reader) *Reader {
 	rr, err := MaybeGzipReader(r)
 	if err != nil {
+		return &Reader{err: err}
+	}
+	return &Reader{br: bufio.NewReaderSize(rr, 1<<20)}
+}
+
+// Next advances to the next record. It returns false at the end of the
+// stream or on error (see Err).
+func (d *Reader) Next() bool {
+	for d.err == nil && !d.eof {
+		line, err := d.br.ReadBytes('\n')
+		if err == io.EOF {
+			d.eof = true // a last line without its newline still counts
+		} else if err != nil {
+			d.err = err
+			return false
+		}
+		if line = bytes.TrimSpace(line); len(line) == 0 || IsObsTrailer(line) {
+			continue
+		}
+		d.rec = &Record{}
+		if err := d.dec.Decode(line, d.rec); err != nil {
+			d.err = fmt.Errorf("session: decoding record %d: %w", d.n, err)
+			return false
+		}
+		d.n++
+		return true
+	}
+	return false
+}
+
+// Record returns the record Next advanced to; the caller may retain it.
+func (d *Reader) Record() *Record { return d.rec }
+
+// Err returns the first error the stream hit, if any.
+func (d *Reader) Err() error { return d.err }
+
+// ReadAll drains a Reader over r into a slice.
+func ReadAll(r io.Reader) ([]*Record, error) {
+	var out []*Record
+	d := NewReader(r)
+	for d.Next() {
+		out = append(out, d.Record())
+	}
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	var out []*Record
-	br := bufio.NewReaderSize(rr, 1<<20)
-	for {
-		line, err := br.ReadBytes('\n')
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) > 0 && !IsObsTrailer(trimmed) {
-			rec := &Record{}
-			if uerr := json.Unmarshal(trimmed, rec); uerr != nil {
-				return nil, fmt.Errorf("session: decoding record %d: %w", len(out), uerr)
-			}
-			out = append(out, rec)
-		}
-		if err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, err
-		}
-	}
+	return out, nil
 }

@@ -85,10 +85,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// TestStaleWALDiscarded covers the third crash case: a crash after the
-// manifest commit but before the WAL reset leaves a WAL whose records
-// are all in sealed segments. Reopening must discard it rather than
-// replay duplicates.
+// TestStaleWALDiscarded covers a state only an older binary can leave:
+// one that reset the active WAL in place after the manifest commit, and
+// crashed between the two, leaves a WAL whose records are all in sealed
+// segments. Reopening must still discard it rather than replay
+// duplicates.
 func TestStaleWALDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
@@ -109,8 +110,8 @@ func TestStaleWALDiscarded(t *testing.T) {
 	}
 	s.walF.Close() // crash without Close
 
-	// Reinstate the pre-seal WAL: exactly the on-disk state of a crash
-	// between manifest commit and WAL reset.
+	// Reinstate the pre-seal WAL: exactly the on-disk state of that
+	// binary's crash between manifest commit and WAL reset.
 	if err := os.WriteFile(walPath, preSeal, 0o644); err != nil {
 		t.Fatal(err)
 	}

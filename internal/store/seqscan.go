@@ -1,11 +1,6 @@
 package store
 
-import (
-	"fmt"
-	"io"
-
-	"honeynet/internal/session"
-)
+import "io"
 
 // This file is the store's replication surface: fleet mode tails a
 // node's local store in exact global append order, using the WAL
@@ -49,14 +44,12 @@ type SeqCursor struct {
 	pending []*segmentMeta // unopened segments, sorted by MinSeq ascending
 	heap    []*segStream   // open segments, min-heap on head seq
 	last    *segStream     // stream whose head was returned by the last Next
-	tail    []*session.Record
-	lines   [][]byte // canonical lines for tail (may be shorter: ReadOnly opens)
-	base    uint64   // seq of tail[0]
+	lines   [][]byte       // canonical lines of the unsealed tail
+	base    uint64         // seq of lines[0]
 	ti      int
 	from    uint64
 	seq     uint64
 	line    []byte
-	scratch []byte // lazily marshaled tail lines
 	err     error
 }
 
@@ -67,11 +60,10 @@ type SeqCursor struct {
 func (s *Store) ScanSeq(from uint64) *SeqCursor {
 	s.mu.RLock()
 	man := s.man
-	tail := s.tail[:len(s.tail):len(s.tail)]
 	lines := s.tailLines[:len(s.tailLines):len(s.tailLines)]
 	s.mu.RUnlock()
 
-	c := &SeqCursor{s: s, tail: tail, lines: lines, base: man.NextSeq, from: from}
+	c := &SeqCursor{s: s, lines: lines, base: man.NextSeq, from: from}
 	for _, seg := range man.Segments {
 		if seg.MaxSeq >= from {
 			c.pending = append(c.pending, seg)
@@ -124,20 +116,8 @@ func (c *SeqCursor) Next() bool {
 		return true
 	}
 	// Segments exhausted: the unsealed tail follows.
-	if c.ti < len(c.tail) {
-		c.seq = c.base + uint64(c.ti)
-		if c.ti < len(c.lines) && c.lines[c.ti] != nil {
-			c.line = c.lines[c.ti]
-		} else {
-			// ReadOnly opens keep no canonical lines; marshal on demand.
-			line, err := session.AppendJSON(c.scratch[:0], c.tail[c.ti])
-			if err != nil {
-				c.err = fmt.Errorf("store: marshal tail record: %w", err)
-				return false
-			}
-			c.scratch = line
-			c.line = line
-		}
+	if c.ti < len(c.lines) {
+		c.seq, c.line = c.base+uint64(c.ti), c.lines[c.ti]
 		c.ti++
 		return true
 	}

@@ -14,33 +14,42 @@
 // committed through an atomically renamed, fsynced manifest. Segments
 // are sealed in one format (HNSTORE3); the row-layout segments older
 // stores hold (HNSTORE1, HNSTORE2) are read in place and never written.
-// Auto-sealing runs in the background: the WAL rotates aside and a
-// worker compresses stripes in parallel while appends continue into a
-// fresh WAL. The store is read one way: RunQuery executes a structured
-// Query with pushdown (the statement is lowered once into a plan whose
-// compiled predicate is asked one three-valued question of a zone —
-// start-time bounds plus the kinds and protocols present — at segment,
-// metadata-bucket and block level: "none match" skips the segment or
-// block unread, which PlanStats counts as TimePruned and
-// BlocksZonePruned, and all-definite buckets answer a count(*) from
-// sealed metadata alone; `ip =` routes through the Bloom filters, and
-// projections touch only the stripes they name),
+// Every seal is one protocol (finishSeal): the WAL rotates aside, a
+// fresh WAL takes the appends that follow, and the rotated file's
+// records are built into segments, committed and dropped — on a worker
+// when the size trigger fires, on the caller for Seal and Close, on
+// Open after a crash — with stripes compressed in parallel and never
+// under the lock readers take. The store is read one way: RunQuery
+// executes a structured Query with pushdown (the statement is lowered
+// once into a plan whose compiled predicate is asked one three-valued
+// question of a zone — start-time bounds plus the kinds and protocols
+// present — at segment, metadata-bucket and block level: "none match"
+// skips the segment or block unread, which PlanStats counts as
+// TimePruned and BlocksZonePruned, and all-definite buckets answer a
+// count(*) from sealed metadata alone; `ip =` routes through the Bloom
+// filters, and projections touch only the stripes they name),
 // and Stream yields every record in exact global append order for the
 // byte-identical figure pipeline. OpenDir opens either a single store or
 // a fleet directory of per-node shards behind that same read surface.
 //
-// Crash safety, by case:
+// Crash safety, by case. Records leave the WAL only through the frozen
+// file (wal-sealing.jsonl, fsynced before the rename that creates it),
+// so the write path has one chain of crash states:
 //
 //   - torn WAL append: the tail is truncated at the last valid line on
 //     Open (sessionlog.RecoverTail); at most the unsynced tail is lost.
 //   - crash mid-seal, before the manifest commit: the manifest never
-//     referenced the partial segment; the WAL still holds every record
-//     and the orphan file is overwritten by the retried seal. For a
-//     background seal the rotated-aside WAL (wal-sealing.jsonl, fsynced
-//     at rotation) holds the records; Open finishes the seal from it.
-//   - crash after the manifest commit, before the WAL reset: the WAL's
-//     base sequence no longer matches the manifest, so the now-stale
-//     WAL is discarded instead of replaying duplicates.
+//     referenced the partial segments and the frozen WAL still extends
+//     it. Open finishes the seal from the frozen file — the orphan
+//     segment files are overwritten — and the active WAL, bound past
+//     the frozen records, replays on top.
+//   - crash after the manifest commit, before the frozen WAL is
+//     removed: its base is behind the manifest, so it is stale —
+//     counted, dropped, never replayed.
+//
+// Binaries before this protocol reset the active WAL in place after a
+// commit; a WAL they left bound behind the manifest (or one with no
+// binding line at all) is recognised the same way and dropped.
 //
 // A sealed segment is never lost or mutated.
 package store
@@ -154,7 +163,8 @@ func (o *Options) maxDelay() time.Duration {
 //
 // Lock order: walMu (WAL file I/O and rotation) is always acquired
 // before mu (in-memory state). The group-commit flusher extracts its
-// batch and the sealer rotates the WAL under both.
+// batch and a seal rotates the WAL under both; no seal holds mu while
+// it builds segments.
 type Store struct {
 	dir  string
 	opts Options
@@ -167,14 +177,14 @@ type Store struct {
 	tailLines [][]byte          // canonical JSON per tail record, newline-free
 	lineArena []byte            // backing storage tailLines entries slice into
 	tailBytes int64             // WAL bytes (lines + newlines) of the unfrozen tail
-	frozen    int               // tail[:frozen] belongs to the in-flight background seal
+	frozen    int               // tail[:frozen] is in wal-sealing.jsonl, awaiting finishSeal
 	pend      int               // tail suffix not yet written to the WAL
 	pendRuns  [][]byte          // pending WAL bytes as contiguous arena runs
 	pendRun   []byte            // open run in the current arena chunk
-	sealing   bool              // a background seal is in flight
+	sealing   bool              // a finishSeal is in flight
 	sealCond  *sync.Cond        // on mu; broadcast when sealing flips false
 	walErr    error             // sticky: a failed WAL batch write
-	sealErr   error             // sticky: a failed background seal (a later Seal may clear it)
+	sealErr   error             // the last finishSeal failed; cleared by the retry that succeeds
 	walF      *os.File          // active WAL; nil when ReadOnly
 	walW      *bufio.Writer
 	walSize   int64
@@ -187,10 +197,8 @@ type Store struct {
 	watch      chan struct{} // append signal for tailers (see Watch)
 
 	// Seal scratch, reused across seals: at most one seal runs at a
-	// time (the sealing flag serializes background seals; Seal/Close
-	// run inline only after waiting it out under mu), so large buffers
-	// and codec tables are allocated once instead of zeroed fresh per
-	// seal.
+	// time (the sealing flag serializes them), so large buffers and
+	// codec tables are allocated once instead of zeroed fresh per seal.
 	sealFrames []byte
 	sealComps  [][]byte
 	sealCodecs []*lzCodec
@@ -206,6 +214,15 @@ type Store struct {
 	recoveredBytes atomic.Int64
 	staleWALDrops  atomic.Int64
 	appended       atomic.Int64
+
+	step func(point string) // test hook: called at each seal boundary; nil in production
+}
+
+// at reports a boundary of the seal protocol to the test hook.
+func (s *Store) at(point string) {
+	if s.step != nil {
+		s.step(point)
+	}
 }
 
 // walHeader is the first line of the WAL: it binds the file to the
@@ -238,61 +255,27 @@ func Open(dir string, opts Options) (*Store, error) {
 	walPath := filepath.Join(dir, walName)
 	frozenPath := filepath.Join(dir, walSealingName)
 
-	if opts.ReadOnly {
-		// Tolerant reads: parse what is valid, truncate nothing. A
-		// non-stale rotated-aside WAL is the frozen prefix of the tail.
-		base := man.NextSeq
-		frozenRecs, _, stale, _, err := readWAL(frozenPath, base, true)
-		if err != nil {
-			return nil, err
-		}
-		if stale && exists(frozenPath) {
-			s.staleWALDrops.Add(1)
-			frozenRecs = nil
-		}
-		base += uint64(len(frozenRecs))
-		tail, _, stale, _, err := readWAL(walPath, base, true)
-		if err != nil {
-			return nil, err
-		}
-		if stale && exists(walPath) {
-			s.staleWALDrops.Add(1)
-			tail = nil
-		}
-		s.tail = append(frozenRecs, tail...)
-		return s, nil
+	// A rotated-aside WAL that still extends the manifest is a seal the
+	// previous process did not commit: its records are the frozen prefix
+	// of the tail, and the active WAL is bound past them.
+	if _, _, err := s.loadWAL(frozenPath, man.NextSeq); err != nil {
+		return nil, err
 	}
-
-	// A rotated-aside WAL is a background seal the previous process
-	// did not finish (or had already committed). Settle it first.
-	if exists(frozenPath) {
-		if err := s.recoverFrozenWAL(frozenPath); err != nil {
-			return nil, err
-		}
-	}
-
-	dropped, err := sessionlog.RecoverTail(walPath)
-	if err != nil {
-		return nil, fmt.Errorf("store: recover wal: %w", err)
-	}
-	s.recoveredBytes.Store(dropped)
-	tail, lines, stale, size, err := readWAL(walPath, s.man.NextSeq, false)
+	s.frozen = len(s.tail)
+	base := man.NextSeq + uint64(s.frozen)
+	size, stale, err := s.loadWAL(walPath, base)
 	if err != nil {
 		return nil, err
 	}
+	if opts.ReadOnly {
+		return s, nil // repairs nothing, seals nothing
+	}
 	if stale {
-		// The previous process crashed between the manifest commit and
-		// the WAL reset: every WAL record is already in a sealed
-		// segment. Replaying it would duplicate data — drop it.
-		s.staleWALDrops.Add(1)
-		if err := os.Remove(walPath); err != nil && !os.IsNotExist(err) {
+		if err := os.Remove(walPath); err != nil {
 			return nil, err
 		}
-		tail, lines, size = nil, nil, 0
 	}
-	s.tail = tail
-	s.tailLines = lines
-	for _, l := range lines {
+	for _, l := range s.tailLines[s.frozen:] {
 		s.tailBytes += int64(len(l)) + 1
 	}
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -303,10 +286,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.walW = bufio.NewWriterSize(f, 256<<10)
 	s.walSize = size
 	if size == 0 {
-		if err := s.writeWALHeaderLocked(s.man.NextSeq); err != nil {
-			f.Close()
-			return nil, err
+		err = s.writeWALHeaderLocked(base)
+	}
+	if err == nil && exists(frozenPath) {
+		if err = s.finishSeal(false); err != nil {
+			err = fmt.Errorf("store: finish interrupted seal: %w", err)
 		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	s.kick = make(chan struct{}, 1)
 	s.flushDone = make(chan struct{})
@@ -324,33 +313,31 @@ func exists(path string) bool {
 	return err == nil
 }
 
-// recoverFrozenWAL settles a wal-sealing.jsonl left by a crashed
-// background seal: if its base matches the manifest the seal never
-// committed — finish it here (write the segments, commit the manifest);
-// if the base is behind, the seal committed and the file is stale.
-// Either way the file is gone when this returns.
-func (s *Store) recoverFrozenWAL(path string) error {
-	if _, err := sessionlog.RecoverTail(path); err != nil {
-		return fmt.Errorf("store: recover frozen wal: %w", err)
+// loadWAL is the one way a WAL file comes in: repair a torn tail
+// (never on a read-only open, which parses what is valid and truncates
+// nothing), read the file against the sequence it must extend, and
+// append its records to the tail. A file that does not extend base —
+// no binding line, or bound to a sequence the manifest has moved past —
+// holds records a seal already committed: it is counted, contributes
+// nothing, and is never replayed.
+func (s *Store) loadWAL(path string, base uint64) (size int64, stale bool, err error) {
+	if !s.opts.ReadOnly {
+		dropped, err := sessionlog.RecoverTail(path)
+		if err != nil {
+			return 0, false, fmt.Errorf("store: recover %s: %w", filepath.Base(path), err)
+		}
+		s.recoveredBytes.Add(dropped)
 	}
-	recs, lines, stale, _, err := readWAL(path, s.man.NextSeq, false)
+	recs, lines, stale, size, err := readWAL(path, base, s.opts.ReadOnly)
 	if err != nil {
-		return err
+		return 0, false, err
 	}
 	if stale {
 		s.staleWALDrops.Add(1)
-	} else if len(recs) > 0 {
-		newMan, err := s.buildSegments(s.man, recs, lines, s.man.NextSeq)
-		if err != nil {
-			return fmt.Errorf("store: finish interrupted seal: %w", err)
-		}
-		s.man = newMan
-		s.sealsTotal.Add(1)
 	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return syncDir(s.dir)
+	s.tail = append(s.tail, recs...)
+	s.tailLines = append(s.tailLines, lines...)
+	return size, stale, nil
 }
 
 // readWAL parses the WAL at path: header, then one record per line. It
@@ -466,7 +453,7 @@ func (s *Store) Append(r *session.Record) error {
 		err := s.sealErr
 		s.mu.Unlock()
 		lineScratch.Put(bp)
-		return fmt.Errorf("store: background seal failed (Seal may retry): %w", err)
+		return fmt.Errorf("store: seal failed, retrying: %w", err)
 	}
 	sb := s.opts.sealBytes()
 	// Backpressure: if appends outrun an in-flight background seal by
@@ -616,54 +603,47 @@ func (s *Store) drainPendingLocked() error {
 	return nil
 }
 
-// rotateAndSealAsync freezes the current tail for a background seal:
-// drain the batch, fsync and rotate the WAL aside, start a fresh WAL
-// whose base skips the frozen records, and hand the frozen tail to a
-// worker that compresses and commits it off the append path.
+// rotateAndSealAsync is the size trigger: rotate the WAL aside and hand
+// the frozen tail to a worker that runs finishSeal off the append path.
 func (s *Store) rotateAndSealAsync() {
 	s.walMu.Lock()
 	s.mu.Lock()
-	if s.closed || s.sealing || s.walErr != nil || s.sealErr != nil ||
-		len(s.tail) == 0 || s.tailBytes < s.opts.sealBytes() {
-		s.mu.Unlock()
-		s.walMu.Unlock()
-		return
+	ok := !s.closed && !s.sealing && s.sealErr == nil && s.tailBytes >= s.opts.sealBytes()
+	if ok {
+		ok = s.rotateLocked() == nil // a failed rotation left a sticky walErr for appends to surface
 	}
-	recs, lines, baseSeq, man, err := s.rotateLocked()
 	s.mu.Unlock()
 	s.walMu.Unlock()
-	if err != nil {
-		return // sticky walErr set; appends will surface it
+	if ok {
+		go s.finishSeal(true)
 	}
-	go s.runSeal(man, recs, lines, baseSeq)
 }
 
-// rotateLocked moves the active WAL aside as wal-sealing.jsonl — fully
-// written and fsynced, so the frozen records are durable before the
-// seal begins — and starts a fresh WAL whose base accounts for them.
-// Caller holds walMu and mu; on return tail[:frozen] is the seal's
-// input and the returned slices alias it (immutable until the commit
-// swaps them out).
-func (s *Store) rotateLocked() (recs []*session.Record, lines [][]byte, baseSeq uint64, man *manifest, err error) {
-	fail := func(e error) ([]*session.Record, [][]byte, uint64, *manifest, error) {
+// rotateLocked freezes the current tail for finishSeal: drain the
+// batch, move the active WAL aside as wal-sealing.jsonl — fully written
+// and fsynced, so the frozen records are durable before the seal
+// begins — and start a fresh WAL whose base skips them. Caller holds
+// walMu and mu with no seal in flight and nothing frozen; on return
+// tail[:frozen] is the seal's input and sealing is set.
+func (s *Store) rotateLocked() error {
+	fail := func(e error) error {
 		s.walErr = fmt.Errorf("store: wal rotate: %w", e)
-		return nil, nil, 0, nil, s.walErr
+		return s.walErr
 	}
 	if err := s.drainPendingLocked(); err != nil {
-		return nil, nil, 0, nil, err
+		return err
 	}
-	if err := s.walW.Flush(); err != nil {
+	if err := s.syncWALLocked(); err != nil {
 		return fail(err)
 	}
-	if err := s.walF.Sync(); err != nil {
-		return fail(err)
-	}
+	s.at("rotate:synced")
 	if err := s.walF.Close(); err != nil {
 		return fail(err)
 	}
 	if err := os.Rename(filepath.Join(s.dir, walName), filepath.Join(s.dir, walSealingName)); err != nil {
 		return fail(err)
 	}
+	s.at("rotate:renamed")
 	f, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fail(err)
@@ -671,64 +651,74 @@ func (s *Store) rotateLocked() (recs []*session.Record, lines [][]byte, baseSeq 
 	s.walF = f
 	s.walW.Reset(f)
 	s.walSize = 0
-	s.dirty = false
+	s.at("rotate:created")
+	if err := s.writeWALHeaderLocked(s.man.NextSeq + uint64(len(s.tail))); err != nil {
+		return fail(err)
+	}
+	s.at("rotate:bound")
+	if err := syncDir(s.dir); err != nil {
+		return fail(err)
+	}
 	s.frozen = len(s.tail)
 	s.sealing = true
 	s.tailBytes = 0
-	if err := s.writeWALHeaderLocked(s.man.NextSeq + uint64(s.frozen)); err != nil {
-		s.frozen = 0
-		s.sealing = false
-		return fail(err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		s.frozen = 0
-		s.sealing = false
-		return fail(err)
-	}
-	return s.tail[:s.frozen], s.tailLines[:s.frozen], s.man.NextSeq, s.man, nil
+	s.at("rotate:done")
+	return nil
 }
 
-// runSeal is the background seal worker: it compresses the frozen tail
-// into segments (blocks in parallel), commits the manifest, and swaps
-// the sealed prefix out of memory. On failure the error is sticky and
-// the frozen WAL stays on disk: a later Seal retries inline, and a
-// crash recovers through the frozen-WAL chain.
-func (s *Store) runSeal(man *manifest, recs []*session.Record, lines [][]byte, baseSeq uint64) {
-	newMan, err := s.buildSegments(man, recs, lines, baseSeq)
-	if err != nil {
-		s.mu.Lock()
-		s.sealErr = err
-		s.sealing = false
-		s.frozen = 0 // tail[:frozen] is still unsealed tail; seqs are unchanged
-		s.sealCond.Broadcast()
-		s.mu.Unlock()
-		return
+// finishSeal is the one seal protocol, reached by the size trigger's
+// worker, by Seal and Close on their caller, by the sync loop retrying
+// a failed seal, and by Open over a frozen WAL a crash left: build the
+// frozen records tail[:frozen] into segments, commit the manifest, swap
+// the sealed prefix out of memory, remove wal-sealing.jsonl. The caller
+// has set sealing under mu and does not hold mu: readers go on through
+// the build. On failure nothing moves — the prefix stays frozen, its
+// file stays on disk, sealErr refuses appends — so the retry is this
+// function again, and a crash recovers through the same file.
+func (s *Store) finishSeal(background bool) error {
+	s.mu.RLock()
+	man, n := s.man, s.frozen
+	recs, lines := s.tail[:n], s.tailLines[:n]
+	s.mu.RUnlock()
+	var err error
+	if n > 0 { // else only a stale frozen file is left to drop
+		var newMan *manifest
+		if newMan, err = s.buildSegments(man, recs, lines); err == nil {
+			s.at("seal:committed")
+			s.mu.Lock()
+			s.man = newMan
+			s.tail = append([]*session.Record(nil), s.tail[n:]...)
+			s.tailLines = append([][]byte(nil), s.tailLines[n:]...)
+			s.frozen = 0
+			s.sealsTotal.Add(1)
+			if background {
+				s.sealBackground.Add(1)
+			}
+			s.mu.Unlock()
+			s.at("seal:swapped")
+		}
+	}
+	// sealing stays set while the frozen WAL is removed, so no rotation
+	// can reuse the name mid-removal.
+	if err == nil {
+		if err = os.Remove(filepath.Join(s.dir, walSealingName)); os.IsNotExist(err) {
+			err = nil
+		}
+		s.at("seal:dropped")
 	}
 	s.mu.Lock()
-	s.man = newMan
-	s.tail = append([]*session.Record(nil), s.tail[s.frozen:]...)
-	s.tailLines = append([][]byte(nil), s.tailLines[s.frozen:]...)
-	s.frozen = 0
-	s.sealsTotal.Add(1)
-	s.sealBackground.Add(1)
-	// Keep `sealing` set while the frozen WAL is removed, so no new
-	// rotation can reuse the name mid-removal.
-	s.mu.Unlock()
-	err = os.Remove(filepath.Join(s.dir, walSealingName))
-	s.mu.Lock()
-	if err != nil && !os.IsNotExist(err) {
-		s.sealErr = err
-	}
+	s.sealErr = err
 	s.sealing = false
 	s.sealCond.Broadcast()
 	s.mu.Unlock()
+	return err
 }
 
-// Seal folds every unsealed record into immutable per-month segments
-// and commits them through the manifest, synchronously: when it
-// returns, the tail is empty. It waits out any in-flight background
-// seal first, and retries the work of a failed one. A no-op on an
-// empty tail.
+// Seal folds every record appended before the call into immutable
+// per-month segments and commits them through the manifest,
+// synchronously, on the caller. It waits out an in-flight seal first
+// and retries a failed one. Readers are not blocked while it builds;
+// appends made meanwhile stay in the tail. A no-op on an empty tail.
 func (s *Store) Seal() error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
@@ -737,69 +727,47 @@ func (s *Store) Seal() error {
 	if s.closed || s.opts.ReadOnly {
 		return errors.New("store: closed or read-only")
 	}
+	return s.sealTailLocked()
+}
+
+// sealTailLocked is Seal and Close's body: wait out the seal in
+// flight, finish a failed seal's frozen prefix if one stands, then
+// rotate what is left of the tail aside and finish that. Caller holds
+// walMu — throughout, so no other rotation can start — and mu, which is
+// released around each finishSeal.
+func (s *Store) sealTailLocked() error {
 	for s.sealing {
 		s.sealCond.Wait()
 	}
-	if s.closed {
-		return errors.New("store: closed")
-	}
-	return s.sealLocked()
-}
-
-// sealLocked seals the whole tail inline. Caller holds walMu and mu,
-// with no background seal in flight. It also completes the recovery
-// from a failed background seal: the frozen WAL file (if any) is
-// removed once its records are committed, and sealErr is cleared.
-func (s *Store) sealLocked() error {
-	if err := s.drainPendingLocked(); err != nil {
-		return err
-	}
-	if err := s.syncWALLocked(); err != nil {
-		return err
-	}
-	if len(s.tail) == 0 {
-		return nil
-	}
-	newMan, err := s.buildSegments(s.man, s.tail, s.tailLines, s.man.NextSeq)
-	if err != nil {
-		return err
-	}
-
-	// The manifest now owns the records: reset the WAL under the new
-	// base. A crash before this point replays the WAL (and the frozen
-	// WAL, if a failed background seal left one); after the manifest
-	// commit, leftover WALs are detected as stale and dropped.
-	if err := s.walF.Close(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	s.walF = f
-	s.walW.Reset(f)
-	s.walSize = 0
-	s.dirty = false
-	s.man = newMan
-	s.tail = nil // cursors holding the old tail keep their snapshot
-	s.tailLines = nil
-	s.lineArena = nil
-	s.tailBytes = 0
-	s.sealsTotal.Add(1)
-	if s.sealErr != nil { // the failed background seal's records are now committed
-		s.sealErr = nil
-		if err := os.Remove(filepath.Join(s.dir, walSealingName)); err != nil && !os.IsNotExist(err) {
+	retry := s.frozen > 0 || s.sealErr != nil
+	if retry {
+		s.sealing = true
+	} else {
+		if err := s.drainPendingLocked(); err != nil {
+			return err
+		}
+		if len(s.tail) == 0 {
+			return s.syncWALLocked()
+		}
+		if err := s.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	return s.writeWALHeaderLocked(newMan.NextSeq)
+	s.mu.Unlock()
+	err := s.finishSeal(false)
+	s.mu.Lock()
+	if err != nil || !retry {
+		return err
+	}
+	return s.sealTailLocked() // the failed seal's prefix is committed; now the rest
 }
 
-// buildSegments writes one segment per month of recs (seqs start at
-// baseSeq) and returns the manifest — already saved and durable — that
-// commits them. It does not touch store state: callers swap the result
-// in under mu.
-func (s *Store) buildSegments(man *manifest, recs []*session.Record, lines [][]byte, baseSeq uint64) (*manifest, error) {
+// buildSegments writes one segment per month of recs, the records that
+// extend man, and returns the manifest — already saved and durable —
+// that commits them. It does not touch store state: finishSeal swaps
+// the result in under mu.
+func (s *Store) buildSegments(man *manifest, recs []*session.Record, lines [][]byte) (*manifest, error) {
+	baseSeq := man.NextSeq
 	// Partition by month (keyed year*12+month — cheaper to hash than a
 	// time.Time), preserving append order within each.
 	byMonth := map[int][]int32{}
@@ -836,6 +804,7 @@ func (s *Store) buildSegments(man *manifest, recs []*session.Record, lines [][]b
 		removeAll(s.dir, files, "")
 		return nil, err
 	}
+	s.at("seal:built")
 	if err := newMan.save(s.dir); err != nil {
 		removeAll(s.dir, files, "")
 		return nil, err
@@ -888,8 +857,9 @@ func (s *Store) syncWALLocked() error {
 	return nil
 }
 
-// Close seals any unsealed tail and releases the store. Further
-// appends fail; open cursors keep working over their snapshots.
+// Close refuses further appends, then seals the unsealed tail the way
+// Seal does — readers and metric scrapes go on while it builds — and
+// releases the store. Open cursors keep working over their snapshots.
 func (s *Store) Close() error {
 	s.walMu.Lock()
 	s.mu.Lock()
@@ -898,18 +868,15 @@ func (s *Store) Close() error {
 		s.walMu.Unlock()
 		return nil
 	}
+	s.closed = true
+	s.sealCond.Broadcast()
 	var err error
 	if !s.opts.ReadOnly {
-		for s.sealing {
-			s.sealCond.Wait()
-		}
-		err = s.sealLocked()
+		err = s.sealTailLocked()
 		if cerr := s.walF.Close(); err == nil {
 			err = cerr
 		}
 	}
-	s.closed = true
-	s.sealCond.Broadcast()
 	stop, done, flushDone := s.stop, s.done, s.flushDone
 	s.mu.Unlock()
 	s.walMu.Unlock()
@@ -925,7 +892,8 @@ func (s *Store) Close() error {
 
 // syncLoop periodically drains the batch and fsyncs dirty WAL data,
 // mirroring sessionlog: an idle-period crash loses at most SyncEvery
-// worth of sessions.
+// worth of sessions. The same tick retries a failed seal, so ingestion
+// resumes by itself once the cause (a full disk, say) is gone.
 func (s *Store) syncLoop(every time.Duration) {
 	defer close(s.done)
 	t := time.NewTicker(every)
@@ -941,8 +909,15 @@ func (s *Store) syncLoop(every time.Duration) {
 				_ = s.drainPendingLocked()
 				_ = s.syncWALLocked()
 			}
+			retry := !s.closed && !s.sealing && s.sealErr != nil
+			if retry {
+				s.sealing = true
+			}
 			s.mu.Unlock()
 			s.walMu.Unlock()
+			if retry {
+				_ = s.finishSeal(false)
+			}
 		}
 	}
 }
@@ -1027,7 +1002,7 @@ func (s *Store) Register(reg *obs.Registry) {
 	reg.CounterFunc("honeynet_store_seals_total",
 		"WAL-to-segment seal operations completed.", s.sealsTotal.Load)
 	reg.CounterFunc("honeynet_store_seal_background_total",
-		"Seals completed by the background worker, off the append path.", s.sealBackground.Load)
+		"Seals the size trigger ran on its worker, off the append path.", s.sealBackground.Load)
 	reg.CounterFunc("honeynet_store_seal_blocks_total",
 		"Segment blocks compressed by seals.", s.sealBlocks.Load)
 	reg.CounterFunc("honeynet_store_batch_flushes_total",
