@@ -36,7 +36,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -139,13 +138,9 @@ func sealingAnywhere(dir string) bool {
 	if !store.IsFleetDir(dir) {
 		return false
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), store.NodeDirPrefix) &&
-			store.Sealing(filepath.Join(dir, e.Name())) {
+	nodes, _ := store.FleetNodes(dir)
+	for _, node := range nodes {
+		if store.Sealing(store.ShardDir(dir, node)) {
 			return true
 		}
 	}

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +11,8 @@ import (
 
 	"honeynet/internal/botnet"
 	"honeynet/internal/classify"
+	"honeynet/internal/collector"
+	"honeynet/internal/session"
 	"honeynet/internal/simulate"
 )
 
@@ -543,15 +547,82 @@ func TestFig14CategoryDistances(t *testing.T) {
 	}
 }
 
+// TestIntrusionPasswordSessions: the sessions view's 3245gs5662d34
+// series counts pure intrusions only (login, no commands), tallied here
+// by an independent loop over the records.
 func TestIntrusionPasswordSessions(t *testing.T) {
 	w := testWorld(t)
-	recs := IntrusionPasswordSessions(w, "3245gs5662d34")
-	if len(recs) == 0 {
+	want, wantIPs := map[time.Time]int{}, map[string]bool{}
+	for _, r := range w.Store.All() {
+		if !IsSSH(r) || len(r.Commands) != 0 {
+			continue
+		}
+		for _, l := range r.Logins {
+			if l.Success && l.Password == "3245gs5662d34" {
+				want[r.Month()]++
+				wantIPs[r.ClientIP] = true
+			}
+		}
+	}
+	if len(want) == 0 {
 		t.Fatal("no 3245gs intrusion sessions")
 	}
-	for _, r := range recs {
-		if len(r.Commands) != 0 {
-			t.Fatal("intrusion sessions must have no commands")
+	s := w.sessions()
+	if !reflect.DeepEqual(s.login3245, want) {
+		t.Errorf("login3245 = %v, want %v", s.login3245, want)
+	}
+	if !reflect.DeepEqual(s.ips3245, wantIPs) {
+		t.Errorf("ips3245 has %d IPs, want %d", len(s.ips3245), len(wantIPs))
+	}
+}
+
+// TestStatsCounts: the section 3.3 tally over a hand-built record set,
+// one session of each kind plus a Telnet one.
+func TestStatsCounts(t *testing.T) {
+	login := func(ok bool) []session.LoginAttempt {
+		return []session.LoginAttempt{{Username: "root", Password: "x", Success: ok}}
+	}
+	store := collector.NewStore()
+	for i, r := range []*session.Record{
+		{Protocol: session.ProtoSSH},
+		{Protocol: session.ProtoSSH, Logins: login(false)},
+		{Protocol: session.ProtoSSH, Logins: login(true)},
+		{Protocol: session.ProtoSSH, Logins: login(true), Commands: []session.Command{{Raw: "uname"}}},
+		{Protocol: session.ProtoSSH, Logins: login(true), Commands: []session.Command{{Raw: "id"}}},
+		{Protocol: session.ProtoTelnet, Logins: login(true), Commands: []session.Command{{Raw: "id"}}},
+	} {
+		r.ID, r.ClientIP = uint64(i), fmt.Sprintf("10.0.0.%d", i%5)
+		store.Add(r)
+	}
+	got := *Stats(&World{Store: store})
+	want := DatasetStats{Total: 6, SSH: 5, Telnet: 1, Scanning: 1, Scouting: 1,
+		Intrusion: 1, CommandExec: 2, UniqueClientIPs: 5}
+	if got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
+	}
+}
+
+func TestSortedMonths(t *testing.T) {
+	a := map[time.Time]int{month(2022, 3): 1, month(2022, 1): 2}
+	b := map[time.Time]int{month(2022, 2): 1, month(2022, 1): 1}
+	want := []time.Time{month(2022, 1), month(2022, 2), month(2022, 3)}
+	if got := sortedMonths(a, b); !reflect.DeepEqual(got, want) {
+		t.Errorf("sortedMonths = %v, want %v", got, want)
+	}
+}
+
+func TestIsMdrfckr(t *testing.T) {
+	cases := map[string]bool{
+		"":                    false,
+		"mdrfckr":             true,
+		"xxmdrfckrxx":         true,
+		"mdrfck":              false,
+		"echo ssh-rsa mdrfck": false,
+		"uname -a\necho ssh-rsa AAAA mdrfckr>>.ssh/authorized_keys": true,
+	}
+	for in, want := range cases {
+		if got := isMdrfckr(in); got != want {
+			t.Errorf("isMdrfckr(%q) = %v", in, got)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 // Package analysis implements one analyzer per table and figure of the
-// paper's evaluation. Each analyzer consumes the honeynet session store
-// (plus the AS registry and abuse database where the figure joins on
-// them) and produces both a typed result and a printable report.Table.
+// paper's evaluation. Each analyzer is a function of the derived views
+// of the honeynet session store (views.go, the only code that reads
+// it), plus the AS registry and abuse database where the figure joins
+// on them, and produces both a typed result and a printable
+// report.Table.
 package analysis
 
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"honeynet/internal/abusedb"
@@ -41,20 +44,13 @@ type World struct {
 
 	// The memoized shared DLD sample (see DLDSample): one
 	// tokenize+intern pass and one matrix fill feed both SelectK and
-	// RunClustering.
+	// RunClustering over one Store.
 	sampleMu  sync.Mutex
 	sampleCfg sampleKey
 	sample    *DLDSample
 
-	// The memoized views of Store several figures share, each derived
-	// once: the classified command sessions (Figures 2-4, 14, Table 1)
-	// and the (session, download) join (section 7, Figures 7-9, 17).
-	// Like the sample above they outlive a Store swap: give a new
-	// dataset its World before any figure has run, or a new World.
-	cmdOnce sync.Once
-	cmd     []classified
-	dlOnce  sync.Once
-	dls     []downloadSession
+	// The derived views every figure reads, of one Store (see views.go).
+	views atomic.Pointer[views]
 }
 
 // workers resolves the configured worker count.
@@ -66,14 +62,6 @@ func (w *World) span(name string) *obs.Span { return w.Tracer.Span(name) }
 // IsSSH reports whether a record belongs to the SSH subset the paper's
 // analyses use (section 3.3 keeps 546M of 635M sessions).
 func IsSSH(r *session.Record) bool { return r.Protocol == session.ProtoSSH }
-
-// CmdExecSessions returns SSH sessions that executed at least one
-// command.
-func CmdExecSessions(store *collector.Store) []*session.Record {
-	return store.Filter(func(r *session.Record) bool {
-		return IsSSH(r) && r.Kind() == session.CommandExec
-	})
-}
 
 // HasExec reports whether a session attempted to execute a file.
 func HasExec(r *session.Record) bool { return len(r.ExecAttempts) > 0 }
@@ -111,20 +99,27 @@ func (m *MonthlyCategoryShares) TopCategories(n int) []string {
 			totals[c] += v
 		}
 	}
-	cats := make([]string, 0, len(totals))
-	for c := range totals {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool {
-		if totals[cats[i]] != totals[cats[j]] {
-			return totals[cats[i]] > totals[cats[j]]
-		}
-		return cats[i] < cats[j]
-	})
+	cats := byCount(totals)
 	if len(cats) > n {
 		cats = cats[:n]
 	}
 	return cats
+}
+
+// byCount returns the keys of a tally, largest count first; ties are
+// alphabetical, so the order is deterministic.
+func byCount(counts map[string]int) []string {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if counts[keys[i]] != counts[keys[j]] {
+			return counts[keys[i]] > counts[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
+	return keys
 }
 
 // Share returns the category's share of a month's sessions.
@@ -136,35 +131,6 @@ func (m *MonthlyCategoryShares) Share(month time.Time, cat string) float64 {
 	return float64(m.Counts[month][cat]) / float64(t)
 }
 
-// classified is one SSH command session and the category of its text.
-type classified struct {
-	rec *session.Record
-	cat string
-}
-
-// commandSessions returns every SSH command session in store order with
-// its category, classifying them all in one batch (parallel over
-// distinct texts, under a "classify.batch" span) the first time a
-// figure asks. A text's category does not depend on the batch it is
-// in, so figures over a subset tally from this view.
-func (w *World) commandSessions() []classified {
-	w.cmdOnce.Do(func() {
-		recs := CmdExecSessions(w.Store)
-		texts := make([]string, len(recs))
-		for i, r := range recs {
-			texts[i] = r.CommandText()
-		}
-		sp := w.span("classify.batch")
-		cats := w.Classifier.ClassifyAll(texts, w.workers())
-		sp.End()
-		w.cmd = make([]classified, len(recs))
-		for i, r := range recs {
-			w.cmd[i] = classified{r, cats[i]}
-		}
-	})
-	return w.cmd
-}
-
 // categorize builds monthly category shares over the command sessions
 // keep selects; the tally is serial (counts are order-invariant anyway).
 func categorize(w *World, keep func(*session.Record) bool) *MonthlyCategoryShares {
@@ -172,20 +138,38 @@ func categorize(w *World, keep func(*session.Record) bool) *MonthlyCategoryShare
 		Counts: map[time.Time]map[string]int{},
 		Totals: map[time.Time]int{},
 	}
-	for _, c := range w.commandSessions() {
-		if !keep(c.rec) {
+	cats := w.categories()
+	for i, r := range w.commands().recs {
+		if !keep(r) {
 			continue
 		}
-		m := c.rec.Month()
+		m := r.Month()
 		byCat, ok := out.Counts[m]
 		if !ok {
 			byCat = map[string]int{}
 			out.Counts[m] = byCat
 		}
-		byCat[c.cat]++
+		byCat[cats[i]]++
 		out.Totals[m]++
 	}
-	out.Months = collector.SortedMonths(out.Counts)
+	out.Months = sortedMonths(out.Counts)
+	return out
+}
+
+// sortedMonths returns the sorted union of the keys of monthly (or
+// daily) groupings.
+func sortedMonths[T any](groups ...map[time.Time]T) []time.Time {
+	seen := map[time.Time]bool{}
+	var out []time.Time
+	for _, g := range groups {
+		for k := range g {
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, k)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
 	return out
 }
 

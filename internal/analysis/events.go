@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"honeynet/internal/report"
-	"honeynet/internal/session"
 )
 
 // Event is one documented external attack event from the section 10
@@ -54,11 +53,8 @@ func (e *EventWindow) DropRatio() float64 {
 // two weeks on either side.
 func EventCorrelation(w *World) []EventWindow {
 	perDay := map[time.Time]int{}
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) || r.Kind() != session.CommandExec || !isMdrfckr(r) {
-			continue
-		}
-		perDay[r.Day()]++
+	for _, d := range Fig12(w) {
+		perDay[d.Day] = d.Sessions
 	}
 	mean := func(from, to time.Time) float64 {
 		days, total := 0, 0

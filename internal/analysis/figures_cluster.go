@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"honeynet/internal/cluster"
-	"honeynet/internal/collector"
 	"honeynet/internal/parallel"
 	"honeynet/internal/report"
 	"honeynet/internal/session"
@@ -279,7 +278,7 @@ func (cr *ClusterResult) Fig6(topN int) []Fig6Month {
 		}
 	}
 	var out []Fig6Month
-	for _, m := range collector.SortedMonths(monthTotal) {
+	for _, m := range sortedMonths(monthTotal) {
 		fm := Fig6Month{Month: m, Total: monthTotal[m], Shares: map[string]float64{}}
 		for n, v := range monthCluster[m] {
 			fm.Shares[n] = float64(v) / float64(monthTotal[m])
@@ -334,12 +333,12 @@ func Fig14(w *World, perCategory int) *Fig14Result {
 	// independent of how the batch classification was sharded.
 	byCat := map[string][]string{}
 	seen := map[string]map[string]bool{}
-	for _, c := range w.commandSessions() {
-		cat := c.cat
+	texts := w.commands().texts
+	for i, cat := range w.categories() {
 		if len(byCat[cat]) >= perCategory {
 			continue
 		}
-		txt := c.rec.CommandText()
+		txt := texts[i]
 		if seen[cat] == nil {
 			seen[cat] = map[string]bool{}
 		}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"honeynet/internal/collector"
 	"honeynet/internal/report"
 	"honeynet/internal/session"
 )
@@ -25,15 +24,8 @@ type DatasetStats struct {
 // session; the four kind counters cover the SSH subset, exactly as the
 // paper reports them (546M SSH of 635M total).
 func Stats(w *World) *DatasetStats {
-	st := w.Store.StatsN(w.workers())
-	return &DatasetStats{
-		Total: st.Total, SSH: st.SSH, Telnet: st.Telnet,
-		Scanning:        st.SSHByKind[session.Scanning],
-		Scouting:        st.SSHByKind[session.Scouting],
-		Intrusion:       st.SSHByKind[session.Intrusion],
-		CommandExec:     st.SSHByKind[session.CommandExec],
-		UniqueClientIPs: st.UniqueIPs,
-	}
+	st := w.sessions().stats
+	return &st
 }
 
 // Table renders the stats.
@@ -94,7 +86,7 @@ func newDailyDist(perDay map[time.Time]int) DailyDist {
 func Fig1(w *World) []Fig1Month {
 	chg := map[time.Time]map[time.Time]int{}
 	sta := map[time.Time]map[time.Time]int{}
-	for _, r := range CmdExecSessions(w.Store) {
+	for _, r := range w.commands().recs {
 		m := r.Month()
 		day := r.Day()
 		dst := sta
@@ -106,15 +98,8 @@ func Fig1(w *World) []Fig1Month {
 		}
 		dst[m][day]++
 	}
-	months := map[time.Time]bool{}
-	for m := range chg {
-		months[m] = true
-	}
-	for m := range sta {
-		months[m] = true
-	}
 	var out []Fig1Month
-	for _, m := range collector.SortedMonths(months) {
+	for _, m := range sortedMonths(chg, sta) {
 		out = append(out, Fig1Month{
 			Month:    m,
 			Changing: newDailyDist(chg[m]),
@@ -227,8 +212,9 @@ type Fig16Month struct {
 func Fig16(w *World) []Fig16Month {
 	exists := map[time.Time]map[string]bool{}
 	missing := map[time.Time]map[string]bool{}
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) || r.Kind() != session.CommandExec || !HasExec(r) {
+	cmds := w.commands()
+	for i, r := range cmds.recs {
+		if !HasExec(r) {
 			continue
 		}
 		m := r.Month()
@@ -239,17 +225,10 @@ func Fig16(w *World) []Fig16Month {
 		if dst[m] == nil {
 			dst[m] = map[string]bool{}
 		}
-		dst[m][r.CommandText()] = true
-	}
-	months := map[time.Time]bool{}
-	for m := range exists {
-		months[m] = true
-	}
-	for m := range missing {
-		months[m] = true
+		dst[m][cmds.texts[i]] = true
 	}
 	var out []Fig16Month
-	for _, m := range collector.SortedMonths(months) {
+	for _, m := range sortedMonths(exists, missing) {
 		out = append(out, Fig16Month{Month: m, UniqueExists: len(exists[m]), UniqueMissing: len(missing[m])})
 	}
 	return out
@@ -282,10 +261,10 @@ type Table1Result struct {
 // the coverage tally is order-invariant counting.
 func Table1(w *World) *Table1Result {
 	res := &Table1Result{PerCat: map[string]int{}, Categories: w.Classifier.NumCategories()}
-	for _, c := range w.commandSessions() {
+	for _, cat := range w.categories() {
 		res.Total++
-		res.PerCat[c.cat]++
-		if c.cat == "unknown" {
+		res.PerCat[cat]++
+		if cat == "unknown" {
 			res.Unknown++
 		} else {
 			res.Matched++
@@ -300,17 +279,7 @@ func (t1 *Table1Result) Table() *report.Table {
 		Title:   "Table 1: regex classification coverage",
 		Headers: []string{"category", "sessions", "share"},
 	}
-	cats := make([]string, 0, len(t1.PerCat))
-	for c := range t1.PerCat {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool {
-		if t1.PerCat[cats[i]] != t1.PerCat[cats[j]] {
-			return t1.PerCat[cats[i]] > t1.PerCat[cats[j]]
-		}
-		return cats[i] < cats[j] // ties alphabetical: deterministic output
-	})
-	for _, c := range cats {
+	for _, c := range byCount(t1.PerCat) {
 		t.AddRow(c, t1.PerCat[c], report.Pct(t1.PerCat[c], t1.Total))
 	}
 	t.AddRow("TOTAL", t1.Total, "")

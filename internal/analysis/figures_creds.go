@@ -1,13 +1,11 @@
 package analysis
 
 import (
+	"maps"
 	"math"
-	"sort"
 	"time"
 
-	"honeynet/internal/collector"
 	"honeynet/internal/report"
-	"honeynet/internal/session"
 )
 
 // ---------- Figure 10: top login passwords ----------
@@ -23,36 +21,16 @@ type Fig10Result struct {
 // Fig10 counts sessions per password over time for the top-n passwords
 // (the paper shows 5).
 func Fig10(w *World, topN int) *Fig10Result {
-	res := &Fig10Result{Monthly: map[string]map[time.Time]int{}, Totals: map[string]int{}}
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) || !r.LoggedIn() {
-			continue
-		}
-		for _, l := range r.Logins {
-			if !l.Success {
-				continue
-			}
-			res.Totals[l.Password]++
-			if res.Monthly[l.Password] == nil {
-				res.Monthly[l.Password] = map[time.Time]int{}
-			}
-			res.Monthly[l.Password][r.Month()]++
-		}
+	s := w.sessions()
+	// The result owns its maps; the view's stay as tallied.
+	res := &Fig10Result{Monthly: map[string]map[time.Time]int{}, Totals: maps.Clone(s.successTotals)}
+	for p, byMonth := range s.successes {
+		res.Monthly[p] = maps.Clone(byMonth)
 	}
-	pwds := make([]string, 0, len(res.Totals))
-	for p := range res.Totals {
-		pwds = append(pwds, p)
+	res.Top = byCount(res.Totals)
+	if len(res.Top) > topN {
+		res.Top = res.Top[:topN]
 	}
-	sort.Slice(pwds, func(i, j int) bool {
-		if res.Totals[pwds[i]] != res.Totals[pwds[j]] {
-			return res.Totals[pwds[i]] > res.Totals[pwds[j]]
-		}
-		return pwds[i] < pwds[j]
-	})
-	if len(pwds) > topN {
-		pwds = pwds[:topN]
-	}
-	res.Top = pwds
 	return res
 }
 
@@ -68,7 +46,7 @@ func (f *Fig10Result) Table() *report.Table {
 		Title:   "Figure 10: top login passwords over time (sessions)",
 		Headers: append([]string{"month"}, f.Top...),
 	}
-	for _, m := range collector.SortedMonths(months) {
+	for _, m := range sortedMonths(months) {
 		row := []any{m.Format("2006-01")}
 		for _, p := range f.Top {
 			row = append(row, f.Monthly[p][m])
@@ -82,15 +60,8 @@ func (f *Fig10Result) Table() *report.Table {
 // monthly series — the dreambox / vertex25ektks123 synchronization
 // check.
 func (f *Fig10Result) Correlation(a, b string) float64 {
-	months := map[time.Time]bool{}
-	for m := range f.Monthly[a] {
-		months[m] = true
-	}
-	for m := range f.Monthly[b] {
-		months[m] = true
-	}
 	var xs, ys []float64
-	for _, m := range collector.SortedMonths(months) {
+	for _, m := range sortedMonths(f.Monthly[a], f.Monthly[b]) {
 		xs = append(xs, float64(f.Monthly[a][m]))
 		ys = append(ys, float64(f.Monthly[b][m]))
 	}
@@ -147,45 +118,16 @@ type Fig11Result struct {
 
 // Fig11 computes the Cowrie-default-credential series.
 func Fig11(w *World) *Fig11Result {
-	res := &Fig11Result{}
-	perMonth := map[time.Time]*Fig11Month{}
-	ips := map[string]int{}
-	row := func(m time.Time) *Fig11Month {
-		r, ok := perMonth[m]
-		if !ok {
-			r = &Fig11Month{Month: m}
-			perMonth[m] = r
-		}
-		return r
-	}
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) {
-			continue
-		}
-		for _, l := range r.Logins {
-			switch l.Username {
-			case "phil":
-				if l.Success {
-					row(r.Month()).PhilSuccess++
-					res.PhilSessions++
-					ips[r.ClientIP]++
-					if len(r.Commands) == 0 {
-						res.PhilNoCommands++
-					}
-				}
-			case "richard":
-				row(r.Month()).RichardTries++
-			}
-		}
-	}
-	res.PhilUniqueIPs = len(ips)
-	for _, n := range ips {
+	s := w.sessions()
+	res := &Fig11Result{PhilNoCommands: s.philNoCommands, PhilUniqueIPs: len(s.philIPs)}
+	for _, n := range s.philIPs {
+		res.PhilSessions += n
 		if n > 1 {
 			res.PhilRepeatIPs++
 		}
 	}
-	for _, m := range collector.SortedMonths(perMonth) {
-		res.Months = append(res.Months, *perMonth[m])
+	for _, m := range sortedMonths(s.philOK, s.richardTries) {
+		res.Months = append(res.Months, Fig11Month{Month: m, PhilSuccess: s.philOK[m], RichardTries: s.richardTries[m]})
 	}
 	return res
 }
@@ -200,21 +142,4 @@ func (f *Fig11Result) Table() *report.Table {
 		t.AddRow(m.Month.Format("2006-01"), m.PhilSuccess, m.RichardTries)
 	}
 	return t
-}
-
-// IntrusionPasswordSessions counts sessions per password restricted to
-// pure intrusions (login, no commands) — used for the 3245gs5662d34
-// investigation.
-func IntrusionPasswordSessions(w *World, password string) []*session.Record {
-	return w.Store.Filter(func(r *session.Record) bool {
-		if !IsSSH(r) || r.Kind() != session.Intrusion {
-			return false
-		}
-		for _, l := range r.Logins {
-			if l.Success && l.Password == password {
-				return true
-			}
-		}
-		return false
-	})
 }

@@ -1,25 +1,42 @@
 package analysis
 
 import (
+	"maps"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 
-	"honeynet/internal/collector"
 	"honeynet/internal/report"
 	"honeynet/internal/session"
 )
 
-// isMdrfckr matches the campaign's sessions by its key label.
-func isMdrfckr(r *session.Record) bool {
-	return strings.Contains(r.CommandText(), "mdrfckr")
+// isMdrfckr matches the campaign's sessions by the key label in their
+// command text.
+func isMdrfckr(txt string) bool { return strings.Contains(txt, "mdrfckr") }
+
+// mdrfckrSessions calls f for every campaign session of the commands
+// view, in store order, with its command text.
+func mdrfckrSessions(w *World, f func(r *session.Record, txt string)) {
+	cmds := w.commands()
+	for i, r := range cmds.recs {
+		if isMdrfckr(cmds.texts[i]) {
+			f(r, cmds.texts[i])
+		}
+	}
 }
 
-// isMdrfckrVariant identifies the post-2022-12-08 variant: it clears
-// hosts.deny and removes the WorkMiner scripts instead of changing the
-// root password.
-func isMdrfckrVariant(r *session.Record) bool {
-	txt := r.CommandText()
-	return strings.Contains(txt, "mdrfckr") && strings.Contains(txt, "hosts.deny")
+// MdrfckrIPs returns the campaign's distinct client IPs, sorted: the
+// population the external Killnet feed is sampled from.
+func MdrfckrIPs(w *World) []string {
+	set := map[string]bool{}
+	mdrfckrSessions(w, func(r *session.Record, _ string) { set[r.ClientIP] = true })
+	ips := make([]string, 0, len(set))
+	for ip := range set {
+		ips = append(ips, ip)
+	}
+	sort.Strings(ips)
+	return ips
 }
 
 // ---------- Figure 12: mdrfckr volume over time ----------
@@ -36,10 +53,7 @@ type Fig12Day struct {
 func Fig12(w *World) []Fig12Day {
 	perDay := map[time.Time]*Fig12Day{}
 	ips := map[time.Time]map[string]bool{}
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) || r.Kind() != session.CommandExec || !isMdrfckr(r) {
-			continue
-		}
+	mdrfckrSessions(w, func(r *session.Record, _ string) {
 		d := r.Day()
 		row, ok := perDay[d]
 		if !ok {
@@ -49,9 +63,9 @@ func Fig12(w *World) []Fig12Day {
 		}
 		row.Sessions++
 		ips[d][r.ClientIP] = true
-	}
+	})
 	var out []Fig12Day
-	for _, d := range collector.SortedMonths(perDay) {
+	for _, d := range sortedMonths(perDay) {
 		perDay[d].UniqueIPs = len(ips[d])
 		out = append(out, *perDay[d])
 	}
@@ -98,59 +112,41 @@ type CaseStudy struct {
 
 // Mdrfckr runs the section 9 case study.
 func Mdrfckr(w *World, keyHash string) *CaseStudy {
+	logins := w.sessions()
 	cs := &CaseStudy{
 		InitialMonthly: map[time.Time]int{},
 		VariantMonthly: map[time.Time]int{},
-		Login3245:      map[time.Time]int{},
+		Login3245:      maps.Clone(logins.login3245),
 	}
-	mdrIPs := map[string]bool{}
-	ips3245 := map[string]bool{}
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) {
-			continue
-		}
-		if r.Kind() == session.Intrusion {
-			for _, l := range r.Logins {
-				if l.Success && l.Password == "3245gs5662d34" {
-					cs.Login3245[r.Month()]++
-					ips3245[r.ClientIP] = true
-				}
-			}
-			continue
-		}
-		if r.Kind() != session.CommandExec || !isMdrfckr(r) {
-			continue
-		}
+	mdrfckrSessions(w, func(r *session.Record, txt string) {
 		cs.Sessions++
-		mdrIPs[r.ClientIP] = true
-		if isMdrfckrVariant(r) {
+		// The post-2022-12-08 variant clears hosts.deny and removes the
+		// WorkMiner scripts instead of changing the root password.
+		if strings.Contains(txt, "hosts.deny") {
 			cs.VariantMonthly[r.Month()]++
 		} else {
 			cs.InitialMonthly[r.Month()]++
 		}
-		if strings.Contains(r.CommandText(), "base64 -d") {
+		if strings.Contains(txt, "base64 -d") {
 			if inDropWindow(r.Start) {
 				cs.Base64InDrops++
 			} else {
 				cs.Base64Outside++
 			}
 		}
-	}
+	})
+	mdrIPs := MdrfckrIPs(w)
 	cs.UniqueIPs = len(mdrIPs)
-	if len(ips3245) > 0 {
+	if len(logins.ips3245) > 0 {
 		overlap := 0
-		for ip := range ips3245 {
-			if mdrIPs[ip] {
+		for ip := range logins.ips3245 {
+			if _, ok := slices.BinarySearch(mdrIPs, ip); ok {
 				overlap++
 			}
 		}
-		cs.IPOverlap3245 = float64(overlap) / float64(len(ips3245))
+		cs.IPOverlap3245 = float64(overlap) / float64(len(logins.ips3245))
 	}
-	ipList := make([]string, 0, len(mdrIPs))
-	for ip := range mdrIPs {
-		ipList = append(ipList, ip)
-	}
-	cs.KillnetOverlap = w.AbuseDB.KillnetOverlap(ipList)
+	cs.KillnetOverlap = w.AbuseDB.KillnetOverlap(mdrIPs)
 	if keyHash != "" {
 		cs.CompromisedHosts = w.AbuseDB.CompromisedHosts(keyHash)
 	}
@@ -171,21 +167,11 @@ func inDropWindow(t time.Time) bool {
 
 // Fig13Table renders the variant/credential comparison.
 func (cs *CaseStudy) Fig13Table() *report.Table {
-	months := map[time.Time]bool{}
-	for m := range cs.InitialMonthly {
-		months[m] = true
-	}
-	for m := range cs.VariantMonthly {
-		months[m] = true
-	}
-	for m := range cs.Login3245 {
-		months[m] = true
-	}
 	t := &report.Table{
 		Title:   "Figure 13: mdrfckr-initial vs mdrfckr-variant vs 3245gs5662d34 logins",
 		Headers: []string{"month", "mdrfckr-initial", "mdrfckr-variant", "login-3245gs5662d34"},
 	}
-	for _, m := range collector.SortedMonths(months) {
+	for _, m := range sortedMonths(cs.InitialMonthly, cs.VariantMonthly, cs.Login3245) {
 		t.AddRow(m.Format("2006-01"), cs.InitialMonthly[m], cs.VariantMonthly[m], cs.Login3245[m])
 	}
 	return t
@@ -223,11 +209,9 @@ func CurlProxy(w *World) *CurlProxyStats {
 	st := &CurlProxyStats{}
 	ips := map[string]bool{}
 	hps := map[string]bool{}
-	for _, r := range w.Store.All() {
-		if !IsSSH(r) || r.Kind() != session.CommandExec {
-			continue
-		}
-		txt := r.CommandText()
+	cmds := w.commands()
+	for i, r := range cmds.recs {
+		txt := cmds.texts[i]
 		if !strings.Contains(txt, "max-redir") {
 			continue
 		}

@@ -5,34 +5,8 @@ import (
 	"time"
 
 	"honeynet/internal/asdb"
-	"honeynet/internal/collector"
 	"honeynet/internal/report"
-	"honeynet/internal/session"
 )
-
-// downloadSession is a (session, download) join row.
-type downloadSession struct {
-	rec *session.Record
-	dl  session.Download
-}
-
-// downloads returns the join in store order, built the first time a
-// figure asks.
-func downloads(w *World) []downloadSession {
-	w.dlOnce.Do(func() {
-		for _, r := range w.Store.All() {
-			if !IsSSH(r) {
-				continue
-			}
-			for _, d := range r.Downloads {
-				if d.SourceIP != "" {
-					w.dls = append(w.dls, downloadSession{rec: r, dl: d})
-				}
-			}
-		}
-	})
-	return w.dls
-}
 
 // ---------- Section 7 headline storage statistics ----------
 
@@ -57,7 +31,7 @@ func Storage(w *World) *StorageStats {
 	storage := map[string]bool{}
 	ases := map[int]bool{}
 	seenSession := map[uint64]bool{}
-	for _, ds := range downloads(w) {
+	for _, ds := range w.commands().dls {
 		if !seenSession[ds.rec.ID] {
 			seenSession[ds.rec.ID] = true
 			st.DownloadSessions++
@@ -115,7 +89,7 @@ type Fig7Result struct {
 // Fig7 builds the Sankey flow counts.
 func Fig7(w *World) *Fig7Result {
 	res := &Fig7Result{Flows: map[string]map[string]int{}}
-	for _, ds := range downloads(w) {
+	for _, ds := range w.commands().dls {
 		cAS, ok1 := w.Registry.Lookup(ds.rec.ClientIP, ds.rec.Start)
 		sAS, ok2 := w.Registry.Lookup(ds.dl.SourceIP, ds.rec.Start)
 		if !ok1 || !ok2 {
@@ -192,7 +166,7 @@ type Fig8Month struct {
 // Fig8 computes both Figure 8(a) and 8(b) series.
 func Fig8(w *World) []Fig8Month {
 	perMonth := map[time.Time]*Fig8Month{}
-	for _, ds := range downloads(w) {
+	for _, ds := range w.commands().dls {
 		as, ok := w.Registry.Lookup(ds.dl.SourceIP, ds.rec.Start)
 		if !ok {
 			continue
@@ -224,7 +198,7 @@ func Fig8(w *World) []Fig8Month {
 		}
 	}
 	var out []Fig8Month
-	for _, m := range collector.SortedMonths(perMonth) {
+	for _, m := range sortedMonths(perMonth) {
 		out = append(out, *perMonth[m])
 	}
 	return out
@@ -301,7 +275,7 @@ type Fig9Quarter struct {
 func Fig9(w *World, recallDays int) []Fig9Quarter {
 	// Collect per-IP sorted activity days.
 	days := map[string]map[time.Time]bool{}
-	for _, ds := range downloads(w) {
+	for _, ds := range w.commands().dls {
 		ip := ds.dl.SourceIP
 		if days[ip] == nil {
 			days[ip] = map[time.Time]bool{}
@@ -343,7 +317,7 @@ func Fig9(w *World, recallDays int) []Fig9Quarter {
 		row.Total++
 	}
 	var out []Fig9Quarter
-	for _, q := range collector.SortedMonths(perQuarter) {
+	for _, q := range sortedMonths(perQuarter) {
 		out = append(out, *perQuarter[q])
 	}
 	return out
@@ -394,7 +368,7 @@ type Fig17Month struct {
 // Fig17 buckets download sessions by the storage AS type per month.
 func Fig17(w *World) []Fig17Month {
 	perMonth := map[time.Time]*Fig17Month{}
-	for _, ds := range downloads(w) {
+	for _, ds := range w.commands().dls {
 		as, ok := w.Registry.Lookup(ds.dl.SourceIP, ds.rec.Start)
 		if !ok {
 			continue
@@ -409,7 +383,7 @@ func Fig17(w *World) []Fig17Month {
 		row.ByType[as.Type.String()]++
 	}
 	var out []Fig17Month
-	for _, m := range collector.SortedMonths(perMonth) {
+	for _, m := range sortedMonths(perMonth) {
 		out = append(out, *perMonth[m])
 	}
 	return out

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"honeynet/internal/cluster"
+	"honeynet/internal/collector"
 	"honeynet/internal/obs"
 	"honeynet/internal/session"
 	"honeynet/internal/textdist"
@@ -40,21 +41,22 @@ type DLDSample struct {
 }
 
 // sampleKey identifies the memoized sample; a second request with the
-// same key reuses the built sample instead of refilling the matrix.
+// same key reuses the built sample instead of refilling the matrix, and
+// like the views the memo does not outlive a Store swap.
 type sampleKey struct {
+	store      *collector.Store
 	sampleSize int
 	seed       int64
-	valid      bool
 }
 
 // DLDSample returns the shared sample for cfg, building it on first use
-// and memoizing it on the World. Only SampleSize and Seed participate in
+// and memoizing it on the World. Of cfg only SampleSize and Seed are in
 // the key: K and Workers do not affect the sample or the matrix (the
 // fill is worker-count invariant), so a k-sweep and the final clustering
 // share one matrix.
 func (w *World) DLDSample(cfg ClusterConfig) (*DLDSample, error) {
 	cfg = cfg.defaults()
-	key := sampleKey{sampleSize: cfg.SampleSize, seed: cfg.Seed, valid: true}
+	key := sampleKey{store: w.Store, sampleSize: cfg.SampleSize, seed: cfg.Seed}
 	w.sampleMu.Lock()
 	defer w.sampleMu.Unlock()
 	if w.sample != nil && w.sampleCfg == key {
@@ -76,16 +78,16 @@ func (w *World) DLDSample(cfg ClusterConfig) (*DLDSample, error) {
 func buildDLDSample(w *World, cfg ClusterConfig) (*DLDSample, error) {
 	// Section 6 clusters the sessions in which files are loaded onto the
 	// honeypot (the ~3M download sessions), not every state change.
-	recs := w.Store.Filter(func(r *session.Record) bool {
-		return IsSSH(r) && r.Kind() == session.CommandExec && len(r.Downloads) > 0
-	})
-
 	// Deduplicate by command text, keeping multiplicity. Obfuscated
 	// variants remain distinct texts — that is what DLD absorbs.
 	index := map[string]int{}
 	s := &DLDSample{}
-	for _, r := range recs {
-		txt := r.CommandText()
+	cmds := w.commands()
+	for j, r := range cmds.recs {
+		if len(r.Downloads) == 0 {
+			continue
+		}
+		txt := cmds.texts[j]
 		i, ok := index[txt]
 		if !ok {
 			i = len(s.Texts)

@@ -8,8 +8,6 @@ package core
 import (
 	"io"
 	"math/rand"
-	"sort"
-	"strings"
 
 	"honeynet/internal/abusedb"
 	"honeynet/internal/analysis"
@@ -123,27 +121,9 @@ func FromRecords(recs []*session.Record, w *analysis.World) *Pipeline {
 // the installed key (>13k hosts — a global number, not scaled by the
 // honeynet's vantage).
 func populateFeeds(w *analysis.World, seed int64) {
-	ips := map[string]bool{}
-	for _, r := range w.Store.All() {
-		if r.Kind() != session.CommandExec {
-			continue
-		}
-		for _, c := range r.Commands {
-			if len(c.Raw) > 0 && containsMdrfckr(c.Raw) {
-				ips[r.ClientIP] = true
-				break
-			}
-		}
-	}
-	list := make([]string, 0, len(ips))
-	for ip := range ips {
-		list = append(list, ip)
-	}
-	// Map iteration order is random: sort before sampling so the same
-	// seed always selects the same Killnet subset.
-	sort.Strings(list)
-	// Deterministic subset: the same 988/270k fraction of observed
-	// campaign IPs the paper found on the Killnet list.
+	// Deterministic subset of the sorted campaign IPs: the same
+	// 988/270k fraction the paper found on the Killnet list.
+	list := analysis.MdrfckrIPs(w)
 	rng := rand.New(rand.NewSource(seed + 99))
 	want := int(float64(len(list)) * 988.0 / 270000.0)
 	if want < 1 && len(list) > 0 {
@@ -154,10 +134,6 @@ func populateFeeds(w *analysis.World, seed int64) {
 		w.AbuseDB.AddKillnetIP(list[perm[i]])
 	}
 	w.AbuseDB.RecordCompromisedKey(botnet.MdrfckrKeyHash(), 13368)
-}
-
-func containsMdrfckr(s string) bool {
-	return strings.Contains(s, "mdrfckr")
 }
 
 // Run renders the figure table entry selector names (see Selectors) to

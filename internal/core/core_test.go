@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -98,17 +99,41 @@ func TestFromRecords(t *testing.T) {
 	}
 }
 
-func TestContainsMdrfckr(t *testing.T) {
-	cases := map[string]bool{
-		"":                    false,
-		"mdrfckr":             true,
-		"xxmdrfckrxx":         true,
-		"mdrfck":              false,
-		"echo ssh-rsa mdrfck": false,
+// TestFigAllBuildsEachViewOnce: the views are the only readers of the
+// dataset, and a run pays for exactly the views its figures read.
+func TestFigAllBuildsEachViewOnce(t *testing.T) {
+	sim, err := Simulate(simulate.Config{Scale: 20000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for in, want := range cases {
-		if got := containsMdrfckr(in); got != want {
-			t.Errorf("containsMdrfckr(%q) = %v", in, got)
+	for _, c := range []struct {
+		selector string
+		workers  int
+		want     map[string]int64
+	}{
+		{"all", 1, map[string]int64{"view.sessions": 1, "view.commands": 1, "classify.batch": 1}},
+		{"all", 8, map[string]int64{"view.sessions": 1, "view.commands": 1, "classify.batch": 1}},
+		{"7", 1, map[string]int64{"view.sessions": 0, "view.commands": 1, "classify.batch": 0}},
+		{"10", 1, map[string]int64{"view.sessions": 1, "view.commands": 0, "classify.batch": 0}},
+	} {
+		// A fresh World per run: the views are memoized on it.
+		tracer := obs.NewTracer()
+		p := FromRecords(sim.World.Store.All(), &analysis.World{
+			Registry: sim.World.Registry, AbuseDB: sim.World.AbuseDB,
+			Workers: c.workers, Tracer: tracer,
+		})
+		ccfg := analysis.ClusterConfig{K: 10, SampleSize: 150, Seed: 5}
+		if err := p.Run(io.Discard, c.selector, ccfg, false); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for _, ph := range tracer.Phases() {
+			got[ph.Name] = ph.Count
+		}
+		for name, want := range c.want {
+			if got[name] != want {
+				t.Errorf("-fig %s -workers %d: %d %s spans, want %d", c.selector, c.workers, got[name], name, want)
+			}
 		}
 	}
 }

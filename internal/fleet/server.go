@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -98,19 +97,11 @@ func NewServer(dir string, opts ServerOptions) (*Server, error) {
 		shards: map[string]*nodeIngest{},
 		conns:  map[net.Conn]struct{}{},
 	}
-	entries, err := os.ReadDir(dir)
+	nodes, err := store.FleetNodes(dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		const p = store.NodeDirPrefix
-		if len(e.Name()) <= len(p) || e.Name()[:len(p)] != p {
-			continue
-		}
-		node := e.Name()[len(p):]
+	for _, node := range nodes {
 		if _, err := s.shard(node); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("fleet: reopen shard %s: %w", node, err)

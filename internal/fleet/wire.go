@@ -158,8 +158,11 @@ func parseBatch(p []byte) (base uint64, count int, rest []byte, err error) {
 		return 0, 0, nil, fmt.Errorf("fleet: corrupt batch base")
 	}
 	p = p[n:]
+	// count and the record lengths below are the peer's: compare them
+	// as uint64 against the bytes left before converting to int. A
+	// record is at least its one length byte.
 	c, n := binary.Uvarint(p)
-	if n <= 0 {
+	if n <= 0 || c > uint64(len(p)-n) {
 		return 0, 0, nil, fmt.Errorf("fleet: corrupt batch count")
 	}
 	return base, int(c), p[n:], nil
@@ -168,7 +171,7 @@ func parseBatch(p []byte) (base uint64, count int, rest []byte, err error) {
 // nextBatchRecord pops the next record line off the packed section.
 func nextBatchRecord(rest []byte) (line, remainder []byte, err error) {
 	ln, n := binary.Uvarint(rest)
-	if n <= 0 || n+int(ln) > len(rest) {
+	if n <= 0 || ln > uint64(len(rest)-n) {
 		return nil, nil, fmt.Errorf("fleet: corrupt batch record")
 	}
 	return rest[n : n+int(ln)], rest[n+int(ln):], nil

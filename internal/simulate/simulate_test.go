@@ -28,12 +28,19 @@ func TestSessionMixMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Store.StatsN(1)
-	if st.Total < 50_000 {
-		t.Fatalf("total = %d, too small to judge", st.Total)
+	var ssh int
+	var byKind [4]int
+	for _, r := range res.Store.All() {
+		if r.Protocol == session.ProtoSSH {
+			ssh++
+			byKind[r.Kind()]++
+		}
+	}
+	if total := res.Store.Len(); total < 50_000 {
+		t.Fatalf("total = %d, too small to judge", total)
 	}
 	frac := func(k session.Kind) float64 {
-		return float64(st.SSHByKind[k]) / float64(st.SSH)
+		return float64(byKind[k]) / float64(ssh)
 	}
 	// Paper: scanning 45M, scouting 258M, intrusion 80M, cmdexec 163M of
 	// the 546M SSH sessions.

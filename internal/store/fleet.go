@@ -22,8 +22,8 @@ import (
 const (
 	// FleetMarkerName marks a directory as a fleet of per-node shards.
 	FleetMarkerName = "FLEET.json"
-	// NodeDirPrefix prefixes each shard's subdirectory: node-<id>.
-	NodeDirPrefix = "node-"
+	// nodeDirPrefix prefixes each shard's subdirectory: node-<id>.
+	nodeDirPrefix = "node-"
 )
 
 // Shard pairs one node's id with its store.
@@ -48,19 +48,31 @@ func IsFleetDir(dir string) bool {
 	if exists(filepath.Join(dir, manifestName)) || exists(filepath.Join(dir, walName)) {
 		return false
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), NodeDirPrefix) {
-			sub := filepath.Join(dir, e.Name())
-			if exists(filepath.Join(sub, manifestName)) || exists(filepath.Join(sub, walName)) {
-				return true
-			}
+	nodes, _ := FleetNodes(dir)
+	for _, node := range nodes {
+		sub := ShardDir(dir, node)
+		if exists(filepath.Join(sub, manifestName)) || exists(filepath.Join(sub, walName)) {
+			return true
 		}
 	}
 	return false
+}
+
+// FleetNodes returns the node ids of the shard directories under the
+// fleet directory dir, sorted: every subdirectory node-<id> whose id
+// passes ValidNodeID (a collector never creates any other).
+func FleetNodes(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir) // sorted by name, so by id
+	if err != nil {
+		return nil, err
+	}
+	var nodes []string
+	for _, e := range entries {
+		if id, ok := strings.CutPrefix(e.Name(), nodeDirPrefix); ok && e.IsDir() && ValidNodeID(id) {
+			nodes = append(nodes, id)
+		}
+	}
+	return nodes, nil
 }
 
 // WriteFleetMarker stamps dir as a fleet directory (idempotent).
@@ -81,7 +93,7 @@ func WriteFleetMarker(dir string) error {
 // ShardDir returns the shard directory for one node id under a fleet
 // directory.
 func ShardDir(dir, node string) string {
-	return filepath.Join(dir, NodeDirPrefix+node)
+	return filepath.Join(dir, nodeDirPrefix+node)
 }
 
 // ValidNodeID restricts node ids to names that are safe as directory
@@ -132,17 +144,13 @@ func OpenDir(dir string) (Reader, error) {
 // OpenFleet opens every node-<id> shard under dir with opts. Shards
 // are ordered by node id, so every fleet-wide result is deterministic.
 func OpenFleet(dir string, opts Options) (*Fleet, error) {
-	entries, err := os.ReadDir(dir)
+	nodes, err := FleetNodes(dir)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{}
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), NodeDirPrefix) {
-			continue
-		}
-		node := strings.TrimPrefix(e.Name(), NodeDirPrefix)
-		st, err := Open(filepath.Join(dir, e.Name()), opts)
+	for _, node := range nodes {
+		st, err := Open(ShardDir(dir, node), opts)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("store: fleet shard %s: %w", node, err)
@@ -152,7 +160,6 @@ func OpenFleet(dir string, opts Options) (*Fleet, error) {
 	if len(f.shards) == 0 {
 		return nil, fmt.Errorf("store: %s: no node-<id> shards", dir)
 	}
-	f.sortShards()
 	return f, nil
 }
 

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -176,6 +178,27 @@ func TestIsFleetDir(t *testing.T) {
 	}
 	if IsFleetDir(t.TempDir()) {
 		t.Error("empty dir misdetected as fleet dir")
+	}
+}
+
+// TestFleetNodes: the one shard enumerator lists node-<id>
+// subdirectories with a valid id, sorted, and nothing else.
+func TestFleetNodes(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"node-b", "node-a.1", "node-", "node-.hidden", "node-bad id", "other"} {
+		if err := os.Mkdir(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "node-file"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := FleetNodes(dir)
+	if want := []string{"a.1", "b"}; err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("FleetNodes = %v, %v; want %v", got, err, want)
+	}
+	if _, err := FleetNodes(filepath.Join(dir, "missing")); err == nil {
+		t.Error("FleetNodes of a missing directory did not fail")
 	}
 }
 

@@ -3,10 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -66,42 +63,33 @@ func Follow(ctx context.Context, dir string, opts Options, interval time.Duratio
 // followOnce runs one poll: snapshot every shard and drain it past its
 // cursor.
 func followOnce(dir string, opts Options, cursors map[string]*followCursor, fn func(node string, seq uint64, line []byte) error) error {
-	type shardRef struct {
-		node string
-		dir  string
-	}
-	var shards []shardRef
+	nodes := []string{""} // a single store is the one shard of no node
 	if IsFleetDir(dir) {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
+		var err error
+		if nodes, err = FleetNodes(dir); err != nil {
 			return err
 		}
-		for _, e := range entries {
-			if e.IsDir() && strings.HasPrefix(e.Name(), NodeDirPrefix) {
-				node := strings.TrimPrefix(e.Name(), NodeDirPrefix)
-				shards = append(shards, shardRef{node: node, dir: filepath.Join(dir, e.Name())})
-			}
-		}
-		sort.Slice(shards, func(i, j int) bool { return shards[i].node < shards[j].node })
-	} else {
-		shards = []shardRef{{node: "", dir: dir}}
 	}
-	for _, sh := range shards {
-		cur := cursors[sh.node]
+	for _, node := range nodes {
+		shardDir := dir
+		if node != "" {
+			shardDir = ShardDir(dir, node)
+		}
+		cur := cursors[node]
 		if cur == nil {
 			cur = &followCursor{}
-			cursors[sh.node] = cur
+			cursors[node] = cur
 		}
-		st, err := Open(sh.dir, opts)
+		st, err := Open(shardDir, opts)
 		if err != nil {
 			cur.fails++
 			if cur.fails < followMaxFails {
 				continue
 			}
-			return fmt.Errorf("store: follow %s: %w", sh.dir, err)
+			return fmt.Errorf("store: follow %s: %w", shardDir, err)
 		}
 		cur.fails = 0
-		err = drainShard(st, sh.node, cur, fn)
+		err = drainShard(st, node, cur, fn)
 		if cerr := st.Close(); err == nil {
 			err = cerr
 		}

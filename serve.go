@@ -158,33 +158,30 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		return nil, fmt.Errorf("honeynet: rate: %w", err)
 	}
 
+	// Each component is assigned to s as it is built, so every failure
+	// below tears down exactly what exists through the one close.
 	s := &Server{cfg: cfg, reg: cfg.Registry}
+	fail := func(err error) (*Server, error) { return nil, errors.Join(err, s.close()) }
 	switch {
 	case cfg.LogPath != "":
 		s.writer, err = sessionlog.Open(cfg.LogPath, sessionlog.Options{MaxSize: cfg.LogMaxSize})
 		if err != nil {
-			return nil, fmt.Errorf("honeynet: session log: %w", err)
+			return fail(fmt.Errorf("honeynet: session log: %w", err))
 		}
 	case cfg.LogOutput != nil:
 		s.writer = sessionlog.NewStream(cfg.LogOutput)
 	case cfg.StorePath == "":
-		return nil, errors.New("honeynet: ServeConfig needs LogPath, LogOutput, or StorePath")
+		return fail(errors.New("honeynet: ServeConfig needs LogPath, LogOutput, or StorePath"))
 	}
 	if cfg.StorePath != "" {
 		s.store, err = store.Open(cfg.StorePath, store.Options{})
 		if err != nil {
-			if s.writer != nil {
-				s.writer.Close()
-			}
-			return nil, fmt.Errorf("honeynet: store: %w", err)
+			return fail(fmt.Errorf("honeynet: store: %w", err))
 		}
 	}
 	if cfg.ForwardAddr != "" {
 		if s.store == nil {
-			if s.writer != nil {
-				s.writer.Close()
-			}
-			return nil, errors.New("honeynet: ForwardAddr requires StorePath (the store is the durable send queue)")
+			return fail(errors.New("honeynet: ForwardAddr requires StorePath (the store is the durable send queue)"))
 		}
 		node := cfg.ForwardNodeID
 		if node == "" {
@@ -192,11 +189,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		}
 		s.fwd, err = fleet.NewForwarder(cfg.ForwardAddr, node, s.store, fleet.Options{MaxDelay: cfg.ForwardMaxDelay})
 		if err != nil {
-			if s.writer != nil {
-				s.writer.Close()
-			}
-			s.store.Close()
-			return nil, fmt.Errorf("honeynet: forward: %w", err)
+			return fail(fmt.Errorf("honeynet: forward: %w", err))
 		}
 	}
 
@@ -213,7 +206,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		s.budget = &guard.Budget{MaxFetches: cfg.DownloadBudget, Window: time.Minute}
 	}
 
-	node, err := honeypot.New(honeypot.Config{
+	s.node, err = honeypot.New(honeypot.Config{
 		ID:             cfg.ID,
 		Hostname:       cfg.Hostname,
 		Timeout:        cfg.Timeout,
@@ -242,17 +235,10 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		},
 	})
 	if err != nil {
-		if s.writer != nil {
-			s.writer.Close()
-		}
-		if s.store != nil {
-			s.store.Close()
-		}
-		return nil, err
+		return fail(err)
 	}
-	s.node = node
 
-	node.Register(s.reg)
+	s.node.Register(s.reg)
 	s.limiter.Register(s.reg)
 	s.budget.Register(s.reg)
 	if s.writer != nil {
@@ -268,16 +254,14 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		s.livep.Register(s.reg)
 	}
 
-	s.sshAddr, err = node.ListenSSH(cfg.SSHAddr)
+	s.sshAddr, err = s.node.ListenSSH(cfg.SSHAddr)
 	if err != nil {
-		s.close()
-		return nil, fmt.Errorf("honeynet: ssh: %w", err)
+		return fail(fmt.Errorf("honeynet: ssh: %w", err))
 	}
 	if cfg.TelnetAddr != "" {
-		s.telnetAddr, err = node.ListenTelnet(cfg.TelnetAddr)
+		s.telnetAddr, err = s.node.ListenTelnet(cfg.TelnetAddr)
 		if err != nil {
-			s.close()
-			return nil, fmt.Errorf("honeynet: telnet: %w", err)
+			return fail(fmt.Errorf("honeynet: telnet: %w", err))
 		}
 	}
 	if cfg.AdminAddr != "" {
@@ -292,8 +276,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 			return nil
 		}, routes...)
 		if err != nil {
-			s.close()
-			return nil, fmt.Errorf("honeynet: admin: %w", err)
+			return fail(fmt.Errorf("honeynet: admin: %w", err))
 		}
 		s.adminAddr = s.adminSrv.Addr
 	}
