@@ -5,7 +5,7 @@
 // Usage:
 //
 //	honeypotd [-ssh :2222] [-telnet :2323] [-id hp-1] [-hostname svr04] [-timeout 3m]
-//	          [-out sessions.jsonl] [-store DIR] [-log-max-size 256MB]
+//	          [-store DIR] [-forward HOST:PORT]
 //	          [-max-conns 512] [-max-conns-per-ip 8] [-rate 5/s]
 //	          [-drain-timeout 30s] [-admin :9090]
 //
@@ -17,10 +17,12 @@
 // months): connections are capped globally and per source IP with
 // oldest-connection shedding, admission is rate limited per IP, the
 // emulated fetcher has a per-IP download budget so the node cannot be
-// farmed as an open proxy, the session log is crash-safe (fsynced,
-// rotated, torn-tail recovered), and SIGTERM drains in-flight sessions
-// before exiting. With -admin, the node serves Prometheus /metrics,
-// /healthz (503 while draining), and /debug/pprof.
+// farmed as an open proxy, -store keeps every record in a crash-safe
+// store (fsynced WAL, torn-tail recovery, sealed month segments) that
+// hnquery reads, and SIGTERM drains in-flight sessions before exiting.
+// Without -store, records stream to stdout, one JSON line per session.
+// With -admin, the node serves Prometheus /metrics, /healthz (503 while
+// draining), and /debug/pprof.
 package main
 
 import (
@@ -34,11 +36,7 @@ import (
 	"honeynet"
 	"honeynet/internal/honeypot"
 	"honeynet/internal/session"
-	"honeynet/internal/sessionlog"
 )
-
-// defaultLogMaxSize is -log-max-size's default, in the flag's syntax.
-const defaultLogMaxSize = "256MB"
 
 // parseFlags registers every honeypotd flag straight onto the facade's
 // configuration and parses args. Defaults the library has are read from
@@ -55,8 +53,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (honeynet.ServeConfig, error) {
 	fs.StringVar(&cfg.ID, "id", cfg.ID, "honeypot node id")
 	fs.StringVar(&cfg.Hostname, "hostname", cfg.Hostname, "fake hostname the shell presents")
 	fs.DurationVar(&cfg.Timeout, "timeout", honeypot.DefaultTimeout, "hard session timeout")
-	fs.StringVar(&cfg.LogPath, "out", "", "session JSONL output file (default stdout)")
-	fs.StringVar(&cfg.StorePath, "store", "", "also sink sessions into a month-partitioned session store at this directory (queryable via hnanalyze -store)")
+	fs.StringVar(&cfg.StorePath, "store", "", "keep sessions in a crash-safe, month-partitioned session store at this directory (queryable via hnquery -store); without it, sessions stream to stdout as JSON lines")
 	fs.BoolVar(&cfg.Persistent, "persistent", false, "retain each client's filesystem across connections (defeats attacker consistency checks)")
 	fs.StringVar(&cfg.ForwardAddr, "forward", "", "stream stored sessions to the fleet collector (hncollect) at this address; requires -store")
 	fs.StringVar(&cfg.ForwardNodeID, "node-id", "", "node identity for fleet forwarding, [A-Za-z0-9._-] (default the -id value)")
@@ -64,12 +61,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (honeynet.ServeConfig, error) {
 	fs.IntVar(&cfg.MaxConns, "max-conns", 512, "global concurrent connection cap; oldest connection is shed at the cap (0 = unlimited)")
 	fs.IntVar(&cfg.MaxConnsPerIP, "max-conns-per-ip", 8, "per-IP concurrent connection cap; newcomers beyond it are shed (0 = unlimited)")
 	fs.StringVar(&cfg.Rate, "rate", "5/s", "per-IP connection admission rate, e.g. 5/s, 300/m (empty = unlimited)")
-	setLogMaxSize := func(s string) (err error) {
-		cfg.LogMaxSize, err = sessionlog.ParseSize(s)
-		return err
-	}
-	_ = setLogMaxSize(defaultLogMaxSize)
-	fs.Func("log-max-size", "rotate the session log past this size, e.g. 64MB, 1GB (0 = never) (default "+defaultLogMaxSize+")", setLogMaxSize)
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "on SIGTERM, wait this long for in-flight sessions before force-closing")
 	fs.IntVar(&cfg.DownloadBudget, "download-budget", 120, "per-IP emulated fetches allowed per minute (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
@@ -87,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("honeypotd: %v", err)
 	}
-	if cfg.LogPath == "" && cfg.StorePath == "" {
+	if cfg.StorePath == "" {
 		cfg.LogOutput = os.Stdout
 	}
 	cfg.OnRecord = func(r *session.Record) {
@@ -110,24 +101,23 @@ func main() {
 	// Serve until SIGINT/SIGTERM, then drain: stop accepting, let
 	// in-flight sessions finish up to -drain-timeout, force-close the
 	// rest (their partial records are still sealed and written), seal
-	// the session log with a metrics snapshot, and print the counters.
+	// the store, and print the counters.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintf(os.Stderr, "honeypotd: draining (up to %v)...\n", cfg.DrainTimeout)
-	w := srv.Log()
 	forced, derr := srv.Drain("shutdown")
 	m := srv.Metrics()
-	var written, rotations, werrs int64
-	if w != nil {
-		written, rotations, werrs = w.Written(), w.Rotations(), w.Errors()
+	stored := ""
+	if cfg.StorePath != "" {
+		stored = fmt.Sprintf(", %.0f records in the store", srv.Registry().Snapshot()["honeynet_store_records"])
 	}
-	fmt.Fprintf(os.Stderr, "honeypotd: shutting down: %d ssh + %d telnet connections (%d shed, %d rate-limited, %d force-closed), %d logins ok / %d failed, %d commands, %d downloads (%d throttled), %d state changes, %d records written (%d rotations, %d write errors)\n",
+	fmt.Fprintf(os.Stderr, "honeypotd: shutting down: %d ssh + %d telnet connections (%d shed, %d rate-limited, %d force-closed), %d logins ok / %d failed, %d commands, %d downloads (%d throttled), %d state changes, %d sink errors%s\n",
 		m.SSHConnections, m.TelnetConnections, m.ConnsShed, m.RateLimited, forced,
 		m.AuthSuccesses, m.AuthFailures, m.Commands, m.Downloads, m.DownloadsThrottled,
-		m.StateChanges, written, rotations, werrs)
+		m.StateChanges, m.SinkErrors, stored)
 	if m.SinkErrors > 0 {
-		fmt.Fprintf(os.Stderr, "honeypotd: WARNING: %d session records were lost to write errors\n", m.SinkErrors)
+		fmt.Fprintf(os.Stderr, "honeypotd: WARNING: %d session records failed to reach a sink\n", m.SinkErrors)
 	}
 	if derr != nil {
 		fmt.Fprintf(os.Stderr, "honeypotd: drain: %v\n", derr)

@@ -31,18 +31,20 @@ func TestNoFlagsIsTheLibraryDefault(t *testing.T) {
 		t.Errorf("no flags gave %q %q %q %v, the library defaults are %q %q %q %v",
 			got.SSHAddr, got.ID, got.Hostname, got.DrainTimeout, want.SSHAddr, want.ID, want.Hostname, want.DrainTimeout)
 	}
-	if got.LogMaxSize != 256<<20 || got.LiveOff {
-		t.Errorf("LogMaxSize = %d, LiveOff = %v; want %s and live on", got.LogMaxSize, got.LiveOff, defaultLogMaxSize)
+	if got.LiveOff || got.StorePath != "" {
+		t.Errorf("LiveOff = %v, StorePath = %q; want live on and no store (records stream to stdout)", got.LiveOff, got.StorePath)
 	}
 }
 
-// TestBadConfigFailsBeforeListening: a bad size fails at flag parsing;
-// a bad rate and -forward without -store are refused by Serve before it
-// binds -ssh (here an address already taken, so binding would be the
-// error reported).
+// TestBadConfigFailsBeforeListening: an empty -ssh and the retired
+// file-log flags fail at flag parsing; a bad rate and -forward without
+// -store are refused by Serve before it binds -ssh (here an address
+// already taken, so binding would be the error reported).
 func TestBadConfigFailsBeforeListening(t *testing.T) {
-	if _, err := parse(t, "-log-max-size", "12 parsecs"); err == nil {
-		t.Error("bad -log-max-size parsed")
+	for _, retired := range [][]string{{"-out", "sessions.jsonl"}, {"-log-max-size", "256MB"}} {
+		if _, err := parse(t, retired...); err == nil {
+			t.Errorf("%s parsed; the store is the only durable log", retired[0])
+		}
 	}
 	if _, err := parse(t, "-ssh", ""); err == nil {
 		t.Error("empty -ssh parsed")

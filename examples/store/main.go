@@ -26,7 +26,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// A store-only node: no JSONL session log, every record appended to
+	// A store-only node: no stdout stream, every record appended to
 	// the store's WAL (group-committed: one write and fsync is
 	// amortized over up to 512 records or 2 ms of arrivals, whichever
 	// comes first) and sealed into per-month segments on drain.

@@ -18,9 +18,10 @@
 //   - analysis, report: per-figure analyzers and table rendering
 //   - obs: the metrics registry, exposition, and phase tracer
 //   - guard, sessionlog: long-run connection guardrails and the
-//     crash-safe session log
+//     JSONL record stream a node without a store writes to stdout
 //   - store: the embedded month-partitioned session store with a
-//     streaming query engine (see [Open] and ServeConfig.StorePath)
+//     streaming query engine, and a node's one durable log (see [Open]
+//     and ServeConfig.StorePath)
 //
 // Quick start:
 //

@@ -186,9 +186,12 @@ func (w *Writer) Write(r *Record) error { return w.enc.Encode(r) }
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// obsTrailerPrefix marks a metrics-snapshot trailer line written by
-// internal/sessionlog on drain. The envelope struct puts _obs first,
-// so a prefix check identifies trailers without parsing.
+// obsTrailerPrefix marks a metrics-snapshot trailer line, which
+// honeypotd appended to its -out session log on drain before the store
+// became a node's only durable log. Nothing writes one any more, but
+// logs holding them exist, so readers still skip them. The envelope
+// put _obs first, so a prefix check identifies trailers without
+// parsing.
 var obsTrailerPrefix = []byte(`{"_obs"`)
 
 // IsObsTrailer reports whether a JSONL line is a metrics-snapshot
@@ -214,8 +217,8 @@ func MaybeGzipReader(r io.Reader) (io.Reader, error) {
 // Reader streams the records of a JSONL dataset, plain or
 // gzip-compressed, one at a time: the Next/Record/Err shape of every
 // store cursor, so a file and a store directory load through the same
-// consumer. Blank lines and the metrics-snapshot trailer lines a
-// draining honeypotd appends (see IsObsTrailer) are skipped.
+// consumer. Blank lines and the metrics-snapshot trailer lines older
+// honeypotd logs hold (see IsObsTrailer) are skipped.
 type Reader struct {
 	br  *bufio.Reader
 	dec JSONDecoder

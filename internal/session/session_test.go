@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -108,6 +110,36 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestReadAllRejectsGarbage(t *testing.T) {
 	if _, err := ReadAll(bytes.NewBufferString("{\"id\":1}\nnot json\n")); err == nil {
 		t.Error("garbage input must fail")
+	}
+}
+
+// TestObsTrailerLineSkipped: a session log from an older honeypotd
+// holds an {"_obs":...} metrics trailer after its records; it loads
+// through Reader with that line skipped and every record kept.
+func TestObsTrailerLineSkipped(t *testing.T) {
+	const log = `{"id":1,"start":"2023-11-14T00:00:00Z","client_ip":"10.0.0.1","proto":"ssh"}
+{"_obs":{"time":"2023-11-14T01:00:00Z","reason":"drain","metrics":{"honeynet_sessionlog_written_total":2}}}
+{"id":2,"start":"2023-11-14T00:05:00Z","client_ip":"10.0.0.2","proto":"ssh"}
+`
+	path := filepath.Join(t.TempDir(), "sessions.jsonl")
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var ids []uint64
+	r := NewReader(f)
+	for r.Next() {
+		ids = append(ids, r.Record().ID)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
+		t.Fatalf("loaded records %v, want [1 2] with the trailer skipped", ids)
 	}
 }
 

@@ -3,8 +3,8 @@
 // paper's production scale (635M sessions over 33 months), bounded by
 // disk instead of memory.
 //
-// Writers append records to a crash-safe WAL (plain JSONL with the
-// sessionlog torn-tail recovery contract). Appends are group-committed:
+// Writers append records to a crash-safe WAL (plain JSONL whose torn
+// tail is truncated on Open, see recoverTail). Appends are group-committed:
 // records enqueue in memory and a latency-bounded flusher amortizes one
 // WAL write over a whole batch (Options.MaxBatch/MaxDelay), fsynced on
 // the SyncEvery cadence. Sealing folds the WAL into immutable per-month
@@ -37,7 +37,7 @@
 // so the write path has one chain of crash states:
 //
 //   - torn WAL append: the tail is truncated at the last valid line on
-//     Open (sessionlog.RecoverTail); at most the unsynced tail is lost.
+//     Open (recoverTail); at most the unsynced tail is lost.
 //   - crash mid-seal, before the manifest commit: the manifest never
 //     referenced the partial segments and the frozen WAL still extends
 //     it. Open finishes the seal from the frozen file — the orphan
@@ -71,7 +71,6 @@ import (
 	"honeynet/internal/obs"
 	"honeynet/internal/parallel"
 	"honeynet/internal/session"
-	"honeynet/internal/sessionlog"
 )
 
 // Options parameterizes a store. The zero value selects every default;
@@ -322,7 +321,7 @@ func exists(path string) bool {
 // nothing, and is never replayed.
 func (s *Store) loadWAL(path string, base uint64) (size int64, stale bool, err error) {
 	if !s.opts.ReadOnly {
-		dropped, err := sessionlog.RecoverTail(path)
+		dropped, err := recoverTail(path)
 		if err != nil {
 			return 0, false, fmt.Errorf("store: recover %s: %w", filepath.Base(path), err)
 		}
@@ -338,6 +337,49 @@ func (s *Store) loadWAL(path string, base uint64) (size int64, stale bool, err e
 	s.tail = append(s.tail, recs...)
 	s.tailLines = append(s.tailLines, lines...)
 	return size, stale, nil
+}
+
+// recoverTail truncates path so it ends on a complete, valid JSON line
+// — undoing a torn write from a crash mid-append. It returns the number
+// of bytes dropped. A missing file is not an error.
+func recoverTail(path string) (dropped int64, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return 0, nil
+		}
+		return 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	size := st.Size()
+	if size == 0 {
+		return 0, nil
+	}
+	// Scan forward, tracking the offset just past the last line that
+	// both terminates with '\n' and parses as JSON.
+	br := bufio.NewReaderSize(f, 1<<20)
+	var good, off int64
+	for {
+		line, rerr := br.ReadBytes('\n')
+		off += int64(len(line))
+		if rerr == nil && json.Valid(bytes.TrimSuffix(line, []byte("\n"))) {
+			good = off
+		}
+		if rerr != nil {
+			break
+		}
+	}
+	if good == size {
+		return 0, nil
+	}
+	if err := f.Truncate(good); err != nil {
+		return 0, err
+	}
+	return size - good, nil
 }
 
 // readWAL parses the WAL at path: header, then one record per line. It
@@ -890,10 +932,10 @@ func (s *Store) Close() error {
 	return err
 }
 
-// syncLoop periodically drains the batch and fsyncs dirty WAL data,
-// mirroring sessionlog: an idle-period crash loses at most SyncEvery
-// worth of sessions. The same tick retries a failed seal, so ingestion
-// resumes by itself once the cause (a full disk, say) is gone.
+// syncLoop periodically drains the batch and fsyncs dirty WAL data, so
+// an idle-period crash loses at most SyncEvery worth of sessions. The
+// same tick retries a failed seal, so ingestion resumes by itself once
+// the cause (a full disk, say) is gone.
 func (s *Store) syncLoop(every time.Duration) {
 	defer close(s.done)
 	t := time.NewTicker(every)

@@ -18,7 +18,7 @@ import (
 )
 
 // ServeConfig describes one live, network-facing honeypot node with its
-// long-run guardrails, crash-safe session log, and admin endpoint —
+// long-run guardrails, session store, and admin endpoint —
 // everything cmd/honeypotd exposes as flags, as a library API.
 type ServeConfig struct {
 	// SSHAddr is the SSH listen address (default ":2222").
@@ -52,19 +52,17 @@ type ServeConfig struct {
 	// (0 = unlimited).
 	DownloadBudget int
 
-	// LogPath writes the crash-safe rotated session log there; when
-	// empty, records stream to LogOutput (and LogMaxSize is ignored).
-	LogPath string
-	// LogOutput receives JSONL records when LogPath is empty.
-	// Required when StorePath is also empty.
+	// LogOutput, if set, receives every record as one JSON line the
+	// moment its session ends (honeypotd's stdout without -store). It
+	// is a stream, not a durable log: a failed write is counted in
+	// honeynet_node_sink_errors_total and the record is not retried.
+	// Serve needs LogOutput or StorePath.
 	LogOutput io.Writer
-	// LogMaxSize rotates the session log past this size (0 = never).
-	LogMaxSize int64
 	// StorePath, when non-empty, opens the embedded month-partitioned
-	// session store at that directory and appends every record to it
-	// (alongside the session log, or alone when no log is configured).
+	// session store at that directory and appends every record to it:
+	// the node's one durable log (crash-safe WAL, sealed segments).
 	// Drain seals the store so the partitions are immediately
-	// queryable by hnanalyze -store and honeynet.Open.
+	// queryable by hnquery, hnanalyze -store and honeynet.Open.
 	StorePath string
 
 	// ForwardAddr, when non-empty, streams every stored record to the
@@ -97,7 +95,7 @@ type ServeConfig struct {
 	LiveOptions LiveOptions
 
 	// OnRecord, if set, observes every session record after it is
-	// written to the log.
+	// appended to the store (when there is one).
 	OnRecord func(*Record)
 	// Download overrides the emulated fetcher (default
 	// simulate.Fetcher(): deterministic content derived from the URI).
@@ -135,7 +133,7 @@ func (c *ServeConfig) Defaults() {
 type Server struct {
 	cfg     ServeConfig
 	node    *honeypot.Node
-	writer  *sessionlog.Writer // nil when only a store is configured
+	writer  *sessionlog.Writer // nil unless LogOutput is set
 	store   *store.Store       // nil unless StorePath is set
 	fwd     *fleet.Forwarder   // nil unless ForwardAddr is set
 	livep   *live.Pipeline     // nil when LiveOff
@@ -148,7 +146,7 @@ type Server struct {
 }
 
 // Serve starts a honeypot node: listeners up, guardrails armed, session
-// log open, every component registered on the metrics registry, and the
+// store open, every component registered on the metrics registry, and the
 // admin endpoint (if configured) serving. Callers own shutdown: call
 // Drain for a graceful stop or Close to cut listeners immediately.
 func Serve(cfg ServeConfig) (*Server, error) {
@@ -162,16 +160,11 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	// below tears down exactly what exists through the one close.
 	s := &Server{cfg: cfg, reg: cfg.Registry}
 	fail := func(err error) (*Server, error) { return nil, errors.Join(err, s.close()) }
-	switch {
-	case cfg.LogPath != "":
-		s.writer, err = sessionlog.Open(cfg.LogPath, sessionlog.Options{MaxSize: cfg.LogMaxSize})
-		if err != nil {
-			return fail(fmt.Errorf("honeynet: session log: %w", err))
-		}
-	case cfg.LogOutput != nil:
+	if cfg.LogOutput == nil && cfg.StorePath == "" {
+		return fail(errors.New("honeynet: ServeConfig needs LogOutput or StorePath"))
+	}
+	if cfg.LogOutput != nil {
 		s.writer = sessionlog.NewStream(cfg.LogOutput)
-	case cfg.StorePath == "":
-		return fail(errors.New("honeynet: ServeConfig needs LogPath, LogOutput, or StorePath"))
 	}
 	if cfg.StorePath != "" {
 		s.store, err = store.Open(cfg.StorePath, store.Options{})
@@ -214,12 +207,10 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		Download:       cfg.Download,
 		Guard:          s.limiter,
 		DownloadBudget: s.budget,
+		// The durable append comes first: a failed stream (a closed
+		// stdout pipe) is counted, but never costs the store, live or
+		// OnRecord a record.
 		Sink: func(r *Record) error {
-			if s.writer != nil {
-				if err := s.writer.Write(r); err != nil {
-					return err
-				}
-			}
 			if s.store != nil {
 				if err := s.store.Append(r); err != nil {
 					return err
@@ -231,6 +222,9 @@ func Serve(cfg ServeConfig) (*Server, error) {
 			if cfg.OnRecord != nil {
 				cfg.OnRecord(r)
 			}
+			if s.writer != nil {
+				return s.writer.Write(r)
+			}
 			return nil
 		},
 	})
@@ -241,9 +235,6 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	s.node.Register(s.reg)
 	s.limiter.Register(s.reg)
 	s.budget.Register(s.reg)
-	if s.writer != nil {
-		s.writer.Register(s.reg)
-	}
 	if s.store != nil {
 		s.store.Register(s.reg)
 	}
@@ -298,10 +289,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Metrics returns the node's operational counters.
 func (s *Server) Metrics() honeypot.Metrics { return s.node.Metrics() }
 
-// Log returns the session-log writer (counters, rotation state), or
-// nil when the node writes only to a store.
-func (s *Server) Log() *sessionlog.Writer { return s.writer }
-
 // Forwarder returns the fleet forwarder (lag, ack state), or nil when
 // ForwardAddr is unset.
 func (s *Server) Forwarder() *fleet.Forwarder { return s.fwd }
@@ -310,11 +297,11 @@ func (s *Server) Forwarder() *fleet.Forwarder { return s.fwd }
 func (s *Server) Live() *live.Pipeline { return s.livep }
 
 // Drain gracefully shuts the server down: stop accepting, wait up to
-// DrainTimeout for in-flight sessions (then force-close them), append a
-// final metrics snapshot to the session log, flush and close the log,
-// seal and close the session store, and stop the admin endpoint. It
-// returns how many connections had to be force-closed. /healthz turns
-// unhealthy for the duration.
+// DrainTimeout for in-flight sessions (then force-close them), let the
+// forwarder catch up, close the stream, seal and close the session
+// store, and stop the admin endpoint. It returns how many connections
+// had to be force-closed. /healthz turns unhealthy for the duration.
+// reason labels the shutdown for the caller and is not recorded.
 func (s *Server) Drain(reason string) (forced int, err error) {
 	forced = s.node.Drain(s.cfg.DrainTimeout)
 	var errs []error
@@ -326,11 +313,6 @@ func (s *Server) Drain(reason string) (forced int, err error) {
 		errs = append(errs, s.fwd.Close())
 	}
 	if s.writer != nil {
-		errs = append(errs, s.writer.WriteSnapshot(sessionlog.Snapshot{
-			Time:    time.Now().UTC(),
-			Reason:  reason,
-			Metrics: s.reg.Snapshot(),
-		}))
 		errs = append(errs, s.writer.Close())
 	}
 	if s.store != nil {
@@ -341,7 +323,7 @@ func (s *Server) Drain(reason string) (forced int, err error) {
 }
 
 // Close cuts all listeners immediately without draining in-flight
-// sessions or sealing the log with a snapshot.
+// sessions or waiting for the forwarder.
 func (s *Server) Close() error { return s.close() }
 
 func (s *Server) close() error {

@@ -1,29 +1,54 @@
 package honeynet
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"honeynet/internal/sessionlog"
+	"honeynet/internal/session"
 	"honeynet/internal/sshclient"
 )
 
-// TestServeEndToEnd boots a full node with an admin endpoint, drives one
-// SSH session through it, and verifies the scrape and the drain
-// snapshot reflect that session.
+// syncBuffer is a bytes.Buffer safe for the session goroutines that
+// write it and the test that reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeEndToEnd boots a full node — store, stream, admin endpoint —
+// drives one SSH session through it, and verifies the scrape, the
+// stream and the drained store all reflect that session.
 func TestServeEndToEnd(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "sessions.jsonl")
+	storeDir := filepath.Join(t.TempDir(), "store")
+	var stream syncBuffer
 	srv, err := Serve(ServeConfig{
 		SSHAddr:      "127.0.0.1:0",
 		TelnetAddr:   "127.0.0.1:0",
 		AdminAddr:    "127.0.0.1:0",
-		LogPath:      logPath,
+		StorePath:    storeDir,
+		LogOutput:    &stream,
 		Timeout:      10 * time.Second,
 		DrainTimeout: 5 * time.Second,
 	})
@@ -48,10 +73,10 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	cli.Close()
 
-	// The record lands in the log at session teardown, which races the
-	// client's close; poll for the write before scraping.
+	// The record is sunk at session teardown, which races the client's
+	// close; the stream write is the sink's last step, so poll for it.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Log().Written() == 0 && time.Now().Before(deadline) {
+	for !strings.HasSuffix(stream.String(), "\n") && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
@@ -61,7 +86,8 @@ func TestServeEndToEnd(t *testing.T) {
 		`honeynet_node_auth_total{result="ok"} 1`,
 		"honeynet_node_commands_total 1",
 		"honeynet_node_downloads_total 1",
-		"honeynet_sessionlog_written_total 1",
+		"honeynet_node_sink_errors_total 0",
+		"honeynet_store_records 1",
 		"honeynet_guard_active_connections 0",
 		`honeynet_guard_shed_total{reason="per_ip"} 0`,
 		"honeynet_session_duration_seconds_count 1",
@@ -70,44 +96,132 @@ func TestServeEndToEnd(t *testing.T) {
 			t.Errorf("metrics missing %q", line)
 		}
 	}
+	if strings.Contains(metrics, "honeynet_sessionlog_") {
+		t.Error("metrics carry a honeynet_sessionlog_* series; the store is the only durable log")
+	}
 
 	forced, err := srv.Drain("test")
 	if err != nil {
 		t.Fatalf("drain: %v (forced %d)", err, forced)
 	}
 
-	// The drain snapshot trailer is in the log and carries the counters.
-	f, err := os.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	snaps, err := sessionlog.ReadSnapshots(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 || snaps[0].Reason != "test" {
-		t.Fatalf("snapshots = %+v", snaps)
-	}
-	if snaps[0].Metrics[`honeynet_node_connections_total{proto="ssh"}`] != 1 {
-		t.Errorf("snapshot counters = %v", snaps[0].Metrics)
+	// The stream holds the record as one line and nothing else.
+	streamed, err := session.ReadAll(strings.NewReader(stream.String()))
+	if err != nil || len(streamed) != 1 {
+		t.Fatalf("stream = %q (%v), want one record line", stream.String(), err)
 	}
 
 	// The record itself is loadable through the facade.
-	f2, err := os.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	p, err := Load(f2)
+	p, err := Open(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.World.Store.Len() != 1 {
-		t.Errorf("loaded records = %d, want 1", p.World.Store.Len())
+		t.Fatalf("stored records = %d, want 1", p.World.Store.Len())
+	}
+	if got := p.World.Store.All()[0]; got.ID != streamed[0].ID || got.ClientIP != streamed[0].ClientIP {
+		t.Errorf("stored record %d/%s, streamed %d/%s", got.ID, got.ClientIP, streamed[0].ID, streamed[0].ClientIP)
 	}
 	if len(p.MissingJoins) == 0 {
 		t.Error("loaded pipeline must flag missing join databases")
+	}
+}
+
+// TestServeStreamsRecordBeforeDrain: with no store, a session's record
+// reaches LogOutput as a complete line when the session ends — a reader
+// of honeypotd's stdout sees it then, not when the node drains.
+func TestServeStreamsRecordBeforeDrain(t *testing.T) {
+	pr, pw := io.Pipe()
+	srv, err := Serve(ServeConfig{
+		SSHAddr:      "127.0.0.1:0",
+		LogOutput:    pw,
+		Timeout:      10 * time.Second,
+		DrainTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer pr.Close() // unblocks a sink still writing if the test fails
+
+	cli, err := sshclient.Dial(srv.SSHAddr(), sshclient.Config{User: "root", Password: "admin123"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Exec("uname -a"); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+
+	lines := make(chan string, 1)
+	go func() {
+		line, _ := bufio.NewReader(pr).ReadString('\n')
+		lines <- line
+	}()
+	var line string
+	select {
+	case line = <-lines:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no record on the stream 5s after the session ended")
+	}
+	recs, err := session.ReadAll(strings.NewReader(line))
+	if err != nil || len(recs) != 1 || len(recs[0].Commands) != 1 {
+		t.Fatalf("streamed line %q (%v), want the session's record", line, err)
+	}
+}
+
+type brokenStream struct{}
+
+func (brokenStream) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// TestServeStreamFailureKeepsDurableRecord: a stream that fails every
+// write (a closed stdout pipe) is counted as a sink error, but the
+// record still reaches the store, OnRecord and the live pipeline.
+func TestServeStreamFailureKeepsDurableRecord(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	var observed atomic.Int64
+	srv, err := Serve(ServeConfig{
+		SSHAddr:      "127.0.0.1:0",
+		LogOutput:    brokenStream{},
+		StorePath:    storeDir,
+		OnRecord:     func(*Record) { observed.Add(1) },
+		Timeout:      10 * time.Second,
+		DrainTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	cli, err := sshclient.Dial(srv.SSHAddr(), sshclient.Config{User: "root", Password: "admin123"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Exec("uname -a"); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+
+	sinkErrors := func() float64 { return srv.Registry().Snapshot()["honeynet_node_sink_errors_total"] }
+	deadline := time.Now().Add(5 * time.Second)
+	for sinkErrors() == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := sinkErrors(); got != 1 {
+		t.Fatalf("honeynet_node_sink_errors_total = %v, want 1", got)
+	}
+	if observed.Load() != 1 || srv.Live().Snapshot().Sessions != 1 {
+		t.Errorf("OnRecord saw %d records, live %d; want 1 each", observed.Load(), srv.Live().Snapshot().Sessions)
+	}
+	if _, err := srv.Drain("test"); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	p, err := Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.World.Store.Len() != 1 {
+		t.Fatalf("store holds %d records, want the 1 the stream failed on", p.World.Store.Len())
 	}
 }
 
@@ -145,7 +259,7 @@ func TestWithObserverRecordsPhases(t *testing.T) {
 	}
 }
 
-// TestServeStoreEndToEnd boots a store-only node (no session log),
+// TestServeStoreEndToEnd boots a store-only node (no stream),
 // drives one SSH session, and verifies the record is queryable through
 // the store after drain and that the store's metrics are scraped.
 func TestServeStoreEndToEnd(t *testing.T) {
@@ -161,9 +275,6 @@ func TestServeStoreEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.Log() != nil {
-		t.Fatal("store-only node must not have a session-log writer")
-	}
 
 	cli, err := sshclient.Dial(srv.SSHAddr(), sshclient.Config{User: "root", Password: "admin123"})
 	if err != nil {
