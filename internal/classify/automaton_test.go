@@ -201,13 +201,13 @@ func TestNecessaryLits(t *testing.T) {
 		{`(abc)?def`, []string{"def"}}, // optional branch contributes nothing
 	}
 	for _, tc := range cases {
-		got := necessaryLits(tc.expr)
+		got := NecessaryLits(tc.expr)
 		if len(got) != len(tc.want) {
-			t.Fatalf("necessaryLits(%q) = %q, want %q", tc.expr, got, tc.want)
+			t.Fatalf("NecessaryLits(%q) = %q, want %q", tc.expr, got, tc.want)
 		}
 		for i := range got {
 			if got[i] != tc.want[i] {
-				t.Fatalf("necessaryLits(%q) = %q, want %q", tc.expr, got, tc.want)
+				t.Fatalf("NecessaryLits(%q) = %q, want %q", tc.expr, got, tc.want)
 			}
 		}
 	}
@@ -218,7 +218,7 @@ func TestNecessaryLits(t *testing.T) {
 	texts := corpusTexts(t, 50000, 5)
 	for _, r := range rules {
 		for _, expr := range r.Require {
-			lits := necessaryLits(expr)
+			lits := NecessaryLits(expr)
 			if lits == nil {
 				continue
 			}

@@ -136,7 +136,7 @@ var rules = []Rule{
 //     hit ⟺ strings.Contains ⟺ MatchString. The regex engine never
 //     runs for it.
 //  2. A require regex with a derivable necessary-literal set (see
-//     necessaryLits: `\bcurl\b` needs "curl", `(x0x0x0|xoxoxo)` needs
+//     NecessaryLits: `\bcurl\b` needs "curl", `(x0x0x0|xoxoxo)` needs
 //     one of two spellings) is refuted for free when no member occurs;
 //     only texts containing a member pay for the regex.
 //  3. Everything else runs the rule's own compiled regexes, in rule
@@ -201,10 +201,10 @@ func New() *Classifier {
 				prog.req = append(prog.req, step{lits: intern(lit)})
 				continue
 			}
-			prog.req = append(prog.req, step{re: re, lits: intern(necessaryLits(expr)...)})
+			prog.req = append(prog.req, step{re: re, lits: intern(NecessaryLits(expr)...)})
 		}
 		for _, expr := range r.Exclude {
-			prog.exc = append(prog.exc, step{re: regexp.MustCompile(expr), lits: intern(necessaryLits(expr)...)})
+			prog.exc = append(prog.exc, step{re: regexp.MustCompile(expr), lits: intern(NecessaryLits(expr)...)})
 		}
 		c.progs = append(c.progs, prog)
 	}

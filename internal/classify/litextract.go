@@ -2,7 +2,7 @@ package classify
 
 import "regexp/syntax"
 
-// necessaryLits derives a disjunctive necessary condition from a regex:
+// NecessaryLits derives a disjunctive necessary condition from a regex:
 // a set of plain substrings such that every match of expr contains at
 // least one of them. A text containing none of the returned literals
 // therefore cannot match expr, so the automaton pass can refute the
@@ -13,7 +13,7 @@ import "regexp/syntax"
 // complete literal form: `\bcurl\b` has none (LiteralPrefix is
 // incomplete because of the word boundaries), but every match of it
 // contains "curl".
-func necessaryLits(expr string) []string {
+func NecessaryLits(expr string) []string {
 	re, err := syntax.Parse(expr, syntax.Perl)
 	if err != nil {
 		return nil

@@ -120,3 +120,38 @@ func containsWget(s string) bool {
 	}
 	return false
 }
+
+// BenchmarkQueryColumnKernels times the paper's scanning statements in
+// the shapes the column kernels decide — a command pattern, login
+// outcome, a credential and a download count — over a sealed store:
+// the bitmap picks the rows from the predicate's stripes and only those
+// rows decode, and only the fields each statement returns.
+func BenchmarkQueryColumnKernels(b *testing.B) {
+	const n = 50_000
+	s := benchStore(b, n, 12)
+	for _, bc := range []struct{ name, stmt string }{
+		{"regex", `SELECT count(*), count(distinct ip) WHERE cmd ~ /mdrfckr/`},
+		{"login", `SELECT count(*) WHERE login_ok = true AND state_changed = false`},
+		{"user", `SELECT count(*), count(distinct ip) WHERE user = 'root'`},
+		{"dls", `SELECT month, sum(dls), count(distinct ip) WHERE dls > 0 GROUP BY month`},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, err := Compile(bc.stmt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := c.Execute(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) == 0 {
+					b.Fatal("no rows")
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "recs/s")
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -59,8 +60,40 @@ func atoms() []atom {
 		{`duration > 45`, func(r *session.Record) bool { return r.End.Sub(r.Start).Seconds() > 45 }},
 		{`dls = 0`, func(r *session.Record) bool { return len(r.Downloads) == 0 }},
 		{`hp = 'hp-1'`, func(r *session.Record) bool { return r.HoneypotID == "hp-1" }},
+		// Leaves the column kernels decide from a fragment: negations,
+		// counts, flags, and command patterns with no necessary literal,
+		// with one spanning the newline that joins two commands, negated.
+		{`user != 'root'`, func(r *session.Record) bool {
+			for _, l := range r.Logins {
+				if l.Username == "root" {
+					return false
+				}
+			}
+			return true
+		}},
+		{`pass = 'admin'`, func(r *session.Record) bool {
+			for _, l := range r.Logins {
+				if l.Password == "admin" {
+					return true
+				}
+			}
+			return false
+		}},
+		{`login_ok != true`, func(r *session.Record) bool { return !r.LoggedIn() }},
+		{`logins = 0`, func(r *session.Record) bool { return len(r.Logins) == 0 }},
+		{`cmds >= 2`, func(r *session.Record) bool { return len(r.Commands) >= 2 }},
+		{`dls > 0`, func(r *session.Record) bool { return len(r.Downloads) > 0 }},
+		{`state_changed = true`, func(r *session.Record) bool { return r.StateChanged }},
+		{`timeout = false`, func(r *session.Record) bool { return !r.TimedOut }},
+		{`cmd ~ /\d{3}/`, func(r *session.Record) bool { return digits3.MatchString(r.CommandText()) }},
+		{`cmd ~ /sh\necho/`, func(r *session.Record) bool { return strings.Contains(r.CommandText(), "sh\necho") }},
+		{`cmd !~ /wget/`, func(r *session.Record) bool { return !strings.Contains(r.CommandText(), "wget") }},
+		{`cmd = ''`, func(r *session.Record) bool { return r.CommandText() == "" }},
+		{`cmd > 'wget http://x/5'`, func(r *session.Record) bool { return r.CommandText() > "wget http://x/5" }},
 	}
 }
+
+var digits3 = regexp.MustCompile(`\d{3}`)
 
 // genPred builds a random predicate of bounded depth, returning the
 // DSL text and the equivalent closure.
@@ -137,11 +170,36 @@ func filterRecords(t *testing.T, src Source, keep func(*session.Record) bool) []
 	return out
 }
 
+// aggRow runs `SELECT count(*), count(distinct ip) WHERE dsl`: the
+// aggregate form, whose blocks decode only what it returns once the
+// column bitmap decides every row.
+func aggRow(t *testing.T, src Source, dsl string) string {
+	t.Helper()
+	res, err := Run(src, "SELECT count(*), count(distinct ip) WHERE "+dsl)
+	if err != nil {
+		t.Fatalf("%s: %v", dsl, err)
+	}
+	if len(res.Rows) == 0 {
+		return "0 0"
+	}
+	return res.Rows[0][0].String() + " " + res.Rows[0][1].String()
+}
+
+// aggLoop is aggRow's Go loop over the oracle's records.
+func aggLoop(recs []*session.Record) string {
+	ips := map[string]bool{}
+	for _, r := range recs {
+		ips[r.ClientIP] = true
+	}
+	return fmt.Sprintf("%d %d", len(recs), len(ips))
+}
+
 // TestDSLEquivalentToFilterProperty is the PR's contract: every
 // generated DSL predicate must return the byte-identical record set to
 // the hand-rolled Go func it mirrors — over a single store and over a
 // fleet directory — no matter what the planner pruned or skipped
-// decoding.
+// decoding; and its count(*), count(distinct ip) must equal a Go loop's
+// over that set.
 func TestDSLEquivalentToFilterProperty(t *testing.T) {
 	s, _ := sealedStore(t, 600, 3)
 
@@ -173,19 +231,19 @@ func TestDSLEquivalentToFilterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 120; i++ {
 		dsl, fn := genPred(rng, 3)
-
-		got := recordBytes(t, dslRecords(t, s, dsl))
-		want := recordBytes(t, filterRecords(t, s, fn))
-		if got != want {
-			t.Fatalf("store: DSL %q diverged from hand-rolled filter\ndsl:    %d bytes\nfilter: %d bytes",
-				dsl, len(got), len(want))
-		}
-
-		fgot := recordBytes(t, dslRecords(t, fl, dsl))
-		fwant := recordBytes(t, filterRecords(t, fl, fn))
-		if fgot != fwant {
-			t.Fatalf("fleet: DSL %q diverged from hand-rolled filter\ndsl:    %d bytes\nfilter: %d bytes",
-				dsl, len(fgot), len(fwant))
+		for _, src := range []struct {
+			name string
+			src  Source
+		}{{"store", s}, {"fleet", fl}} {
+			recs := filterRecords(t, src.src, fn)
+			got := recordBytes(t, dslRecords(t, src.src, dsl))
+			if want := recordBytes(t, recs); got != want {
+				t.Fatalf("%s: DSL %q diverged from hand-rolled filter\ndsl:    %d bytes\nfilter: %d bytes",
+					src.name, dsl, len(got), len(want))
+			}
+			if got, want := aggRow(t, src.src, dsl), aggLoop(recs); got != want {
+				t.Fatalf("%s: aggregate over DSL %q = %s, the Go loop counts %s", src.name, dsl, got, want)
+			}
 		}
 	}
 }

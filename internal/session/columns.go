@@ -119,15 +119,7 @@ func ColumnsForMask(keep FieldMask) ColumnSet {
 // anything else. On success every fragment is a verbatim subslice of
 // line and AppendAssembled reconstructs line byte-identically.
 func ShredJSON(line []byte, cols *Columns) (ok bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, bail := p.(errBailFast); bail {
-				ok = false
-				return
-			}
-			panic(p)
-		}
-	}()
+	defer recoverBail(&ok)
 	*cols = Columns{}
 	p := &jsonDec{d: line}
 	p.lit(colKeys[ColID])
@@ -225,15 +217,7 @@ func (d *JSONDecoder) DecodeColumns(cols *Columns, r *Record, keep FieldMask) bo
 // are honored in skip. On a false return r is undefined; the fallback
 // whole-line decode re-zeroes it.
 func (d *JSONDecoder) DecodeColumnsPrefilled(cols *Columns, r *Record, keep FieldMask, skip ColumnSet) (ok bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, bail := p.(errBailFast); bail {
-				ok = false
-				return
-			}
-			panic(p)
-		}
-	}()
+	defer recoverBail(&ok)
 	p := &jsonDec{scratch: &d.scratch}
 	if v, okv := fragUint(cols[ColID]); okv {
 		r.ID = v
@@ -364,6 +348,81 @@ func fragInt(b []byte) (int64, bool) {
 		return 0, false
 	}
 	return int64(v), true
+}
+
+// FragReader reads the logins, cmds and dls array fragments of a
+// shredded record without building a Record: a store scan decides
+// predicates over those columns from the stripes with it. It walks the
+// grammar DecodeColumns decodes with, so a fragment it accepts decodes
+// to exactly the values it reports, and one it rejects is one the
+// decoder also bails on — the caller must then decide that row from a
+// decoded record. Values alias the fragment or the reader's scratch and
+// are valid until the next call. The zero value is ready to use; a
+// FragReader is not safe for concurrent use.
+type FragReader struct {
+	p       jsonDec
+	scratch [3][]byte
+	text    []byte
+}
+
+// open points the reader at an array fragment and consumes its '['.
+func (fr *FragReader) open(frag []byte) *jsonDec {
+	fr.p = jsonDec{d: frag, scratch: &fr.scratch}
+	fr.p.byte('[')
+	return &fr.p
+}
+
+// Logins calls fn with each login of a logins fragment, escapes
+// decoded, and reports whether the fragment was accepted. On false, fn
+// may have seen a prefix of the logins.
+func (fr *FragReader) Logins(frag []byte, fn func(user, pass []byte, ok bool)) (ok bool) {
+	defer recoverBail(&ok)
+	p := fr.open(frag)
+	for more := p.arrayOpen(); more; more = p.arrayMore() {
+		fn(p.loginElem())
+	}
+	p.done()
+	return true
+}
+
+// Count returns the element count of a logins, cmds or dls fragment
+// (column c) — len of the slice the decoder would build.
+func (fr *FragReader) Count(c int, frag []byte) (n int, ok bool) {
+	defer recoverBail(&ok)
+	p := fr.open(frag)
+	for more := p.arrayOpen(); more; more = p.arrayMore() {
+		switch c {
+		case ColLogins:
+			p.loginElem()
+		case ColCmds:
+			p.cmdElem()
+		case ColDls:
+			p.dlElem()
+		default:
+			p.bail()
+		}
+		n++
+	}
+	p.done()
+	return n, true
+}
+
+// CommandText returns the joined command text of a cmds fragment,
+// byte-equal to the decoded record's CommandText(), in a buffer the
+// next call reuses.
+func (fr *FragReader) CommandText(frag []byte) (text []byte, ok bool) {
+	defer recoverBail(&ok)
+	p := fr.open(frag)
+	fr.text = fr.text[:0]
+	for more, sep := p.arrayOpen(), false; more; more, sep = p.arrayMore(), true {
+		raw, _ := p.cmdElem()
+		if sep {
+			fr.text = append(fr.text, '\n')
+		}
+		fr.text = append(fr.text, raw...)
+	}
+	p.done()
+	return fr.text, true
 }
 
 // frag repoints the decoder at one fragment.

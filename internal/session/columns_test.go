@@ -153,3 +153,63 @@ func FuzzColumnShred(f *testing.F) {
 		}
 	})
 }
+
+// TestFragReaderMatchesDecoder: what FragReader reports of a logins,
+// cmds or dls fragment is what DecodeColumns builds from it — the
+// logins, the element counts, CommandText byte for byte — and reading
+// a fragment allocates nothing once the scratch has grown.
+func TestFragReaderMatchesDecoder(t *testing.T) {
+	var fr FragReader
+	var cols Columns
+	var d JSONDecoder
+	for _, line := range shredCases(t) {
+		if !ShredJSON(line, &cols) {
+			t.Fatalf("ShredJSON rejected canonical line %s", line)
+		}
+		var r Record
+		if !d.DecodeColumns(&cols, &r, FAllFields) {
+			t.Fatalf("DecodeColumns rejected %s", line)
+		}
+		if b := cols[ColLogins]; b != nil {
+			var got []LoginAttempt
+			if !fr.Logins(b, func(user, pass []byte, ok bool) {
+				got = append(got, LoginAttempt{string(user), string(pass), ok})
+			}) || !reflect.DeepEqual(got, r.Logins) {
+				t.Fatalf("Logins(%s) = %v, decoder %v", b, got, r.Logins)
+			}
+		}
+		for c, want := range map[int]int{ColLogins: len(r.Logins), ColCmds: len(r.Commands), ColDls: len(r.Downloads)} {
+			if b := cols[c]; b != nil {
+				if n, ok := fr.Count(c, b); !ok || n != want {
+					t.Fatalf("Count(%s, %s) = %d, %v; decoder %d", ColumnName(c), b, n, ok, want)
+				}
+			}
+		}
+		if b := cols[ColCmds]; b != nil {
+			if text, ok := fr.CommandText(b); !ok || string(text) != r.CommandText() {
+				t.Fatalf("CommandText(%s) = %q, %v; decoder %q", b, text, ok, r.CommandText())
+			}
+			if a := testing.AllocsPerRun(10, func() {
+				fr.CommandText(b)
+				fr.Count(ColCmds, b)
+			}); a != 0 {
+				t.Fatalf("reading %s allocates %.0f times", b, a)
+			}
+		}
+		if b := cols[ColLogins]; b != nil {
+			n := 0
+			if a := testing.AllocsPerRun(10, func() {
+				fr.Logins(b, func(_, _ []byte, ok bool) {
+					if ok {
+						n++
+					}
+				})
+			}); a != 0 {
+				t.Fatalf("reading %s allocates %.0f times", b, a)
+			}
+		}
+	}
+	if _, ok := fr.Count(ColLogins, []byte(`[{"user": "a","pass":"b","ok":true}]`)); ok {
+		t.Fatal("Count accepted whitespace the decoder's fast grammar rejects")
+	}
+}

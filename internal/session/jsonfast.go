@@ -326,11 +326,11 @@ const (
 	FAllFields FieldMask = 1<<10 - 1
 )
 
-// JSONDecoder decodes record lines, keeping an unescape scratch buffer
-// across calls. The zero value is ready to use; a decoder is not safe
+// JSONDecoder decodes record lines, keeping its unescape scratch
+// buffers across calls. The zero value is ready to use; a decoder is not safe
 // for concurrent use.
 type JSONDecoder struct {
-	scratch []byte
+	scratch [3][]byte
 }
 
 // DecodeJSON decodes one record line into r, overwriting it — the
@@ -375,22 +375,28 @@ func (d *JSONDecoder) DecodeMasked(data []byte, r *Record, keep FieldMask) error
 // fast path. It is the only panic decodeFast recovers.
 type errBailFast struct{}
 
+// jsonDec is the fast path's parser state. scratch holds one unescape
+// buffer per string an array element returns (see dlElem).
 type jsonDec struct {
 	d       []byte
 	i       int
-	scratch *[]byte
+	scratch *[3][]byte
+}
+
+// recoverBail is deferred by every fast-path entry point: it turns the
+// bail panic into ok = false and re-panics anything else.
+func recoverBail(ok *bool) {
+	if p := recover(); p != nil {
+		if _, bail := p.(errBailFast); bail {
+			*ok = false
+			return
+		}
+		panic(p)
+	}
 }
 
 func (d *JSONDecoder) decodeFast(data []byte, r *Record, keep FieldMask) (ok bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, bail := p.(errBailFast); bail {
-				ok = false
-				return
-			}
-			panic(p)
-		}
-	}()
+	defer recoverBail(&ok)
 	p := &jsonDec{d: data, scratch: &d.scratch}
 
 	p.lit(`{"id":`)
@@ -467,86 +473,90 @@ func (d *JSONDecoder) decodeFast(data []byte, r *Record, keep FieldMask) (ok boo
 }
 
 // The array parsers below consume a canonical field array whose opening
-// '[' the caller already consumed. They are shared between the full-line
-// fast path (decodeFast) and the columnar fragment decode
-// (DecodeColumns), so both produce identical values.
+// '[' the caller already consumed, one element parser each. The element
+// parsers are shared between the full-line fast path (decodeFast), the
+// columnar fragment decode (DecodeColumns) and the fragment walkers
+// (FragReader), so all three accept exactly the same bytes and see the
+// same values. They return strings without allocating: the values alias
+// the input or the decoder's scratch, one buffer per string an element
+// holds, and are valid until the next element.
+
+// arrayOpen reports whether the array has a first element, consuming
+// the "]" of an empty one; arrayMore asks for each element after it.
+func (p *jsonDec) arrayOpen() bool {
+	if p.peek() == ']' {
+		p.i++
+		return false
+	}
+	return true
+}
+
+func (p *jsonDec) loginElem() (user, pass []byte, ok bool) {
+	p.lit(`{"user":`)
+	user = p.strBytes(&p.scratch[0])
+	p.lit(`,"pass":`)
+	pass = p.strBytes(&p.scratch[1])
+	p.lit(`,"ok":`)
+	ok = p.bool()
+	p.byte('}')
+	return user, pass, ok
+}
+
+func (p *jsonDec) cmdElem() (raw []byte, known bool) {
+	p.lit(`{"raw":`)
+	raw = p.strBytes(&p.scratch[0])
+	p.lit(`,"known":`)
+	known = p.bool()
+	p.byte('}')
+	return raw, known
+}
+
+func (p *jsonDec) dlElem() (uri, src, hash []byte, size int64) {
+	p.lit(`{"uri":`)
+	uri = p.strBytes(&p.scratch[0])
+	if p.tryLit(`,"src_ip":`) {
+		src = p.strBytes(&p.scratch[1])
+	}
+	if p.tryLit(`,"hash":`) {
+		hash = p.strBytes(&p.scratch[2])
+	}
+	if p.tryLit(`,"size":`) {
+		size = p.int()
+	}
+	p.byte('}')
+	return uri, src, hash, size
+}
 
 func (p *jsonDec) loginsArr() []LoginAttempt {
 	ls := []LoginAttempt{}
-	if p.peek() == ']' {
-		p.i++
-		return ls
+	for more := p.arrayOpen(); more; more = p.arrayMore() {
+		user, pass, ok := p.loginElem()
+		ls = append(ls, LoginAttempt{Username: string(user), Password: string(pass), Success: ok})
 	}
-	for {
-		var l LoginAttempt
-		p.lit(`{"user":`)
-		l.Username = p.str()
-		p.lit(`,"pass":`)
-		l.Password = p.str()
-		p.lit(`,"ok":`)
-		l.Success = p.bool()
-		p.byte('}')
-		ls = append(ls, l)
-		if !p.arrayMore() {
-			return ls
-		}
-	}
+	return ls
 }
 
 func (p *jsonDec) cmdsArr() []Command {
 	cs := []Command{}
-	if p.peek() == ']' {
-		p.i++
-		return cs
+	for more := p.arrayOpen(); more; more = p.arrayMore() {
+		raw, known := p.cmdElem()
+		cs = append(cs, Command{Raw: string(raw), Known: known})
 	}
-	for {
-		var c Command
-		p.lit(`{"raw":`)
-		c.Raw = p.str()
-		p.lit(`,"known":`)
-		c.Known = p.bool()
-		p.byte('}')
-		cs = append(cs, c)
-		if !p.arrayMore() {
-			return cs
-		}
-	}
+	return cs
 }
 
 func (p *jsonDec) dlsArr() []Download {
 	ds := []Download{}
-	if p.peek() == ']' {
-		p.i++
-		return ds
+	for more := p.arrayOpen(); more; more = p.arrayMore() {
+		uri, src, hash, size := p.dlElem()
+		ds = append(ds, Download{URI: string(uri), SourceIP: string(src), Hash: string(hash), Size: size})
 	}
-	for {
-		var dl Download
-		p.lit(`{"uri":`)
-		dl.URI = p.str()
-		if p.tryLit(`,"src_ip":`) {
-			dl.SourceIP = p.str()
-		}
-		if p.tryLit(`,"hash":`) {
-			dl.Hash = p.str()
-		}
-		if p.tryLit(`,"size":`) {
-			dl.Size = p.int()
-		}
-		p.byte('}')
-		ds = append(ds, dl)
-		if !p.arrayMore() {
-			return ds
-		}
-	}
+	return ds
 }
 
 func (p *jsonDec) execsArr() []ExecAttempt {
 	es := []ExecAttempt{}
-	if p.peek() == ']' {
-		p.i++
-		return es
-	}
-	for {
+	for more := p.arrayOpen(); more; more = p.arrayMore() {
 		var e ExecAttempt
 		p.lit(`{"path":`)
 		e.Path = p.str()
@@ -557,24 +567,16 @@ func (p *jsonDec) execsArr() []ExecAttempt {
 		}
 		p.byte('}')
 		es = append(es, e)
-		if !p.arrayMore() {
-			return es
-		}
 	}
+	return es
 }
 
 func (p *jsonDec) hashesArr() []string {
 	hs := []string{}
-	if p.peek() == ']' {
-		p.i++
-		return hs
-	}
-	for {
+	for more := p.arrayOpen(); more; more = p.arrayMore() {
 		hs = append(hs, p.str())
-		if !p.arrayMore() {
-			return hs
-		}
 	}
+	return hs
 }
 
 // maskedStr parses a string field, either into *dst or — when the
@@ -767,41 +769,44 @@ func (p *jsonDec) time(t *time.Time) {
 	p.i = j + 1
 }
 
-// str parses a JSON string. Strings without escapes, control bytes, or
-// non-ASCII take the scan-and-slice fast path; everything else goes
-// through strSlow, which replicates encoding/json's unquoting.
-func (p *jsonDec) str() string {
+// str parses a JSON string (see strBytes).
+func (p *jsonDec) str() string { return string(p.strBytes(&p.scratch[0])) }
+
+// strBytes parses a JSON string without allocating. A string without
+// escapes, control bytes or non-ASCII is returned as a slice of the
+// input; anything else is unquoted into *buf.
+func (p *jsonDec) strBytes(buf *[]byte) []byte {
 	p.byte('"')
 	start := p.i
 	for i := start; i < len(p.d); i++ {
 		c := p.d[i]
 		if c == '"' {
 			p.i = i + 1
-			return string(p.d[start:i])
+			return p.d[start:i]
 		}
 		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			return p.strSlow(start, i)
+			return p.unquote(buf, start, i)
 		}
 	}
 	p.bail()
-	return ""
+	return nil
 }
 
-// strSlow finishes parsing a string that contains escapes or non-ASCII
-// bytes, starting at i with s[start:i] already verified clean. It
+// unquote finishes a string that contains escapes or non-ASCII bytes,
+// starting at i with s[start:i] already verified clean, into *buf. It
 // mirrors encoding/json's unquote: \uXXXX with UTF-16 surrogate pairs,
-// invalid UTF-8 replaced with U+FFFD, raw control bytes rejected
-// (bail → stdlib error).
-func (p *jsonDec) strSlow(start, i int) string {
-	buf := append((*p.scratch)[:0], p.d[start:i]...)
+// invalid UTF-8 replaced with U+FFFD, raw control bytes rejected (bail
+// → stdlib error).
+func (p *jsonDec) unquote(dst *[]byte, start, i int) []byte {
+	buf := append((*dst)[:0], p.d[start:i]...)
 	s := p.d
 	for i < len(s) {
 		c := s[i]
 		switch {
 		case c == '"':
 			p.i = i + 1
-			*p.scratch = buf
-			return string(buf)
+			*dst = buf
+			return buf
 		case c == '\\':
 			i++
 			if i >= len(s) {
@@ -865,7 +870,7 @@ func (p *jsonDec) strSlow(start, i int) string {
 		}
 	}
 	p.bail()
-	return ""
+	return nil
 }
 
 // hex4 parses four hex digits at s[i:].

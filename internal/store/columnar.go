@@ -681,6 +681,7 @@ type colScratch struct {
 	rawLen  []uint32
 	bm      []uint64 // bitmap arena for the evaluator
 	lineBuf []byte   // assembly fallback / full-line reads
+	frag    session.FragReader
 }
 
 var colScratchPool = sync.Pool{New: func() any { return new(colScratch) }}

@@ -1,0 +1,215 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"regexp"
+	"slices"
+	"testing"
+
+	"honeynet/internal/session"
+)
+
+// TestOddFragmentsAnsweredRight seals lines the shredder accepts but
+// that are not what the encoder writes. Whitespace inside a login
+// element is one the decoder's fast grammar rejects: the login kernels
+// must leave that row unknown, so the row Filter decides it from the
+// stdlib decode. A \u006d escape spelling the m of mdrfckr is one the
+// fast grammar accepts and unescapes, as the stdlib does: the command
+// kernel decides that row exactly, and true. Either way every statement
+// answers what the Filter says of the fully decoded records. A
+// raw-overflow row (keys out of order) is in no field stripe at all:
+// every fragment leaf leaves it unknown, never reads it as absent.
+func TestOddFragmentsAnsweredRight(t *testing.T) {
+	s := openSmall(t)
+	recs := make([]*session.Record, 4)
+	lines := make([][]byte, 4)
+	idxs := make([]int32, 4)
+	for i := range recs {
+		r := mkRecord(0, i)
+		r.Logins = []session.LoginAttempt{{Username: "root", Password: "x", Success: i%2 == 0}}
+		r.Commands = []session.Command{{Raw: "echo mdrfckr", Known: true}}
+		recs[i], lines[i], idxs[i] = r, marshal(t, r), int32(i)
+	}
+	odd := func(i int, old, new string) {
+		if !bytes.Contains(lines[i], []byte(old)) {
+			t.Fatalf("line %d lacks %q: %s", i, old, lines[i])
+		}
+		lines[i] = bytes.Replace(lines[i], []byte(old), []byte(new), 1)
+		var cols session.Columns
+		if !session.ShredJSON(lines[i], &cols) {
+			t.Fatalf("line %d does not shred: %s", i, lines[i])
+		}
+	}
+	odd(0, `{"user":"root",`, `{"user": "root",`)
+	odd(1, `"raw":"echo mdrfckr"`, `"raw":"echo \u006ddrfckr"`)
+	id := fmt.Sprintf(`"id":%d,`, recs[2].ID)
+	lines[2] = append(bytes.Replace(lines[2][:len(lines[2])-1], []byte(id), nil, 1), `,`+id[:len(id)-1]+`}`...)
+	if session.ShredJSON(lines[2], new(session.Columns)) {
+		t.Fatalf("line 2 still shreds: %s", lines[2])
+	}
+	meta, err := s.writeSegment(segFileName(0), recs, lines, idxs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.man.Segments = append(s.man.Segments, meta)
+	s.man.NextSeq = uint64(len(recs))
+	s.mu.Unlock()
+
+	cs, err := s.openColSeg(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.close()
+	all := runRows(t, s, &Query{})
+	for _, c := range []struct {
+		pred    *Pred
+		unknown []int // rows the bitmap must leave to the Filter
+	}{
+		{Cmp(FieldUser, CmpEq, StringValue("root")), []int{0, 2}},
+		{Cmp(FieldLoginOK, CmpEq, BoolValue(true)), []int{0, 2}},
+		{Cmp(FieldLogins, CmpEq, IntValue(0)), []int{0, 2}},
+		{Cmp(FieldCommands, CmpEq, IntValue(0)), []int{2}},
+		{Match(FieldCmd, regexp.MustCompile("mdrfckr"), false), []int{2}},
+		{Match(FieldCmd, regexp.MustCompile("mdrfckr"), true), []int{2}},
+	} {
+		p, err := lower(&Query{Where: c.pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := blockBits(t, cs, 0, p.prog)
+		want := 0
+		for i, r := range all {
+			unknown := bmHas(hi, i) && !bmHas(lo, i)
+			if unknown != slices.Contains(c.unknown, i) {
+				t.Errorf("%s row %d: unknown = %v", c.pred.Field.Name(), i, unknown)
+			}
+			if p.filter(r) {
+				want++
+			}
+		}
+		for _, q := range []*Query{
+			{Where: c.pred},
+			{Where: c.pred, Aggs: []AggSpec{{Op: AggCount}, {Op: AggCountDistinct, Field: FieldIP}}},
+		} {
+			got := len(runRows(t, s, q))
+			if len(q.Aggs) > 0 {
+				got = 0 // no group at all when nothing matches
+				for _, g := range runIDsOrGroups(t, s, q).([]GroupRow) {
+					got += int(g.Aggs[0].Int)
+				}
+			}
+			if got != want {
+				t.Errorf("%s (aggregate %v): %d rows, the Filter selects %d", c.pred.Field.Name(), len(q.Aggs) > 0, got, want)
+			}
+		}
+	}
+}
+
+// FuzzFragmentKernels puts arbitrary bytes where a logins, cmds, dls or
+// state_changed fragment goes and holds every fragment leaf to the
+// truth: a row the bitmap says is definitely true must pass the Filter,
+// and a row that passes must be possibly true, where the Filter runs on
+// the record the cursor's own decode makes of the row — the columnar
+// decode, or the reassembled line's when that bails. A row no decode
+// accepts has no record to hold the verdict to, but the kernels must
+// still not panic on it.
+func FuzzFragmentKernels(f *testing.F) {
+	base := mkRecord(0, 3)
+	base.Commands = append(base.Commands, session.Command{Raw: `echo "mdrfckr">>k`})
+	base.TimedOut = true
+	line, err := session.AppendJSON(nil, base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var cols session.Columns
+	if !session.ShredJSON(line, &cols) {
+		f.Fatal("base record does not shred")
+	}
+	targets := []int{session.ColLogins, session.ColCmds, session.ColDls, session.ColStateChanged}
+	for i, c := range targets {
+		f.Add(uint8(i), append([]byte(nil), cols[c]...))
+	}
+	for _, seed := range []struct {
+		col  uint8
+		frag string
+	}{
+		{0, `[{"user": "root","pass":"x","ok":true}]`},
+		{0, `[{"user":"root","pass":"😀","ok":false},{"user":"a","pass":"b","ok":true}]`},
+		{0, `[]`},
+		{0, `null`},
+		{1, `[{"raw":"echo mdrfckr","known":true}]`},
+		{1, `[{"raw":"wget x; sh","known":true},{"raw":"echo mdrfckr","known":false}]`},
+		{1, `[{"raw":"a\u0000b","known":true}],"cmds":[]`},
+		{2, `[{"uri":"http://x","size":1e3}]`},
+		{2, `[{"uri":"u","src_ip":"1.2.3.4","hash":"h","size":-1},{"uri":"v"}]`},
+		{3, `false`},
+		{3, `tru`},
+	} {
+		f.Add(seed.col, []byte(seed.frag))
+	}
+	var plans []*plan
+	for _, pred := range fragLeaves() {
+		p, err := lower(&Query{Where: pred})
+		if err != nil {
+			f.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, frag []byte) {
+		row := cols
+		row[targets[int(which)%len(targets)]] = nil
+		if len(frag) > 0 {
+			row[targets[int(which)%len(targets)]] = frag
+		}
+		sc := &colScratch{}
+		for c, b := range row {
+			if b != nil {
+				sc.cols[c] = colData{data: b, off: []uint32{0}, lens: []uint32{uint32(len(b))}}
+			}
+		}
+		var rec session.Record
+		var dec session.JSONDecoder
+		decoded := dec.DecodeColumns(&row, &rec, session.FAllFields) ||
+			dec.DecodeMasked(session.AppendAssembled(nil, &row), &rec, session.FAllFields) == nil
+		for i, p := range plans {
+			var arena []uint64
+			a := bmAlloc{arena: &arena}
+			lo, hi := a.get(1), a.get(1)
+			p.prog.root.eval(&vecEnv{sc: sc, rows: 1}, &a, lo, hi)
+			if !decoded {
+				continue
+			}
+			truth := p.filter(&rec)
+			if bmHas(lo, 0) && !truth || truth && !bmHas(hi, 0) {
+				t.Fatalf("leaf %d over %q: lo %v hi %v, Filter %v", i, frag, bmHas(lo, 0), bmHas(hi, 0), truth)
+			}
+		}
+	})
+}
+
+// TestSelectStarDecodesWhole: a statement that returns whole records
+// has no narrower output mask, so a bitmap-decided block decodes every
+// field all the same.
+func TestSelectStarDecodesWhole(t *testing.T) {
+	for _, q := range []*Query{
+		{Where: Cmp(FieldUser, CmpEq, StringValue("root"))},
+		{Where: Match(FieldCmd, regexp.MustCompile("wget"), false), Limit: 3},
+	} {
+		p, err := lower(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.outMask != session.FAllFields || p.mask != session.FAllFields {
+			t.Fatalf("SELECT * plan masks: out %b, whole %b", p.outMask, p.mask)
+		}
+	}
+	p, err := lower(&Query{Where: Cmp(FieldUser, CmpEq, StringValue("root")), Aggs: []AggSpec{{Op: AggCountDistinct, Field: FieldIP}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.outMask != session.FClientIP || p.mask != session.FClientIP|session.FLogins {
+		t.Fatalf("count(distinct ip) WHERE user: out %b, whole %b", p.outMask, p.mask)
+	}
+}

@@ -153,7 +153,7 @@ func (c *Cursor) Next() bool {
 		return false
 	}
 	for {
-		r, err := c.nextRaw()
+		r, decided, err := c.nextRaw()
 		if err != nil {
 			if err != io.EOF {
 				c.err = err
@@ -165,7 +165,7 @@ func (c *Cursor) Next() bool {
 			c.Close()
 			return false
 		}
-		if f := c.p.filter; f != nil && !c.parts[c.pi].all && !f(r) {
+		if f := c.p.filter; f != nil && !decided && !c.parts[c.pi].all && !f(r) {
 			continue
 		}
 		if c.stats != nil {
@@ -176,8 +176,9 @@ func (c *Cursor) Next() bool {
 	}
 }
 
-// nextRaw yields the next record across parts, or io.EOF.
-func (c *Cursor) nextRaw() (*session.Record, error) {
+// nextRaw yields the next record across parts, or io.EOF. decided
+// marks a record a column bitmap already found to match.
+func (c *Cursor) nextRaw() (*session.Record, bool, error) {
 	for c.pi < len(c.parts) {
 		p := &c.parts[c.pi]
 		if p.seg != nil && p.seg.Codec == codecV3 {
@@ -185,13 +186,13 @@ func (c *Cursor) nextRaw() (*session.Record, error) {
 			// their zones, prefilters rows column-at-a-time, and decodes
 			// only the projected columns of the selected rows.
 			if c.cc == nil {
-				cc, err := c.s.openColCursor(p.seg, c.p.prog, c.p.mask, c.stats, &c.dec, &c.arena)
+				cc, err := c.s.openColCursor(p.seg, c.p, c.stats, &c.dec, &c.arena)
 				if err != nil {
-					return nil, err
+					return nil, false, err
 				}
 				c.cc = cc
 			}
-			r, err := c.cc.next()
+			r, decided, err := c.cc.next()
 			if err == io.EOF {
 				c.cc.close()
 				c.cc = nil
@@ -199,15 +200,15 @@ func (c *Cursor) nextRaw() (*session.Record, error) {
 				continue
 			}
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			return r, nil
+			return r, decided, nil
 		}
 		if p.seg != nil {
 			if c.br == nil {
 				br, err := c.s.openSegment(p.seg)
 				if err != nil {
-					return nil, err
+					return nil, false, err
 				}
 				br.setStats(c.stats)
 				c.br = br
@@ -220,16 +221,16 @@ func (c *Cursor) nextRaw() (*session.Record, error) {
 				continue
 			}
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			r := c.arena.alloc()
 			if err := c.dec.DecodeMasked(line, r, c.p.mask); err != nil {
-				return nil, fmt.Errorf("store: decoding record: %w", err)
+				return nil, false, fmt.Errorf("store: decoding record: %w", err)
 			}
 			if c.stats != nil {
 				c.stats.ScannedRecords++
 			}
-			return r, nil
+			return r, false, nil
 		}
 		if c.ti < len(p.tail) {
 			r := p.tail[c.ti]
@@ -238,12 +239,12 @@ func (c *Cursor) nextRaw() (*session.Record, error) {
 				c.stats.TailRecords++
 				c.stats.ScannedRecords++
 			}
-			return r, nil
+			return r, false, nil
 		}
 		c.ti = 0
 		c.pi++
 	}
-	return nil, io.EOF
+	return nil, false, io.EOF
 }
 
 // Record returns the record Next advanced to.

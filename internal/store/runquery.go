@@ -13,7 +13,9 @@ package store
 // skip decoding unused record fields.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"regexp"
 	"sort"
@@ -865,9 +867,10 @@ func (q *Query) validate() (Filter, error) {
 	return CompilePred(q.Where)
 }
 
-// mask computes the decoder field mask the query needs: only the fields
-// the predicate, projection, and aggregates read are decoded.
-func (q *Query) mask() session.FieldMask {
+// outMask is the decoder field mask of what the query returns: its
+// projection, group keys, aggregates and sort key — every field, for
+// full records.
+func (q *Query) outMask() session.FieldMask {
 	if len(q.Aggs) == 0 && len(q.Select) == 0 {
 		return session.FAllFields // full records requested
 	}
@@ -883,7 +886,6 @@ func (q *Query) mask() session.FieldMask {
 			m |= a.Field.Mask()
 		}
 	}
-	m |= predMask(q.Where)
 	if q.OrderBy != FieldNone {
 		m |= q.OrderBy.Mask()
 	}
@@ -978,15 +980,16 @@ func predIP(p *Pred) (string, bool) {
 // blocks, the Bloom route, the decoder mask and the facts EXPLAIN
 // prints.
 type plan struct {
-	q      *Query
-	filter Filter            // the truth test; nil selects all
-	prog   *vecProg          // q.Where compiled; nil when it decides no zone or column
-	mask   session.FieldMask // fields the statement reads
-	tr     TimeRange         // start-time range the predicate implies
-	ip     string            // required client IP, probed as h1, h2
-	h1, h2 uint64
-	empty  bool    // the predicate contradicts itself
-	splits []Field // see metaSplits
+	q       *Query
+	filter  Filter            // the truth test; nil selects all
+	prog    *vecProg          // q.Where compiled; nil when it decides no zone or column
+	mask    session.FieldMask // fields the statement reads: outMask plus the predicate's
+	outMask session.FieldMask // fields the statement returns
+	tr      TimeRange         // start-time range the predicate implies
+	ip      string            // required client IP, probed as h1, h2
+	h1, h2  uint64
+	empty   bool    // the predicate contradicts itself
+	splits  []Field // see metaSplits
 }
 
 // lower validates q and compiles it into a plan.
@@ -995,7 +998,8 @@ func lower(q *Query) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{q: q, filter: filter, mask: q.mask()}
+	out := q.outMask()
+	p := &plan{q: q, filter: filter, mask: out | predMask(q.Where), outMask: out}
 	if q.Where != nil {
 		prog := &vecProg{}
 		prog.root = prog.compile(q.Where)
@@ -1226,6 +1230,8 @@ type aggTable struct {
 	groupBy []Field
 	aggs    []AggSpec
 	rows    map[string]*aggRow
+	keys    []Value // addRecord's group key scratch
+	kb      []byte  // key encoding scratch
 }
 
 type aggRow struct {
@@ -1245,29 +1251,49 @@ func newAggTable(groupBy []Field, aggs []AggSpec) *aggTable {
 	return &aggTable{groupBy: groupBy, aggs: aggs, rows: map[string]*aggRow{}}
 }
 
-// keyOf encodes group keys into a map key.
-func keyOf(keys []Value) string {
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteByte(byte(k.Kind))
-		b.WriteString(k.String())
-		b.WriteByte(0)
+// appendKey appends the exact encoding of one group key or distinct
+// value: its kind, then a length-prefixed string or a fixed-width
+// number — a time as its second and nanosecond. Two tuples of values
+// encode alike only when they are equal value for value; the rendered
+// String() is neither (it drops sub-second time and cannot tell where
+// one string ends).
+func appendKey(b []byte, v Value) []byte {
+	b = append(b, byte(v.Kind))
+	switch v.Kind {
+	case ValString:
+		b = binary.AppendUvarint(b, uint64(len(v.Str)))
+		return append(b, v.Str...)
+	case ValInt, ValSessionKind:
+		return binary.BigEndian.AppendUint64(b, uint64(v.Int))
+	case ValFloat:
+		return binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float))
+	case ValBool:
+		if v.Bool {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case ValTime, ValMonth, ValDay:
+		b = binary.BigEndian.AppendUint64(b, uint64(v.Time.Unix()))
+		return binary.BigEndian.AppendUint32(b, uint32(v.Time.Nanosecond()))
 	}
-	return b.String()
+	return b
 }
 
 func (t *aggTable) row(keys []Value) *aggRow {
-	k := keyOf(keys)
-	r, ok := t.rows[k]
-	if !ok {
-		r = &aggRow{keys: append([]Value(nil), keys...), accs: make([]aggAcc, len(t.aggs))}
-		for i := range r.accs {
-			if t.aggs[i].Op == AggCountDistinct {
-				r.accs[i].set = map[string]bool{}
-			}
-		}
-		t.rows[k] = r
+	t.kb = t.kb[:0]
+	for _, k := range keys {
+		t.kb = appendKey(t.kb, k)
 	}
+	if r, ok := t.rows[string(t.kb)]; ok {
+		return r
+	}
+	r := &aggRow{keys: append([]Value(nil), keys...), accs: make([]aggAcc, len(t.aggs))}
+	for i := range r.accs {
+		if t.aggs[i].Op == AggCountDistinct {
+			r.accs[i].set = map[string]bool{}
+		}
+	}
+	t.rows[string(t.kb)] = r
 	return r
 }
 
@@ -1282,11 +1308,11 @@ func (t *aggTable) addCount(keys []Value, n int64) {
 
 // addRecord folds one record.
 func (t *aggTable) addRecord(rec *session.Record) {
-	keys := make([]Value, len(t.groupBy))
-	for i, f := range t.groupBy {
-		keys[i] = fieldValue(f, rec)
+	t.keys = t.keys[:0]
+	for _, f := range t.groupBy {
+		t.keys = append(t.keys, fieldValue(f, rec))
 	}
-	r := t.row(keys)
+	r := t.row(t.keys)
 	for i, spec := range t.aggs {
 		acc := &r.accs[i]
 		switch spec.Op {
@@ -1300,7 +1326,10 @@ func (t *aggTable) addRecord(rec *session.Record) {
 					acc.set[s] = true
 				}
 			} else if v := fieldValue(spec.Field, rec); v.Kind != ValNull {
-				acc.set[v.String()] = true
+				t.kb = appendKey(t.kb[:0], v)
+				if !acc.set[string(t.kb)] {
+					acc.set[string(t.kb)] = true
+				}
 			}
 		case AggSum, AggAvg:
 			v := fieldValue(spec.Field, rec)

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"io"
 	"math/bits"
 	"regexp"
 	"time"
 
+	"honeynet/internal/classify"
 	"honeynet/internal/session"
 )
 
@@ -19,10 +21,13 @@ import (
 // a decoded v3 block, eval runs the leaves column-at-a-time into a
 // selection bitmap pair (lo = definitely true, hi = possibly true):
 // leaves the columns decide exactly set lo == hi, anything else (an
-// opaque field, a raw-overflow row) widens to unknown. Rows with hi
-// clear are skipped before any per-row decode; rows with hi set
-// materialize and still pass the cursor's row Filter — the truth every
-// verdict is held to (TestTriSoundOverEveryZone) — unless their
+// opaque field, a raw-overflow row, a fragment the decoder's fast
+// grammar rejects) widens to unknown. Rows with hi clear are skipped
+// before any per-row decode. A row with lo set is a match: it
+// materializes only the fields the statement returns and skips the
+// row Filter. A row that is only possibly true materializes whole and
+// passes the cursor's row Filter — the truth every verdict is held to
+// (TestTriSoundOverEveryZone, FuzzFragmentKernels) — unless its
 // segment's zone already said triTrue for all of them, so zones and
 // bitmaps can never change results.
 
@@ -35,6 +40,10 @@ const (
 	vecKind                       // session kind vs the meta stripe's kind bytes
 	vecProto                      // protocol vs the dictionary-coded column
 	vecIP                         // client IP vs the raw fragment bytes
+	vecLogins                     // user, pass, login_ok vs the logins fragment
+	vecCount                      // logins, cmds, dls vs their fragment's element count
+	vecCmd                        // the joined command text vs the cmds fragment
+	vecFlag                       // state_changed, timeout: fragment true, false or absent
 )
 
 // vecNode is one compiled predicate node.
@@ -42,13 +51,16 @@ type vecNode struct {
 	op   PredOp // PredCmp = leaf
 	kids []*vecNode
 
-	leaf vecLeafKind
-	cmp  CmpOp
-	val  Value
-	re   *regexp.Regexp
-	tv   int64  // vecTime: comparison instant, unix nanoseconds
-	kv   int64  // vecKind: comparison kind
-	qv   []byte // vecIP: the quoted JSON fragment an equal IP encodes to
+	leaf  vecLeafKind
+	field Field
+	cmp   CmpOp
+	val   Value
+	re    *regexp.Regexp
+	tv    int64    // vecTime: comparison instant, unix nanoseconds
+	kv    int64    // vecKind: comparison kind
+	qv    []byte   // vecIP: the quoted JSON fragment an equal IP encodes to; vecCmd: the literal
+	col   int      // fragment leaves: the column read
+	lits  [][]byte // vecCmd regex: a match contains one of these (nil: no such set)
 }
 
 // vecProg is a compiled predicate: the node tree plus the field columns
@@ -80,7 +92,11 @@ func (g *vecProg) compile(p *Pred) *vecNode {
 		}
 		return n
 	}
-	n := &vecNode{op: PredCmp, cmp: p.Cmp, val: p.Val, re: p.Re}
+	n := &vecNode{op: PredCmp, field: p.Field, cmp: p.Cmp, val: p.Val, re: p.Re}
+	frag := func(k vecLeafKind, col int) {
+		n.leaf, n.col = k, col
+		g.cols |= 1 << uint(col)
+	}
 	switch p.Field {
 	case FieldStart:
 		if tnanoSafe(p.Val.Time.Year()) {
@@ -97,10 +113,32 @@ func (g *vecProg) compile(p *Pred) *vecNode {
 	case FieldIP:
 		if p.Cmp == CmpEq || p.Cmp == CmpNe {
 			if q, ok := quoteIP(p.Val.Str); ok {
-				n.leaf, n.qv = vecIP, q
-				g.cols |= 1 << uint(session.ColClientIP)
+				frag(vecIP, session.ColClientIP)
+				n.qv = q
 			}
 		}
+	case FieldUser, FieldPassword, FieldLoginOK:
+		frag(vecLogins, session.ColLogins)
+	case FieldLogins:
+		frag(vecCount, session.ColLogins)
+	case FieldCommands:
+		frag(vecCount, session.ColCmds)
+	case FieldDownloads:
+		frag(vecCount, session.ColDls)
+	case FieldCmd:
+		frag(vecCmd, session.ColCmds)
+		n.qv = []byte(p.Val.Str)
+		if p.Re != nil {
+			// One prefilter, two users: the classifier refutes its rules
+			// with the same necessary literals.
+			for _, l := range classify.NecessaryLits(p.Re.String()) {
+				n.lits = append(n.lits, []byte(l))
+			}
+		}
+	case FieldStateChanged:
+		frag(vecFlag, session.ColStateChanged)
+	case FieldTimedOut:
+		frag(vecFlag, session.ColTimeout)
 	}
 	return n
 }
@@ -290,7 +328,7 @@ func (n *vecNode) tri(z *zone) tri {
 			return evalCmp(StringValue(maskProtos[b]), n.cmp, n.val, n.re)
 		})
 	}
-	return triUnknown
+	return triUnknown // no zone summarizes a record's fields
 }
 
 // protoOther is protoMaskBit's bit for anything but ssh and telnet;
@@ -367,6 +405,7 @@ func triNot(t tri) tri {
 }
 
 // vecEnv is one block's decoded column state, handed to leaf kernels.
+// The raw stripe must be loaded: a row it holds is in no field column.
 type vecEnv struct {
 	sc   *colScratch
 	rows int
@@ -426,6 +465,16 @@ func bmCount(b []uint64) int {
 func bmSet(b []uint64, i int) { b[i>>6] |= 1 << uint(i&63) }
 
 func bmHas(b []uint64, i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
+
+// bmSubset reports whether every bit of a is set in b.
+func bmSubset(a, b []uint64) bool {
+	for i, w := range a {
+		if w&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // bmNext returns the first set bit at or after i, or rows.
 func bmNext(b []uint64, i, rows int) int {
@@ -498,8 +547,9 @@ func (n *vecNode) eval(env *vecEnv, a *bmAlloc, lo, hi []uint64) {
 }
 
 // evalLeaf runs one column kernel. Exact verdicts set lo == hi; rows a
-// column cannot decide (raw-overflow rows for field leaves, a block
-// without safe nanoseconds for time leaves) get lo=0, hi=1.
+// column cannot decide (raw-overflow rows and rejected fragments for
+// field leaves, a block without safe nanoseconds for time leaves) get
+// lo=0, hi=1.
 func (n *vecNode) evalLeaf(env *vecEnv, lo, hi []uint64) {
 	rows := env.rows
 	sc := env.sc
@@ -544,21 +594,20 @@ func (n *vecNode) evalLeaf(env *vecEnv, lo, hi []uint64) {
 		}
 		bmZero(lo)
 		bmFill(hi, rows)
-	case vecIP:
-		cd := &sc.cols[session.ColClientIP]
+	case vecIP, vecLogins, vecCount, vecCmd, vecFlag:
+		cd := &sc.cols[n.col]
 		bmZero(lo)
 		bmZero(hi)
 		for i := 0; i < rows; i++ {
-			frag := cd.frag(i)
-			if frag == nil {
+			if sc.raw.frag(i) != nil {
 				bmSet(hi, i) // raw-overflow row: unknown
 				continue
 			}
-			eq := bytesEqual(frag, n.qv)
-			if n.cmp == CmpNe {
-				eq = !eq
-			}
-			if eq {
+			match, ok := n.fragVerdict(&sc.frag, cd.frag(i))
+			switch {
+			case !ok:
+				bmSet(hi, i)
+			case match:
 				bmSet(lo, i)
 				bmSet(hi, i)
 			}
@@ -569,16 +618,96 @@ func (n *vecNode) evalLeaf(env *vecEnv, lo, hi []uint64) {
 	}
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
+// fragVerdict decides the leaf for one shredded row from its column
+// fragment (nil: the field is absent, so the array is empty or the flag
+// false). ok is false when the fragment is not one the decoder's fast
+// grammar accepts: only a decoded record can tell then.
+func (n *vecNode) fragVerdict(fr *session.FragReader, frag []byte) (match, ok bool) {
+	switch n.leaf {
+	case vecIP:
+		if frag == nil {
+			return false, false // a shredded row always carries client_ip
+		}
+		return bytes.Equal(frag, n.qv) == (n.cmp == CmpEq), true
+	case vecFlag:
+		switch string(frag) {
+		case "", "false":
+			return evalCmp(BoolValue(false), n.cmp, n.val, n.re), true
+		case "true":
+			return evalCmp(BoolValue(true), n.cmp, n.val, n.re), true
+		}
+		return false, false
+	case vecCount:
+		count := 0
+		if frag != nil {
+			if count, ok = fr.Count(n.col, frag); !ok {
+				return false, false
+			}
+		}
+		return evalCmp(IntValue(int64(count)), n.cmp, n.val, n.re), true
+	case vecCmd:
+		var text []byte
+		if frag != nil {
+			if text, ok = fr.CommandText(frag); !ok {
+				return false, false
+			}
+		}
+		return n.cmpText(text), true
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return n.loginsVerdict(fr, frag)
+}
+
+// loginsVerdict decides a vecLogins leaf: user and pass with the
+// any-element semantics of evalMulti, login_ok as the record's
+// LoggedIn.
+func (n *vecNode) loginsVerdict(fr *session.FragReader, frag []byte) (match, ok bool) {
+	anyOK, hit := false, false
+	if frag != nil {
+		ok = fr.Logins(frag, func(user, pass []byte, success bool) {
+			anyOK = anyOK || success
+			switch {
+			case hit:
+			case n.field == FieldUser:
+				hit = n.elemHit(user)
+			case n.field == FieldPassword:
+				hit = n.elemHit(pass)
+			}
+		})
+		if !ok {
+			return false, false
 		}
 	}
-	return true
+	if n.field == FieldLoginOK {
+		return evalCmp(BoolValue(anyOK), n.cmp, n.val, n.re), true
+	}
+	return hit == (n.cmp == CmpEq || n.cmp == CmpMatch), true
+}
+
+// elemHit is the any-element test of a user or pass leaf on one login.
+func (n *vecNode) elemHit(s []byte) bool {
+	if n.re != nil {
+		return n.re.Match(s)
+	}
+	return string(s) == n.val.Str
+}
+
+// cmpText compares a joined command text against the leaf's literal or
+// pattern. A pattern runs only when the text holds one of its necessary
+// literals.
+func (n *vecNode) cmpText(text []byte) bool {
+	switch n.cmp {
+	case CmpMatch, CmpNotMatch:
+		m := n.lits == nil
+		for _, l := range n.lits {
+			if bytes.Contains(text, l) {
+				m = true
+				break
+			}
+		}
+		m = m && n.re.Match(text)
+		return m == (n.cmp == CmpMatch)
+	}
+	return cmpI64(int64(bytes.Compare(text, n.qv)), 0, n.cmp)
 }
 
 func cmpI64(a, b int64, cmp CmpOp) bool {
@@ -599,27 +728,30 @@ func cmpI64(a, b int64, cmp CmpOp) bool {
 	return false
 }
 
-// colCursor scans one v3 segment under a field mask and compiled
-// prefilter: per block it reads the directory, asks the zone maps
-// whether the block can match at all, evaluates the prefilter over
-// just the predicate's columns, and only then loads the projected
-// columns and materializes the selected rows.
+// colCursor scans one v3 segment under a lowered plan: per block it
+// reads the directory, asks the zone maps whether the block can match
+// at all, evaluates the compiled predicate over just its columns, and
+// only then loads the returned columns and materializes the selected
+// rows.
 type colCursor struct {
 	cs    *colSeg
-	prog  *vecProg
-	mask  session.FieldMask
+	p     *plan
 	stats *PlanStats
 
 	bi     int
 	rows   int
 	row    int
 	dir    colDir
-	sel    []uint64
+	sel    []uint64 // rows to materialize: the bitmap's possibly-true rows
+	lo     []uint64 // rows the bitmap decided true; nil without a compiled predicate
 	loaded session.ColumnSet
 	pre    session.ColumnSet // columns prefilled from sidecars, stripes unread
-	rawOK  bool
 
-	need    session.ColumnSet // ColumnsForMask(mask), cached
+	// The block's decode mask: the plan's output mask when the bitmap
+	// decided every selected row, so no row Filter reads the record, and
+	// the plan's whole mask otherwise.
+	mask    session.FieldMask
+	need    session.ColumnSet // ColumnsForMask(mask)
 	asm     session.Columns
 	colIdx  []int  // loaded∩need columns materialize refreshes per row
 	ipArena string // block's client_ip stripe, one string alloc per block
@@ -627,30 +759,28 @@ type colCursor struct {
 	ar      *recArena
 }
 
-// openColCursor opens a masked scan over one v3 segment.
-func (s *Store) openColCursor(meta *segmentMeta, prog *vecProg, mask session.FieldMask, stats *PlanStats, dec *session.JSONDecoder, ar *recArena) (*colCursor, error) {
+// openColCursor opens a scan over one v3 segment.
+func (s *Store) openColCursor(meta *segmentMeta, p *plan, stats *PlanStats, dec *session.JSONDecoder, ar *recArena) (*colCursor, error) {
 	cs, err := s.openColSeg(meta)
 	if err != nil {
 		return nil, err
 	}
-	return &colCursor{
-		cs: cs, prog: prog, mask: mask, stats: stats,
-		need: session.ColumnsForMask(mask), dec: dec, ar: ar,
-	}, nil
+	return &colCursor{cs: cs, p: p, stats: stats, dec: dec, ar: ar}, nil
 }
 
 func (cc *colCursor) close() error { return cc.cs.close() }
 
-// next returns the next selected record, or io.EOF.
-func (cc *colCursor) next() (*session.Record, error) {
+// next returns the next selected record, or io.EOF. decided reports a
+// row the bitmap found definitely true, which needs no row Filter.
+func (cc *colCursor) next() (r *session.Record, decided bool, err error) {
 	for {
 		if cc.row >= cc.rows {
 			ok, err := cc.nextBlock()
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if !ok {
-				return nil, io.EOF
+				return nil, false, io.EOF
 			}
 			continue
 		}
@@ -662,17 +792,18 @@ func (cc *colCursor) next() (*session.Record, error) {
 		cc.row = i + 1
 		r, err := cc.materialize(i)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if cc.stats != nil {
 			cc.stats.ScannedRecords++
 		}
-		return r, nil
+		return r, cc.lo != nil && bmHas(cc.lo, i), nil
 	}
 }
 
 // nextBlock advances to the next block that survives zone pruning and
-// prefiltering, loading its projected columns. Returns false at EOF.
+// the bitmap, loading the columns its mask decodes. Returns false at
+// EOF.
 func (cc *colCursor) nextBlock() (bool, error) {
 	for cc.bi < len(cc.cs.meta.Blocks) {
 		bi := cc.bi
@@ -680,7 +811,8 @@ func (cc *colCursor) nextBlock() (bool, error) {
 		if err := cc.cs.readDir(bi, &cc.dir); err != nil {
 			return false, err
 		}
-		if z := cc.dir.zone(); cc.prog != nil && cc.prog.root.tri(&z) == triFalse {
+		prog := cc.p.prog
+		if z := cc.dir.zone(); prog != nil && prog.root.tri(&z) == triFalse {
 			if cc.stats != nil {
 				cc.stats.BlocksZonePruned++
 				cc.stats.BlocksSkipped++
@@ -688,6 +820,11 @@ func (cc *colCursor) nextBlock() (bool, error) {
 			continue
 		}
 		if err := cc.cs.loadSidecars(&cc.dir, cc.stats); err != nil {
+			return false, err
+		}
+		// Raw overflow before the predicate: a raw row is in no field
+		// stripe, so a kernel must know it is not merely absent there.
+		if err := cc.cs.loadRaw(&cc.dir, cc.stats); err != nil {
 			return false, err
 		}
 		if cc.cs.s != nil {
@@ -699,29 +836,34 @@ func (cc *colCursor) nextBlock() (bool, error) {
 		rows := cc.dir.rows
 		words := bmWords(rows)
 		a := bmAlloc{arena: &cc.cs.sc.bm}
-		cc.sel = a.get(words)
+		cc.sel, cc.lo = a.get(words), nil
 		cc.loaded = 0
-		cc.rawOK = false
+		cc.mask = cc.p.mask
 
-		if cc.prog != nil {
+		if prog != nil {
 			// Phase 1: only the predicate's columns, then evaluate.
-			if err := cc.loadCols(cc.prog.cols); err != nil {
+			if err := cc.loadCols(prog.cols); err != nil {
 				return false, err
 			}
 			lo := a.get(words)
 			env := &vecEnv{sc: cc.cs.sc, rows: rows, tnOK: len(cc.cs.sc.tnanos) == rows}
-			cc.prog.root.eval(env, &a, lo, cc.sel)
+			prog.root.eval(env, &a, lo, cc.sel)
 			if bmCount(cc.sel) == 0 {
 				continue
+			}
+			cc.lo = lo
+			if bmSubset(cc.sel, lo) {
+				cc.mask = cc.p.outMask
 			}
 		} else {
 			bmFill(cc.sel, rows)
 		}
+		cc.need = session.ColumnsForMask(cc.mask)
 
-		// Phase 2: the projection's columns, plus raw overflow. The
-		// meta sidecar already holds the protocol (via the dictionary)
-		// and — when the block's timestamps round-trip through nanos —
-		// the start time verbatim, so those stripes are never loaded:
+		// Phase 2: the columns the block's mask decodes. The meta
+		// sidecar already holds the protocol (via the dictionary) and —
+		// when the block's timestamps round-trip through nanos — the
+		// start time verbatim, so those stripes are never loaded:
 		// materialize prefills the fields from the sidecar instead.
 		cc.pre = session.ColumnSet(1 << uint(session.ColProto))
 		if len(cc.cs.sc.tnanos) == rows {
@@ -744,10 +886,6 @@ func (cc *colCursor) nextBlock() (bool, error) {
 				cc.pre |= 1 << uint(session.ColClientIP)
 			}
 		}
-		if err := cc.cs.loadRaw(&cc.dir, cc.stats); err != nil {
-			return false, err
-		}
-		cc.rawOK = true
 		cc.asmRebuild()
 		cc.rows, cc.row = rows, 0
 		return true, nil

