@@ -590,12 +590,13 @@ func BenchmarkDatasetStatsParallel(b *testing.B) {
 // benchSink keeps the kernel comparison loops from being optimized out.
 var benchSink float64
 
-// BenchmarkDLDMatrixBounded compares a full pairwise matrix fill over
-// the clustering sample with the unbounded full-DP kernel (kept as
-// NormalizedIDsFull, the pre-optimization implementation) against the
-// doubling-band Ukkonen kernel NormalizedIDs routes through now. Both
-// produce bit-identical distances; the ratio of their ns/op is the
-// kernel speedup reported in BENCH_4.json.
+// BenchmarkDLDMatrixBounded compares three serial fills of the full
+// pairwise matrix over the clustering sample: the unbounded full DP
+// (NormalizedIDsFull, the reference), the per-pair hybrid bit-parallel
+// kernel (NormalizedIDs, which live assignment uses), and the packed
+// kernel the matrix fill uses (textdist.Packer: each text once per pack
+// of short texts, long pairs per pair). All three produce bit-identical
+// distances; unbounded/bounded is the kernel speedup in BENCH_4.json.
 func BenchmarkDLDMatrixBounded(b *testing.B) {
 	w := benchPipeline(b)
 	smp, err := w.DLDSample(analysis.ClusterConfig{SampleSize: 2000, Seed: 42, Workers: 1})
@@ -630,6 +631,42 @@ func BenchmarkDLDMatrixBounded(b *testing.B) {
 			b.ReportMetric(pairs, "pairs/op")
 		})
 	}
+	b.Run("packed", func(b *testing.B) {
+		packs, long := textdist.Packs(ids)
+		p, s := textdist.NewPacker(in.Len()), textdist.NewScratch()
+		out := make([]float64, textdist.PackMax)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sum := 0.0
+			for x, a := range long {
+				for _, y := range long[x+1:] {
+					sum += s.NormalizedIDs(ids[a], ids[y])
+				}
+			}
+			for c, pk := range packs {
+				p.Load(ids, pk)
+				run := func(x, from int) {
+					p.Normalized(ids[x], from, out)
+					for _, v := range out[from:len(pk)] {
+						sum += v
+					}
+				}
+				for _, prev := range packs[:c] {
+					for _, x := range prev {
+						run(x, 0)
+					}
+				}
+				for k, x := range pk[:len(pk)-1] {
+					run(x, k+1)
+				}
+				for _, x := range long {
+					run(x, 0)
+				}
+			}
+			benchSink = sum
+		}
+		b.ReportMetric(pairs, "pairs/op")
+	})
 }
 
 // BenchmarkRunAllParallel measures the full -fig all pipeline under the

@@ -62,10 +62,12 @@ type ClusterResult struct {
 // fillDLDMatrix builds the pairwise normalized token-DLD matrix on up to
 // `workers` goroutines and returns the merged kernel work counters.
 // Tokens are interned to int32 IDs first (serially, so ID assignment is
-// deterministic) and each worker carries a reusable textdist.Scratch,
-// making the banded DP loop allocation-free with integer equality
-// checks. The matrix is identical to a serial string-token fill for
-// every worker count.
+// deterministic). Texts of 1..64 tokens are packed side by side
+// (textdist.Packs), and every text runs once per pack instead of once
+// per pair; a pair of texts neither of which packs (empty or longer)
+// runs Scratch.NormalizedIDs. Each cell is written once, by a pure
+// function of its pair, so the matrix is identical to a serial
+// per-pair fill for every worker count.
 func fillDLDMatrix(tokens [][]string, workers int) (*cluster.Matrix, textdist.KernelStats) {
 	workers = parallel.Workers(workers)
 	in := textdist.NewInterner()
@@ -73,16 +75,54 @@ func fillDLDMatrix(tokens [][]string, workers int) (*cluster.Matrix, textdist.Ke
 	for i, t := range tokens {
 		ids[i] = in.Intern(t)
 	}
+	packs, long := textdist.Packs(ids)
+	packers := make([]*textdist.Packer, workers)
 	scratch := make([]*textdist.Scratch, workers)
-	for i := range scratch {
-		scratch[i] = textdist.NewScratch()
+	for w := range packers {
+		packers[w], scratch[w] = textdist.NewPacker(in.Len()), textdist.NewScratch()
 	}
-	m := cluster.FillParallel(len(ids), workers, func(w, i, j int) float64 {
-		return scratch[w].NormalizedIDs(ids[i], ids[j])
+	m := cluster.NewMatrix(len(ids))
+	// One job per long text (its pairs with the long texts after it),
+	// first because they are the heaviest, then one per pack.
+	parallel.ForEach(len(long)+len(packs), workers, 1, func(w, lo, hi int) {
+		out := make([]float64, textdist.PackMax)
+		for job := lo; job < hi; job++ {
+			if job < len(long) {
+				i := long[job]
+				for _, j := range long[job+1:] {
+					m.Set(i, j, scratch[w].NormalizedIDs(ids[i], ids[j]))
+				}
+				continue
+			}
+			cur := job - len(long)
+			pk, p := packs[cur], packers[w]
+			p.Load(ids, pk)
+			run := func(i, from int) {
+				p.Normalized(ids[i], from, out)
+				for k := from; k < len(pk); k++ {
+					m.Set(i, pk[k], out[k])
+				}
+			}
+			// A short text fills its cells with the members after it:
+			// every text of an earlier pack, and this pack's own members
+			// with the ones after them.
+			for _, prev := range packs[:cur] {
+				for _, i := range prev {
+					run(i, 0)
+				}
+			}
+			for k, i := range pk[:len(pk)-1] {
+				run(i, k+1)
+			}
+			for _, i := range long {
+				run(i, 0)
+			}
+		}
 	})
 	var st textdist.KernelStats
-	for _, s := range scratch {
-		st.Add(s.Stats())
+	for w := range packers {
+		st.Add(packers[w].Stats())
+		st.Add(scratch[w].Stats())
 	}
 	return m, st
 }
@@ -364,29 +404,50 @@ func Fig14(w *World, perCategory int) *Fig14Result {
 			tokens[ci] = append(tokens[ci], intern.Intern(textdist.Tokenize(txt)))
 		}
 	}
-	// Each matrix cell is the mean over an exemplar cross product; the
-	// inner accumulation stays serial per cell, so the parallel fill is
-	// bit-identical to the serial one.
+	// Each matrix cell is the mean over an exemplar cross product. A
+	// column category's short exemplars are packed, and each row
+	// exemplar runs once per pack; the distances are then summed
+	// ta-major, tb-minor, serially per cell, so the mean is bit-identical
+	// to a per-pair loop for any worker count.
 	workers := w.workers()
 	scratch := make([]*textdist.Scratch, parallel.Workers(workers))
+	packers := make([]*textdist.Packer, len(scratch))
 	for i := range scratch {
-		scratch[i] = textdist.NewScratch()
+		scratch[i], packers[i] = textdist.NewScratch(), textdist.NewPacker(intern.Len())
+	}
+	packs := make([][][]int, len(cats))
+	long := make([][]int, len(cats))
+	for ci := range cats {
+		packs[ci], long[ci] = textdist.Packs(tokens[ci])
 	}
 	defer w.span("fig14.dld-matrix").End()
 	m := cluster.FillParallel(len(cats), workers, func(wk, i, j int) float64 {
-		s := scratch[wk]
 		rows, cols := tokens[i], tokens[j]
-		sum, n := 0.0, 0
-		for _, ta := range rows {
-			for _, tb := range cols {
-				sum += s.NormalizedIDs(ta, tb)
-				n++
-			}
-		}
-		if n == 0 {
+		if len(rows)*len(cols) == 0 {
 			return 0
 		}
-		return sum / float64(n)
+		d := make([]float64, len(rows)*len(cols))
+		out := make([]float64, textdist.PackMax)
+		p := packers[wk]
+		for _, pk := range packs[j] {
+			p.Load(cols, pk)
+			for a, ta := range rows {
+				p.Normalized(ta, 0, out)
+				for k, b := range pk {
+					d[a*len(cols)+b] = out[k]
+				}
+			}
+		}
+		for _, b := range long[j] {
+			for a, ta := range rows {
+				d[a*len(cols)+b] = scratch[wk].NormalizedIDs(ta, cols[b])
+			}
+		}
+		sum := 0.0
+		for _, v := range d {
+			sum += v
+		}
+		return sum / float64(len(d))
 	})
 	return &Fig14Result{Categories: cats, Mean: m}
 }

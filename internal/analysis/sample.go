@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -176,8 +177,12 @@ func submatrix(m *cluster.Matrix, idx []int) *cluster.Matrix {
 // parameters, or the distance kernel changes the key and the stale
 // entry is simply never read. Every failure mode is non-fatal — the
 // matrix is recomputed — because the cache is an accelerator, not a
-// source of truth.
-const matrixCacheMagic = "HNDLDM1\n"
+// source of truth. An entry is the magic, n as a uint32, the packed
+// upper triangle as little-endian float64 bits, and a CRC-32C of all
+// that, so a flipped bit is a miss like a short file.
+const matrixCacheMagic = "HNDLDM2\n"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // matrixCacheKey hashes the kernel version and the length-prefixed
 // texts (length prefixes prevent concatenation collisions).
@@ -213,9 +218,11 @@ func (w *World) loadCachedMatrix(sp *obs.Span, texts []string) (*cluster.Matrix,
 	n := len(texts)
 	cells := n * (n - 1) / 2
 	header := len(matrixCacheMagic) + 4
-	if len(raw) != header+8*cells ||
+	size := header + 8*cells + 4
+	if len(raw) != size ||
 		string(raw[:len(matrixCacheMagic)]) != matrixCacheMagic ||
-		binary.LittleEndian.Uint32(raw[len(matrixCacheMagic):]) != uint32(n) {
+		binary.LittleEndian.Uint32(raw[len(matrixCacheMagic):]) != uint32(n) ||
+		binary.LittleEndian.Uint32(raw[size-4:]) != crc32.Checksum(raw[:size-4], castagnoli) {
 		sp.Tag("cache_errors", 1)
 		return nil, false
 	}
@@ -244,13 +251,14 @@ func (w *World) storeCachedMatrix(sp *obs.Span, texts []string, m *cluster.Matri
 		return
 	}
 	packed := m.Packed()
-	buf := make([]byte, len(matrixCacheMagic)+4+8*len(packed))
+	buf := make([]byte, len(matrixCacheMagic)+4+8*len(packed)+4)
 	copy(buf, matrixCacheMagic)
 	binary.LittleEndian.PutUint32(buf[len(matrixCacheMagic):], uint32(m.N))
 	body := buf[len(matrixCacheMagic)+4:]
 	for i, v := range packed {
 		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(v))
 	}
+	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc32.Checksum(buf[:len(buf)-4], castagnoli))
 	tmp, err := os.CreateTemp(w.MatrixCache, "dldm-*.tmp")
 	if err != nil {
 		sp.Tag("cache_errors", 1)

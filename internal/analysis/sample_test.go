@@ -119,6 +119,33 @@ func TestMatrixDiskCache(t *testing.T) {
 	if tags["cache_errors"] != 1 || tags["cache_misses"] != 1 {
 		t.Errorf("corrupt entry: dld-matrix tags = %v, want cache_errors=1 cache_misses=1", tags)
 	}
+
+	// w3 rewrote a valid entry. One flipped bit in its body, at the right
+	// length, must be caught too.
+	raw, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len("HNDLDM2\n")+4+8*3+2] ^= 0x10
+	if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w4 := freshWorld(t)
+	w4.MatrixCache = dir
+	w4.Tracer = obs.NewTracer()
+	s4, err := w4.DLDSample(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s4.FromCache {
+		t.Fatal("an entry with a flipped bit was trusted")
+	}
+	sameMatrix(t, s1.Matrix, s4.Matrix)
+	for _, ph := range w4.Tracer.Phases() {
+		if ph.Name == "cluster.dld-matrix" && ph.Tags["cache_errors"] != 1 {
+			t.Errorf("flipped bit: dld-matrix tags = %v, want cache_errors=1", ph.Tags)
+		}
+	}
 }
 
 // TestSubmatrix: the extracted submatrix must equal the source cells.

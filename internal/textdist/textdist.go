@@ -362,6 +362,139 @@ func damerauBitVectorBlocked(pattern, text []int32) int {
 	return score
 }
 
+// PackMax is the most pattern tokens a Packer holds: one per bit of a
+// uint64.
+const PackMax = bitvecMax
+
+// Packer runs damerauBitVector over many short patterns at once. Up to
+// PackMax tokens of patterns are laid side by side in one word, one
+// segment per pattern, so a text costs one pass for the whole pack
+// instead of one per pattern. The match table is dense, indexed by
+// token ID, so a text token costs one array load instead of a hash
+// probe. Not safe for concurrent use — give each goroutine its own.
+type Packer struct {
+	// peq maps a token ID to its positions in every segment of the
+	// loaded pack; it is zero for every other ID.
+	peq []uint64
+	// seqs[members[k]] is segment k, and masks[k] its bits.
+	seqs    [][]int32
+	members []int
+	masks   []uint64
+	// bottom and top hold each segment's first and last bit, used every
+	// bit some segment owns.
+	bottom, top, used uint64
+	stats             KernelStats
+}
+
+// NewPacker returns a Packer for token IDs below vocab (Interner.Len).
+func NewPacker(vocab int) *Packer { return &Packer{peq: make([]uint64, vocab)} }
+
+// Stats returns the accumulated kernel counters.
+func (p *Packer) Stats() KernelStats { return p.stats }
+
+// Packs splits the indices of seqs into packs for a Packer: sequences
+// of 1..PackMax tokens are taken greedily in index order, so each pack
+// is an ascending run of them holding at most PackMax tokens. Empty and
+// longer sequences cannot be packed; they are returned in long,
+// ascending.
+func Packs(seqs [][]int32) (packs [][]int, long []int) {
+	var cur []int
+	size := 0
+	for i, s := range seqs {
+		if len(s) == 0 || len(s) > PackMax {
+			long = append(long, i)
+			continue
+		}
+		if size+len(s) > PackMax {
+			packs = append(packs, cur)
+			cur, size = nil, 0
+		}
+		cur = append(cur, i)
+		size += len(s)
+	}
+	if len(cur) > 0 {
+		packs = append(packs, cur)
+	}
+	return packs, long
+}
+
+// Load makes seqs[members] the pack, clearing the previous one from the
+// match table. Each member must hold 1..PackMax tokens and all of them
+// at most PackMax together, as Packs guarantees.
+func (p *Packer) Load(seqs [][]int32, members []int) {
+	for _, i := range p.members {
+		for _, id := range p.seqs[i] {
+			p.peq[id] = 0
+		}
+	}
+	p.seqs, p.members, p.masks = seqs, members, p.masks[:0]
+	p.bottom, p.top, p.used = 0, 0, 0
+	off := 0
+	for _, i := range members {
+		m := len(seqs[i])
+		if m == 0 || off+m > PackMax {
+			panic("textdist: pack member out of range")
+		}
+		for q, id := range seqs[i] {
+			p.peq[id] |= 1 << uint(off+q)
+		}
+		mask := ^uint64(0) >> uint(64-m) << uint(off)
+		p.masks = append(p.masks, mask)
+		p.bottom |= 1 << uint(off)
+		p.top |= 1 << uint(off+m-1)
+		p.used |= mask
+		off += m
+	}
+}
+
+// Normalized sets out[k], for every member k >= from, to the normalized
+// distance between text and that member: bit for bit what
+// Scratch.NormalizedIDs returns for the pair. The pass costs the same
+// for any from; from only limits what is written and counted.
+//
+// The recurrence is damerauBitVector's, with three changes that keep
+// the segments apart. The adder does not carry out of a segment's top
+// bit. The <<1 of the horizontal deltas and of the transposition term
+// drops what crosses into a segment's bottom, and every bottom gets its
+// own row 0's +1. And no score is kept per step: D[0][len(text)] is
+// len(text), so a segment's distance is len(text) plus the vertical
+// deltas of its last column. A token no segment holds, once no +1
+// vertical delta is left, leaves the state as it is and is skipped.
+func (p *Packer) Normalized(text []int32, from int, out []float64) {
+	B, T, S := p.bottom, p.top, p.used
+	vp := S
+	var vn, d0prev, pmprev uint64
+	steps := 0
+	for _, id := range text {
+		pm := p.peq[id]
+		if pm == 0 && vp&S == 0 {
+			pmprev = 0
+			continue
+		}
+		steps++
+		tr := (((^d0prev & pm) << 1) &^ B) & pmprev
+		a := pm & vp
+		sum := ((a &^ T) + (vp &^ T)) ^ ((a ^ vp) & T)
+		d0 := tr | (sum ^ vp) | pm | vn
+		hp := vn | ^(d0 | vp)
+		hn := d0 & vp
+		x := (hp << 1) | B
+		vp = ((hn << 1) &^ B) | ^(d0 | x)
+		vn = d0 & x
+		d0prev, pmprev = d0, pm
+	}
+	p.stats.BandPasses++
+	p.stats.CellsDP += int64(steps)
+	lt := len(text)
+	for k := from; k < len(p.members); k++ {
+		lm := len(p.seqs[p.members[k]])
+		d := lt + bits.OnesCount64(vp&p.masks[k]) - bits.OnesCount64(vn&p.masks[k])
+		out[k] = float64(d) / float64(max(lt, lm))
+		p.stats.Pairs++
+		p.stats.CellsFull += int64(lt) * int64(lm)
+	}
+}
+
 // histLowerBound returns the multiset lower bound on the DLD of the
 // stripped pair (shorter, longer): len(longer) minus the multiset
 // intersection size. Every cost-0 match and cost-1 transposition in an
@@ -548,6 +681,10 @@ func (in *Interner) Intern(tokens []string) []int32 {
 	}
 	return out
 }
+
+// Len returns the number of distinct tokens interned: every ID is below
+// it.
+func (in *Interner) Len() int { return len(in.ids) }
 
 // CharDamerau computes character-level DLD between raw strings — the
 // baseline the paper argues against; kept for the token-vs-char
