@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -46,7 +45,7 @@ func main() {
 		in       = flag.String("in", "", "analyze an existing hnsim JSONL dataset (plain or .gz) instead of simulating (pass the -seed hnsim used so AS attribution matches)")
 		storeDir = flag.String("store", "", "analyze a month-partitioned session store directory (hnsim -store / honeypotd -store) instead of simulating")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		workers  = flag.Int("workers", runtime.NumCPU(), "worker goroutines for simulation and analysis (output is identical for any value; 1 = serial)")
+		workers  = flag.Int("workers", 0, "worker goroutines for simulation and analysis (0 = GOMAXPROCS; output is identical for any value; 1 = serial)")
 		timings  = flag.Bool("timings", false, "print a per-phase timing breakdown to stderr after the run (tables on stdout are unaffected)")
 		cache    = flag.String("cache", "", "directory for the on-disk DLD matrix cache (content-hash keyed; results are identical with or without it)")
 		where    = flag.String("where", "", "hnquery predicate pre-filtering the sessions every figure sees, e.g. \"proto = 'ssh' AND cmd ~ /mdrfckr/\" (see README: Querying the store)")

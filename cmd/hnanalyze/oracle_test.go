@@ -3,7 +3,6 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"runtime"
 	"testing"
 
 	"honeynet"
@@ -30,7 +29,7 @@ func TestFigAllOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
+	for _, workers := range []int{1, 0} { // 0: the -workers default, GOMAXPROCS
 		p, err := core.Simulate(simulate.Config{Scale: 5000, Seed: 42, Workers: workers})
 		if err != nil {
 			t.Fatal(err)

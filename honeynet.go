@@ -122,7 +122,7 @@ func WithSeed(seed int64) Option {
 }
 
 // WithWorkers caps the goroutines used for simulation and analysis
-// (<= 0 means runtime.NumCPU(), 1 is fully serial). Results are
+// (<= 0 means runtime.GOMAXPROCS(0), 1 is fully serial). Results are
 // identical for every value.
 func WithWorkers(n int) Option {
 	return optionFunc(func(c *config) { c.workers = n })

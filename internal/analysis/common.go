@@ -28,7 +28,7 @@ type World struct {
 	AbuseDB    *abusedb.DB
 	Classifier *classify.Classifier
 	// Workers caps the goroutines used by the parallel analyzers
-	// (<= 0 means runtime.NumCPU(), 1 is fully serial). Every analyzer
+	// (<= 0 means runtime.GOMAXPROCS(0), 1 is fully serial). Every analyzer
 	// produces identical output for every value.
 	Workers int
 	// Tracer, if set, records per-phase wall time (hnanalyze -timings).

@@ -24,7 +24,7 @@ type ClusterConfig struct {
 	// Seed fixes sampling and medoid initialization.
 	Seed int64
 	// Workers caps the goroutines used for the distance matrix and the
-	// K-medoids steps (<= 0 means runtime.NumCPU()). The result is
+	// K-medoids steps (<= 0 means runtime.GOMAXPROCS(0)). The result is
 	// identical for every value.
 	Workers int
 }

@@ -135,7 +135,7 @@ type Config struct {
 	// seeding ablation in DESIGN.md.
 	RandomInit bool
 	// Workers caps the goroutines used by the assignment, update, and
-	// scoring loops (<= 0 means runtime.NumCPU(), 1 is fully serial).
+	// scoring loops (<= 0 means runtime.GOMAXPROCS(0), 1 is fully serial).
 	// Results are identical for every value: the parallel loops write
 	// index-addressed slots and all floating-point reductions run in
 	// canonical index order.

@@ -18,12 +18,12 @@ import (
 )
 
 // Workers resolves a worker-count setting: values <= 0 select
-// runtime.NumCPU().
+// runtime.GOMAXPROCS(0), so every pool honours a GOMAXPROCS cap.
 func Workers(n int) int {
 	if n > 0 {
 		return n
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // ForEach partitions the index range [0, n) into contiguous chunks of at

@@ -10,11 +10,16 @@ func TestWorkers(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Errorf("Workers(3) = %d", got)
 	}
-	if got := Workers(0); got != runtime.NumCPU() {
-		t.Errorf("Workers(0) = %d, want NumCPU", got)
+	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(0) = %d, want GOMAXPROCS", got)
 	}
-	if got := Workers(-5); got != runtime.NumCPU() {
-		t.Errorf("Workers(-5) = %d, want NumCPU", got)
+	if got := Workers(-5); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(-5) = %d, want GOMAXPROCS", got)
+	}
+	// A GOMAXPROCS cap is a cap on every pool sized by default.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Workers(0); got != 1 {
+		t.Errorf("Workers(0) under GOMAXPROCS=1 = %d, want 1", got)
 	}
 }
 

@@ -48,7 +48,7 @@ type Config struct {
 	Sink    func(*session.Record)
 	Discard bool
 	// Workers caps the goroutines replaying attack scripts against the
-	// emulated shell (<= 0 means runtime.NumCPU(), 1 is fully serial).
+	// emulated shell (<= 0 means runtime.GOMAXPROCS(0), 1 is fully serial).
 	// The generated dataset is identical for every value: all randomness
 	// and shared mutable state (storage rotators, AS allocation, session
 	// IDs, threat-intel feeds) stay on a serial path, and only the pure

@@ -529,6 +529,7 @@ func (r *byteReader) bytes(n int) []byte {
 
 // colDir is one block's parsed directory.
 type colDir struct {
+	bi         int // the block's index in its segment
 	rows       int
 	tnOK       bool
 	minT, maxT int64
@@ -704,16 +705,19 @@ func releaseColScratch(sc *colScratch) {
 	colScratchPool.Put(sc)
 }
 
-// colSeg is one open v3 segment file plus its pooled scratch.
+// colSeg is one open v3 segment file plus its scratch: pooled and
+// owned, or borrowed from the runParts worker that opened it.
 type colSeg struct {
-	s    *Store // counters; may be nil in tests
-	f    *os.File
-	meta *segmentMeta
-	sc   *colScratch
+	s        *Store // counters; may be nil in tests
+	f        *os.File
+	meta     *segmentMeta
+	sc       *colScratch
+	borrowed bool // sc belongs to the caller, not this segment
 }
 
-// openColSeg opens a v3 segment for reading.
-func (s *Store) openColSeg(meta *segmentMeta) (*colSeg, error) {
+// openColSeg opens a v3 segment for reading with scratch sc, or with
+// its own from the pool when sc is nil.
+func (s *Store) openColSeg(meta *segmentMeta, sc *colScratch) (*colSeg, error) {
 	f, err := os.Open(filepath.Join(s.dir, meta.File))
 	if err != nil {
 		return nil, err
@@ -723,33 +727,44 @@ func (s *Store) openColSeg(meta *segmentMeta) (*colSeg, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: %s: bad segment magic", meta.File)
 	}
-	return &colSeg{s: s, f: f, meta: meta, sc: acquireColScratch()}, nil
+	cs := &colSeg{s: s, f: f, meta: meta, sc: sc, borrowed: sc != nil}
+	if sc == nil {
+		cs.sc = acquireColScratch()
+	}
+	return cs, nil
 }
 
 func (cs *colSeg) close() error {
-	if cs.sc != nil {
+	if cs.sc != nil && !cs.borrowed {
 		releaseColScratch(cs.sc)
-		cs.sc = nil
 	}
+	cs.sc = nil
 	return cs.f.Close()
+}
+
+// errorf reports a read error of block bi, named by segment file and
+// block index.
+func (cs *colSeg) errorf(bi int, format string, args ...any) error {
+	return fmt.Errorf("store: %s: block %d: "+format, append([]any{cs.meta.File, bi}, args...)...)
 }
 
 // readDir reads and verifies block bi's directory.
 func (cs *colSeg) readDir(bi int, d *colDir) error {
 	bm := &cs.meta.Blocks[bi]
 	if bm.DirLen <= 0 || bm.DirLen > bm.CLen {
-		return fmt.Errorf("store: %s: block %d: bad directory length", cs.meta.File, bi)
+		return cs.errorf(bi, "bad directory length")
 	}
 	buf := grow(&cs.sc.dirBuf, bm.DirLen)
 	if _, err := cs.f.ReadAt(buf, bm.Off); err != nil {
-		return fmt.Errorf("store: %s: read block directory: %w", cs.meta.File, err)
+		return cs.errorf(bi, "read directory: %w", err)
 	}
 	if crc := crc32.ChecksumIEEE(buf); crc != bm.CRC {
-		return fmt.Errorf("store: %s: block at %d: directory CRC mismatch", cs.meta.File, bm.Off)
+		return cs.errorf(bi, "directory at offset %d: CRC mismatch", bm.Off)
 	}
 	if err := parseColDir(buf, bm, d); err != nil {
-		return fmt.Errorf("store: %s: block at %d: %w", cs.meta.File, bm.Off, err)
+		return cs.errorf(bi, "%w", err)
 	}
+	d.bi = bi
 	return nil
 }
 
@@ -762,14 +777,14 @@ func (cs *colSeg) loadStripe(d *colDir, st int, stats *PlanStats) ([]byte, error
 	}
 	comp := grow(&cs.sc.comp, d.clen[st])
 	if _, err := cs.f.ReadAt(comp, d.off[st]); err != nil {
-		return nil, fmt.Errorf("store: %s: read stripe: %w", cs.meta.File, err)
+		return nil, cs.errorf(d.bi, "read stripe %d: %w", st, err)
 	}
 	if crc := crc32.ChecksumIEEE(comp); crc != d.crc[st] {
-		return nil, fmt.Errorf("store: %s: stripe at %d: CRC mismatch", cs.meta.File, d.off[st])
+		return nil, cs.errorf(d.bi, "stripe %d at offset %d: CRC mismatch", st, d.off[st])
 	}
 	buf := grow(&cs.sc.stripe[st], d.ulen[st])
 	if err := cs.sc.lz.decompress(buf, comp); err != nil {
-		return nil, fmt.Errorf("store: %s: decompress stripe: %w", cs.meta.File, err)
+		return nil, cs.errorf(d.bi, "decompress stripe %d: %w", st, err)
 	}
 	if stats != nil {
 		stats.StripesRead++
@@ -801,7 +816,7 @@ func (cs *colSeg) loadSeqs(d *colDir, stats *PlanStats) error {
 		prev = v
 	}
 	if r.err || r.i != len(buf) {
-		return fmt.Errorf("store: %s: corrupt seq stripe", cs.meta.File)
+		return cs.errorf(d.bi, "corrupt seq stripe")
 	}
 	return nil
 }
@@ -843,7 +858,7 @@ func (cs *colSeg) loadSidecars(d *colDir, stats *PlanStats) error {
 	}
 	dictN := r.uvarint()
 	if r.err || dictN > uint64(len(buf)) {
-		return fmt.Errorf("store: %s: corrupt meta stripe", cs.meta.File)
+		return cs.errorf(d.bi, "corrupt meta stripe")
 	}
 	sc.dict = sc.dict[:0]
 	for i := uint64(0); i < dictN; i++ {
@@ -851,11 +866,11 @@ func (cs *colSeg) loadSidecars(d *colDir, stats *PlanStats) error {
 		sc.dict = append(sc.dict, string(r.bytes(int(l))))
 	}
 	if r.err || r.i != len(buf) {
-		return fmt.Errorf("store: %s: corrupt meta stripe", cs.meta.File)
+		return cs.errorf(d.bi, "corrupt meta stripe")
 	}
 	for i := 0; i < d.rows; i++ {
 		if sc.protos[i] >= uint32(len(sc.dict)) {
-			return fmt.Errorf("store: %s: corrupt meta stripe", cs.meta.File)
+			return cs.errorf(d.bi, "corrupt meta stripe")
 		}
 	}
 	return nil
@@ -872,7 +887,7 @@ func (cs *colSeg) loadCol(d *colDir, c int, stats *PlanStats) error {
 		return nil
 	}
 	if err := parseColStripe(buf, d.rows, &cs.sc.colOff[c], &cs.sc.colLen[c], &cs.sc.cols[c]); err != nil {
-		return fmt.Errorf("store: %s: column %s: %w", cs.meta.File, session.ColumnName(c), err)
+		return cs.errorf(d.bi, "column %s: %w", session.ColumnName(c), err)
 	}
 	return nil
 }
@@ -889,7 +904,7 @@ func (cs *colSeg) loadRaw(d *colDir, stats *PlanStats) error {
 		return nil
 	}
 	if err := parseColStripe(buf, d.rows, &cs.sc.rawOff, &cs.sc.rawLen, &cs.sc.raw); err != nil {
-		return fmt.Errorf("store: %s: raw stripe: %w", cs.meta.File, err)
+		return cs.errorf(d.bi, "raw stripe: %w", err)
 	}
 	return nil
 }
@@ -965,7 +980,7 @@ func (cr *colReader) close() error { return cr.cs.close() }
 
 // openColReader opens a v3 segment as a sequence-ordered segReader.
 func (s *Store) openColReader(meta *segmentMeta) (*colReader, error) {
-	cs, err := s.openColSeg(meta)
+	cs, err := s.openColSeg(meta, nil)
 	if err != nil {
 		return nil, err
 	}

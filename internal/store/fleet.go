@@ -180,6 +180,16 @@ func (f *Fleet) sortShards() {
 // Shards returns the fleet's shards, ordered by node id.
 func (f *Fleet) Shards() []Shard { return f.shards }
 
+// stores lists the shards' stores in shard order: the inputs of the
+// part executor.
+func (f *Fleet) stores() []*Store {
+	out := make([]*Store, len(f.shards))
+	for i, sh := range f.shards {
+		out[i] = sh.Store
+	}
+	return out
+}
+
 // Close closes every shard.
 func (f *Fleet) Close() error {
 	var err error

@@ -57,7 +57,7 @@ func TestOddFragmentsAnsweredRight(t *testing.T) {
 	s.man.NextSeq = uint64(len(recs))
 	s.mu.Unlock()
 
-	cs, err := s.openColSeg(meta)
+	cs, err := s.openColSeg(meta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,11 @@ type part struct {
 // Cursor streams records from a snapshot of the store without
 // materializing the dataset: months ascend, and within a month records
 // come in append order (sealed segments first, then the unsealed
-// tail). Peak memory is bounded by one compressed block plus its
-// uncompressed payload. A Cursor is not safe for concurrent use.
+// tail). A row query's cursor holds one compressed block plus its
+// uncompressed payload at a time; an aggregate or a fleet month load
+// runs one such cursor per part on each of GOMAXPROCS workers
+// (runParts), so its peak is one block per worker. A Cursor is not
+// safe for concurrent use.
 type Cursor struct {
 	s     *Store
 	p     *plan // the lowered statement: row filter, decoder mask, block prefilter
@@ -44,8 +47,18 @@ type Cursor struct {
 	stats *PlanStats // per-query plan stats; may be nil
 	cur   *session.Record
 	err   error
+	ws    *scanScratch
+}
+
+// scanScratch is the decode working set a cursor reads with: the
+// record decoder, the arena records come from, and — for a cursor a
+// runParts worker drives — the v3 scratch every segment it opens
+// borrows. A row query's cursor owns one with col nil, so each v3
+// segment it opens takes its own from the pool.
+type scanScratch struct {
 	dec   session.JSONDecoder
 	arena recArena
+	col   *colScratch
 }
 
 // recArena bump-allocates records in chunks, so decoding a block of
@@ -65,13 +78,19 @@ func (a *recArena) alloc() *session.Record {
 	return r
 }
 
-// scanQ builds the streaming cursor every query path shares over the
-// segments a lowered statement cannot rule out: a segment whose zone
-// refutes the predicate is skipped, a required client IP is probed
-// against the survivors' Bloom filters, and — for a count(*) plan,
-// when tab is non-nil — a segment whose metadata buckets all come out
-// definite is folded into tab instead of scanned.
-func (s *Store) scanQ(p *plan, tab *aggTable, stats *PlanStats) *Cursor {
+// scanQ builds the streaming cursor a row query reads over the parts
+// planParts leaves.
+func (s *Store) scanQ(p *plan, stats *PlanStats) *Cursor {
+	return &Cursor{s: s, p: p, parts: s.planParts(p, nil, stats), stats: stats, ws: new(scanScratch)}
+}
+
+// planParts lists, in store order, the parts a lowered statement must
+// read: a segment whose zone refutes the predicate is skipped, a
+// required client IP is probed against the survivors' Bloom filters,
+// and — for a count(*) plan, when tab is non-nil — a segment whose
+// metadata buckets all come out definite is folded into tab instead of
+// scanned.
+func (s *Store) planParts(p *plan, tab *aggTable, stats *PlanStats) []part {
 	man, tail := s.snapshot()
 	if stats != nil {
 		stats.Segments += len(man.Segments)
@@ -100,10 +119,10 @@ func (s *Store) scanQ(p *plan, tab *aggTable, stats *PlanStats) *Cursor {
 	}
 	sort.Slice(months, func(i, j int) bool { return months[i].Before(months[j]) })
 
+	var parts []part
 	var cand []*segmentMeta
 	var zones []zone // parallel to cand
 	var keep []bool
-	c := &Cursor{s: s, p: p, stats: stats}
 	for _, m := range months {
 		cand, zones = cand[:0], zones[:0]
 		for _, seg := range segsByMonth[m] {
@@ -133,17 +152,17 @@ func (s *Store) scanQ(p *plan, tab *aggTable, stats *PlanStats) *Cursor {
 				stats.MetaSegments++
 				stats.BlocksSkipped += int64(len(seg.Blocks))
 			default:
-				c.parts = append(c.parts, part{seg: seg, all: p.tri(zones[i]) == triTrue})
+				parts = append(parts, part{seg: seg, all: p.tri(zones[i]) == triTrue})
 				if stats != nil {
 					stats.ScannedSegments++
 				}
 			}
 		}
 		if t := tailByMonth[m]; len(t) > 0 {
-			c.parts = append(c.parts, part{tail: t})
+			parts = append(parts, part{tail: t})
 		}
 	}
-	return c
+	return parts
 }
 
 // Next advances to the next matching record. It returns false at the
@@ -186,7 +205,7 @@ func (c *Cursor) nextRaw() (*session.Record, bool, error) {
 			// their zones, prefilters rows column-at-a-time, and decodes
 			// only the projected columns of the selected rows.
 			if c.cc == nil {
-				cc, err := c.s.openColCursor(p.seg, c.p, c.stats, &c.dec, &c.arena)
+				cc, err := c.s.openColCursor(p.seg, c.p, c.stats, c.ws)
 				if err != nil {
 					return nil, false, err
 				}
@@ -223,8 +242,8 @@ func (c *Cursor) nextRaw() (*session.Record, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			r := c.arena.alloc()
-			if err := c.dec.DecodeMasked(line, r, c.p.mask); err != nil {
+			r := c.ws.arena.alloc()
+			if err := c.ws.dec.DecodeMasked(line, r, c.p.mask); err != nil {
 				return nil, false, fmt.Errorf("store: decoding record: %w", err)
 			}
 			if c.stats != nil {

@@ -1116,33 +1116,11 @@ func (s *Store) RunQuery(q *Query) (*Result, error) {
 	}
 	stats := p.newStats()
 	return p.run(stats,
-		func() (*aggTable, error) { return s.runAgg(p, stats) },
-		func() RecordCursor { return s.scanQ(p, nil, stats) })
-}
-
-// runAgg executes an aggregation plan over one store: segments the
-// metadata answers are folded in by scanQ (zero block reads), the rest
-// — and the unsealed tail — stream through the same table.
-func (s *Store) runAgg(p *plan, stats *PlanStats) (*aggTable, error) {
-	tab := newAggTable(p.q.GroupBy, p.q.Aggs)
-	meta := tab
-	if p.splits == nil {
-		meta = nil
-	}
-	cur := s.scanQ(p, meta, stats)
-	defer cur.Close()
-	for cur.Next() {
-		tab.addRecord(cur.Record())
-	}
-	if meta != nil && p.ip == "" {
-		switch {
-		case stats.ScannedSegments == 0:
-			stats.Mode = "metadata"
-		case stats.MetaSegments > 0:
-			stats.Mode = "hybrid"
-		}
-	}
-	return tab, cur.Err()
+		func() (*aggTable, error) {
+			tab, _, err := p.aggregate([]*Store{s}, []*PlanStats{stats})
+			return tab, err
+		},
+		func() RecordCursor { return s.scanQ(p, stats) })
 }
 
 // segFromMetadata folds one sealed segment into a count(*) table from
@@ -1460,9 +1438,10 @@ func sumValue(f Field, sum float64) Value {
 }
 
 // RunQuery executes a structured query fleet-wide: the statement is
-// lowered once and every shard runs the same plan; aggregation tables
-// merge across shards, row queries stream through the canonical
-// (month, Start, node) merge order, and plan statistics sum.
+// lowered once and every shard runs the same plan; an aggregation reads
+// the parts of every shard through one part executor, row queries
+// stream through the canonical (month, Start, node) merge order, and
+// plan statistics sum.
 func (f *Fleet) RunQuery(q *Query) (*Result, error) {
 	p, err := lower(q)
 	if err != nil {
@@ -1471,14 +1450,15 @@ func (f *Fleet) RunQuery(q *Query) (*Result, error) {
 	total := p.newStats()
 	return p.run(total,
 		func() (*aggTable, error) {
-			tab := newAggTable(q.GroupBy, q.Aggs)
-			for i, sh := range f.shards {
-				st := p.newStats()
-				t, err := sh.Store.runAgg(p, st)
-				if err != nil {
-					return nil, fmt.Errorf("store: fleet shard %s: %w", sh.Node, err)
-				}
-				tab.merge(t)
+			stats := make([]*PlanStats, len(f.shards))
+			for i := range stats {
+				stats[i] = p.newStats()
+			}
+			tab, bad, err := p.aggregate(f.stores(), stats)
+			if err != nil {
+				return nil, fmt.Errorf("store: fleet shard %s: %w", f.shards[bad].Node, err)
+			}
+			for i, st := range stats {
 				total.add(st)
 				if i > 0 && st.Mode != total.Mode {
 					total.Mode = "hybrid"
@@ -1489,6 +1469,6 @@ func (f *Fleet) RunQuery(q *Query) (*Result, error) {
 			return tab, nil
 		},
 		func() RecordCursor {
-			return f.scatter(func(s *Store) *Cursor { return s.scanQ(p, nil, total) })
+			return f.scatter(func(s *Store) *Cursor { return s.scanQ(p, total) })
 		})
 }

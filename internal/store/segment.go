@@ -143,14 +143,14 @@ func (br *blockReader) loadBlock(b blockMeta) error {
 	}
 	comp := grow(br.comp, b.CLen)
 	if _, err := br.f.ReadAt(comp, b.Off); err != nil {
-		return fmt.Errorf("store: %s: read block: %w", br.meta.File, err)
+		return fmt.Errorf("store: %s: block %d: read: %w", br.meta.File, br.bi, err)
 	}
 	if crc := crc32.ChecksumIEEE(comp); crc != b.CRC {
-		return fmt.Errorf("store: %s: block at %d: CRC mismatch", br.meta.File, b.Off)
+		return fmt.Errorf("store: %s: block %d at offset %d: CRC mismatch", br.meta.File, br.bi, b.Off)
 	}
 	br.buf = grow(br.payload, b.ULen)
 	if err := br.codec.decompress(br.buf, comp); err != nil {
-		return fmt.Errorf("store: %s: decompress block: %w", br.meta.File, err)
+		return fmt.Errorf("store: %s: block %d: decompress: %w", br.meta.File, br.bi, err)
 	}
 	br.poff = 0
 	br.left = b.Count

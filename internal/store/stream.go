@@ -108,34 +108,45 @@ func (fs *FleetStream) Next() bool {
 }
 
 // loadMonth gathers one month from every shard and sorts it into the
-// canonical order. A shard's month-scoped scan yields its records in
-// sequence order, so the within-month (node, arrival) tie-break equals
-// the global (node, seq) one restricted to the month.
+// canonical order. The month's parts across shards decode on runParts
+// workers and concatenate in (shard, part) order; a shard's
+// month-scoped parts yield its records in sequence order, so the
+// within-month (node, arrival) tie-break equals the global (node, seq)
+// one restricted to the month.
 func (fs *FleetStream) loadMonth(m time.Time) bool {
-	type ent struct {
-		r     *session.Record
-		shard int32
-		idx   int32
-	}
-	var ents []ent
 	p, err := lower(&Query{Where: Cmp(FieldMonth, CmpEq, MonthValue(m))})
 	if err != nil {
 		fs.err = err
 		return false
 	}
-	for si, sh := range fs.f.shards {
-		cur := sh.Store.scanQ(p, nil, nil)
-		idx := int32(0)
-		for cur.Next() {
-			ents = append(ents, ent{r: cur.Record(), shard: int32(si), idx: idx})
-			idx++
+	jobs := planJobs(p, fs.f.stores(), nil, nil)
+	recs := make([][]*session.Record, len(jobs))
+	if j, err := runParts(p, jobs, nil, func(j int, c *Cursor) error {
+		out := make([]*session.Record, 0, jobs[j].size())
+		for c.Next() {
+			out = append(out, c.Record())
 		}
-		if err := cur.Err(); err != nil {
-			cur.Close()
-			fs.err = fmt.Errorf("store: fleet shard %s: %w", sh.Node, err)
-			return false
+		recs[j] = out
+		return c.Err()
+	}); err != nil {
+		fs.err = fmt.Errorf("store: fleet shard %s: %w", fs.f.shards[jobs[j].shard].Node, err)
+		return false
+	}
+
+	type ent struct {
+		r     *session.Record
+		shard int32
+		idx   int32
+	}
+	n := 0
+	for _, rs := range recs {
+		n += len(rs)
+	}
+	ents := make([]ent, 0, n) // in (shard, part) order, so idx ascends within a shard
+	for j, rs := range recs {
+		for _, r := range rs {
+			ents = append(ents, ent{r: r, shard: int32(jobs[j].shard), idx: int32(len(ents))})
 		}
-		cur.Close()
 	}
 	sort.Slice(ents, func(i, j int) bool {
 		a, b := ents[i], ents[j]

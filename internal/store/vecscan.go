@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/bits"
 	"regexp"
@@ -760,12 +761,12 @@ type colCursor struct {
 }
 
 // openColCursor opens a scan over one v3 segment.
-func (s *Store) openColCursor(meta *segmentMeta, p *plan, stats *PlanStats, dec *session.JSONDecoder, ar *recArena) (*colCursor, error) {
-	cs, err := s.openColSeg(meta)
+func (s *Store) openColCursor(meta *segmentMeta, p *plan, stats *PlanStats, ws *scanScratch) (*colCursor, error) {
+	cs, err := s.openColSeg(meta, ws.col)
 	if err != nil {
 		return nil, err
 	}
-	return &colCursor{cs: cs, p: p, stats: stats, dec: dec, ar: ar}, nil
+	return &colCursor{cs: cs, p: p, stats: stats, dec: &ws.dec, ar: &ws.arena}, nil
 }
 
 func (cc *colCursor) close() error { return cc.cs.close() }
@@ -792,7 +793,7 @@ func (cc *colCursor) next() (r *session.Record, decided bool, err error) {
 		cc.row = i + 1
 		r, err := cc.materialize(i)
 		if err != nil {
-			return nil, false, err
+			return nil, false, fmt.Errorf("store: %s: block %d: row %d: %w", cc.cs.meta.File, cc.bi-1, i, err)
 		}
 		if cc.stats != nil {
 			cc.stats.ScannedRecords++

@@ -117,7 +117,7 @@ func openZoned(t *testing.T) (*Store, []zoned) {
 		if seg.Codec != codecV3 {
 			continue
 		}
-		cs, err := s.openColSeg(seg)
+		cs, err := s.openColSeg(seg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestBitmapSoundOverEveryBlock(t *testing.T) {
 			continue
 		}
 		blocks++
-		cs, err := s.openColSeg(zd.seg)
+		cs, err := s.openColSeg(zd.seg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
