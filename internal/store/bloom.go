@@ -16,13 +16,11 @@ const (
 // Bloom is a fixed-size Bloom filter. It marshals as JSON inside the
 // manifest (Bits is base64-encoded by encoding/json).
 //
-// V records the probe scheme. Version 0 (the original) derives probes
-// straight from the FNV hashes modulo an arbitrary M. Version 1 sizes M
-// as a power of two and finalizes the hashes with a mixing step first:
-// reducing raw FNV-1a modulo 2^k keeps only its low bits, which evolve
-// independently of the high ones and collide structurally. Only version
-// 1 is written; version-0 filters in older manifests keep reading with
-// the scheme they were written under.
+// M is a power of two, so a probe reduces with a mask, and the FNV
+// hashes are mixed first: raw FNV-1a modulo 2^k keeps only low bits,
+// which collide structurally. V names that scheme and is always 1; the
+// older V=0 filters (raw hashes modulo any M) sat on HNSTORE1 segments,
+// which compaction rewrites before anything probes them.
 type Bloom struct {
 	M    uint64 `json:"m"` // filter size in bits
 	K    int    `json:"k"` // hash probes per key
@@ -72,26 +70,12 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// bases maps the raw FNV pair to this filter's probe bases, per its
-// version.
-func (b *Bloom) bases(h1, h2 uint64) (uint64, uint64) {
-	if b.V >= 1 {
-		return mix64(h1), mix64(h2) | 1
-	}
-	return h1, h2
-}
+// bases maps the raw FNV pair to the filter's probe bases.
+func bases(h1, h2 uint64) (uint64, uint64) { return mix64(h1), mix64(h2) | 1 }
 
-// idx reduces a probe to a bit index.
-func (b *Bloom) idx(probe uint64) uint64 {
-	if b.M&(b.M-1) == 0 {
-		return probe & (b.M - 1)
-	}
-	return probe % b.M
-}
-
-// Add inserts key into a filter made by newBloom (M a power of two).
+// Add inserts key into a filter made by newBloom.
 func (b *Bloom) Add(key string) {
-	h1, h2 := b.bases(fnvHashes(key))
+	h1, h2 := bases(fnvHashes(key))
 	mask := b.M - 1
 	for i := 0; i < b.K; i++ {
 		bit := (h1 + uint64(i)*h2) & mask
@@ -102,9 +86,6 @@ func (b *Bloom) Add(key string) {
 // MayContain reports whether key may have been added. False means
 // definitely absent; true may be a false positive.
 func (b *Bloom) MayContain(key string) bool {
-	if b == nil || b.M == 0 {
-		return true // no filter: cannot prune
-	}
 	h1, h2 := fnvHashes(key)
 	return b.mayContainHashes(h1, h2)
 }
@@ -114,21 +95,12 @@ func (b *Bloom) MayContain(key string) bool {
 // pair.
 func (b *Bloom) mayContainHashes(h1, h2 uint64) bool {
 	if b == nil || b.M == 0 {
-		return true
+		return true // no filter: cannot prune
 	}
-	h1, h2 = b.bases(h1, h2)
-	if b.M&(b.M-1) == 0 {
-		mask := b.M - 1
-		for i := 0; i < b.K; i++ {
-			bit := (h1 + uint64(i)*h2) & mask
-			if b.Bits[bit/8]&(1<<(bit%8)) == 0 {
-				return false
-			}
-		}
-		return true
-	}
+	h1, h2 = bases(h1, h2)
+	mask := b.M - 1
 	for i := 0; i < b.K; i++ {
-		bit := (h1 + uint64(i)*h2) % b.M
+		bit := (h1 + uint64(i)*h2) & mask
 		if b.Bits[bit/8]&(1<<(bit%8)) == 0 {
 			return false
 		}
@@ -143,8 +115,8 @@ func (b *Bloom) firstProbe(h1, h2 uint64) bool {
 	if b == nil || b.M == 0 {
 		return true
 	}
-	p1, _ := b.bases(h1, h2)
-	bit := b.idx(p1)
+	p1, _ := bases(h1, h2)
+	bit := p1 & (b.M - 1)
 	return b.Bits[bit/8]&(1<<(bit%8)) != 0
 }
 

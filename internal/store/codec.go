@@ -1,87 +1,23 @@
 package store
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"math/bits"
 )
 
-// Manifest codec tags: the values segmentMeta.Codec may hold. Seals
-// write codecV3; the others name the row layouts older stores sealed,
-// which are read in place and never written (see segment.go).
-const (
-	codecV3    = "v3"    // HNSTORE3: column stripes, each LZ-compressed
-	codecLZ    = "lz"    // HNSTORE2: row blocks, in-tree LZ
-	codecFlate = "flate" // HNSTORE1: row blocks, DEFLATE; "" in manifests that predate the field
-)
+// codecV3 is the manifest codec tag of HNSTORE3, the one layout written.
+const codecV3 = "v3"
 
-// blockCodec decompresses one row-layout block. Instances hold scratch
-// state (flate streams) and are not safe for concurrent use.
-type blockCodec interface {
-	// decompress fills dst (pre-sized to the block's uncompressed
-	// length) from src.
-	decompress(dst, src []byte) error
-}
-
-// newBlockCodec returns the decoder for a row segment's manifest tag;
-// "" selects flate, matching manifests written before the field existed.
-func newBlockCodec(tag string) (blockCodec, error) {
-	switch tag {
-	case codecLZ:
-		return &lzCodec{}, nil
-	case "", codecFlate:
-		return &flateCodec{}, nil
-	}
-	return nil, fmt.Errorf("store: unknown codec %q", tag)
-}
-
-// segmentMagic returns the file magic for a manifest codec tag.
-func segmentMagic(tag string) [8]byte {
-	switch tag {
-	case codecV3:
-		return segMagicV3
-	case codecLZ:
-		return segMagicV2
-	}
-	return segMagicV1
-}
-
-// flateCodec decodes v1 blocks: DEFLATE.
-type flateCodec struct {
-	fr io.ReadCloser
-	br *bytes.Reader
-}
-
-func (c *flateCodec) decompress(dst, src []byte) error {
-	if c.br == nil {
-		c.br = bytes.NewReader(src)
-	} else {
-		c.br.Reset(src)
-	}
-	if c.fr == nil {
-		c.fr = flate.NewReader(c.br)
-	} else {
-		if err := c.fr.(flate.Resetter).Reset(c.br, nil); err != nil {
-			return err
-		}
-	}
-	_, err := io.ReadFull(c.fr, dst)
-	return err
-}
-
-// lzCodec compresses v3 stripes, and decodes them and v2 row blocks.
-// Format, LZ4-flavoured: a stream of sequences, each a token byte (high
-// nibble literal length, low nibble match length − 4, 15 meaning
-// "extended by following bytes: +255 per 0xFF byte, terminated by a byte
-// < 0xFF"), the literals, then a 2-byte little-endian back-reference
-// offset (1..65535) and any extended match length. The final sequence is
-// literals only (the stream ends after them). Integrity is covered by
-// the CRCs the manifest and block directory already store, so the frame
-// carries no checksum of its own.
+// lzCodec compresses v3 stripes and decodes them (and, for compaction,
+// HNSTORE2 row blocks). Format, LZ4-flavoured: a stream of sequences,
+// each a token byte (high nibble literal length, low nibble match
+// length − 4, 15 meaning "extended by following bytes: +255 per 0xFF
+// byte, terminated by a byte < 0xFF"), the literals, then a 2-byte
+// little-endian back-reference offset (1..65535) and any extended match
+// length. The final sequence is literals only (the stream ends after
+// them). Integrity is covered by the CRCs the manifest and block
+// directory already store, so the frame carries no checksum of its own.
 type lzCodec struct {
 	// table holds biased positions: pos + 1 + off at store time. The
 	// bias advances by the input length after every block, so an entry

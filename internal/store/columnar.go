@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -35,8 +36,7 @@ import (
 // The directory's CRC lives in the manifest (blockMeta.CRC) and each
 // stripe's CRC lives in the directory, so corruption is detected before
 // any decompression. The manifest entry records Codec: "v3" and the
-// file carries the HNSTORE3 magic; v1/v2 segments of older stores keep
-// reading through blockReader.
+// file carries the HNSTORE3 magic.
 
 // Stripe indices inside a v3 block.
 const (
@@ -336,21 +336,22 @@ func encodeColDir(dst []byte, be *colBlockEnc, clens [numStripes]int, crcs [numS
 	return dst
 }
 
-// writeSegment seals one month's records — those of recs selected by
-// idxs, with global append sequence baseSeq+index — into a new segment
-// file and returns its metadata. The WAL lines are shredded as they are,
-// no re-marshal, and the per-segment aggregates fold in the same pass;
-// stripes then compress in parallel across SealWorkers, one (block,
-// stripe) pair per job. The file is fsynced before return; the caller
-// commits it via the manifest.
-func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte, idxs []int32, baseSeq uint64) (*segmentMeta, error) {
+// writeSegment writes one month's records, with their lines and
+// ascending global append sequences, into a new segment file and
+// returns its metadata; a seal and a compaction both write through it.
+// The lines are shredded as they are, no re-marshal, and the
+// per-segment aggregates fold in the same pass; stripes then compress
+// in parallel across SealWorkers, one (block, stripe) pair per job. The
+// file is fsynced before return; the caller commits it via the
+// manifest.
+func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte, seqs []uint64) (*segmentMeta, error) {
 	meta := &segmentMeta{
 		File:   file,
-		Month:  recs[idxs[0]].Month().Format(monthLayout),
-		MinSeq: baseSeq + uint64(idxs[0]),
-		MaxSeq: baseSeq + uint64(idxs[len(idxs)-1]),
+		Month:  recs[0].Month().Format(monthLayout),
+		MinSeq: seqs[0],
+		MaxSeq: seqs[len(seqs)-1],
 		Codec:  codecV3,
-		Bloom:  newBloom(len(idxs)),
+		Bloom:  newBloom(len(recs)),
 	}
 	if s.sealCol == nil {
 		s.sealCol = &colWriter{}
@@ -361,9 +362,8 @@ func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte
 	arena := s.sealFrames[:0]
 	defer func() { s.sealFrames = arena[:0] }()
 	var blocks []colBlockEnc
-	for _, i := range idxs {
-		r, line := recs[i], lines[i]
-		cw.add(r, line, baseSeq+uint64(i))
+	for i, r := range recs {
+		cw.add(r, lines[i], seqs[i])
 
 		meta.Records++
 		meta.Kinds[r.Kind()]++
@@ -663,7 +663,7 @@ func parseColStripe(payload []byte, rows int, offSc, lenSc *[]uint32, cd *colDat
 // colScratch is the pooled working set of one open v3 segment: stripe
 // buffers, parsed sidecars, per-column fragment tables, and bitmap
 // space for the vectorized evaluator. Pooled so a scan over many
-// segments allocates a bounded working set, like blockBufPool.
+// segments allocates a bounded working set.
 type colScratch struct {
 	lz      lzCodec
 	comp    []byte
@@ -687,9 +687,8 @@ type colScratch struct {
 
 var colScratchPool = sync.Pool{New: func() any { return new(colScratch) }}
 
-// poolGets/poolPuts count block-scratch pool traffic (blockBufPool and
-// colScratchPool alike), so tests can assert that every scan — early
-// exit included — returns what it took.
+// poolGets/poolPuts count colScratchPool traffic, so tests can assert
+// that every scan — early exit included — returns what it took.
 var poolGets, poolPuts atomic.Int64
 
 // PoolCounters reports cumulative block-scratch pool gets and puts.
@@ -723,9 +722,9 @@ func (s *Store) openColSeg(meta *segmentMeta, sc *colScratch) (*colSeg, error) {
 		return nil, err
 	}
 	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segmentMagic(meta.Codec) {
+	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segMagicV3 {
 		f.Close()
-		return nil, fmt.Errorf("store: %s: bad segment magic", meta.File)
+		return nil, &CorruptError{meta.File, 0, errors.New("bad segment magic")}
 	}
 	cs := &colSeg{s: s, f: f, meta: meta, sc: sc, borrowed: sc != nil}
 	if sc == nil {
@@ -742,10 +741,9 @@ func (cs *colSeg) close() error {
 	return cs.f.Close()
 }
 
-// errorf reports a read error of block bi, named by segment file and
-// block index.
+// errorf reports a read error of block bi as a CorruptError.
 func (cs *colSeg) errorf(bi int, format string, args ...any) error {
-	return fmt.Errorf("store: %s: block %d: "+format, append([]any{cs.meta.File, bi}, args...)...)
+	return &CorruptError{cs.meta.File, bi, fmt.Errorf(format, args...)}
 }
 
 // readDir reads and verifies block bi's directory.
@@ -909,21 +907,18 @@ func (cs *colSeg) loadRaw(d *colDir, stats *PlanStats) error {
 	return nil
 }
 
-// colReader reads a v3 segment as (seq, canonical line) pairs — the
-// segReader contract blockReader satisfies for v1/v2 — by loading every
-// stripe and reassembling each line. The sequence-ordered paths
+// colReader reads a v3 segment as (seq, canonical line) pairs by
+// loading every stripe and reassembling each line; lines alias reader
+// scratch, valid until the next call. The sequence-ordered paths
 // (replication, Stream) use it; masked scans use colCursor instead.
 type colReader struct {
-	cs    *colSeg
-	stats *PlanStats
-	bi    int
-	rows  int
-	row   int
-	dir   colDir
-	asm   session.Columns
+	cs   *colSeg
+	bi   int
+	rows int
+	row  int
+	dir  colDir
+	asm  session.Columns
 }
-
-func (cr *colReader) setStats(ps *PlanStats) { cr.stats = ps }
 
 func (cr *colReader) next() (uint64, []byte, error) {
 	sc := cr.cs.sc
@@ -952,33 +947,30 @@ func (cr *colReader) loadBlock(bi int) error {
 	if err := cr.cs.readDir(bi, &cr.dir); err != nil {
 		return err
 	}
-	if err := cr.cs.loadSeqs(&cr.dir, cr.stats); err != nil {
+	if err := cr.cs.loadSeqs(&cr.dir, nil); err != nil {
 		return err
 	}
-	if err := cr.cs.loadSidecars(&cr.dir, cr.stats); err != nil {
+	if err := cr.cs.loadSidecars(&cr.dir, nil); err != nil {
 		return err
 	}
 	for c := 0; c < session.NumColumns; c++ {
-		if err := cr.cs.loadCol(&cr.dir, c, cr.stats); err != nil {
+		if err := cr.cs.loadCol(&cr.dir, c, nil); err != nil {
 			return err
 		}
 	}
-	if err := cr.cs.loadRaw(&cr.dir, cr.stats); err != nil {
+	if err := cr.cs.loadRaw(&cr.dir, nil); err != nil {
 		return err
 	}
 	cr.rows, cr.row = cr.dir.rows, 0
 	if cr.cs.s != nil {
 		cr.cs.s.blocksRead.Add(1)
 	}
-	if cr.stats != nil {
-		cr.stats.BlocksRead++
-	}
 	return nil
 }
 
 func (cr *colReader) close() error { return cr.cs.close() }
 
-// openColReader opens a v3 segment as a sequence-ordered segReader.
+// openColReader opens a v3 segment for a sequence-ordered read.
 func (s *Store) openColReader(meta *segmentMeta) (*colReader, error) {
 	cs, err := s.openColSeg(meta, nil)
 	if err != nil {

@@ -221,7 +221,7 @@ func TestColumnarRawOverflow(t *testing.T) {
 
 	recs := make([]*session.Record, 6)
 	lines := make([][]byte, 6)
-	idxs := make([]int32, 6)
+	seqs := make([]uint64, 6)
 	for i := range recs {
 		recs[i] = mkRecord(0, i)
 		if i%2 == 1 {
@@ -234,9 +234,9 @@ func TestColumnarRawOverflow(t *testing.T) {
 		} else {
 			lines[i] = marshal(t, recs[i])
 		}
-		idxs[i] = int32(i)
+		seqs[i] = uint64(i)
 	}
-	meta, err := s.writeSegment(segFileName(0), recs, lines, idxs, 0)
+	meta, err := s.writeSegment(segFileName(0), recs, lines, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}

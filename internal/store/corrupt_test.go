@@ -3,12 +3,9 @@ package store
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"honeynet/internal/session"
 )
 
 // Length fields read from a segment file sit behind a CRC the manifest
@@ -78,34 +75,6 @@ func FuzzParseColDir(f *testing.F) {
 			cs.loadStripe(&d, st, nil) // zeros are no LZ stream: an error, never a panic
 			if d.clen[st] > int(stripeBytes) || d.ulen[st] > lzMaxExpand*d.clen[st] {
 				t.Fatalf("stripe %d: accepted clen=%d ulen=%d over %d stripe bytes", st, d.clen[st], d.ulen[st], stripeBytes)
-			}
-		}
-	})
-}
-
-// FuzzRowBlockEntries walks payload as a decompressed v1/v2 row block.
-func FuzzRowBlockEntries(f *testing.F) {
-	// An entry length that is negative as an int: the parent's bounds
-	// check passed it and the slice expression panicked.
-	f.Add(binary.AppendUvarint([]byte{7}, ^uint64(0)))
-	line, err := session.AppendJSON(nil, mkRecord(0, 1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append(binary.AppendUvarint([]byte{7}, uint64(len(line))), line...))
-
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		br := &blockReader{meta: &segmentMeta{File: "seg"}, buf: payload, left: len(payload) + 1}
-		for {
-			_, line, err := br.next()
-			if err != nil {
-				if err == io.EOF {
-					t.Fatal("EOF with entries still owed")
-				}
-				return
-			}
-			if len(line) > len(payload) {
-				t.Fatalf("entry of %d bytes out of a %d-byte payload", len(line), len(payload))
 			}
 		}
 	})

@@ -77,7 +77,7 @@ func runParts(p *plan, jobs []partJob, stats []PlanStats, fn func(j int, c *Curs
 				continue
 			}
 			job := &jobs[j]
-			if ws.col == nil && job.part.seg != nil && job.part.seg.Codec == codecV3 {
+			if ws.col == nil && job.part.seg != nil {
 				ws.col = acquireColScratch()
 			}
 			c := &Cursor{s: job.s, p: p, parts: []part{job.part}, ws: ws}

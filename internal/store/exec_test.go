@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -279,7 +280,7 @@ func flipStripeBit(t *testing.T, s *Store, seg *segmentMeta, bi int) string {
 
 // TestCorruptStripeUnderParallelScan: with a bit flipped in a sealed
 // v3 stripe of two segments of one shard, the aggregate, row-query and
-// fleet-stream paths each fail with an error that names the first
+// fleet-stream paths each fail with a CorruptError that names the first
 // corrupt part in part order — its segment file and block index — at
 // every GOMAXPROCS, and leave no goroutine running and no pooled
 // scratch out.
@@ -313,6 +314,10 @@ func TestCorruptStripeUnderParallelScan(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "shard b") {
 			t.Fatalf("%s: error %q does not name shard b and %q", path, err, want)
+		}
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.File != early.File || ce.Block != 1 {
+			t.Fatalf("%s: error %q is not a CorruptError for %s block 1", path, err, early.File)
 		}
 	}
 	agg := &Query{Aggs: []AggSpec{{Op: AggCount}, {Op: AggCountDistinct, Field: FieldIP}}}

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -177,19 +176,18 @@ func TestStaleFrozenWALDiscarded(t *testing.T) {
 	}
 }
 
-// TestCodecsByteIdentical holds the two row codecs to the same oracle:
-// the fixture's v1 (flate) and v2 (lz) segments must each read back, line
-// for line, the bytes records.jsonl says were appended, and each must
-// carry its own format markers (segment magic, manifest codec field).
+// TestCodecsByteIdentical holds compaction's two row decoders to the
+// same oracle: the fixture's v1 (flate) and v2 (lz) segments must each
+// read back, line for line, the bytes records.jsonl says were appended,
+// and each must carry its own format markers (segment magic, manifest
+// codec field).
 func TestCodecsByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	want := copyLegacy(t, dir)
-	s, err := Open(dir, Options{ReadOnly: true})
+	dir := legacyDir // read in place: nothing here writes
+	want := legacyRecords(t)
+	man, err := loadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	man, _ := s.snapshot()
 	if len(man.Segments) != 2 {
 		t.Fatalf("fixture has %d segments, want 2", len(man.Segments))
 	}
@@ -212,23 +210,20 @@ func TestCodecsByteIdentical(t *testing.T) {
 		if len(seg.Blocks) < 2 {
 			t.Fatalf("%s: %d blocks; the fixture must be multi-block", seg.File, len(seg.Blocks))
 		}
-		br, err := s.openSegment(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seq := seg.MinSeq; seq <= seg.MaxSeq; seq++ {
-			gotSeq, line, err := br.next()
-			if err != nil {
-				t.Fatalf("%s: seq %d: %v", seg.File, seq, err)
+		seq := seg.MinSeq
+		err = eachRowEntry(dir, seg, func(_ int, gotSeq uint64, line []byte) error {
+			if seq > seg.MaxSeq {
+				t.Fatalf("%s: trailing entry past max_seq: seq %d", seg.File, gotSeq)
 			}
 			if exp := marshal(t, want[seq]); gotSeq != seq || !bytes.Equal(line, exp) {
 				t.Fatalf("%s: got seq %d %s\nwant seq %d %s", seg.File, gotSeq, line, seq, exp)
 			}
+			seq++
+			return nil
+		})
+		if err != nil || seq != seg.MaxSeq+1 {
+			t.Fatalf("%s: read through seq %d of %d: %v", seg.File, seq, seg.MaxSeq, err)
 		}
-		if _, _, err := br.next(); err != io.EOF {
-			t.Fatalf("%s: trailing entry or error past max_seq: %v", seg.File, err)
-		}
-		br.close()
 	}
 
 	// v1 manifests predate the codec field and must keep reading without

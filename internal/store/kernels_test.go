@@ -24,12 +24,12 @@ func TestOddFragmentsAnsweredRight(t *testing.T) {
 	s := openSmall(t)
 	recs := make([]*session.Record, 4)
 	lines := make([][]byte, 4)
-	idxs := make([]int32, 4)
+	seqs := make([]uint64, 4)
 	for i := range recs {
 		r := mkRecord(0, i)
 		r.Logins = []session.LoginAttempt{{Username: "root", Password: "x", Success: i%2 == 0}}
 		r.Commands = []session.Command{{Raw: "echo mdrfckr", Known: true}}
-		recs[i], lines[i], idxs[i] = r, marshal(t, r), int32(i)
+		recs[i], lines[i], seqs[i] = r, marshal(t, r), uint64(i)
 	}
 	odd := func(i int, old, new string) {
 		if !bytes.Contains(lines[i], []byte(old)) {
@@ -48,7 +48,7 @@ func TestOddFragmentsAnsweredRight(t *testing.T) {
 	if session.ShredJSON(lines[2], new(session.Columns)) {
 		t.Fatalf("line 2 still shreds: %s", lines[2])
 	}
-	meta, err := s.writeSegment(segFileName(0), recs, lines, idxs, 0)
+	meta, err := s.writeSegment(segFileName(0), recs, lines, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"honeynet/internal/session"
@@ -14,8 +17,9 @@ import (
 
 // The legacy fixture (testdata/legacy, see its README) is the only
 // HNSTORE1/HNSTORE2 input left: nothing in the tree writes those
-// formats. The helpers here hand tests a private copy of it, and the
-// tests below hold the legacy readers to the fixture's own oracle.
+// formats, and only compaction reads them. The helpers here hand tests
+// a private copy of it, and the tests below hold the migration to the
+// fixture's own oracle.
 
 const legacyDir = "testdata/legacy"
 
@@ -53,26 +57,34 @@ func copyLegacy(t testing.TB, dir string) []*session.Record {
 	return legacyRecords(t)
 }
 
-// legacySums hashes the two legacy segment files under dir.
-func legacySums(t testing.TB, dir string) [2]string {
+// legacySums are the SHA-256 sums of the fixture's two segment files,
+// as its README pins them.
+var legacySums = [2]string{
+	"a48106cb5c4f32c6c2315142bc6ef50a855b2787d8783f581c558e94ef2a8f44",
+	"09bbc8489b4a745ace2911e036d4eae3eacff2aa56519c3c23091ad05629812e",
+}
+
+// checkFixtureSums fails t unless testdata/legacy's segment files still
+// hash to legacySums: a test that migrates a copy must never reach the
+// fixture itself.
+func checkFixtureSums(t testing.TB) {
 	t.Helper()
-	var out [2]string
-	for i := range out {
-		data, err := os.ReadFile(filepath.Join(dir, segFileName(i)))
+	for i, want := range legacySums {
+		data, err := os.ReadFile(filepath.Join(legacyDir, segFileName(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(data)
-		out[i] = hex.EncodeToString(sum[:])
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
+			t.Fatalf("%s/%s changed: sha256 %x, pinned %s", legacyDir, segFileName(i), sum, want)
+		}
 	}
-	return out
 }
 
 // openArm opens the store a format-parameterised test runs over and
 // returns it with the records already in it. "v3" is a fresh store;
-// "v2" is a writable copy of the legacy fixture, so whatever the test
-// appends and seals lands as HNSTORE3 segments beside the HNSTORE1 and
-// HNSTORE2 ones and every assertion also runs through the row readers.
+// "v2" is a writable copy of the legacy fixture, which the open
+// migrates to one HNSTORE3 segment, so every assertion also runs over
+// migrated records beside whatever the test appends and seals.
 func openArm(t *testing.T, arm string) (*Store, []*session.Record) {
 	t.Helper()
 	dir := t.TempDir()
@@ -89,17 +101,16 @@ func openArm(t *testing.T, arm string) (*Store, []*session.Record) {
 }
 
 // TestLegacyFixture is the acceptance check for the formats the store
-// no longer writes: a copy of the fixture opens read-only and
-// read-write, answers every query route and Stream exactly as its
-// records.jsonl says, takes appends whose seals are HNSTORE3, and its
-// two legacy segment files are never touched.
+// no longer writes: a read-only open of a copy of the fixture is refused
+// with ErrLegacySegment; the first read-write open migrates both legacy
+// segments into one HNSTORE3 segment with a v=1, power-of-two Bloom
+// filter; and after that the store answers every query route and Stream
+// exactly as records.jsonl says, read-only and read-write, and takes
+// appends whose seals are HNSTORE3 too.
 func TestLegacyFixture(t *testing.T) {
 	dir := t.TempDir()
 	want := copyLegacy(t, dir)
-	sums := legacySums(t, dir)
-	if got := legacySums(t, legacyDir); got != sums {
-		t.Fatalf("fixture copy differs from fixture: %v vs %v", got, sums)
-	}
+	checkFixtureSums(t)
 
 	check := func(t *testing.T, s *Store, want []*session.Record) {
 		t.Helper()
@@ -117,9 +128,9 @@ func TestLegacyFixture(t *testing.T) {
 		scan := append([]*session.Record(nil), want...)
 		sort.SliceStable(scan, func(i, j int) bool { return scan[i].Month().Before(scan[j].Month()) })
 
-		// `ip =`: record 10's address is also record 75's, so the route
-		// passes both the V=0 and the V=1 filter; every other address
-		// lives in one legacy segment and the other must be Bloom-pruned.
+		// `ip =`: record 10's address is also record 75's, which sat in
+		// the other legacy segment; an address the store never saw is
+		// Bloom-pruned from every segment.
 		ids := func(q *Query) ([]uint64, PlanStats) {
 			res, err := s.RunQuery(q)
 			if err != nil {
@@ -151,9 +162,12 @@ func TestLegacyFixture(t *testing.T) {
 			if !reflect.DeepEqual(got, exp) {
 				t.Fatalf("ip = %s: got %v, want %v", ip, got, exp)
 			}
-			if i != 10 && st.BloomPruned == 0 {
-				t.Fatalf("ip = %s: no segment Bloom-pruned: %+v", ip, st)
+			if st.BloomChecked == 0 {
+				t.Fatalf("ip = %s: the Bloom route probed nothing: %+v", ip, st)
 			}
+		}
+		if got, st := ids(&Query{Where: Cmp(FieldIP, CmpEq, StringValue("203.0.113.250"))}); len(got) != 0 || st.BloomPruned != st.BloomChecked || st.BloomPruned == 0 {
+			t.Fatalf("ip = an unseen address: rows %v, %+v; want every segment Bloom-pruned", got, st)
 		}
 
 		// Projection: only the selected fields are promised.
@@ -218,6 +232,37 @@ func TestLegacyFixture(t *testing.T) {
 		}
 	}
 
+	if _, err := Open(dir, Options{ReadOnly: true}); !errors.Is(err, ErrLegacySegment) ||
+		!strings.Contains(err.Error(), segFileName(0)) || !strings.Contains(err.Error(), "read-write open") {
+		t.Fatalf("read-only open of a legacy store: %v; want ErrLegacySegment naming %s and the read-write open", err, segFileName(0))
+	}
+
+	rw, err := Open(dir, Options{BlockBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, _ := rw.snapshot()
+	if len(man.Segments) != 1 {
+		t.Fatalf("%d segments after migration, want 1", len(man.Segments))
+	}
+	seg := man.Segments[0]
+	checkV3(t, dir, seg)
+	if b := seg.Bloom; b.V != 1 || b.M&(b.M-1) != 0 {
+		t.Fatalf("migrated Bloom filter v=%d m=%d, want v=1 over a power of two", b.V, b.M)
+	}
+	if seg.MinSeq != 0 || seg.MaxSeq != 99 || seg.Records != 100 || len(seg.Blocks) < 2 || man.NextSeq != 100 {
+		t.Fatalf("migrated segment seqs [%d, %d], %d records in %d blocks, next_seq %d",
+			seg.MinSeq, seg.MaxSeq, seg.Records, len(seg.Blocks), man.NextSeq)
+	}
+	for i := 0; i < 2; i++ {
+		if exists(filepath.Join(dir, segFileName(i))) {
+			t.Fatalf("legacy %s still on disk after migration", segFileName(i))
+		}
+	}
+	check(t, rw, want)
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
 	ro, err := Open(dir, Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -227,37 +272,38 @@ func TestLegacyFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rw, err := Open(dir, Options{BlockBytes: 2048})
+	rw, err = Open(dir, Options{BlockBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, rw, want)
 	want = append(want, fill(t, rw, 120, 2)...)
 	if err := rw.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	man, _ := rw.snapshot()
-	if len(man.Segments) != 4 {
-		t.Fatalf("%d segments after sealing two months on top of the fixture, want 4", len(man.Segments))
+	man, _ = rw.snapshot()
+	if len(man.Segments) != 3 {
+		t.Fatalf("%d segments after sealing two months on top of the migrated fixture, want 3", len(man.Segments))
 	}
-	for _, seg := range man.Segments[2:] {
-		var magic [8]byte
-		f, err := os.Open(filepath.Join(dir, seg.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = f.Read(magic[:])
-		f.Close()
-		if err != nil || magic != segMagicV3 || seg.Codec != codecV3 {
-			t.Fatalf("%s: magic %q, codec %q; new seals must be HNSTORE3", seg.File, magic[:], seg.Codec)
-		}
+	for _, seg := range man.Segments[1:] {
+		checkV3(t, dir, seg)
 	}
 	want = append(want, fill(t, rw, 30, 2)...) // and an unsealed tail
 	check(t, rw, want)
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := legacySums(t, dir); got != sums {
-		t.Fatalf("legacy segment files changed: %v, were %v", got, sums)
+	checkFixtureSums(t)
+}
+
+// checkV3 fails t unless seg is an HNSTORE3 segment by its magic and
+// its manifest codec.
+func checkV3(t *testing.T, dir string, seg *segmentMeta) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, seg.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, segMagicV3[:]) || seg.Codec != codecV3 {
+		t.Fatalf("%s: magic %q, codec %q; want HNSTORE3", seg.File, data[:min(8, len(data))], seg.Codec)
 	}
 }

@@ -26,11 +26,12 @@ const (
 )
 
 // blockMeta locates one compressed block inside a segment file. For
-// row blocks (v1/v2) the CRC covers the compressed bytes. For columnar
-// blocks (v3) DirLen is the length of the uncompressed column
+// columnar blocks (v3) DirLen is the length of the uncompressed column
 // directory at Off, the CRC covers the directory bytes (each stripe
 // carries its own CRC in the directory), CLen is directory plus all
-// stripes, and ULen is the summed uncompressed stripe length.
+// stripes, and ULen is the summed uncompressed stripe length. For the
+// row blocks compaction reads (v1/v2) the CRC covers the compressed
+// bytes.
 type blockMeta struct {
 	Off    int64  `json:"off"`            // byte offset in the segment file
 	CLen   int    `json:"clen"`           // compressed length
@@ -57,10 +58,10 @@ type segmentMeta struct {
 	Telnet    int    `json:"telnet"`
 	RawBytes  int64  `json:"raw_bytes"`
 	CompBytes int64  `json:"comp_bytes"`
-	// Codec names the block codec and layout: "" or "flate" is DEFLATE
-	// (v1, HNSTORE1 magic), "lz" the in-tree LZ codec (v2, HNSTORE2),
-	// "v3" the columnar layout (HNSTORE3, LZ-compressed stripes).
-	// Omitted for v1 so pre-codec manifests round-trip byte-identically.
+	// Codec names the layout: "v3" the columnar one (HNSTORE3,
+	// LZ-compressed stripes), the only one written and read; "" or
+	// "flate" (HNSTORE1) and "lz" (HNSTORE2) the row layouts older
+	// stores sealed, which compaction rewrites as v3.
 	Codec  string      `json:"codec,omitempty"`
 	Bloom  *Bloom      `json:"bloom"` // over client IPs
 	Blocks []blockMeta `json:"blocks"`
@@ -145,6 +146,9 @@ func (sm *segmentMeta) validate(dir string, m *manifest) error {
 	}
 	if b := sm.Bloom; b != nil && (b.K < 1 || b.K > 32 || b.M == 0 || uint64(len(b.Bits))*8 < b.M) {
 		return fmt.Errorf("bloom: k=%d, m=%d over %d bytes", b.K, b.M, len(b.Bits))
+	}
+	if b := sm.Bloom; b != nil && !sm.legacy() && (b.V != 1 || b.M&(b.M-1) != 0) {
+		return fmt.Errorf("bloom: v=%d, m=%d; a v3 segment's filter is v=1 over a power-of-two m", b.V, b.M)
 	}
 	if sm.MinSeq > sm.MaxSeq || sm.MaxSeq >= m.NextSeq {
 		return fmt.Errorf("min_seq/max_seq: [%d, %d] not below next_seq %d", sm.MinSeq, sm.MaxSeq, m.NextSeq)

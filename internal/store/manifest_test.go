@@ -8,23 +8,24 @@ import (
 	"testing"
 )
 
-// mixedFixture builds the store the manifest tests corrupt: a copy of
-// the legacy fixture with two v3 segments sealed on top, so a manifest
-// entry of every format is present. Segment 0 is v1, 1 is v2, 2–3 are v3.
-func mixedFixture(t testing.TB, dir string) {
+// sealedFixture builds the store the manifest tests corrupt: two
+// sessions of a daemon, each sealing two months on Close, so segments
+// 0–3 alternate between the months.
+func sealedFixture(t testing.TB, dir string) {
 	t.Helper()
-	copyLegacy(t, dir)
-	s, err := Open(dir, Options{BlockBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if err := s.Append(mkRecord(i%2, i)); err != nil {
+	for run := 0; run < 2; run++ {
+		s, err := Open(dir, Options{BlockBytes: 2048})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+		for i := run * 60; i < (run+1)*60; i++ {
+			if err := s.Append(mkRecord(i%2, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -66,6 +67,8 @@ var hostileManifests = []struct {
 	{"bloom k zero", "bloom", func(m *manifest) { m.Segments[1].Bloom.K = 0 }},
 	{"bloom k huge", "bloom", func(m *manifest) { m.Segments[1].Bloom.K = 1 << 30 }},
 	{"bloom m zero", "bloom", func(m *manifest) { m.Segments[0].Bloom.M = 0 }},
+	{"bloom of the v0 scheme on a v3 segment", "bloom", func(m *manifest) { m.Segments[3].Bloom.V = 0 }},
+	{"bloom m not a power of two", "bloom", func(m *manifest) { m.Segments[1].Bloom.M-- }},
 	{"clen negative", "block 0", func(m *manifest) { m.Segments[0].Blocks[0].CLen = -5 }},
 	{"clen zero", "block 1", func(m *manifest) { m.Segments[2].Blocks[1].CLen = 0 }},
 	{"clen past end of file", "block 0", func(m *manifest) { m.Segments[1].Blocks[0].CLen = 1 << 20 }},
@@ -93,7 +96,7 @@ func TestHostileManifest(t *testing.T) {
 	// One store for every row: Open fails in loadManifest, before it
 	// writes anything, so only the manifest needs restoring in between.
 	dir := t.TempDir()
-	mixedFixture(t, dir)
+	sealedFixture(t, dir)
 	path := filepath.Join(dir, manifestName)
 	good, err := os.ReadFile(path)
 	if err != nil {
@@ -120,11 +123,11 @@ func TestHostileManifest(t *testing.T) {
 }
 
 // FuzzLoadManifest: whatever bytes stand in for MANIFEST.json over a real
-// sealed store — v1, v2 and v3 segments — Open, one `ip =` query and one
-// full Stream return errors, never panic.
+// sealed store Open, one `ip =` query and one full Stream return errors,
+// never panic.
 func FuzzLoadManifest(f *testing.F) {
 	dir := f.TempDir()
-	mixedFixture(f, dir)
+	sealedFixture(f, dir)
 	path := filepath.Join(dir, manifestName)
 	good, err := os.ReadFile(path)
 	if err != nil {

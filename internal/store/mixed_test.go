@@ -8,16 +8,16 @@ import (
 	"honeynet/internal/session"
 )
 
-// Mixed-format coverage: one store (or fleet) whose sealed segments
-// span every on-disk generation — v1 (DEFLATE rows) and v2 (LZ rows)
-// from the legacy fixture, v3 (columnar stripes) from this tree's
-// writer — must behave byte-identically to a uniform store over the
-// same records. The manifest records each segment's codec, so readers
-// dispatch per segment; nothing else may care.
+// Mixed-format coverage: one store (or fleet) that began with segments
+// of every on-disk generation — v1 (DEFLATE rows) and v2 (LZ rows) from
+// the legacy fixture — and took v3 (columnar stripes) seals from this
+// tree's writer must, once its read-write open has migrated the legacy
+// segments, behave byte-identically to a uniform store over the same
+// records.
 
 // mixedRecs are the records the tests seal on top of the fixture: three
 // months around the fixture's own (2021-12), so that month ends up
-// holding segments of all three formats.
+// holding a migrated segment and a sealed one.
 func mixedRecs(n int) []*session.Record {
 	recs := make([]*session.Record, 0, n)
 	for i := 0; i < n; i++ {
@@ -26,8 +26,8 @@ func mixedRecs(n int) []*session.Record {
 	return recs
 }
 
-// sealInto opens the store at dir (creating it if need be), appends and
-// seals recs — as v3 segments, whatever the store already holds — and
+// sealInto opens the store at dir (creating it if need be, migrating
+// any legacy segment), appends and seals recs as v3 segments, and
 // closes it.
 func sealInto(t *testing.T, dir string, recs []*session.Record) {
 	t.Helper()
@@ -44,9 +44,8 @@ func sealInto(t *testing.T, dir string, recs []*session.Record) {
 func TestMixedFormatStore(t *testing.T) {
 	dir := t.TempDir()
 	legacy := copyLegacy(t, dir)
-	sums := legacySums(t, dir)
 	added := mixedRecs(600)
-	sealInto(t, dir, added) // seals v3 beside the fixture's v1 and v2
+	sealInto(t, dir, added) // migrates the fixture's v1 and v2, seals v3 beside
 	recs := append(legacy, added...)
 
 	mixed, err := Open(dir, Options{ReadOnly: true})
@@ -55,14 +54,18 @@ func TestMixedFormatStore(t *testing.T) {
 	}
 	defer mixed.Close()
 
-	// The store must actually be mixed: all three codecs on disk.
+	// The fixture's month holds the migrated segment and a sealed one;
+	// nothing left is legacy.
 	man, _ := mixed.snapshot()
-	codecs := map[string]bool{}
+	inFixtureMonth := 0
 	for _, seg := range man.Segments {
-		codecs[seg.Codec] = true
+		checkV3(t, dir, seg)
+		if seg.Month == "2021-12" {
+			inFixtureMonth++
+		}
 	}
-	if !reflect.DeepEqual(codecs, map[string]bool{"": true, codecLZ: true, codecV3: true}) {
-		t.Fatalf("expected three segment generations, manifest has %v", codecs)
+	if len(man.Segments) != 4 || inFixtureMonth != 2 {
+		t.Fatalf("%d segments, %d of them in 2021-12; want 4 and 2", len(man.Segments), inFixtureMonth)
 	}
 
 	refDir := t.TempDir()
@@ -73,8 +76,7 @@ func TestMixedFormatStore(t *testing.T) {
 	}
 	defer ref.Close()
 
-	// Stream: identical records in identical order, through the
-	// per-format readers.
+	// Stream: identical records in identical order.
 	a, b := drainStream(t, ref.Stream()), drainStream(t, mixed.Stream())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("mixed-format Stream differs from uniform (lengths %d vs %d)", len(a), len(b))
@@ -83,25 +85,27 @@ func TestMixedFormatStore(t *testing.T) {
 		t.Fatalf("Stream differs from the appended records")
 	}
 
-	// RunQuery: every route — predicate scan, projection, IP/Bloom, time
-	// range, ORDER BY pushdown, aggregate — returns the same rows from
-	// both stores.
-	queries := []*Query{
-		{Where: Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH))},
-		{Where: Cmp(FieldKind, CmpEq, KindValue(session.CommandExec)),
-			Select: []Field{FieldIP, FieldStart}},
-		{Where: Cmp(FieldIP, CmpEq, StringValue(legacy[10].ClientIP))},
-		{Where: inMonth(time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)), Limit: 9},
-		{OrderBy: FieldPort, Desc: true, Limit: 11},
-		{GroupBy: []Field{FieldProto}, Aggs: []AggSpec{{Op: AggCount}}},
-	}
-	for qi, q := range queries {
+	// RunQuery: every route returns the same rows from both stores.
+	for qi, q := range mixedQueries(legacy[10].ClientIP) {
 		if !reflect.DeepEqual(runIDsOrGroups(t, ref, q), runIDsOrGroups(t, mixed, q)) {
 			t.Fatalf("query %d: mixed store result differs from uniform", qi)
 		}
 	}
-	if got := legacySums(t, dir); got != sums {
-		t.Fatalf("legacy segment files changed: %v, were %v", got, sums)
+	checkFixtureSums(t)
+}
+
+// mixedQueries is every RunQuery route — predicate scan, projection,
+// IP/Bloom (over ip), time range, ORDER BY pushdown, aggregate — as the
+// store tests compare two stores over the same records.
+func mixedQueries(ip string) []*Query {
+	return []*Query{
+		{Where: Cmp(FieldProto, CmpEq, StringValue(session.ProtoSSH))},
+		{Where: Cmp(FieldKind, CmpEq, KindValue(session.CommandExec)),
+			Select: []Field{FieldIP, FieldStart}},
+		{Where: Cmp(FieldIP, CmpEq, StringValue(ip))},
+		{Where: inMonth(time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)), Limit: 9},
+		{OrderBy: FieldPort, Desc: true, Limit: 11},
+		{GroupBy: []Field{FieldProto}, Aggs: []AggSpec{{Op: AggCount}}},
 	}
 }
 
@@ -127,10 +131,10 @@ func runIDsOrGroups(t *testing.T, s Reader, q *Query) interface{} {
 	return ids
 }
 
-// TestMixedFormatFleet: a fleet one of whose shards still holds legacy
+// TestMixedFormatFleet: a fleet one of whose shards began with legacy
 // segments must scatter-gather exactly like a uniform fleet.
 func TestMixedFormatFleet(t *testing.T) {
-	build := func(withFixture bool) (*Fleet, string) {
+	build := func(withFixture bool) *Fleet {
 		dir := t.TempDir()
 		if err := WriteFleetMarker(dir); err != nil {
 			t.Fatal(err)
@@ -154,11 +158,10 @@ func TestMixedFormatFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { fl.Close() })
-		return fl, ShardDir(dir, "n-a")
+		return fl
 	}
-	uniform, _ := build(false)
-	mixed, legacyShard := build(true)
-	sums := legacySums(t, legacyShard)
+	uniform := build(false)
+	mixed := build(true)
 
 	want, got := drainStream(t, uniform.Stream()), drainStream(t, mixed.Stream())
 	if len(want) != 100+3*120 || !reflect.DeepEqual(want, got) {
@@ -175,7 +178,5 @@ func TestMixedFormatFleet(t *testing.T) {
 			t.Fatalf("fleet query %d: mixed result differs from uniform", qi)
 		}
 	}
-	if got := legacySums(t, legacyShard); got != sums {
-		t.Fatalf("legacy segment files changed: %v, were %v", got, sums)
-	}
+	checkFixtureSums(t)
 }

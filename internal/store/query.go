@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -41,8 +40,7 @@ type Cursor struct {
 	p     *plan // the lowered statement: row filter, decoder mask, block prefilter
 	parts []part
 	pi    int
-	br    segReader  // open v1/v2 segment, if any
-	cc    *colCursor // open v3 segment, if any
+	cc    *colCursor // open segment, if any
 	ti    int
 	stats *PlanStats // per-query plan stats; may be nil
 	cur   *session.Record
@@ -200,10 +198,10 @@ func (c *Cursor) Next() bool {
 func (c *Cursor) nextRaw() (*session.Record, bool, error) {
 	for c.pi < len(c.parts) {
 		p := &c.parts[c.pi]
-		if p.seg != nil && p.seg.Codec == codecV3 {
-			// Columnar segment: the vectorized cursor prunes blocks on
-			// their zones, prefilters rows column-at-a-time, and decodes
-			// only the projected columns of the selected rows.
+		if p.seg != nil {
+			// The vectorized cursor prunes blocks on their zones,
+			// prefilters rows column-at-a-time, and decodes only the
+			// projected columns of the selected rows.
 			if c.cc == nil {
 				cc, err := c.s.openColCursor(p.seg, c.p, c.stats, c.ws)
 				if err != nil {
@@ -212,44 +210,13 @@ func (c *Cursor) nextRaw() (*session.Record, bool, error) {
 				c.cc = cc
 			}
 			r, decided, err := c.cc.next()
-			if err == io.EOF {
-				c.cc.close()
-				c.cc = nil
-				c.pi++
-				continue
+			if err != io.EOF {
+				return r, decided, err
 			}
-			if err != nil {
-				return nil, false, err
-			}
-			return r, decided, nil
-		}
-		if p.seg != nil {
-			if c.br == nil {
-				br, err := c.s.openSegment(p.seg)
-				if err != nil {
-					return nil, false, err
-				}
-				br.setStats(c.stats)
-				c.br = br
-			}
-			_, line, err := c.br.next()
-			if err == io.EOF {
-				c.br.close()
-				c.br = nil
-				c.pi++
-				continue
-			}
-			if err != nil {
-				return nil, false, err
-			}
-			r := c.ws.arena.alloc()
-			if err := c.ws.dec.DecodeMasked(line, r, c.p.mask); err != nil {
-				return nil, false, fmt.Errorf("store: decoding record: %w", err)
-			}
-			if c.stats != nil {
-				c.stats.ScannedRecords++
-			}
-			return r, false, nil
+			c.cc.close()
+			c.cc = nil
+			c.pi++
+			continue
 		}
 		if c.ti < len(p.tail) {
 			r := p.tail[c.ti]
@@ -275,17 +242,11 @@ func (c *Cursor) Err() error { return c.err }
 // Close releases the cursor's open segment, if any. Safe to call at
 // any point; exhausted cursors are already closed.
 func (c *Cursor) Close() error {
-	var err error
-	if c.br != nil {
-		err = c.br.close()
-		c.br = nil
+	if c.cc == nil {
+		return nil
 	}
-	if c.cc != nil {
-		if cerr := c.cc.close(); err == nil {
-			err = cerr
-		}
-		c.cc = nil
-	}
+	err := c.cc.close()
+	c.cc = nil
 	return err
 }
 

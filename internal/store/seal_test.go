@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -139,8 +140,9 @@ func checkHistory(t *testing.T, label string, s *Store, want []*session.Record) 
 // checkImage re-opens a crash image read-only and then read-write and
 // holds both to the store's contracts: exactly want, a stale WAL
 // counted exactly when the image was taken between the manifest commit
-// and the frozen file's removal, and a store that takes an append and
-// closes clean afterwards.
+// and the frozen file's removal, no segment file the manifest does not
+// reference after the read-write open, and a store that takes an
+// append and closes clean afterwards.
 func checkImage(t *testing.T, label string, img killImage, want []*session.Record) {
 	t.Helper()
 	label += " @ " + img.point
@@ -150,6 +152,14 @@ func checkImage(t *testing.T, label string, img killImage, want []*session.Recor
 	}
 	for _, ro := range []bool{true, false} {
 		s, err := Open(img.dir, Options{ReadOnly: ro, SealBytes: -1, SyncEvery: -1})
+		if ro && img.point == "compact:built" {
+			// The migration has not committed: the manifest still lists
+			// the legacy segments, which only a read-write open reads.
+			if !errors.Is(err, ErrLegacySegment) {
+				t.Fatalf("%s (read-only): open: %v, want ErrLegacySegment", label, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s (read-only %v): open: %v", label, ro, err)
 		}
@@ -158,6 +168,7 @@ func checkImage(t *testing.T, label string, img killImage, want []*session.Recor
 		}
 		checkHistory(t, fmt.Sprintf("%s (read-only %v)", label, ro), s, want)
 		if !ro {
+			checkNoOrphans(t, label, s)
 			if err := s.Append(mkRecord(0, 999_999)); err != nil {
 				t.Fatalf("%s: append after recovery: %v", label, err)
 			}
@@ -194,8 +205,11 @@ const onePass = "rotate:synced rotate:renamed rotate:created rotate:bound rotate
 // TestSealKillPoints kills the store at every boundary of the one seal
 // protocol — the rotation and finishSeal — for each way it is reached:
 // the size trigger's worker, Close on its caller, and the retry after a
-// failed build. Every image must recover, read-write and read-only, to
-// exactly the history the uninterrupted run holds.
+// failed build; and at every boundary of a migration, the seal's
+// commit over a month's legacy segments. Every image must recover,
+// read-write and read-only, to exactly the history the uninterrupted
+// run holds (read-only refuses an image the migration has not
+// committed).
 func TestSealKillPoints(t *testing.T) {
 	t.Run("size trigger", func(t *testing.T) {
 		s, err := Open(t.TempDir(), Options{SealBytes: 8 << 10, SyncEvery: -1})
@@ -279,6 +293,47 @@ func TestSealKillPoints(t *testing.T) {
 		}
 		for _, img := range m.all() {
 			checkImage(t, "retry", img, want)
+		}
+	})
+
+	t.Run("compact", func(t *testing.T) {
+		// The migration runs inside Open, before a hook can be set: open
+		// and close an empty store, put the legacy fixture in its place,
+		// and migrate it as the next read-write Open would.
+		dir := t.TempDir()
+		s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1, BlockBytes: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := copyLegacy(t, dir)
+		if s.man, err = loadManifest(dir); err != nil {
+			t.Fatal(err)
+		}
+		m := imageEvery(t, s)
+		if err := s.compact(); err != nil {
+			t.Fatal(err)
+		}
+		if got := pointsSeen(m.all()); got != "compact:built compact:committed compact:dropped " {
+			t.Fatalf("boundaries imaged: %s", got)
+		}
+		if man, _ := s.snapshot(); len(man.Segments) != 1 || man.Segments[0].legacy() {
+			t.Fatalf("%d segments after the migration, want one HNSTORE3", len(man.Segments))
+		}
+		checkNoOrphans(t, "migrated", s)
+		for _, img := range m.all() {
+			checkImage(t, "compact", img, want)
 		}
 	})
 }

@@ -1,6 +1,10 @@
 package store
 
-import "io"
+import (
+	"cmp"
+	"io"
+	"slices"
+)
 
 // This file is the store's replication surface: fleet mode tails a
 // node's local store in exact global append order, using the WAL
@@ -30,7 +34,7 @@ func (s *Store) Watch() <-chan struct{} {
 // segStream is one open segment inside a sequence merge, holding its
 // current head entry.
 type segStream struct {
-	br   segReader
+	br   *colReader
 	seq  uint64
 	line []byte
 }
@@ -71,19 +75,11 @@ func (s *Store) ScanSeq(from uint64) *SeqCursor {
 	}
 	// Manifest order is seal order; within it MinSeq ascends per month
 	// partition, but be explicit: the merge below depends on it.
-	sortSegsByMinSeq(c.pending)
+	slices.SortStableFunc(c.pending, func(a, b *segmentMeta) int { return cmp.Compare(a.MinSeq, b.MinSeq) })
 	if from > man.NextSeq {
 		c.ti = int(from - man.NextSeq)
 	}
 	return c
-}
-
-func sortSegsByMinSeq(segs []*segmentMeta) {
-	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j].MinSeq < segs[j-1].MinSeq; j-- {
-			segs[j], segs[j-1] = segs[j-1], segs[j]
-		}
-	}
 }
 
 // Next advances to the next record. It returns false at the end of the
@@ -127,7 +123,7 @@ func (c *SeqCursor) Next() bool {
 // openStream opens seg, skips entries below the cursor's start, and
 // pushes the stream onto the heap (unless empty).
 func (c *SeqCursor) openStream(seg *segmentMeta) bool {
-	br, err := c.s.openSegment(seg)
+	br, err := c.s.openColReader(seg)
 	if err != nil {
 		c.err = err
 		return false

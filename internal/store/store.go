@@ -11,15 +11,15 @@
 // segment files — columnar blocks of per-field compressed stripes
 // behind a block directory, with a block index, per-segment time
 // bounds, kind/protocol counts, and a Bloom filter over client IPs —
-// committed through an atomically renamed, fsynced manifest. Segments
-// are sealed in one format (HNSTORE3); the row-layout segments older
-// stores hold (HNSTORE1, HNSTORE2) are read in place and never written.
-// Every seal is one protocol (finishSeal): the WAL rotates aside, a
-// fresh WAL takes the appends that follow, and the rotated file's
-// records are built into segments, committed and dropped — on a worker
-// when the size trigger fires, on the caller for Seal and Close, on
-// Open after a crash — with stripes compressed in parallel and never
-// under the lock readers take. The store is read one way: RunQuery
+// committed through an atomically renamed, fsynced manifest, in one
+// format (HNSTORE3) that is all any reader knows: a read-write Open
+// rewrites the row-layout segments older stores sealed (compact.go).
+// Every seal is one protocol (finishSeal): the
+// WAL rotates aside, a fresh WAL takes the appends that follow, and the
+// rotated file's records are built into segments, committed and
+// dropped — on a worker when the size trigger fires, on the caller for
+// Seal and Close, on Open after a crash — with stripes compressed in
+// parallel and never under the lock readers take. The store is read one way: RunQuery
 // executes a structured Query with pushdown (the statement is lowered
 // once into a plan whose compiled predicate is asked one three-valued
 // question of a zone — start-time bounds plus the kinds and protocols
@@ -46,12 +46,15 @@
 //   - crash after the manifest commit, before the frozen WAL is
 //     removed: its base is behind the manifest, so it is stale —
 //     counted, dropped, never replayed.
+//   - crash mid-compaction: the records are in the legacy segments or,
+//     once the manifest commits, in the new one; a read-write Open
+//     removes whichever files the manifest no longer references.
 //
 // Binaries before this protocol reset the active WAL in place after a
 // commit; a WAL they left bound behind the manifest (or one with no
 // binding line at all) is recognised the same way and dropped.
 //
-// A sealed segment is never lost or mutated.
+// A sealed record is never lost, and a segment never mutated.
 package store
 
 import (
@@ -63,6 +66,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -248,6 +252,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	if i := slices.IndexFunc(man.Segments, (*segmentMeta).legacy); opts.ReadOnly && i >= 0 {
+		return nil, fmt.Errorf("%w: %s is HNSTORE1/HNSTORE2, which only compaction reads; any read-write open "+
+			"(honeypotd -store %s, for example) rewrites it as HNSTORE3", ErrLegacySegment, man.Segments[i].File, dir)
+	}
 	s := &Store{dir: dir, opts: opts, man: man}
 	s.sealCond = sync.NewCond(&s.mu)
 	s.watch = make(chan struct{}, 1)
@@ -291,6 +299,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err = s.finishSeal(false); err != nil {
 			err = fmt.Errorf("store: finish interrupted seal: %w", err)
 		}
+	}
+	if err == nil {
+		s.dropOrphans()
+		err = s.compact()
 	}
 	if err != nil {
 		f.Close()
@@ -807,20 +819,30 @@ func (s *Store) sealTailLocked() error {
 // buildSegments writes one segment per month of recs, the records that
 // extend man, and returns the manifest — already saved and durable —
 // that commits them. It does not touch store state: finishSeal swaps
-// the result in under mu.
+// the result in under mu. A failed build removes its files,
+// best-effort.
 func (s *Store) buildSegments(man *manifest, recs []*session.Record, lines [][]byte) (*manifest, error) {
 	baseSeq := man.NextSeq
 	// Partition by month (keyed year*12+month — cheaper to hash than a
 	// time.Time), preserving append order within each.
-	byMonth := map[int][]int32{}
+	type monthRecs struct {
+		recs  []*session.Record
+		lines [][]byte
+		seqs  []uint64
+	}
+	byMonth := map[int]*monthRecs{}
 	var months []int
 	for i, r := range recs {
 		y, mo, _ := r.Start.Date()
 		k := y*12 + int(mo)
-		if _, ok := byMonth[k]; !ok {
+		mr := byMonth[k]
+		if mr == nil {
+			mr = &monthRecs{}
+			byMonth[k] = mr
 			months = append(months, k)
 		}
-		byMonth[k] = append(byMonth[k], int32(i))
+		mr.recs, mr.lines = append(mr.recs, r), append(mr.lines, lines[i])
+		mr.seqs = append(mr.seqs, baseSeq+uint64(i))
 	}
 	sort.Ints(months)
 
@@ -832,10 +854,11 @@ func (s *Store) buildSegments(man *manifest, recs []*session.Record, lines [][]b
 	}
 	var files []string
 	for _, m := range months {
+		mr := byMonth[m]
 		file := segFileName(newMan.NextSeg)
-		meta, err := s.writeSegment(file, recs, lines, byMonth[m], baseSeq)
+		meta, err := s.writeSegment(file, mr.recs, mr.lines, mr.seqs)
 		if err != nil {
-			removeAll(s.dir, files, file)
+			removeAll(s.dir, append(files, file))
 			return nil, err
 		}
 		newMan.NextSeg++
@@ -843,12 +866,12 @@ func (s *Store) buildSegments(man *manifest, recs []*session.Record, lines [][]b
 		files = append(files, file)
 	}
 	if err := syncDir(s.dir); err != nil {
-		removeAll(s.dir, files, "")
+		removeAll(s.dir, files)
 		return nil, err
 	}
 	s.at("seal:built")
 	if err := newMan.save(s.dir); err != nil {
-		removeAll(s.dir, files, "")
+		removeAll(s.dir, files)
 		return nil, err
 	}
 	// Keep seal scratch warm between seals, but not arbitrarily large:
@@ -859,12 +882,8 @@ func (s *Store) buildSegments(man *manifest, recs []*session.Record, lines [][]b
 	return newMan, nil
 }
 
-// removeAll deletes the named segment files plus one extra (a partial
-// write), best-effort, after a failed seal.
-func removeAll(dir string, files []string, extra string) {
-	if extra != "" {
-		files = append(files, extra)
-	}
+// removeAll deletes the named files under dir, best-effort.
+func removeAll(dir string, files []string) {
 	for _, f := range files {
 		os.Remove(filepath.Join(dir, f))
 	}

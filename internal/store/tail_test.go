@@ -69,8 +69,8 @@ func TestSeqStreamUnderConcurrentSeal(t *testing.T) {
 				return
 			}
 			c.Close()
-			if s.NextSeq() > next {
-				continue
+			if next == n || s.NextSeq() > next {
+				continue // done, or more to scan: no signal to wait for
 			}
 			select {
 			case <-w:

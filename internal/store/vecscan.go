@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math/bits"
 	"regexp"
@@ -793,7 +792,7 @@ func (cc *colCursor) next() (r *session.Record, decided bool, err error) {
 		cc.row = i + 1
 		r, err := cc.materialize(i)
 		if err != nil {
-			return nil, false, fmt.Errorf("store: %s: block %d: row %d: %w", cc.cs.meta.File, cc.bi-1, i, err)
+			return nil, false, cc.cs.errorf(cc.bi-1, "row %d: %w", i, err)
 		}
 		if cc.stats != nil {
 			cc.stats.ScannedRecords++

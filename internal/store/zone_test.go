@@ -56,10 +56,10 @@ type zoned struct {
 	bi   int
 }
 
-// openZoned builds a mixed store — the legacy fixture's v1 and v2
-// segments plus three v3 seals of zoneRecs — and lists every zone it
-// holds: each segment's, each kind and protocol bucket's, each v3
-// block directory's.
+// openZoned builds a store — the legacy fixture, which the first
+// read-write open migrates to one v3 segment, plus three v3 seals of
+// zoneRecs — and lists every zone it holds: each segment's, each kind
+// and protocol bucket's, each block directory's.
 func openZoned(t *testing.T) (*Store, []zoned) {
 	t.Helper()
 	dir := t.TempDir()
@@ -76,7 +76,7 @@ func openZoned(t *testing.T) (*Store, []zoned) {
 	var out []zoned
 	man, _ := s.snapshot()
 	for _, seg := range man.Segments {
-		br, err := s.openSegment(seg)
+		br, err := s.openColReader(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,9 +114,6 @@ func openZoned(t *testing.T) (*Store, []zoned) {
 			}
 		}
 
-		if seg.Codec != codecV3 {
-			continue
-		}
 		cs, err := s.openColSeg(seg, nil)
 		if err != nil {
 			t.Fatal(err)
