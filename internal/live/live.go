@@ -46,8 +46,12 @@ func (o *Options) defaults() {
 }
 
 const (
-	// maxClusters caps the live medoid set: the paper's k=6 plus
-	// headroom for campaign churn.
+	// maxClusters caps the live medoid set: a session farther than
+	// newClusterDist from every medoid founds a cluster only while
+	// fewer than this many exist, and joins its nearest one after that.
+	// It is not the paper's k=90, which the batch clustering
+	// (internal/cluster) picks; it bounds the medoids each Observe
+	// compares a session against.
 	maxClusters = 24
 	// reservoirSize is the uniform sample behind silhouette checks and
 	// re-clustering.

@@ -51,11 +51,12 @@ func planJobs(p *plan, stores []*Store, tab *aggTable, stats []*PlanStats) []par
 
 // runParts calls fn once per job with a cursor over the job's one part,
 // on up to GOMAXPROCS workers. Every cursor of a worker decodes with
-// that worker's decoder, record arena and v3 scratch. stats, when
-// non-nil, holds one PlanStats per job. A failed job stops the jobs
-// after it in job order from starting; runParts returns the index and
-// error of the first failing job in job order, or -1 and nil. With one
-// job or one worker everything runs on the calling goroutine.
+// that worker's decoder, record arena or scratch record, and v3
+// scratch. stats, when non-nil, holds one PlanStats per job. A failed
+// job stops the jobs after it in job order from starting; runParts
+// returns the index and error of the first failing job in job order,
+// or -1 and nil. With one job or one worker everything runs on the
+// calling goroutine.
 func runParts(p *plan, jobs []partJob, stats []PlanStats, fn func(j int, c *Cursor) error) (int, error) {
 	if len(jobs) == 0 {
 		return -1, nil
@@ -110,9 +111,10 @@ func runParts(p *plan, jobs []partJob, stats []PlanStats, fn func(j int, c *Curs
 // aggregate executes an aggregation plan over stores — a Store's own
 // RunQuery passes itself as the one shard. Segments the metadata
 // answers fold into the table while planning; every other part folds
-// into a table of its own on a runParts worker, and those tables merge
-// in part order. stats[i] receives shard i's plan statistics. On error
-// it also returns the failing shard's index.
+// into a table of its own on a runParts worker (Cursor.fold: values
+// from the block where it holds them, no record kept), and those
+// tables merge in part order. stats[i] receives shard i's plan
+// statistics. On error it also returns the failing shard's index.
 func (p *plan) aggregate(stores []*Store, stats []*PlanStats) (*aggTable, int, error) {
 	tab := newAggTable(p.q.GroupBy, p.q.Aggs)
 	meta := tab
@@ -133,12 +135,8 @@ func (p *plan) aggregate(stores []*Store, stats []*PlanStats) (*aggTable, int, e
 	tabs := make([]*aggTable, len(jobs))
 	jst := make([]PlanStats, len(jobs))
 	if j, err := runParts(p, jobs, jst, func(j int, c *Cursor) error {
-		t := newAggTable(p.q.GroupBy, p.q.Aggs)
-		for c.Next() {
-			t.addRecord(c.Record())
-		}
-		tabs[j] = t
-		return c.Err()
+		tabs[j] = newAggTable(p.q.GroupBy, p.q.Aggs)
+		return c.fold(tabs[j])
 	}); err != nil {
 		return nil, jobs[j].shard, err
 	}

@@ -10,17 +10,12 @@ import (
 	"honeynet/internal/session"
 )
 
-// TestOddFragmentsAnsweredRight seals lines the shredder accepts but
-// that are not what the encoder writes. Whitespace inside a login
-// element is one the decoder's fast grammar rejects: the login kernels
-// must leave that row unknown, so the row Filter decides it from the
-// stdlib decode. A \u006d escape spelling the m of mdrfckr is one the
-// fast grammar accepts and unescapes, as the stdlib does: the command
-// kernel decides that row exactly, and true. Either way every statement
-// answers what the Filter says of the fully decoded records. A
-// raw-overflow row (keys out of order) is in no field stripe at all:
-// every fragment leaf leaves it unknown, never reads it as absent.
-func TestOddFragmentsAnsweredRight(t *testing.T) {
+// openOdd opens a small store holding one sealed segment of four odd
+// rows — non-canonical but shreddable logins (row 0) and command
+// (row 1) fragments, and a raw-overflow line (row 2) — and returns it
+// with that segment.
+func openOdd(t *testing.T) (*Store, *segmentMeta) {
+	t.Helper()
 	s := openSmall(t)
 	recs := make([]*session.Record, 4)
 	lines := make([][]byte, 4)
@@ -55,8 +50,23 @@ func TestOddFragmentsAnsweredRight(t *testing.T) {
 	s.mu.Lock()
 	s.man.Segments = append(s.man.Segments, meta)
 	s.man.NextSeq = uint64(len(recs))
+	s.man.NextSeg = 1
 	s.mu.Unlock()
+	return s, meta
+}
 
+// TestOddFragmentsAnsweredRight seals lines the shredder accepts but
+// that are not what the encoder writes. Whitespace inside a login
+// element is one the decoder's fast grammar rejects: the login kernels
+// must leave that row unknown, so the row Filter decides it from the
+// stdlib decode. A \u006d escape spelling the m of mdrfckr is one the
+// fast grammar accepts and unescapes, as the stdlib does: the command
+// kernel decides that row exactly, and true. Either way every statement
+// answers what the Filter says of the fully decoded records. A
+// raw-overflow row (keys out of order) is in no field stripe at all:
+// every fragment leaf leaves it unknown, never reads it as absent.
+func TestOddFragmentsAnsweredRight(t *testing.T) {
+	s, meta := openOdd(t)
 	cs, err := s.openColSeg(meta, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -107,14 +117,17 @@ func TestOddFragmentsAnsweredRight(t *testing.T) {
 	}
 }
 
-// FuzzFragmentKernels puts arbitrary bytes where a logins, cmds, dls or
-// state_changed fragment goes and holds every fragment leaf to the
-// truth: a row the bitmap says is definitely true must pass the Filter,
-// and a row that passes must be possibly true, where the Filter runs on
-// the record the cursor's own decode makes of the row — the columnar
-// decode, or the reassembled line's when that bails. A row no decode
-// accepts has no record to hold the verdict to, but the kernels must
-// still not panic on it.
+// FuzzFragmentKernels puts arbitrary bytes where a logins, cmds, dls,
+// state_changed or client_ip fragment goes and holds every fragment
+// leaf to the truth: a row the bitmap says is definitely true must pass
+// the Filter, and a row that passes must be possibly true, where the
+// Filter runs on the record the cursor's own decode makes of the row —
+// the columnar decode, or the reassembled line's when that bails. Every
+// value an aggregate folds from the block — counts, flags, login_ok,
+// the client IP's bytes of a plain fragment — must equal fieldValue of
+// that record, or its reader must report a bail. A row no decode
+// accepts has no record to hold the verdict to, but the kernels and
+// readers must still not panic on it.
 func FuzzFragmentKernels(f *testing.F) {
 	base := mkRecord(0, 3)
 	base.Commands = append(base.Commands, session.Command{Raw: `echo "mdrfckr">>k`})
@@ -127,7 +140,7 @@ func FuzzFragmentKernels(f *testing.F) {
 	if !session.ShredJSON(line, &cols) {
 		f.Fatal("base record does not shred")
 	}
-	targets := []int{session.ColLogins, session.ColCmds, session.ColDls, session.ColStateChanged}
+	targets := []int{session.ColLogins, session.ColCmds, session.ColDls, session.ColStateChanged, session.ColClientIP}
 	for i, c := range targets {
 		f.Add(uint8(i), append([]byte(nil), cols[c]...))
 	}
@@ -146,6 +159,10 @@ func FuzzFragmentKernels(f *testing.F) {
 		{2, `[{"uri":"u","src_ip":"1.2.3.4","hash":"h","size":-1},{"uri":"v"}]`},
 		{3, `false`},
 		{3, `tru`},
+		{4, `"10.0.0.1"`},
+		{4, `"a\u003cb"`},
+		{4, `""`},
+		{4, `"1.2.3.4`},
 	} {
 		f.Add(seed.col, []byte(seed.frag))
 	}
@@ -184,6 +201,18 @@ func FuzzFragmentKernels(f *testing.F) {
 			truth := p.filter(&rec)
 			if bmHas(lo, 0) && !truth || truth && !bmHas(hi, 0) {
 				t.Fatalf("leaf %d over %q: lo %v hi %v, Filter %v", i, frag, bmHas(lo, 0), bmHas(hi, 0), truth)
+			}
+		}
+		for _, f := range []Field{FieldLogins, FieldCommands, FieldDownloads, FieldLoginOK, FieldStateChanged, FieldTimedOut, FieldIP} {
+			if f == FieldIP && !plainStrFrag(row[session.ColClientIP]) {
+				continue // a block with such a fragment has its plain bit clear
+			}
+			var v foldVal
+			if !sc.blockVal(f, 0, &v) || !decoded {
+				continue
+			}
+			if got, want := valueBits(v.value()), valueBits(fieldValue(f, &rec)); got != want {
+				t.Fatalf("%s over %q: block %s, record %s", f.Name(), frag, got, want)
 			}
 		}
 	})

@@ -49,13 +49,15 @@ type Cursor struct {
 }
 
 // scanScratch is the decode working set a cursor reads with: the
-// record decoder, the arena records come from, and — for a cursor a
-// runParts worker drives — the v3 scratch every segment it opens
-// borrows. A row query's cursor owns one with col nil, so each v3
-// segment it opens takes its own from the pool.
+// record decoder, the arena the records a caller keeps come from, the
+// one record a fold decodes each row it cannot read from its block
+// into, and — for a cursor a runParts worker drives — the v3 scratch
+// every segment it opens borrows. A row query's cursor owns one with
+// col nil, so each v3 segment it opens takes its own from the pool.
 type scanScratch struct {
 	dec   session.JSONDecoder
 	arena recArena
+	rec   session.Record
 	col   *colScratch
 }
 
@@ -231,6 +233,45 @@ func (c *Cursor) nextRaw() (*session.Record, bool, error) {
 		c.pi++
 	}
 	return nil, false, io.EOF
+}
+
+// fold folds every matching record of the cursor's parts into t, the
+// way an aggregate reads them: nothing is kept, so no row takes an
+// arena record. A sealed part folds through colCursor.fold; a tail
+// part's records are the store's own. The counts it adds to the plan
+// statistics are Next's.
+func (c *Cursor) fold(t *aggTable) error {
+	f := c.p.filter
+	for ; c.pi < len(c.parts); c.pi++ {
+		pt := &c.parts[c.pi]
+		if pt.seg == nil {
+			for _, r := range pt.tail {
+				if c.stats != nil {
+					c.stats.TailRecords++
+					c.stats.ScannedRecords++
+				}
+				if f != nil && !f(r) {
+					continue
+				}
+				if c.stats != nil {
+					c.stats.MatchedRecords++
+				}
+				t.addRecord(r)
+			}
+			continue
+		}
+		cc, err := c.s.openColCursor(pt.seg, c.p, c.stats, c.ws)
+		if err != nil {
+			return err
+		}
+		c.cc = cc
+		err = cc.fold(t, f == nil || pt.all, &c.ws.rec)
+		c.Close()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Record returns the record Next advanced to.

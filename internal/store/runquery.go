@@ -653,7 +653,7 @@ type PlanStats struct {
 	StripesRead      int64
 	StripeBytes      int64 // compressed bytes of stripes read
 
-	ScannedRecords int64 // records decoded by the scan
+	ScannedRecords int64 // rows the scan examined: decoded, or folded from their block
 	MatchedRecords int64 // records that passed every predicate
 
 	// TopK is the bounded ORDER BY/LIMIT heap size when the sort was
@@ -1203,13 +1203,18 @@ func (sm *segmentMeta) buckets(by Field, z zone) (out [maxBuckets]bucket, n int)
 }
 
 // aggTable accumulates streaming group-by state: one row per distinct
-// key, mergeable across shards for fleet scatter-gather.
+// key, mergeable across shards for fleet scatter-gather. A row folds
+// from its values, not its record: fields lists what one fold reads —
+// the group keys, then each aggregate's field — and vals holds them,
+// taken from a record (addRecord) or read straight from a block
+// (colCursor.fold). Both feed the one fold.
 type aggTable struct {
 	groupBy []Field
 	aggs    []AggSpec
+	fields  []Field
+	vals    []foldVal // one row's values, parallel to fields
 	rows    map[string]*aggRow
-	keys    []Value // addRecord's group key scratch
-	kb      []byte  // key encoding scratch
+	kb      []byte // key encoding scratch
 }
 
 type aggRow struct {
@@ -1226,7 +1231,66 @@ type aggAcc struct {
 }
 
 func newAggTable(groupBy []Field, aggs []AggSpec) *aggTable {
-	return &aggTable{groupBy: groupBy, aggs: aggs, rows: map[string]*aggRow{}}
+	t := &aggTable{groupBy: groupBy, aggs: aggs, rows: map[string]*aggRow{}}
+	t.fields = append([]Field(nil), groupBy...)
+	for _, a := range aggs {
+		t.fields = append(t.fields, a.Field)
+	}
+	t.vals = make([]foldVal, len(t.fields))
+	return t
+}
+
+// foldVal is one value a fold reads. A string a block holds stays in
+// str, its bytes in the block, and becomes a Value only when the table
+// keeps it; elems are a multi-valued field's elements, which
+// count(distinct) folds one by one.
+type foldVal struct {
+	v     Value
+	str   []byte // non-nil: v is the ValString these bytes spell
+	elems []string
+}
+
+func (f *foldVal) set(v Value) { f.v, f.str = v, nil }
+
+func (f *foldVal) setBytes(b []byte) { f.v, f.str = Value{Kind: ValString}, b }
+
+// value returns the value as one the table may keep.
+func (f *foldVal) value() Value {
+	if f.str != nil {
+		return StringValue(string(f.str))
+	}
+	return f.v
+}
+
+// appendKey is appendKey of the value, with no string made.
+func (f *foldVal) appendKey(b []byte) []byte {
+	if f.str == nil {
+		return appendKey(b, f.v)
+	}
+	return appendKeyString(b, f.str)
+}
+
+// less and more order the value against a kept one of its kind.
+func (f *foldVal) less(o Value) bool {
+	if f.str != nil {
+		return string(f.str) < o.Str
+	}
+	return f.v.less(o)
+}
+
+func (f *foldVal) more(o Value) bool {
+	if f.str != nil {
+		return string(f.str) > o.Str
+	}
+	return o.less(f.v)
+}
+
+// fromRecord takes field fd's value from a record.
+func (f *foldVal) fromRecord(fd Field, r *session.Record) {
+	f.set(fieldValue(fd, r))
+	if fieldInfos[fd].multi {
+		f.elems = appendElems(f.elems[:0], fd, r)
+	}
 }
 
 // appendKey appends the exact encoding of one group key or distinct
@@ -1236,11 +1300,11 @@ func newAggTable(groupBy []Field, aggs []AggSpec) *aggTable {
 // String() is neither (it drops sub-second time and cannot tell where
 // one string ends).
 func appendKey(b []byte, v Value) []byte {
+	if v.Kind == ValString {
+		return appendKeyString(b, v.Str)
+	}
 	b = append(b, byte(v.Kind))
 	switch v.Kind {
-	case ValString:
-		b = binary.AppendUvarint(b, uint64(len(v.Str)))
-		return append(b, v.Str...)
 	case ValInt, ValSessionKind:
 		return binary.BigEndian.AppendUint64(b, uint64(v.Int))
 	case ValFloat:
@@ -1257,6 +1321,14 @@ func appendKey(b []byte, v Value) []byte {
 	return b
 }
 
+// appendKeyString is appendKey of a string value, from its bytes.
+func appendKeyString[S string | []byte](b []byte, s S) []byte {
+	b = append(b, byte(ValString))
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// row returns the row of the given keys, adding it if new.
 func (t *aggTable) row(keys []Value) *aggRow {
 	t.kb = t.kb[:0]
 	for _, k := range keys {
@@ -1265,7 +1337,12 @@ func (t *aggTable) row(keys []Value) *aggRow {
 	if r, ok := t.rows[string(t.kb)]; ok {
 		return r
 	}
-	r := &aggRow{keys: append([]Value(nil), keys...), accs: make([]aggAcc, len(t.aggs))}
+	return t.insert(append([]Value(nil), keys...))
+}
+
+// insert adds a row with the given keys under the encoding in t.kb.
+func (t *aggTable) insert(keys []Value) *aggRow {
+	r := &aggRow{keys: keys, accs: make([]aggAcc, len(t.aggs))}
 	for i := range r.accs {
 		if t.aggs[i].Op == AggCountDistinct {
 			r.accs[i].set = map[string]bool{}
@@ -1286,59 +1363,73 @@ func (t *aggTable) addCount(keys []Value, n int64) {
 
 // addRecord folds one record.
 func (t *aggTable) addRecord(rec *session.Record) {
-	t.keys = t.keys[:0]
-	for _, f := range t.groupBy {
-		t.keys = append(t.keys, fieldValue(f, rec))
+	for i, f := range t.fields {
+		t.vals[i].fromRecord(f, rec)
 	}
-	r := t.row(t.keys)
+	t.fold()
+}
+
+// fold folds the row whose values t.vals holds.
+func (t *aggTable) fold() {
+	ng := len(t.groupBy)
+	t.kb = t.kb[:0]
+	for i := range t.vals[:ng] {
+		t.kb = t.vals[i].appendKey(t.kb)
+	}
+	r, ok := t.rows[string(t.kb)]
+	if !ok {
+		keys := make([]Value, ng)
+		for i := range keys {
+			keys[i] = t.vals[i].value()
+		}
+		r = t.insert(keys)
+	}
 	for i, spec := range t.aggs {
-		acc := &r.accs[i]
+		acc, v := &r.accs[i], &t.vals[ng+i]
 		switch spec.Op {
 		case AggCount:
-			if spec.Field == FieldNone || fieldValue(spec.Field, rec).Kind != ValNull {
+			if spec.Field == FieldNone || v.v.Kind != ValNull {
 				acc.n++
 			}
 		case AggCountDistinct:
 			if fieldInfos[spec.Field].multi {
-				for _, s := range fieldElems(spec.Field, rec) {
+				for _, s := range v.elems {
 					acc.set[s] = true
 				}
-			} else if v := fieldValue(spec.Field, rec); v.Kind != ValNull {
-				t.kb = appendKey(t.kb[:0], v)
+			} else if v.v.Kind != ValNull {
+				t.kb = v.appendKey(t.kb[:0])
 				if !acc.set[string(t.kb)] {
 					acc.set[string(t.kb)] = true
 				}
 			}
 		case AggSum, AggAvg:
-			v := fieldValue(spec.Field, rec)
 			acc.n++
-			if v.Kind == ValInt {
-				acc.sum += float64(v.Int)
+			if v.v.Kind == ValInt {
+				acc.sum += float64(v.v.Int)
 			} else {
-				acc.sum += v.Float
+				acc.sum += v.v.Float
 			}
 		case AggMin, AggMax:
-			v := fieldValue(spec.Field, rec)
-			if v.Kind == ValNull {
+			if v.v.Kind == ValNull {
 				break
 			}
 			if !acc.hasMM {
-				acc.min, acc.max, acc.hasMM = v, v, true
-			} else {
-				if v.less(acc.min) {
-					acc.min = v
-				}
-				if acc.max.less(v) {
-					acc.max = v
-				}
+				x := v.value()
+				acc.min, acc.max, acc.hasMM = x, x, true
+				break
+			}
+			if v.less(acc.min) {
+				acc.min = v.value()
+			}
+			if v.more(acc.max) {
+				acc.max = v.value()
 			}
 		}
 	}
 }
 
-// fieldElems lists a multi-valued field's elements.
-func fieldElems(f Field, r *session.Record) []string {
-	var out []string
+// appendElems appends a multi-valued field's elements.
+func appendElems(out []string, f Field, r *session.Record) []string {
 	switch f {
 	case FieldUser:
 		for i := range r.Logins {
@@ -1358,7 +1449,9 @@ func fieldElems(f Field, r *session.Record) []string {
 	return out
 }
 
-// merge folds another shard's table in.
+// merge folds another part's or shard's table in; o is spent. A
+// distinct set merges into the larger of the two, so the largest part's
+// set is never re-inserted. Counts and float sums add in merge order.
 func (t *aggTable) merge(o *aggTable) {
 	for k, or := range o.rows {
 		r, ok := t.rows[k]
@@ -1370,6 +1463,9 @@ func (t *aggTable) merge(o *aggTable) {
 			a, b := &r.accs[i], &or.accs[i]
 			a.n += b.n
 			a.sum += b.sum
+			if len(b.set) > len(a.set) {
+				a.set, b.set = b.set, a.set
+			}
 			for s := range b.set {
 				a.set[s] = true
 			}

@@ -24,12 +24,13 @@ import (
 // opaque field, a raw-overflow row, a fragment the decoder's fast
 // grammar rejects) widens to unknown. Rows with hi clear are skipped
 // before any per-row decode. A row with lo set is a match: it
-// materializes only the fields the statement returns and skips the
-// row Filter. A row that is only possibly true materializes whole and
-// passes the cursor's row Filter — the truth every verdict is held to
-// (TestTriSoundOverEveryZone, FuzzFragmentKernels) — unless its
-// segment's zone already said triTrue for all of them, so zones and
-// bitmaps can never change results.
+// materializes only the fields the statement returns — an aggregate
+// folds those it can straight from the block (colCursor.fold) — and
+// skips the row Filter. A row that is only possibly true materializes
+// whole and passes the cursor's row Filter — the truth every verdict
+// is held to (TestTriSoundOverEveryZone, FuzzFragmentKernels) — unless
+// its segment's zone already said triTrue for all of them, so zones
+// and bitmaps can never change results.
 
 // vecLeafKind tags what a leaf reads.
 type vecLeafKind int
@@ -630,21 +631,11 @@ func (n *vecNode) fragVerdict(fr *session.FragReader, frag []byte) (match, ok bo
 		}
 		return bytes.Equal(frag, n.qv) == (n.cmp == CmpEq), true
 	case vecFlag:
-		switch string(frag) {
-		case "", "false":
-			return evalCmp(BoolValue(false), n.cmp, n.val, n.re), true
-		case "true":
-			return evalCmp(BoolValue(true), n.cmp, n.val, n.re), true
-		}
-		return false, false
+		flag, ok := fragFlag(frag)
+		return ok && evalCmp(BoolValue(flag), n.cmp, n.val, n.re), ok
 	case vecCount:
-		count := 0
-		if frag != nil {
-			if count, ok = fr.Count(n.col, frag); !ok {
-				return false, false
-			}
-		}
-		return evalCmp(IntValue(int64(count)), n.cmp, n.val, n.re), true
+		count, ok := fragCount(fr, n.col, frag)
+		return ok && evalCmp(IntValue(int64(count)), n.cmp, n.val, n.re), ok
 	case vecCmd:
 		var text []byte
 		if frag != nil {
@@ -655,6 +646,28 @@ func (n *vecNode) fragVerdict(fr *session.FragReader, frag []byte) (match, ok bo
 		return n.cmpText(text), true
 	}
 	return n.loginsVerdict(fr, frag)
+}
+
+// fragFlag reads a state_changed or timeout fragment: absent (nil) or
+// false is false. ok is false for bytes the decoder rejects too.
+func fragFlag(frag []byte) (flag, ok bool) {
+	switch string(frag) {
+	case "", "false":
+		return false, true
+	case "true":
+		return true, true
+	}
+	return false, false
+}
+
+// fragCount is the element count of a logins, cmds or dls fragment of
+// column c: 0 when absent (nil), and ok false when the fast grammar
+// rejects it.
+func fragCount(fr *session.FragReader, c int, frag []byte) (int, bool) {
+	if frag == nil {
+		return 0, true
+	}
+	return fr.Count(c, frag)
 }
 
 // loginsVerdict decides a vecLogins leaf: user and pass with the
@@ -732,7 +745,7 @@ func cmpI64(a, b int64, cmp CmpOp) bool {
 // reads the directory, asks the zone maps whether the block can match
 // at all, evaluates the compiled predicate over just its columns, and
 // only then loads the returned columns and materializes the selected
-// rows.
+// rows — or, for an aggregate, folds them (fold).
 type colCursor struct {
 	cs    *colSeg
 	p     *plan
@@ -750,13 +763,20 @@ type colCursor struct {
 	// The block's decode mask: the plan's output mask when the bitmap
 	// decided every selected row, so no row Filter reads the record, and
 	// the plan's whole mask otherwise.
-	mask    session.FieldMask
-	need    session.ColumnSet // ColumnsForMask(mask)
-	asm     session.Columns
-	colIdx  []int  // loaded∩need columns materialize refreshes per row
-	ipArena string // block's client_ip stripe, one string alloc per block
-	dec     *session.JSONDecoder
-	ar      *recArena
+	mask      session.FieldMask
+	need      session.ColumnSet // ColumnsForMask(mask)
+	asm       session.Columns
+	colIdx    []int  // loaded∩need columns decode refreshes per row
+	decodable bool   // the block's decode columns are loaded (prepareDecode)
+	ipArena   string // block's client_ip stripe, copied at the block's first decode
+	dec       *session.JSONDecoder
+	ar        *recArena
+
+	// A fold's state: the columns its fields are read from, and which
+	// of its fields the block holds, parallel to aggTable.fields.
+	folding  bool
+	foldCols session.ColumnSet
+	inBlock  []bool
 }
 
 // openColCursor opens a scan over one v3 segment.
@@ -790,8 +810,8 @@ func (cc *colCursor) next() (r *session.Record, decided bool, err error) {
 			continue
 		}
 		cc.row = i + 1
-		r, err := cc.materialize(i)
-		if err != nil {
+		r := cc.ar.alloc()
+		if err := cc.decode(i, r, cc.mask); err != nil {
 			return nil, false, cc.cs.errorf(cc.bi-1, "row %d: %w", i, err)
 		}
 		if cc.stats != nil {
@@ -859,43 +879,52 @@ func (cc *colCursor) nextBlock() (bool, error) {
 			bmFill(cc.sel, rows)
 		}
 		cc.need = session.ColumnsForMask(cc.mask)
-
-		// Phase 2: the columns the block's mask decodes. The meta
-		// sidecar already holds the protocol (via the dictionary) and —
-		// when the block's timestamps round-trip through nanos — the
-		// start time verbatim, so those stripes are never loaded:
-		// materialize prefills the fields from the sidecar instead.
-		cc.pre = session.ColumnSet(1 << uint(session.ColProto))
-		if len(cc.cs.sc.tnanos) == rows {
-			cc.pre |= 1 << uint(session.ColStart)
-		}
-		if err := cc.loadCols(cc.need &^ cc.pre); err != nil {
-			return false, err
-		}
-		// Same idea for client_ip, with the loaded stripe itself as the
-		// source: when the writer asserted (directory plain bit) that
-		// every fragment in the block is a plain quoted ASCII string,
-		// one string copy of the whole stripe replaces a per-row
-		// parse-and-allocate — rows slice it, quotes stripped. A
-		// retained record pins its block's copy; that is bounded by the
-		// block size, the same order as the record's own strings.
-		cc.ipArena = ""
-		if cc.mask&session.FClientIP != 0 && cc.dir.plain.Has(session.ColClientIP) {
-			if cd := &cc.cs.sc.cols[session.ColClientIP]; cc.loaded.Has(session.ColClientIP) && cd.lens != nil {
-				cc.ipArena = string(cd.data)
-				cc.pre |= 1 << uint(session.ColClientIP)
-			}
-		}
-		cc.asmRebuild()
 		cc.rows, cc.row = rows, 0
-		return true, nil
+		cc.decodable, cc.ipArena = false, ""
+
+		// Phase 2: the columns the block's rows read. A fold loads the
+		// columns it reads values from, and the block's decode columns
+		// only when a row needs a decode (foldDecode).
+		if cc.folding {
+			return true, cc.loadCols(cc.foldCols & cc.need)
+		}
+		return true, cc.prepareDecode()
 	}
 	return false, nil
 }
 
+// prepareDecode loads the columns the block's mask decodes and plans
+// the per-row assembly. The meta sidecar already holds the protocol
+// (via the dictionary) and — when the block's timestamps round-trip
+// through nanos — the start time verbatim, so those stripes are never
+// loaded: decode prefills the fields from the sidecar instead.
+func (cc *colCursor) prepareDecode() error {
+	cc.decodable = true
+	cc.pre = session.ColumnSet(1 << uint(session.ColProto))
+	if len(cc.cs.sc.tnanos) == cc.rows {
+		cc.pre |= 1 << uint(session.ColStart)
+	}
+	if err := cc.loadCols(cc.need &^ cc.pre); err != nil {
+		return err
+	}
+	// Same idea for client_ip, with the loaded stripe itself as the
+	// source: when the writer asserted (directory plain bit) that every
+	// fragment in the block is a plain quoted ASCII string, one string
+	// copy of the whole stripe, made at the block's first decode,
+	// replaces a per-row parse-and-allocate — rows slice it, quotes
+	// stripped. A retained record pins its block's copy; that is
+	// bounded by the block size, the same order as the record's own
+	// strings.
+	if cc.mask&session.FClientIP != 0 && cc.ipPlain() {
+		cc.pre |= 1 << uint(session.ColClientIP)
+	}
+	cc.asmRebuild()
+	return nil
+}
+
 // asmRebuild refreshes the per-row assembly plan after the block's
 // loaded set changes: columns the decode will never consult go nil
-// once, so materialize touches only the live ones per row. The decoder
+// once, so decode touches only the live ones per row. The decoder
 // reads only ColumnsForMask(mask) columns, and the reassembly fallback
 // only feeds a masked decode, so loaded predicate-only columns outside
 // that set can stay nil too.
@@ -925,45 +954,52 @@ func (cc *colCursor) loadCols(set session.ColumnSet) error {
 	return nil
 }
 
-// materialize decodes row i under the cursor's mask: raw rows through
-// the whole-line decoder, shredded rows column-directly, falling back
-// to reassembly plus the whole-line decoder if a fragment bails.
-func (cc *colCursor) materialize(i int) (*session.Record, error) {
+// ipPlain reports whether the block's client_ip stripe is loaded and
+// plain: every fragment a quoted ASCII string a row can slice.
+func (cc *colCursor) ipPlain() bool {
+	return cc.dir.plain.Has(session.ColClientIP) && cc.loaded.Has(session.ColClientIP) &&
+		cc.cs.sc.cols[session.ColClientIP].lens != nil
+}
+
+// decode decodes row i into the zeroed record r under mask, a subset of
+// the cursor's: raw rows through the whole-line decoder, shredded rows
+// column-directly, falling back to reassembly plus the whole-line
+// decoder if a fragment bails.
+func (cc *colCursor) decode(i int, r *session.Record, mask session.FieldMask) error {
 	sc := cc.cs.sc
-	r := cc.ar.alloc()
 	if line := sc.raw.frag(i); line != nil {
-		if err := cc.dec.DecodeMasked(line, r, cc.mask); err != nil {
-			return nil, err
-		}
-		return r, nil
+		return cc.dec.DecodeMasked(line, r, mask)
 	}
 	for _, c := range cc.colIdx {
 		cc.asm[c] = sc.cols[c].frag(i)
 	}
-	// Arena records arrive zeroed, so the sidecar values can go straight
-	// into the record and the decoder skips those columns entirely.
+	// The record arrives zeroed, so the sidecar values can go straight
+	// into it and the decoder skips those columns entirely.
 	if cc.pre.Has(session.ColStart) {
 		r.Start = time.Unix(0, sc.tnanos[i]).UTC()
 	}
 	if cc.pre.Has(session.ColProto) {
 		r.Protocol = sc.dict[sc.protos[i]]
 	}
-	if cc.pre.Has(session.ColClientIP) {
+	if cc.pre.Has(session.ColClientIP) && mask&session.FClientIP != 0 {
 		cd := &sc.cols[session.ColClientIP]
+		if cc.ipArena == "" {
+			cc.ipArena = string(cd.data)
+		}
 		if l := cd.lens[i]; l >= 2 {
 			off := cd.off[i]
 			r.ClientIP = cc.ipArena[off+1 : off+l-1]
 		}
 	}
-	if cc.dec.DecodeColumnsPrefilled(&cc.asm, r, cc.mask, cc.pre) {
-		return r, nil
+	if cc.dec.DecodeColumnsPrefilled(&cc.asm, r, mask, cc.pre) {
+		return nil
 	}
 	if cc.pre != 0 {
 		// The fallback reassembles a whole line, which needs the real
 		// fragments of the prefilled columns: load their stripes and
 		// stop prefilling for the rest of this block.
 		if err := cc.loadCols(cc.pre); err != nil {
-			return nil, err
+			return err
 		}
 		cc.pre = 0
 		cc.asmRebuild()
@@ -975,8 +1011,184 @@ func (cc *colCursor) materialize(i int) (*session.Record, error) {
 	// masked decode matches the full line's: omitted columns are either
 	// outside the mask (never stored) or absent in the original too.
 	sc.lineBuf = session.AppendAssembled(sc.lineBuf[:0], &cc.asm)
-	if err := cc.dec.DecodeMasked(sc.lineBuf, r, cc.mask); err != nil {
-		return nil, err
+	return cc.dec.DecodeMasked(sc.lineBuf, r, mask)
+}
+
+// fold folds every matching row of the segment into t, decoding only
+// what the block does not hold. A row the bitmap decided — every row
+// when all is set: the plan has no Filter, or the segment's zone
+// matches whole — folds each value its block holds straight from the
+// sidecars and field columns, and decodes into rec only the fields left
+// over, under just their mask. An undecided row, a raw-overflow row and
+// a row one of whose fragments bails decode whole under the block's
+// mask, pass the row Filter unless decided, and fold from the record.
+// Every selected row counts as examined, folded or decoded.
+func (cc *colCursor) fold(t *aggTable, all bool, rec *session.Record) error {
+	cc.folding = true
+	for _, f := range t.fields {
+		if c := foldCol(f); c >= 0 {
+			cc.foldCols |= 1 << uint(c)
+		}
 	}
-	return r, nil
+	for {
+		ok, err := cc.nextBlock()
+		if err != nil || !ok {
+			return err
+		}
+		sc := cc.cs.sc
+		var rest session.FieldMask // the mask of the fields the block lacks
+		lacks := false
+		cc.inBlock = cc.inBlock[:0]
+		for _, f := range t.fields {
+			in := cc.holds(f)
+			cc.inBlock = append(cc.inBlock, in)
+			if !in {
+				rest |= f.Mask()
+				lacks = true
+			}
+		}
+		for i := bmNext(cc.sel, 0, cc.rows); i < cc.rows; i = bmNext(cc.sel, i+1, cc.rows) {
+			if cc.stats != nil {
+				cc.stats.ScannedRecords++
+			}
+			decided := all || cc.lo != nil && bmHas(cc.lo, i)
+			if !decided || sc.raw.frag(i) != nil || !cc.blockVals(t, i) {
+				if err := cc.foldDecode(i, rec, cc.mask); err != nil {
+					return err
+				}
+				if !decided && !cc.p.filter(rec) {
+					continue
+				}
+				if cc.stats != nil {
+					cc.stats.MatchedRecords++
+				}
+				t.addRecord(rec)
+				continue
+			}
+			if lacks {
+				if err := cc.foldDecode(i, rec, rest); err != nil {
+					return err
+				}
+				for k, f := range t.fields {
+					if !cc.inBlock[k] {
+						t.vals[k].fromRecord(f, rec)
+					}
+				}
+			}
+			if cc.stats != nil {
+				cc.stats.MatchedRecords++
+			}
+			t.fold()
+		}
+	}
+}
+
+// foldDecode decodes row i into rec, zeroed first, under mask, loading
+// the block's decode columns at its first decode.
+func (cc *colCursor) foldDecode(i int, rec *session.Record, mask session.FieldMask) error {
+	if !cc.decodable {
+		if err := cc.prepareDecode(); err != nil {
+			return err
+		}
+	}
+	*rec = session.Record{}
+	if err := cc.decode(i, rec, mask); err != nil {
+		return cc.cs.errorf(cc.bi-1, "row %d: %w", i, err)
+	}
+	return nil
+}
+
+// holds reports whether the loaded block holds field f for a fold: a
+// sidecar value every row has, or a loaded field column read without a
+// decode. A row's fragment may still bail (blockVal).
+func (cc *colCursor) holds(f Field) bool {
+	switch f {
+	case FieldNone, FieldKind, FieldProto:
+		return true
+	case FieldStart, FieldMonth, FieldDay:
+		return len(cc.cs.sc.tnanos) == cc.rows
+	case FieldIP:
+		return cc.ipPlain()
+	}
+	c := foldCol(f)
+	return c >= 0 && cc.loaded.Has(c)
+}
+
+// blockVals reads the values of shredded row i the block holds into
+// t.vals. It returns false when a fragment bails.
+func (cc *colCursor) blockVals(t *aggTable, i int) bool {
+	sc := cc.cs.sc
+	for k, f := range t.fields {
+		if cc.inBlock[k] && !sc.blockVal(f, i, &t.vals[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// foldCol is the field column a fold reads field f from, or -1 when a
+// sidecar or nothing in the block holds it.
+func foldCol(f Field) int {
+	switch f {
+	case FieldIP:
+		return session.ColClientIP
+	case FieldLogins, FieldLoginOK:
+		return session.ColLogins
+	case FieldCommands:
+		return session.ColCmds
+	case FieldDownloads:
+		return session.ColDls
+	case FieldStateChanged:
+		return session.ColStateChanged
+	case FieldTimedOut:
+		return session.ColTimeout
+	}
+	return -1
+}
+
+// blockVal reads field f of shredded row i — one colCursor.holds
+// admits — into v, equal to fieldValue of the row's decoded record: a
+// time from the start nanoseconds, kind and protocol from the meta
+// sidecar, the client IP's bytes from a plain stripe, counts and flags
+// from their fragments. ok is false when the fragment is one the
+// decoder's fast grammar rejects: only a decode can tell then.
+func (sc *colScratch) blockVal(f Field, i int, v *foldVal) (ok bool) {
+	ok = true
+	switch f {
+	case FieldStart:
+		v.set(TimeValue(time.Unix(0, sc.tnanos[i]).UTC()))
+	case FieldMonth:
+		y, m, _ := time.Unix(0, sc.tnanos[i]).UTC().Date()
+		v.set(MonthValue(time.Date(y, m, 1, 0, 0, 0, 0, time.UTC)))
+	case FieldDay:
+		v.set(DayValue(time.Unix(0, sc.tnanos[i]).UTC().Truncate(24 * time.Hour)))
+	case FieldKind:
+		v.set(KindValue(session.Kind(sc.kinds[i])))
+	case FieldProto:
+		v.set(StringValue(sc.dict[sc.protos[i]]))
+	case FieldIP:
+		if frag := sc.cols[session.ColClientIP].frag(i); len(frag) >= 2 {
+			v.setBytes(frag[1 : len(frag)-1])
+		} else {
+			v.set(StringValue(""))
+		}
+	case FieldLogins, FieldCommands, FieldDownloads:
+		c := foldCol(f)
+		var n int
+		n, ok = fragCount(&sc.frag, c, sc.cols[c].frag(i))
+		v.set(IntValue(int64(n)))
+	case FieldLoginOK:
+		in := false
+		if frag := sc.cols[session.ColLogins].frag(i); frag != nil {
+			ok = sc.frag.Logins(frag, func(_, _ []byte, success bool) { in = in || success })
+		}
+		v.set(BoolValue(in))
+	case FieldStateChanged, FieldTimedOut:
+		var flag bool
+		flag, ok = fragFlag(sc.cols[foldCol(f)].frag(i))
+		v.set(BoolValue(flag))
+	default:
+		v.set(Value{})
+	}
+	return ok
 }
