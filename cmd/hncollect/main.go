@@ -4,15 +4,14 @@
 //
 // Usage:
 //
-//	hncollect -dir fleet/ [-listen :7070] [-admin :9091]
-//	          [-sync-ack=true] [-live=true]
+//	hncollect -dir fleet/ [-listen :7070] [-admin :9091] [-live=true]
 //
 // Delivery is at-least-once from the edges and exactly-once in the
 // shards: each edge resumes from the cursor the collector advertises at
-// connect, and redelivered records are dropped by sequence. With
-// -sync-ack (the default) an acknowledgment implies the record is
-// fsynced here, so a collector crash never loses acked data. SIGTERM
-// seals every shard so the fleet directory is immediately queryable.
+// connect, and redelivered records are dropped by sequence. An
+// acknowledgment is always sent after the record is fsynced here, so a
+// collector crash never loses acked data. SIGTERM seals every shard so
+// the fleet directory is immediately queryable.
 //
 // With -live (the default) every committed record also feeds the
 // streaming analytics pipeline — fleet-wide online classification,
@@ -24,74 +23,54 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 
-	"honeynet/internal/fleet"
-	"honeynet/internal/live"
-	"honeynet/internal/obs"
-	"honeynet/internal/session"
+	"honeynet"
 )
 
+// parseFlags registers every hncollect flag straight onto the facade's
+// configuration and parses args. Defaults are read from
+// CollectConfig.Defaults, so -h, Collect and the README cannot drift
+// apart; a missing -dir is refused by Collect, before any listener
+// opens.
+func parseFlags(fs *flag.FlagSet, args []string) (honeynet.CollectConfig, error) {
+	var cfg honeynet.CollectConfig
+	cfg.Defaults()
+	fs.StringVar(&cfg.Dir, "dir", "", "fleet directory to write per-node shards under (required)")
+	fs.StringVar(&cfg.ListenAddr, "listen", cfg.ListenAddr, "address to accept edge connections on")
+	fs.StringVar(&cfg.AdminAddr, "admin", "", "admin listen address serving /metrics, /healthz, /live (empty to disable)")
+	live := fs.Bool("live", true, "run the streaming analytics pipeline over committed records (honeynet_live_* metrics, /live on -admin)")
+	err := fs.Parse(args)
+	cfg.LiveOff = !*live
+	return cfg, err
+}
+
 func main() {
-	var (
-		dir      = flag.String("dir", "", "fleet directory to write per-node shards under (required)")
-		listen   = flag.String("listen", ":7070", "address to accept edge connections on")
-		admin    = flag.String("admin", "", "admin listen address serving /metrics, /healthz, /live (empty to disable)")
-		syncAck  = flag.Bool("sync-ack", true, "fsync a shard's WAL before acknowledging, so acked records survive a collector crash")
-		liveOn   = flag.Bool("live", true, "run the streaming analytics pipeline over committed records (honeynet_live_* metrics, /live on -admin)")
-		liveSeed = flag.Int64("live-seed", 0, "seed for the live cluster engine's sampling (0 = default)")
-	)
-	flag.Parse()
-	if *dir == "" {
-		log.Fatal("hncollect: -dir is required")
-	}
-
-	var pipeline *live.Pipeline
-	if *liveOn {
-		pipeline = live.NewPipeline(live.Options{Seed: *liveSeed})
-	}
-	opts := fleet.ServerOptions{SyncAck: *syncAck}
-	if pipeline != nil {
-		opts.OnRecord = func(_ string, r *session.Record) { pipeline.Observe(r) }
-	}
-	srv, err := fleet.NewServer(*dir, opts)
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatalf("hncollect: %v", err)
 	}
-	addr, err := srv.Listen(*listen)
+	c, err := honeynet.Collect(cfg)
 	if err != nil {
 		log.Fatalf("hncollect: %v", err)
 	}
-	fmt.Printf("hncollect: collecting on %s into %s (%d shards resumed)\n", addr, *dir, srv.Nodes())
-
-	reg := obs.NewRegistry()
-	srv.Register(reg)
-	var routes []obs.Route
-	if pipeline != nil {
-		pipeline.Register(reg)
-		routes = append(routes, obs.Route{Pattern: "/live", Handler: pipeline.Handler()})
-	}
-	var adminSrv *http.Server
-	if *admin != "" {
-		if adminSrv, err = obs.ServeAdmin(*admin, reg, nil, routes...); err != nil {
-			log.Fatalf("hncollect: admin: %v", err)
-		}
-		fmt.Printf("hncollect: admin on http://%s/metrics\n", adminSrv.Addr)
+	fmt.Printf("hncollect: collecting on %s into %s (%.0f shards resumed)\n",
+		c.Addr(), cfg.Dir, c.Registry().Snapshot()["honeynet_fleet_nodes"])
+	if a := c.AdminAddr(); a != "" {
+		fmt.Printf("hncollect: admin on http://%s/metrics\n", a)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "hncollect: sealing shards...")
-	if adminSrv != nil {
-		adminSrv.Close()
-	}
-	nodes, records := srv.Nodes(), srv.Len()
-	if err := srv.Close(); err != nil {
+	// Read the counts before Close: a closed collector holds no shards.
+	snap := c.Registry().Snapshot()
+	if err := c.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "hncollect: close: %v\n", err)
 	}
-	fmt.Fprintf(os.Stderr, "hncollect: %d records across %d node shards sealed in %s\n", records, nodes, *dir)
+	fmt.Fprintf(os.Stderr, "hncollect: %.0f records across %.0f node shards sealed in %s\n",
+		snap["honeynet_fleet_collected_records"], snap["honeynet_fleet_nodes"], cfg.Dir)
 }

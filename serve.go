@@ -90,9 +90,6 @@ type ServeConfig struct {
 	// tracked online (honeynet_live_* metrics, the /live admin snapshot);
 	// see Server.Live.
 	LiveOff bool
-	// LiveOptions tunes the live pipeline; the zero value takes every
-	// default (see live.Options).
-	LiveOptions LiveOptions
 
 	// OnRecord, if set, observes every session record after it is
 	// appended to the store (when there is one).
@@ -186,10 +183,6 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		}
 	}
 
-	if !cfg.LiveOff {
-		s.livep = live.NewPipeline(cfg.LiveOptions)
-	}
-
 	s.limiter = guard.NewLimiter(guard.Config{
 		MaxConns:      cfg.MaxConns,
 		MaxConnsPerIP: cfg.MaxConnsPerIP,
@@ -241,9 +234,9 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	if s.fwd != nil {
 		s.fwd.Register(s.reg)
 	}
-	if s.livep != nil {
-		s.livep.Register(s.reg)
-	}
+	// The sink reads s.livep only once a session ends, after ListenSSH.
+	var liveRoutes []obs.Route
+	s.livep, liveRoutes = startLive(cfg.LiveOff, s.reg)
 
 	s.sshAddr, err = s.node.ListenSSH(cfg.SSHAddr)
 	if err != nil {
@@ -256,22 +249,32 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		}
 	}
 	if cfg.AdminAddr != "" {
-		var routes []obs.Route
-		if s.livep != nil {
-			routes = append(routes, obs.Route{Pattern: "/live", Handler: s.livep.Handler()})
-		}
 		s.adminSrv, err = obs.ServeAdmin(cfg.AdminAddr, s.reg, func() error {
 			if s.node.Draining() {
 				return errors.New("draining")
 			}
 			return nil
-		}, routes...)
+		}, liveRoutes...)
 		if err != nil {
 			return fail(fmt.Errorf("honeynet: admin: %w", err))
 		}
 		s.adminAddr = s.adminSrv.Addr
 	}
 	return s, nil
+}
+
+// startLive builds the streaming analytics pipeline a daemon runs on
+// its ingest path, registers its honeynet_live_* series on reg, and
+// returns it with the /live route the daemon's admin endpoint mounts.
+// With off it builds nothing and returns neither. Serve and Collect
+// both call it, so the edge and the collector run one live surface.
+func startLive(off bool, reg *obs.Registry) (*live.Pipeline, []obs.Route) {
+	if off {
+		return nil, nil
+	}
+	p := live.NewPipeline(live.Options{})
+	p.Register(reg)
+	return p, []obs.Route{{Pattern: "/live", Handler: p.Handler()}}
 }
 
 // SSHAddr returns the bound SSH address.

@@ -225,7 +225,7 @@ func TestServeStreamFailureKeepsDurableRecord(t *testing.T) {
 	}
 }
 
-func adminGet(t *testing.T, srv *Server, path string) string {
+func adminGet(t *testing.T, srv interface{ AdminAddr() string }, path string) string {
 	t.Helper()
 	resp, err := http.Get("http://" + srv.AdminAddr() + path)
 	if err != nil {
@@ -418,27 +418,64 @@ func TestServeLivePipeline(t *testing.T) {
 	}
 }
 
-// TestServeLiveOff: LiveOff disables the pipeline and the /live route.
-func TestServeLiveOff(t *testing.T) {
-	srv, err := Serve(ServeConfig{
-		SSHAddr:   "127.0.0.1:0",
-		AdminAddr: "127.0.0.1:0",
-		LogOutput: io.Discard,
-		LiveOff:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestDaemonLive: Serve and Collect build their live pipeline the same
+// way. Off, there is no pipeline and no /live route; on, /metrics
+// carries the live series (and, on the collector, the fleet series) and
+// /live serves the snapshot as JSON.
+func TestDaemonLive(t *testing.T) {
+	type daemon interface {
+		AdminAddr() string
+		Live() *LivePipeline
+		Close() error
 	}
-	defer srv.Close()
-	if srv.Live() != nil {
-		t.Fatal("LiveOff must disable the pipeline")
-	}
-	resp, err := http.Get("http://" + srv.AdminAddr() + "/live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/live with LiveOff = %d, want 404", resp.StatusCode)
+	for _, tc := range []struct {
+		name   string
+		start  func(liveOff bool) (daemon, error)
+		series []string
+	}{
+		{"serve", func(liveOff bool) (daemon, error) {
+			return Serve(ServeConfig{SSHAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0", LogOutput: io.Discard, LiveOff: liveOff})
+		}, []string{"honeynet_live_sessions_total"}},
+		{"collect", func(liveOff bool) (daemon, error) {
+			return Collect(CollectConfig{Dir: t.TempDir(), ListenAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0", LiveOff: liveOff})
+		}, []string{"honeynet_fleet_nodes", "honeynet_live_sessions_total"}},
+	} {
+		t.Run(tc.name+"/off", func(t *testing.T) {
+			d, err := tc.start(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if d.Live() != nil {
+				t.Fatal("LiveOff must disable the pipeline")
+			}
+			resp, err := http.Get("http://" + d.AdminAddr() + "/live")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("/live with LiveOff = %d, want 404", resp.StatusCode)
+			}
+		})
+		t.Run(tc.name+"/on", func(t *testing.T) {
+			d, err := tc.start(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if d.Live() == nil {
+				t.Fatal("the live pipeline should be on by default")
+			}
+			metrics := adminGet(t, d, "/metrics")
+			for _, name := range tc.series {
+				if !strings.Contains(metrics, name) {
+					t.Errorf("metrics missing %q", name)
+				}
+			}
+			if doc := adminGet(t, d, "/live"); !json.Valid([]byte(doc)) || !strings.Contains(doc, `"sessions"`) {
+				t.Errorf("/live = %q, want a JSON snapshot with \"sessions\"", doc)
+			}
+		})
 	}
 }
