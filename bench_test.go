@@ -58,7 +58,7 @@ func benchPipeline(b *testing.B) *analysis.World {
 // measure real fills.
 func withWorkers(w *analysis.World, n int) *analysis.World {
 	return &analysis.World{
-		Store:      w.Store,
+		Records:    w.Records,
 		Registry:   w.Registry,
 		AbuseDB:    w.AbuseDB,
 		Classifier: w.Classifier,
@@ -443,7 +443,7 @@ func BenchmarkAblationClassifierPrefilter(b *testing.B) {
 
 func BenchmarkAblationStorageJSONLVsMemory(b *testing.B) {
 	w := benchPipeline(b)
-	recs := w.Store.All()
+	recs := w.Records
 	if len(recs) > 5000 {
 		recs = recs[:5000]
 	}
@@ -684,7 +684,7 @@ func BenchmarkRunAllParallel(b *testing.B) {
 				// work being measured.
 				ww := withWorkers(w, workers)
 				ww.Classifier = classify.New()
-				p := &core.Pipeline{World: ww, Scale: 10000}
+				p := &core.Pipeline{World: ww}
 				ccfg := analysis.ClusterConfig{K: 30, SampleSize: 400, Seed: 1, Workers: workers}
 				if err := p.RunAll(io.Discard, ccfg); err != nil {
 					b.Fatal(err)
@@ -776,7 +776,7 @@ func BenchmarkRekey(b *testing.B) {
 func BenchmarkFigAllFromStore(b *testing.B) {
 	w := benchPipeline(b)
 	dir := b.TempDir()
-	if err := persistStore(dir, w.Store.All()); err != nil {
+	if err := persistStore(dir, w.Records); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -792,6 +792,6 @@ func BenchmarkFigAllFromStore(b *testing.B) {
 		if err := p.RunAll(io.Discard, ccfg); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(p.World.Store.Len()), "sessions/op")
+		b.ReportMetric(float64(len(p.World.Records)), "sessions/op")
 	}
 }

@@ -9,13 +9,14 @@
 // -fig selects one entry of internal/core's figure table (-h lists the
 // selectors); a single figure is a verbatim section of -fig all.
 //
-// -store reads v1 (DEFLATE), v2 (LZ), and v3 (columnar) segments
-// transparently — the codec and layout each segment was sealed with
-// are recorded in the store's manifest — streaming the records in
-// exact global append order with peak memory bounded by the open
-// blocks, and output is byte-identical to -in over the same records,
-// whatever format mix or -workers value is used. A fleet directory
-// written by hncollect (node-<id>/ shards) streams the same way.
+// -store opens the directory read-only and streams its v3 (columnar)
+// segments in exact global append order; output is byte-identical to
+// -in over the same records, whatever -workers value is used. A store
+// that still lists a legacy v1 or v2 segment fails to open with
+// store.ErrLegacySegment: one read-write open, such as a daemon start
+// (honeypotd -store DIR, or hncollect for a fleet), migrates it to v3
+// (README: "Segments are v3"). A fleet directory written by hncollect
+// (node-<id>/ shards) streams the same way.
 package main
 
 import (
@@ -97,12 +98,12 @@ func main() {
 		log.Fatalf("hnanalyze: %v", err)
 	}
 	if pre != nil {
-		total := p.World.Store.Len()
+		total := len(p.World.Records)
 		p = narrow(p, pre)
-		fmt.Fprintf(os.Stderr, "hnanalyze: -where kept %d of %d sessions\n", p.World.Store.Len(), total)
+		fmt.Fprintf(os.Stderr, "hnanalyze: -where kept %d of %d sessions\n", len(p.World.Records), total)
 	}
 	fmt.Fprintf(os.Stderr, "hnanalyze: dataset ready in %v (%d sessions)\n",
-		time.Since(start).Round(time.Millisecond), p.World.Store.Len())
+		time.Since(start).Round(time.Millisecond), len(p.World.Records))
 
 	ccfg := honeynet.ClusterConfig{K: *k, SampleSize: *sample, Seed: *seed, Workers: *workers}
 	sp := tracer.Span("analyze")
@@ -117,11 +118,18 @@ func main() {
 	}
 }
 
-// narrow re-collects the dataset, simulated or loaded, keeping the
-// sessions pre accepts — through core's one constructor, in the same
-// World, so every figure sees only those.
+// narrow builds a new pipeline over the sessions of p, simulated or
+// loaded, that pre accepts, through core's one constructor with p's
+// databases and settings, so every figure sees only those and p is
+// left as it was.
 func narrow(p *core.Pipeline, pre func(*honeynet.Record) bool) *core.Pipeline {
-	return core.FromRecords(p.World.Store.Filter(pre), p.World)
+	var kept []*honeynet.Record
+	for _, r := range p.World.Records {
+		if pre(r) {
+			kept = append(kept, r)
+		}
+	}
+	return core.FromRecords(kept, p.World)
 }
 
 // load opens -in (JSONL, plain or gzip) or -store (a store or fleet

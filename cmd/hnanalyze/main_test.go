@@ -63,7 +63,7 @@ func TestStoreAndJSONLByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := p.World.Store.All()
+	recs := p.World.Records
 
 	dir := t.TempDir()
 	jsonl := filepath.Join(dir, "dataset.jsonl")
@@ -157,7 +157,7 @@ func TestStoreAndJSONLByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		pw = narrow(pw, pre)
-		if n := pw.World.Store.Len(); n != len(kept) {
+		if n := len(pw.World.Records); n != len(kept) {
 			t.Fatalf("-where over %q%q holds %d sessions, want %d", path[0], path[1], n, len(kept))
 		}
 		if got := run(pw, 3); got != want {
@@ -166,8 +166,8 @@ func TestStoreAndJSONLByteIdentical(t *testing.T) {
 	}
 
 	// -scale with -where: core.Simulate has read the Killnet feed off the
-	// commands view of the whole dataset before narrow swaps the Store,
-	// and no figure may still be served from it. The predicate splits
+	// commands view of the whole dataset before narrow builds the new
+	// pipeline, and no figure may be served from that view. The predicate splits
 	// the SSH command sessions, which 'ssh' alone does not.
 	if pre, err = query.CompileFilter("start >= '2022-06-01'"); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestStoreGzipInputParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := p.World.Store.All()
+	recs := p.World.Records
 
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "d.jsonl")
@@ -292,7 +292,7 @@ func TestMixedFormatStoreByteIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	uniformDir, mixedDir := filepath.Join(dir, "uniform"), filepath.Join(dir, "mixed")
-	fill(uniformDir, append(legacy, p.World.Store.All()...))
+	fill(uniformDir, append(legacy, p.World.Records...))
 
 	legacyFiles := []string{"MANIFEST.json", "seg-000000.hns", "seg-000001.hns"}
 	if err := os.Mkdir(mixedDir, 0o755); err != nil {
@@ -307,7 +307,7 @@ func TestMixedFormatStoreByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fill(mixedDir, p.World.Store.All())
+	fill(mixedDir, p.World.Records)
 
 	ccfg := analysis.ClusterConfig{K: 4, SampleSize: 50, Seed: 7, Workers: 2}
 	run := func(dir string) string {
@@ -355,7 +355,7 @@ func TestOpenHonoursSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := sim.World.Store.All()
+	recs := sim.World.Records
 	ccfg := analysis.ClusterConfig{K: 4, SampleSize: 50, Seed: seed}
 	render := func(p *core.Pipeline, figs ...string) string {
 		t.Helper()

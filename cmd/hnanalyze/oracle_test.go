@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"honeynet"
+	"honeynet/internal/analysis"
+	"honeynet/internal/botnet"
 	"honeynet/internal/core"
 	"honeynet/internal/query"
+	"honeynet/internal/session"
 	"honeynet/internal/simulate"
 )
 
@@ -49,5 +52,47 @@ func TestFigAllOracle(t *testing.T) {
 		if got := render(narrow(p, pre)); got != where {
 			t.Errorf("-workers %d: -fig all -where hashes %s, want %s", workers, got, where)
 		}
+	}
+}
+
+// TestNarrowLeavesParentAlone: -where builds a new pipeline and leaves
+// the one it narrows as it was. Rendering p before and after narrow(p)
+// must give the same bytes, and the narrowed pipeline must render what
+// core.FromRecords renders over the kept records in a fresh World.
+func TestNarrowLeavesParentAlone(t *testing.T) {
+	p, err := core.Simulate(simulate.Config{Scale: 20000, Seed: 42, End: botnet.WindowStart.AddDate(0, 9, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := query.CompileFilter("start >= '2022-06-01'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := honeynet.ClusterConfig{K: 10, SampleSize: 150, Seed: 42}
+	render := func(p *core.Pipeline) string {
+		t.Helper()
+		h := sha256.New()
+		if err := p.Run(h, "all", ccfg, false); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	before := render(p)
+	narrowed := render(narrow(p, pre))
+	if after := render(p); after != before {
+		t.Fatalf("-fig all of the parent changed after narrow: %s, was %s", after, before)
+	}
+	var kept []*session.Record
+	for _, r := range p.World.Records {
+		if pre(r) {
+			kept = append(kept, r)
+		}
+	}
+	if len(kept) == 0 || len(kept) == len(p.World.Records) {
+		t.Fatalf("the predicate keeps %d of %d sessions: it must split the dataset", len(kept), len(p.World.Records))
+	}
+	fresh := core.FromRecords(kept, &analysis.World{Registry: p.World.Registry, AbuseDB: p.World.AbuseDB})
+	if want := render(fresh); narrowed != want {
+		t.Fatalf("narrow(p) renders %s, FromRecords over the kept records %s", narrowed, want)
 	}
 }

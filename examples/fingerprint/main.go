@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"honeynet/internal/analysis"
-	"honeynet/internal/classify"
 	"honeynet/internal/collector"
+	"honeynet/internal/core"
 	"honeynet/internal/honeypot"
 	"honeynet/internal/sshclient"
 )
@@ -60,8 +60,7 @@ func main() {
 
 	// --- Defender side -------------------------------------------------
 	waitFor(store, 3)
-	w := &analysis.World{Store: store, Classifier: classify.New()}
-	f11 := analysis.Fig11(w)
+	f11 := analysis.Fig11(core.FromRecords(store.All(), nil).World)
 	fmt.Println()
 	fmt.Println(f11.Table())
 	fmt.Printf("phil sessions: %d, of which %d ran no commands (fingerprinting signature)\n",

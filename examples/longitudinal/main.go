@@ -21,7 +21,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulated %d sessions across 33 months in %v (scale 1:5000)\n\n",
-		p.World.Store.Len(), time.Since(start).Round(time.Millisecond))
+		len(p.World.Records), time.Since(start).Round(time.Millisecond))
 
 	w := p.World
 	fmt.Println(analysis.Stats(w).Table())

@@ -58,7 +58,7 @@ func main() {
 	// client close; give it a moment before draining.
 	for i := 0; i < 500; i++ {
 		time.Sleep(10 * time.Millisecond)
-		if p, err := honeynet.Open(dir); err == nil && p.World.Store.Len() > 0 {
+		if p, err := honeynet.Open(dir); err == nil && len(p.World.Records) > 0 {
 			break
 		}
 	}
@@ -75,9 +75,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := p.World.Store.All()[0]
+	rec := p.World.Records[0]
 	fmt.Printf("\nfacade Open: %d session(s); first: kind=%s commands=%d downloads=%d\n",
-		p.World.Store.Len(), rec.Kind(), len(rec.Commands), len(rec.Downloads))
+		len(p.World.Records), rec.Kind(), len(rec.Commands), len(rec.Downloads))
 
 	// Route two: the hnquery DSL. One statement compiles to a structured
 	// store.Query with real pushdown. A monthly rollup is a GROUP BY, and

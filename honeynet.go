@@ -11,8 +11,9 @@
 //   - telnetd: the Telnet endpoint
 //   - shell, vfs: the emulated Unix shell and virtual filesystem
 //   - honeypot: one network-facing honeypot node
-//   - session, collector: the session record model and database
-//   - botnet, simulate: the attacker models and the dataset generator
+//   - session: the session record model
+//   - botnet, simulate, collector: the attacker models, the dataset
+//     generator and the record set it returns
 //   - classify, textdist, cluster: Table 1 signatures, token DLD, K-medoids
 //   - asdb, abusedb: the AS registry and abuse-feed substrates
 //   - analysis, report: per-figure analyzers and table rendering
@@ -167,7 +168,7 @@ func Simulate(opts ...Option) (*Pipeline, error) {
 	}
 	p.World.MatrixCache = c.matrixCache
 	if c.storeDir != "" {
-		if err := persistStore(c.storeDir, p.World.Store.All()); err != nil {
+		if err := persistStore(c.storeDir, p.World.Records); err != nil {
 			return nil, err
 		}
 	}
@@ -220,8 +221,8 @@ func Load(r io.Reader, opts ...Option) (*Pipeline, error) {
 // Open builds a pipeline over a session store directory previously
 // written by Simulate(WithStore), cmd/hnsim -store, or a live
 // cmd/honeypotd -store. Records stream out of the sealed segments in
-// exact append order, one at a time, so peak memory is the collector's
-// working set, not a second copy of the dataset, and figure output is
+// exact append order, one at a time, into the pipeline's record set,
+// with no second copy of the dataset, and figure output is
 // byte-identical to the equivalent Load over JSONL. The same options
 // apply as for Load, and the same feeds are missing (see
 // Pipeline.MissingJoins).

@@ -23,7 +23,7 @@ func TestFacadeSimulateLoadRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := session.NewWriter(&buf)
-	for _, r := range p.World.Store.All() {
+	for _, r := range p.World.Records {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestFacadeQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int64{}
-	for _, r := range p.World.Store.All() {
+	for _, r := range p.World.Records {
 		want[r.Month().Format("2006-01")]++
 	}
 

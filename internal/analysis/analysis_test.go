@@ -11,7 +11,6 @@ import (
 
 	"honeynet/internal/botnet"
 	"honeynet/internal/classify"
-	"honeynet/internal/collector"
 	"honeynet/internal/session"
 	"honeynet/internal/simulate"
 )
@@ -30,7 +29,7 @@ func testWorld(t *testing.T) *World {
 			panic(err)
 		}
 		world = &World{
-			Store:      res.Store,
+			Records:    res.Store.All(),
 			Registry:   res.Registry,
 			AbuseDB:    res.AbuseDB,
 			Classifier: classify.New(),
@@ -210,10 +209,15 @@ func TestClusteringPipeline(t *testing.T) {
 	if res.K != 20 || len(res.Texts) == 0 {
 		t.Fatalf("clustering: k=%d texts=%d", res.K, len(res.Texts))
 	}
-	// Every text assigned; weights positive.
+	// Every text assigned; weights positive, and each text's monthly
+	// session counts sum to its weight.
 	for i := range res.Texts {
-		if res.Weight[i] <= 0 || len(res.Sessions[i]) != res.Weight[i] {
-			t.Fatalf("text %d weight %d sessions %d", i, res.Weight[i], len(res.Sessions[i]))
+		n := 0
+		for _, c := range res.Months[i] {
+			n += c
+		}
+		if res.Weight[i] <= 0 || n != res.Weight[i] {
+			t.Fatalf("text %d weight %d sessions %d", i, res.Weight[i], n)
 		}
 	}
 	// At least one cluster carries an abuse-database family label.
@@ -432,7 +436,7 @@ func TestDropWindowBase64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &World{Store: res.Store, Registry: res.Registry, AbuseDB: res.AbuseDB, Classifier: classify.New()}
+	w := &World{Records: res.Store.All(), Registry: res.Registry, AbuseDB: res.AbuseDB, Classifier: classify.New()}
 	cs := Mdrfckr(w, "")
 	if cs.Base64InDrops == 0 {
 		t.Error("no base64 sessions inside the drop window")
@@ -553,7 +557,7 @@ func TestFig14CategoryDistances(t *testing.T) {
 func TestIntrusionPasswordSessions(t *testing.T) {
 	w := testWorld(t)
 	want, wantIPs := map[time.Time]int{}, map[string]bool{}
-	for _, r := range w.Store.All() {
+	for _, r := range w.Records {
 		if !IsSSH(r) || len(r.Commands) != 0 {
 			continue
 		}
@@ -582,19 +586,18 @@ func TestStatsCounts(t *testing.T) {
 	login := func(ok bool) []session.LoginAttempt {
 		return []session.LoginAttempt{{Username: "root", Password: "x", Success: ok}}
 	}
-	store := collector.NewStore()
-	for i, r := range []*session.Record{
+	recs := []*session.Record{
 		{Protocol: session.ProtoSSH},
 		{Protocol: session.ProtoSSH, Logins: login(false)},
 		{Protocol: session.ProtoSSH, Logins: login(true)},
 		{Protocol: session.ProtoSSH, Logins: login(true), Commands: []session.Command{{Raw: "uname"}}},
 		{Protocol: session.ProtoSSH, Logins: login(true), Commands: []session.Command{{Raw: "id"}}},
 		{Protocol: session.ProtoTelnet, Logins: login(true), Commands: []session.Command{{Raw: "id"}}},
-	} {
-		r.ID, r.ClientIP = uint64(i), fmt.Sprintf("10.0.0.%d", i%5)
-		store.Add(r)
 	}
-	got := *Stats(&World{Store: store})
+	for i, r := range recs {
+		r.ID, r.ClientIP = uint64(i), fmt.Sprintf("10.0.0.%d", i%5)
+	}
+	got := *Stats(&World{Records: recs})
 	want := DatasetStats{Total: 6, SSH: 5, Telnet: 1, Scanning: 1, Scouting: 1,
 		Intrusion: 1, CommandExec: 2, UniqueClientIPs: 5}
 	if got != want {

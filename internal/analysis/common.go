@@ -1,7 +1,7 @@
 // Package analysis implements one analyzer per table and figure of the
 // paper's evaluation. Each analyzer is a function of the derived views
-// of the honeynet session store (views.go, the only code that reads
-// it), plus the AS registry and abuse database where the figure joins
+// of the World's record set (views.go, the only code that reads it),
+// plus the AS registry and abuse database where the figure joins
 // on them, and produces both a typed result and a printable
 // report.Table.
 package analysis
@@ -9,21 +9,22 @@ package analysis
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"honeynet/internal/abusedb"
 	"honeynet/internal/asdb"
 	"honeynet/internal/classify"
-	"honeynet/internal/collector"
 	"honeynet/internal/obs"
 	"honeynet/internal/parallel"
 	"honeynet/internal/session"
 )
 
-// World bundles everything the analyzers read.
+// World bundles everything the analyzers read. Build it once per
+// record set (core.FromRecords): its views and sample are memos of
+// Records, so a World over other records is a new World.
 type World struct {
-	Store      *collector.Store
+	// Records is the dataset every figure reads, in the figures' order.
+	Records    []*session.Record
 	Registry   *asdb.Registry
 	AbuseDB    *abusedb.DB
 	Classifier *classify.Classifier
@@ -44,13 +45,13 @@ type World struct {
 
 	// The memoized shared DLD sample (see DLDSample): one
 	// tokenize+intern pass and one matrix fill feed both SelectK and
-	// RunClustering over one Store.
+	// RunClustering.
 	sampleMu  sync.Mutex
 	sampleCfg sampleKey
 	sample    *DLDSample
 
-	// The derived views every figure reads, of one Store (see views.go).
-	views atomic.Pointer[views]
+	// The derived views every figure reads (see views.go).
+	views views
 }
 
 // workers resolves the configured worker count.

@@ -9,7 +9,6 @@ import (
 	"honeynet/internal/cluster"
 	"honeynet/internal/parallel"
 	"honeynet/internal/report"
-	"honeynet/internal/session"
 	"honeynet/internal/textdist"
 )
 
@@ -46,8 +45,11 @@ type ClusterResult struct {
 	Texts []string
 	// Weight is how many sessions share each text.
 	Weight []int
-	// Sessions maps each text index to its session records.
-	Sessions [][]*session.Record
+	// Months[i] counts the sessions of text i per month.
+	Months []map[time.Time]int
+	// DroppedHashes[i] are the distinct hashes the sessions of text i
+	// dropped.
+	DroppedHashes [][]string
 	// Matrix is the normalized token-DLD distance matrix over Texts.
 	Matrix *cluster.Matrix
 	// Res is the raw K-medoids result over Texts.
@@ -138,10 +140,11 @@ func RunClustering(w *World, cfg ClusterConfig) (*ClusterResult, error) {
 		return nil, err
 	}
 	res := &ClusterResult{
-		Texts:    smp.Texts,
-		Weight:   smp.Weight,
-		Sessions: smp.Sessions,
-		Matrix:   smp.Matrix,
+		Texts:         smp.Texts,
+		Weight:        smp.Weight,
+		Months:        smp.Months,
+		DroppedHashes: smp.DroppedHashes,
+		Matrix:        smp.Matrix,
 	}
 	tokens := smp.Tokens
 
@@ -185,12 +188,10 @@ func RunClustering(w *World, cfg ClusterConfig) (*ClusterResult, error) {
 	for c := 0; c < k; c++ {
 		seen := map[string]bool{}
 		for _, i := range cres.Members(c) {
-			for _, r := range res.Sessions[i] {
-				for _, h := range r.DroppedHashes {
-					if label, ok := w.AbuseDB.LookupHash(h); ok && !seen[label] {
-						seen[label] = true
-						res.Labels[c] = append(res.Labels[c], label)
-					}
+			for _, h := range res.DroppedHashes[i] {
+				if label, ok := w.AbuseDB.LookupHash(h); ok && !seen[label] {
+					seen[label] = true
+					res.Labels[c] = append(res.Labels[c], label)
 				}
 			}
 		}
@@ -306,14 +307,13 @@ func (cr *ClusterResult) Fig6(topN int) []Fig6Month {
 				break
 			}
 		}
-		for _, r := range cr.Sessions[i] {
-			m := r.Month()
-			monthTotal[m]++
+		for m, n := range cr.Months[i] {
+			monthTotal[m] += n
 			if inTop {
 				if monthCluster[m] == nil {
 					monthCluster[m] = map[string]int{}
 				}
-				monthCluster[m][name(c)]++
+				monthCluster[m][name(c)] += n
 			}
 		}
 	}
@@ -369,7 +369,7 @@ func Fig14(w *World, perCategory int) *Fig14Result {
 	if perCategory <= 0 {
 		perCategory = 20
 	}
-	// Exemplar selection walks records in store order, so it is
+	// Exemplar selection walks the commands view in order, so it is
 	// independent of how the batch classification was sharded.
 	byCat := map[string][]string{}
 	seen := map[string]map[string]bool{}

@@ -13,23 +13,26 @@ import (
 // Fig10Result tracks the top passwords used in successful logins.
 type Fig10Result struct {
 	Top []string
-	// Monthly[password][month] = sessions.
+	// Monthly[password][month] = sessions, for the Top passwords.
 	Monthly map[string]map[time.Time]int
-	Totals  map[string]int
+	// Totals[password] = sessions over the window, for the Top passwords.
+	Totals map[string]int
 }
 
 // Fig10 counts sessions per password over time for the top-n passwords
-// (the paper shows 5).
+// (the paper shows 5). It ranks on the sessions view's totals and
+// copies out only the series it returns; the view's maps stay as
+// tallied.
 func Fig10(w *World, topN int) *Fig10Result {
 	s := w.sessions()
-	// The result owns its maps; the view's stay as tallied.
-	res := &Fig10Result{Monthly: map[string]map[time.Time]int{}, Totals: maps.Clone(s.successTotals)}
-	for p, byMonth := range s.successes {
-		res.Monthly[p] = maps.Clone(byMonth)
+	top := byCount(s.successTotals)
+	if len(top) > topN {
+		top = top[:topN]
 	}
-	res.Top = byCount(res.Totals)
-	if len(res.Top) > topN {
-		res.Top = res.Top[:topN]
+	res := &Fig10Result{Top: top, Monthly: map[string]map[time.Time]int{}, Totals: map[string]int{}}
+	for _, p := range top {
+		res.Monthly[p] = maps.Clone(s.successes[p])
+		res.Totals[p] = s.successTotals[p]
 	}
 	return res
 }
@@ -56,7 +59,7 @@ func (f *Fig10Result) Table() *report.Table {
 	return t
 }
 
-// Correlation computes the Pearson correlation of two passwords'
+// Correlation computes the Pearson correlation of two Top passwords'
 // monthly series — the dreambox / vertex25ektks123 synchronization
 // check.
 func (f *Fig10Result) Correlation(a, b string) float64 {

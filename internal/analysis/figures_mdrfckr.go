@@ -16,7 +16,7 @@ import (
 func isMdrfckr(txt string) bool { return strings.Contains(txt, "mdrfckr") }
 
 // mdrfckrSessions calls f for every campaign session of the commands
-// view, in store order, with its command text.
+// view, in record order, with its command text.
 func mdrfckrSessions(w *World, f func(r *session.Record, txt string)) {
 	cmds := w.commands()
 	for i, r := range cmds.recs {

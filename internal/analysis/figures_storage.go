@@ -32,20 +32,20 @@ func Storage(w *World) *StorageStats {
 	ases := map[int]bool{}
 	seenSession := map[uint64]bool{}
 	for _, ds := range w.commands().dls {
-		if !seenSession[ds.rec.ID] {
-			seenSession[ds.rec.ID] = true
+		if !seenSession[ds.id] {
+			seenSession[ds.id] = true
 			st.DownloadSessions++
-			if ds.dl.SourceIP != ds.rec.ClientIP {
+			if ds.storageIP != ds.clientIP {
 				st.StorageNEQClient++
 			}
-			clients[ds.rec.ClientIP] = true
+			clients[ds.clientIP] = true
 		}
-		if !storage[ds.dl.SourceIP] {
-			storage[ds.dl.SourceIP] = true
-			if w.AbuseDB.IPReported(ds.dl.SourceIP) {
+		if !storage[ds.storageIP] {
+			storage[ds.storageIP] = true
+			if w.AbuseDB.IPReported(ds.storageIP) {
 				st.StorageIPsReported++
 			}
-			if as, ok := w.Registry.Lookup(ds.dl.SourceIP, ds.rec.Start); ok {
+			if as, ok := w.Registry.Lookup(ds.storageIP, ds.start); ok {
 				if !ases[as.ASN] && as.Down {
 					st.DownASes++
 				}
@@ -90,8 +90,8 @@ type Fig7Result struct {
 func Fig7(w *World) *Fig7Result {
 	res := &Fig7Result{Flows: map[string]map[string]int{}}
 	for _, ds := range w.commands().dls {
-		cAS, ok1 := w.Registry.Lookup(ds.rec.ClientIP, ds.rec.Start)
-		sAS, ok2 := w.Registry.Lookup(ds.dl.SourceIP, ds.rec.Start)
+		cAS, ok1 := w.Registry.Lookup(ds.clientIP, ds.start)
+		sAS, ok2 := w.Registry.Lookup(ds.storageIP, ds.start)
 		if !ok1 || !ok2 {
 			continue
 		}
@@ -101,7 +101,7 @@ func Fig7(w *World) *Fig7Result {
 		}
 		res.Flows[ct][st]++
 		res.Total++
-		if ds.rec.ClientIP == ds.dl.SourceIP {
+		if ds.clientIP == ds.storageIP {
 			res.SameIP++
 		}
 	}
@@ -167,18 +167,18 @@ type Fig8Month struct {
 func Fig8(w *World) []Fig8Month {
 	perMonth := map[time.Time]*Fig8Month{}
 	for _, ds := range w.commands().dls {
-		as, ok := w.Registry.Lookup(ds.dl.SourceIP, ds.rec.Start)
+		as, ok := w.Registry.Lookup(ds.storageIP, ds.start)
 		if !ok {
 			continue
 		}
-		m := monthKey(ds.rec.Start)
+		m := monthKey(ds.start)
 		row, ok := perMonth[m]
 		if !ok {
 			row = &Fig8Month{Month: m}
 			perMonth[m] = row
 		}
 		row.Sessions++
-		age := as.AgeAt(ds.rec.Start)
+		age := as.AgeAt(ds.start)
 		const year = 365 * 24 * time.Hour
 		switch {
 		case age < year:
@@ -276,11 +276,11 @@ func Fig9(w *World, recallDays int) []Fig9Quarter {
 	// Collect per-IP sorted activity days.
 	days := map[string]map[time.Time]bool{}
 	for _, ds := range w.commands().dls {
-		ip := ds.dl.SourceIP
+		ip := ds.storageIP
 		if days[ip] == nil {
 			days[ip] = map[time.Time]bool{}
 		}
-		days[ip][ds.rec.Day()] = true
+		days[ip][ds.start.Truncate(24*time.Hour)] = true
 	}
 	perQuarter := map[time.Time]*Fig9Quarter{}
 	for _, set := range days {
@@ -369,11 +369,11 @@ type Fig17Month struct {
 func Fig17(w *World) []Fig17Month {
 	perMonth := map[time.Time]*Fig17Month{}
 	for _, ds := range w.commands().dls {
-		as, ok := w.Registry.Lookup(ds.dl.SourceIP, ds.rec.Start)
+		as, ok := w.Registry.Lookup(ds.storageIP, ds.start)
 		if !ok {
 			continue
 		}
-		m := monthKey(ds.rec.Start)
+		m := monthKey(ds.start)
 		row, ok := perMonth[m]
 		if !ok {
 			row = &Fig17Month{Month: m, ByType: map[string]int{}}

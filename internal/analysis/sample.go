@@ -12,11 +12,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"honeynet/internal/cluster"
-	"honeynet/internal/collector"
 	"honeynet/internal/obs"
-	"honeynet/internal/session"
 	"honeynet/internal/textdist"
 )
 
@@ -30,8 +29,11 @@ type DLDSample struct {
 	Texts []string
 	// Weight is how many sessions share each text.
 	Weight []int
-	// Sessions maps each text index to its session records.
-	Sessions [][]*session.Record
+	// Months[i] counts the sessions of text i per month (Figure 6).
+	Months []map[time.Time]int
+	// DroppedHashes[i] are the distinct hashes the sessions of text i
+	// dropped (the cluster labels).
+	DroppedHashes [][]string
 	// Tokens are the tokenized texts (one shared tokenize pass).
 	Tokens [][]string
 	// Matrix is the normalized token-DLD distance matrix over Texts.
@@ -42,10 +44,8 @@ type DLDSample struct {
 }
 
 // sampleKey identifies the memoized sample; a second request with the
-// same key reuses the built sample instead of refilling the matrix, and
-// like the views the memo does not outlive a Store swap.
+// same key reuses the built sample instead of refilling the matrix.
 type sampleKey struct {
-	store      *collector.Store
 	sampleSize int
 	seed       int64
 }
@@ -57,7 +57,7 @@ type sampleKey struct {
 // share one matrix.
 func (w *World) DLDSample(cfg ClusterConfig) (*DLDSample, error) {
 	cfg = cfg.defaults()
-	key := sampleKey{store: w.Store, sampleSize: cfg.SampleSize, seed: cfg.Seed}
+	key := sampleKey{sampleSize: cfg.SampleSize, seed: cfg.Seed}
 	w.sampleMu.Lock()
 	defer w.sampleMu.Unlock()
 	if w.sample != nil && w.sampleCfg == key {
@@ -82,6 +82,7 @@ func buildDLDSample(w *World, cfg ClusterConfig) (*DLDSample, error) {
 	// Deduplicate by command text, keeping multiplicity. Obfuscated
 	// variants remain distinct texts — that is what DLD absorbs.
 	index := map[string]int{}
+	seen := map[[2]string]bool{} // (text, dropped hash)
 	s := &DLDSample{}
 	cmds := w.commands()
 	for j, r := range cmds.recs {
@@ -95,10 +96,17 @@ func buildDLDSample(w *World, cfg ClusterConfig) (*DLDSample, error) {
 			index[txt] = i
 			s.Texts = append(s.Texts, txt)
 			s.Weight = append(s.Weight, 0)
-			s.Sessions = append(s.Sessions, nil)
+			s.Months = append(s.Months, map[time.Time]int{})
+			s.DroppedHashes = append(s.DroppedHashes, nil)
 		}
 		s.Weight[i]++
-		s.Sessions[i] = append(s.Sessions[i], r)
+		s.Months[i][r.Month()]++
+		for _, h := range r.DroppedHashes {
+			if k := [2]string{txt, h}; !seen[k] {
+				seen[k] = true
+				s.DroppedHashes[i] = append(s.DroppedHashes[i], h)
+			}
+		}
 	}
 	if len(s.Texts) == 0 {
 		return nil, fmt.Errorf("analysis: no file-involving sessions to cluster")
@@ -116,11 +124,12 @@ func buildDLDSample(w *World, cfg ClusterConfig) (*DLDSample, error) {
 		sort.Ints(keep)
 		nt := make([]string, len(keep))
 		nw := make([]int, len(keep))
-		ns := make([][]*session.Record, len(keep))
+		nm := make([]map[time.Time]int, len(keep))
+		nh := make([][]string, len(keep))
 		for j, i := range keep {
-			nt[j], nw[j], ns[j] = s.Texts[i], s.Weight[i], s.Sessions[i]
+			nt[j], nw[j], nm[j], nh[j] = s.Texts[i], s.Weight[i], s.Months[i], s.DroppedHashes[i]
 		}
-		s.Texts, s.Weight, s.Sessions = nt, nw, ns
+		s.Texts, s.Weight, s.Months, s.DroppedHashes = nt, nw, nm, nh
 	}
 
 	sp := w.span("cluster.tokenize")

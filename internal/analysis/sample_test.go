@@ -16,7 +16,7 @@ func freshWorld(t *testing.T) *World {
 	t.Helper()
 	w := testWorld(t)
 	return &World{
-		Store:      w.Store,
+		Records:    w.Records,
 		Registry:   w.Registry,
 		AbuseDB:    w.AbuseDB,
 		Classifier: w.Classifier,

@@ -4,34 +4,19 @@ import (
 	"sync"
 	"time"
 
-	"honeynet/internal/collector"
 	"honeynet/internal/session"
 )
 
 // views is the one place the dataset is read: every figure is a
 // function of at most three derived views, each built the first time a
-// figure asks and memoized on the World for the Store it was read from.
+// figure asks and memoized on the World.
 type views struct {
-	store    *collector.Store
 	sessOnce sync.Once
 	sess     sessionsView
 	cmdOnce  sync.Once
 	cmd      commandsView
 	catOnce  sync.Once
 	cats     []string
-}
-
-// view returns the views of the World's current Store. A Store swap
-// starts new ones: core.Simulate reads its feeds off the commands view
-// before hnanalyze -where narrows the dataset, and no figure may then
-// be served the unfiltered one.
-func (w *World) view() *views {
-	v := w.views.Load()
-	for v == nil || v.store != w.Store {
-		w.views.CompareAndSwap(v, &views{store: w.Store})
-		v = w.views.Load()
-	}
-	return v
 }
 
 // password3245 is the login credential section 9 ties to the mdrfckr
@@ -60,7 +45,7 @@ type sessionsView struct {
 // sessions tallies every record in one serial pass; counts and set
 // unions are order-invariant.
 func (w *World) sessions() *sessionsView {
-	v := w.view()
+	v := &w.views
 	s := &v.sess
 	v.sessOnce.Do(func() {
 		defer w.span("view.sessions").End()
@@ -70,7 +55,7 @@ func (w *World) sessions() *sessionsView {
 		s.login3245, s.ips3245 = map[time.Time]int{}, map[string]bool{}
 		ips := map[string]bool{}
 		var byKind [4]int
-		for _, r := range v.store.All() {
+		for _, r := range w.Records {
 			s.stats.Total++
 			ips[r.ClientIP] = true
 			if !IsSSH(r) {
@@ -115,13 +100,15 @@ func (w *World) sessions() *sessionsView {
 	return s
 }
 
-// downloadSession is a (session, download) join row.
+// downloadSession is a (session, download) join row: the fields of
+// both that the storage figures read.
 type downloadSession struct {
-	rec *session.Record
-	dl  session.Download
+	id                  uint64
+	start               time.Time
+	clientIP, storageIP string
 }
 
-// commandsView is every SSH command session in store order with its
+// commandsView is every SSH command session in record order with its
 // command text joined once, and the (session, download) join over the
 // SSH subset collected in the same pass.
 type commandsView struct {
@@ -131,17 +118,17 @@ type commandsView struct {
 }
 
 func (w *World) commands() *commandsView {
-	v := w.view()
+	v := &w.views
 	c := &v.cmd
 	v.cmdOnce.Do(func() {
 		defer w.span("view.commands").End()
-		for _, r := range v.store.All() {
+		for _, r := range w.Records {
 			if !IsSSH(r) {
 				continue
 			}
 			for _, d := range r.Downloads {
 				if d.SourceIP != "" {
-					c.dls = append(c.dls, downloadSession{rec: r, dl: d})
+					c.dls = append(c.dls, downloadSession{id: r.ID, start: r.Start, clientIP: r.ClientIP, storageIP: d.SourceIP})
 				}
 			}
 			if r.Kind() == session.CommandExec {
@@ -159,7 +146,7 @@ func (w *World) commands() *commandsView {
 // category does not depend on the batch it is in, so figures over a
 // subset tally from this view.
 func (w *World) categories() []string {
-	v := w.view()
+	v := &w.views
 	v.catOnce.Do(func() {
 		texts := w.commands().texts
 		defer w.span("classify.batch").End()

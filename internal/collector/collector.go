@@ -1,8 +1,7 @@
-// Package collector is the honeynet's central session database: nodes
-// forward completed session records to a collector, which keeps them
-// in arrival order for the longitudinal analyses. (Section 3.2: "the
-// recorded session is forwarded to a collector and added to the
-// honeynet database".)
+// Package collector is an in-memory record set kept in arrival order:
+// simulate.Run's result container and the sink of in-process examples.
+// The analyses read a fixed record slice (core.FromRecords), and the
+// durable honeynet database is internal/store.
 package collector
 
 import (
@@ -52,15 +51,4 @@ func (s *Store) All() []*session.Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.recs[:len(s.recs):len(s.recs)]
-}
-
-// Filter returns records satisfying pred.
-func (s *Store) Filter(pred func(*session.Record) bool) []*session.Record {
-	var out []*session.Record
-	for _, r := range s.All() {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -28,21 +28,6 @@ func rec(id uint64, month time.Month, kind session.Kind) *session.Record {
 	return r
 }
 
-func TestFilter(t *testing.T) {
-	s := NewStore()
-	for i := uint64(1); i <= 10; i++ {
-		k := session.Scanning
-		if i%2 == 0 {
-			k = session.CommandExec
-		}
-		s.Add(rec(i, 1, k))
-	}
-	got := s.Filter(func(r *session.Record) bool { return r.Kind() == session.CommandExec })
-	if len(got) != 5 {
-		t.Errorf("filtered = %d", len(got))
-	}
-}
-
 func TestConcurrentAdd(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup
@@ -62,8 +47,7 @@ func TestConcurrentAdd(t *testing.T) {
 }
 
 func TestConcurrentAddAndQuery(t *testing.T) {
-	// Satellite of the store PR: All, Len and Filter must be safe to
-	// interleave with Add. Run under -race; the old contract
+	// All and Len must be safe to interleave with Add. Run under -race; the old contract
 	// ("queries must not race with Add") made this a footgun for live
 	// honeypot nodes querying their collector mid-run.
 	s := NewStore()
@@ -99,7 +83,6 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 					t.Errorf("Len saw %d records after All saw %d", n, len(snap))
 					return
 				}
-				_ = s.Filter(func(r *session.Record) bool { return r.Kind() == session.CommandExec })
 			}
 		}()
 	}

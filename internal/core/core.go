@@ -13,7 +13,6 @@ import (
 	"honeynet/internal/analysis"
 	"honeynet/internal/botnet"
 	"honeynet/internal/classify"
-	"honeynet/internal/collector"
 	"honeynet/internal/parallel"
 	"honeynet/internal/session"
 	"honeynet/internal/simulate"
@@ -22,11 +21,9 @@ import (
 // Pipeline bundles a dataset with every analyzer input.
 type Pipeline struct {
 	World *analysis.World
-	// Scale records the simulation scale for paper-vs-measured notes.
-	Scale float64
-	// MissingJoins lists the join databases FromRecordCursor substituted
-	// with empty ones because the caller had none. Figures that join on
-	// them (7, 8, 9, 17, and the mdrfckr case study) render empty.
+	// MissingJoins lists the join databases FromRecords substituted
+	// with empty ones because the template had none. Figures that join
+	// on them (7, 8, 9, 17, and the mdrfckr case study) render empty.
 	MissingJoins []string
 }
 
@@ -37,20 +34,14 @@ func Simulate(cfg simulate.Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &analysis.World{
-		Store:      res.Store,
-		Registry:   res.Registry,
-		AbuseDB:    res.AbuseDB,
-		Classifier: classify.New(),
-		Workers:    cfg.Workers,
-		Tracer:     cfg.Tracer,
-	}
-	populateFeeds(w, cfg.Seed)
-	scale := cfg.Scale
-	if scale <= 0 {
-		scale = 1000
-	}
-	return &Pipeline{World: w, Scale: scale}, nil
+	p := FromRecords(res.Store.All(), &analysis.World{
+		Registry: res.Registry,
+		AbuseDB:  res.AbuseDB,
+		Workers:  cfg.Workers,
+		Tracer:   cfg.Tracer,
+	})
+	populateFeeds(p.World, cfg.Seed)
+	return p, nil
 }
 
 // RecordSource is the streaming iterator FromRecordCursor consumes:
@@ -62,31 +53,45 @@ type RecordSource interface {
 	Err() error
 }
 
-// FromRecordCursor is the one way a dataset becomes a pipeline: it
-// drains a streaming record source — one record at a time, no
-// intermediate slice — into the collector, so a load costs the
-// collector's working set instead of twice the dataset. The source's
-// order is the figures' order. Registry- and abuse-joined figures need
-// the corresponding databases; a nil w, or nil databases in it,
-// substitutes fresh empty ones and records the substitution in
-// Pipeline.MissingJoins so callers can warn instead of silently
-// printing empty joins.
-func FromRecordCursor(src RecordSource, w *analysis.World) (*Pipeline, error) {
-	if w == nil {
-		w = &analysis.World{}
-	}
-	store := collector.NewStore()
+// FromRecordCursor drains a streaming record source into a record set
+// and builds the pipeline over it with FromRecords. The source's order
+// is the figures' order.
+func FromRecordCursor(src RecordSource, tmpl *analysis.World) (*Pipeline, error) {
+	var recs []*session.Record
 	for src.Next() {
-		store.Add(src.Record())
+		recs = append(recs, src.Record())
 	}
 	if err := src.Err(); err != nil {
 		return nil, err
 	}
-	w.Store = store
+	return FromRecords(recs, tmpl), nil
+}
+
+// FromRecords is the one way a dataset becomes a pipeline: a new World
+// over recs, which it retains, with the template's databases and
+// settings. It never writes to tmpl, so a pipeline over a subset of
+// another's records (hnanalyze -where) leaves that one as it was.
+// Registry- and abuse-joined figures need the corresponding databases;
+// a nil tmpl, or nil databases in it, substitutes fresh empty ones and
+// records the substitution in Pipeline.MissingJoins so callers can
+// warn instead of silently printing empty joins.
+func FromRecords(recs []*session.Record, tmpl *analysis.World) *Pipeline {
+	if tmpl == nil {
+		tmpl = &analysis.World{}
+	}
+	w := &analysis.World{
+		Records:     recs,
+		Registry:    tmpl.Registry,
+		AbuseDB:     tmpl.AbuseDB,
+		Classifier:  tmpl.Classifier,
+		Workers:     tmpl.Workers,
+		Tracer:      tmpl.Tracer,
+		MatrixCache: tmpl.MatrixCache,
+	}
 	if w.Classifier == nil {
 		w.Classifier = classify.New()
 	}
-	p := &Pipeline{World: w, Scale: 1}
+	p := &Pipeline{World: w}
 	if w.AbuseDB == nil {
 		w.AbuseDB = abusedb.New()
 		p.MissingJoins = append(p.MissingJoins, "abusedb")
@@ -95,23 +100,6 @@ func FromRecordCursor(src RecordSource, w *analysis.World) (*Pipeline, error) {
 		w.Registry = simulate.Registry(0)
 		p.MissingJoins = append(p.MissingJoins, "asdb")
 	}
-	return p, nil
-}
-
-// sliceSource is a record slice as a RecordSource.
-type sliceSource struct {
-	recs []*session.Record
-	i    int
-}
-
-func (s *sliceSource) Next() bool              { s.i++; return s.i <= len(s.recs) }
-func (s *sliceSource) Record() *session.Record { return s.recs[s.i-1] }
-func (s *sliceSource) Err() error              { return nil }
-
-// FromRecords is FromRecordCursor over a record set already in memory
-// (captured by live honeypots, or a dataset hnanalyze -where narrowed).
-func FromRecords(recs []*session.Record, w *analysis.World) *Pipeline {
-	p, _ := FromRecordCursor(&sliceSource{recs: recs}, w) // a slice never errs
 	return p
 }
 

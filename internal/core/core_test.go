@@ -23,9 +23,6 @@ func TestSimulateAndRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Scale != 20000 {
-		t.Errorf("scale = %v", p.Scale)
-	}
 	var buf bytes.Buffer
 	if err := p.RunAll(&buf, analysis.ClusterConfig{K: 10, SampleSize: 150, Seed: 5}); err != nil {
 		t.Fatal(err)
@@ -87,8 +84,8 @@ func TestFromRecords(t *testing.T) {
 			Commands: []session.Command{{Raw: "uname -a", Known: true}}},
 	}
 	p := FromRecords(recs, nil)
-	if p.World.Store.Len() != 1 {
-		t.Fatalf("store len = %d", p.World.Store.Len())
+	if len(p.World.Records) != 1 {
+		t.Fatalf("store len = %d", len(p.World.Records))
 	}
 	if p.World.Classifier == nil || p.World.AbuseDB == nil {
 		t.Error("defaults not installed")
@@ -118,7 +115,7 @@ func TestFigAllBuildsEachViewOnce(t *testing.T) {
 	} {
 		// A fresh World per run: the views are memoized on it.
 		tracer := obs.NewTracer()
-		p := FromRecords(sim.World.Store.All(), &analysis.World{
+		p := FromRecords(sim.World.Records, &analysis.World{
 			Registry: sim.World.Registry, AbuseDB: sim.World.AbuseDB,
 			Workers: c.workers, Tracer: tracer,
 		})

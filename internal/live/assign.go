@@ -24,6 +24,13 @@ type assigner struct {
 	scratch  *textdist.Scratch
 	rng      *rand.Rand
 
+	// held is how many distinct tokens the medoid and reservoir texts
+	// held at the last interner rebuild (see compactInterner);
+	// keepInterner turns the rebuild off, for tests that compare
+	// against an assigner that never rebuilds.
+	held         int
+	keepInterner bool
+
 	maxClusters    int
 	newClusterDist float64
 	silhouetteMin  float64
@@ -83,9 +90,18 @@ func newAssigner(maxClusters, reservoir int, newClusterDist, silhouetteMin float
 	}
 }
 
+// Interner bounds: the interner is rebuilt once it holds more than
+// internSlack times the distinct tokens the retained texts held at the
+// last rebuild, counting at least internFloor of them.
+const (
+	internSlack = 4
+	internFloor = 1024
+)
+
 // observe assigns one session text to a cluster, returning the cluster
 // index and the assignment distance. Caller holds the Pipeline lock.
 func (a *assigner) observe(text string) (int, float64) {
+	a.compactInterner()
 	tokens := a.interner.Intern(textdist.Tokenize(text))
 	a.sample(text, tokens)
 
@@ -111,6 +127,26 @@ func (a *assigner) observe(text string) (int, float64) {
 		a.maybeRecluster()
 	}
 	return best, bestDist
+}
+
+// compactInterner keeps the interner from growing with every token ever
+// observed (a fresh file name per download session is common): once it
+// outgrows the tokens the medoids and the reservoir still hold, their
+// texts are re-interned into a fresh interner. Distances compare token
+// IDs only for equality, so every distance, assignment, reservoir
+// matrix cell and recluster is the same as without the rebuild.
+func (a *assigner) compactInterner() {
+	if a.keepInterner || a.interner.Len() <= internSlack*max(a.held, internFloor) {
+		return
+	}
+	in := textdist.NewInterner()
+	for i := range a.medoids {
+		a.medoids[i].tokens = in.Intern(textdist.Tokenize(a.medoids[i].text))
+	}
+	for i := range a.reservoir {
+		a.reservoir[i].tokens = in.Intern(textdist.Tokenize(a.reservoir[i].text))
+	}
+	a.interner, a.held = in, in.Len()
 }
 
 // nearest returns the closest medoid index and its normalized distance,

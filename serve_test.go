@@ -116,10 +116,10 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.World.Store.Len() != 1 {
-		t.Fatalf("stored records = %d, want 1", p.World.Store.Len())
+	if len(p.World.Records) != 1 {
+		t.Fatalf("stored records = %d, want 1", len(p.World.Records))
 	}
-	if got := p.World.Store.All()[0]; got.ID != streamed[0].ID || got.ClientIP != streamed[0].ClientIP {
+	if got := p.World.Records[0]; got.ID != streamed[0].ID || got.ClientIP != streamed[0].ClientIP {
 		t.Errorf("stored record %d/%s, streamed %d/%s", got.ID, got.ClientIP, streamed[0].ID, streamed[0].ClientIP)
 	}
 	if len(p.MissingJoins) == 0 {
@@ -220,8 +220,8 @@ func TestServeStreamFailureKeepsDurableRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.World.Store.Len() != 1 {
-		t.Fatalf("store holds %d records, want the 1 the stream failed on", p.World.Store.Len())
+	if len(p.World.Records) != 1 {
+		t.Fatalf("store holds %d records, want the 1 the stream failed on", len(p.World.Records))
 	}
 }
 
@@ -247,7 +247,7 @@ func TestWithObserverRecordsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.World.Store.Len() == 0 {
+	if len(p.World.Records) == 0 {
 		t.Fatal("empty simulation")
 	}
 	names := map[string]bool{}
@@ -311,10 +311,10 @@ func TestServeStoreEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.World.Store.Len() != 1 {
-		t.Fatalf("store pipeline holds %d records, want 1", p.World.Store.Len())
+	if len(p.World.Records) != 1 {
+		t.Fatalf("store pipeline holds %d records, want 1", len(p.World.Records))
 	}
-	r := p.World.Store.All()[0]
+	r := p.World.Records[0]
 	if r.Kind().String() != "command-execution" {
 		t.Errorf("recorded session kind = %v", r.Kind())
 	}
@@ -335,7 +335,7 @@ func TestSimulateWithStoreThenOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := p1.World.Store.All(), p2.World.Store.All()
+	a, b := p1.World.Records, p2.World.Records
 	if len(a) != len(b) || len(a) == 0 {
 		t.Fatalf("record counts differ: simulated=%d opened=%d", len(a), len(b))
 	}
