@@ -593,10 +593,11 @@ var benchSink float64
 // BenchmarkDLDMatrixBounded compares three serial fills of the full
 // pairwise matrix over the clustering sample: the unbounded full DP
 // (NormalizedIDsFull, the reference), the per-pair hybrid bit-parallel
-// kernel (NormalizedIDs, which live assignment uses), and the packed
-// kernel the matrix fill uses (textdist.Packer: each text once per pack
-// of short texts, long pairs per pair). All three produce bit-identical
-// distances; unbounded/bounded is the kernel speedup in BENCH_4.json.
+// kernel (NormalizedIDs, which the fill keeps for pairs too long to
+// pack), and the packed kernel the matrix fill uses (textdist.Packer:
+// each text once per pack of short texts, long pairs per pair). All
+// three produce bit-identical distances; unbounded/bounded is the
+// kernel speedup in BENCH_4.json.
 func BenchmarkDLDMatrixBounded(b *testing.B) {
 	w := benchPipeline(b)
 	smp, err := w.DLDSample(analysis.ClusterConfig{SampleSize: 2000, Seed: 42, Workers: 1})

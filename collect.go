@@ -25,8 +25,8 @@ type CollectConfig struct {
 	// address.
 	AdminAddr string
 	// LiveOff disables the streaming analytics pipeline. By default
-	// every committed record is classified, cluster-assigned, and rate-
-	// tracked online, fleet-wide; see Collector.Live.
+	// every committed record is classified and rate-tracked online,
+	// fleet-wide; see Collector.Live.
 	LiveOff bool
 }
 

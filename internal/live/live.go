@@ -1,11 +1,10 @@
 // Package live is the streaming analytics subsystem: it sits on the
 // ingest path (the daemon's record sink, the collector's shard append
-// loop) and maintains, incrementally, the state the batch analyzer
-// computes offline — per-session classification (section 5),
-// nearest-medoid cluster assignment (section 6), and campaign/wave
-// detection (sections 9–10). One Pipeline, three engines, all safe for
-// concurrent Observe calls, surfaced as honeynet_live_* metrics and the
-// /live admin snapshot.
+// loop) and maintains, incrementally, per-session classification
+// (section 5) and campaign/wave detection (sections 9–10). One
+// Pipeline, two engines, safe for concurrent Observe calls, surfaced as
+// honeynet_live_* metrics and the /live admin snapshot. Clustering
+// (section 6) is batch only: internal/cluster over the stored records.
 package live
 
 import (
@@ -20,46 +19,11 @@ import (
 	"honeynet/internal/session"
 )
 
-// Options tunes a Pipeline. The zero value takes every default.
-type Options struct {
-	// SilhouetteFloor triggers re-clustering when the reservoir's mean
-	// silhouette under the live medoids decays below it (default 0.25).
-	SilhouetteFloor float64
-	// RecheckEvery is how many assignments run between silhouette
-	// checks (default 256).
-	RecheckEvery int
-	// Seed fixes the reservoir sampling; together with arrival order it
-	// makes the whole engine deterministic (default 1).
-	Seed int64
-}
-
-func (o *Options) defaults() {
-	if o.SilhouetteFloor == 0 {
-		o.SilhouetteFloor = 0.25
-	}
-	if o.RecheckEvery == 0 {
-		o.RecheckEvery = 256
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
+// Options configures a Pipeline. It has no fields: cmd/hnbench passes
+// Options{} (rig.go, ingest.go, probes.go) until ROADMAP item 1(b) retires it.
+type Options struct{}
 
 const (
-	// maxClusters caps the live medoid set: a session farther than
-	// newClusterDist from every medoid founds a cluster only while
-	// fewer than this many exist, and joins its nearest one after that.
-	// It is not the paper's k=90, which the batch clustering
-	// (internal/cluster) picks; it bounds the medoids each Observe
-	// compares a session against.
-	maxClusters = 24
-	// reservoirSize is the uniform sample behind silhouette checks and
-	// re-clustering.
-	reservoirSize = 192
-	// newClusterDist is the normalized DLD past which a session founds a
-	// new cluster instead of joining its nearest medoid.
-	newClusterDist = 0.6
-
 	// fastHalfLife and slowHalfLife set the EWMA pair behind wave
 	// detection, in event time.
 	fastHalfLife = 5 * time.Minute
@@ -75,38 +39,28 @@ const (
 )
 
 // Pipeline is the streaming analytics engine: Observe every ingested
-// record and it keeps classification counts, cluster assignments, and
-// campaign waves current. Safe for concurrent use; Observe is designed
-// to sit directly on the ingest hot path (one automaton scan per
-// session; the DLD row only runs for download sessions, the same
-// population the batch §6 clustering samples).
+// record and it keeps classification counts and campaign waves
+// current. Safe for concurrent use; Observe is designed to sit directly
+// on the ingest hot path (one automaton scan per session, outside the
+// lock). The per-category counts are the wave detector's: one copy.
 type Pipeline struct {
 	cls *classify.Classifier
 
 	mu    sync.Mutex
-	asg   *assigner
 	camp  *campaigns
 	stats classify.Stats // cumulative classifier work counters
 
-	sessions   int64
-	classified int64
-	unknown    int64
-	clustered  int64
-	catCounts  map[string]int64
-	started    time.Time
+	sessions int64
+	started  time.Time
 }
 
-// NewPipeline builds a Pipeline from opts.
-func NewPipeline(opts Options) *Pipeline {
-	opts.defaults()
+// NewPipeline builds a Pipeline.
+func NewPipeline(Options) *Pipeline {
 	return &Pipeline{
 		cls: classify.New(),
-		asg: newAssigner(maxClusters, reservoirSize, newClusterDist,
-			opts.SilhouetteFloor, opts.RecheckEvery, opts.Seed),
 		camp: newCampaigns(fastHalfLife, slowHalfLife,
 			onsetFactor, offsetFactor, minWaveRate, maxWaves),
-		catCounts: map[string]int64{},
-		started:   time.Now(),
+		started: time.Now(),
 	}
 }
 
@@ -133,18 +87,20 @@ func (p *Pipeline) Observe(r *session.Record) {
 	}
 	p.stats.Candidates += st.Candidates
 	p.stats.Skipped += st.Skipped
-	p.classified++
-	if cat == classify.Unknown {
-		p.unknown++
-	}
-	p.catCounts[cat]++
 	p.camp.observe(cat, t)
-	// Cluster the population the batch pipeline clusters: sessions that
-	// load files onto the honeypot (§6).
-	if len(r.Downloads) > 0 {
-		p.asg.observe(text)
-		p.clustered++
+}
+
+// classified is the number of sessions with command text observed.
+// Caller holds p.mu.
+func (p *Pipeline) classified() int64 { return p.camp.total.count }
+
+// unknown is the number of classified sessions that matched no rule.
+// Caller holds p.mu.
+func (p *Pipeline) unknown() int64 {
+	if r := p.camp.cats[classify.Unknown]; r != nil {
+		return r.count
 	}
+	return 0
 }
 
 // Matcher is the classifier's unmemoized scan under the name its one
@@ -163,17 +119,19 @@ type Snapshot struct {
 	Sessions   int64  `json:"sessions"`
 	Classified int64  `json:"classified"`
 	Unknown    int64  `json:"unknown"`
-	Clustered  int64  `json:"clustered"`
 
 	Categories []CategorySnap `json:"categories"`
-	Clusters   []ClusterSnap  `json:"clusters"`
 	Waves      []Wave         `json:"waves"`
 	ActiveDrop bool           `json:"activity_drop"`
 
-	Silhouette float64 `json:"silhouette"`
-	Reclusters int64   `json:"reclusters"`
-	Pruned     int64   `json:"assign_pruned"`
-	Kernel     int64   `json:"assign_kernel"`
+	// Clustered is always zero; cmd/hnbench/rig.go's liveMetrics reads it until ROADMAP item 1(b).
+	Clustered int64 `json:"-"`
+	// Reclusters is always zero; cmd/hnbench/rig.go's liveMetrics reads it until ROADMAP item 1(b).
+	Reclusters int64 `json:"-"`
+	// Pruned is always zero; cmd/hnbench/rig.go's liveMetrics reads it until ROADMAP item 1(b).
+	Pruned int64 `json:"-"`
+	// Kernel is always zero; cmd/hnbench/rig.go's liveMetrics reads it until ROADMAP item 1(b).
+	Kernel int64 `json:"-"`
 }
 
 // CategorySnap is one category's live rate state.
@@ -185,37 +143,22 @@ type CategorySnap struct {
 	Wave  bool    `json:"wave"`
 }
 
-// ClusterSnap is one live cluster.
-type ClusterSnap struct {
-	ID     int     `json:"id"`
-	Size   int64   `json:"size"`
-	Drift  float64 `json:"mean_dist"`
-	Medoid string  `json:"medoid"`
-}
-
 // Snapshot captures the live state. Categories sort by descending
-// count then name; clusters by id.
+// count then name.
 func (p *Pipeline) Snapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := &Snapshot{
 		Uptime:     time.Since(p.started).Round(time.Second).String(),
 		Sessions:   p.sessions,
-		Classified: p.classified,
-		Unknown:    p.unknown,
-		Clustered:  p.clustered,
+		Classified: p.classified(),
+		Unknown:    p.unknown(),
 		ActiveDrop: p.camp.drop,
-		Silhouette: p.asg.silhouette,
-		Reclusters: p.asg.reclusters,
-		Pruned:     p.asg.pruned,
-		Kernel:     p.asg.kernel,
 	}
-	for name, n := range p.catCounts {
-		cs := CategorySnap{Name: name, Count: n}
-		if r := p.camp.cats[name]; r != nil {
-			cs.Rate, cs.Base, cs.Wave = r.fast, r.slow, r.wave != 0
-		}
-		s.Categories = append(s.Categories, cs)
+	for name, r := range p.camp.cats {
+		s.Categories = append(s.Categories, CategorySnap{
+			Name: name, Count: r.count, Rate: r.fast, Base: r.slow, Wave: r.wave != 0,
+		})
 	}
 	sort.Slice(s.Categories, func(i, j int) bool {
 		if s.Categories[i].Count != s.Categories[j].Count {
@@ -223,23 +166,8 @@ func (p *Pipeline) Snapshot() *Snapshot {
 		}
 		return s.Categories[i].Name < s.Categories[j].Name
 	})
-	for i := range p.asg.medoids {
-		m := &p.asg.medoids[i]
-		cs := ClusterSnap{ID: i, Size: m.count, Medoid: truncate(m.text, 120)}
-		if m.count > 0 {
-			cs.Drift = m.sumDist / float64(m.count)
-		}
-		s.Clusters = append(s.Clusters, cs)
-	}
 	s.Waves = append([]Wave(nil), p.camp.waves...)
 	return s
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }
 
 // Handler serves the /live JSON snapshot.
@@ -266,14 +194,8 @@ func (p *Pipeline) locked(f func() int64) func() int64 {
 //	honeynet_live_sessions_total
 //	honeynet_live_classified_total
 //	honeynet_live_unknown_total
-//	honeynet_live_clustered_total
 //	honeynet_live_rule_candidates_total
 //	honeynet_live_rules_skipped_total
-//	honeynet_live_clusters
-//	honeynet_live_reclusters_total
-//	honeynet_live_silhouette
-//	honeynet_live_assign_pruned_total
-//	honeynet_live_assign_kernel_total
 //	honeynet_live_waves_total
 //	honeynet_live_waves_active
 //	honeynet_live_activity_drops_total
@@ -283,42 +205,16 @@ func (p *Pipeline) Register(reg *obs.Registry) {
 		p.locked(func() int64 { return p.sessions }))
 	reg.CounterFunc("honeynet_live_classified_total",
 		"Sessions with command text classified at ingest.",
-		p.locked(func() int64 { return p.classified }))
+		p.locked(p.classified))
 	reg.CounterFunc("honeynet_live_unknown_total",
 		"Classified sessions that matched no rule.",
-		p.locked(func() int64 { return p.unknown }))
-	reg.CounterFunc("honeynet_live_clustered_total",
-		"Download sessions assigned to a live cluster.",
-		p.locked(func() int64 { return p.clustered }))
+		p.locked(p.unknown))
 	reg.CounterFunc("honeynet_live_rule_candidates_total",
 		"Rules regex-verified after surviving the automaton prefilter.",
 		p.locked(func() int64 { return int64(p.stats.Candidates) }))
 	reg.CounterFunc("honeynet_live_rules_skipped_total",
 		"Rules eliminated by the single-pass automaton without any regex.",
 		p.locked(func() int64 { return int64(p.stats.Skipped) }))
-	reg.GaugeFunc("honeynet_live_clusters",
-		"Live medoid count.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(len(p.asg.medoids))
-		})
-	reg.CounterFunc("honeynet_live_reclusters_total",
-		"Bounded K-medoids rebuilds triggered by silhouette decay.",
-		p.locked(func() int64 { return p.asg.reclusters }))
-	reg.GaugeFunc("honeynet_live_silhouette",
-		"Mean silhouette of the reservoir under the live medoids at the last drift check.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return p.asg.silhouette
-		})
-	reg.CounterFunc("honeynet_live_assign_pruned_total",
-		"Medoid candidates discarded by the multiset lower bound before any kernel run.",
-		p.locked(func() int64 { return p.asg.pruned }))
-	reg.CounterFunc("honeynet_live_assign_kernel_total",
-		"Full DLD kernel evaluations run by online assignment.",
-		p.locked(func() int64 { return p.asg.kernel }))
 	reg.CounterFunc("honeynet_live_waves_total",
 		"Campaign waves detected (open + closed).",
 		p.locked(func() int64 { return int64(len(p.camp.waves)) }))

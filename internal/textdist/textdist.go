@@ -522,36 +522,6 @@ func (s *Scratch) histLowerBound(shorter, longer []int32) int {
 	return len(longer) - c
 }
 
-// LowerBoundIDs returns a lower bound on DamerauIDs(a, b) in O(la+lb):
-// the multiset bound max(la,lb) - |multiset intersection|. Every cost-0
-// match and cost-1 transposition in an alignment consumes equal tokens
-// from both sides, so at most |intersection| tokens of the longer side
-// escape a paid edit. Online cluster assignment uses it to discard most
-// medoids before any DP or bit-parallel pass.
-func (s *Scratch) LowerBoundIDs(a, b []int32) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return len(b)
-	}
-	return s.histLowerBound(a, b)
-}
-
-// NormalizedLowerBoundIDs is LowerBoundIDs scaled the way NormalizedIDs
-// scales the distance (by the longer sequence length), so it lower-
-// bounds NormalizedIDs(a, b). Two empty sequences bound to 0.
-func (s *Scratch) NormalizedLowerBoundIDs(a, b []int32) float64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(s.LowerBoundIDs(a, b)) / float64(n)
-}
-
 // damerauBoundedIDs is the exact kernel of the interned distance-matrix
 // hot path. After stripping the common affixes it dispatches:
 //

@@ -86,9 +86,9 @@ type ServeConfig struct {
 	DrainTimeout time.Duration
 
 	// LiveOff disables the streaming analytics pipeline. By default
-	// every ingested record is classified, cluster-assigned, and rate-
-	// tracked online (honeynet_live_* metrics, the /live admin snapshot);
-	// see Server.Live.
+	// every ingested record is classified and rate-tracked online
+	// (honeynet_live_* metrics, the /live admin snapshot); see
+	// Server.Live.
 	LiveOff bool
 
 	// OnRecord, if set, observes every session record after it is

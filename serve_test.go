@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -418,10 +420,36 @@ func TestServeLivePipeline(t *testing.T) {
 	}
 }
 
+// liveSeries is every honeynet_live_* name a daemon's /metrics carries:
+// the classifier's counters and the wave detector's.
+var liveSeries = []string{
+	"honeynet_live_activity_drops_total",
+	"honeynet_live_classified_total",
+	"honeynet_live_rule_candidates_total",
+	"honeynet_live_rules_skipped_total",
+	"honeynet_live_sessions_total",
+	"honeynet_live_unknown_total",
+	"honeynet_live_waves_active",
+	"honeynet_live_waves_total",
+}
+
+// liveNames returns the sorted honeynet_live_* series names declared in
+// a /metrics exposition.
+func liveNames(metrics string) []string {
+	var names []string
+	for _, line := range strings.Split(metrics, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && strings.HasPrefix(f[2], "honeynet_live_") {
+			names = append(names, f[2])
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
 // TestDaemonLive: Serve and Collect build their live pipeline the same
 // way. Off, there is no pipeline and no /live route; on, /metrics
-// carries the live series (and, on the collector, the fleet series) and
-// /live serves the snapshot as JSON.
+// carries exactly the live series (and, on the collector, the fleet
+// series) and /live serves the snapshot as JSON.
 func TestDaemonLive(t *testing.T) {
 	type daemon interface {
 		AdminAddr() string
@@ -435,10 +463,10 @@ func TestDaemonLive(t *testing.T) {
 	}{
 		{"serve", func(liveOff bool) (daemon, error) {
 			return Serve(ServeConfig{SSHAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0", LogOutput: io.Discard, LiveOff: liveOff})
-		}, []string{"honeynet_live_sessions_total"}},
+		}, nil},
 		{"collect", func(liveOff bool) (daemon, error) {
 			return Collect(CollectConfig{Dir: t.TempDir(), ListenAddr: "127.0.0.1:0", AdminAddr: "127.0.0.1:0", LiveOff: liveOff})
-		}, []string{"honeynet_fleet_nodes", "honeynet_live_sessions_total"}},
+		}, []string{"honeynet_fleet_nodes"}},
 	} {
 		t.Run(tc.name+"/off", func(t *testing.T) {
 			d, err := tc.start(true)
@@ -473,8 +501,16 @@ func TestDaemonLive(t *testing.T) {
 					t.Errorf("metrics missing %q", name)
 				}
 			}
-			if doc := adminGet(t, d, "/live"); !json.Valid([]byte(doc)) || !strings.Contains(doc, `"sessions"`) {
-				t.Errorf("/live = %q, want a JSON snapshot with \"sessions\"", doc)
+			if got := liveNames(metrics); !slices.Equal(got, liveSeries) {
+				t.Errorf("honeynet_live_* series = %q, want %q", got, liveSeries)
+			}
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(adminGet(t, d, "/live")), &doc); err != nil {
+				t.Fatalf("bad /live JSON: %v", err)
+			}
+			keys := slices.Sorted(maps.Keys(doc))
+			if want := []string{"activity_drop", "categories", "classified", "sessions", "unknown", "uptime", "waves"}; !slices.Equal(keys, want) {
+				t.Errorf("/live keys = %q, want %q", keys, want)
 			}
 		})
 	}
