@@ -82,7 +82,7 @@ func main() {
 		p, err = load(*in, *storeDir, honeynet.WithSeed(*seed), honeynet.WithWorkers(*workers),
 			honeynet.WithObserver(tracer), honeynet.WithMatrixCache(*cache))
 		if err == nil && len(p.MissingJoins) > 0 {
-			fmt.Fprintf(os.Stderr, "hnanalyze: warning: dataset loaded without %v — figures 7, 8, 9, 17, and mdrfckr join on feeds only a simulation populates and will be empty (pass the -seed hnsim used for AS parity)\n",
+			fmt.Fprintf(os.Stderr, "hnanalyze: warning: dataset loaded without %v, which only a simulation populates — Figures 5 and 6 have no family labels, and section 7's \"storage IPs in abuse feeds\" and section 9's Killnet and compromised-host rows are zero (Figures 7, 8 and 17 match the simulation at the -seed hnsim used)\n",
 				p.MissingJoins)
 		}
 	} else {

@@ -340,14 +340,13 @@ func TestMixedFormatStoreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestOpenHonoursSeed: WithSeed selects the AS registry of a loaded
+// TestOpenHonoursSeed: WithSeed rebuilds the AS registry of a loaded
 // dataset by the formula the simulation uses. honeynet.Open and
-// hnanalyze's own path then attribute every client IP to the AS the
-// simulation that wrote the store did (storage ASes are allocated while
-// a simulation runs and no seed rebuilds them, so the AS-joined figures
-// themselves are compared between the load paths, not against the
-// simulation); seed 0 is the registry core.FromRecords substitutes when
-// given none.
+// hnanalyze's own path then attribute every client and storage IP to
+// the AS the simulation that wrote the store did: Figures 7, 8 and 17
+// and section 7's AS rows match the simulation's own pipeline byte for
+// byte. Seed 0 is the registry core.FromRecords substitutes when given
+// none.
 func TestOpenHonoursSeed(t *testing.T) {
 	const seed = 7
 	dir := t.TempDir()
@@ -367,7 +366,8 @@ func TestOpenHonoursSeed(t *testing.T) {
 		}
 		return buf.String()
 	}
-	want := render(core.FromRecords(recs, &analysis.World{Registry: simulate.Registry(seed)}), "7", "8", "17")
+	want := render(sim, "7", "8", "17")
+	wantAS := analysis.Storage(sim.World)
 	for name, open := range map[string]func(...honeynet.Option) (*core.Pipeline, error){
 		"honeynet.Open": func(o ...honeynet.Option) (*core.Pipeline, error) { return honeynet.Open(dir, o...) },
 		"hnanalyze":     func(o ...honeynet.Option) (*core.Pipeline, error) { return load("", dir, o...) },
@@ -384,7 +384,11 @@ func TestOpenHonoursSeed(t *testing.T) {
 			}
 		}
 		if got := render(p, "7", "8", "17"); got != want {
-			t.Errorf("%s: figures 7/8/17 differ from the seed's registry over the same records", name)
+			t.Errorf("%s: figures 7/8/17 differ from the simulation's", name)
+		}
+		if st := analysis.Storage(p.World); st.StorageASes != wantAS.StorageASes || st.DownASes != wantAS.DownASes {
+			t.Errorf("%s: %d storage ASes, %d no longer announcing; the simulation has %d and %d",
+				name, st.StorageASes, st.DownASes, wantAS.StorageASes, wantAS.DownASes)
 		}
 		if p, err = open(honeynet.WithSeed(seed + 1)); err != nil {
 			t.Fatal(err)

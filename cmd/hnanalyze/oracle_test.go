@@ -25,8 +25,8 @@ func TestFigAllOracle(t *testing.T) {
 		t.Skip("renders -fig all at 1:5000 four times")
 	}
 	const (
-		all   = "d1528500c1bcc20b5e247ade1c996310e2c886e00270dc27efe2f257dad23fa9"
-		where = "878146a843b08cc14270e6442b89eeb3482a155d2ca1a3f99bfc32008ad1c8d9"
+		all   = "b690bc7875ab9eddcfa35e935e024850da2d247c6efcbf2d01daf24939549af2"
+		where = "18fe54f73f9ff4664e56152c63ae918670a3067c82a645482e57cfb78673e67a"
 	)
 	pre, err := query.CompileFilter("start >= '2022-06-01'")
 	if err != nil {

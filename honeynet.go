@@ -115,7 +115,8 @@ func WithScale(scale float64) Option {
 }
 
 // WithSeed fixes the run: the same seed produces a byte-identical
-// dataset for any worker count.
+// dataset for any worker count. On Load and Open it rebuilds the AS
+// registry the simulation with that seed used.
 func WithSeed(seed int64) Option {
 	return optionFunc(func(c *config) { c.seed = seed })
 }
@@ -192,8 +193,8 @@ func persistStore(dir string, recs []*session.Record) error {
 
 // world is the analysis world a loaded dataset runs in: the worker,
 // tracer and cache settings, and the AS registry the dataset's seed
-// selects, which attributes every client IP to the AS the simulation
-// drew it from.
+// rebuilds, which attributes every client and storage IP to the AS the
+// simulation drew it from.
 func (c *config) world() *analysis.World {
 	return &analysis.World{
 		Registry:    simulate.Registry(c.seed),
@@ -207,12 +208,12 @@ func (c *config) world() *analysis.World {
 // plain or gzip (for example by cmd/hnsim or a live cmd/honeypotd),
 // streaming them in one at a time. WithSeed, WithWorkers, WithObserver,
 // and WithMatrixCache apply: pass the seed the dataset was simulated
-// with and client IPs resolve to the ASes the simulation drew them
-// from; the default seed 0 suits captured data. Storage ASes are
-// allocated while a simulation runs and no seed rebuilds them, so the
-// AS-joined figures (7, 8, 17) cover only flows whose storage host is
-// itself a client, and figures that join on the simulation-populated
-// abuse feeds render empty; the returned Pipeline's MissingJoins field
+// with and WithSeed rebuilds the simulation's AS registry, so Figures 7,
+// 8 and 17 match the simulation's; the default seed 0 suits captured
+// data. The abuse feeds exist only inside a simulation: without them
+// Figures 5 and 6 carry no family labels, section 7's "storage IPs in
+// abuse feeds" row is zero, and so are section 9's Killnet and
+// compromised-host rows. The returned Pipeline's MissingJoins field
 // names the substituted databases.
 func Load(r io.Reader, opts ...Option) (*Pipeline, error) {
 	return core.FromRecordCursor(session.NewReader(r), configOf(opts).world())
@@ -224,7 +225,7 @@ func Load(r io.Reader, opts ...Option) (*Pipeline, error) {
 // exact append order, one at a time, into the pipeline's record set,
 // with no second copy of the dataset, and figure output is
 // byte-identical to the equivalent Load over JSONL. The same options
-// apply as for Load, and the same feeds are missing (see
+// apply as for Load, and the same abuse feeds are missing (see
 // Pipeline.MissingJoins).
 //
 // A fleet directory written by cmd/hncollect (per-node shards under

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sync"
+	"sort"
 	"time"
 )
 
@@ -70,35 +70,37 @@ const hostBits = 12
 // ipBase is the start of the allocation space (10.0.0.0).
 const ipBase = uint32(10) << 24
 
-// Registry is the AS database. Safe for concurrent reads after
-// construction; SampleStorageAS mutates lazily and is internally locked.
+// Registry is the AS database. NewRegistry draws every AS it will ever
+// hold, so a registry is a function of its seed and never changes after
+// construction: it is safe for concurrent use without locks.
 type Registry struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	all  []*AS
-	next int
-
+	all     []*AS
 	clients []*AS
-	// storageByQuarter lazily creates storage ASes bucketed by
-	// registration quarter, capped at the paper's 388 total.
-	storageByQuarter map[int64][]*AS
-	storageCount     int
-	storageCap       int
+	// storage is the malware-storage pool, in registration order.
+	storage []*AS
 }
 
+// The registry's history runs from historyStart to historyEnd. The
+// storage pool is the paper's 388 distinct storage ASes, registered
+// evenly across that history, so each of its quarters holds three or
+// four.
+const (
+	historyStart = 1995
+	historyEnd   = 2025
+	storageASes  = 388
+)
+
 // NewRegistry builds a registry with nClients client-side ASes (ISP/NSP
-// heavy, matching the Sankey's left side) using the given seed.
+// heavy, matching the Sankey's left side) followed by the storage pool,
+// all drawn from the given seed.
 func NewRegistry(seed int64, nClients int) *Registry {
-	r := &Registry{
-		rng:              rand.New(rand.NewSource(seed)),
-		storageByQuarter: map[int64][]*AS{},
-		storageCap:       388,
-	}
+	r := &Registry{}
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < nClients; i++ {
 		// Client IPs are mostly end hosts: 72% ISP/NSP, 15% Hosting,
 		// 3% CDN, 10% Other.
 		var typ Type
-		switch p := r.rng.Float64(); {
+		switch p := rng.Float64(); {
 		case p < 0.72:
 			typ = TypeISPNSP
 		case p < 0.87:
@@ -109,60 +111,78 @@ func NewRegistry(seed int64, nClients int) *Registry {
 			typ = TypeOther
 		}
 		// Client ASes skew old (established eyeball networks).
-		reg := time.Date(1995+r.rng.Intn(25), time.Month(1+r.rng.Intn(12)), 1+r.rng.Intn(28), 0, 0, 0, 0, time.UTC)
-		as := r.newAS(typ, reg, r.samplePrefixCount(false))
-		r.clients = append(r.clients, as)
+		reg := time.Date(historyStart+rng.Intn(25), time.Month(1+rng.Intn(12)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC)
+		r.clients = append(r.clients, r.newAS(typ, reg, samplePrefixCount(rng, false)))
 	}
+	const quarters = (historyEnd - historyStart) * 4
+	for i := 0; i < storageASes; i++ {
+		// Storage-pool composition: 358/388 hosting-like (92%), the rest
+		// ISPs — the section 7 breakdown.
+		typ := TypeHosting
+		switch p := rng.Float64(); {
+		case p < 0.08:
+			typ = TypeISPNSP
+		case p < 0.13:
+			typ = TypeCDN
+		case p < 0.18:
+			typ = TypeOther
+		}
+		q := i * quarters / storageASes
+		reg := time.Date(historyStart+q/4, time.Month(1+q%4*3+rng.Intn(3)), 1+rng.Intn(28), 0, 0, 0, 0, time.UTC)
+		as := r.newAS(typ, reg, samplePrefixCount(rng, true))
+		// No longer announcing, like the 36 dead ASes found.
+		as.Down = rng.Float64() < float64(36)/storageASes
+		r.storage = append(r.storage, as)
+	}
+	sort.SliceStable(r.storage, func(i, j int) bool { return r.storage[i].Registered.Before(r.storage[j].Registered) })
 	return r
 }
 
-// newAS registers an AS and assigns its IP block. Caller holds no lock
-// during construction; lazily-created storage ASes are created under mu.
+// newAS registers an AS and assigns it the next IP block.
 func (r *Registry) newAS(typ Type, registered time.Time, prefixes int) *AS {
+	n := len(r.all)
 	as := &AS{
-		ASN:        64512 + r.next, // private-use ASN space, then beyond
-		Name:       fmt.Sprintf("AS-%s-%d", typ, 64512+r.next),
+		ASN:        64512 + n, // private-use ASN space, then beyond
+		Name:       fmt.Sprintf("AS-%s-%d", typ, 64512+n),
 		Type:       typ,
 		Registered: registered,
 		Prefixes24: prefixes,
-		index:      r.next,
+		index:      n,
 	}
-	r.next++
 	r.all = append(r.all, as)
 	return as
 }
 
 // samplePrefixCount draws an announced-/24 count. Storage ASes follow
 // Figure 8(b): ~20% single /24, ~30% below 50, ~50% above.
-func (r *Registry) samplePrefixCount(storage bool) int {
-	p := r.rng.Float64()
+func samplePrefixCount(rng *rand.Rand, storage bool) int {
+	p := rng.Float64()
 	if storage {
 		switch {
 		case p < 0.20:
 			return 1
 		case p < 0.50:
-			return 2 + r.rng.Intn(48)
+			return 2 + rng.Intn(48)
 		default:
-			return 50 + r.rng.Intn(2000)
+			return 50 + rng.Intn(2000)
 		}
 	}
 	// Client-side (eyeball) networks are typically large.
-	return 10 + r.rng.Intn(5000)
+	return 10 + rng.Intn(5000)
 }
 
 // Clients returns the client-AS pool.
 func (r *Registry) Clients() []*AS { return r.clients }
 
-// SampleClientAS draws a client AS uniformly.
-func (r *Registry) SampleClientAS(rng *rand.Rand) *AS {
-	return r.clients[rng.Intn(len(r.clients))]
-}
+// quarter numbers the calendar quarter t falls in.
+func quarter(t time.Time) int { return t.Year()*4 + (int(t.Month())-1)/3 }
 
 // SampleStorageAS draws a malware-storage AS whose age at time `at`
 // follows Figure 8(a): ~35% younger than one year, ~70% younger than
-// five. ASes are created lazily per registration quarter and reused,
-// capped at 388 distinct ASes, so repeated draws reuse infrastructure
-// the way the paper observes.
+// five. It picks uniformly among the pool's ASes registered in the drawn
+// quarter and not after `at` — or, when there are none, in the nearest
+// quarter that has some — so repeated draws reuse infrastructure the way
+// the paper observes, and a drawn AS always resolves at `at`.
 func (r *Registry) SampleStorageAS(rng *rand.Rand, at time.Time) *AS {
 	var age time.Duration
 	const year = 365 * 24 * time.Hour
@@ -175,54 +195,24 @@ func (r *Registry) SampleStorageAS(rng *rand.Rand, at time.Time) *AS {
 		age = 5*year + time.Duration(rng.Int63n(int64(20*year)))
 	}
 	reg := at.Add(-age)
-	quarter := reg.Year()*4 + (int(reg.Month())-1)/3
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bucket := r.storageByQuarter[int64(quarter)]
-	// Reuse an existing AS from the quarter most of the time; grow the
-	// pool until the cap.
-	if len(bucket) > 0 && (r.storageCount >= r.storageCap || rng.Float64() < 0.8) {
-		return bucket[rng.Intn(len(bucket))]
+	// The ASes registered by `at` are a prefix of the pool; an `at`
+	// before the whole pool gets its oldest AS.
+	pool := r.storage[:max(1, sort.Search(len(r.storage), func(i int) bool { return r.storage[i].Registered.After(at) }))]
+	in := func(q int) (lo, hi int) {
+		lo = sort.Search(len(pool), func(i int) bool { return quarter(pool[i].Registered) >= q })
+		hi = sort.Search(len(pool), func(i int) bool { return quarter(pool[i].Registered) > q })
+		return lo, hi
 	}
-	if r.storageCount >= r.storageCap {
-		// Cap reached and quarter empty: fall back to the nearest
-		// populated quarter.
-		for d := 1; d < 200; d++ {
-			if b := r.storageByQuarter[int64(quarter-d)]; len(b) > 0 {
-				return b[rng.Intn(len(b))]
-			}
-			if b := r.storageByQuarter[int64(quarter+d)]; len(b) > 0 {
-				return b[rng.Intn(len(b))]
-			}
+	lo, hi := in(quarter(reg))
+	if lo == hi {
+		near := lo
+		if lo == len(pool) || lo > 0 && reg.Sub(pool[lo-1].Registered) <= pool[lo].Registered.Sub(reg) {
+			near = lo - 1
 		}
+		lo, hi = in(quarter(pool[near].Registered))
 	}
-	// Storage-pool composition: 358/388 hosting-like (92%), the rest
-	// ISPs — the section 7 breakdown.
-	typ := TypeHosting
-	switch p := r.rng.Float64(); {
-	case p < 0.08:
-		typ = TypeISPNSP
-	case p < 0.13:
-		typ = TypeCDN
-	case p < 0.18:
-		typ = TypeOther
-	}
-	regDay := time.Date(reg.Year(), reg.Month(), 1+r.rng.Intn(28), 0, 0, 0, 0, time.UTC)
-	as := r.newAS(typ, regDay, r.samplePrefixCount(true))
-	if r.rng.Float64() < float64(36)/388 {
-		as.Down = true // no longer announcing, like the 36 dead ASes found
-	}
-	r.storageByQuarter[int64(quarter)] = append(bucket, as)
-	r.storageCount++
-	return as
-}
-
-// StorageASCount returns how many distinct storage ASes exist so far.
-func (r *Registry) StorageASCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.storageCount
+	return pool[lo+rng.Intn(hi-lo)]
 }
 
 // IPFor returns the host'th IP address inside the AS's block.
@@ -250,8 +240,6 @@ func (r *Registry) Lookup(ip string, at time.Time) (*AS, bool) {
 		return nil, false
 	}
 	idx := int((v - ipBase) >> hostBits)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if idx < 0 || idx >= len(r.all) {
 		return nil, false
 	}

@@ -2,6 +2,7 @@ package asdb
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -26,7 +27,7 @@ func TestIPLookupRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	at := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 50; i++ {
-		as := reg.SampleClientAS(rng)
+		as := reg.Clients()[rng.Intn(len(reg.Clients()))]
 		ip := reg.IPFor(as, rng.Intn(4000))
 		got, ok := reg.Lookup(ip, at)
 		if !ok {
@@ -129,16 +130,29 @@ func TestStorageSizeDistribution(t *testing.T) {
 
 func TestStorageASCapAt388(t *testing.T) {
 	reg := NewRegistry(7, 10)
+	if n := len(reg.storage); n != 388 {
+		t.Fatalf("storage pool = %d ASes, want the paper's 388", n)
+	}
+	pool := map[*AS]bool{}
+	for _, as := range reg.storage {
+		pool[as] = true
+	}
 	rng := rand.New(rand.NewSource(11))
+	seen := map[*AS]bool{}
 	// Spread draws over time so many quarters are requested.
 	for i := 0; i < 20000; i++ {
 		at := time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, i%1000)
-		reg.SampleStorageAS(rng, at)
+		as := reg.SampleStorageAS(rng, at)
+		if !pool[as] {
+			t.Fatalf("SampleStorageAS returned AS%d, which is not in the storage pool", as.ASN)
+		}
+		if as.Registered.After(at) {
+			t.Fatalf("AS%d registered %v, after the %v draw", as.ASN, as.Registered, at)
+		}
+		seen[as] = true
 	}
-	if n := reg.StorageASCount(); n > 388 {
-		t.Errorf("storage AS count = %d, exceeds the 388 cap", n)
-	} else if n < 300 {
-		t.Errorf("storage AS count = %d, expected near the cap under heavy sampling", n)
+	if n := len(seen); n < 300 {
+		t.Errorf("distinct storage ASes drawn = %d, expected near the 388 under heavy sampling", n)
 	}
 }
 
@@ -176,10 +190,43 @@ func TestTypeStrings(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := NewRegistry(42, 50)
 	b := NewRegistry(42, 50)
-	for i := range a.Clients() {
-		x, y := a.Clients()[i], b.Clients()[i]
-		if x.ASN != y.ASN || x.Type != y.Type || !x.Registered.Equal(y.Registered) {
-			t.Fatalf("registries diverge at client %d", i)
+	if len(a.all) != 50+388 || len(b.all) != len(a.all) {
+		t.Fatalf("registries hold %d and %d ASes, want %d", len(a.all), len(b.all), 50+388)
+	}
+	for i := range a.all {
+		if x, y := *a.all[i], *b.all[i]; x != y {
+			t.Fatalf("registries diverge at AS %d: %+v vs %+v", i, x, y)
 		}
 	}
+	// The clients are drawn first, so a registry with more clients starts
+	// with the same ones.
+	c := NewRegistry(42, 60)
+	for i := range a.Clients() {
+		if *a.Clients()[i] != *c.Clients()[i] {
+			t.Fatalf("client %d depends on the client count", i)
+		}
+	}
+}
+
+// TestConcurrentReads: a registry takes no lock, so draws and lookups
+// from many goroutines at once must not race (run under -race).
+func TestConcurrentReads(t *testing.T) {
+	reg := NewRegistry(9, 20)
+	at := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 500; i++ {
+				as := reg.SampleStorageAS(rng, at)
+				if _, ok := reg.Lookup(reg.IPFor(as, i), at); !ok {
+					t.Errorf("AS%d drawn at %v does not resolve then", as.ASN, at)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

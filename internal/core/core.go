@@ -22,8 +22,11 @@ import (
 type Pipeline struct {
 	World *analysis.World
 	// MissingJoins lists the join databases FromRecords substituted
-	// with empty ones because the template had none. Figures that join
-	// on them (7, 8, 9, 17, and the mdrfckr case study) render empty.
+	// because the template had none. An empty "abusedb" leaves Figures 5
+	// and 6 without family labels and zeroes section 7's "storage IPs in
+	// abuse feeds" row and section 9's Killnet and compromised-host
+	// rows. An "asdb" is the seed-0 registry, which Figures 7, 8 and 17
+	// join on.
 	MissingJoins []string
 }
 

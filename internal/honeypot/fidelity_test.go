@@ -50,11 +50,12 @@ func TestBotFidelityOverRealSSH(t *testing.T) {
 		if bot == nil {
 			t.Fatalf("bot %q missing", name)
 		}
-		// Two identical worlds (same seeds, separate registries, since
-		// storage-AS creation mutates registry state) generate the same
-		// attack: one goes over the wire, one through the simulator path.
-		atkWire := bot.Gen(bot, botnet.NewEnv(asdb.NewRegistry(1, 100)), rand.New(rand.NewSource(99)), day)
-		atkSim := bot.Gen(bot, botnet.NewEnv(asdb.NewRegistry(1, 100)), rand.New(rand.NewSource(99)), day)
+		// Two identical worlds (one registry, separate envs, since
+		// storage rotators carry state) generate the same attack: one
+		// goes over the wire, one through the simulator path.
+		reg := asdb.NewRegistry(1, 100)
+		atkWire := bot.Gen(bot, botnet.NewEnv(reg), rand.New(rand.NewSource(99)), day)
+		atkSim := bot.Gen(bot, botnet.NewEnv(reg), rand.New(rand.NewSource(99)), day)
 
 		// In-process replay (what internal/simulate does).
 		sim := shell.New("svr04", simulate.Fetcher())

@@ -33,16 +33,6 @@ type Config struct {
 	// Start and End bound the simulated window; zero values take the
 	// paper's window.
 	Start, End time.Time
-	// Honeypots is the node count (default 221, as deployed).
-	Honeypots int
-	// Bots overrides the attacker population (default botnet.Catalog()).
-	Bots []*botnet.Bot
-	// Registry overrides the AS registry.
-	Registry *asdb.Registry
-	// AbuseDB overrides the abuse database.
-	AbuseDB *abusedb.DB
-	// SkipMaintenance disables the Oct 8–9 2023 honeynet outage.
-	SkipMaintenance bool
 	// Sink, if set, receives every record in addition to the store;
 	// set Discard to skip storing (streaming mode).
 	Sink    func(*session.Record)
@@ -50,8 +40,8 @@ type Config struct {
 	// Workers caps the goroutines replaying attack scripts against the
 	// emulated shell (<= 0 means runtime.GOMAXPROCS(0), 1 is fully serial).
 	// The generated dataset is identical for every value: all randomness
-	// and shared mutable state (storage rotators, AS allocation, session
-	// IDs, threat-intel feeds) stay on a serial path, and only the pure
+	// and shared mutable state (storage rotators, session IDs,
+	// threat-intel feeds) stay on a serial path, and only the pure
 	// per-session shell replay fans out.
 	Workers int
 	// Tracer, if set, records per-phase wall time (script vs replay vs
@@ -70,27 +60,14 @@ func (c *Config) defaults() {
 	if c.End.IsZero() {
 		c.End = botnet.WindowEnd
 	}
-	if c.Honeypots <= 0 {
-		c.Honeypots = 221
-	}
-	if c.Bots == nil {
-		c.Bots = botnet.Catalog()
-	}
-	if c.Registry == nil {
-		c.Registry = Registry(c.Seed)
-	}
-	if c.AbuseDB == nil {
-		c.AbuseDB = abusedb.New()
-		// Synthetic feeds label explicitly; disable the probabilistic
-		// fallback so family labels always match the dropping bot.
-		c.AbuseDB.LabelFraction = 0
-	}
 }
 
-// Registry returns the AS registry a run with the given seed starts
-// from. Its client ASes are drawn here, deterministically, so rebuilding
-// it from the seed restores a persisted dataset's client-side (IP, time)
-// -> AS attribution; storage ASes are added as a run consumes them.
+// honeypots is the node count, as deployed.
+const honeypots = 221
+
+// Registry returns the AS registry a run with the given seed uses. It is
+// a function of the seed, so rebuilding it restores a persisted
+// dataset's (IP, time) -> AS attribution, storage ASes included.
 func Registry(seed int64) *asdb.Registry { return asdb.NewRegistry(seed+1, 2000) }
 
 // maintenanceStart/End: the 48h window with no recorded sessions
@@ -105,7 +82,6 @@ type Result struct {
 	Store    *collector.Store
 	Registry *asdb.Registry
 	AbuseDB  *abusedb.DB
-	Env      *botnet.Env
 	// Sessions is the total generated count (equals Store.Len() unless
 	// Discard).
 	Sessions int
@@ -131,8 +107,8 @@ const flushBatch = 4096
 //  1. Script (serial): walk days in order and bots in catalog order,
 //     drawing every random value — session counts, start times, logins,
 //     client IPs, attack commands — from per-bot PRNG streams
-//     (cfg.Seed ^ botIndex). Storage rotators and lazy AS allocation are
-//     shared mutable state consumed here, in one canonical order.
+//     (cfg.Seed ^ botIndex). Storage rotators are shared mutable state
+//     consumed here, in one canonical order.
 //  2. Replay (parallel): execute each scripted attack against a fresh
 //     emulated shell. Replay is a pure function of the command list —
 //     each session gets its own shell and filesystem — so sessions fan
@@ -148,15 +124,18 @@ func Run(cfg Config) (*Result, error) {
 	if !cfg.Start.Before(cfg.End) {
 		return nil, fmt.Errorf("simulate: empty window %v..%v", cfg.Start, cfg.End)
 	}
-	env := botnet.NewEnv(cfg.Registry)
+	res := &Result{Store: collector.NewStore(), Registry: Registry(cfg.Seed), AbuseDB: abusedb.New()}
+	// Synthetic feeds label explicitly; disable the probabilistic
+	// fallback so family labels always match the dropping bot.
+	res.AbuseDB.LabelFraction = 0
+	env := botnet.NewEnv(res.Registry)
 	env.Scale = cfg.Scale
-	store := collector.NewStore()
-	res := &Result{Store: store, Registry: cfg.Registry, AbuseDB: cfg.AbuseDB, Env: env}
+	bots := botnet.Catalog()
 	workers := parallel.Workers(cfg.Workers)
 
 	// One deterministic PRNG stream per bot: bot i's draws depend only on
 	// (seed, i) and its own consumption order, never on other bots.
-	rngs := make([]*rand.Rand, len(cfg.Bots))
+	rngs := make([]*rand.Rand, len(bots))
 	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i)))
 	}
@@ -166,7 +145,7 @@ func Run(cfg Config) (*Result, error) {
 		nextID++
 		r.ID = nextID
 		if !cfg.Discard {
-			store.Add(r)
+			res.Store.Add(r)
 		}
 		if cfg.Sink != nil {
 			cfg.Sink(r)
@@ -191,7 +170,7 @@ func Run(cfg Config) (*Result, error) {
 		for x := range batch {
 			emit(batch[x].rec)
 			if len(batch[x].commands) > 0 {
-				registerThreatIntel(cfg.AbuseDB, batch[x].bot, batch[x].rec)
+				registerThreatIntel(res.AbuseDB, batch[x].bot, batch[x].rec)
 			}
 		}
 		sp.End()
@@ -201,10 +180,10 @@ func Run(cfg Config) (*Result, error) {
 	total := cfg.Tracer.Span("simulate")
 	defer total.End()
 	for day := cfg.Start; day.Before(cfg.End); day = day.AddDate(0, 0, 1) {
-		if !cfg.SkipMaintenance && !day.Before(maintenanceStart) && day.Before(maintenanceEnd) {
+		if !day.Before(maintenanceStart) && day.Before(maintenanceEnd) {
 			continue // honeynet-wide outage: no sessions recorded
 		}
-		for bi, bot := range cfg.Bots {
+		for bi, bot := range bots {
 			rate := botnet.EffectiveRate(bot, day) / cfg.Scale
 			if rate <= 0 {
 				continue
@@ -212,7 +191,7 @@ func Run(cfg Config) (*Result, error) {
 			rng := rngs[bi]
 			n := sampleCount(rng, botnet.Noisy(rate, 0.25, rng))
 			for i := 0; i < n; i++ {
-				batch = append(batch, script(bot, env, cfg, rng, day))
+				batch = append(batch, script(bot, env, rng, day))
 				if len(batch) == flushBatch {
 					flush()
 				}
@@ -249,10 +228,10 @@ func Fetcher() shell.DownloadFunc {
 // the command list awaiting shell replay. Every rng draw happens here —
 // nothing in the replay stage touches the stream — so the scripted
 // record is independent of how the replay is later scheduled.
-func script(bot *botnet.Bot, env *botnet.Env, cfg Config, rng *rand.Rand, day time.Time) pending {
+func script(bot *botnet.Bot, env *botnet.Env, rng *rand.Rand, day time.Time) pending {
 	atk := bot.Gen(bot, env, rng, day)
 	start := day.Add(time.Duration(rng.Int63n(int64(24 * time.Hour))))
-	hp := rng.Intn(cfg.Honeypots)
+	hp := rng.Intn(honeypots)
 	proto := session.ProtoSSH
 	if atk.Telnet {
 		proto = session.ProtoTelnet
@@ -317,9 +296,6 @@ func replay(rec *session.Record, commands []string, fetch shell.DownloadFunc) {
 // subset of dropped hashes gets a family label, and just over half of
 // storage IPs end up reported.
 func registerThreatIntel(db *abusedb.DB, bot *botnet.Bot, rec *session.Record) {
-	if db == nil {
-		return
-	}
 	for _, h := range rec.DroppedHashes {
 		if bot.Family == "" {
 			continue

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,17 +175,29 @@ func TestMaintenanceOutage(t *testing.T) {
 	}
 }
 
-func TestSkipMaintenanceFlag(t *testing.T) {
-	res, err := Run(Config{
-		Scale: 500, Seed: 3, SkipMaintenance: true,
-		Start: botnet.D(2023, 10, 8),
-		End:   botnet.D(2023, 10, 10),
-	})
+// TestStorageFlowsResolve: every download whose storage IP lies in the
+// registry's address space resolves, in the simulation's own registry,
+// at the start of the session that made it. A storage AS registered
+// after the session that drew it would not.
+func TestStorageFlowsResolve(t *testing.T) {
+	res, err := Run(Config{Scale: 20000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sessions == 0 {
-		t.Error("SkipMaintenance should allow sessions in the window")
+	space := 0
+	for _, r := range res.Store.All() {
+		for _, d := range r.Downloads {
+			if !strings.HasPrefix(d.SourceIP, "10.") {
+				continue
+			}
+			space++
+			if _, ok := res.Registry.Lookup(d.SourceIP, r.Start); !ok {
+				t.Errorf("session %d: storage IP %s resolves to no AS at %v", r.ID, d.SourceIP, r.Start)
+			}
+		}
+	}
+	if space < 500 {
+		t.Fatalf("%d downloads from registry storage IPs, want several hundred", space)
 	}
 }
 
