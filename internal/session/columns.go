@@ -1,6 +1,9 @@
 package session
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
 // Column shredding for the store's v3 columnar segments: a canonical
 // record line is split into one raw JSON fragment per top-level field,
@@ -350,9 +353,10 @@ func fragInt(b []byte) (int64, bool) {
 	return int64(v), true
 }
 
-// FragReader reads the logins, cmds and dls array fragments of a
-// shredded record without building a Record: a store scan decides
-// predicates over those columns from the stripes with it. It walks the
+// FragReader reads the logins, cmds and dls array fragments and the
+// start and end times of a shredded record without building a Record:
+// a store scan decides predicates over those columns, and folds values
+// from them, straight from the stripes with it. It walks the
 // grammar DecodeColumns decodes with, so a fragment it accepts decodes
 // to exactly the values it reports, and one it rejects is one the
 // decoder also bails on — the caller must then decide that row from a
@@ -372,14 +376,15 @@ func (fr *FragReader) open(frag []byte) *jsonDec {
 	return &fr.p
 }
 
-// Logins calls fn with each login of a logins fragment, escapes
-// decoded, and reports whether the fragment was accepted. On false, fn
-// may have seen a prefix of the logins.
-func (fr *FragReader) Logins(frag []byte, fn func(user, pass []byte, ok bool)) (ok bool) {
+// Logins calls fn with the user and password of each login of a logins
+// fragment, escapes decoded, and reports whether the fragment was
+// accepted. On false, fn may have seen a prefix of the logins.
+func (fr *FragReader) Logins(frag []byte, fn func(user, pass []byte)) (ok bool) {
 	defer recoverBail(&ok)
 	p := fr.open(frag)
 	for more := p.arrayOpen(); more; more = p.arrayMore() {
-		fn(p.loginElem())
+		user, pass, _ := p.loginElem()
+		fn(user, pass)
 	}
 	p.done()
 	return true
@@ -405,6 +410,16 @@ func (fr *FragReader) Count(c int, frag []byte) (n int, ok bool) {
 	}
 	p.done()
 	return n, true
+}
+
+// Time returns the time of a start or end fragment, parsed exactly as
+// the decoder parses it.
+func (fr *FragReader) Time(frag []byte) (t time.Time, ok bool) {
+	defer recoverBail(&ok)
+	fr.p = jsonDec{d: frag}
+	fr.p.time(&t)
+	fr.p.done()
+	return t, true
 }
 
 // CommandText returns the joined command text of a cmds fragment,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // shredCases returns canonical lines for every record the codec cases
@@ -155,8 +156,9 @@ func FuzzColumnShred(f *testing.F) {
 }
 
 // TestFragReaderMatchesDecoder: what FragReader reports of a logins,
-// cmds or dls fragment is what DecodeColumns builds from it — the
-// logins, the element counts, CommandText byte for byte — and reading
+// cmds, dls, start or end fragment is what DecodeColumns builds from it
+// — the logins, the element counts, CommandText byte for byte, the
+// times to the location — and reading
 // a fragment allocates nothing once the scratch has grown.
 func TestFragReaderMatchesDecoder(t *testing.T) {
 	var fr FragReader
@@ -172,10 +174,20 @@ func TestFragReaderMatchesDecoder(t *testing.T) {
 		}
 		if b := cols[ColLogins]; b != nil {
 			var got []LoginAttempt
-			if !fr.Logins(b, func(user, pass []byte, ok bool) {
-				got = append(got, LoginAttempt{string(user), string(pass), ok})
-			}) || !reflect.DeepEqual(got, r.Logins) {
+			if !fr.Logins(b, func(user, pass []byte) {
+				got = append(got, LoginAttempt{Username: string(user), Password: string(pass)})
+			}) || len(got) != len(r.Logins) {
 				t.Fatalf("Logins(%s) = %v, decoder %v", b, got, r.Logins)
+			}
+			for i, l := range r.Logins {
+				if got[i].Username != l.Username || got[i].Password != l.Password {
+					t.Fatalf("Logins(%s) = %v, decoder %v", b, got, r.Logins)
+				}
+			}
+		}
+		for c, want := range map[int]time.Time{ColStart: r.Start, ColEnd: r.End} {
+			if got, ok := fr.Time(cols[c]); !ok || !sameTime(got, want) {
+				t.Fatalf("Time(%s) = %v, %v; decoder %v", cols[c], got, ok, want)
 			}
 		}
 		for c, want := range map[int]int{ColLogins: len(r.Logins), ColCmds: len(r.Commands), ColDls: len(r.Downloads)} {
@@ -199,11 +211,8 @@ func TestFragReaderMatchesDecoder(t *testing.T) {
 		if b := cols[ColLogins]; b != nil {
 			n := 0
 			if a := testing.AllocsPerRun(10, func() {
-				fr.Logins(b, func(_, _ []byte, ok bool) {
-					if ok {
-						n++
-					}
-				})
+				fr.Logins(b, func(_, _ []byte) { n++ })
+				fr.Time(cols[ColEnd])
 			}); a != 0 {
 				t.Fatalf("reading %s allocates %.0f times", b, a)
 			}

@@ -745,7 +745,8 @@ func (p *jsonDec) bool() bool {
 	return false
 }
 
-// time parses a quoted timestamp by handing the raw token to
+// time parses a quoted timestamp. The UTC spelling appendTimeJSON
+// writes is read directly (timeZ); any other token goes to
 // time.Time.UnmarshalJSON — exactly what encoding/json does for a
 // Marshaler field — so parsing semantics are the stdlib's.
 func (p *jsonDec) time(t *time.Time) {
@@ -763,10 +764,77 @@ func (p *jsonDec) time(t *time.Time) {
 	if j >= len(s) {
 		p.bail()
 	}
-	if err := t.UnmarshalJSON(s[i : j+1]); err != nil {
+	if z, ok := timeZ(s[i+1 : j]); ok {
+		*t = z
+	} else if err := t.UnmarshalJSON(s[i : j+1]); err != nil {
 		p.bail()
 	}
 	p.i = j + 1
+}
+
+// timeZ reads "2006-01-02T15:04:05Z" with an optional fraction of one
+// to nine digits, every field in range, into the time the stdlib's
+// RFC 3339 parse makes of it: the same instant, in UTC. Any other
+// spelling, or a field out of range, reports false for the stdlib to
+// judge.
+func timeZ(s []byte) (time.Time, bool) {
+	const head = len("2006-01-02T15:04:05")
+	if len(s) < head+1 || s[len(s)-1] != 'Z' ||
+		s[4] != '-' || s[7] != '-' || s[10] != 'T' || s[13] != ':' || s[16] != ':' {
+		return time.Time{}, false
+	}
+	ok := true
+	num := func(b []byte, max int) int {
+		n := 0
+		for _, c := range b {
+			if c < '0' || c > '9' {
+				ok = false
+			}
+			n = 10*n + int(c-'0')
+		}
+		if n > max {
+			ok = false
+		}
+		return n
+	}
+	year, month := num(s[0:4], 9999), num(s[5:7], 12)
+	day, hour := num(s[8:10], 31), num(s[11:13], 23)
+	min, sec := num(s[14:16], 59), num(s[17:19], 59)
+	nsec := 0
+	if frac := s[head : len(s)-1]; len(frac) > 0 {
+		if frac[0] != '.' || len(frac) < 2 || len(frac) > 10 {
+			return time.Time{}, false
+		}
+		nsec = num(frac[1:], 999999999)
+		for k := len(frac); k < 10; k++ {
+			nsec *= 10
+		}
+	}
+	if !ok || month < 1 || day < 1 || day > daysIn(time.Month(month), year) {
+		return time.Time{}, false
+	}
+	// Days since 1970-01-01 of the proleptic Gregorian date, counted in
+	// 400-year eras of years that begin in March.
+	y := year
+	if month <= 2 {
+		y--
+	}
+	era := (y + 400) / 400 // y >= -1, so this is floor(y/400) + 1
+	yoe := y - (era-1)*400
+	doy := (153*((month+9)%12)+2)/5 + day - 1
+	days := (era-1)*146097 + yoe*365 + yoe/4 - yoe/100 + doy - 719468
+	return time.Unix(int64(days)*86400+int64(hour*3600+min*60+sec), int64(nsec)).UTC(), true
+}
+
+// daysIn is the length of the month in the proleptic Gregorian year.
+func daysIn(m time.Month, year int) int {
+	if m == time.February {
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	}
+	return 30 + int((m+m/8)&1)
 }
 
 // str parses a JSON string (see strBytes).

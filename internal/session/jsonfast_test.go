@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -141,6 +142,62 @@ func TestDecodeJSONNonCanonical(t *testing.T) {
 			t.Errorf("case %d %q:\n got %+v\nwant %+v", i, in, got, want)
 		}
 	}
+}
+
+// TestTimeZMatchesStdlib: the decoder's direct read of the UTC spelling
+// accepts what the encoder writes for every year it can write, and
+// whatever it accepts is the time time.Time.UnmarshalJSON makes of it,
+// to the bit; every other spelling it leaves to the stdlib.
+func TestTimeZMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	lo := time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	hi := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	times := []time.Time{
+		time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(0, 2, 29, 12, 0, 0, 1, time.UTC),
+		time.Date(0, 3, 1, 0, 0, 0, 0, time.UTC), time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.UTC),
+		time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2000, 2, 29, 0, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+	}
+	for i := 0; i < 20000; i++ {
+		ns := rng.Int63n(1e9)
+		ns -= ns % []int64{1, 1e3, 1e6, 1e9}[i%4]
+		times = append(times, time.Unix(lo+rng.Int63n(hi-lo), ns).UTC())
+	}
+	var spellings []string
+	for _, tm := range times {
+		b, ok := appendTimeJSON(nil, tm)
+		if !ok {
+			t.Fatalf("encoder rejected %s", b)
+		}
+		if _, ok := timeZ(b[1 : len(b)-1]); !ok {
+			t.Fatalf("timeZ rejected the encoder's %s", b)
+		}
+		spellings = append(spellings, string(b))
+	}
+	spellings = append(spellings,
+		`"2024-02-29T23:59:59Z"`, `"2023-02-29T00:00:00Z"`, `"2021-02-30T00:00:00Z"`,
+		`"2000-02-29T00:00:00Z"`, `"1900-02-29T00:00:00Z"`, `"0000-02-29T00:00:00Z"`,
+		`"2021-04-31T00:00:00Z"`, `"2021-13-01T00:00:00Z"`, `"2021-00-01T00:00:00Z"`,
+		`"2021-01-00T00:00:00Z"`, `"2021-01-01T24:00:00Z"`, `"2021-01-01T00:60:00Z"`,
+		`"2021-01-01T00:00:60Z"`, `"2021-01-01T00:00:00.Z"`, `"2021-01-01T00:00:00.1234567891Z"`,
+		`"2021-01-01T00:00:00,5Z"`, `"2021-01-01t00:00:00Z"`, `"2021-01-01T00:00:00z"`,
+		`"2021-01-01T00:00:00+05:30"`, `"2021-01-01T00:00:00.5-00:00"`, `"10000-01-01T00:00:00Z"`,
+		`"2021-1-01T00:00:00Z"`, `"2021-01-01T0:00:00Z"`, `"2021-01-01T00:00:0aZ"`,
+		`"+021-01-01T00:00:00Z"`, `"2021-01-01T00:00:00.00000000Z"`, `"2021-01-01T00:00:00.-1Z"`)
+	for _, s := range spellings {
+		var want time.Time
+		err := want.UnmarshalJSON([]byte(s))
+		got, ok := timeZ([]byte(s[1 : len(s)-1]))
+		if ok && (err != nil || got != want) {
+			t.Fatalf("timeZ(%s) = %v, stdlib %v, %v", s, got, want, err)
+		}
+	}
+}
+
+// sameTime reports whether two times are the same instant in the same
+// zone offset.
+func sameTime(a, b time.Time) bool {
+	return a.Equal(b) && a.Format(time.RFC3339Nano) == b.Format(time.RFC3339Nano)
 }
 
 // FuzzRecordJSON pins both directions against encoding/json: any input

@@ -112,9 +112,10 @@ func runParts(p *plan, jobs []partJob, stats []PlanStats, fn func(j int, c *Curs
 // RunQuery passes itself as the one shard. Segments the metadata
 // answers fold into the table while planning; every other part folds
 // into a table of its own on a runParts worker (Cursor.fold: values
-// from the block where it holds them, no record kept), and those
-// tables merge in part order. stats[i] receives shard i's plan
-// statistics. On error it also returns the failing shard's index.
+// from the block where it holds them, no record kept), which also sorts
+// the table's distinct quads, and those tables merge in part order.
+// stats[i] receives shard i's plan statistics. On error it also returns
+// the failing shard's index.
 func (p *plan) aggregate(stores []*Store, stats []*PlanStats) (*aggTable, int, error) {
 	tab := newAggTable(p.q.GroupBy, p.q.Aggs)
 	meta := tab
@@ -136,7 +137,9 @@ func (p *plan) aggregate(stores []*Store, stats []*PlanStats) (*aggTable, int, e
 	jst := make([]PlanStats, len(jobs))
 	if j, err := runParts(p, jobs, jst, func(j int, c *Cursor) error {
 		tabs[j] = newAggTable(p.q.GroupBy, p.q.Aggs)
-		return c.fold(tabs[j])
+		err := c.fold(tabs[j])
+		tabs[j].sortDistinct()
+		return err
 	}); err != nil {
 		return nil, jobs[j].shard, err
 	}

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"runtime"
 	"sort"
@@ -435,5 +437,99 @@ func TestAggregateAllocatesPerBlockNotPerRow(t *testing.T) {
 	t.Logf("%d matched rows: %.1f bytes allocated per row", matched, perRow)
 	if perRow > 32 {
 		t.Fatalf("%.1f bytes allocated per matched row; want at most 32", perRow)
+	}
+}
+
+// TestCountDistinctExactAcrossQuadPacking: a count(distinct) keeps a
+// canonical dotted quad packed and every other string as a key, so the
+// count must come out exact on a mix of quads and spellings that are
+// almost quads — leading zeros, three parts, a part over 255, IPv6, the
+// empty string — each repeated across the parts of two shards, in plain
+// client_ip stripes and in stripes an escaped address keeps unplain,
+// and as user names (a multi-valued field). Ungrouped and by month, at
+// GOMAXPROCS 1, 2 and 8, it must equal a map over the decoded records.
+func TestCountDistinctExactAcrossQuadPacking(t *testing.T) {
+	spellings := []string{
+		"1.2.3.4", "10.0.0.1", "0.0.0.0", "255.255.255.255", "203.0.113.5",
+		"01.2.3.4", "1.2.3.04", "1.2.3", "256.1.1.1", "::1", "",
+		"1.2.3.4.5", "1..3.4", "1.2.3.4 ", "1.2.3.4&",
+	}
+	dir := t.TempDir()
+	for n, node := range []string{"a", "b"} {
+		recs := procRecs(n*900, 900)
+		for i, r := range recs {
+			r.ClientIP = spellings[(i*7+n)%len(spellings)]
+			if r.ClientIP == "1.2.3.4&" && i%4 != 0 {
+				r.ClientIP = "1.2.3.4" // most blocks keep a plain stripe
+			}
+			for k := range r.Logins {
+				r.Logins[k].Username = spellings[(i+k)%len(spellings)]
+			}
+		}
+		for i := 0; i < len(recs); i += 300 {
+			sealInto(t, ShardDir(dir, node), recs[i:i+300])
+		}
+	}
+	if err := WriteFleetMarker(dir); err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenFleet(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs := drainStream(t, f.Stream())
+	distinct := []AggSpec{{Op: AggCount}, {Op: AggCountDistinct, Field: FieldIP}, {Op: AggCountDistinct, Field: FieldUser}}
+	for qi, q := range []*Query{
+		{Aggs: distinct},
+		{GroupBy: []Field{FieldMonth}, Aggs: distinct},
+		{Where: Cmp(FieldLoginOK, CmpEq, BoolValue(true)), GroupBy: []Field{FieldMonth}, Aggs: distinct},
+	} {
+		want := loopAggregate(recs, q)
+		if qi == 0 && (len(want) != 1 || want[0].Aggs[1].Int != int64(len(spellings))) {
+			t.Fatalf("the records hold %s, want every one of %d spellings", rowsBits(want), len(spellings))
+		}
+		for _, procs := range []int{1, 2, 8} {
+			withProcs(procs, func() {
+				res, err := f.RunQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Groups(); rowsBits(got) != rowsBits(want) {
+					t.Fatalf("query %d at GOMAXPROCS %d:\n got %s\nwant %s", qi, procs, rowsBits(got), rowsBits(want))
+				}
+			})
+		}
+	}
+}
+
+// TestQuadSetExact: parseQuad accepts exactly the strings net/netip
+// reads as an IPv4 address that prints back as itself, packed as its
+// four bytes, and a set fed many repeats of many quads — sorted in
+// batches as it grows — counts each once.
+func TestQuadSetExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var acc aggAcc
+	want := map[uint32]bool{}
+	for i := 0; i < 200000; i++ {
+		b := make([]byte, rng.Intn(16))
+		for k := range b {
+			b[k] = "0123456789.."[rng.Intn(12)]
+		}
+		if i%2 == 0 {
+			b = fmt.Appendf(b[:0], "%d.%d.%d.%d", rng.Intn(300), rng.Intn(3), rng.Intn(3), rng.Intn(260))
+		}
+		q, ok := parseQuad(b)
+		a, err := netip.ParseAddr(string(b))
+		if canon := err == nil && a.Is4() && a.String() == string(b); ok != canon || ok && q != binary.BigEndian.Uint32(a.AsSlice()) {
+			t.Fatalf("parseQuad(%q) = %08x, %v; netip %v, %v", b, q, ok, a, err)
+		}
+		if ok {
+			acc.addQuad(q)
+			want[q] = true
+		}
+	}
+	if got := acc.distinct(); got != len(want) || len(want) < 1000 {
+		t.Fatalf("%d distinct quads counted, %d added", got, len(want))
 	}
 }

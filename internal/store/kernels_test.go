@@ -65,6 +65,8 @@ func openOdd(t *testing.T) (*Store, *segmentMeta) {
 // answers what the Filter says of the fully decoded records. A
 // raw-overflow row (keys out of order) is in no field stripe at all:
 // every fragment leaf leaves it unknown, never reads it as absent.
+// login_ok reads no fragment: the kind byte every row's sidecar holds
+// decides all four rows, the raw-overflow one too, as it does for kind.
 func TestOddFragmentsAnsweredRight(t *testing.T) {
 	s, meta := openOdd(t)
 	cs, err := s.openColSeg(meta, nil)
@@ -78,7 +80,7 @@ func TestOddFragmentsAnsweredRight(t *testing.T) {
 		unknown []int // rows the bitmap must leave to the Filter
 	}{
 		{Cmp(FieldUser, CmpEq, StringValue("root")), []int{0, 2}},
-		{Cmp(FieldLoginOK, CmpEq, BoolValue(true)), []int{0, 2}},
+		{Cmp(FieldLoginOK, CmpEq, BoolValue(true)), nil},
 		{Cmp(FieldLogins, CmpEq, IntValue(0)), []int{0, 2}},
 		{Cmp(FieldCommands, CmpEq, IntValue(0)), []int{2}},
 		{Match(FieldCmd, regexp.MustCompile("mdrfckr"), false), []int{2}},
@@ -118,16 +120,19 @@ func TestOddFragmentsAnsweredRight(t *testing.T) {
 }
 
 // FuzzFragmentKernels puts arbitrary bytes where a logins, cmds, dls,
-// state_changed or client_ip fragment goes and holds every fragment
-// leaf to the truth: a row the bitmap says is definitely true must pass
-// the Filter, and a row that passes must be possibly true, where the
-// Filter runs on the record the cursor's own decode makes of the row —
-// the columnar decode, or the reassembled line's when that bails. Every
-// value an aggregate folds from the block — counts, flags, login_ok,
-// the client IP's bytes of a plain fragment — must equal fieldValue of
-// that record, or its reader must report a bail. A row no decode
-// accepts has no record to hold the verdict to, but the kernels and
-// readers must still not panic on it.
+// state_changed, client_ip or end fragment goes and holds every
+// fragment leaf to the truth: a row the bitmap says is definitely true
+// must pass the Filter, and a row that passes must be possibly true,
+// where the Filter runs on the record the cursor's own decode makes of
+// the row — the columnar decode, or the reassembled line's when that
+// bails. The row's sidecar is what the writer stores for that record:
+// its kind byte and start nanoseconds. Every value an aggregate folds
+// from the block — counts, flags, login_ok from the kind byte, end and
+// duration from the end fragment, the client IP's bytes of a plain
+// fragment — must equal fieldValue of that record, or its reader must
+// report a bail. A row no decode accepts, or one whose line would not
+// shred back into the same fragments, has no record to hold the
+// verdict to, but the kernels and readers must still not panic on it.
 func FuzzFragmentKernels(f *testing.F) {
 	base := mkRecord(0, 3)
 	base.Commands = append(base.Commands, session.Command{Raw: `echo "mdrfckr">>k`})
@@ -140,7 +145,7 @@ func FuzzFragmentKernels(f *testing.F) {
 	if !session.ShredJSON(line, &cols) {
 		f.Fatal("base record does not shred")
 	}
-	targets := []int{session.ColLogins, session.ColCmds, session.ColDls, session.ColStateChanged, session.ColClientIP}
+	targets := []int{session.ColLogins, session.ColCmds, session.ColDls, session.ColStateChanged, session.ColClientIP, session.ColEnd}
 	for i, c := range targets {
 		f.Add(uint8(i), append([]byte(nil), cols[c]...))
 	}
@@ -163,6 +168,12 @@ func FuzzFragmentKernels(f *testing.F) {
 		{4, `"a\u003cb"`},
 		{4, `""`},
 		{4, `"1.2.3.4`},
+		{5, `"2021-05-01T00:05:36Z"`},
+		{5, `"2021-05-01T00:05:36.000123Z"`},
+		{5, `"2021-05-01T05:35:36+05:30"`},
+		{5, `"2021-05-01T00:05:36\u005a"`},
+		{5, `"10000-01-01T00:00:00Z"`},
+		{5, `"2021-02-30T00:00:00Z"`},
 	} {
 		f.Add(seed.col, []byte(seed.frag))
 	}
@@ -186,15 +197,31 @@ func FuzzFragmentKernels(f *testing.F) {
 				sc.cols[c] = colData{data: b, off: []uint32{0}, lens: []uint32{uint32(len(b))}}
 			}
 		}
+		// A writer keeps a row in the field stripes only when its line
+		// shreds, so a stored fragment is the one value of its key. A
+		// fragment that carries another key too (`[],"Cmds":[]`) makes a
+		// line that shreds otherwise or not at all: such a row is stored
+		// whole in the raw stripe, and no kernel ever reads its fragments.
+		line := session.AppendAssembled(nil, &row)
+		var back session.Columns
+		stored := session.ShredJSON(line, &back)
+		for c := range back {
+			stored = stored && bytes.Equal(back[c], row[c])
+		}
 		var rec session.Record
 		var dec session.JSONDecoder
-		decoded := dec.DecodeColumns(&row, &rec, session.FAllFields) ||
-			dec.DecodeMasked(session.AppendAssembled(nil, &row), &rec, session.FAllFields) == nil
+		decoded := stored && (dec.DecodeColumns(&row, &rec, session.FAllFields) ||
+			dec.DecodeMasked(line, &rec, session.FAllFields) == nil)
+		kind := base.Kind()
+		if decoded {
+			kind = rec.Kind()
+		}
+		sc.kinds, sc.tnanos = []byte{byte(kind)}, []int64{base.Start.UnixNano()}
 		for i, p := range plans {
 			var arena []uint64
 			a := bmAlloc{arena: &arena}
 			lo, hi := a.get(1), a.get(1)
-			p.prog.root.eval(&vecEnv{sc: sc, rows: 1}, &a, lo, hi)
+			p.prog.root.eval(&vecEnv{sc: sc, rows: 1, tnOK: true}, &a, lo, hi)
 			if !decoded {
 				continue
 			}
@@ -203,7 +230,7 @@ func FuzzFragmentKernels(f *testing.F) {
 				t.Fatalf("leaf %d over %q: lo %v hi %v, Filter %v", i, frag, bmHas(lo, 0), bmHas(hi, 0), truth)
 			}
 		}
-		for _, f := range []Field{FieldLogins, FieldCommands, FieldDownloads, FieldLoginOK, FieldStateChanged, FieldTimedOut, FieldIP} {
+		for _, f := range []Field{FieldLogins, FieldCommands, FieldDownloads, FieldLoginOK, FieldStateChanged, FieldTimedOut, FieldIP, FieldEnd, FieldDuration} {
 			if f == FieldIP && !plainStrFrag(row[session.ColClientIP]) {
 				continue // a block with such a fragment has its plain bit clear
 			}

@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/bits"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -1227,7 +1228,89 @@ type aggAcc struct {
 	sum      float64
 	min, max Value
 	hasMM    bool
-	set      map[string]bool
+
+	// A count(distinct) set: a string value that spells a dotted quad
+	// (parseQuad) as its packed address in quads, any other value's key
+	// in set. The two never hold the same value, so the count is their
+	// sizes added. quads[:sorted] is sorted and unique; the rest is
+	// appended as folded.
+	set    map[string]bool
+	quads  []uint32
+	sorted int
+}
+
+// addQuad adds a packed dotted quad. A tail of unsorted additions as
+// long as the sorted prefix is sorted in first, so the set stays within
+// about twice its distinct size.
+func (a *aggAcc) addQuad(q uint32) {
+	if len(a.quads) == cap(a.quads) && len(a.quads)-a.sorted >= max(a.sorted, 256) {
+		a.sortQuads()
+	}
+	a.quads = append(a.quads, q)
+}
+
+// sortQuads sorts and dedupes the quads.
+func (a *aggAcc) sortQuads() {
+	if a.sorted < len(a.quads) {
+		slices.Sort(a.quads)
+		a.quads = slices.Compact(a.quads)
+		a.sorted = len(a.quads)
+	}
+}
+
+// parseQuad packs a dotted quad spelled the one way an IPv4 address
+// prints: four decimal parts of at most 255, no leading zeros.
+func parseQuad[S string | []byte](s S) (uint32, bool) {
+	var q uint32
+	part, digits, dots := uint32(0), 0, 0
+	for i := 0; i <= len(s); i++ {
+		if i == len(s) || s[i] == '.' {
+			if digits == 0 || part > 255 {
+				return 0, false
+			}
+			q, part, digits = q<<8|part, 0, 0
+			if i < len(s) {
+				dots++
+			}
+			continue
+		}
+		c := s[i]
+		if c < '0' || c > '9' || digits == 3 || digits == 1 && part == 0 {
+			return 0, false
+		}
+		part, digits = 10*part+uint32(c-'0'), digits+1
+	}
+	return q, dots == 3
+}
+
+// distinct is how many values the set holds.
+func (a *aggAcc) distinct() int {
+	a.sortQuads()
+	return len(a.quads) + len(a.set)
+}
+
+// mergeDistinct takes b's set in; b is spent. The quads merge as a
+// sorted union, the other keys into the larger of the two maps.
+func (a *aggAcc) mergeDistinct(b *aggAcc) {
+	a.sortQuads()
+	b.sortQuads()
+	n, m := len(a.quads), len(b.quads)
+	a.quads = slices.Grow(a.quads, m)[:n+m]
+	for i, j, k := n-1, m-1, n+m-1; j >= 0; k-- {
+		if i >= 0 && a.quads[i] > b.quads[j] {
+			a.quads[k], i = a.quads[i], i-1
+		} else {
+			a.quads[k], j = b.quads[j], j-1
+		}
+	}
+	a.quads = slices.Compact(a.quads)
+	a.sorted = len(a.quads)
+	if len(b.set) > len(a.set) {
+		a.set, b.set = b.set, a.set
+	}
+	for s := range b.set {
+		a.set[s] = true
+	}
 }
 
 func newAggTable(groupBy []Field, aggs []AggSpec) *aggTable {
@@ -1268,6 +1351,17 @@ func (f *foldVal) appendKey(b []byte) []byte {
 		return appendKey(b, f.v)
 	}
 	return appendKeyString(b, f.str)
+}
+
+// quad is parseQuad of a string value.
+func (f *foldVal) quad() (uint32, bool) {
+	switch {
+	case f.str != nil:
+		return parseQuad(f.str)
+	case f.v.Kind == ValString:
+		return parseQuad(f.v.Str)
+	}
+	return 0, false
 }
 
 // less and more order the value against a kept one of its kind.
@@ -1394,8 +1488,14 @@ func (t *aggTable) fold() {
 		case AggCountDistinct:
 			if fieldInfos[spec.Field].multi {
 				for _, s := range v.elems {
-					acc.set[s] = true
+					if q, ok := parseQuad(s); ok {
+						acc.addQuad(q)
+					} else {
+						acc.set[s] = true
+					}
 				}
+			} else if q, ok := v.quad(); ok {
+				acc.addQuad(q)
 			} else if v.v.Kind != ValNull {
 				t.kb = v.appendKey(t.kb[:0])
 				if !acc.set[string(t.kb)] {
@@ -1449,9 +1549,10 @@ func appendElems(out []string, f Field, r *session.Record) []string {
 	return out
 }
 
-// merge folds another part's or shard's table in; o is spent. A
-// distinct set merges into the larger of the two, so the largest part's
-// set is never re-inserted. Counts and float sums add in merge order.
+// merge folds another part's or shard's table in; o is spent. Distinct
+// quads merge as a sorted union, and other distinct keys into the
+// larger of the two maps, so the largest part's map is never
+// re-inserted. Counts and float sums add in merge order.
 func (t *aggTable) merge(o *aggTable) {
 	for k, or := range o.rows {
 		r, ok := t.rows[k]
@@ -1463,12 +1564,7 @@ func (t *aggTable) merge(o *aggTable) {
 			a, b := &r.accs[i], &or.accs[i]
 			a.n += b.n
 			a.sum += b.sum
-			if len(b.set) > len(a.set) {
-				a.set, b.set = b.set, a.set
-			}
-			for s := range b.set {
-				a.set[s] = true
-			}
+			a.mergeDistinct(b)
 			if b.hasMM {
 				if !a.hasMM {
 					a.min, a.max, a.hasMM = b.min, b.max, true
@@ -1485,6 +1581,16 @@ func (t *aggTable) merge(o *aggTable) {
 	}
 }
 
+// sortDistinct sorts and dedupes every distinct set's quads, so a merge
+// is left only their union.
+func (t *aggTable) sortDistinct() {
+	for _, r := range t.rows {
+		for i := range r.accs {
+			r.accs[i].sortQuads()
+		}
+	}
+}
+
 // finalize renders sorted group rows.
 func (t *aggTable) finalize() []GroupRow {
 	out := make([]GroupRow, 0, len(t.rows))
@@ -1496,7 +1602,7 @@ func (t *aggTable) finalize() []GroupRow {
 			case AggCount:
 				row.Aggs[i] = IntValue(acc.n)
 			case AggCountDistinct:
-				row.Aggs[i] = IntValue(int64(len(acc.set)))
+				row.Aggs[i] = IntValue(int64(acc.distinct()))
 			case AggSum:
 				row.Aggs[i] = sumValue(spec.Field, acc.sum)
 			case AggAvg:

@@ -38,10 +38,10 @@ type vecLeafKind int
 const (
 	vecUnknown vecLeafKind = iota // not column-decidable: whole column unknown
 	vecTime                       // start time vs the meta stripe's tnanos
-	vecKind                       // session kind vs the meta stripe's kind bytes
+	vecKind                       // session kind, and login_ok as a kind range, vs the meta stripe's kind bytes
 	vecProto                      // protocol vs the dictionary-coded column
 	vecIP                         // client IP vs the raw fragment bytes
-	vecLogins                     // user, pass, login_ok vs the logins fragment
+	vecLogins                     // user, pass vs the logins fragment's elements
 	vecCount                      // logins, cmds, dls vs their fragment's element count
 	vecCmd                        // the joined command text vs the cmds fragment
 	vecFlag                       // state_changed, timeout: fragment true, false or absent
@@ -109,6 +109,13 @@ func (g *vecProg) compile(p *Pred) *vecNode {
 		}
 	case FieldKind:
 		n.leaf, n.kv = vecKind, p.Val.Int
+	case FieldLoginOK:
+		// A record is logged in exactly when its kind is Intrusion or
+		// later (session.Record.Kind), so login_ok reads the kind byte.
+		n.leaf, n.kv, n.cmp = vecKind, int64(session.Intrusion), CmpLt
+		if (p.Cmp == CmpEq) == p.Val.Bool {
+			n.cmp = CmpGe
+		}
 	case FieldProto:
 		n.leaf = vecProto
 	case FieldIP:
@@ -118,7 +125,7 @@ func (g *vecProg) compile(p *Pred) *vecNode {
 				n.qv = q
 			}
 		}
-	case FieldUser, FieldPassword, FieldLoginOK:
+	case FieldUser, FieldPassword:
 		frag(vecLogins, session.ColLogins)
 	case FieldLogins:
 		frag(vecCount, session.ColLogins)
@@ -671,27 +678,22 @@ func fragCount(fr *session.FragReader, c int, frag []byte) (int, bool) {
 }
 
 // loginsVerdict decides a vecLogins leaf: user and pass with the
-// any-element semantics of evalMulti, login_ok as the record's
-// LoggedIn.
+// any-element semantics of evalMulti.
 func (n *vecNode) loginsVerdict(fr *session.FragReader, frag []byte) (match, ok bool) {
-	anyOK, hit := false, false
+	hit := false
 	if frag != nil {
-		ok = fr.Logins(frag, func(user, pass []byte, success bool) {
-			anyOK = anyOK || success
+		ok = fr.Logins(frag, func(user, pass []byte) {
 			switch {
 			case hit:
 			case n.field == FieldUser:
 				hit = n.elemHit(user)
-			case n.field == FieldPassword:
+			default:
 				hit = n.elemHit(pass)
 			}
 		})
 		if !ok {
 			return false, false
 		}
-	}
-	if n.field == FieldLoginOK {
-		return evalCmp(BoolValue(anyOK), n.cmp, n.val, n.re), true
 	}
 	return hit == (n.cmp == CmpEq || n.cmp == CmpMatch), true
 }
@@ -1103,10 +1105,12 @@ func (cc *colCursor) foldDecode(i int, rec *session.Record, mask session.FieldMa
 // decode. A row's fragment may still bail (blockVal).
 func (cc *colCursor) holds(f Field) bool {
 	switch f {
-	case FieldNone, FieldKind, FieldProto:
+	case FieldNone, FieldKind, FieldProto, FieldLoginOK:
 		return true
 	case FieldStart, FieldMonth, FieldDay:
 		return len(cc.cs.sc.tnanos) == cc.rows
+	case FieldDuration:
+		return len(cc.cs.sc.tnanos) == cc.rows && cc.loaded.Has(session.ColEnd)
 	case FieldIP:
 		return cc.ipPlain()
 	}
@@ -1130,9 +1134,11 @@ func (cc *colCursor) blockVals(t *aggTable, i int) bool {
 // sidecar or nothing in the block holds it.
 func foldCol(f Field) int {
 	switch f {
+	case FieldEnd, FieldDuration:
+		return session.ColEnd
 	case FieldIP:
 		return session.ColClientIP
-	case FieldLogins, FieldLoginOK:
+	case FieldLogins:
 		return session.ColLogins
 	case FieldCommands:
 		return session.ColCmds
@@ -1148,8 +1154,9 @@ func foldCol(f Field) int {
 
 // blockVal reads field f of shredded row i — one colCursor.holds
 // admits — into v, equal to fieldValue of the row's decoded record: a
-// time from the start nanoseconds, kind and protocol from the meta
-// sidecar, the client IP's bytes from a plain stripe, counts and flags
+// start time from the start nanoseconds, kind, login_ok and protocol
+// from the meta sidecar, the end time and duration from the end
+// fragment, the client IP's bytes from a plain stripe, counts and flags
 // from their fragments. ok is false when the fragment is one the
 // decoder's fast grammar rejects: only a decode can tell then.
 func (sc *colScratch) blockVal(f Field, i int, v *foldVal) (ok bool) {
@@ -1162,8 +1169,17 @@ func (sc *colScratch) blockVal(f Field, i int, v *foldVal) (ok bool) {
 		v.set(MonthValue(time.Date(y, m, 1, 0, 0, 0, 0, time.UTC)))
 	case FieldDay:
 		v.set(DayValue(time.Unix(0, sc.tnanos[i]).UTC().Truncate(24 * time.Hour)))
+	case FieldEnd, FieldDuration:
+		var end time.Time
+		if end, ok = sc.frag.Time(sc.cols[session.ColEnd].frag(i)); f == FieldEnd {
+			v.set(TimeValue(end))
+		} else {
+			v.set(FloatValue(end.Sub(time.Unix(0, sc.tnanos[i])).Seconds()))
+		}
 	case FieldKind:
 		v.set(KindValue(session.Kind(sc.kinds[i])))
+	case FieldLoginOK:
+		v.set(BoolValue(session.Kind(sc.kinds[i]) >= session.Intrusion))
 	case FieldProto:
 		v.set(StringValue(sc.dict[sc.protos[i]]))
 	case FieldIP:
@@ -1177,12 +1193,6 @@ func (sc *colScratch) blockVal(f Field, i int, v *foldVal) (ok bool) {
 		var n int
 		n, ok = fragCount(&sc.frag, c, sc.cols[c].frag(i))
 		v.set(IntValue(int64(n)))
-	case FieldLoginOK:
-		in := false
-		if frag := sc.cols[session.ColLogins].frag(i); frag != nil {
-			ok = sc.frag.Logins(frag, func(_, _ []byte, success bool) { in = in || success })
-		}
-		v.set(BoolValue(in))
 	case FieldStateChanged, FieldTimedOut:
 		var flag bool
 		flag, ok = fragFlag(sc.cols[foldCol(f)].frag(i))

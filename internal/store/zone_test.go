@@ -176,11 +176,12 @@ func genZonePred(rng *rand.Rand, depth int) *Pred {
 	return leaves[rng.Intn(len(leaves))]
 }
 
-// fragLeaves are leaves only a column fragment decides: each field the
-// kernels read, with equality and its negation, orderings on counts and
-// text, integer and float literals, and command patterns with and
-// without a necessary literal — one whose literal spans the newline
-// that joins two commands — matched and negated.
+// fragLeaves are leaves a block decides row by row: login_ok from the
+// kind byte, and each field the fragment kernels read, with
+// equality and its negation, orderings on counts and text, integer and
+// float literals, and command patterns with and without a necessary
+// literal — one whose literal spans the newline that joins two
+// commands — matched and negated.
 func fragLeaves() []*Pred {
 	re := regexp.MustCompile
 	return []*Pred{
