@@ -593,11 +593,10 @@ var benchSink float64
 // BenchmarkDLDMatrixBounded compares three serial fills of the full
 // pairwise matrix over the clustering sample: the unbounded full DP
 // (NormalizedIDsFull, the reference), the per-pair hybrid bit-parallel
-// kernel (NormalizedIDs, which the fill keeps for pairs too long to
-// pack), and the packed kernel the matrix fill uses (textdist.Packer:
-// each text once per pack of short texts, long pairs per pair). All
-// three produce bit-identical distances; unbounded/bounded is the
-// kernel speedup in BENCH_4.json.
+// kernel (NormalizedIDs), and the fill the clustering runs
+// (textdist.Pairwise on one worker, interning included). All three
+// produce bit-identical distances; unbounded/bounded is the kernel
+// speedup in BENCH_4.json.
 func BenchmarkDLDMatrixBounded(b *testing.B) {
 	w := benchPipeline(b)
 	smp, err := w.DLDSample(analysis.ClusterConfig{SampleSize: 2000, Seed: 42, Workers: 1})
@@ -633,37 +632,9 @@ func BenchmarkDLDMatrixBounded(b *testing.B) {
 		})
 	}
 	b.Run("packed", func(b *testing.B) {
-		packs, long := textdist.Packs(ids)
-		p, s := textdist.NewPacker(in.Len()), textdist.NewScratch()
-		out := make([]float64, textdist.PackMax)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sum := 0.0
-			for x, a := range long {
-				for _, y := range long[x+1:] {
-					sum += s.NormalizedIDs(ids[a], ids[y])
-				}
-			}
-			for c, pk := range packs {
-				p.Load(ids, pk)
-				run := func(x, from int) {
-					p.Normalized(ids[x], from, out)
-					for _, v := range out[from:len(pk)] {
-						sum += v
-					}
-				}
-				for _, prev := range packs[:c] {
-					for _, x := range prev {
-						run(x, 0)
-					}
-				}
-				for k, x := range pk[:len(pk)-1] {
-					run(x, k+1)
-				}
-				for _, x := range long {
-					run(x, 0)
-				}
-			}
+			textdist.Pairwise(smp.Tokens, 1, func(_, _ int, d float64) { sum += d })
 			benchSink = sum
 		}
 		b.ReportMetric(pairs, "pairs/op")

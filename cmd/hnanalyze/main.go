@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	hnanalyze [-scale 2000] [-seed 42] [-k 90] [-sample 2000] [-months 33] [-fig all] [-csv] [-in dataset.jsonl[.gz]] [-store DIR] [-workers N] [-cache DIR]
+//	hnanalyze [-scale 2000] [-seed 42] [-k 90] [-sample 2000] [-months 33] [-fig all] [-csv] [-in dataset.jsonl[.gz]] [-store DIR] [-where PRED] [-workers N] [-timings]
 //
 // -fig selects one entry of internal/core's figure table (-h lists the
 // selectors); a single figure is a verbatim section of -fig all.
@@ -48,7 +48,6 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		workers  = flag.Int("workers", 0, "worker goroutines for simulation and analysis (0 = GOMAXPROCS; output is identical for any value; 1 = serial)")
 		timings  = flag.Bool("timings", false, "print a per-phase timing breakdown to stderr after the run (tables on stdout are unaffected)")
-		cache    = flag.String("cache", "", "directory for the on-disk DLD matrix cache (content-hash keyed; results are identical with or without it)")
 		where    = flag.String("where", "", "hnquery predicate pre-filtering the sessions every figure sees, e.g. \"proto = 'ssh' AND cmd ~ /mdrfckr/\" (see README: Querying the store)")
 	)
 	flag.Parse()
@@ -80,7 +79,7 @@ func main() {
 	var err error
 	if *in != "" || *storeDir != "" {
 		p, err = load(*in, *storeDir, honeynet.WithSeed(*seed), honeynet.WithWorkers(*workers),
-			honeynet.WithObserver(tracer), honeynet.WithMatrixCache(*cache))
+			honeynet.WithObserver(tracer))
 		if err == nil && len(p.MissingJoins) > 0 {
 			fmt.Fprintf(os.Stderr, "hnanalyze: warning: dataset loaded without %v, which only a simulation populates — Figures 5 and 6 have no family labels, and section 7's \"storage IPs in abuse feeds\" and section 9's Killnet and compromised-host rows are zero (Figures 7, 8 and 17 match the simulation at the -seed hnsim used)\n",
 				p.MissingJoins)
@@ -90,9 +89,7 @@ func main() {
 		if *months > 0 {
 			cfg.End = botnet.WindowStart.AddDate(0, *months, 0)
 		}
-		if p, err = core.Simulate(cfg); err == nil {
-			p.World.MatrixCache = *cache
-		}
+		p, err = core.Simulate(cfg)
 	}
 	if err != nil {
 		log.Fatalf("hnanalyze: %v", err)

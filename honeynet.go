@@ -81,12 +81,11 @@ type LiveSnapshot = live.Snapshot
 
 // config collects what the functional options tune.
 type config struct {
-	scale       float64
-	seed        int64
-	workers     int
-	tracer      *obs.Tracer
-	matrixCache string
-	storeDir    string
+	scale    float64
+	seed     int64
+	workers  int
+	tracer   *obs.Tracer
+	storeDir string
 }
 
 // Option tunes Simulate, Load and Open. Options are applied in order; the
@@ -135,16 +134,6 @@ func WithObserver(t *Tracer) Option {
 	return optionFunc(func(c *config) { c.tracer = t })
 }
 
-// WithMatrixCache stores the clustering pipeline's pairwise DLD matrix
-// under dir, keyed by a content hash of the sampled texts and the
-// distance-kernel version, and reuses it on later runs over the same
-// dataset. The cache only skips recomputation — results are identical
-// with or without it, and a stale or corrupt entry is recomputed, never
-// trusted.
-func WithMatrixCache(dir string) Option {
-	return optionFunc(func(c *config) { c.matrixCache = dir })
-}
-
 // WithStore persists the simulated dataset into the embedded
 // month-partitioned session store at dir (see internal/store): sealed,
 // compressed, indexed partitions that Open, hnanalyze -store, and a
@@ -167,7 +156,6 @@ func Simulate(opts ...Option) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.World.MatrixCache = c.matrixCache
 	if c.storeDir != "" {
 		if err := persistStore(c.storeDir, p.World.Records); err != nil {
 			return nil, err
@@ -191,23 +179,22 @@ func persistStore(dir string, recs []*session.Record) error {
 	return st.Close()
 }
 
-// world is the analysis world a loaded dataset runs in: the worker,
-// tracer and cache settings, and the AS registry the dataset's seed
+// world is the analysis world a loaded dataset runs in: the worker and
+// tracer settings, and the AS registry the dataset's seed
 // rebuilds, which attributes every client and storage IP to the AS the
 // simulation drew it from.
 func (c *config) world() *analysis.World {
 	return &analysis.World{
-		Registry:    simulate.Registry(c.seed),
-		Workers:     c.workers,
-		Tracer:      c.tracer,
-		MatrixCache: c.matrixCache,
+		Registry: simulate.Registry(c.seed),
+		Workers:  c.workers,
+		Tracer:   c.tracer,
 	}
 }
 
 // Load builds a pipeline over records previously written as JSONL,
 // plain or gzip (for example by cmd/hnsim or a live cmd/honeypotd),
-// streaming them in one at a time. WithSeed, WithWorkers, WithObserver,
-// and WithMatrixCache apply: pass the seed the dataset was simulated
+// streaming them in one at a time. WithSeed, WithWorkers and WithObserver
+// apply: pass the seed the dataset was simulated
 // with and WithSeed rebuilds the simulation's AS registry, so Figures 7,
 // 8 and 17 match the simulation's; the default seed 0 suits captured
 // data. The abuse feeds exist only inside a simulation: without them

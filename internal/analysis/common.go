@@ -36,16 +36,9 @@ type World struct {
 	// Spans only observe the clock: results are identical with or
 	// without one.
 	Tracer *obs.Tracer
-	// MatrixCache, when non-empty, is a directory for the on-disk DLD
-	// matrix cache (hnanalyze -cache). Entries are keyed by a content
-	// hash over the sampled texts plus the textdist kernel version, so
-	// a cached matrix is only ever reused for the byte-identical input
-	// it was computed from.
-	MatrixCache string
 
-	// The memoized shared DLD sample (see DLDSample): one
-	// tokenize+intern pass and one matrix fill feed both SelectK and
-	// RunClustering.
+	// The memoized shared DLD sample (see DLDSample): one tokenize pass
+	// and one matrix fill feed both SelectK and RunClustering.
 	sampleMu  sync.Mutex
 	sampleCfg sampleKey
 	sample    *DLDSample

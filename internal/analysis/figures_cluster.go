@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"honeynet/internal/cluster"
-	"honeynet/internal/parallel"
 	"honeynet/internal/report"
 	"honeynet/internal/textdist"
 )
@@ -59,74 +58,6 @@ type ClusterResult struct {
 	Order []int
 	// Labels maps cluster id -> abuse-database family labels observed.
 	Labels map[int][]string
-}
-
-// fillDLDMatrix builds the pairwise normalized token-DLD matrix on up to
-// `workers` goroutines and returns the merged kernel work counters.
-// Tokens are interned to int32 IDs first (serially, so ID assignment is
-// deterministic). Texts of 1..64 tokens are packed side by side
-// (textdist.Packs), and every text runs once per pack instead of once
-// per pair; a pair of texts neither of which packs (empty or longer)
-// runs Scratch.NormalizedIDs. Each cell is written once, by a pure
-// function of its pair, so the matrix is identical to a serial
-// per-pair fill for every worker count.
-func fillDLDMatrix(tokens [][]string, workers int) (*cluster.Matrix, textdist.KernelStats) {
-	workers = parallel.Workers(workers)
-	in := textdist.NewInterner()
-	ids := make([][]int32, len(tokens))
-	for i, t := range tokens {
-		ids[i] = in.Intern(t)
-	}
-	packs, long := textdist.Packs(ids)
-	packers := make([]*textdist.Packer, workers)
-	scratch := make([]*textdist.Scratch, workers)
-	for w := range packers {
-		packers[w], scratch[w] = textdist.NewPacker(in.Len()), textdist.NewScratch()
-	}
-	m := cluster.NewMatrix(len(ids))
-	// One job per long text (its pairs with the long texts after it),
-	// first because they are the heaviest, then one per pack.
-	parallel.ForEach(len(long)+len(packs), workers, 1, func(w, lo, hi int) {
-		out := make([]float64, textdist.PackMax)
-		for job := lo; job < hi; job++ {
-			if job < len(long) {
-				i := long[job]
-				for _, j := range long[job+1:] {
-					m.Set(i, j, scratch[w].NormalizedIDs(ids[i], ids[j]))
-				}
-				continue
-			}
-			cur := job - len(long)
-			pk, p := packs[cur], packers[w]
-			p.Load(ids, pk)
-			run := func(i, from int) {
-				p.Normalized(ids[i], from, out)
-				for k := from; k < len(pk); k++ {
-					m.Set(i, pk[k], out[k])
-				}
-			}
-			// A short text fills its cells with the members after it:
-			// every text of an earlier pack, and this pack's own members
-			// with the ones after them.
-			for _, prev := range packs[:cur] {
-				for _, i := range prev {
-					run(i, 0)
-				}
-			}
-			for k, i := range pk[:len(pk)-1] {
-				run(i, k+1)
-			}
-			for _, i := range long {
-				run(i, 0)
-			}
-		}
-	})
-	var st textdist.KernelStats
-	for w := range packers {
-		st.Add(packers[w].Stats())
-		st.Add(scratch[w].Stats())
-	}
-	return m, st
 }
 
 // RunClustering executes the full pipeline: select sessions with
@@ -394,61 +325,39 @@ func Fig14(w *World, perCategory int) *Fig14Result {
 	}
 	sort.Strings(cats)
 
-	// Exemplar token streams indexed by category position, so the hot
-	// cross-product loop below does two slice loads per cell instead of
-	// hashing the category name on every exemplar pair.
-	intern := textdist.NewInterner()
-	tokens := make([][][]int32, len(cats))
+	// Each matrix cell is the mean over an exemplar cross product: the
+	// block of its two categories, summed row-major, serially per cell,
+	// so the mean is bit-identical to a per-pair loop for any worker
+	// count.
+	groups := make([][][]string, len(cats))
 	for ci, c := range cats {
 		for _, txt := range byCat[c] {
-			tokens[ci] = append(tokens[ci], intern.Intern(textdist.Tokenize(txt)))
+			groups[ci] = append(groups[ci], textdist.Tokenize(txt))
 		}
-	}
-	// Each matrix cell is the mean over an exemplar cross product. A
-	// column category's short exemplars are packed, and each row
-	// exemplar runs once per pack; the distances are then summed
-	// ta-major, tb-minor, serially per cell, so the mean is bit-identical
-	// to a per-pair loop for any worker count.
-	workers := w.workers()
-	scratch := make([]*textdist.Scratch, parallel.Workers(workers))
-	packers := make([]*textdist.Packer, len(scratch))
-	for i := range scratch {
-		scratch[i], packers[i] = textdist.NewScratch(), textdist.NewPacker(intern.Len())
-	}
-	packs := make([][][]int, len(cats))
-	long := make([][]int, len(cats))
-	for ci := range cats {
-		packs[ci], long[ci] = textdist.Packs(tokens[ci])
 	}
 	defer w.span("fig14.dld-matrix").End()
-	m := cluster.FillParallel(len(cats), workers, func(wk, i, j int) float64 {
-		rows, cols := tokens[i], tokens[j]
-		if len(rows)*len(cols) == 0 {
-			return 0
+	n := len(cats)
+	blocks := make([][]float64, n*n)
+	for i := range cats {
+		for j := i + 1; j < n; j++ {
+			blocks[i*n+j] = make([]float64, len(groups[i])*len(groups[j]))
 		}
-		d := make([]float64, len(rows)*len(cols))
-		out := make([]float64, textdist.PackMax)
-		p := packers[wk]
-		for _, pk := range packs[j] {
-			p.Load(cols, pk)
-			for a, ta := range rows {
-				p.Normalized(ta, 0, out)
-				for k, b := range pk {
-					d[a*len(cols)+b] = out[k]
-				}
-			}
-		}
-		for _, b := range long[j] {
-			for a, ta := range rows {
-				d[a*len(cols)+b] = scratch[wk].NormalizedIDs(ta, cols[b])
-			}
-		}
-		sum := 0.0
-		for _, v := range d {
-			sum += v
-		}
-		return sum / float64(len(d))
+	}
+	textdist.Blocks(groups, w.workers(), func(g, h, r, c int, d float64) {
+		blocks[g*n+h][r*len(groups[h])+c] = d
 	})
+	m := cluster.NewMatrix(n)
+	for i := range cats {
+		for j := i + 1; j < n; j++ {
+			if d := blocks[i*n+j]; len(d) > 0 {
+				sum := 0.0
+				for _, v := range d {
+					sum += v
+				}
+				m.Set(i, j, sum/float64(len(d)))
+			}
+		}
+	}
 	return &Fig14Result{Categories: cats, Mean: m}
 }
 

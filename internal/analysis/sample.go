@@ -1,21 +1,12 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"honeynet/internal/cluster"
-	"honeynet/internal/obs"
 	"honeynet/internal/textdist"
 )
 
@@ -38,9 +29,6 @@ type DLDSample struct {
 	Tokens [][]string
 	// Matrix is the normalized token-DLD distance matrix over Texts.
 	Matrix *cluster.Matrix
-	// FromCache reports whether Matrix was loaded from the on-disk
-	// cache rather than computed.
-	FromCache bool
 }
 
 // sampleKey identifies the memoized sample; a second request with the
@@ -73,9 +61,9 @@ func (w *World) DLDSample(cfg ClusterConfig) (*DLDSample, error) {
 }
 
 // buildDLDSample selects, deduplicates, downsamples, tokenizes, and
-// fills (or cache-loads) the distance matrix. Selection and sampling are
-// byte-for-byte the pipeline RunClustering always ran, so clustered
-// output is unchanged by the shared pass.
+// fills the distance matrix. Selection and sampling are byte-for-byte
+// the pipeline RunClustering always ran, so clustered output is
+// unchanged by the shared pass.
 func buildDLDSample(w *World, cfg ClusterConfig) (*DLDSample, error) {
 	// Section 6 clusters the sessions in which files are loaded onto the
 	// honeypot (the ~3M download sessions), not every state change.
@@ -141,147 +129,24 @@ func buildDLDSample(w *World, cfg ClusterConfig) (*DLDSample, error) {
 
 	sp = w.span("cluster.dld-matrix")
 	defer sp.End()
-	if m, ok := w.loadCachedMatrix(sp, s.Texts); ok {
-		s.Matrix, s.FromCache = m, true
-		sp.Tag("cache_hits", 1)
-		return s, nil
-	}
-	if w.MatrixCache != "" {
-		sp.Tag("cache_misses", 1)
-	}
-	var st textdist.KernelStats
-	s.Matrix, st = fillDLDMatrix(s.Tokens, cfg.Workers)
+	s.Matrix = cluster.NewMatrix(len(s.Tokens))
+	st := textdist.Pairwise(s.Tokens, cfg.Workers, s.Matrix.Set)
 	sp.Tag("pairs", st.Pairs)
 	sp.Tag("pairs_trivial", st.Trivial)
 	sp.Tag("band_passes", st.BandPasses)
 	sp.Tag("cells_dp", st.CellsDP)
 	sp.Tag("cells_saved", st.CellsFull-st.CellsDP)
-	w.storeCachedMatrix(sp, s.Texts, s.Matrix)
 	return s, nil
 }
 
 // submatrix extracts the restriction of m to idx (ascending, distinct),
 // reusing the already-computed cells instead of re-running the kernel.
 func submatrix(m *cluster.Matrix, idx []int) *cluster.Matrix {
-	n := len(idx)
-	packed := make([]float64, n*(n-1)/2)
-	p := 0
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			packed[p] = m.At(idx[a], idx[b])
-			p++
+	sub := cluster.NewMatrix(len(idx))
+	for a := range idx {
+		for b := a + 1; b < len(idx); b++ {
+			sub.Set(a, b, m.At(idx[a], idx[b]))
 		}
 	}
-	sub, err := cluster.NewMatrixFromPacked(n, packed)
-	if err != nil {
-		// n and len(packed) are constructed consistently above.
-		panic(err)
-	}
 	return sub
-}
-
-// The on-disk matrix cache (hnanalyze -cache DIR). Entries are
-// content-addressed: the file name hashes the kernel version and the
-// exact sampled texts, so any change to the store, the sampling
-// parameters, or the distance kernel changes the key and the stale
-// entry is simply never read. Every failure mode is non-fatal — the
-// matrix is recomputed — because the cache is an accelerator, not a
-// source of truth. An entry is the magic, n as a uint32, the packed
-// upper triangle as little-endian float64 bits, and a CRC-32C of all
-// that, so a flipped bit is a miss like a short file.
-const matrixCacheMagic = "HNDLDM2\n"
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// matrixCacheKey hashes the kernel version and the length-prefixed
-// texts (length prefixes prevent concatenation collisions).
-func matrixCacheKey(texts []string) string {
-	h := sha256.New()
-	io.WriteString(h, textdist.Version)
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(texts)))
-	h.Write(buf[:])
-	for _, t := range texts {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(t)))
-		h.Write(buf[:])
-		io.WriteString(h, t)
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-func (w *World) matrixCachePath(texts []string) string {
-	return filepath.Join(w.MatrixCache, "dldm-"+matrixCacheKey(texts)+".bin")
-}
-
-// loadCachedMatrix reads a cached matrix for texts; any mismatch or read
-// failure is a miss, and an entry that is present but unusable is also
-// tagged on sp (the matrix span) so hnanalyze -timings shows it.
-func (w *World) loadCachedMatrix(sp *obs.Span, texts []string) (*cluster.Matrix, bool) {
-	if w.MatrixCache == "" {
-		return nil, false
-	}
-	raw, err := os.ReadFile(w.matrixCachePath(texts))
-	if err != nil {
-		return nil, false
-	}
-	n := len(texts)
-	cells := n * (n - 1) / 2
-	header := len(matrixCacheMagic) + 4
-	size := header + 8*cells + 4
-	if len(raw) != size ||
-		string(raw[:len(matrixCacheMagic)]) != matrixCacheMagic ||
-		binary.LittleEndian.Uint32(raw[len(matrixCacheMagic):]) != uint32(n) ||
-		binary.LittleEndian.Uint32(raw[size-4:]) != crc32.Checksum(raw[:size-4], castagnoli) {
-		sp.Tag("cache_errors", 1)
-		return nil, false
-	}
-	packed := make([]float64, cells)
-	body := raw[header:]
-	for i := range packed {
-		packed[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	m, err := cluster.NewMatrixFromPacked(n, packed)
-	if err != nil {
-		sp.Tag("cache_errors", 1)
-		return nil, false
-	}
-	return m, true
-}
-
-// storeCachedMatrix writes the matrix for texts via a unique temp file
-// and an atomic rename, so concurrent writers and crashes never leave a
-// partial entry under the final name.
-func (w *World) storeCachedMatrix(sp *obs.Span, texts []string, m *cluster.Matrix) {
-	if w.MatrixCache == "" {
-		return
-	}
-	if err := os.MkdirAll(w.MatrixCache, 0o755); err != nil {
-		sp.Tag("cache_errors", 1)
-		return
-	}
-	packed := m.Packed()
-	buf := make([]byte, len(matrixCacheMagic)+4+8*len(packed)+4)
-	copy(buf, matrixCacheMagic)
-	binary.LittleEndian.PutUint32(buf[len(matrixCacheMagic):], uint32(m.N))
-	body := buf[len(matrixCacheMagic)+4:]
-	for i, v := range packed {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(v))
-	}
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc32.Checksum(buf[:len(buf)-4], castagnoli))
-	tmp, err := os.CreateTemp(w.MatrixCache, "dldm-*.tmp")
-	if err != nil {
-		sp.Tag("cache_errors", 1)
-		return
-	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		sp.Tag("cache_errors", 1)
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), w.matrixCachePath(texts)); err != nil {
-		sp.Tag("cache_errors", 1)
-		os.Remove(tmp.Name())
-	}
 }

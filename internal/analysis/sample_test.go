@@ -1,12 +1,9 @@
 package analysis
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"honeynet/internal/cluster"
-	"honeynet/internal/obs"
 )
 
 // freshWorld clones the shared test dataset into a world with a cold
@@ -20,20 +17,6 @@ func freshWorld(t *testing.T) *World {
 		Registry:   w.Registry,
 		AbuseDB:    w.AbuseDB,
 		Classifier: w.Classifier,
-	}
-}
-
-func sameMatrix(t *testing.T, a, b *cluster.Matrix) {
-	t.Helper()
-	if a.N != b.N {
-		t.Fatalf("matrix size %d != %d", a.N, b.N)
-	}
-	for i := 0; i < a.N; i++ {
-		for j := i + 1; j < a.N; j++ {
-			if a.At(i, j) != b.At(i, j) {
-				t.Fatalf("matrix differs at (%d,%d): %v != %v", i, j, a.At(i, j), b.At(i, j))
-			}
-		}
 	}
 }
 
@@ -59,92 +42,6 @@ func TestDLDSampleMemo(t *testing.T) {
 	}
 	if a == c {
 		t.Error("different SampleSize reused the memoized sample")
-	}
-}
-
-// TestMatrixDiskCache: a second world over the same dataset and cache
-// directory must load the stored matrix byte-identically, and a corrupt
-// entry must be recomputed, not trusted.
-func TestMatrixDiskCache(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ClusterConfig{SampleSize: 200, Seed: 5}
-
-	w1 := freshWorld(t)
-	w1.MatrixCache = dir
-	s1, err := w1.DLDSample(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.FromCache {
-		t.Fatal("first build reported FromCache")
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "dldm-*.bin"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache entries = %v (err %v), want exactly one", entries, err)
-	}
-
-	w2 := freshWorld(t)
-	w2.MatrixCache = dir
-	s2, err := w2.DLDSample(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.FromCache {
-		t.Fatal("second build did not hit the cache")
-	}
-	sameMatrix(t, s1.Matrix, s2.Matrix)
-
-	// Corrupt the entry: the loader must reject it and recompute.
-	if err := os.WriteFile(entries[0], []byte("HNDLDM1\ngarbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w3 := freshWorld(t)
-	w3.MatrixCache = dir
-	w3.Tracer = obs.NewTracer()
-	s3, err := w3.DLDSample(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.FromCache {
-		t.Fatal("corrupt cache entry was trusted")
-	}
-	sameMatrix(t, s1.Matrix, s3.Matrix)
-	// ...and the person running -timings must be able to see that.
-	var tags map[string]int64
-	for _, ph := range w3.Tracer.Phases() {
-		if ph.Name == "cluster.dld-matrix" {
-			tags = ph.Tags
-		}
-	}
-	if tags["cache_errors"] != 1 || tags["cache_misses"] != 1 {
-		t.Errorf("corrupt entry: dld-matrix tags = %v, want cache_errors=1 cache_misses=1", tags)
-	}
-
-	// w3 rewrote a valid entry. One flipped bit in its body, at the right
-	// length, must be caught too.
-	raw, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len("HNDLDM2\n")+4+8*3+2] ^= 0x10
-	if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w4 := freshWorld(t)
-	w4.MatrixCache = dir
-	w4.Tracer = obs.NewTracer()
-	s4, err := w4.DLDSample(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4.FromCache {
-		t.Fatal("an entry with a flipped bit was trusted")
-	}
-	sameMatrix(t, s1.Matrix, s4.Matrix)
-	for _, ph := range w4.Tracer.Phases() {
-		if ph.Name == "cluster.dld-matrix" && ph.Tags["cache_errors"] != 1 {
-			t.Errorf("flipped bit: dld-matrix tags = %v, want cache_errors=1", ph.Tags)
-		}
 	}
 }
 

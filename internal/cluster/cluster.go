@@ -32,20 +32,6 @@ func NewMatrix(n int) *Matrix {
 	return &Matrix{N: n, d: make([]float64, n*(n-1)/2)}
 }
 
-// Packed exposes the upper-triangle backing array (row-major, j > i),
-// length N*(N-1)/2 — the serialization surface of the on-disk matrix
-// cache. The slice is shared; do not mutate.
-func (m *Matrix) Packed() []float64 { return m.d }
-
-// NewMatrixFromPacked rebuilds a matrix from a packed upper triangle,
-// as returned by Packed.
-func NewMatrixFromPacked(n int, packed []float64) (*Matrix, error) {
-	if want := n * (n - 1) / 2; len(packed) != want {
-		return nil, fmt.Errorf("cluster: packed triangle has %d cells, want %d for n=%d", len(packed), want, n)
-	}
-	return &Matrix{N: n, d: packed}, nil
-}
-
 func (m *Matrix) idx(i, j int) int {
 	if i > j {
 		i, j = j, i
@@ -274,74 +260,47 @@ func farthestPointInit(m *Matrix, k, workers int) []int {
 
 // Silhouette computes the mean silhouette coefficient of a clustering:
 // for each item, (b-a)/max(a,b) where a is the mean intra-cluster
-// distance and b the smallest mean distance to another cluster.
+// distance and b the smallest mean distance to another cluster. Items of
+// singleton clusters are left out.
 func Silhouette(m *Matrix, res *Result) float64 {
-	return SilhouetteParallel(m, res, 1)
-}
-
-// SilhouetteParallel computes the silhouette score using up to `workers`
-// goroutines. Per-item coefficients land in an index-addressed slice and
-// the mean is reduced in index order, so the result is bit-identical to
-// the serial computation for any worker count. The per-item cluster-sum
-// buffer is allocated once per worker instead of once per item.
-func SilhouetteParallel(m *Matrix, res *Result, workers int) float64 {
 	n := m.N
 	if n == 0 || res.K < 2 {
 		return 0
 	}
-	workers = parallel.Workers(workers)
 	sizes := res.Sizes()
-	coeff := make([]float64, n)
-	counts := make([]bool, n)
-	scratch := make([][]float64, workers)
-	for w := range scratch {
-		scratch[w] = make([]float64, res.K)
-	}
-	parallel.ForEach(n, workers, 64, func(w, lo, hi int) {
-		sums := scratch[w]
-		for i := lo; i < hi; i++ {
-			ci := res.Assign[i]
-			if sizes[ci] <= 1 {
-				continue // silhouette undefined for singletons; convention 0
-			}
-			clear(sums)
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				sums[res.Assign[j]] += m.At(i, j)
-			}
-			a := sums[ci] / float64(sizes[ci]-1)
-			b := -1.0
-			for c := 0; c < res.K; c++ {
-				if c == ci || sizes[c] == 0 {
-					continue
-				}
-				v := sums[c] / float64(sizes[c])
-				if b < 0 || v < b {
-					b = v
-				}
-			}
-			if b < 0 {
-				continue
-			}
-			max := a
-			if b > max {
-				max = b
-			}
-			if max > 0 {
-				coeff[i] = (b - a) / max
-			}
-			counts[i] = true
-		}
-	})
+	sums := make([]float64, res.K)
 	total := 0.0
 	counted := 0
 	for i := 0; i < n; i++ {
-		if counts[i] {
-			total += coeff[i]
-			counted++
+		ci := res.Assign[i]
+		if sizes[ci] <= 1 {
+			continue // silhouette undefined for singletons
 		}
+		clear(sums)
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			sums[res.Assign[j]] += m.At(i, j)
+		}
+		a := sums[ci] / float64(sizes[ci]-1)
+		b := -1.0
+		for c := 0; c < res.K; c++ {
+			if c == ci || sizes[c] == 0 {
+				continue
+			}
+			v := sums[c] / float64(sizes[c])
+			if b < 0 || v < b {
+				b = v
+			}
+		}
+		if b < 0 {
+			continue
+		}
+		if hi := max(a, b); hi > 0 {
+			total += (b - a) / hi
+		}
+		counted++
 	}
 	if counted == 0 {
 		return 0

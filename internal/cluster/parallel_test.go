@@ -80,35 +80,6 @@ func TestKMedoidsWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestSilhouetteParallelMatchesSerial: bit-identical score across worker
-// counts, including clusterings with singleton clusters.
-func TestSilhouetteParallelMatchesSerial(t *testing.T) {
-	m := randomMatrix(131, 11)
-	res, err := KMedoids(m, 9, Config{Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Silhouette(m, res)
-	for _, workers := range workerCounts {
-		if got := SilhouetteParallel(m, res, workers); got != want {
-			t.Errorf("workers=%d: silhouette %v != %v", workers, got, want)
-		}
-	}
-	// Force singleton clusters: assign item 0 alone.
-	forced := &Result{K: res.K, Medoids: res.Medoids, Assign: append([]int(nil), res.Assign...)}
-	for i := range forced.Assign {
-		if forced.Assign[i] == forced.Assign[0] && i != 0 {
-			forced.Assign[i] = (forced.Assign[0] + 1) % forced.K
-		}
-	}
-	want = Silhouette(m, forced)
-	for _, workers := range workerCounts {
-		if got := SilhouetteParallel(m, forced, workers); got != want {
-			t.Errorf("singletons workers=%d: silhouette %v != %v", workers, got, want)
-		}
-	}
-}
-
 // TestSweepKWorkerInvariance: the sweep's points must be identical in
 // order and value at every worker count.
 func TestSweepKWorkerInvariance(t *testing.T) {

@@ -83,13 +83,12 @@ func FromRecords(recs []*session.Record, tmpl *analysis.World) *Pipeline {
 		tmpl = &analysis.World{}
 	}
 	w := &analysis.World{
-		Records:     recs,
-		Registry:    tmpl.Registry,
-		AbuseDB:     tmpl.AbuseDB,
-		Classifier:  tmpl.Classifier,
-		Workers:     tmpl.Workers,
-		Tracer:      tmpl.Tracer,
-		MatrixCache: tmpl.MatrixCache,
+		Records:    recs,
+		Registry:   tmpl.Registry,
+		AbuseDB:    tmpl.AbuseDB,
+		Classifier: tmpl.Classifier,
+		Workers:    tmpl.Workers,
+		Tracer:     tmpl.Tracer,
 	}
 	if w.Classifier == nil {
 		w.Classifier = classify.New()

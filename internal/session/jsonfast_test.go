@@ -73,6 +73,26 @@ func TestAppendJSONMatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestWriterMatchesEncoder: Writer's JSONL bytes are json.Encoder's
+// over every case, the fallback ones included, and a record neither can
+// encode writes nothing.
+func TestWriterMatchesEncoder(t *testing.T) {
+	var got, want bytes.Buffer
+	w, enc := NewWriter(&got), json.NewEncoder(&want)
+	for i, r := range jsonFastCases() {
+		gotErr, wantErr := w.Write(r), enc.Encode(r)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("case %d: error mismatch: Writer=%v Encoder=%v", i, gotErr, wantErr)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("Writer:\n%s\njson.Encoder:\n%s", got.Bytes(), want.Bytes())
+	}
+}
+
 func TestAppendJSONAppends(t *testing.T) {
 	r := jsonFastCases()[1]
 	prefix := []byte("prefix")

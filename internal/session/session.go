@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -168,20 +167,30 @@ func (r *Record) Day() time.Time {
 	return r.Start.Truncate(24 * time.Hour)
 }
 
-// Writer streams records as JSON lines.
+// Writer streams records as JSON lines, each encoded by AppendJSON:
+// the bytes json.Encoder would write, from the encoder the store's WAL
+// uses.
 type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
+	bw   *bufio.Writer
+	line []byte
 }
 
 // NewWriter returns a JSONL writer over w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
+	return &Writer{bw: bufio.NewWriterSize(w, 1<<20)}
 }
 
-// Write appends one record.
-func (w *Writer) Write(r *Record) error { return w.enc.Encode(r) }
+// Write appends one record. A record that cannot be encoded writes
+// nothing.
+func (w *Writer) Write(r *Record) error {
+	line, err := AppendJSON(w.line[:0], r)
+	if err != nil {
+		return err
+	}
+	w.line = append(line, '\n')
+	_, err = w.bw.Write(w.line)
+	return err
+}
 
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }

@@ -16,16 +16,16 @@ func checkPack(t *testing.T, patterns, texts [][]int32) {
 			vocab = max(vocab, int(id)+1)
 		}
 	}
-	p := NewPacker(vocab)
+	p := newPacker(vocab)
 	members := make([]int, len(patterns))
 	for i := range members {
 		members[i] = i
 	}
-	p.Load(patterns, members)
+	p.load(patterns, members)
 	ref := NewScratch()
 	out := make([]float64, len(patterns))
 	for _, text := range texts {
-		p.Normalized(text, 0, out)
+		p.normalized(text, 0, out)
 		for k, pat := range patterns {
 			if want := ref.NormalizedIDsFull(pat, text); out[k] != want {
 				t.Fatalf("segment %d of %d: packed = %v, full = %v for %v vs %v", k, len(patterns), out[k], want, pat, text)
@@ -74,14 +74,14 @@ func TestPackedKernelEqualsFullDP(t *testing.T) {
 		return append(out, mixed)
 	}
 	for i := 0; i < 150; i++ {
-		checkPack(t, pack(split(1+r.Intn(PackMax)), 3), texts(3))
-		checkPack(t, pack(split(PackMax), 3), texts(3)) // the top segment owns bit 63
+		checkPack(t, pack(split(1+r.Intn(bitvecMax)), 3), texts(3))
+		checkPack(t, pack(split(bitvecMax), 3), texts(3)) // the top segment owns bit 63
 	}
-	ones := make([]int, PackMax)
+	ones := make([]int, bitvecMax)
 	for k := range ones {
 		ones[k] = 1
 	}
-	for _, lens := range [][]int{{PackMax}, ones, {1, PackMax - 1}, {PackMax - 1, 1}} {
+	for _, lens := range [][]int{{bitvecMax}, ones, {1, bitvecMax - 1}, {bitvecMax - 1, 1}} {
 		for i := 0; i < 20; i++ {
 			checkPack(t, pack(lens, 3), texts(3))
 			checkPack(t, pack(lens, 12), texts(12))
@@ -94,15 +94,15 @@ func TestPackedKernelEqualsFullDP(t *testing.T) {
 // counted, not the pass.
 func TestPackedKernelSkips(t *testing.T) {
 	seqs := [][]int32{{0, 1}, {1, 0, 2}}
-	p := NewPacker(10)
-	p.Load(seqs, []int{0, 1})
+	p := newPacker(10)
+	p.load(seqs, []int{0, 1})
 	text := []int32{0, 1}
 	for len(text) < 500 {
 		text = append(text, 5)
 	}
 	out := make([]float64, 2)
-	p.Normalized(text, 0, out)
-	if st := p.Stats(); st.CellsDP >= int64(len(text)) || st.Pairs != 2 || st.BandPasses != 1 {
+	p.normalized(text, 0, out)
+	if st := p.stats; st.CellsDP >= int64(len(text)) || st.Pairs != 2 || st.BandPasses != 1 {
 		t.Errorf("stats %+v over a %d-token text: no step skipped", st, len(text))
 	}
 	ref := NewScratch()
@@ -112,23 +112,23 @@ func TestPackedKernelSkips(t *testing.T) {
 		}
 	}
 	out = []float64{-1, -1}
-	p.Normalized(text, 1, out)
-	if out[0] != -1 || out[1] < 0 || p.Stats().Pairs != 3 {
-		t.Errorf("from=1 wrote %v, pairs %d", out, p.Stats().Pairs)
+	p.normalized(text, 1, out)
+	if out[0] != -1 || out[1] < 0 || p.stats.Pairs != 3 {
+		t.Errorf("from=1 wrote %v, pairs %d", out, p.stats.Pairs)
 	}
 }
 
-// TestPacks: packs are ascending runs of short sequences holding at
-// most PackMax tokens; empty and longer ones are long.
+// TestPacks: splitPacks makes ascending runs of short sequences holding
+// at most bitvecMax tokens; empty and longer ones are long.
 func TestPacks(t *testing.T) {
 	lens := []int{3, 0, 64, 65, 1, 60, 4, 2000, 30, 30, 5}
 	seqs := make([][]int32, len(lens))
 	for i, n := range lens {
 		seqs[i] = make([]int32, n)
 	}
-	packs, long := Packs(seqs)
+	packs, long := splitPacks(seqs)
 	if got, want := fmt.Sprint(packs, long), "[[0] [2] [4 5] [6 8 9] [10]] [1 3 7]"; got != want {
-		t.Errorf("Packs = %s, want %s", got, want)
+		t.Errorf("splitPacks = %s, want %s", got, want)
 	}
 }
 
@@ -151,7 +151,7 @@ func FuzzPackedKernel(f *testing.F) {
 				}
 				continue
 			}
-			if total == PackMax {
+			if total == bitvecMax {
 				break
 			}
 			cur = append(cur, int32(c%4))

@@ -9,6 +9,11 @@
 // allocate them per call; the distance-matrix hot path computes millions
 // of distances, so a Scratch carries reusable rows (one Scratch per
 // worker) and brings per-pair allocations to zero.
+//
+// Pairwise (every pair of one text set) and Blocks (the rows×cols block
+// between every two groups of texts) fill whole distance sets: they
+// intern the tokens, keep the per-worker kernel state, and are the only
+// code that decides which pairs run packed and which one at a time.
 package textdist
 
 import (
@@ -28,13 +33,6 @@ func Tokenize(text string) []string {
 		return false
 	})
 }
-
-// Version identifies the distance-kernel implementation. Any change
-// that could alter a computed distance (it never should — the kernel is
-// exact) or the tokenization must bump this string: the on-disk matrix
-// cache keys on it, so stale cache entries can never be mistaken for
-// current ones.
-const Version = "dld-bitvec-1"
 
 // KernelStats counts the work the bounded kernel did and, crucially,
 // the work it avoided — the observability hook behind the -timings span
@@ -362,17 +360,13 @@ func damerauBitVectorBlocked(pattern, text []int32) int {
 	return score
 }
 
-// PackMax is the most pattern tokens a Packer holds: one per bit of a
-// uint64.
-const PackMax = bitvecMax
-
-// Packer runs damerauBitVector over many short patterns at once. Up to
-// PackMax tokens of patterns are laid side by side in one word, one
+// packer runs damerauBitVector over many short patterns at once. Up to
+// bitvecMax tokens of patterns are laid side by side in one word, one
 // segment per pattern, so a text costs one pass for the whole pack
 // instead of one per pattern. The match table is dense, indexed by
 // token ID, so a text token costs one array load instead of a hash
 // probe. Not safe for concurrent use — give each goroutine its own.
-type Packer struct {
+type packer struct {
 	// peq maps a token ID to its positions in every segment of the
 	// loaded pack; it is zero for every other ID.
 	peq []uint64
@@ -386,26 +380,23 @@ type Packer struct {
 	stats             KernelStats
 }
 
-// NewPacker returns a Packer for token IDs below vocab (Interner.Len).
-func NewPacker(vocab int) *Packer { return &Packer{peq: make([]uint64, vocab)} }
+// newPacker returns a packer for token IDs below vocab (Interner.Len).
+func newPacker(vocab int) *packer { return &packer{peq: make([]uint64, vocab)} }
 
-// Stats returns the accumulated kernel counters.
-func (p *Packer) Stats() KernelStats { return p.stats }
-
-// Packs splits the indices of seqs into packs for a Packer: sequences
-// of 1..PackMax tokens are taken greedily in index order, so each pack
-// is an ascending run of them holding at most PackMax tokens. Empty and
-// longer sequences cannot be packed; they are returned in long,
-// ascending.
-func Packs(seqs [][]int32) (packs [][]int, long []int) {
+// splitPacks splits the indices of seqs into packs for a packer:
+// sequences of 1..bitvecMax tokens are taken greedily in index order, so
+// each pack is an ascending run of them holding at most bitvecMax
+// tokens. Empty and longer sequences cannot be packed; they are returned
+// in long, ascending.
+func splitPacks(seqs [][]int32) (packs [][]int, long []int) {
 	var cur []int
 	size := 0
 	for i, s := range seqs {
-		if len(s) == 0 || len(s) > PackMax {
+		if len(s) == 0 || len(s) > bitvecMax {
 			long = append(long, i)
 			continue
 		}
-		if size+len(s) > PackMax {
+		if size+len(s) > bitvecMax {
 			packs = append(packs, cur)
 			cur, size = nil, 0
 		}
@@ -418,10 +409,10 @@ func Packs(seqs [][]int32) (packs [][]int, long []int) {
 	return packs, long
 }
 
-// Load makes seqs[members] the pack, clearing the previous one from the
-// match table. Each member must hold 1..PackMax tokens and all of them
-// at most PackMax together, as Packs guarantees.
-func (p *Packer) Load(seqs [][]int32, members []int) {
+// load makes seqs[members] the pack, clearing the previous one from the
+// match table. Each member must hold 1..bitvecMax tokens and all of them
+// at most bitvecMax together, as splitPacks guarantees.
+func (p *packer) load(seqs [][]int32, members []int) {
 	for _, i := range p.members {
 		for _, id := range p.seqs[i] {
 			p.peq[id] = 0
@@ -432,7 +423,7 @@ func (p *Packer) Load(seqs [][]int32, members []int) {
 	off := 0
 	for _, i := range members {
 		m := len(seqs[i])
-		if m == 0 || off+m > PackMax {
+		if m == 0 || off+m > bitvecMax {
 			panic("textdist: pack member out of range")
 		}
 		for q, id := range seqs[i] {
@@ -447,7 +438,7 @@ func (p *Packer) Load(seqs [][]int32, members []int) {
 	}
 }
 
-// Normalized sets out[k], for every member k >= from, to the normalized
+// normalized sets out[k], for every member k >= from, to the normalized
 // distance between text and that member: bit for bit what
 // Scratch.NormalizedIDs returns for the pair. The pass costs the same
 // for any from; from only limits what is written and counted.
@@ -460,7 +451,7 @@ func (p *Packer) Load(seqs [][]int32, members []int) {
 // len(text), so a segment's distance is len(text) plus the vertical
 // deltas of its last column. A token no segment holds, once no +1
 // vertical delta is left, leaves the state as it is and is skipped.
-func (p *Packer) Normalized(text []int32, from int, out []float64) {
+func (p *packer) normalized(text []int32, from int, out []float64) {
 	B, T, S := p.bottom, p.top, p.used
 	vp := S
 	var vn, d0prev, pmprev uint64
