@@ -14,9 +14,9 @@
 // the fleet directory is immediately queryable.
 //
 // With -live (the default) every committed record also feeds the
-// streaming analytics pipeline — fleet-wide online classification and
-// campaign waves — surfaced as honeynet_live_* on /metrics and as a
-// JSON snapshot on /live.
+// streaming analytics pipeline — fleet-wide online classification,
+// counted per category — surfaced as honeynet_live_* on /metrics and as
+// a JSON snapshot on /live.
 package main
 
 import (

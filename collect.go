@@ -25,7 +25,7 @@ type CollectConfig struct {
 	// address.
 	AdminAddr string
 	// LiveOff disables the streaming analytics pipeline. By default
-	// every committed record is classified and rate-tracked online,
+	// every committed record is classified and counted online,
 	// fleet-wide; see Collector.Live.
 	LiveOff bool
 }

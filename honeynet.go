@@ -72,8 +72,8 @@ type Registry = obs.Registry
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // LivePipeline is the streaming analytics engine Serve and Collect run
-// on the ingest path: online classification and campaign/wave
-// detection. See internal/live.
+// on the ingest path: online classification with cumulative
+// per-category counts. See internal/live.
 type LivePipeline = live.Pipeline
 
 // LiveSnapshot is the /live JSON document (LivePipeline.Snapshot).

@@ -56,27 +56,17 @@ func (m *Matrix) At(i, j int) float64 {
 	return m.d[m.idx(i, j)]
 }
 
-// Fill computes all pairwise distances with dist.
+// Fill computes all pairwise distances with dist, row by row over the
+// upper triangle: the order d is packed in.
 func Fill(n int, dist func(i, j int) float64) *Matrix {
-	return FillParallel(n, 1, func(_, i, j int) float64 { return dist(i, j) })
-}
-
-// FillParallel computes all pairwise distances using up to `workers`
-// goroutines. Rows of the upper triangle are claimed dynamically, which
-// load-balances their decreasing length. dist receives the worker index
-// so callers can keep per-worker scratch state (e.g. textdist DP rows);
-// it must be a pure function of (i, j) up to that scratch, so the matrix
-// is identical to Fill's for any worker count.
-func FillParallel(n, workers int, dist func(worker, i, j int) float64) *Matrix {
 	m := NewMatrix(n)
-	parallel.ForEach(n, workers, 1, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.d[m.idx(i, i+1) : m.idx(i, i+1)+n-i-1]
-			for j := i + 1; j < n; j++ {
-				row[j-i-1] = dist(w, i, j)
-			}
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.d[k] = dist(i, j)
+			k++
 		}
-	})
+	}
 	return m
 }
 

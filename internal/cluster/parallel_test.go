@@ -1,13 +1,9 @@
 package cluster
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // randomMatrix builds an n×n matrix with pseudo-random distances derived
-// from the pair indices (order-independent, so Fill and FillParallel see
-// the same function).
+// from the pair indices.
 func randomMatrix(n int, seed int64) *Matrix {
 	return Fill(n, func(i, j int) float64 {
 		h := uint64(seed)*0x9e3779b97f4a7c15 + uint64(i)*0x85ebca77c2b2ae63 + uint64(j)*0xc2b2ae3d27d4eb4f
@@ -19,30 +15,6 @@ func randomMatrix(n int, seed int64) *Matrix {
 }
 
 var workerCounts = []int{1, 2, 8}
-
-// TestFillParallelMatchesFill: the parallel fill must produce the exact
-// matrix of the serial fill at every worker count and GOMAXPROCS.
-func TestFillParallelMatchesFill(t *testing.T) {
-	dist := func(i, j int) float64 {
-		return float64((i*31+j*17)%97) / 97
-	}
-	for _, n := range []int{0, 1, 2, 50, 173} {
-		want := Fill(n, dist)
-		for _, procs := range []int{1, 4} {
-			prev := runtime.GOMAXPROCS(procs)
-			for _, workers := range workerCounts {
-				got := FillParallel(n, workers, func(_, i, j int) float64 { return dist(i, j) })
-				for i := range want.d {
-					if got.d[i] != want.d[i] {
-						runtime.GOMAXPROCS(prev)
-						t.Fatalf("n=%d procs=%d workers=%d: slot %d differs", n, procs, workers, i)
-					}
-				}
-			}
-			runtime.GOMAXPROCS(prev)
-		}
-	}
-}
 
 // TestKMedoidsWorkerInvariance: clustering output (assignments, medoids,
 // WCSS bits) must not depend on the worker count.
@@ -106,17 +78,5 @@ func TestSweepKWorkerInvariance(t *testing.T) {
 	// Errors still surface from the parallel sweep.
 	if _, err := SweepK(m, []int{2, 1000}, Config{Seed: 9, Workers: 4}); err == nil {
 		t.Error("out-of-range k must fail")
-	}
-}
-
-func BenchmarkFillParallel(b *testing.B) {
-	const n = 600
-	dist := func(i, j int) float64 { return float64(i*j%1000) / 1000 }
-	for _, workers := range []int{1, 8} {
-		b.Run(map[bool]string{true: "w1", false: "w8"}[workers == 1], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				FillParallel(n, workers, func(_, i, j int) float64 { return dist(i, j) })
-			}
-		})
 	}
 }

@@ -1,10 +1,11 @@
 // Package live is the streaming analytics subsystem: it sits on the
 // ingest path (the daemon's record sink, the collector's shard append
-// loop) and maintains, incrementally, per-session classification
-// (section 5) and campaign/wave detection (sections 9–10). One
-// Pipeline, two engines, safe for concurrent Observe calls, surfaced as
-// honeynet_live_* metrics and the /live admin snapshot. Clustering
-// (section 6) is batch only: internal/cluster over the stored records.
+// loop) and classifies each session as it arrives (section 5), keeping
+// cumulative per-category counts that equal a batch classification of
+// the same records. One Pipeline, safe for concurrent Observe calls,
+// surfaced as honeynet_live_* metrics and the /live admin snapshot.
+// Clustering (section 6) and the low-activity windows of sections 9–10
+// are batch only, over the stored records.
 package live
 
 import (
@@ -23,32 +24,17 @@ import (
 // Options{} (rig.go, ingest.go, probes.go) until ROADMAP item 1(b) retires it.
 type Options struct{}
 
-const (
-	// fastHalfLife and slowHalfLife set the EWMA pair behind wave
-	// detection, in event time.
-	fastHalfLife = 5 * time.Minute
-	slowHalfLife = 6 * time.Hour
-	// A wave opens when a category's fast rate exceeds onsetFactor times
-	// the slow baseline and closes when it falls below offsetFactor times
-	// it; below minWaveRate events/min waves never open.
-	onsetFactor  = 8
-	offsetFactor = 2
-	minWaveRate  = 1
-	// maxWaves bounds the retained wave log.
-	maxWaves = 256
-)
-
 // Pipeline is the streaming analytics engine: Observe every ingested
-// record and it keeps classification counts and campaign waves
-// current. Safe for concurrent use; Observe is designed to sit directly
-// on the ingest hot path (one automaton scan per session, outside the
-// lock). The per-category counts are the wave detector's: one copy.
+// record and it keeps the classification counts current. Safe for
+// concurrent use; Observe is designed to sit directly on the ingest hot
+// path (one automaton scan per session, outside the lock). cats is the
+// only copy of the counts: classified and unknown are read from it.
 type Pipeline struct {
 	cls *classify.Classifier
 
 	mu    sync.Mutex
-	camp  *campaigns
-	stats classify.Stats // cumulative classifier work counters
+	cats  map[string]int64 // sessions with command text, by category
+	stats classify.Stats   // cumulative classifier work counters
 
 	sessions int64
 	started  time.Time
@@ -56,12 +42,7 @@ type Pipeline struct {
 
 // NewPipeline builds a Pipeline.
 func NewPipeline(Options) *Pipeline {
-	return &Pipeline{
-		cls: classify.New(),
-		camp: newCampaigns(fastHalfLife, slowHalfLife,
-			onsetFactor, offsetFactor, minWaveRate, maxWaves),
-		started: time.Now(),
-	}
+	return &Pipeline{cls: classify.New(), cats: map[string]int64{}, started: time.Now()}
 }
 
 // Observe folds one ingested record into the live state. It never
@@ -74,10 +55,6 @@ func (p *Pipeline) Observe(r *session.Record) {
 	if text != "" {
 		cat = p.cls.ClassifyStats(text, &st)
 	}
-	t := r.End
-	if t.IsZero() {
-		t = r.Start
-	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -87,21 +64,22 @@ func (p *Pipeline) Observe(r *session.Record) {
 	}
 	p.stats.Candidates += st.Candidates
 	p.stats.Skipped += st.Skipped
-	p.camp.observe(cat, t)
+	p.cats[cat]++
 }
 
 // classified is the number of sessions with command text observed.
 // Caller holds p.mu.
-func (p *Pipeline) classified() int64 { return p.camp.total.count }
+func (p *Pipeline) classified() int64 {
+	var n int64
+	for _, c := range p.cats {
+		n += c
+	}
+	return n
+}
 
 // unknown is the number of classified sessions that matched no rule.
 // Caller holds p.mu.
-func (p *Pipeline) unknown() int64 {
-	if r := p.camp.cats[classify.Unknown]; r != nil {
-		return r.count
-	}
-	return 0
-}
+func (p *Pipeline) unknown() int64 { return p.cats[classify.Unknown] }
 
 // Matcher is the classifier's unmemoized scan under the name its one
 // caller, cmd/hnbench/probes.go:288, knows it by.
@@ -121,8 +99,6 @@ type Snapshot struct {
 	Unknown    int64  `json:"unknown"`
 
 	Categories []CategorySnap `json:"categories"`
-	Waves      []Wave         `json:"waves"`
-	ActiveDrop bool           `json:"activity_drop"`
 
 	// Clustered is always zero; cmd/hnbench/rig.go's liveMetrics reads it until ROADMAP item 1(b).
 	Clustered int64 `json:"-"`
@@ -134,13 +110,10 @@ type Snapshot struct {
 	Kernel int64 `json:"-"`
 }
 
-// CategorySnap is one category's live rate state.
+// CategorySnap is one category's session count.
 type CategorySnap struct {
-	Name  string  `json:"name"`
-	Count int64   `json:"count"`
-	Rate  float64 `json:"rate_per_min"`
-	Base  float64 `json:"baseline_per_min"`
-	Wave  bool    `json:"wave"`
+	Name  string `json:"name"`
+	Count int64  `json:"count"`
 }
 
 // Snapshot captures the live state. Categories sort by descending
@@ -153,12 +126,9 @@ func (p *Pipeline) Snapshot() *Snapshot {
 		Sessions:   p.sessions,
 		Classified: p.classified(),
 		Unknown:    p.unknown(),
-		ActiveDrop: p.camp.drop,
 	}
-	for name, r := range p.camp.cats {
-		s.Categories = append(s.Categories, CategorySnap{
-			Name: name, Count: r.count, Rate: r.fast, Base: r.slow, Wave: r.wave != 0,
-		})
+	for name, n := range p.cats {
+		s.Categories = append(s.Categories, CategorySnap{Name: name, Count: n})
 	}
 	sort.Slice(s.Categories, func(i, j int) bool {
 		if s.Categories[i].Count != s.Categories[j].Count {
@@ -166,7 +136,6 @@ func (p *Pipeline) Snapshot() *Snapshot {
 		}
 		return s.Categories[i].Name < s.Categories[j].Name
 	})
-	s.Waves = append([]Wave(nil), p.camp.waves...)
 	return s
 }
 
@@ -196,9 +165,6 @@ func (p *Pipeline) locked(f func() int64) func() int64 {
 //	honeynet_live_unknown_total
 //	honeynet_live_rule_candidates_total
 //	honeynet_live_rules_skipped_total
-//	honeynet_live_waves_total
-//	honeynet_live_waves_active
-//	honeynet_live_activity_drops_total
 func (p *Pipeline) Register(reg *obs.Registry) {
 	reg.CounterFunc("honeynet_live_sessions_total",
 		"Records observed by the live pipeline.",
@@ -215,17 +181,4 @@ func (p *Pipeline) Register(reg *obs.Registry) {
 	reg.CounterFunc("honeynet_live_rules_skipped_total",
 		"Rules eliminated by the single-pass automaton without any regex.",
 		p.locked(func() int64 { return int64(p.stats.Skipped) }))
-	reg.CounterFunc("honeynet_live_waves_total",
-		"Campaign waves detected (open + closed).",
-		p.locked(func() int64 { return int64(len(p.camp.waves)) }))
-	reg.GaugeFunc("honeynet_live_waves_active",
-		"Currently open campaign waves.",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.camp.active)
-		})
-	reg.CounterFunc("honeynet_live_activity_drops_total",
-		"Fleet-wide activity-drop events detected.",
-		p.locked(func() int64 { return p.camp.dropsTot }))
 }

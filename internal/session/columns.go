@@ -78,9 +78,6 @@ type ColumnSet uint32
 // Has reports whether column c is in the set.
 func (s ColumnSet) Has(c int) bool { return s&(1<<uint(c)) != 0 }
 
-// AllColumns selects every column.
-const AllColumns ColumnSet = 1<<NumColumns - 1
-
 // requiredColumns are the columns DecodeColumns always reads: the
 // always-decoded scalars of DecodeMasked (ID, Start, ClientPort,
 // Protocol, StateChanged, TimedOut).

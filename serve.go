@@ -86,7 +86,7 @@ type ServeConfig struct {
 	DrainTimeout time.Duration
 
 	// LiveOff disables the streaming analytics pipeline. By default
-	// every ingested record is classified and rate-tracked online
+	// every ingested record is classified and counted online
 	// (honeynet_live_* metrics, the /live admin snapshot); see
 	// Server.Live.
 	LiveOff bool

@@ -421,16 +421,14 @@ func TestServeLivePipeline(t *testing.T) {
 }
 
 // liveSeries is every honeynet_live_* name a daemon's /metrics carries:
-// the classifier's counters and the wave detector's.
+// the session count and the classifier's counters, each checked against
+// a batch recount in internal/live.
 var liveSeries = []string{
-	"honeynet_live_activity_drops_total",
 	"honeynet_live_classified_total",
 	"honeynet_live_rule_candidates_total",
 	"honeynet_live_rules_skipped_total",
 	"honeynet_live_sessions_total",
 	"honeynet_live_unknown_total",
-	"honeynet_live_waves_active",
-	"honeynet_live_waves_total",
 }
 
 // liveNames returns the sorted honeynet_live_* series names declared in
@@ -509,7 +507,7 @@ func TestDaemonLive(t *testing.T) {
 				t.Fatalf("bad /live JSON: %v", err)
 			}
 			keys := slices.Sorted(maps.Keys(doc))
-			if want := []string{"activity_drop", "categories", "classified", "sessions", "unknown", "uptime", "waves"}; !slices.Equal(keys, want) {
+			if want := []string{"categories", "classified", "sessions", "unknown", "uptime"}; !slices.Equal(keys, want) {
 				t.Errorf("/live keys = %q, want %q", keys, want)
 			}
 		})
