@@ -12,6 +12,7 @@
 package honeypot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -535,21 +536,22 @@ func (n *Node) interactive(st *connState, sh *shell.Shell, r io.Reader, w io.Wri
 		return
 	}
 	buf := make([]byte, 4096)
-	var line strings.Builder
+	var line []byte // read and not yet run
+	scanned := 0    // line[:scanned] holds no line end
 	for {
 		nr, err := r.Read(buf)
 		if nr > 0 {
-			line.WriteString(string(buf[:nr]))
+			line = append(line, buf[:nr]...)
 			for {
-				txt := line.String()
-				i := strings.IndexAny(txt, "\r\n")
+				i := bytes.IndexAny(line[scanned:], "\r\n")
 				if i < 0 {
+					scanned = len(line)
 					break
 				}
-				cmd := txt[:i]
-				rest := strings.TrimPrefix(strings.TrimPrefix(txt[i:], "\r"), "\n")
-				line.Reset()
-				line.WriteString(rest)
+				i += scanned
+				cmd := string(line[:i])
+				line = bytes.TrimPrefix(bytes.TrimPrefix(line[i:], []byte("\r")), []byte("\n"))
+				scanned = 0
 
 				st.mu.Lock()
 				out := sh.Run(cmd)

@@ -11,6 +11,7 @@ import (
 
 	"honeynet/internal/obs"
 	"honeynet/internal/session"
+	"honeynet/internal/shell"
 	"honeynet/internal/sshclient"
 )
 
@@ -449,5 +450,30 @@ func TestNodeMetrics(t *testing.T) {
 		if got := snap[series]; got != want {
 			t.Errorf("registry %s = %v, want %v", series, got, want)
 		}
+	}
+}
+
+// raceSlowdown scales wall-clock bounds; race_test.go raises it under
+// the race detector.
+var raceSlowdown time.Duration = 1
+
+// TestInteractiveLongLineIsLinear feeds the interactive loop 8 MiB with
+// no line end, 4 KiB a read, then "exit\r\n": the pending line is scanned
+// once, not once per read, so the session ends in well under the ~12 s
+// a rescan of every read took.
+func TestInteractiveLongLineIsLinear(t *testing.T) {
+	node, err := New(Config{ID: "hp-test", Sink: func(*session.Record) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := bytes.Repeat([]byte("A"), 8<<20)
+	sh := shell.New("svr04", nil)
+	start := time.Now()
+	node.interactive(&connState{}, sh, io.MultiReader(bytes.NewReader(long), strings.NewReader("exit\r\n")), io.Discard)
+	if d, bound := time.Since(start), 3*time.Second*raceSlowdown; d > bound {
+		t.Errorf("an 8 MiB line took %v, want under %v", d, bound)
+	}
+	if cmds := sh.Commands(); len(cmds) != 1 || cmds[0].Raw != string(long)+"exit" {
+		t.Errorf("recorded %d commands, want the one 8 MiB line", len(cmds))
 	}
 }

@@ -117,7 +117,8 @@ type CategorySnap struct {
 }
 
 // Snapshot captures the live state. Categories sort by descending
-// count then name.
+// count then name, and are an empty list, never null, before the first
+// session with command text.
 func (p *Pipeline) Snapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -126,6 +127,7 @@ func (p *Pipeline) Snapshot() *Snapshot {
 		Sessions:   p.sessions,
 		Classified: p.classified(),
 		Unknown:    p.unknown(),
+		Categories: make([]CategorySnap, 0, len(p.cats)),
 	}
 	for name, n := range p.cats {
 		s.Categories = append(s.Categories, CategorySnap{Name: name, Count: n})

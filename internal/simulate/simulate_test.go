@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -308,4 +309,39 @@ func TestTimeOrderWithinDayGranularity(t *testing.T) {
 		t.Errorf("hours with no sessions: %d — timestamps not spread", zero)
 	}
 	_ = time.Hour
+}
+
+// BenchmarkReplay replays the command lists of a 1:20000 seed 42 run,
+// each against a fresh shell and filesystem as Run's replay stage does,
+// and reports the time and heap allocations per replayed session. The
+// lists are the recorded command lines, which are the scripted ones
+// minus blank lines.
+func BenchmarkReplay(b *testing.B) {
+	var lists [][]string
+	_, err := Run(Config{Scale: 20000, Seed: 42, Discard: true, Sink: func(r *session.Record) {
+		if len(r.Commands) == 0 {
+			return
+		}
+		cmds := make([]string, len(r.Commands))
+		for i, c := range r.Commands {
+			cmds[i] = c.Raw
+		}
+		lists = append(lists, cmds)
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fetch := Fetcher()
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		for _, cmds := range lists {
+			replay(&session.Record{}, cmds, fetch)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(len(lists))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/session")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/session")
 }

@@ -3,6 +3,11 @@
 // deletions, and records a SHA-256 hash for every file content written —
 // mirroring how the honeynet in the paper records hashes of dropped
 // malware rather than the files themselves.
+//
+// Copy-on-write means path copying: every FS starts as a pointer to one
+// seeded tree, built and hashed once per process and never written. A
+// mutator copies the nodes from the root down to the one it changes,
+// unless the FS owns them already; every other node stays shared.
 package vfs
 
 import (
@@ -10,9 +15,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -25,7 +32,9 @@ var (
 	ErrPermission = errors.New("permission denied")
 )
 
-// Node is a file or directory in the virtual filesystem.
+// Node is a file or directory in the virtual filesystem. Nodes returned
+// by Stat and List, and the bytes returned by ReadFile, may be shared
+// with every other FS: they are read-only.
 type Node struct {
 	Name     string
 	Dir      bool
@@ -37,6 +46,21 @@ type Node struct {
 
 	// Hash is the hex SHA-256 of Content for regular files with content.
 	Hash string
+
+	// owner is the FS that may change this node in place; any other FS
+	// copies it first.
+	owner *FS
+}
+
+// copyFor returns a copy of n owned by fs. A directory's copy gets its
+// own child map; the children themselves stay shared.
+func (n *Node) copyFor(fs *FS) *Node {
+	c := *n
+	c.owner = fs
+	if n.Dir {
+		c.Children = maps.Clone(n.Children)
+	}
+	return &c
 }
 
 // ChangeKind labels a mutation to the filesystem.
@@ -85,21 +109,31 @@ type FS struct {
 	changes []Change
 }
 
+// base is the seeded tree every FS starts from. Its nodes are owned by
+// the FS that built them, which nothing else holds, so every FS copies a
+// node before changing it and the base is never written after the build.
+var base = sync.OnceValue(func() *Node { return seeded().root })
+
 // New returns a filesystem pre-populated with the honeypot's fake Debian
-// layout (the same directories Cowrie fakes).
-func New() *FS {
+// layout (the same directories Cowrie fakes). It shares the base tree
+// until its first write.
+func New() *FS { return &FS{root: base(), cwd: "/root"} }
+
+// seeded builds the fake Debian layout into an FS that owns every node.
+func seeded() *FS {
 	fs := &FS{
 		root: &Node{Name: "/", Dir: true, Mode: 0o755, Children: map[string]*Node{}},
 		cwd:  "/root",
 	}
-	base := time.Date(2021, 11, 14, 3, 21, 0, 0, time.UTC)
+	fs.root.owner = fs
+	when := time.Date(2021, 11, 14, 3, 21, 0, 0, time.UTC)
 	for _, d := range []string{
 		"/bin", "/boot", "/dev", "/etc", "/etc/init.d", "/home", "/lib",
 		"/mnt", "/opt", "/proc", "/root", "/run", "/sbin", "/srv", "/sys",
 		"/tmp", "/usr", "/usr/bin", "/usr/sbin", "/var", "/var/run",
 		"/var/tmp", "/var/spool", "/var/spool/cron",
 	} {
-		fs.mkdirAllInternal(d, base)
+		fs.mkdirAllInternal(d, when)
 	}
 	seed := map[string]string{
 		"/etc/hostname":    "svr04\n",
@@ -132,7 +166,7 @@ func New() *FS {
 	}
 	// Ensure parent dirs for seeded files exist.
 	for p := range seed {
-		fs.mkdirAllInternal(path.Dir(p), base)
+		fs.mkdirAllInternal(path.Dir(p), when)
 	}
 	keys := make([]string, 0, len(seed))
 	for p := range seed {
@@ -140,7 +174,7 @@ func New() *FS {
 	}
 	sort.Strings(keys)
 	for _, p := range keys {
-		fs.writeInternal(p, []byte(seed[p]), base)
+		fs.writeInternal(p, []byte(seed[p]), when)
 	}
 	fs.changes = nil // seeding is not attacker activity
 	return fs
@@ -263,9 +297,9 @@ func (fs *FS) Mkdir(p string) error {
 	if !parent.Dir {
 		return fmt.Errorf("%s: %w", path.Dir(p), ErrNotDir)
 	}
-	parent.Children[path.Base(abs)] = &Node{
+	fs.own(path.Dir(abs)).Children[path.Base(abs)] = &Node{
 		Name: path.Base(abs), Dir: true, Mode: 0o755,
-		ModTime: time.Now(), Children: map[string]*Node{},
+		ModTime: time.Now(), Children: map[string]*Node{}, owner: fs,
 	}
 	fs.changes = append(fs.changes, Change{Kind: ChangeCreate, Path: abs})
 	return nil
@@ -280,25 +314,50 @@ func (fs *FS) MkdirAll(p string) error {
 		}
 		return fmt.Errorf("%s: %w", p, ErrNotDir)
 	}
-	fs.mkdirAllInternal(abs, time.Now())
+	if !fs.mkdirAllInternal(abs, time.Now()) {
+		return fmt.Errorf("%s: %w", p, ErrNotDir)
+	}
 	fs.changes = append(fs.changes, Change{Kind: ChangeCreate, Path: abs})
 	return nil
 }
 
-func (fs *FS) mkdirAllInternal(p string, when time.Time) {
+// mkdirAllInternal creates the missing directories of p, stamped when.
+// It reports false, creating nothing, if a file is on the way to p.
+func (fs *FS) mkdirAllInternal(p string, when time.Time) bool {
 	if p == "/" {
-		return
+		return true
 	}
-	parts := strings.Split(strings.Trim(p, "/"), "/")
+	if !fs.mkdirAllInternal(path.Dir(p), when) || !fs.lookup(path.Dir(p)).Dir {
+		return false
+	}
+	if parent := fs.own(path.Dir(p)); parent.Children[path.Base(p)] == nil {
+		parent.Children[path.Base(p)] = &Node{Name: path.Base(p), Dir: true, Mode: 0o755, ModTime: when, Children: map[string]*Node{}, owner: fs}
+	}
+	return true
+}
+
+// own returns the node at absolute path p, first copying every node from
+// the root down to it that fs does not own yet; nil if p is missing.
+func (fs *FS) own(p string) *Node {
+	if fs.root.owner != fs {
+		fs.root = fs.root.copyFor(fs)
+	}
 	n := fs.root
-	for _, part := range parts {
-		c, ok := n.Children[part]
-		if !ok {
-			c = &Node{Name: part, Dir: true, Mode: 0o755, ModTime: when, Children: map[string]*Node{}}
+	if p == "/" {
+		return n
+	}
+	for _, part := range strings.Split(strings.Trim(p, "/"), "/") {
+		c := n.Children[part]
+		if c == nil {
+			return nil
+		}
+		if c.owner != fs {
+			c = c.copyFor(fs)
 			n.Children[part] = c
 		}
 		n = c
 	}
+	return n
 }
 
 // WriteFile creates or replaces the file at p with content, recording the
@@ -312,10 +371,11 @@ func (fs *FS) WriteFile(p string, content []byte) error {
 	if fs.lookup(abs) == nil {
 		kind = ChangeCreate
 	}
-	if err := fs.writeInternal(abs, content, time.Now()); err != nil {
+	n, err := fs.writeInternal(abs, content, time.Now())
+	if err != nil {
 		return err
 	}
-	fs.changes = append(fs.changes, Change{Kind: kind, Path: abs, Hash: hashBytes(content), Size: int64(len(content))})
+	fs.changes = append(fs.changes, Change{Kind: kind, Path: abs, Hash: n.Hash, Size: n.Size})
 	return nil
 }
 
@@ -329,25 +389,23 @@ func (fs *FS) AppendFile(p string, content []byte) error {
 	return fs.WriteFile(abs, append(append([]byte{}, existing...), content...))
 }
 
-func (fs *FS) writeInternal(p string, content []byte, when time.Time) error {
-	parent := fs.lookup(path.Dir(p))
-	if parent == nil || !parent.Dir {
-		return fmt.Errorf("%s: %w", path.Dir(p), ErrNotExist)
+func (fs *FS) writeInternal(p string, content []byte, when time.Time) (*Node, error) {
+	if parent := fs.lookup(path.Dir(p)); parent == nil || !parent.Dir {
+		return nil, fmt.Errorf("%s: %w", path.Dir(p), ErrNotExist)
 	}
-	name := path.Base(p)
-	n, ok := parent.Children[name]
-	if !ok {
-		n = &Node{Name: name, Mode: 0o644}
-		parent.Children[name] = n
+	n := fs.own(p)
+	if n == nil {
+		n = &Node{Name: path.Base(p), Mode: 0o644, owner: fs}
+		fs.own(path.Dir(p)).Children[n.Name] = n
 	}
 	if n.Dir {
-		return fmt.Errorf("%s: %w", p, ErrIsDir)
+		return nil, fmt.Errorf("%s: %w", p, ErrIsDir)
 	}
 	n.Content = append([]byte(nil), content...)
 	n.Size = int64(len(content))
 	n.ModTime = when
 	n.Hash = hashBytes(content)
-	return nil
+	return n, nil
 }
 
 // Remove deletes the node at p. Directories are removed recursively when
@@ -364,44 +422,44 @@ func (fs *FS) Remove(p string, recursive bool) error {
 	if n.Dir && !recursive && len(n.Children) > 0 {
 		return fmt.Errorf("%s: directory not empty", p)
 	}
-	parent := fs.lookup(path.Dir(abs))
-	delete(parent.Children, path.Base(abs))
+	delete(fs.own(path.Dir(abs)).Children, path.Base(abs))
 	fs.changes = append(fs.changes, Change{Kind: ChangeDelete, Path: abs})
 	return nil
 }
 
 // Chmod updates the mode bits of the node at p.
 func (fs *FS) Chmod(p string, mode uint32) error {
-	n := fs.lookup(fs.Abs(p))
-	if n == nil {
+	abs := fs.Abs(p)
+	if fs.lookup(abs) == nil {
 		return fmt.Errorf("%s: %w", p, ErrNotExist)
 	}
-	n.Mode = mode
-	fs.changes = append(fs.changes, Change{Kind: ChangeChmod, Path: fs.Abs(p)})
+	fs.own(abs).Mode = mode
+	fs.changes = append(fs.changes, Change{Kind: ChangeChmod, Path: abs})
 	return nil
 }
 
-// Rename moves the node at old to new.
+// Rename moves the node at old to new. Moving a directory into itself
+// or below itself (and so moving "/") fails with ErrPermission.
 func (fs *FS) Rename(oldp, newp string) error {
 	absOld := fs.Abs(oldp)
 	absNew := fs.Abs(newp)
-	n := fs.lookup(absOld)
-	if n == nil {
+	if fs.lookup(absOld) == nil {
 		return fmt.Errorf("%s: %w", oldp, ErrNotExist)
 	}
-	newParent := fs.lookup(path.Dir(absNew))
-	if newParent == nil || !newParent.Dir {
+	if newParent := fs.lookup(path.Dir(absNew)); newParent == nil || !newParent.Dir {
 		return fmt.Errorf("%s: %w", path.Dir(newp), ErrNotExist)
 	}
 	// Moving onto an existing directory places the node inside it.
 	if dst := fs.lookup(absNew); dst != nil && dst.Dir {
 		absNew = path.Join(absNew, path.Base(absOld))
-		newParent = dst
 	}
-	oldParent := fs.lookup(path.Dir(absOld))
-	delete(oldParent.Children, path.Base(absOld))
+	if strings.HasPrefix(absNew, strings.TrimSuffix(absOld, "/")+"/") {
+		return fmt.Errorf("%s: %w", newp, ErrPermission)
+	}
+	n := fs.own(absOld)
+	delete(fs.own(path.Dir(absOld)).Children, path.Base(absOld))
 	n.Name = path.Base(absNew)
-	newParent.Children[n.Name] = n
+	fs.own(path.Dir(absNew)).Children[n.Name] = n
 	fs.changes = append(fs.changes,
 		Change{Kind: ChangeDelete, Path: absOld},
 		Change{Kind: ChangeCreate, Path: absNew, Hash: n.Hash, Size: n.Size})

@@ -4,7 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"path"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -257,6 +262,224 @@ func TestWriteFileOntoDirectoryFails(t *testing.T) {
 	if _, err := fs.ReadFile("/tmp"); !errors.Is(err, ErrIsDir) {
 		t.Errorf("err = %v", err)
 	}
+}
+
+// walk calls fn for every node of fs's tree, parents first and children
+// in List order.
+func walk(fs *FS, fn func(p string, n *Node)) {
+	var rec func(p string, n *Node)
+	rec = func(p string, n *Node) {
+		fn(p, n)
+		if n.Dir {
+			kids, _ := fs.List(p)
+			for _, c := range kids {
+				rec(path.Join(p, c.Name), c)
+			}
+		}
+	}
+	root, _ := fs.Stat("/")
+	rec("/", root)
+}
+
+// tree renders every node's path, Dir, Mode, Size, Hash and Content, and
+// its ModTime when withTime is set (a write stamps the wall clock).
+func tree(fs *FS, withTime bool) string {
+	var b strings.Builder
+	walk(fs, func(p string, n *Node) {
+		fmt.Fprintf(&b, "%s dir=%v mode=%o size=%d hash=%s content=%q", p, n.Dir, n.Mode, n.Size, n.Hash, n.Content)
+		if withTime {
+			fmt.Fprintf(&b, " mtime=%d", n.ModTime.UnixNano())
+		}
+		b.WriteByte('\n')
+	})
+	return b.String()
+}
+
+// digest is the SHA-256 of the full tree, mtimes included.
+func digest(fs *FS) string {
+	sum := sha256.Sum256([]byte(tree(fs, true)))
+	return hex.EncodeToString(sum[:])
+}
+
+// mutateAll applies every mutator to seeded and to new paths, including
+// rm -r /etc and renames of a file into a directory and of a seeded
+// directory.
+func mutateAll(t *testing.T, fs *FS) {
+	steps := []struct {
+		name string
+		err  error
+	}{
+		{"write seeded", fs.WriteFile("/etc/passwd", []byte("root::0:0::/:/bin/sh\n"))},
+		{"write new", fs.WriteFile("/tmp/new", []byte("payload"))},
+		{"append seeded", fs.AppendFile("/etc/hosts", []byte("6.6.6.6 evil\n"))},
+		{"append new", fs.AppendFile("/root/.ssh/authorized_keys", []byte("ssh-rsa AAAA\n"))},
+		{"mkdir in seeded", fs.Mkdir("/etc/cron.d")},
+		{"mkdir new", fs.Mkdir("/tmp/.x")},
+		{"mkdirall seeded", fs.MkdirAll("/usr/local/lib/x")},
+		{"mkdirall new", fs.MkdirAll("/a/b/c")},
+		{"chmod seeded file", fs.Chmod("/bin/busybox", 0o777)},
+		{"chmod seeded dir", fs.Chmod("/var/tmp", 0o700)},
+		{"chmod new", fs.Chmod("/tmp/new", 0o755)},
+		{"rename file into dir", fs.Rename("/bin/sh", "/tmp")},
+		{"rename seeded dir", fs.Rename("/usr/bin", "/opt/usrbin")},
+		{"write in moved dir", fs.WriteFile("/opt/usrbin/wget", []byte("x"))},
+		{"rename new", fs.Rename("/tmp/new", "/tmp/new2")},
+		{"remove seeded file", fs.Remove("/proc/uptime", false)},
+		{"remove new", fs.Remove("/tmp/new2", false)},
+		{"rm -r /etc", fs.Remove("/etc", true)},
+	}
+	for _, s := range steps {
+		if s.err != nil {
+			t.Errorf("%s: %v", s.name, s.err)
+		}
+	}
+}
+
+func TestBaseImageIsolation(t *testing.T) {
+	pristine := digest(seeded())
+	fs, sibling := New(), New()
+	if got := digest(fs); got != pristine {
+		t.Fatalf("New() digest %s, eager tree %s", got, pristine)
+	}
+	mutateAll(t, fs)
+	if digest(fs) == pristine {
+		t.Fatal("the mutations left the tree unchanged")
+	}
+	for _, p := range []string{"/etc", "/usr/bin", "/tmp/sh"} {
+		if _, err := fs.Stat(p); (err == nil) != (p == "/tmp/sh") {
+			t.Errorf("Stat(%s) after the mutations: %v", p, err)
+		}
+	}
+	for name, other := range map[string]*FS{"sibling": sibling, "fresh": New()} {
+		if got := digest(other); got != pristine {
+			t.Errorf("%s FS digest %s after another FS wrote, want the pristine %s", name, got, pristine)
+		}
+	}
+
+	// Eight sessions writing at once share only the base, which none of
+	// them writes; -race reports a write to a shared node.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mutateAll(t, New())
+		}()
+	}
+	wg.Wait()
+	if got := digest(New()); got != pristine {
+		t.Errorf("fresh FS digest %s after concurrent writers, want %s", got, pristine)
+	}
+}
+
+// TestUntouchedFSHeap holds an untouched FS (what Persistent mode keeps
+// per client IP) to a small constant: it is a pointer to the base.
+func TestUntouchedFSHeap(t *testing.T) {
+	const n = 10000
+	New() // the base is built once, outside the measurement
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	held := make([]*FS, n)
+	for i := range held {
+		held[i] = New()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(held)
+	t.Logf("an untouched FS holds %d B of heap", per)
+	if per >= 1024 {
+		t.Errorf("an untouched FS holds %d B of heap, want under 1 KiB", per)
+	}
+}
+
+func TestPathologicalMutationsFail(t *testing.T) {
+	fs := New()
+	if err := fs.MkdirAll("/etc/passwd/x"); !errors.Is(err, ErrNotDir) {
+		t.Errorf("MkdirAll through a file: %v", err)
+	}
+	fs.MkdirAll("/tmp/d/e")
+	for _, mv := range [][2]string{{"/tmp/d", "/tmp/d"}, {"/tmp/d", "/tmp/d/e/f"}, {"/", "/tmp/x"}} {
+		if err := fs.Rename(mv[0], mv[1]); !errors.Is(err, ErrPermission) {
+			t.Errorf("Rename(%s, %s) = %v, want ErrPermission", mv[0], mv[1], err)
+		}
+	}
+	if !fs.Exists("/tmp/d/e") || fs.Exists("/tmp/x") {
+		t.Error("a refused rename changed the tree")
+	}
+}
+
+// fuzzPaths are the operands FuzzOverlayMatchesEager draws from: seeded
+// files and directories, new paths, relative paths, and paths through a
+// file.
+var fuzzPaths = []string{
+	"/", "/etc", "/etc/passwd", "/etc/init.d", "/etc/init.d/ssh", "/tmp",
+	"/tmp/a", "/tmp/a/b", "/root/.ssh", "/root/.ssh/authorized_keys",
+	"/bin/busybox", "/usr", "/usr/bin", "/usr/bin/wget", "/proc/cpuinfo",
+	"x", "..", "~/.ssh", "/etc/passwd/x", "/nope/deep",
+}
+
+// FuzzOverlayMatchesEager applies one fuzzed operation sequence to New()
+// and to seeded(), the eager builder New used to be: an FS that owns
+// every node and so changes them in place. Errors, the tree as List,
+// ReadFile and HashOf see it, and the change log must agree after every
+// step, and the shared base must be unchanged at the end.
+func FuzzOverlayMatchesEager(f *testing.F) {
+	f.Add([]byte{0, 6, 0, 1, 5, 1, 0, 1, 6, 12, 8, 0, 0, 13, 0, 2})
+	f.Add([]byte{3, 7, 0, 0, 6, 7, 16, 0, 5, 5, 0, 1, 4, 1, 0, 9})
+	f.Add([]byte{7, 5, 0, 0, 6, 15, 0, 0, 1, 16, 0, 3, 2, 6, 0, 0})
+	pristine := digest(New())
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		overlay, eager := New(), seeded()
+		for i := 0; i+4 <= len(ops); i += 4 {
+			op, c := ops[i]%8, ops[i+3]
+			p, q := fuzzPaths[int(ops[i+1])%len(fuzzPaths)], fuzzPaths[int(ops[i+2])%len(fuzzPaths)]
+			content := []byte(strings.Repeat(string(rune('a'+c%3)), int(c%5)))
+			apply := func(fs *FS) error {
+				switch op {
+				case 0:
+					return fs.WriteFile(p, content)
+				case 1:
+					return fs.AppendFile(p, content)
+				case 2:
+					return fs.Mkdir(p)
+				case 3:
+					return fs.MkdirAll(p)
+				case 4:
+					return fs.Chmod(p, uint32(c)<<1)
+				case 5:
+					return fs.Remove(p, c&1 == 1)
+				case 6:
+					return fs.Rename(p, q)
+				default:
+					return fs.Chdir(p)
+				}
+			}
+			eo, ee := apply(overlay), apply(eager)
+			if fmt.Sprint(eo) != fmt.Sprint(ee) {
+				t.Fatalf("op %d (%d %s %s): overlay error %v, eager %v", i/4, op, p, q, eo, ee)
+			}
+			if a, b := tree(overlay, false), tree(eager, false); a != b {
+				t.Fatalf("op %d (%d %s %s): trees differ\noverlay:\n%s\neager:\n%s", i/4, op, p, q, a, b)
+			}
+			for _, r := range fuzzPaths {
+				ha, oka := overlay.HashOf(r)
+				hb, okb := eager.HashOf(r)
+				ca, erra := overlay.ReadFile(r)
+				cb, errb := eager.ReadFile(r)
+				if ha != hb || oka != okb || string(ca) != string(cb) || fmt.Sprint(erra) != fmt.Sprint(errb) {
+					t.Fatalf("op %d: %s reads differ", i/4, r)
+				}
+			}
+			if !reflect.DeepEqual(overlay.Changes(), eager.Changes()) || overlay.Cwd() != eager.Cwd() {
+				t.Fatalf("op %d: change logs or cwd differ:\n%v\n%v", i/4, overlay.Changes(), eager.Changes())
+			}
+		}
+		if got := digest(New()); got != pristine {
+			t.Fatalf("the shared base changed: digest %s, want %s", got, pristine)
+		}
+	})
 }
 
 func BenchmarkNewSeededFS(b *testing.B) {
