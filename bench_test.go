@@ -359,7 +359,7 @@ func benchSessionPair() (string, string) {
 func BenchmarkAblationTokenDLD(b *testing.B) {
 	x, y := benchSessionPair()
 	tx, ty := textdist.Tokenize(x), textdist.Tokenize(y)
-	s := textdist.NewScratch()
+	s := new(textdist.Scratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -369,31 +369,12 @@ func BenchmarkAblationTokenDLD(b *testing.B) {
 
 func BenchmarkAblationCharDLD(b *testing.B) {
 	x, y := benchSessionPair()
-	s := textdist.NewScratch()
+	s := new(textdist.Scratch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.CharDamerau(x, y)
 	}
-}
-
-func BenchmarkAblationFullVsBandedDLD(b *testing.B) {
-	x, _ := benchSessionPair()
-	tx := textdist.Tokenize(x)
-	ty := textdist.Tokenize("uname -a")
-	s := textdist.NewScratch()
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Damerau(tx, ty)
-		}
-	})
-	b.Run("banded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.DamerauBanded(tx, ty, 3)
-		}
-	})
 }
 
 func BenchmarkAblationKMedoidsSeeding(b *testing.B) {
@@ -617,7 +598,7 @@ func BenchmarkDLDMatrixBounded(b *testing.B) {
 		{"bounded", (*textdist.Scratch).NormalizedIDs},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			s := textdist.NewScratch()
+			s := new(textdist.Scratch)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sum := 0.0

@@ -104,9 +104,8 @@ func main() {
 	}
 
 	cfg := simulate.Config{
-		Scale:   *scale,
-		Seed:    *seed,
-		Discard: true,
+		Scale: *scale,
+		Seed:  *seed,
 		Sink: func(r *session.Record) {
 			for _, s := range sinks {
 				s(r)

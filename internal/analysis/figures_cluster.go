@@ -326,36 +326,33 @@ func Fig14(w *World, perCategory int) *Fig14Result {
 	sort.Strings(cats)
 
 	// Each matrix cell is the mean over an exemplar cross product: the
-	// block of its two categories, summed row-major, serially per cell,
-	// so the mean is bit-identical to a per-pair loop for any worker
-	// count.
-	groups := make([][][]string, len(cats))
+	// block of its two categories in the distances of every exemplar
+	// pair, summed row-major, serially per cell, so the mean is
+	// bit-identical to a per-pair loop for any worker count.
+	var toks [][]string
+	start := make([]int, len(cats)+1)
 	for ci, c := range cats {
 		for _, txt := range byCat[c] {
-			groups[ci] = append(groups[ci], textdist.Tokenize(txt))
+			toks = append(toks, textdist.Tokenize(txt))
 		}
+		start[ci+1] = len(toks)
 	}
 	defer w.span("fig14.dld-matrix").End()
-	n := len(cats)
-	blocks := make([][]float64, n*n)
-	for i := range cats {
-		for j := i + 1; j < n; j++ {
-			blocks[i*n+j] = make([]float64, len(groups[i])*len(groups[j]))
-		}
-	}
-	textdist.Blocks(groups, w.workers(), func(g, h, r, c int, d float64) {
-		blocks[g*n+h][r*len(groups[h])+c] = d
+	nt := len(toks)
+	dist := make([]float64, nt*nt)
+	textdist.Pairwise(toks, w.workers(), func(i, j int, d float64) {
+		dist[i*nt+j], dist[j*nt+i] = d, d
 	})
-	m := cluster.NewMatrix(n)
+	m := cluster.NewMatrix(len(cats))
 	for i := range cats {
-		for j := i + 1; j < n; j++ {
-			if d := blocks[i*n+j]; len(d) > 0 {
-				sum := 0.0
-				for _, v := range d {
+		for j := i + 1; j < len(cats); j++ {
+			sum := 0.0
+			for r := start[i]; r < start[i+1]; r++ {
+				for _, v := range dist[r*nt+start[j] : r*nt+start[j+1]] {
 					sum += v
 				}
-				m.Set(i, j, sum/float64(len(d)))
 			}
+			m.Set(i, j, sum/float64((start[i+1]-start[i])*(start[j+1]-start[j])))
 		}
 	}
 	return &Fig14Result{Categories: cats, Mean: m}

@@ -62,9 +62,8 @@ func corpusTexts(t testing.TB, scale float64, seed int64) []string {
 	seen := map[string]bool{}
 	var texts []string
 	_, err := simulate.Run(simulate.Config{
-		Scale:   scale,
-		Seed:    seed,
-		Discard: true,
+		Scale: scale,
+		Seed:  seed,
 		Sink: func(r *session.Record) {
 			txt := r.CommandText()
 			if txt == "" || seen[txt] {

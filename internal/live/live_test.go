@@ -21,9 +21,8 @@ func simRecords(t testing.TB, scale float64, seed int64) []*session.Record {
 	t.Helper()
 	var recs []*session.Record
 	_, err := simulate.Run(simulate.Config{
-		Scale:   scale,
-		Seed:    seed,
-		Discard: true,
+		Scale: scale,
+		Seed:  seed,
 		Sink: func(r *session.Record) {
 			cp := *r
 			recs = append(recs, &cp)

@@ -51,7 +51,7 @@ func explainOutput(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = simulate.Run(simulate.Config{Scale: 5000, Seed: 42, Discard: true, Sink: func(r *session.Record) {
+	_, err = simulate.Run(simulate.Config{Scale: 5000, Seed: 42, Sink: func(r *session.Record) {
 		if err := st.Append(r); err != nil {
 			t.Fatal(err)
 		}

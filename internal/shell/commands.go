@@ -2,7 +2,9 @@ package shell
 
 import (
 	"encoding/base64"
+	"errors"
 	"fmt"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -351,10 +353,22 @@ func cmdMv(sh *Shell, args []string, _ string) (string, int) {
 	if len(paths) < 2 {
 		return "mv: missing file operand\n", 1
 	}
-	if err := sh.FS.Rename(paths[0], paths[1]); err != nil {
-		return fmt.Sprintf("mv: cannot stat '%s': No such file or directory\n", paths[0]), 1
+	src, dst := paths[0], paths[1]
+	err := sh.FS.Rename(src, dst)
+	switch {
+	case err == nil:
+		return "", 0
+	case errors.Is(err, vfs.ErrPermission):
+		// Rename puts a node moved onto a directory inside it.
+		if n, err := sh.FS.Stat(dst); err == nil && n.Dir {
+			dst = strings.TrimSuffix(dst, "/") + "/" + path.Base(src)
+		}
+		return fmt.Sprintf("mv: cannot move '%s' to a subdirectory of itself, '%s'\n", src, dst), 1
 	}
-	return "", 0
+	if _, err := sh.FS.Stat(src); err != nil {
+		return fmt.Sprintf("mv: cannot stat '%s': No such file or directory\n", src), 1
+	}
+	return fmt.Sprintf("mv: cannot move '%s' to '%s': No such file or directory\n", src, dst), 1
 }
 
 func cmdChmod(sh *Shell, args []string, _ string) (string, int) {

@@ -65,6 +65,21 @@ func TestCmdCpMv(t *testing.T) {
 	}
 }
 
+// TestCmdMvErrors: each way a move fails prints bash's own message.
+func TestCmdMvErrors(t *testing.T) {
+	for _, c := range []struct{ cmd, want string }{
+		{"mv /missing /tmp/x", "mv: cannot stat '/missing': No such file or directory\n"},
+		{"mv a x/a", "mv: cannot move 'a' to 'x/a': No such file or directory\n"},
+		{"mv d d/b", "mv: cannot move 'd' to a subdirectory of itself, 'd/b/d'\n"},
+	} {
+		sh := newTestShell()
+		sh.Run("cd /tmp; touch a; mkdir d; mkdir d/b")
+		if out := sh.Run(c.cmd); out != c.want {
+			t.Errorf("%s: %q, want %q", c.cmd, out, c.want)
+		}
+	}
+}
+
 func TestCmdSystemInfo(t *testing.T) {
 	checks := map[string]string{
 		"id":            "uid=0(root)",

@@ -20,15 +20,18 @@ type segment struct {
 }
 
 // splitSegments cuts a command line into simple-command segments at
-// unquoted ';', '&&', '||', '|', '&', and newlines.
+// unquoted ';', '&&', '||', '|', '&', and newlines. Every byte but the
+// operators is kept verbatim, so each segment's text is a trimmed slice
+// of line.
 func splitSegments(line string) []segment {
 	var segs []segment
-	var cur strings.Builder
+	start := 0
 	inSingle, inDouble, escaped := false, false, false
 
-	flush := func(op opKind) {
-		text := strings.TrimSpace(cur.String())
-		cur.Reset()
+	// flush ends the segment at end, before an operator of width bytes.
+	flush := func(end, width int, op opKind) {
+		text := strings.TrimSpace(line[start:end])
+		start = end + width
 		if text != "" {
 			segs = append(segs, segment{text: text, next: op})
 		} else if len(segs) > 0 {
@@ -41,47 +44,36 @@ func splitSegments(line string) []segment {
 	for i := 0; i < len(line); i++ {
 		c := line[i]
 		if escaped {
-			cur.WriteByte(c)
 			escaped = false
 			continue
 		}
 		switch {
 		case c == '\\' && !inSingle:
-			cur.WriteByte(c)
 			escaped = true
 		case c == '\'' && !inDouble:
 			inSingle = !inSingle
-			cur.WriteByte(c)
 		case c == '"' && !inSingle:
 			inDouble = !inDouble
-			cur.WriteByte(c)
-		case inSingle || inDouble:
-			cur.WriteByte(c)
-		case c == '\n':
-			flush(opSeq)
-		case c == ';':
-			flush(opSeq)
+		case inSingle || inDouble: // a quoted operator is a plain byte
+		case c == '\n', c == ';':
+			flush(i, 1, opSeq)
 		case c == '&':
 			if i+1 < len(line) && line[i+1] == '&' {
-				flush(opAnd)
+				flush(i, 2, opAnd)
 				i++
-			} else if i > 0 && line[i-1] == '>' {
-				cur.WriteByte(c) // fd duplication: 2>&1
-			} else {
-				flush(opSeq) // background '&': treated as sequence
+			} else if i == 0 || line[i-1] != '>' { // not fd duplication: 2>&1
+				flush(i, 1, opSeq) // background '&': treated as sequence
 			}
 		case c == '|':
 			if i+1 < len(line) && line[i+1] == '|' {
-				flush(opOr)
+				flush(i, 2, opOr)
 				i++
 			} else {
-				flush(opPipe)
+				flush(i, 1, opPipe)
 			}
-		default:
-			cur.WriteByte(c)
 		}
 	}
-	flush(opSeq)
+	flush(len(line), 0, opSeq)
 	return segs
 }
 

@@ -119,15 +119,16 @@ func (sh *Shell) Run(line string) string {
 	if line == "" {
 		return ""
 	}
-	known := sh.lineKnown(line)
-	sh.commands = append(sh.commands, session.Command{Raw: line, Known: known})
-	out, _ := sh.eval(line, "")
+	segs := splitSegments(line)
+	sh.commands = append(sh.commands, session.Command{Raw: line, Known: sh.segmentsKnown(segs)})
+	out, _ := sh.evalSegments(segs, "")
 	return out
 }
 
-// lineKnown reports whether every simple command on the line is emulated.
-func (sh *Shell) lineKnown(line string) bool {
-	for _, seg := range splitSegments(line) {
+// segmentsKnown reports whether every simple command of a line's
+// segments is emulated.
+func (sh *Shell) segmentsKnown(segs []segment) bool {
+	for _, seg := range segs {
 		pc := splitWords(seg.text)
 		if len(pc.words) == 0 {
 			continue
@@ -156,13 +157,17 @@ func (sh *Shell) isKnownCommand(name string) bool {
 // eval runs a full line (sequences, pipelines) with the given stdin and
 // returns (output, exitStatus).
 func (sh *Shell) eval(line, stdin string) (string, int) {
+	return sh.evalSegments(splitSegments(line), stdin)
+}
+
+// evalSegments is eval of a line already split into segments.
+func (sh *Shell) evalSegments(segs []segment, stdin string) (string, int) {
 	if sh.depth > 8 {
 		return "", 1
 	}
 	sh.depth++
 	defer func() { sh.depth-- }()
 
-	segs := splitSegments(line)
 	var out strings.Builder
 	lastExit := 0
 	i := 0
@@ -199,7 +204,7 @@ func (sh *Shell) eval(line, stdin string) (string, int) {
 func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
 	cur := stdin
 	exit := 0
-	for idx, seg := range segs {
+	for _, seg := range segs {
 		pc := splitWords(sh.expand(seg.text))
 		if len(pc.words) == 0 {
 			continue
@@ -210,11 +215,7 @@ func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
 			sh.applyRedirect(pc.redir, out)
 			out = ""
 		}
-		if idx < len(segs)-1 {
-			cur = out
-		} else {
-			cur = out
-		}
+		cur = out
 	}
 	return cur, exit
 }

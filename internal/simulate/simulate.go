@@ -33,10 +33,9 @@ type Config struct {
 	// Start and End bound the simulated window; zero values take the
 	// paper's window.
 	Start, End time.Time
-	// Sink, if set, receives every record in addition to the store;
-	// set Discard to skip storing (streaming mode).
-	Sink    func(*session.Record)
-	Discard bool
+	// Sink, if set, receives every record instead of the store
+	// (streaming mode); without it, Run stores every record.
+	Sink func(*session.Record)
 	// Workers caps the goroutines replaying attack scripts against the
 	// emulated shell (<= 0 means runtime.GOMAXPROCS(0), 1 is fully serial).
 	// The generated dataset is identical for every value: all randomness
@@ -83,7 +82,7 @@ type Result struct {
 	Registry *asdb.Registry
 	AbuseDB  *abusedb.DB
 	// Sessions is the total generated count (equals Store.Len() unless
-	// Discard).
+	// a Sink took the records).
 	Sessions int
 }
 
@@ -144,11 +143,10 @@ func Run(cfg Config) (*Result, error) {
 	emit := func(r *session.Record) {
 		nextID++
 		r.ID = nextID
-		if !cfg.Discard {
-			res.Store.Add(r)
-		}
 		if cfg.Sink != nil {
 			cfg.Sink(r)
+		} else {
+			res.Store.Add(r)
 		}
 		res.Sessions++
 	}

@@ -206,15 +206,14 @@ func TestStreamingSinkAndDiscard(t *testing.T) {
 	n := 0
 	res, err := Run(Config{
 		Scale: 5000, Seed: 4,
-		End:     botnet.WindowStart.AddDate(0, 1, 0),
-		Discard: true,
-		Sink:    func(r *session.Record) { n++ },
+		End:  botnet.WindowStart.AddDate(0, 1, 0),
+		Sink: func(r *session.Record) { n++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Store.Len() != 0 {
-		t.Errorf("Discard run stored %d records", res.Store.Len())
+		t.Errorf("Sink run stored %d records", res.Store.Len())
 	}
 	if n == 0 || n != res.Sessions {
 		t.Errorf("sink saw %d, result says %d", n, res.Sessions)
@@ -318,7 +317,7 @@ func TestTimeOrderWithinDayGranularity(t *testing.T) {
 // minus blank lines.
 func BenchmarkReplay(b *testing.B) {
 	var lists [][]string
-	_, err := Run(Config{Scale: 20000, Seed: 42, Discard: true, Sink: func(r *session.Record) {
+	_, err := Run(Config{Scale: 20000, Seed: 42, Sink: func(r *session.Record) {
 		if len(r.Commands) == 0 {
 			return
 		}

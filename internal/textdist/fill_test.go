@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// fillInputs are the text sets the drivers are held to: the pack
+// fillInputs are the text sets Pairwise is held to: the pack
 // boundaries (0, 1, 63, 64, 65 and ~200 tokens over three tokens, so
 // matches and transpositions are dense, cycled so every third of the
 // set holds each length), and a clustering-like sample with empty
@@ -54,7 +54,7 @@ func perPair(texts [][]string) func(i, j int) float64 {
 	for i, t := range texts {
 		ids[i] = in.Intern(t)
 	}
-	s := NewScratch()
+	s := new(Scratch)
 	return func(i, j int) float64 { return s.NormalizedIDsFull(ids[i], ids[j]) }
 }
 
@@ -68,10 +68,10 @@ func empties(texts [][]string) int {
 	return n
 }
 
-// TestPairwiseAndBlocksEqualPerPair: both fill shapes set every cell
-// exactly once, to the full-DP distance of its pair bit for bit, at any
-// worker count; the pair counter skips only empty-empty pairs.
-func TestPairwiseAndBlocksEqualPerPair(t *testing.T) {
+// TestPairwiseEqualsPerPair: Pairwise sets every cell exactly once, to
+// the full-DP distance of its pair bit for bit, at any worker count; the
+// pair counter skips only empty-empty pairs.
+func TestPairwiseEqualsPerPair(t *testing.T) {
 	for name, texts := range fillInputs() {
 		n := len(texts)
 		want := make([]float64, n*n)
@@ -82,21 +82,6 @@ func TestPairwiseAndBlocksEqualPerPair(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 3} {
-			check := func(shape string, nr, nc int, got []float64, seen []int, cell func(r, c int) int) {
-				t.Helper()
-				for r := 0; r < nr; r++ {
-					for c := 0; c < nc; c++ {
-						x := r*nc + c
-						if seen[x] != 1 {
-							t.Fatalf("%s %s workers=%d: cell (%d,%d) set %d times", name, shape, workers, r, c, seen[x])
-						}
-						if w := want[cell(r, c)]; math.Float64bits(got[x]) != math.Float64bits(w) {
-							t.Fatalf("%s %s workers=%d: cell (%d,%d) = %v, per pair %v", name, shape, workers, r, c, got[x], w)
-						}
-					}
-				}
-			}
-
 			got, seen := make([]float64, n*n), make([]int, n*n)
 			st := Pairwise(texts, workers, func(i, j int, d float64) {
 				if i == j {
@@ -107,55 +92,19 @@ func TestPairwiseAndBlocksEqualPerPair(t *testing.T) {
 				seen[j*n+i]++
 			})
 			for i := 0; i < n; i++ {
-				seen[i*n+i] = 1
+				for j := 0; j < n; j++ {
+					if x := i*n + j; i != j && seen[x] != 1 {
+						t.Fatalf("%s workers=%d: cell (%d,%d) set %d times", name, workers, i, j, seen[x])
+					} else if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
+						t.Fatalf("%s workers=%d: cell (%d,%d) = %v, per pair %v", name, workers, i, j, got[x], want[x])
+					}
+				}
 			}
-			check("pairwise", n, n, got, seen, func(r, c int) int { return r*n + c })
 			e := empties(texts)
 			if w := int64(n*(n-1)/2 - e*(e-1)/2); st.Pairs != w {
-				t.Errorf("%s pairwise workers=%d: pairs = %d, want %d", name, workers, st.Pairs, w)
-			}
-
-			// Blocks over index ranges of texts: one rows×cols block, the
-			// same transposed, and several groups with an empty one.
-			for _, ranges := range [][][2]int{
-				{{0, n / 3}, {0, n}},
-				{{0, n}, {0, n / 3}},
-				{{0, 5}, {5, 5}, {5, n / 2}, {n / 2, n - 1}, {n - 1, n}},
-			} {
-				var groups [][][]string
-				for _, rg := range ranges {
-					groups = append(groups, texts[rg[0]:rg[1]])
-				}
-				shape := fmt.Sprintf("blocks%v", ranges)
-				got := make([][]float64, len(groups)*len(groups))
-				seen := make([][]int, len(got))
-				for g := range groups {
-					for h := g + 1; h < len(groups); h++ {
-						got[g*len(groups)+h] = make([]float64, len(groups[g])*len(groups[h]))
-						seen[g*len(groups)+h] = make([]int, len(groups[g])*len(groups[h]))
-					}
-				}
-				st := Blocks(groups, workers, func(g, h, r, c int, d float64) {
-					x := r*len(groups[h]) + c
-					got[g*len(groups)+h][x] = d
-					seen[g*len(groups)+h][x]++
-				})
-				var pairs int64
-				for g := range groups {
-					for h := g + 1; h < len(groups); h++ {
-						ag, ah := ranges[g][0], ranges[h][0]
-						check(shape, len(groups[g]), len(groups[h]), got[g*len(groups)+h], seen[g*len(groups)+h],
-							func(r, c int) int { return (ag+r)*n + ah + c })
-						pairs += int64(len(groups[g])*len(groups[h]) - empties(groups[g])*empties(groups[h]))
-					}
-				}
-				if st.Pairs != pairs {
-					t.Errorf("%s %s workers=%d: pairs = %d, want %d", name, shape, workers, st.Pairs, pairs)
-				}
+				t.Errorf("%s workers=%d: pairs = %d, want %d", name, workers, st.Pairs, w)
 			}
 		}
 	}
 	Pairwise(nil, 2, func(int, int, float64) { t.Fatal("Pairwise set a cell of no texts") })
-	Blocks([][][]string{nil, {{"a"}}}, 2, func(int, int, int, int, float64) { t.Fatal("Blocks set a cell of no rows") })
-	Blocks([][][]string{{{"a"}}}, 2, func(int, int, int, int, float64) { t.Fatal("Blocks set a cell of one group") })
 }

@@ -10,19 +10,13 @@ import (
 // distance to each text with the full-DP reference.
 func checkPack(t *testing.T, patterns, texts [][]int32) {
 	t.Helper()
-	vocab := 0
-	for _, s := range append(append([][]int32{}, patterns...), texts...) {
-		for _, id := range s {
-			vocab = max(vocab, int(id)+1)
-		}
-	}
-	p := newPacker(vocab)
+	var p packer
 	members := make([]int, len(patterns))
 	for i := range members {
 		members[i] = i
 	}
 	p.load(patterns, members)
-	ref := NewScratch()
+	ref := new(Scratch)
 	out := make([]float64, len(patterns))
 	for _, text := range texts {
 		p.normalized(text, 0, out)
@@ -94,7 +88,7 @@ func TestPackedKernelEqualsFullDP(t *testing.T) {
 // counted, not the pass.
 func TestPackedKernelSkips(t *testing.T) {
 	seqs := [][]int32{{0, 1}, {1, 0, 2}}
-	p := newPacker(10)
+	var p packer
 	p.load(seqs, []int{0, 1})
 	text := []int32{0, 1}
 	for len(text) < 500 {
@@ -105,7 +99,7 @@ func TestPackedKernelSkips(t *testing.T) {
 	if st := p.stats; st.CellsDP >= int64(len(text)) || st.Pairs != 2 || st.BandPasses != 1 {
 		t.Errorf("stats %+v over a %d-token text: no step skipped", st, len(text))
 	}
-	ref := NewScratch()
+	ref := new(Scratch)
 	for k, s := range seqs {
 		if want := ref.NormalizedIDsFull(s, text); out[k] != want {
 			t.Errorf("segment %d: %v, want %v", k, out[k], want)

@@ -10,9 +10,8 @@
 // of distances, so a Scratch carries reusable rows (one Scratch per
 // worker) and brings per-pair allocations to zero.
 //
-// Pairwise (every pair of one text set) and Blocks (the rows×cols block
-// between every two groups of texts) fill whole distance sets: they
-// intern the tokens, keep the per-worker kernel state, and are the only
+// Pairwise fills the distances of every pair of one text set: it
+// interns the tokens, keeps the per-worker kernel state, and is the only
 // code that decides which pairs run packed and which one at a time.
 package textdist
 
@@ -66,20 +65,16 @@ func (s *KernelStats) Add(other KernelStats) {
 	s.CellsFull += other.CellsFull
 }
 
-// Scratch holds the DP row buffers for one worker. The zero value is
-// ready to use; rows grow on demand and are reused across calls. Not
-// safe for concurrent use — give each goroutine its own Scratch.
+// Scratch holds the DP row buffers and kernel tables for one worker.
+// The zero value is ready to use; buffers grow on demand and are reused
+// across calls. Not safe for concurrent use — give each goroutine its
+// own Scratch.
 type Scratch struct {
 	prev2, prev, cur []int
-	// peq* form the per-pair match-vector table of the bit-parallel
-	// kernel: a small open-addressing map from token ID to the bitmask
-	// of pattern positions holding that token. Keys are stored as id+1
-	// so the zero value means "empty"; peqUsed records occupied slots
-	// for an O(pattern) clear after each pair.
-	peqKeys [peqSize]int32
-	peqVals [peqSize]uint64
-	peqUsed [bitvecMax]uint8
-	peqN    int
+	// pk is the single-word kernel, run on the one-member pack one[0];
+	// its match table grows to the largest token ID a pattern holds.
+	pk  packer
+	one [1][]int32
 	// counts is the token-ID histogram behind the multiset lower bound
 	// of the long-pair path; grown to the largest ID seen and zeroed
 	// after each pair via the same ID list.
@@ -88,14 +83,8 @@ type Scratch struct {
 	stats KernelStats
 }
 
-// NewScratch returns an empty Scratch.
-func NewScratch() *Scratch { return &Scratch{} }
-
 // Stats returns the accumulated bounded-kernel counters.
 func (s *Scratch) Stats() KernelStats { return s.stats }
-
-// ResetStats zeroes the counters.
-func (s *Scratch) ResetStats() { s.stats = KernelStats{} }
 
 // rows returns the three DP rows sized for a second sequence of length
 // lb, growing the backing arrays when needed.
@@ -151,148 +140,14 @@ func damerau[T comparable](s *Scratch, a, b []T) int {
 	return prev[lb]
 }
 
-// damerauBanded is damerau with early abandoning: it returns a value
-// > bound as soon as the distance provably exceeds bound.
-func damerauBanded[T comparable](s *Scratch, a, b []T, bound int) int {
-	la, lb := len(a), len(b)
-	diff := la - lb
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > bound {
-		return bound + 1
-	}
-	if la == 0 || lb == 0 {
-		return la + lb
-	}
-	prev2, prev, cur := s.rows(lb)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		rowMin := cur[0]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1
-			if v := cur[j-1] + 1; v < m {
-				m = v
-			}
-			if v := prev[j-1] + cost; v < m {
-				m = v
-			}
-			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
-				if v := prev2[j-2] + 1; v < m {
-					m = v
-				}
-			}
-			cur[j] = m
-			if m < rowMin {
-				rowMin = m
-			}
-		}
-		if rowMin > bound {
-			return bound + 1
-		}
-		prev2, prev, cur = prev, cur, prev2
-	}
-	d := prev[lb]
-	if d > bound {
-		return bound + 1
-	}
-	return d
-}
+// bitvecMax is the longest pattern the single-word bit-parallel kernel
+// handles: one pattern position per bit of a uint64.
+const bitvecMax = 64
 
-const (
-	// bitvecMax is the longest pattern the single-word bit-parallel
-	// kernel handles: one pattern position per bit of a uint64.
-	bitvecMax = 64
-	// peqSize is the open-addressing table size for the match vectors:
-	// a power of two at load factor <= 1/2 for <= bitvecMax keys.
-	peqSize = 128
-)
+// oneMember is the member list of a one-sequence pack.
+var oneMember = []int{0}
 
-// damerauBitVector computes the exact OSA Damerau distance by Hyyrö's
-// bit-parallel algorithm (Myers' Levenshtein vectors plus a
-// transposition term). pattern must be non-empty and at most bitvecMax
-// tokens; text is unbounded. Each text token costs a handful of word
-// operations instead of a len(pattern)-cell DP row, so a pair costs
-// O(len(text)) regardless of pattern length — the decisive win on the
-// skewed-length pairs that dominate real command corpora.
-//
-// Vector semantics (bit k <-> pattern position k+1, column j = text
-// position): D0 marks diagonal zeros D[i,j] == D[i-1,j-1]; VP/VN the
-// +1/-1 vertical deltas; HP/HN the horizontal ones. The restricted
-// transposition D[i,j] = D[i-2,j-2]+1 surfaces as an extra diagonal
-// zero exactly when pattern[i-1] == text[j], pattern[i] == text[j-1],
-// and (i-1,j-1) was not itself a diagonal zero — the TR term below,
-// built from the previous column's D0 and match vector.
-func (s *Scratch) damerauBitVector(pattern, text []int32) int {
-	m := len(pattern)
-	for i, id := range pattern {
-		h := (uint32(id) * 2654435761) & (peqSize - 1)
-		for {
-			k := s.peqKeys[h]
-			if k == 0 {
-				s.peqKeys[h] = id + 1
-				s.peqVals[h] = 1 << uint(i)
-				s.peqUsed[s.peqN] = uint8(h)
-				s.peqN++
-				break
-			}
-			if k == id+1 {
-				s.peqVals[h] |= 1 << uint(i)
-				break
-			}
-			h = (h + 1) & (peqSize - 1)
-		}
-	}
-	vp := ^uint64(0)
-	if m < 64 {
-		vp = (uint64(1) << uint(m)) - 1
-	}
-	var vn, d0prev, pmprev uint64
-	mask := uint64(1) << uint(m-1)
-	score := m
-	for _, id := range text {
-		h := (uint32(id) * 2654435761) & (peqSize - 1)
-		var pm uint64
-		for {
-			k := s.peqKeys[h]
-			if k == id+1 {
-				pm = s.peqVals[h]
-				break
-			}
-			if k == 0 {
-				break
-			}
-			h = (h + 1) & (peqSize - 1)
-		}
-		tr := ((^d0prev & pm) << 1) & pmprev
-		d0 := tr | (((pm & vp) + vp) ^ vp) | pm | vn
-		hp := vn | ^(d0 | vp)
-		hn := d0 & vp
-		if hp&mask != 0 {
-			score++
-		} else if hn&mask != 0 {
-			score--
-		}
-		x := (hp << 1) | 1
-		vp = (hn << 1) | ^(d0 | x)
-		vn = d0 & x
-		d0prev, pmprev = d0, pm
-	}
-	for i := 0; i < s.peqN; i++ {
-		s.peqKeys[s.peqUsed[i]] = 0
-	}
-	s.peqN = 0
-	return score
-}
-
-// damerauBitVectorBlocked extends damerauBitVector to patterns longer
+// damerauBitVectorBlocked extends the single-word kernel to patterns longer
 // than one machine word: the pattern is split into ceil(m/64)-word
 // blocks and each text token updates the blocks bottom-up, chaining the
 // adder carry, the horizontal-delta shift bits, and the transposition
@@ -360,15 +215,19 @@ func damerauBitVectorBlocked(pattern, text []int32) int {
 	return score
 }
 
-// packer runs damerauBitVector over many short patterns at once. Up to
+// packer is the single-word kernel: it computes the exact OSA Damerau
+// distance by Hyyrö's bit-parallel algorithm (Myers' Levenshtein vectors
+// plus a transposition term), for many short patterns at once. Up to
 // bitvecMax tokens of patterns are laid side by side in one word, one
 // segment per pattern, so a text costs one pass for the whole pack
-// instead of one per pattern. The match table is dense, indexed by
-// token ID, so a text token costs one array load instead of a hash
-// probe. Not safe for concurrent use — give each goroutine its own.
+// instead of one per pattern, and a text token costs a handful of word
+// operations instead of a DP row. One pattern is a one-member pack. The
+// zero value is ready to use. Not safe for concurrent use — give each
+// goroutine its own.
 type packer struct {
 	// peq maps a token ID to its positions in every segment of the
-	// loaded pack; it is zero for every other ID.
+	// loaded pack; it is zero for every other ID. It is dense, indexed
+	// by token ID, and grows to the largest ID a pack holds.
 	peq []uint64
 	// seqs[members[k]] is segment k, and masks[k] its bits.
 	seqs    [][]int32
@@ -379,9 +238,6 @@ type packer struct {
 	bottom, top, used uint64
 	stats             KernelStats
 }
-
-// newPacker returns a packer for token IDs below vocab (Interner.Len).
-func newPacker(vocab int) *packer { return &packer{peq: make([]uint64, vocab)} }
 
 // splitPacks splits the indices of seqs into packs for a packer:
 // sequences of 1..bitvecMax tokens are taken greedily in index order, so
@@ -427,6 +283,9 @@ func (p *packer) load(seqs [][]int32, members []int) {
 			panic("textdist: pack member out of range")
 		}
 		for q, id := range seqs[i] {
+			if int(id) >= len(p.peq) {
+				p.peq = append(p.peq, make([]uint64, int(id)+1-len(p.peq))...)
+			}
 			p.peq[id] |= 1 << uint(off+q)
 		}
 		mask := ^uint64(0) >> uint(64-m) << uint(off)
@@ -438,26 +297,35 @@ func (p *packer) load(seqs [][]int32, members []int) {
 	}
 }
 
-// normalized sets out[k], for every member k >= from, to the normalized
-// distance between text and that member: bit for bit what
-// Scratch.NormalizedIDs returns for the pair. The pass costs the same
-// for any from; from only limits what is written and counted.
+// scan runs the loaded pack over text and returns the vertical deltas
+// of the last column and the number of tokens that cost a word step.
+// Segment k's distance to text is len(text) + |vp&masks[k]| -
+// |vn&masks[k]|, since D[0][len(text)] is len(text).
 //
-// The recurrence is damerauBitVector's, with three changes that keep
-// the segments apart. The adder does not carry out of a segment's top
-// bit. The <<1 of the horizontal deltas and of the transposition term
-// drops what crosses into a segment's bottom, and every bottom gets its
-// own row 0's +1. And no score is kept per step: D[0][len(text)] is
-// len(text), so a segment's distance is len(text) plus the vertical
-// deltas of its last column. A token no segment holds, once no +1
-// vertical delta is left, leaves the state as it is and is skipped.
-func (p *packer) normalized(text []int32, from int, out []float64) {
-	B, T, S := p.bottom, p.top, p.used
-	vp := S
-	var vn, d0prev, pmprev uint64
-	steps := 0
+// Vector semantics (bit k <-> pattern position k+1, column j = text
+// position): D0 marks diagonal zeros D[i,j] == D[i-1,j-1]; VP/VN the
+// +1/-1 vertical deltas; HP/HN the horizontal ones. The restricted
+// transposition D[i,j] = D[i-2,j-2]+1 surfaces as an extra diagonal
+// zero exactly when pattern[i-1] == text[j], pattern[i] == text[j-1],
+// and (i-1,j-1) was not itself a diagonal zero — the TR term, built
+// from the previous column's D0 and match vector.
+//
+// Three changes to the one-pattern recurrence keep the segments apart.
+// The adder does not carry out of a segment's top bit. The <<1 of the
+// horizontal deltas and of the transposition term drops what crosses
+// into a segment's bottom, and every bottom gets its own row 0's +1.
+// And no score is kept per step: the distances are read off the last
+// column. A token no segment holds, once no +1 vertical delta is left,
+// leaves the state as it is and is skipped.
+func (p *packer) scan(text []int32) (vp, vn uint64, steps int) {
+	B, T, S, peq := p.bottom, p.top, p.used, p.peq
+	vp = S
+	var d0prev, pmprev uint64
 	for _, id := range text {
-		pm := p.peq[id]
+		var pm uint64
+		if int(id) < len(peq) {
+			pm = peq[id]
+		}
 		if pm == 0 && vp&S == 0 {
 			pmprev = 0
 			continue
@@ -474,6 +342,15 @@ func (p *packer) normalized(text []int32, from int, out []float64) {
 		vn = d0 & x
 		d0prev, pmprev = d0, pm
 	}
+	return vp, vn, steps
+}
+
+// normalized sets out[k], for every member k >= from, to the normalized
+// distance between text and that member: bit for bit what
+// Scratch.NormalizedIDs returns for the pair. The pass costs the same
+// for any from; from only limits what is written and counted.
+func (p *packer) normalized(text []int32, from int, out []float64) {
+	vp, vn, steps := p.scan(text)
 	p.stats.BandPasses++
 	p.stats.CellsDP += int64(steps)
 	lt := len(text)
@@ -517,8 +394,8 @@ func (s *Scratch) histLowerBound(shorter, longer []int32) int {
 // hot path. After stripping the common affixes it dispatches:
 //
 //   - shorter side <= bitvecMax tokens (virtually every pair of real,
-//     deduplicated command texts): the single-word bit-parallel kernel,
-//     O(longer) word operations.
+//     deduplicated command texts): the single-word bit-parallel kernel
+//     on a one-member pack, O(longer) word operations.
 //   - both sides longer: the multiset lower bound first — if it reaches
 //     len(longer), the distance IS len(longer) (substitute-and-delete
 //     achieves it, the bound forbids less) with no DP at all —
@@ -550,7 +427,12 @@ func (s *Scratch) damerauBoundedIDs(a, b []int32) int {
 	if la <= bitvecMax {
 		s.stats.BandPasses++
 		s.stats.CellsDP += int64(lb)
-		return s.damerauBitVector(a, b)
+		s.one[0] = a
+		s.pk.load(s.one[:], oneMember)
+		vp, vn, _ := s.pk.scan(b)
+		d := lb + bits.OnesCount64(vp&s.pk.used) - bits.OnesCount64(vn&s.pk.used)
+		s.pk.load(nil, nil) // clears a from the match table
+		return d
 	}
 	if low := s.histLowerBound(a, b); low == lb {
 		s.stats.Trivial++
@@ -580,18 +462,9 @@ func normalizedFull[T comparable](s *Scratch, a, b []T) float64 {
 // Damerau computes the token-level DLD using the scratch rows.
 func (s *Scratch) Damerau(a, b []string) int { return damerau(s, a, b) }
 
-// DamerauBanded computes the DLD but abandons early (returning a value
-// > bound) once the distance provably exceeds bound.
-func (s *Scratch) DamerauBanded(a, b []string, bound int) int {
-	return damerauBanded(s, a, b, bound)
-}
-
 // Normalized returns the DLD scaled into [0,1] by the longer sequence
 // length: the string-token spelling of the full-DP reference.
 func (s *Scratch) Normalized(a, b []string) float64 { return normalizedFull(s, a, b) }
-
-// DamerauIDs is Damerau over interned token IDs.
-func (s *Scratch) DamerauIDs(a, b []int32) int { return damerau(s, a, b) }
 
 // NormalizedIDs is the distance-matrix hot path: the normalized DLD
 // over interned token IDs, from the exact hybrid kernel (see
@@ -706,15 +579,6 @@ func Damerau(a, b []string) int {
 func Normalized(a, b []string) float64 {
 	var s Scratch
 	return s.Normalized(a, b)
-}
-
-// DamerauBanded computes the DLD but abandons early (returning a value
-// > bound) once the distance provably exceeds bound. Clustering uses it
-// to skip full matrix computation for clearly-dissimilar pairs — one of
-// the ablations in DESIGN.md.
-func DamerauBanded(a, b []string, bound int) int {
-	var s Scratch
-	return s.DamerauBanded(a, b, bound)
 }
 
 // CharDamerau computes character-level DLD between raw strings.

