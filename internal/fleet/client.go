@@ -415,7 +415,14 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 				if snap.Seq() != cursor+uint64(count) {
 					return fmt.Errorf("fleet: store sequence jumped to %d at cursor %d", snap.Seq(), cursor)
 				}
-				body = appendBatchRecord(body, snap.Line())
+				line := snap.Line()
+				if count > 0 && len(body)+len(line) > maxBatchBody {
+					// The record opens the next batch, which rescans
+					// from it.
+					closeSnap()
+					break
+				}
+				body = appendBatchRecord(body, line)
 				count++
 				continue
 			}

@@ -3,12 +3,16 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"honeynet/internal/obs"
+	"honeynet/internal/session"
+	"honeynet/internal/store"
 )
 
 // hostileBatch is a batch payload (base 0, one record) whose record
@@ -128,4 +132,50 @@ func FuzzBatchFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLargeRecordsBatchByBytes: 256 records of 300 KiB each fill one
+// count-sized batch of 75 MiB, past maxFrame, which the forwarder used
+// to retry for good. Batches close by bytes too, so these and the ten
+// ordinary records after them are all acked and land byte-equal.
+func TestLargeRecordsBatchByBytes(t *testing.T) {
+	srv, err := NewServer(t.TempDir(), ServerOptions{SyncAck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	big := strings.Repeat("curl -s http://x/ ", 300<<10/18)
+	for i := 0; i < 266; i++ {
+		r := mkRec(i)
+		if i < 256 {
+			r.Commands = []session.Command{{Raw: fmt.Sprintf("%d %s", i, big)}}
+		}
+		if err := st.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fwd, err := NewForwarder(addr.String(), "edge-big", st, Options{MaxDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fwd.WaitCaughtUp(60 * time.Second) {
+		t.Fatalf("forwarder stalled: acked %d of %d", fwd.Acked(), st.NextSeq())
+	}
+	if err := fwd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertShardEquals(t, srv, "edge-big", st)
 }

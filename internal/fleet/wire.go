@@ -52,6 +52,11 @@ const (
 // enough that a corrupt or hostile length prefix cannot balloon memory.
 const maxFrame = 64 << 20
 
+// maxBatchBody closes a batch before its records pass 4 MiB, well under
+// maxFrame, whatever the record count; a batch always takes at least
+// one record.
+const maxBatchBody = 4 << 20
+
 // helloMsg opens a connection: protocol version and node identity.
 type helloMsg struct {
 	V    int    `json:"v"`

@@ -352,15 +352,20 @@ func (n *Node) admit(nc net.Conn) (release func(), ok bool) {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			n.activeMu.Lock()
-			delete(n.active, nc)
-			n.activeMu.Unlock()
+			n.untrack(nc)
 			if guardRelease != nil {
 				guardRelease()
 			}
 			n.inflight.Done()
 		})
 	}, true
+}
+
+// untrack drops nc from the active set; a no-op once it is gone.
+func (n *Node) untrack(nc net.Conn) {
+	n.activeMu.Lock()
+	delete(n.active, nc)
+	n.activeMu.Unlock()
 }
 
 // connState accumulates one connection's session record.
@@ -395,8 +400,12 @@ func splitAddr(a net.Addr) (string, int) {
 	return host, port
 }
 
-// finish seals and delivers the record.
-func (n *Node) finish(st *connState, timedOut bool) {
+// finish drops the ended connection nc from the active set, then seals
+// and delivers its record: whoever sees the record sees the connection
+// gone. The guard slot and drain tracking are released after, by the
+// caller's release.
+func (n *Node) finish(nc net.Conn, st *connState, timedOut bool) {
+	n.untrack(nc)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.rec == nil {
@@ -467,11 +476,11 @@ func (n *Node) HandleSSHConn(nc net.Conn) {
 	})
 	if err != nil {
 		nc.Close()
-		n.finish(st, false)
+		n.finish(nc, st, false)
 		return
 	}
 	_ = srv.HandleConn(nc)
-	n.finish(st, n.cfg.Timeout > 0 && time.Since(start) >= n.cfg.Timeout)
+	n.finish(nc, st, n.cfg.Timeout > 0 && time.Since(start) >= n.cfg.Timeout)
 }
 
 // sessionShell returns the connection's shell, creating it on first use.
@@ -618,9 +627,9 @@ func (n *Node) HandleTelnetConn(nc net.Conn) {
 	})
 	if err != nil {
 		nc.Close()
-		n.finish(st, false)
+		n.finish(nc, st, false)
 		return
 	}
 	_ = srv.HandleConn(nc)
-	n.finish(st, n.cfg.Timeout > 0 && time.Since(start) >= n.cfg.Timeout)
+	n.finish(nc, st, n.cfg.Timeout > 0 && time.Since(start) >= n.cfg.Timeout)
 }

@@ -44,12 +44,8 @@ func (s *Session) Read(p []byte) (int, error) { return s.ch.Read(p) }
 // Write sends output to the client.
 func (s *Session) Write(p []byte) (int, error) { return s.ch.Write(p) }
 
-// Exit sends the exit status and closes the channel.
-func (s *Session) Exit(status uint32) error {
-	_ = s.ch.SendExitStatus(status)
-	_ = s.ch.CloseWrite()
-	return s.ch.Close()
-}
+// Exit sends the exit status, EOF and CLOSE in one write.
+func (s *Session) Exit(status uint32) error { return s.ch.Exit(status) }
 
 // Config parameterizes the server.
 type Config struct {

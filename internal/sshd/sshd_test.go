@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -542,5 +543,66 @@ func TestWrongServiceDisconnects(t *testing.T) {
 	var d *sshwire.DisconnectMsg
 	if !errors.As(err, &d) {
 		t.Errorf("want disconnect for bad service, got %v", err)
+	}
+}
+
+// countConn counts the Write calls made on a net.Conn.
+type countConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestExecWriteCount runs one exec with no output over sshclient against
+// sshd and counts the writes of both ends: channel open, confirmation,
+// exec request, success, the exit burst and the client's CLOSE.
+func TestExecWriteCount(t *testing.T) {
+	hk, err := sshwire.GenerateHostKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{
+		HostKey: hk,
+		Auth:    func(ConnMeta, string, string) bool { return true },
+		Handler: func(s *Session) { _ = s.Exit(0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var writes atomic.Int64
+	go acceptLoop(ln, func(c net.Conn) error { return srv.HandleConn(countConn{c, &writes}) })
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := sshclient.NewClientConn(countConn{nc, &writes}, sshclient.Config{User: "root", Password: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	before := writes.Load()
+	res, err := cli.Exec("true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.HasExit || res.ExitStatus != 0 {
+		t.Fatalf("exec result = %+v", res)
+	}
+	time.Sleep(20 * time.Millisecond) // let any late write land
+	n := writes.Load() - before
+	t.Logf("one exec: %d writes", n)
+	if n > 6 {
+		t.Errorf("one exec cost %d writes, want at most 6", n)
 	}
 }

@@ -188,13 +188,23 @@ func TestPaddingInvariants(t *testing.T) {
 	}
 }
 
+// appendTo appends one packet to buf, the way Conn frames a write.
+func appendTo(buf *bytes.Buffer, c packetCipher, seq uint32, payload []byte) error {
+	b, err := c.appendPacket(buf.AvailableBuffer(), seq, payload)
+	buf.Write(b)
+	return err
+}
+
+// framePacket frames payload as one unencrypted packet.
+func framePacket(payload []byte) ([]byte, error) { return appendFrame(nil, payload) }
+
 func TestPlainCipherRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := &plainCipher{}
 	r := &plainCipher{}
 	payloads := [][]byte{{1}, []byte("hello world"), bytes.Repeat([]byte{0xab}, 1000)}
 	for i, p := range payloads {
-		if err := w.writePacket(&buf, uint32(i), p); err != nil {
+		if err := appendTo(&buf, w, uint32(i), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +243,7 @@ func TestCTRCipherRoundTrip(t *testing.T) {
 		p := make([]byte, 1+rnd.Intn(500))
 		rnd.Read(p)
 		payloads[i] = p
-		if err := enc.writePacket(&buf, uint32(i), p); err != nil {
+		if err := appendTo(&buf, enc, uint32(i), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +266,7 @@ func TestCTRCipherDetectsTampering(t *testing.T) {
 	dec, _ := newCTRCipher(CipherAES128CTR, MACHmacSHA256, key, iv, mac)
 
 	var buf bytes.Buffer
-	if err := enc.writePacket(&buf, 0, []byte("attack at dawn")); err != nil {
+	if err := appendTo(&buf, enc, 0, []byte("attack at dawn")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -284,7 +294,7 @@ func TestAES256SHA512CipherRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	p := []byte("over the stronger suite")
-	if err := enc.writePacket(&buf, 3, p); err != nil {
+	if err := appendTo(&buf, enc, 3, p); err != nil {
 		t.Fatal(err)
 	}
 	got, err := dec.readPacket(&buf, 3)
@@ -311,7 +321,7 @@ func TestCTRCipherDetectsWrongSequence(t *testing.T) {
 	dec, _ := newCTRCipher(CipherAES128CTR, MACHmacSHA256, key, iv, mac)
 
 	var buf bytes.Buffer
-	if err := enc.writePacket(&buf, 5, []byte("payload")); err != nil {
+	if err := appendTo(&buf, enc, 5, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dec.readPacket(&buf, 6); err == nil {

@@ -202,10 +202,7 @@ func (r *Request) Reply(ok bool) error {
 	if !ok {
 		msg = MsgChannelFailure
 	}
-	b := NewBuilder(5)
-	b.Byte(msg)
-	b.Uint32(r.ch.remoteID)
-	return r.ch.mux.conn.WritePacket(b.Bytes())
+	return r.ch.mux.conn.WritePacket(r.ch.msg(msg))
 }
 
 // Channel is an established SSH channel. Read returns peer data; Write
@@ -241,6 +238,9 @@ type Channel struct {
 	remoteMaxPacket uint32
 
 	localWindow uint32
+	// consumed counts inbound data bytes not yet re-credited with a
+	// WINDOW_ADJUST. Only the mux read loop touches it.
+	consumed uint32
 }
 
 func newChannel(m *Mux, window, maxPacket uint32) *Channel {
@@ -354,10 +354,7 @@ func (ch *Channel) CloseWrite() error {
 	}
 	ch.sentEOF = true
 	ch.dmu.Unlock()
-	b := NewBuilder(5)
-	b.Byte(MsgChannelEOF)
-	b.Uint32(ch.remoteID)
-	return ch.mux.conn.WritePacket(b.Bytes())
+	return ch.mux.conn.WritePacket(ch.msg(MsgChannelEOF))
 }
 
 // Close closes the channel in both directions.
@@ -369,35 +366,61 @@ func (ch *Channel) Close() error {
 	}
 	ch.sentClose = true
 	ch.dmu.Unlock()
-	b := NewBuilder(5)
-	b.Byte(MsgChannelClose)
-	b.Uint32(ch.remoteID)
-	return ch.mux.conn.WritePacket(b.Bytes())
+	return ch.mux.conn.WritePacket(ch.msg(MsgChannelClose))
 }
 
-// SendExitStatus sends the RFC 4254 section 6.10 exit-status request.
-func (ch *Channel) SendExitStatus(status uint32) error {
+// Exit ends a session the way sshd does: the RFC 4254 section 6.10
+// exit-status request, EOF (unless CloseWrite already sent it) and CLOSE,
+// all in one write. It is a no-op once CLOSE was sent.
+func (ch *Channel) Exit(status uint32) error {
+	ch.dmu.Lock()
+	if ch.sentClose {
+		ch.dmu.Unlock()
+		return nil
+	}
+	sendEOF := !ch.sentEOF
+	ch.sentEOF, ch.sentClose = true, true
+	ch.dmu.Unlock()
+
 	b := NewBuilder(32)
 	b.Byte(MsgChannelRequest)
 	b.Uint32(ch.remoteID)
 	b.StringS("exit-status")
 	b.Bool(false)
 	b.Uint32(status)
-	return ch.mux.conn.WritePacket(b.Bytes())
+	msgs := [][]byte{b.Bytes()}
+	if sendEOF {
+		msgs = append(msgs, ch.msg(MsgChannelEOF))
+	}
+	return ch.mux.conn.writePackets(append(msgs, ch.msg(MsgChannelClose))...)
 }
 
+// msg builds a message of type t that carries only the peer's channel ID.
+func (ch *Channel) msg(t byte) []byte {
+	return NewBuilder(5).Byte(t).Uint32(ch.remoteID).Bytes()
+}
+
+// deliverData buffers inbound data and re-credits the peer's window the
+// way OpenSSH's channel_check_window does: the honeypot consumes all
+// input at once, so one WINDOW_ADJUST covers everything received since
+// the last, sent once that exceeds three maximum packets or half the
+// window, and never after our CLOSE.
 func (ch *Channel) deliverData(data []byte) error {
 	ch.dmu.Lock()
 	ch.buf.Write(data)
 	ch.dcond.Broadcast()
+	closing := ch.sentClose
 	ch.dmu.Unlock()
 
-	// Immediately restore the peer's window: the honeypot consumes all
-	// input, so aggressive re-crediting keeps bots from stalling.
+	ch.consumed += uint32(len(data))
+	if closing || (ch.consumed <= 3*defaultMaxPacket && ch.consumed <= defaultWindow/2) {
+		return nil
+	}
 	b := NewBuilder(12)
 	b.Byte(MsgChannelWindowAdjust)
 	b.Uint32(ch.remoteID)
-	b.Uint32(uint32(len(data)))
+	b.Uint32(ch.consumed)
+	ch.consumed = 0
 	return ch.mux.conn.WritePacket(b.Bytes())
 }
 

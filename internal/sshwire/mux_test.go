@@ -216,8 +216,7 @@ func TestMuxExitStatusDelivered(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = ch.SendExitStatus(7)
-		_ = ch.Close()
+		_ = ch.Exit(7)
 	}()
 	ch, err := mc.OpenChannel("session", nil)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 )
 
 const (
@@ -34,8 +35,10 @@ var errPacketTooBig = errors.New("sshwire: packet exceeds maximum size")
 // packetCipher frames, encrypts, and authenticates SSH binary packets in
 // one direction. Implementations are not safe for concurrent use.
 type packetCipher interface {
-	// writePacket frames payload into an SSH binary packet and writes it.
-	writePacket(w io.Writer, seq uint32, payload []byte) error
+	// appendPacket appends payload to dst as one SSH binary packet,
+	// encrypted and followed by its MAC. On error it returns dst as it
+	// was (an over-size payload: errPacketTooBig, dst untouched).
+	appendPacket(dst []byte, seq uint32, payload []byte) ([]byte, error)
 	// readPacket reads one SSH binary packet and returns its payload.
 	readPacket(r io.Reader, seq uint32) ([]byte, error)
 }
@@ -43,6 +46,7 @@ type packetCipher interface {
 // plainCipher is the pre-NEWKEYS "none" cipher: no encryption, no MAC.
 type plainCipher struct {
 	readBuf []byte
+	lenBuf  [4]byte
 }
 
 func paddingFor(payloadLen int) int {
@@ -55,37 +59,35 @@ func paddingFor(payloadLen int) int {
 	return pad
 }
 
-func framePacket(payload []byte) ([]byte, error) {
+// appendFrame appends payload to dst framed as an unencrypted binary
+// packet: length, padding length, payload, random padding.
+func appendFrame(dst, payload []byte) ([]byte, error) {
+	if len(payload) > maxPacket {
+		return dst, errPacketTooBig
+	}
 	pad := paddingFor(len(payload))
 	total := 5 + len(payload) + pad
-	pkt := make([]byte, total)
+	start := len(dst)
+	dst = slices.Grow(dst, total)[:start+total]
+	pkt := dst[start:]
 	binary.BigEndian.PutUint32(pkt, uint32(total-4))
 	pkt[4] = byte(pad)
 	copy(pkt[5:], payload)
 	if _, err := rand.Read(pkt[5+len(payload):]); err != nil {
-		return nil, fmt.Errorf("sshwire: generating padding: %w", err)
+		return dst[:start], fmt.Errorf("sshwire: generating padding: %w", err)
 	}
-	return pkt, nil
+	return dst, nil
 }
 
-func (c *plainCipher) writePacket(w io.Writer, _ uint32, payload []byte) error {
-	if len(payload) > maxPacket {
-		return errPacketTooBig
-	}
-	pkt, err := framePacket(payload)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(pkt)
-	return err
+func (c *plainCipher) appendPacket(dst []byte, _ uint32, payload []byte) ([]byte, error) {
+	return appendFrame(dst, payload)
 }
 
 func (c *plainCipher) readPacket(r io.Reader, _ uint32) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(r, c.lenBuf[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(c.lenBuf[:])
 	if n < 1+minPadding || n > maxPacket+blockSize {
 		return nil, fmt.Errorf("sshwire: invalid packet length %d", n)
 	}
@@ -128,13 +130,21 @@ var macSpecs = map[string]macSpec{
 
 // ctrCipher is AES-CTR (128 or 256) framing with an HMAC (SHA-256 or
 // SHA-512) over (sequence number || plaintext packet), per RFC 4253
-// section 6.4 (MAC computed on the unencrypted packet).
+// section 6.4 (MAC computed on the unencrypted packet). Each ctrCipher
+// serves one direction, so its keyed HMAC is built once, at the first
+// packet, and Reset for every packet after; a rekey builds new ciphers
+// with new keys.
 type ctrCipher struct {
 	stream  cipher.Stream
-	mac     macSpec
+	spec    macSpec
 	macKey  []byte
+	mac     hash.Hash
 	readBuf []byte
-	macBuf  []byte
+	macBuf  [sha512.Size]byte
+	// seqBuf and lenBuf hold the sequence number and the packet length
+	// while they pass through interface calls, which would move a local
+	// array to the heap on every packet.
+	seqBuf, lenBuf [4]byte
 }
 
 func newCTRCipher(cipherName, macName string, key, iv, macKey []byte) (*ctrCipher, error) {
@@ -149,51 +159,47 @@ func newCTRCipher(cipherName, macName string, key, iv, macKey []byte) (*ctrCiphe
 	if err != nil {
 		return nil, err
 	}
-	return &ctrCipher{
-		stream: cipher.NewCTR(block, iv),
-		mac:    ms,
-		macKey: macKey,
-		macBuf: make([]byte, 0, ms.size),
-	}, nil
+	return &ctrCipher{stream: cipher.NewCTR(block, iv), spec: ms, macKey: macKey}, nil
 }
 
-func (c *ctrCipher) computeMAC(seq uint32, pkt []byte) []byte {
-	mac := hmac.New(c.mac.newHash, c.macKey)
-	var seqBuf [4]byte
-	binary.BigEndian.PutUint32(seqBuf[:], seq)
-	mac.Write(seqBuf[:])
-	mac.Write(pkt)
-	return mac.Sum(c.macBuf[:0])
-}
-
-func (c *ctrCipher) writePacket(w io.Writer, seq uint32, payload []byte) error {
-	if len(payload) > maxPacket {
-		return errPacketTooBig
+// sumMAC returns the MAC of seq || parts, valid until the next call.
+func (c *ctrCipher) sumMAC(seq uint32, parts ...[]byte) []byte {
+	if c.mac == nil {
+		c.mac = hmac.New(c.spec.newHash, c.macKey)
+	} else {
+		c.mac.Reset()
 	}
-	pkt, err := framePacket(payload)
+	binary.BigEndian.PutUint32(c.seqBuf[:], seq)
+	c.mac.Write(c.seqBuf[:])
+	for _, p := range parts {
+		c.mac.Write(p)
+	}
+	return c.mac.Sum(c.macBuf[:0])
+}
+
+func (c *ctrCipher) appendPacket(dst []byte, seq uint32, payload []byte) ([]byte, error) {
+	start := len(dst)
+	dst, err := appendFrame(dst, payload)
 	if err != nil {
-		return err
+		return dst, err
 	}
-	tag := c.computeMAC(seq, pkt)
+	pkt := dst[start:]
+	tag := c.sumMAC(seq, pkt)
 	c.stream.XORKeyStream(pkt, pkt)
-	if _, err := w.Write(pkt); err != nil {
-		return err
-	}
-	_, err = w.Write(tag)
-	return err
+	return append(dst, tag...), nil
 }
 
 func (c *ctrCipher) readPacket(r io.Reader, seq uint32) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	lenBuf := c.lenBuf[:]
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
 		return nil, err
 	}
-	c.stream.XORKeyStream(lenBuf[:], lenBuf[:])
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	c.stream.XORKeyStream(lenBuf, lenBuf)
+	n := binary.BigEndian.Uint32(lenBuf)
 	if n < 1+minPadding || n > maxPacket+blockSize {
 		return nil, fmt.Errorf("sshwire: invalid packet length %d", n)
 	}
-	need := int(n) + c.mac.size
+	need := int(n) + c.spec.size
 	if cap(c.readBuf) < need {
 		c.readBuf = make([]byte, need)
 	}
@@ -203,14 +209,7 @@ func (c *ctrCipher) readPacket(r io.Reader, seq uint32) ([]byte, error) {
 	}
 	body, tag := buf[:n], buf[n:]
 	c.stream.XORKeyStream(body, body)
-
-	mac := hmac.New(c.mac.newHash, c.macKey)
-	var seqBuf [4]byte
-	binary.BigEndian.PutUint32(seqBuf[:], seq)
-	mac.Write(seqBuf[:])
-	mac.Write(lenBuf[:])
-	mac.Write(body)
-	if subtle.ConstantTimeCompare(mac.Sum(c.macBuf[:0]), tag) != 1 {
+	if subtle.ConstantTimeCompare(c.sumMAC(seq, lenBuf, body), tag) != 1 {
 		return nil, errors.New("sshwire: MAC verification failed")
 	}
 	pad := int(body[0])

@@ -33,9 +33,7 @@ func (c *Conn) RequestRekey() error {
 	}
 	c.rekeying = true
 	c.ourPendingInit = initBytes
-	err = c.writer.writePacket(c.conn, c.writeSeq, initBytes)
-	c.writeSeq++
-	if err != nil {
+	if err = c.writeLocked(initBytes); err != nil {
 		c.rekeying = false
 		c.ourPendingInit = nil
 		c.wcond.Broadcast()
@@ -59,9 +57,7 @@ func (c *Conn) beginPeerRekey() ([]byte, error) {
 	initBytes := init.Marshal()
 	c.rekeying = true
 	c.ourPendingInit = initBytes
-	err = c.writer.writePacket(c.conn, c.writeSeq, initBytes)
-	c.writeSeq++
-	if err != nil {
+	if err := c.writeLocked(initBytes); err != nil {
 		return nil, err
 	}
 	return initBytes, nil
@@ -72,9 +68,7 @@ func (c *Conn) beginPeerRekey() ([]byte, error) {
 func (c *Conn) writeKexPacket(payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	err := c.writer.writePacket(c.conn, c.writeSeq, payload)
-	c.writeSeq++
-	return err
+	return c.writeLocked(payload)
 }
 
 // readKexPacket reads the next packet during a rekey. The caller already

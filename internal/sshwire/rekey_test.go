@@ -197,3 +197,53 @@ func TestSimultaneousRekeyFromBothSides(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBurstWaitsForNewKeys issues a burst while our rekey is in flight:
+// it must wait for NEWKEYS, then go out in one write under the new keys.
+func TestBurstWaitsForNewKeys(t *testing.T) {
+	srv, cli, _, cliW := countedPair(t, nil, nil)
+	before := cliW.writes.Load()
+	if err := cli.RequestRekey(); err != nil {
+		t.Fatal(err)
+	}
+	burst := [][]byte{{210, 1}, {211}, bytes.Repeat([]byte{212}, 3000)}
+	sent := make(chan error, 1)
+	go func() { sent <- cli.writePackets(burst...) }()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-sent:
+		t.Fatalf("burst went out during the rekey (err %v)", err)
+	default:
+	}
+	if n := cliW.writes.Load() - before; n != 1 {
+		t.Fatalf("%d writes before the peer answered, want our KEXINIT only", n)
+	}
+
+	got := reader(srv)
+	_ = reader(cli)
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("burst never sent")
+	}
+	if cli.Rekeys() != 1 {
+		t.Fatalf("burst sent with rekeys = %d", cli.Rekeys())
+	}
+	// KEXINIT, ECDH init, NEWKEYS, then the whole burst.
+	if n := cliW.writes.Load() - before; n != 4 {
+		t.Fatalf("%d writes for rekey plus burst, want 4", n)
+	}
+	for i, want := range burst {
+		select {
+		case p := <-got:
+			if !bytes.Equal(p, want) {
+				t.Fatalf("burst packet %d = %x, want %x", i, p, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("burst packet %d never arrived", i)
+		}
+	}
+}

@@ -86,6 +86,9 @@ type Conn struct {
 	wcond    *sync.Cond
 	writer   packetCipher
 	writeSeq uint32
+	// wbuf is the reused buffer a burst of packets is framed into before
+	// its single conn.Write (guarded by wmu).
+	wbuf []byte
 
 	// Rekeying state (guarded by wmu for the write side).
 	// handshakeDone gates KEXINIT interpretation: before the initial
@@ -153,17 +156,52 @@ func (c *Conn) Close() error { return c.conn.Close() }
 // connection.
 func (c *Conn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 
+// maxKeptWriteBuf caps the write buffer a Conn keeps between writes, so
+// an idle connection does not pin the memory of one large data packet.
+const maxKeptWriteBuf = 64 * 1024
+
 // WritePacket sends one SSH packet with the given payload. During a key
 // re-exchange, application writes block until NEWKEYS completes (RFC
 // 4253 section 9 forbids non-kex packets after KEXINIT).
 func (c *Conn) WritePacket(payload []byte) error {
+	return c.writePackets(payload)
+}
+
+// writePackets sends payloads as consecutive packets in one write, once
+// no key re-exchange is in flight: a burst never straddles a KEXINIT.
+func (c *Conn) writePackets(payloads ...[]byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	for c.rekeying {
 		c.wcond.Wait()
 	}
-	err := c.writer.writePacket(c.conn, c.writeSeq, payload)
-	c.writeSeq++
+	return c.writeLocked(payloads...)
+}
+
+// writeLocked frames payloads into the connection's write buffer, each
+// packet followed by its MAC in sequence order, and sends them with one
+// conn.Write. The caller holds wmu. A payload that cannot be framed ends
+// the burst there: the packets before it are still sent, so the cipher
+// stream and the sequence number stay in step with the peer.
+func (c *Conn) writeLocked(payloads ...[]byte) error {
+	buf := c.wbuf[:0]
+	var err error
+	for _, p := range payloads {
+		if buf, err = c.writer.appendPacket(buf, c.writeSeq, p); err != nil {
+			break
+		}
+		c.writeSeq++
+	}
+	if len(buf) > 0 {
+		if _, werr := c.conn.Write(buf); err == nil {
+			err = werr
+		}
+	}
+	if cap(buf) <= maxKeptWriteBuf {
+		c.wbuf = buf[:0]
+	} else {
+		c.wbuf = nil
+	}
 	return err
 }
 

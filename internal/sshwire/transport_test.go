@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,6 +13,25 @@ import (
 // handshakePair establishes a server/client transport pair over an
 // in-process TCP connection and returns both ends.
 func handshakePair(t *testing.T, serverCfg, clientCfg *Config) (*Conn, *Conn) {
+	t.Helper()
+	srv, cli, _, _ := countedPair(t, serverCfg, clientCfg)
+	return srv, cli
+}
+
+// countConn counts the Write calls made on a net.Conn.
+type countConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// countedPair is handshakePair that also returns each end's net.Conn,
+// wrapped to count its writes.
+func countedPair(t *testing.T, serverCfg, clientCfg *Config) (srv, cli *Conn, srvW, cliW *countConn) {
 	t.Helper()
 	if serverCfg == nil {
 		hk, err := GenerateHostKey()
@@ -30,6 +50,7 @@ func handshakePair(t *testing.T, serverCfg, clientCfg *Config) (*Conn, *Conn) {
 		conn *Conn
 		err  error
 	}
+	srvW = &countConn{}
 	srvCh := make(chan result, 1)
 	go func() {
 		c, err := ln.Accept()
@@ -37,7 +58,8 @@ func handshakePair(t *testing.T, serverCfg, clientCfg *Config) (*Conn, *Conn) {
 			srvCh <- result{nil, err}
 			return
 		}
-		sc, err := ServerHandshake(c, serverCfg)
+		srvW.Conn = c
+		sc, err := ServerHandshake(srvW, serverCfg)
 		srvCh <- result{sc, err}
 	}()
 
@@ -45,7 +67,8 @@ func handshakePair(t *testing.T, serverCfg, clientCfg *Config) (*Conn, *Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := ClientHandshake(nc, clientCfg)
+	cliW = &countConn{Conn: nc}
+	cc, err := ClientHandshake(cliW, clientCfg)
 	if err != nil {
 		t.Fatalf("client handshake: %v", err)
 	}
@@ -57,7 +80,7 @@ func handshakePair(t *testing.T, serverCfg, clientCfg *Config) (*Conn, *Conn) {
 		cc.Close()
 		sr.conn.Close()
 	})
-	return sr.conn, cc
+	return sr.conn, cc, srvW, cliW
 }
 
 func TestHandshakeAndEncryptedExchange(t *testing.T) {

@@ -75,10 +75,14 @@ type Scratch struct {
 	// its match table grows to the largest token ID a pattern holds.
 	pk  packer
 	one [1][]int32
-	// counts is the token-ID histogram behind the multiset lower bound
-	// of the long-pair path; grown to the largest ID seen and zeroed
-	// after each pair via the same ID list.
-	counts []int32
+	// byID is an ID-indexed table, grown to the largest ID seen and
+	// zero between pairs: the histogram behind the multiset lower bound
+	// of the long-pair path, then the blocked kernel's token-to-slot
+	// map. Each clears the entries it set via the same ID list.
+	byID []int32
+	// blocked holds the blocked kernel's four state vectors and its
+	// slots × blocks match table.
+	blocked []uint64
 	// stats accumulates bounded-kernel work counters.
 	stats KernelStats
 }
@@ -154,26 +158,31 @@ var oneMember = []int{0}
 // term's shift bit across block boundaries. A pair costs
 // O(len(text) * ceil(len(pattern)/64)) word operations — for the rare
 // both-sides-long pairs this replaces millions of DP cells with
-// tens of thousands of word steps. Long pairs are a sliver of any
-// matrix fill, so this path allocates its per-pair state instead of
-// threading more buffers through Scratch.
-func damerauBitVectorBlocked(pattern, text []int32) int {
+// tens of thousands of word steps. Its state lives in s: each distinct
+// pattern token gets a slot through the ID-indexed byID table (slot 0,
+// an all-zero row, stands for every token not in the pattern), and
+// its match table peq holds one row of nb words per slot.
+func (s *Scratch) damerauBitVectorBlocked(pattern, text []int32) int {
 	m := len(pattern)
 	nb := (m + 63) / 64
-	peq := make(map[int32][]uint64, m)
-	for i, id := range pattern {
-		v := peq[id]
-		if v == nil {
-			v = make([]uint64, nb)
-			peq[id] = v
-		}
-		v[i/64] |= 1 << uint(i%64)
+	s.growByID(pattern)
+	if need := (m+1)*nb + 4*nb; cap(s.blocked) < need {
+		s.blocked = make([]uint64, need)
 	}
-	vp := make([]uint64, nb)
-	vn := make([]uint64, nb)
-	d0prev := make([]uint64, nb)
-	pmprev := make([]uint64, nb)
-	zero := make([]uint64, nb)
+	state := s.blocked[:4*nb]
+	vp, vn, d0prev, pmprev := state[:nb], state[nb:2*nb], state[2*nb:3*nb], state[3*nb:]
+	peq := s.blocked[4*nb:]
+	clear(state)
+	clear(peq[:nb])
+	slots := int32(0)
+	for i, id := range pattern {
+		if s.byID[id] == 0 {
+			slots++
+			s.byID[id] = slots
+			clear(peq[int(slots)*nb : int(slots+1)*nb])
+		}
+		peq[int(s.byID[id])*nb+i/64] |= 1 << uint(i%64)
+	}
 	for k := range vp {
 		vp[k] = ^uint64(0)
 	}
@@ -183,10 +192,11 @@ func damerauBitVectorBlocked(pattern, text []int32) int {
 	mask := uint64(1) << uint((m-1)%64)
 	score := m
 	for _, id := range text {
-		pmc := peq[id]
-		if pmc == nil {
-			pmc = zero
+		row := 0
+		if int(id) < len(s.byID) {
+			row = int(s.byID[id]) * nb
 		}
+		pmc := peq[row : row+nb]
 		var addC, yC uint64
 		hpC, hnC := uint64(1), uint64(0)
 		for k := 0; k < nb; k++ {
@@ -211,6 +221,9 @@ func damerauBitVectorBlocked(pattern, text []int32) int {
 			yC, hpC, hnC, addC = y>>63, hp>>63, hn>>63, carry
 			d0prev[k], pmprev[k] = d0, pm
 		}
+	}
+	for _, id := range pattern {
+		s.byID[id] = 0
 	}
 	return score
 }
@@ -371,23 +384,30 @@ func (p *packer) normalized(text []int32, from int, out []float64) {
 // distance is at least len(longer) - |intersection|. O(la+lb) via an
 // ID-indexed histogram.
 func (s *Scratch) histLowerBound(shorter, longer []int32) int {
+	s.growByID(shorter)
 	for _, id := range shorter {
-		if int(id) >= len(s.counts) {
-			s.counts = append(s.counts, make([]int32, int(id)+1-len(s.counts))...)
-		}
-		s.counts[id]++
+		s.byID[id]++
 	}
 	c := 0
 	for _, id := range longer {
-		if int(id) < len(s.counts) && s.counts[id] > 0 {
+		if int(id) < len(s.byID) && s.byID[id] > 0 {
 			c++
-			s.counts[id]--
+			s.byID[id]--
 		}
 	}
 	for _, id := range shorter {
-		s.counts[id] = 0
+		s.byID[id] = 0
 	}
 	return len(longer) - c
+}
+
+// growByID extends byID to cover every ID in ids.
+func (s *Scratch) growByID(ids []int32) {
+	for _, id := range ids {
+		if int(id) >= len(s.byID) {
+			s.byID = append(s.byID, make([]int32, int(id)+1-len(s.byID))...)
+		}
+	}
 }
 
 // damerauBoundedIDs is the exact kernel of the interned distance-matrix
@@ -440,7 +460,7 @@ func (s *Scratch) damerauBoundedIDs(a, b []int32) int {
 	}
 	s.stats.BandPasses++
 	s.stats.CellsDP += int64((la+63)/64) * int64(lb)
-	return damerauBitVectorBlocked(a, b)
+	return s.damerauBitVectorBlocked(a, b)
 }
 
 // normalizedFull is the unbounded reference: the full-DP distance
