@@ -539,44 +539,46 @@ func (n *Node) runSession(st *connState, s *sshd.Session) {
 	_ = s.Exit(0)
 }
 
+// maxLine bounds what the interactive loop keeps of one line: its
+// first maxLine bytes run as the command, and the rest, up to the line
+// end, is dropped.
+const maxLine = 64 << 10
+
 // interactive drives the line-oriented shell loop over rw.
 func (n *Node) interactive(st *connState, sh *shell.Shell, r io.Reader, w io.Writer) {
 	if _, err := io.WriteString(w, n.motd()+crlf(sh.Prompt())); err != nil {
 		return
 	}
 	buf := make([]byte, 4096)
-	var line []byte // read and not yet run
-	scanned := 0    // line[:scanned] holds no line end
+	var line []byte // the pending line's first maxLine bytes
+	keep := func(b []byte) { line = append(line, b[:min(len(b), maxLine-len(line))]...) }
 	for {
 		nr, err := r.Read(buf)
-		if nr > 0 {
-			line = append(line, buf[:nr]...)
-			for {
-				i := bytes.IndexAny(line[scanned:], "\r\n")
-				if i < 0 {
-					scanned = len(line)
-					break
-				}
-				i += scanned
-				cmd := string(line[:i])
-				line = bytes.TrimPrefix(bytes.TrimPrefix(line[i:], []byte("\r")), []byte("\n"))
-				scanned = 0
+		for data := buf[:nr]; len(data) > 0; {
+			i := bytes.IndexAny(data, "\r\n")
+			if i < 0 {
+				keep(data)
+				break
+			}
+			keep(data[:i])
+			data = bytes.TrimPrefix(bytes.TrimPrefix(data[i:], []byte("\r")), []byte("\n"))
+			cmd := string(line)
+			line = line[:0]
 
-				st.mu.Lock()
-				out := sh.Run(cmd)
-				exited := sh.Exited()
-				st.mu.Unlock()
-				if out != "" {
-					if _, err := io.WriteString(w, crlf(out)); err != nil {
-						return
-					}
-				}
-				if exited {
+			st.mu.Lock()
+			out := sh.Run(cmd)
+			exited := sh.Exited()
+			st.mu.Unlock()
+			if out != "" {
+				if _, err := io.WriteString(w, crlf(out)); err != nil {
 					return
 				}
-				if _, err := io.WriteString(w, crlf(sh.Prompt())); err != nil {
-					return
-				}
+			}
+			if exited {
+				return
+			}
+			if _, err := io.WriteString(w, crlf(sh.Prompt())); err != nil {
+				return
 			}
 		}
 		if err != nil {

@@ -460,7 +460,8 @@ var raceSlowdown time.Duration = 1
 // TestInteractiveLongLineIsLinear feeds the interactive loop 8 MiB with
 // no line end, 4 KiB a read, then "exit\r\n": the pending line is scanned
 // once, not once per read, so the session ends in well under the ~12 s
-// a rescan of every read took.
+// a rescan of every read took. Only the line's first maxLine bytes are
+// kept, so the "exit" at its end is dropped with the rest.
 func TestInteractiveLongLineIsLinear(t *testing.T) {
 	node, err := New(Config{ID: "hp-test", Sink: func(*session.Record) error { return nil }})
 	if err != nil {
@@ -473,7 +474,48 @@ func TestInteractiveLongLineIsLinear(t *testing.T) {
 	if d, bound := time.Since(start), 3*time.Second*raceSlowdown; d > bound {
 		t.Errorf("an 8 MiB line took %v, want under %v", d, bound)
 	}
-	if cmds := sh.Commands(); len(cmds) != 1 || cmds[0].Raw != string(long)+"exit" {
-		t.Errorf("recorded %d commands, want the one 8 MiB line", len(cmds))
+	if cmds := sh.Commands(); len(cmds) != 1 || cmds[0].Raw != string(long[:maxLine]) {
+		t.Errorf("recorded %d commands, want the first %d bytes of the 8 MiB line", len(cmds), maxLine)
+	}
+}
+
+// TestLongLineCappedOverSSH sends 64 MiB with no line end through a
+// real SSH shell, then a line end and "echo ok": the recorded command is
+// the line's first maxLine bytes, and the shell still answers.
+func TestLongLineCappedOverSSH(t *testing.T) {
+	_, addr, _, sk := startNode(t)
+	cli, err := sshclient.Dial(addr, sshclient.Config{User: "root", Password: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	sh, err := cli.Shell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.ReadUntil("# "); err != nil {
+		t.Fatal(err)
+	}
+	chunk := bytes.Repeat([]byte("A"), 1<<20)
+	for i := 0; i < 64; i++ {
+		if _, err := sh.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sh.Run("", "# "); err != nil {
+		t.Fatal(err)
+	}
+	out, err := sh.Run("echo ok", "# ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "ok\r\n") {
+		t.Errorf("echo ok after the long line printed %q", out)
+	}
+	sh.Close()
+	cli.Close()
+	rec := sk.wait(t)
+	if len(rec.Commands) != 2 || rec.Commands[0].Raw != string(chunk[:maxLine]) || rec.Commands[1].Raw != "echo ok" {
+		t.Errorf("recorded %d commands; want the line's first %d bytes, then echo ok", len(rec.Commands), maxLine)
 	}
 }

@@ -209,3 +209,111 @@ func TestWindowAdjustOpenSSHRule(t *testing.T) {
 		t.Errorf("%d window adjusts for %d bytes, want 1..%d", n, total, (total+step-1)/step)
 	}
 }
+
+// TestUnreadChannelStallsSender pushes 32 MiB into an accepted channel
+// that nobody reads: the sender stalls once it has used the window,
+// with at most the window buffered. Reading the channel then re-credits
+// the window, and every byte arrives in order.
+func TestUnreadChannelStallsSender(t *testing.T) {
+	srv, cli, _, _ := countedPair(t, nil, nil)
+	ms, mc := NewMux(srv), NewMux(cli)
+	t.Cleanup(func() {
+		mc.Close()
+		ms.Close()
+	})
+	accepted := make(chan *Channel, 1)
+	go func() {
+		if nc, ok := <-ms.Incoming(); ok {
+			ch, _ := nc.Accept()
+			accepted <- ch
+		}
+	}()
+	ch, err := mc.OpenChannel("session", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := <-accepted
+
+	const total = 32 << 20
+	data := make([]byte, total)
+	for i := range data {
+		data[i] = byte(i ^ i>>8 ^ i>>16)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := ch.Write(data)
+		wrote <- err
+	}()
+	buffered := func() int {
+		sch.dmu.Lock()
+		defer sch.dmu.Unlock()
+		return sch.buf.Len()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for buffered() < defaultWindow && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // room for any byte past the window
+	select {
+	case err := <-wrote:
+		t.Fatalf("the sender finished (%v) with nobody reading", err)
+	default:
+	}
+	if n := buffered(); n != defaultWindow {
+		t.Fatalf("%d bytes buffered for an unread channel, want the %d-byte window", n, defaultWindow)
+	}
+
+	got := make([]byte, total)
+	if _, err := io.ReadFull(sch, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("the bytes read differ from the bytes written")
+	}
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sender never finished")
+	}
+}
+
+// TestDataBeyondWindowDropped: a peer that sends past the window it was
+// granted has the excess dropped, never buffered.
+func TestDataBeyondWindowDropped(t *testing.T) {
+	ch, cli, _ := exitPair(t)
+	chunk := bytes.Repeat([]byte{'x'}, defaultMaxPacket-64)
+	sent := 0
+	for sent < defaultWindow+3*len(chunk) {
+		b := NewBuilder(16 + len(chunk))
+		b.Byte(MsgChannelData)
+		b.Uint32(ch.localID)
+		b.String(chunk)
+		if err := cli.WritePacket(b.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		sent += len(chunk)
+	}
+	// A request after the data: once it arrives, the data is delivered.
+	b := NewBuilder(32)
+	b.Byte(MsgChannelRequest)
+	b.Uint32(ch.localID)
+	b.StringS("env")
+	b.Bool(false)
+	if err := cli.WritePacket(b.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ch.Requests():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request after the data never arrived")
+	}
+	ch.dmu.Lock()
+	n, left := ch.buf.Len(), ch.localWindow
+	ch.dmu.Unlock()
+	if n != defaultWindow || left != 0 {
+		t.Fatalf("%d of %d bytes buffered, window left %d; want %d and 0", n, sent, left, defaultWindow)
+	}
+}

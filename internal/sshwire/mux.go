@@ -103,7 +103,7 @@ func (m *Mux) forget(id uint32) {
 
 // OpenChannel opens a channel of the given type to the peer (client use).
 func (m *Mux) OpenChannel(name string, extra []byte) (*Channel, error) {
-	ch := newChannel(m, defaultWindow, defaultMaxPacket)
+	ch := newChannel(m, defaultWindow)
 	ch.localID = m.registerLocal(ch)
 
 	b := NewBuilder(64 + len(extra))
@@ -154,7 +154,7 @@ type NewChannel struct {
 
 // Accept confirms the channel open and returns the live channel.
 func (nc *NewChannel) Accept() (*Channel, error) {
-	ch := newChannel(nc.mux, defaultWindow, defaultMaxPacket)
+	ch := newChannel(nc.mux, defaultWindow)
 	ch.remoteID = nc.remoteID
 	ch.remoteWindow = uint64(nc.remoteWindow)
 	ch.remoteMaxPacket = nc.remoteMaxPacket
@@ -218,7 +218,8 @@ type Channel struct {
 
 	requests chan *Request
 
-	// Inbound data buffer with condition-variable signaling.
+	// Inbound data buffer with condition-variable signaling. It never
+	// holds more than the window granted the peer.
 	dmu       sync.Mutex
 	dcond     *sync.Cond
 	buf       bytes.Buffer
@@ -237,13 +238,15 @@ type Channel struct {
 	remoteWindow    uint64
 	remoteMaxPacket uint32
 
+	// Inbound flow control, under dmu. localWindow is the window still
+	// granted the peer: the bytes it may send before our next
+	// WINDOW_ADJUST. consumed counts bytes the application has read and
+	// that are not yet re-credited.
 	localWindow uint32
-	// consumed counts inbound data bytes not yet re-credited with a
-	// WINDOW_ADJUST. Only the mux read loop touches it.
-	consumed uint32
+	consumed    uint32
 }
 
-func newChannel(m *Mux, window, maxPacket uint32) *Channel {
+func newChannel(m *Mux, window uint32) *Channel {
 	ch := &Channel{
 		mux:         m,
 		opened:      make(chan struct{}),
@@ -254,7 +257,6 @@ func newChannel(m *Mux, window, maxPacket uint32) *Channel {
 	ch.replyCh = make(chan bool, 16)
 	ch.dcond = sync.NewCond(&ch.dmu)
 	ch.wcond = sync.NewCond(&ch.wmu)
-	_ = maxPacket
 	return ch
 }
 
@@ -263,18 +265,45 @@ func newChannel(m *Mux, window, maxPacket uint32) *Channel {
 func (ch *Channel) Requests() <-chan *Request { return ch.requests }
 
 // Read returns data sent by the peer. It blocks until data, EOF, or
-// channel close.
+// channel close. The peer's window is re-credited only for what Read
+// returns, so a peer whose data nobody reads stalls once it has sent
+// the window.
 func (ch *Channel) Read(p []byte) (int, error) {
 	ch.dmu.Lock()
-	defer ch.dmu.Unlock()
 	for ch.buf.Len() == 0 && !ch.eof && !ch.closed {
 		ch.dcond.Wait()
 	}
-	if ch.buf.Len() > 0 {
-		n, _ := ch.buf.Read(p)
+	if ch.buf.Len() == 0 {
+		ch.dmu.Unlock()
+		return 0, io.EOF
+	}
+	n, _ := ch.buf.Read(p)
+	adjust := ch.creditLocked(uint32(n))
+	ch.dmu.Unlock()
+	if adjust == 0 {
 		return n, nil
 	}
-	return 0, io.EOF
+	b := NewBuilder(12)
+	b.Byte(MsgChannelWindowAdjust)
+	b.Uint32(ch.remoteID)
+	b.Uint32(adjust)
+	return n, ch.mux.conn.WritePacket(b.Bytes())
+}
+
+// creditLocked counts n bytes read and returns the WINDOW_ADJUST to
+// send for them, 0 for none, the way OpenSSH's channel_check_window
+// decides: one adjust covers everything read since the last, sent once
+// that exceeds three maximum packets or half the window, and never
+// after CLOSE. Caller holds dmu.
+func (ch *Channel) creditLocked(n uint32) uint32 {
+	ch.consumed += n
+	if ch.sentClose || ch.closed || (ch.consumed <= 3*defaultMaxPacket && ch.consumed <= defaultWindow/2) {
+		return 0
+	}
+	adjust := ch.consumed
+	ch.consumed = 0
+	ch.localWindow += adjust
+	return adjust
 }
 
 // Write sends data to the peer, fragmenting to the peer's maximum packet
@@ -400,28 +429,18 @@ func (ch *Channel) msg(t byte) []byte {
 	return NewBuilder(5).Byte(t).Uint32(ch.remoteID).Bytes()
 }
 
-// deliverData buffers inbound data and re-credits the peer's window the
-// way OpenSSH's channel_check_window does: the honeypot consumes all
-// input at once, so one WINDOW_ADJUST covers everything received since
-// the last, sent once that exceeds three maximum packets or half the
-// window, and never after our CLOSE.
-func (ch *Channel) deliverData(data []byte) error {
+// deliverData buffers inbound data within the window granted the peer.
+// Data beyond it is dropped, as OpenSSH's channel_input_data does, so a
+// peer that ignores the window cannot grow the buffer past it.
+func (ch *Channel) deliverData(data []byte) {
 	ch.dmu.Lock()
+	if uint32(len(data)) > ch.localWindow {
+		data = data[:ch.localWindow]
+	}
+	ch.localWindow -= uint32(len(data))
 	ch.buf.Write(data)
 	ch.dcond.Broadcast()
-	closing := ch.sentClose
 	ch.dmu.Unlock()
-
-	ch.consumed += uint32(len(data))
-	if closing || (ch.consumed <= 3*defaultMaxPacket && ch.consumed <= defaultWindow/2) {
-		return nil
-	}
-	b := NewBuilder(12)
-	b.Byte(MsgChannelWindowAdjust)
-	b.Uint32(ch.remoteID)
-	b.Uint32(ch.consumed)
-	ch.consumed = 0
-	return ch.mux.conn.WritePacket(b.Bytes())
 }
 
 func (ch *Channel) markEOF() {
@@ -538,9 +557,7 @@ func (m *Mux) run() error {
 			if ch == nil {
 				continue
 			}
-			if err := ch.deliverData(data); err != nil {
-				return err
-			}
+			ch.deliverData(data)
 		case MsgChannelExtendedData:
 			r := NewReader(payload[1:])
 			local := r.Uint32()
@@ -553,9 +570,7 @@ func (m *Mux) run() error {
 			if ch == nil {
 				continue
 			}
-			if err := ch.deliverData(data); err != nil {
-				return err
-			}
+			ch.deliverData(data)
 		case MsgChannelEOF:
 			r := NewReader(payload[1:])
 			if ch := m.lookup(r.Uint32()); ch != nil {

@@ -691,8 +691,8 @@ var colScratchPool = sync.Pool{New: func() any { return new(colScratch) }}
 // that every scan — early exit included — returns what it took.
 var poolGets, poolPuts atomic.Int64
 
-// PoolCounters reports cumulative block-scratch pool gets and puts.
-func PoolCounters() (gets, puts int64) { return poolGets.Load(), poolPuts.Load() }
+// poolCounters reports cumulative block-scratch pool gets and puts.
+func poolCounters() (gets, puts int64) { return poolGets.Load(), poolPuts.Load() }
 
 func acquireColScratch() *colScratch {
 	poolGets.Add(1)

@@ -294,7 +294,7 @@ func TestScanPoolBalanced(t *testing.T) {
 			s, _ := openArm(t, arm)
 			sealAll(t, s, recs)
 
-			g0, p0 := PoolCounters()
+			g0, p0 := poolCounters()
 
 			// Full scan to exhaustion, no explicit Close.
 			res, err := s.RunQuery(&Query{})
@@ -321,7 +321,7 @@ func TestScanPoolBalanced(t *testing.T) {
 			res.Next()
 			res.Close()
 
-			g1, p1 := PoolCounters()
+			g1, p1 := poolCounters()
 			if gets, puts := g1-g0, p1-p0; gets != puts {
 				t.Fatalf("pool imbalance: %d gets, %d puts", gets, puts)
 			} else if gets == 0 {

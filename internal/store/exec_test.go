@@ -305,7 +305,7 @@ func TestCorruptStripeUnderParallelScan(t *testing.T) {
 	want := flipStripeBit(t, sh.Store, early, 1)
 	flipStripeBit(t, sh.Store, late, 0)
 
-	gets0, puts0 := PoolCounters()
+	gets0, puts0 := poolCounters()
 	g0 := runtime.NumGoroutine()
 	check := func(path string, err error) {
 		t.Helper()
@@ -344,7 +344,7 @@ func TestCorruptStripeUnderParallelScan(t *testing.T) {
 			}
 		})
 	}
-	if gets, puts := PoolCounters(); gets-gets0 != puts-puts0 || gets == gets0 {
+	if gets, puts := poolCounters(); gets-gets0 != puts-puts0 || gets == gets0 {
 		t.Fatalf("pool: %d gets, %d puts", gets-gets0, puts-puts0)
 	}
 	deadline := time.Now().Add(2 * time.Second)

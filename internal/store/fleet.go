@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"honeynet/internal/parallel"
 	"honeynet/internal/session"
 )
 
@@ -141,24 +143,33 @@ func OpenDir(dir string) (Reader, error) {
 	return st, nil
 }
 
-// OpenFleet opens every node-<id> shard under dir with opts. Shards
-// are ordered by node id, so every fleet-wide result is deterministic.
+// OpenFleet opens every node-<id> shard under dir with opts, the
+// shards in parallel. Shards are ordered by node id, so every
+// fleet-wide result is deterministic; if any shard fails to open, the
+// error names the first such in that order and the shards that did
+// open are closed.
 func OpenFleet(dir string, opts Options) (*Fleet, error) {
 	nodes, err := FleetNodes(dir)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{}
-	for _, node := range nodes {
-		st, err := Open(ShardDir(dir, node), opts)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: fleet shard %s: %w", node, err)
-		}
-		f.shards = append(f.shards, Shard{Node: node, Store: st})
-	}
-	if len(f.shards) == 0 {
+	if len(nodes) == 0 {
 		return nil, fmt.Errorf("store: %s: no node-<id> shards", dir)
+	}
+	f := &Fleet{shards: make([]Shard, len(nodes))}
+	errs := make([]error, len(nodes))
+	parallel.ForEach(len(nodes), parallel.Workers(0), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f.shards[i].Node = nodes[i]
+			f.shards[i].Store, errs[i] = Open(ShardDir(dir, nodes[i]), opts)
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			f.shards = slices.DeleteFunc(f.shards, func(sh Shard) bool { return sh.Store == nil })
+			f.Close()
+			return nil, fmt.Errorf("store: fleet shard %s: %w", nodes[i], err)
+		}
 	}
 	return f, nil
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,6 +315,45 @@ func TestFleetScatterGather(t *testing.T) {
 	} {
 		if f, s := runIDsOrGroups(t, fl, q), runIDsOrGroups(t, ss, q); !reflect.DeepEqual(f, s) {
 			t.Fatalf("aggregate %d: fleet %v != single store %v", qi, f, s)
+		}
+	}
+}
+
+// TestOpenFleetCorruptShard: with two of four shards' manifests
+// corrupt, OpenFleet fails naming the first of them in node order,
+// read-only and read-write alike. A read-write open starts each shard's
+// flush goroutine, so the goroutine count coming back down shows the
+// shards that did open were closed again.
+func TestOpenFleetCorruptShard(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteFleetMarker(dir); err != nil {
+		t.Fatal(err)
+	}
+	nodes := []string{"edge-a", "edge-b", "edge-c", "edge-d"}
+	for _, node := range nodes {
+		sealedFixture(t, ShardDir(dir, node))
+	}
+	for _, node := range []string{"edge-c", "edge-b"} {
+		if err := os.WriteFile(filepath.Join(ShardDir(dir, node), manifestName), []byte(`{"version":1,`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ro := range []bool{true, false} {
+		before := runtime.NumGoroutine()
+		fl, err := OpenFleet(dir, Options{ReadOnly: ro})
+		if err == nil {
+			fl.Close()
+			t.Fatalf("OpenFleet(ReadOnly=%v) opened a fleet with corrupt shards", ro)
+		}
+		if !strings.Contains(err.Error(), "fleet shard edge-b:") || !strings.Contains(err.Error(), "corrupt manifest") {
+			t.Errorf("OpenFleet(ReadOnly=%v): error %q does not name shard edge-b's manifest", ro, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("OpenFleet(ReadOnly=%v) left %d goroutines behind", ro, n-before)
 		}
 	}
 }

@@ -102,9 +102,12 @@ func loadManifest(dir string) (*manifest, error) {
 		}
 		return nil, err
 	}
-	m := &manifest{}
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("store: corrupt manifest: %w", err)
+	m, ok := decodeManifestFast(data)
+	if !ok {
+		m = &manifest{}
+		if err := json.Unmarshal(data, m); err != nil {
+			return nil, fmt.Errorf("store: corrupt manifest: %w", err)
+		}
 	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("store: manifest version %d not supported", m.Version)
@@ -177,6 +180,10 @@ func (sm *segmentMeta) validate(dir string, m *manifest) error {
 	return nil
 }
 
+// savedManifest, when set, sees the bytes of every manifest save
+// writes. The package's tests set it; it is nil in production.
+var savedManifest func(data []byte)
+
 // save writes the manifest atomically: temp file, fsync, rename over
 // the live name, fsync the directory. A crash at any point leaves
 // either the old or the new manifest, never a torn one.
@@ -202,14 +209,17 @@ func (m *manifest) save(dir string) error {
 		}
 		buf.Write(sm.enc)
 	}
-	buf.WriteString("]}")
+	buf.WriteString("]}\n")
 	data := buf.Bytes()
+	if savedManifest != nil {
+		savedManifest(data)
+	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
 	}

@@ -409,7 +409,13 @@ func readWAL(path string, base uint64, tolerant bool) (recs []*session.Record, l
 		return nil, nil, false, 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	// A buffer the size of the file, up to 1 MiB: a WAL that holds only
+	// its header line should not cost a zeroed megabyte.
+	bufSize := 1 << 20
+	if fi, err := f.Stat(); err == nil && fi.Size() < int64(bufSize) {
+		bufSize = int(fi.Size())
+	}
+	br := bufio.NewReaderSize(f, bufSize)
 	first := true
 	var dec session.JSONDecoder
 	for {
