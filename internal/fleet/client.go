@@ -21,10 +21,6 @@ type Options struct {
 	// Batch caps how many records one batch frame carries. Zero means
 	// 256; negative is rejected.
 	Batch int
-	// MaxDelay bounds how long an appended record may linger waiting
-	// for a batch to fill before it is forwarded anyway. Zero means
-	// 2ms; negative is rejected.
-	MaxDelay time.Duration
 	// AckWindow caps how many records may be in flight (sent but not
 	// acknowledged) before the forwarder waits for acks. Zero means
 	// 4x Batch; a positive value smaller than Batch is rejected (the
@@ -46,8 +42,6 @@ func (o *Options) Validate() error {
 	switch {
 	case o.Batch < 0:
 		return fmt.Errorf("fleet: negative Batch %d", o.Batch)
-	case o.MaxDelay < 0:
-		return fmt.Errorf("fleet: negative MaxDelay %v", o.MaxDelay)
 	case o.AckWindow < 0:
 		return fmt.Errorf("fleet: negative AckWindow %d", o.AckWindow)
 	case o.AckWindow > 0 && o.AckWindow < o.batch():
@@ -65,13 +59,6 @@ func (o *Options) batch() int {
 		return 256
 	}
 	return o.Batch
-}
-
-func (o *Options) maxDelay() time.Duration {
-	if o.MaxDelay == 0 {
-		return 2 * time.Millisecond
-	}
-	return o.MaxDelay
 }
 
 func (o *Options) ackWindow() int {
@@ -101,6 +88,15 @@ func (o *Options) retryMax() time.Duration {
 	}
 	return o.RetryMax
 }
+
+// batchSpacing is the least time between two batches when the next is
+// not full. A partial batch leaves at once unless the previous batch
+// left less than batchSpacing ago, and then it leaves batchSpacing
+// after that one. So a record appended to an idle edge goes out the
+// moment it is seen, while under load partial batches still leave at
+// most once per spacing, each covering one edge fsync and one collector
+// fsync. Only the package's tests change it.
+var batchSpacing = 2 * time.Millisecond
 
 // errStopped ends the run loop when Close is called.
 var errStopped = errors.New("fleet: forwarder stopped")
@@ -235,7 +231,7 @@ func (f *Forwarder) session() (established bool, err error) {
 	conn.SetReadDeadline(time.Now().Add(f.opts.dialTimeout()))
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var rbuf []byte
-	typ, payload, err := readFrame(br, &rbuf)
+	typ, payload, err := readFrame(br, maxFrame, &rbuf)
 	if err != nil {
 		return false, err
 	}
@@ -275,7 +271,7 @@ func (f *Forwarder) session() (established bool, err error) {
 				readerErr = err
 				return
 			}
-			typ, payload, err := readFrame(br, &buf)
+			typ, payload, err := readFrame(br, maxFrame, &buf)
 			if err != nil {
 				readerErr = err
 				return
@@ -319,7 +315,7 @@ func (f *Forwarder) session() (established bool, err error) {
 }
 
 // sendLoop batches available records and streams them, respecting the
-// ack window and the per-record MaxDelay linger.
+// ack window and the batch spacing.
 func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{}, readerDone chan struct{}, readerErr *error) error {
 	watch := f.st.Watch()
 	var head, body []byte
@@ -334,7 +330,7 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 		}
 	}
 	defer closeSnap()
-	var deadline time.Time // first-pending-record linger bound
+	var lastSent time.Time // when the previous batch went out
 	for {
 		select {
 		case <-f.stop:
@@ -350,7 +346,6 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 		avail := int64(f.st.NextSeq()) - int64(cursor)
 
 		if avail <= 0 {
-			deadline = time.Time{}
 			closeSnap() // never pin a snapshot across a wait for appends
 			select {
 			case <-f.stop:
@@ -362,13 +357,10 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 			continue
 		}
 
-		// Linger a partial batch up to MaxDelay from when its first
-		// record became available, then ship whatever is there.
+		// A partial batch waits only for the spacing after the previous
+		// one, filling from whatever is appended meanwhile.
 		if int(avail) < f.opts.batch() {
-			if deadline.IsZero() {
-				deadline = time.Now().Add(f.opts.maxDelay())
-			}
-			if wait := time.Until(deadline); wait > 0 {
+			if wait := time.Until(lastSent.Add(batchSpacing)); wait > 0 {
 				t := time.NewTimer(wait)
 				select {
 				case <-f.stop:
@@ -384,7 +376,6 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 				}
 			}
 		}
-		deadline = time.Time{}
 
 		// Window: wait for acks while a full batch would overshoot.
 		if int(cursor-acked)+f.opts.batch() > f.opts.ackWindow() {
@@ -469,6 +460,7 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 		if err := bw.Flush(); err != nil {
 			return err
 		}
+		lastSent = time.Now()
 		f.sent.Add(int64(count))
 		f.batches.Add(1)
 		f.mu.Lock()

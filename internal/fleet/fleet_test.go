@@ -81,7 +81,7 @@ func assertShardEquals(t *testing.T, srv *Server, node string, edge *store.Store
 func TestFleetOptionsValidate(t *testing.T) {
 	ok := []Options{
 		{},
-		{Batch: 64, MaxDelay: time.Millisecond, AckWindow: 256},
+		{Batch: 64, AckWindow: 256},
 		{AckWindow: 256}, // default batch 256 fits exactly
 		{DialTimeout: time.Second, RetryMin: time.Millisecond, RetryMax: time.Second},
 	}
@@ -92,7 +92,6 @@ func TestFleetOptionsValidate(t *testing.T) {
 	}
 	bad := []Options{
 		{Batch: -1},
-		{MaxDelay: -time.Millisecond},
 		{AckWindow: -1},
 		{Batch: 100, AckWindow: 50}, // window can never fit one batch
 		{AckWindow: 255},            // below the default batch
@@ -136,14 +135,14 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	var rbuf []byte
-	typ, payload, err := readFrame(&buf, &rbuf)
+	typ, payload, err := readFrame(&buf, maxFrame, &rbuf)
 	if err != nil || typ != frameHello {
 		t.Fatalf("frame 1: typ %d err %v", typ, err)
 	}
 	if string(payload) != `{"v":1,"node":"edge-1"}` {
 		t.Fatalf("hello payload %q", payload)
 	}
-	typ, payload, err = readFrame(&buf, &rbuf)
+	typ, payload, err = readFrame(&buf, maxFrame, &rbuf)
 	if err != nil || typ != frameBatch {
 		t.Fatalf("frame 2: typ %d err %v", typ, err)
 	}
@@ -169,7 +168,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Error("nextBatchRecord accepted truncated record")
 	}
 	bad := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
-	if _, _, err := readFrame(bad, &rbuf); err == nil {
+	if _, _, err := readFrame(bad, maxFrame, &rbuf); err == nil {
 		t.Error("readFrame accepted oversized length prefix")
 	}
 }
@@ -200,7 +199,7 @@ func TestForwardEndToEnd(t *testing.T) {
 		}
 	}
 
-	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{MaxDelay: time.Millisecond})
+	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +226,7 @@ func TestForwardEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fwd2, err := NewForwarder(addr.String(), "edge-1", st, Options{MaxDelay: time.Millisecond})
+	fwd2, err := NewForwarder(addr.String(), "edge-1", st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +267,6 @@ func TestForwardReconnectResume(t *testing.T) {
 	var ops atomic.Int64
 	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{
 		Batch:    16,
-		MaxDelay: time.Millisecond,
 		RetryMin: time.Millisecond,
 		RetryMax: 10 * time.Millisecond,
 		Fault: func(op string) error {
@@ -323,7 +321,7 @@ func TestServerRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf []byte
-		typ, _, err := readFrame(c, &buf)
+		typ, _, err := readFrame(c, maxFrame, &buf)
 		if err != nil {
 			t.Fatalf("hello %+v: %v", hello, err)
 		}
@@ -360,7 +358,7 @@ func TestCollectorRestartResumesCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{MaxDelay: time.Millisecond})
+	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +383,7 @@ func TestCollectorRestartResumesCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf []byte
-	typ, payload, err := readFrame(c, &buf)
+	typ, payload, err := readFrame(c, maxFrame, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,5 +393,57 @@ func TestCollectorRestartResumesCursor(t *testing.T) {
 	}
 	if next != 120 {
 		t.Fatalf("restarted collector advertises cursor %d, want 120", next)
+	}
+}
+
+// TestIdleEdgeRecordLeavesAtOnce: with the batch spacing at an hour, a
+// record appended to an idle, connected forwarder still reaches the
+// collector at once, since the spacing counts from the previous batch
+// and there is none; a second record appended just after it waits out
+// the spacing.
+func TestIdleEdgeRecordLeavesAtOnce(t *testing.T) {
+	defer func(d time.Duration) { batchSpacing = d }(batchSpacing)
+	batchSpacing = time.Hour
+	srv, err := NewServer(t.TempDir(), ServerOptions{SyncAck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+	waitFor := func(what string, timeout time.Duration, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(timeout)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s not within %v", what, timeout)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor("forwarder connected", 10*time.Second, fwd.Connected)
+
+	if err := st.Append(mkRec(0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the idle edge's record at the collector", 5*time.Second, func() bool { return srv.Len() == 1 })
+	if err := st.Append(mkRec(1)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if n := srv.Len(); n != 1 {
+		t.Fatalf("the collector holds %d records 200ms after a second append, want 1: the second batch left inside the spacing", n)
 	}
 }

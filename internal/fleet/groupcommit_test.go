@@ -35,7 +35,7 @@ func readAck(t *testing.T, c net.Conn) uint64 {
 	t.Helper()
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
-	typ, payload, err := readFrame(c, &buf)
+	typ, payload, err := readFrame(c, maxFrame, &buf)
 	if err != nil {
 		t.Fatalf("read ack: %v", err)
 	}

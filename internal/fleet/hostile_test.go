@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -47,36 +49,156 @@ func TestHostileBatchRejected(t *testing.T) {
 	}
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
-	typ, _, err := readFrame(c, &buf)
+	typ, _, err := readFrame(c, maxFrame, &buf)
 	if err != nil || typ != frameError {
 		t.Fatalf("hostile batch answered with frame type %d, err %v; want an error frame", typ, err)
 	}
-	if _, _, err := readFrame(c, &buf); err != io.EOF {
+	if _, _, err := readFrame(c, maxFrame, &buf); err != io.EOF {
 		t.Errorf("after the error frame: %v, want the connection closed", err)
 	}
 	if n := reg.Snapshot()["honeynet_fleet_rejects_total"]; n != 1 {
 		t.Errorf("honeynet_fleet_rejects_total = %v, want 1", n)
 	}
 
+	forwardDelivers(t, srv, addr.String(), "edge-1")
+}
+
+// liveHeap is the process's live heap after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// forwardDelivers runs a forwarder for a fresh 50-record store as node
+// on addr and checks the collector's shard ends byte-equal to it.
+func forwardDelivers(t *testing.T, srv *Server, addr, node string) {
+	t.Helper()
 	st := fillStore(t, 50)
 	defer st.Close()
-	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{MaxDelay: time.Millisecond})
+	fwd, err := NewForwarder(addr, node, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fwd.WaitCaughtUp(10 * time.Second) {
-		t.Fatalf("forwarder never caught up after the hostile peer: acked %d of %d", fwd.Acked(), st.NextSeq())
+		t.Fatalf("forwarder never caught up beside the hostile peers: acked %d of %d", fwd.Acked(), st.NextSeq())
 	}
 	if err := fwd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertShardEquals(t, srv, "edge-1", st)
+	assertShardEquals(t, srv, node, st)
+}
+
+// TestClaimedFrameLengthNotAllocated: 8 connections that each send
+// only a 5-byte frame prefix claiming 64 MiB — as their first frame, or
+// as a batch after a valid hello — leave the collector holding under
+// 4 MiB more live heap. Each used to cost the 64 MiB it claimed, until
+// the peer hung up. A forwarder on another connection still delivers.
+func TestClaimedFrameLengthNotAllocated(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		hello bool
+	}{{"first frame", false}, {"batch after hello", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer(t.TempDir(), ServerOptions{SyncAck: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The hostile node's shard is opened before the baseline, so
+			// the heap it holds is not counted against the peers.
+			c0, _ := helloRaw(t, addr.String(), "hostile")
+			c0.Close()
+			before := liveHeap()
+
+			prefix := binary.BigEndian.AppendUint32(nil, maxFrame)
+			prefix = append(prefix, frameHello)
+			if tc.hello {
+				prefix[4] = frameBatch
+			}
+			for i := 0; i < 8; i++ {
+				var c net.Conn
+				if tc.hello {
+					c, _ = helloRaw(t, addr.String(), "hostile")
+				} else {
+					c = dialRaw(t, addr.String())
+				}
+				defer c.Close()
+				if _, err := c.Write(prefix); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Nothing marks the moment a handler has read a prefix; the
+			// claimed 64 MiB was allocated within microseconds of it.
+			time.Sleep(300 * time.Millisecond)
+			const bound = 4 << 20
+			after := liveHeap()
+			t.Logf("8 prefix-only connections: %d KiB more live heap", (int64(after)-int64(before))>>10)
+			if after > before+bound {
+				t.Errorf("8 prefix-only connections hold %d KiB more live heap, want under %d KiB",
+					(after-before)>>10, bound>>10)
+			}
+			forwardDelivers(t, srv, addr.String(), "edge-1")
+		})
+	}
+}
+
+// TestSilentConnectionClosedAtHelloDeadline: a connection that never
+// says hello is closed helloTimeout after it opened, while one that
+// said hello may stay idle past that and still deliver a batch; a
+// forwarder on another connection still delivers. This test waits out
+// the deadline, so it runs for about five seconds.
+func TestSilentConnectionClosedAtHelloDeadline(t *testing.T) {
+	srv, err := NewServer(t.TempDir(), ServerOptions{SyncAck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, next := helloRaw(t, addr.String(), "idle")
+	defer idle.Close()
+	silent := dialRaw(t, addr.String())
+	defer silent.Close()
+	start := time.Now()
+	silent.SetReadDeadline(start.Add(helloTimeout + 10*time.Second))
+	var buf []byte
+	if _, _, err := readFrame(silent, maxFrame, &buf); err != io.EOF {
+		t.Fatalf("silent connection: %v after %v, want it closed by the collector", err, time.Since(start))
+	}
+	if d := time.Since(start); d < helloTimeout-time.Second {
+		t.Errorf("silent connection closed after %v, before the %v hello deadline", d, helloTimeout)
+	}
+
+	// The connection that said hello was idle just as long, and is
+	// still served.
+	body := appendBatchRecord(nil, lines(t, fillStore(t, 1))[0])
+	if err := writeFrame(idle, frameBatch, batchHeader(nil, next, 1), body); err != nil {
+		t.Fatal(err)
+	}
+	idle.SetReadDeadline(time.Now().Add(10 * time.Second))
+	typ, payload, err := readFrame(idle, maxFrame, &buf)
+	if err != nil {
+		t.Fatalf("idle connection after the hello deadline: %v", err)
+	}
+	if got, err := parseCursorFrame(typ, payload, frameAck); err != nil || got != next+1 {
+		t.Fatalf("idle connection's ack: cursor %d, err %v; want %d", got, err, next+1)
+	}
+	forwardDelivers(t, srv, addr.String(), "edge-1")
 }
 
 // FuzzBatchFrame drives arbitrary bytes through the collector's frame
 // reader and batch parser, and through the forwarder's cursor-frame
-// parser: nothing may panic, and every record line handed out must lie
-// inside the frame's payload.
+// parser: nothing may panic, the frame buffer grows only with the bytes
+// read, and every record line handed out must lie inside the frame's
+// payload.
 func FuzzBatchFrame(f *testing.F) {
 	frame := func(typ byte, payload []byte) []byte {
 		var b bytes.Buffer
@@ -92,12 +214,18 @@ func FuzzBatchFrame(f *testing.F) {
 	f.Add(frame(frameBatch, good)[:9])                                        // truncated frame
 	f.Add([]byte{0, 0, 0, 0, frameBatch})                                     // zero-length frame
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame+1))                     // oversized prefix
+	f.Add(append(binary.BigEndian.AppendUint32(nil, maxFrame), frameBatch))   // a claim, no body
 	f.Add(frame(frameBatch, binary.AppendUvarint([]byte{0}, math.MaxUint64))) // absurd count
 	f.Add(frame(frameAck, []byte(`{"next":3}`)))
 	f.Add(frame(frameError, []byte(`{"msg":"no"}`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf []byte
-		typ, payload, err := readFrame(bytes.NewReader(data), &buf)
+		typ, payload, err := readFrame(bytes.NewReader(data), maxFrame, &buf)
+		// The buffer grows with the bytes read, whatever length the
+		// prefix claims.
+		if c := cap(buf); c > 2*len(data)+frameStep {
+			t.Fatalf("a %d-byte input grew the frame buffer to %d bytes", len(data), c)
+		}
 		if err != nil {
 			return
 		}
@@ -167,7 +295,7 @@ func TestLargeRecordsBatchByBytes(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fwd, err := NewForwarder(addr.String(), "edge-big", st, Options{MaxDelay: time.Millisecond})
+	fwd, err := NewForwarder(addr.String(), "edge-big", st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

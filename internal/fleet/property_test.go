@@ -26,7 +26,7 @@ func helloOn(t *testing.T, c net.Conn, node string) uint64 {
 		t.Fatal(err)
 	}
 	var buf []byte
-	typ, payload, err := readFrame(c, &buf)
+	typ, payload, err := readFrame(c, maxFrame, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"honeynet/internal/obs"
 	"honeynet/internal/session"
@@ -44,6 +45,9 @@ type ServerOptions struct {
 // that arrived with it and how much an edge resends if the collector
 // dies before the flush.
 const maxAckGroup = 8
+
+// helloTimeout bounds how long a new connection may take to say hello.
+const helloTimeout = 5 * time.Second
 
 // nodeIngest is one node's shard plus the state every connection of
 // that node shares. The shard's record count is the dedup ledger, and
@@ -199,7 +203,9 @@ func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 16<<10)
 	var buf []byte
 
-	typ, payload, err := readFrame(br, &buf)
+	// A peer that has not said hello is held to a hello's size and time.
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
+	typ, payload, err := readFrame(br, maxHello, &buf)
 	if err != nil {
 		return
 	}
@@ -216,6 +222,9 @@ func (s *Server) handle(conn net.Conn) {
 		s.reject(bw, fmt.Sprintf("invalid node id %q", hello.Node))
 		return
 	}
+	// An accepted edge may stay idle between batches for as long as it
+	// has nothing to send.
+	conn.SetReadDeadline(time.Time{})
 	n, err := s.shard(hello.Node)
 	if err != nil {
 		s.reject(bw, "shard open failed")
@@ -231,7 +240,7 @@ func (s *Server) handle(conn net.Conn) {
 	var next uint64 // node cursor after the last applied batch
 	pending := 0    // earlier batches, appended in full, that the next ack will cover
 	for {
-		typ, payload, err := readFrame(br, &buf)
+		typ, payload, err := readFrame(br, maxFrame, &buf)
 		if err != nil {
 			return
 		}

@@ -49,7 +49,6 @@ func TestFleetSoak(t *testing.T) {
 		drop := int64(151 + 64*i) // different drop cadence per edge
 		fwds[i], err = NewForwarder(addr.String(), node, edges[i], Options{
 			Batch:    32,
-			MaxDelay: time.Millisecond,
 			RetryMin: time.Millisecond,
 			RetryMax: 20 * time.Millisecond,
 			Fault: func(op string) error {

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ProtocolVersion is bumped on incompatible wire changes; the server
@@ -109,26 +110,42 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 	return writeFrame(w, typ, p, nil)
 }
 
-// readFrame reads one frame, reusing *buf for the payload.
-func readFrame(r io.Reader, buf *[]byte) (typ byte, payload []byte, err error) {
+// maxHello bounds a connection's first frame. A hello is a version and
+// a node id of at most 64 bytes, so a peer that has said nothing yet can
+// make the collector read no more than this.
+const maxHello = 4 << 10
+
+// frameStep is the least a frame's buffer grows by at once.
+const frameStep = 64 << 10
+
+// readFrame reads one frame of at most limit bytes (type byte included),
+// reusing *buf for the payload. The buffer grows with the bytes read,
+// never ahead of them by more than what has arrived or frameStep, so a
+// length prefix the peer does not follow up costs one step, not the
+// length it claims; a buffer that already fits the frame is read into
+// as it is.
+func readFrame(r io.Reader, limit uint32, buf *[]byte) (typ byte, payload []byte, err error) {
 	var pre [5]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(pre[:4])
-	if n < 1 || n > maxFrame {
+	if n < 1 || n > limit {
 		return 0, nil, fmt.Errorf("fleet: bad frame length %d", n)
 	}
 	typ = pre[4]
 	need := int(n) - 1
-	if cap(*buf) < need {
-		*buf = make([]byte, need)
+	p := (*buf)[:0]
+	for len(p) < need {
+		p = slices.Grow(p, min(need-len(p), max(len(p), frameStep)))
+		end := min(need, cap(p))
+		if _, err := io.ReadFull(r, p[len(p):end]); err != nil {
+			return 0, nil, err
+		}
+		p = p[:end]
 	}
-	payload = (*buf)[:need]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return typ, payload, nil
+	*buf = p
+	return typ, p, nil
 }
 
 // frameBuffered reports whether a whole frame already sits in br's

@@ -25,6 +25,15 @@ type ConnMeta struct {
 	SessionID     []byte
 }
 
+// A session keeps at most maxEnvPairs env pairs, each of at most
+// maxEnvBytes of key and value; an env request past either is refused.
+// 128 pairs is OpenSSH's own limit (session.c), and no real client
+// sends a variable near 4 KiB.
+const (
+	maxEnvPairs = 128
+	maxEnvBytes = 4 << 10
+)
+
 // Session is one accepted session channel after a "shell" or "exec"
 // request. Read returns client stdin; Write sends output to the client.
 type Session struct {
@@ -240,10 +249,12 @@ func (s *Server) serveSession(ch *sshwire.Channel, meta ConnMeta) {
 			r := sshwire.NewReader(req.Payload)
 			k := r.StringS()
 			v := r.StringS()
-			if r.Err() == nil {
+			_, seen := sess.Env[k]
+			ok := r.Err() == nil && len(k)+len(v) <= maxEnvBytes && (seen || len(sess.Env) < maxEnvPairs)
+			if ok {
 				sess.Env[k] = v
 			}
-			_ = req.Reply(true)
+			_ = req.Reply(ok)
 		case "shell":
 			if started {
 				_ = req.Reply(false)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -407,6 +408,77 @@ func TestPtyEnvAndWindowChangeRequests(t *testing.T) {
 			t.Errorf("session type: shell=%v cmd=%q", s.IsShell, s.Command)
 		}
 	case <-time.After(3 * time.Second):
+		t.Fatal("handler never ran")
+	}
+}
+
+// TestEnvRequestsCapped: 400 env requests of 200 KiB each, then 400
+// small ones, on one session channel over real SSH. Every pair past
+// 4 KiB and every new pair past the 128th is refused, and the heap the
+// open session holds stays under a few MiB (the 80 MiB the requests
+// carry was all kept before the cap).
+func TestEnvRequestsCapped(t *testing.T) {
+	sessCh := make(chan *Session, 1)
+	addr, _ := startServer(t, func(c *Config) {
+		c.Handler = func(s *Session) {
+			sessCh <- s
+			_ = s.Exit(0)
+		}
+	})
+	cli, err := sshclient.Dial(addr, sshclient.Config{User: "root", Password: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ch, err := cli.OpenRaw("session", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	send := func(key string, size int) bool {
+		t.Helper()
+		b := sshwire.NewBuilder(size + 64)
+		b.StringS(key).StringS(strings.Repeat("v", size))
+		ok, err := ch.SendRequest("env", true, b.Bytes())
+		if err != nil {
+			t.Fatalf("env %s: %v", key, err)
+		}
+		return ok
+	}
+	for i := 0; i < 400; i++ {
+		if send(fmt.Sprintf("BIG%03d", i), 200<<10) {
+			t.Fatalf("env request %d of 200 KiB accepted", i)
+		}
+	}
+	accepted := 0
+	for i := 0; i < 400; i++ {
+		if send(fmt.Sprintf("K%03d", i), maxEnvBytes-4) {
+			accepted++
+		}
+	}
+	if accepted != maxEnvPairs {
+		t.Errorf("%d small env pairs accepted, want %d", accepted, maxEnvPairs)
+	}
+	const bound = 8 << 20
+	if after := heap(); after > before+bound {
+		t.Errorf("the open session holds %d MiB more heap after 800 env requests, want under %d MiB",
+			(after-before)>>20, bound>>20)
+	}
+	if ok, err := ch.SendRequest("shell", true, nil); err != nil || !ok {
+		t.Fatalf("shell request: %v %v", ok, err)
+	}
+	select {
+	case s := <-sessCh:
+		if len(s.Env) != maxEnvPairs {
+			t.Errorf("session holds %d env pairs, want %d", len(s.Env), maxEnvPairs)
+		}
+	case <-time.After(5 * time.Second):
 		t.Fatal("handler never ran")
 	}
 }

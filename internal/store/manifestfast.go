@@ -16,7 +16,10 @@ import (
 // strings without escapes — and reports false on anything else, for
 // loadManifest to hand the input to json.Unmarshal. So the result on
 // the fast path is value for value json.Unmarshal's, and every error is
-// the stdlib's. FuzzManifestDecode holds that.
+// the stdlib's. It is also byte for byte what json.Marshal writes for
+// each segment entry, so an entry keeps its own bytes as its enc and a
+// reopened store's next save marshals only the segments new to it.
+// FuzzManifestDecode holds both.
 
 // strictBase64 decodes the Bloom bits. Strict rejects the non-zero
 // trailing bits the lenient decoder would drop, so an accepted string
@@ -32,7 +35,8 @@ type manifestDec struct {
 }
 
 // decodeManifestFast decodes data as save writes it, reporting false
-// for any other input.
+// for any other input. Each segment's enc is its span of data, which
+// the caller must never modify or reuse.
 func decodeManifestFast(data []byte) (*manifest, bool) {
 	p := &manifestDec{d: data, ok: true}
 	m := &manifest{}
@@ -57,6 +61,7 @@ func decodeManifestFast(data []byte) (*manifest, bool) {
 
 func (p *manifestDec) segment() *segmentMeta {
 	sm := &segmentMeta{}
+	start := p.i
 	p.lit(`{"file":`)
 	sm.File = p.str()
 	p.lit(`,"month":`)
@@ -88,6 +93,7 @@ func (p *manifestDec) segment() *segmentMeta {
 	sm.CompBytes = p.int()
 	if p.tryLit(`,"codec":`) {
 		sm.Codec = p.str()
+		p.require(sm.Codec != "")
 	}
 	p.lit(`,"bloom":`)
 	if !p.tryLit("null") {
@@ -102,6 +108,9 @@ func (p *manifestDec) segment() *segmentMeta {
 		}
 	}
 	p.lit("}")
+	if p.ok {
+		sm.enc = p.d[start:p.i:p.i]
+	}
 	return sm
 }
 
@@ -113,6 +122,7 @@ func (p *manifestDec) bloom() *Bloom {
 	b.K = int(p.int())
 	if p.tryLit(`,"v":`) {
 		b.V = int(p.int())
+		p.require(b.V != 0)
 	}
 	p.lit(`,"bits":"`)
 	if !p.ok {
@@ -153,9 +163,18 @@ func (p *manifestDec) block() blockMeta {
 	b.CRC = uint32(p.uint(math.MaxUint32))
 	if p.tryLit(`,"dlen":`) {
 		b.DirLen = int(p.int())
+		p.require(b.DirLen != 0)
 	}
 	p.lit("}")
 	return b
+}
+
+// require fails the parse unless ok: an omitempty field present with its
+// zero value, which json.Marshal would have left out, or a "-0".
+func (p *manifestDec) require(ok bool) {
+	if !ok {
+		p.ok = false
+	}
 }
 
 // tryLit consumes the literal l if it is next.
@@ -206,15 +225,18 @@ func (p *manifestDec) uint(max uint64) uint64 {
 	return v
 }
 
-// int parses an integer in the int64 range.
+// int parses an integer in the int64 range, with no "-0".
 func (p *manifestDec) int() int64 {
 	if p.tryLit("-") {
-		return -int64(p.uint(1 << 63))
+		v := p.uint(1 << 63)
+		p.require(v != 0)
+		return -int64(v)
 	}
 	return int64(p.uint(math.MaxInt64))
 }
 
-// str parses a string of printable ASCII without escapes.
+// str parses a string of printable ASCII without escapes, and without
+// the <, > and & that json.Marshal writes escaped.
 func (p *manifestDec) str() string { return string(p.strBytes()) }
 
 // strBytes is str without the copy: the string's bytes in the input.
@@ -226,7 +248,7 @@ func (p *manifestDec) strBytes() []byte {
 		case c == '"':
 			p.i++
 			return p.d[start : p.i-1]
-		case c < 0x20 || c >= 0x7f || c == '\\':
+		case c < 0x20 || c >= 0x7f || c == '\\' || c == '<' || c == '>' || c == '&':
 			p.ok = false
 		default:
 			p.i++
@@ -237,12 +259,19 @@ func (p *manifestDec) strBytes() []byte {
 }
 
 // time parses a quoted UTC RFC 3339 time through time.Time's own
-// UnmarshalJSON, which is what encoding/json calls for the field.
+// UnmarshalJSON, which is what encoding/json calls for the field, and
+// accepts it only in the form MarshalJSON writes: whole seconds, or a
+// "." fraction with no trailing zero.
 func (p *manifestDec) time() time.Time {
 	var t time.Time
 	start := p.i
 	s := p.strBytes()
 	if !p.ok || len(s) == 0 || s[len(s)-1] != 'Z' || t.UnmarshalJSON(p.d[start:p.i]) != nil {
+		p.ok = false
+		return t
+	}
+	const whole = len("2006-01-02T15:04:05Z")
+	if len(s) != whole && (len(s) < whole || s[whole-1] != '.' || s[len(s)-2] == '0') {
 		p.ok = false
 	}
 	return t

@@ -23,7 +23,9 @@ var savedStats struct {
 
 // checkFastDecode reports why the fast path's result for data differs
 // from json.Unmarshal's ("" when it does not); with wantFast, declining
-// input json.Unmarshal accepts is such a difference too.
+// input json.Unmarshal accepts is such a difference too. Each segment
+// the fast path decodes must also keep as its enc exactly the bytes
+// json.Marshal writes for it.
 func checkFastDecode(data []byte, wantFast bool) string {
 	fast, ok := decodeManifestFast(data)
 	want := &manifest{}
@@ -35,7 +37,15 @@ func checkFastDecode(data []byte, wantFast bool) string {
 		return ""
 	case err != nil:
 		return fmt.Sprintf("the fast path accepted what json.Unmarshal rejects (%v)", err)
-	case !reflect.DeepEqual(fast, want):
+	}
+	for i, sm := range fast.Segments {
+		enc, err := json.Marshal(sm)
+		if err != nil || !bytes.Equal(sm.enc, enc) {
+			return fmt.Sprintf("segment %d keeps %q as its encoding, json.Marshal writes %q (%v)", i, sm.enc, enc, err)
+		}
+		sm.enc = nil
+	}
+	if !reflect.DeepEqual(fast, want) {
 		return fmt.Sprintf("the fast path decoded %s, json.Unmarshal %s", describe(fast), describe(want))
 	}
 	return ""
@@ -129,7 +139,8 @@ func TestSavedManifestsTakeFastPath(t *testing.T) {
 }
 
 // FuzzManifestDecode: for any input the fast path either declines it
-// or decodes exactly what json.Unmarshal does, and it never accepts an
+// or decodes exactly what json.Unmarshal does, with each segment's
+// span equal to json.Marshal of the segment, and it never accepts an
 // input json.Unmarshal rejects.
 func FuzzManifestDecode(f *testing.F) {
 	dir := f.TempDir()
@@ -214,10 +225,85 @@ func manifestVariants(t testing.TB, src []byte) [][]byte {
 		{`"version":1`, `"version":01`},
 		{`"kinds":[`, `"kinds":[0,`},
 		{`"bits":"`, "\"bits\":\"\r\n"},
+		{`Z"`, `.000Z"`},
+		{`Z"`, `.50Z"`},
+		{`Z"`, `,5Z"`},
+		{`"codec":"v3"`, `"codec":""`},
+		{`"v":1`, `"v":0`},
+		{`"month":"`, `"month":"<`},
 	} {
 		if v := bytes.Replace(src, []byte(r[0]), []byte(r[1]), 1); !bytes.Equal(v, src) {
 			out = append(out, v)
 		}
 	}
 	return append(out, append(src, " \n"...), append(src, "\n\n"...), append(src, '}'))
+}
+
+// TestReopenedSealMarshalsOnlyNewSegments: a reopened store keeps each
+// segment entry's bytes from the manifest it read, so a seal after the
+// reopen marshals only the segments it adds, and the manifest it writes
+// is byte for byte the one with every entry marshalled afresh.
+func TestReopenedSealMarshalsOnlyNewSegments(t *testing.T) {
+	dir := t.TempDir()
+	sealedFixture(t, dir)
+	s, err := Open(dir, Options{BlockBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.RLock()
+	old := slices.Clone(s.man.Segments)
+	s.mu.RUnlock()
+	if len(old) == 0 {
+		t.Fatal("the fixture has no segments")
+	}
+	encs := make([]*byte, len(old))
+	for i, sm := range old {
+		if len(sm.enc) == 0 {
+			t.Fatalf("reopened segment %d (%s) has no encoding: the next save marshals it again", i, sm.File)
+		}
+		encs[i] = &sm.enc[0]
+	}
+	for i := 120; i < 180; i++ {
+		if err := s.Append(mkRecord(i%2, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	n := len(s.man.Segments)
+	s.mu.RUnlock()
+	if n <= len(old) {
+		t.Fatalf("the seal added no segment: %d before, %d after", len(old), n)
+	}
+	for i, sm := range old {
+		if len(sm.enc) == 0 || &sm.enc[0] != encs[i] {
+			t.Errorf("segment %d (%s) was marshalled again by the seal", i, sm.File)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &manifest{}
+	if err := json.Unmarshal(got, fresh); err != nil {
+		t.Fatal(err)
+	}
+	other := t.TempDir()
+	if err := fresh.save(other); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(other, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the manifest after the reopened seal differs from one with every entry marshalled afresh:\n got %.300s\nwant %.300s", got, want)
+	}
 }

@@ -64,8 +64,9 @@ func New(cfg Config) (*Server, error) {
 // conn wraps a net.Conn with telnet IAC stripping on read and IAC
 // escaping on write.
 type conn struct {
-	nc net.Conn
-	br *bufio.Reader
+	nc  net.Conn
+	br  *bufio.Reader
+	one [1]byte // readLine's byte
 }
 
 // Read returns decoded NVT data, transparently answering IAC
@@ -180,25 +181,29 @@ func (c *conn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
+// maxLoginLine caps a login or password line; the rest of a longer
+// line is read and dropped up to its newline.
+const maxLoginLine = 4096
+
 // readLine reads a CR/LF-terminated line, tolerating both CRLF and bare
-// LF endings (and the CR NUL form some clients send).
+// LF endings (and the CR NUL form some clients send). Past maxLoginLine
+// bytes the rest of the line is discarded, so it cannot answer the
+// next prompt.
 func (c *conn) readLine() (string, error) {
 	var buf []byte
-	for len(buf) < 4096 {
-		one := make([]byte, 1)
-		if _, err := c.Read(one); err != nil {
+	for {
+		if _, err := c.Read(c.one[:]); err != nil {
 			return string(buf), err
 		}
-		switch one[0] {
-		case '\n':
+		switch b := c.one[0]; {
+		case b == '\n':
 			return string(buf), nil
-		case '\r', 0:
+		case b == '\r', b == 0, len(buf) == maxLoginLine:
 			// swallow
 		default:
-			buf = append(buf, one[0])
+			buf = append(buf, b)
 		}
 	}
-	return string(buf), nil
 }
 
 // HandleConn runs the Telnet lifecycle for one connection: negotiation,

@@ -321,3 +321,36 @@ func TestConnTimeoutEnforced(t *testing.T) {
 		t.Errorf("teardown took %v", time.Since(start))
 	}
 }
+
+// TestLongUsernameTailDropped: a 10 000-byte username is cut at
+// maxLoginLine and the rest of its line dropped, so the password that
+// follows answers the password prompt; the tail used to answer it, and
+// then log in as the next username.
+func TestLongUsernameTailDropped(t *testing.T) {
+	type attempt struct {
+		user, pass string
+		ok         bool
+	}
+	attempts := make(chan attempt, 8) // more than any run of logins here makes
+	addr := startTelnet(t, func(cfg *Config) {
+		cfg.Auth = func(user, pass string) bool { return pass == "hunter2" }
+		cfg.OnAuthAttempt = func(user, pass string, ok bool) { attempts <- attempt{user, pass, ok} }
+	})
+	c := dialTelnet(t, addr)
+	c.readUntil(t, "login: ")
+	name := strings.Repeat("x", 10000-len("root")) + "root"
+	c.send(t, name)
+	c.readUntil(t, "Password: ")
+	c.send(t, "hunter2")
+	c.readUntil(t, "# ")
+	a := <-attempts
+	if a.user != name[:maxLoginLine] || a.pass != "hunter2" || !a.ok {
+		t.Errorf("first login attempt: user of %d bytes ending %q, password of %d bytes, ok %v; want the %d-byte head, hunter2, true",
+			len(a.user), a.user[max(0, len(a.user)-8):], len(a.pass), a.ok, maxLoginLine)
+	}
+	select {
+	case a := <-attempts:
+		t.Errorf("a second login attempt as a user of %d bytes", len(a.user))
+	default:
+	}
+}

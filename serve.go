@@ -74,12 +74,6 @@ type ServeConfig struct {
 	// collector writes this node's shard under node-<id>. Defaults to
 	// ID. Restricted to [A-Za-z0-9._-].
 	ForwardNodeID string
-	// ForwardMaxDelay bounds how long an appended record may wait for
-	// a batch to fill before being forwarded anyway (0 = 2ms). No
-	// program sets it; it stays because TestFleetE2EByteIdentity holds
-	// its helper edge's forwarder lingering with it, so that kill -9
-	// lands on records not yet forwarded.
-	ForwardMaxDelay time.Duration
 
 	// DrainTimeout bounds how long Drain waits for in-flight sessions
 	// before force-closing them (default 30s).
@@ -177,7 +171,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		if node == "" {
 			node = cfg.ID
 		}
-		s.fwd, err = fleet.NewForwarder(cfg.ForwardAddr, node, s.store, fleet.Options{MaxDelay: cfg.ForwardMaxDelay})
+		s.fwd, err = fleet.NewForwarder(cfg.ForwardAddr, node, s.store, fleet.Options{})
 		if err != nil {
 			return fail(fmt.Errorf("honeynet: forward: %w", err))
 		}
