@@ -106,6 +106,8 @@ func TestClaimedFrameLengthNotAllocated(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
+			reg := obs.NewRegistry()
+			srv.Register(reg)
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -143,6 +145,16 @@ func TestClaimedFrameLengthNotAllocated(t *testing.T) {
 				t.Errorf("8 prefix-only connections hold %d KiB more live heap, want under %d KiB",
 					(after-before)>>10, bound>>10)
 			}
+			// A first frame past maxHello closes its connection, and each
+			// close counts as a reject.
+			for end := time.Now().Add(5 * time.Second); !tc.hello && time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+				if reg.Snapshot()["honeynet_fleet_rejects_total"] >= 8 {
+					break
+				}
+			}
+			if n := reg.Snapshot()["honeynet_fleet_rejects_total"]; !tc.hello && n != 8 {
+				t.Errorf("honeynet_fleet_rejects_total = %v after 8 over-size first frames, want 8", n)
+			}
 			forwardDelivers(t, srv, addr.String(), "edge-1")
 		})
 	}
@@ -151,14 +163,17 @@ func TestClaimedFrameLengthNotAllocated(t *testing.T) {
 // TestSilentConnectionClosedAtHelloDeadline: a connection that never
 // says hello is closed helloTimeout after it opened, while one that
 // said hello may stay idle past that and still deliver a batch; a
-// forwarder on another connection still delivers. This test waits out
-// the deadline, so it runs for about five seconds.
+// forwarder on another connection still delivers. The close counts as
+// a reject. This test waits out the deadline, so it runs for about five
+// seconds.
 func TestSilentConnectionClosedAtHelloDeadline(t *testing.T) {
 	srv, err := NewServer(t.TempDir(), ServerOptions{SyncAck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	reg := obs.NewRegistry()
+	srv.Register(reg)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +190,9 @@ func TestSilentConnectionClosedAtHelloDeadline(t *testing.T) {
 	}
 	if d := time.Since(start); d < helloTimeout-time.Second {
 		t.Errorf("silent connection closed after %v, before the %v hello deadline", d, helloTimeout)
+	}
+	if n := reg.Snapshot()["honeynet_fleet_rejects_total"]; n != 1 {
+		t.Errorf("honeynet_fleet_rejects_total = %v after the silent connection's close, want 1", n)
 	}
 
 	// The connection that said hello was idle just as long, and is

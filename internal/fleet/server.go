@@ -207,6 +207,7 @@ func (s *Server) handle(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	typ, payload, err := readFrame(br, maxHello, &buf)
 	if err != nil {
+		s.rejected.Add(1) // over-size, past the deadline, or closed: no error frame to send
 		return
 	}
 	var hello helloMsg
@@ -451,7 +452,7 @@ func (s *Server) Register(reg *obs.Registry) {
 	reg.CounterFunc("honeynet_fleet_acks_sent_total",
 		"Ack frames sent.", s.acksOut.Load)
 	reg.CounterFunc("honeynet_fleet_rejects_total",
-		"Connections rejected with an error frame.", s.rejected.Load)
+		"Connections rejected with an error frame, or closed before a hello arrived (an over-size first frame, the hello deadline, or the peer's own close).", s.rejected.Load)
 	reg.GaugeFunc("honeynet_fleet_nodes",
 		"Node shards held by this collector.",
 		func() float64 { return float64(s.Nodes()) })

@@ -339,7 +339,9 @@ func cmdCp(sh *Shell, args []string, _ string) (string, int) {
 	if n, err := sh.FS.Stat(dst); err == nil && n.Dir {
 		dst = dst + "/" + paths[0][strings.LastIndexByte(paths[0], '/')+1:]
 	}
-	_ = sh.FS.WriteFile(dst, content)
+	if errors.Is(sh.FS.WriteFile(dst, content), vfs.ErrNoSpace) {
+		return fmt.Sprintf("cp: error writing '%s': No space left on device\n", dst), 1
+	}
 	return "", 0
 }
 

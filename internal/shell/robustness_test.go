@@ -1,9 +1,12 @@
 package shell
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"honeynet/internal/vfs"
 )
 
 // TestShellNeverPanicsOnArbitraryInput feeds fuzz-like input through the
@@ -149,4 +152,35 @@ func TestSplitSegmentsNoEmptySegments(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestDoublingFileStopsAtBudget: a session that doubles a file with
+// cat a a > b; mv b a holds at most vfs.Budget. The write that would
+// pass it fails with bash's ENOSPC message, the file stops growing, and
+// the live heap after the session stays under the budget. Unbounded,
+// these 22 rounds leave a 128 MiB file.
+func TestDoublingFileStopsAtBudget(t *testing.T) {
+	sh := newTestShell()
+	sh.Run("echo 0123456789abcdef0123456789abcde > /tmp/a") // 32 bytes
+	var out string
+	for i := 0; i < 22; i++ {
+		out = sh.Run("cat /tmp/a /tmp/a > /tmp/b; mv /tmp/b /tmp/a")
+	}
+	n, err := sh.FS.Stat("/tmp/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Size > vfs.Budget || n.Size < vfs.Budget/4 {
+		t.Errorf("/tmp/a holds %d bytes; want it stopped at most %d bytes, the budget", n.Size, vfs.Budget)
+	}
+	if want := "cat: write error: No space left on device\n"; !strings.HasPrefix(out, want) {
+		t.Errorf("the last round printed %q, want it to start %q", out, want)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc > vfs.Budget {
+		t.Errorf("live heap %d bytes after the session, over the %d-byte budget", ms.HeapAlloc, vfs.Budget)
+	}
+	runtime.KeepAlive(sh)
 }

@@ -6,6 +6,7 @@
 package shell
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/url"
@@ -212,20 +213,22 @@ func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
 		out, e := sh.runSimple(pc, cur)
 		exit = e
 		if pc.redir != nil {
-			sh.applyRedirect(pc.redir, out)
+			err := sh.applyRedirect(pc.redir, out)
 			out = ""
+			if errors.Is(err, vfs.ErrNoSpace) {
+				out, exit = pc.words[0]+": write error: No space left on device\n", 1
+			}
 		}
 		cur = out
 	}
 	return cur, exit
 }
 
-func (sh *Shell) applyRedirect(r *redirect, content string) {
+func (sh *Shell) applyRedirect(r *redirect, content string) error {
 	if r.append {
-		_ = sh.FS.AppendFile(r.target, []byte(content))
-	} else {
-		_ = sh.FS.WriteFile(r.target, []byte(content))
+		return sh.FS.AppendFile(r.target, []byte(content))
 	}
+	return sh.FS.WriteFile(r.target, []byte(content))
 }
 
 // expand performs $VAR / ${VAR} expansion and $(...) / backtick command

@@ -13,8 +13,10 @@ const (
 	bloomHashes     = 7
 )
 
-// Bloom is a fixed-size Bloom filter. It marshals as JSON inside the
-// manifest (Bits is base64-encoded by encoding/json).
+// Bloom is a fixed-size Bloom filter. A segment's footer holds it as
+// raw bytes; the JSON form (Bits base64-encoded by encoding/json) is
+// only that of the manifest entries that held it inline before
+// segments had footers.
 //
 // M is a power of two, so a probe reduces with a mask, and the FNV
 // hashes are mixed first: raw FNV-1a modulo 2^k keeps only low bits,
@@ -86,18 +88,10 @@ func (b *Bloom) Add(key string) {
 // MayContain reports whether key may have been added. False means
 // definitely absent; true may be a false positive.
 func (b *Bloom) MayContain(key string) bool {
-	h1, h2 := fnvHashes(key)
-	return b.mayContainHashes(h1, h2)
-}
-
-// mayContainHashes is MayContain with the key already FNV-hashed —
-// scans probing many filters for one IP hash it once and reuse the
-// pair.
-func (b *Bloom) mayContainHashes(h1, h2 uint64) bool {
 	if b == nil || b.M == 0 {
 		return true // no filter: cannot prune
 	}
-	h1, h2 = bases(h1, h2)
+	h1, h2 := bases(fnvHashes(key))
 	mask := b.M - 1
 	for i := 0; i < b.K; i++ {
 		bit := (h1 + uint64(i)*h2) & mask
@@ -108,41 +102,15 @@ func (b *Bloom) mayContainHashes(h1, h2 uint64) bool {
 	return true
 }
 
-// firstProbe tests only probe 0 — the cheapest rejection. Batch pruning
-// sweeps this over a run of filters first, then pays the full K probes
-// only for the survivors.
-func (b *Bloom) firstProbe(h1, h2 uint64) bool {
-	if b == nil || b.M == 0 {
-		return true
-	}
-	p1, _ := bases(h1, h2)
-	bit := p1 & (b.M - 1)
-	return b.Bits[bit/8]&(1<<(bit%8)) != 0
-}
-
-// bloomBatch is how many segment filters one pruning round sweeps with
-// the cheap first probe before finishing the survivors.
-const bloomBatch = 8
-
-// bloomPrune probes a run of segment filters for one already-hashed IP
-// and returns, per segment, whether it may contain the address. It
-// works bloomBatch filters at a time: a first-probe sweep (one bit test
-// per filter, no per-probe dependency chain) rejects most segments the
-// IP never touched; only survivors get the full probe sequence.
-func bloomPrune(segs []*segmentMeta, h1, h2 uint64, keep []bool) []bool {
+// bloomPrune reports, per segment, whether its filter may contain ip.
+// A segment's filter loads from its footer in dir on first use; one
+// that fails to load prunes nothing, and the scan that opens the
+// segment reports why.
+func bloomPrune(segs []*segmentMeta, dir, ip string, keep []bool) []bool {
 	keep = keep[:0]
-	for i := 0; i < len(segs); i += bloomBatch {
-		end := i + bloomBatch
-		if end > len(segs) {
-			end = len(segs)
-		}
-		var first [bloomBatch]bool
-		for j := i; j < end; j++ {
-			first[j-i] = segs[j].Bloom.firstProbe(h1, h2)
-		}
-		for j := i; j < end; j++ {
-			keep = append(keep, first[j-i] && segs[j].Bloom.mayContainHashes(h1, h2))
-		}
+	for _, sm := range segs {
+		ix, err := sm.index(dir, nil)
+		keep = append(keep, err != nil || ix.bloom.MayContain(ip))
 	}
 	return keep
 }

@@ -33,10 +33,10 @@ import (
 //	        WAL recoveries); such rows are absent from every field
 //	        stripe and decode through the stdlib fallback
 //
-// The directory's CRC lives in the manifest (blockMeta.CRC) and each
-// stripe's CRC lives in the directory, so corruption is detected before
-// any decompression. The manifest entry records Codec: "v3" and the
-// file carries the HNSTORE3 magic.
+// The directory's CRC lives in the segment's footer (blockMeta.CRC) and
+// each stripe's CRC lives in the directory, so corruption is detected
+// before any decompression. The manifest entry records Codec: "v3" and
+// the file carries the HNSTORE3 magic.
 
 // Stripe indices inside a v3 block.
 const (
@@ -342,8 +342,8 @@ func encodeColDir(dst []byte, be *colBlockEnc, clens [numStripes]int, crcs [numS
 // The lines are shredded as they are, no re-marshal, and the
 // per-segment aggregates fold in the same pass; stripes then compress
 // in parallel across SealWorkers, one (block, stripe) pair per job. The
-// file is fsynced before return; the caller commits it via the
-// manifest.
+// footer follows the last block, and the file is fsynced before return;
+// the caller commits it via the manifest.
 func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte, seqs []uint64) (*segmentMeta, error) {
 	meta := &segmentMeta{
 		File:   file,
@@ -351,8 +351,8 @@ func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte
 		MinSeq: seqs[0],
 		MaxSeq: seqs[len(seqs)-1],
 		Codec:  codecV3,
-		Bloom:  newBloom(len(recs)),
 	}
+	ix := &segIndex{bloom: newBloom(len(recs))}
 	if s.sealCol == nil {
 		s.sealCol = &colWriter{}
 	}
@@ -373,7 +373,7 @@ func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte
 		case session.ProtoTelnet:
 			meta.Telnet++
 		}
-		meta.Bloom.Add(r.ClientIP)
+		ix.bloom.Add(r.ClientIP)
 		if meta.MinTime.IsZero() || r.Start.Before(meta.MinTime) {
 			meta.MinTime = r.Start
 		}
@@ -458,7 +458,7 @@ func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte
 		for st := 0; st < numStripes; st++ {
 			ulen += be.spans[st].len
 		}
-		meta.Blocks = append(meta.Blocks, blockMeta{
+		ix.blocks = append(ix.blocks, blockMeta{
 			Off:    off,
 			CLen:   clen,
 			ULen:   ulen,
@@ -470,10 +470,15 @@ func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte
 		meta.RawBytes += int64(ulen)
 		meta.CompBytes += int64(clen)
 	}
+	if _, err := f.Write(appendFooter(dirBuf[:0], ix)); err != nil {
+		return nil, err
+	}
 	s.sealBlocks.Add(int64(len(blocks)))
 	if err := f.Sync(); err != nil {
 		return nil, err
 	}
+	meta.NBlocks = len(ix.blocks)
+	meta.setIndex(ix)
 	return meta, nil
 }
 
@@ -704,18 +709,21 @@ func releaseColScratch(sc *colScratch) {
 	colScratchPool.Put(sc)
 }
 
-// colSeg is one open v3 segment file plus its scratch: pooled and
-// owned, or borrowed from the runParts worker that opened it.
+// colSeg is one open v3 segment file, its block index, and its
+// scratch: pooled and owned, or borrowed from the runParts worker that
+// opened it.
 type colSeg struct {
 	s        *Store // counters; may be nil in tests
 	f        *os.File
 	meta     *segmentMeta
+	blocks   []blockMeta
 	sc       *colScratch
 	borrowed bool // sc belongs to the caller, not this segment
 }
 
 // openColSeg opens a v3 segment for reading with scratch sc, or with
-// its own from the pool when sc is nil.
+// its own from the pool when sc is nil, reading its footer if this is
+// the segment's first use.
 func (s *Store) openColSeg(meta *segmentMeta, sc *colScratch) (*colSeg, error) {
 	f, err := os.Open(filepath.Join(s.dir, meta.File))
 	if err != nil {
@@ -726,7 +734,12 @@ func (s *Store) openColSeg(meta *segmentMeta, sc *colScratch) (*colSeg, error) {
 		f.Close()
 		return nil, &CorruptError{meta.File, 0, errors.New("bad segment magic")}
 	}
-	cs := &colSeg{s: s, f: f, meta: meta, sc: sc, borrowed: sc != nil}
+	ix, err := meta.index(s.dir, f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	cs := &colSeg{s: s, f: f, meta: meta, blocks: ix.blocks, sc: sc, borrowed: sc != nil}
 	if sc == nil {
 		cs.sc = acquireColScratch()
 	}
@@ -748,7 +761,7 @@ func (cs *colSeg) errorf(bi int, format string, args ...any) error {
 
 // readDir reads and verifies block bi's directory.
 func (cs *colSeg) readDir(bi int, d *colDir) error {
-	bm := &cs.meta.Blocks[bi]
+	bm := &cs.blocks[bi]
 	if bm.DirLen <= 0 || bm.DirLen > bm.CLen {
 		return cs.errorf(bi, "bad directory length")
 	}
@@ -923,7 +936,7 @@ type colReader struct {
 func (cr *colReader) next() (uint64, []byte, error) {
 	sc := cr.cs.sc
 	for cr.row >= cr.rows {
-		if cr.bi >= len(cr.cs.meta.Blocks) {
+		if cr.bi >= len(cr.cs.blocks) {
 			return 0, nil, io.EOF
 		}
 		if err := cr.loadBlock(cr.bi); err != nil {
@@ -969,12 +982,3 @@ func (cr *colReader) loadBlock(bi int) error {
 }
 
 func (cr *colReader) close() error { return cr.cs.close() }
-
-// openColReader opens a v3 segment for a sequence-ordered read.
-func (s *Store) openColReader(meta *segmentMeta) (*colReader, error) {
-	cs, err := s.openColSeg(meta, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &colReader{cs: cs}, nil
-}

@@ -60,7 +60,7 @@ func TestColumnarLoadMatchesRowFormat(t *testing.T) {
 		if seg.Codec != codecV3 {
 			t.Fatalf("segment %s: codec %q, want %q", seg.File, seg.Codec, codecV3)
 		}
-		if seg.Blocks[0].DirLen <= 0 {
+		if mustIndex(t, s, seg).blocks[0].DirLen <= 0 {
 			t.Fatalf("segment %s: missing directory length", seg.File)
 		}
 	}
@@ -166,16 +166,16 @@ func TestColumnarZonePruning(t *testing.T) {
 	if st.BlocksZonePruned == 0 {
 		t.Fatalf("expected zone-pruned blocks, stats: %+v", st)
 	}
-	if st.BlocksRead >= int64(len(mustSegBlocks(s))) {
-		t.Fatalf("read %d of %d blocks; pruning did nothing", st.BlocksRead, len(mustSegBlocks(s)))
+	if st.BlocksRead >= int64(len(mustSegBlocks(t, s))) {
+		t.Fatalf("read %d of %d blocks; pruning did nothing", st.BlocksRead, len(mustSegBlocks(t, s)))
 	}
 }
 
-func mustSegBlocks(s *Store) []blockMeta {
+func mustSegBlocks(t testing.TB, s *Store) []blockMeta {
 	man, _ := s.snapshot()
 	var out []blockMeta
 	for _, seg := range man.Segments {
-		out = append(out, seg.Blocks...)
+		out = append(out, mustIndex(t, s, seg).blocks...)
 	}
 	return out
 }

@@ -62,10 +62,10 @@ func FuzzParseColDir(f *testing.F) {
 			t.Fatal(err)
 		}
 		rows, _ := binary.Uvarint(dir)
-		cs := &colSeg{f: fh, sc: acquireColScratch(), meta: &segmentMeta{File: "seg", Blocks: []blockMeta{{
+		cs := &colSeg{f: fh, sc: acquireColScratch(), meta: &segmentMeta{File: "seg"}, blocks: []blockMeta{{
 			Off: int64(len(segMagicV3)), CLen: len(dir) + int(stripeBytes), DirLen: len(dir),
 			Count: int(rows), CRC: crc32.ChecksumIEEE(dir),
-		}}}}
+		}}}
 		defer cs.close()
 		var d colDir
 		if err := cs.readDir(0, &d); err != nil {

@@ -299,7 +299,7 @@ func TestCorruptStripeUnderParallelScan(t *testing.T) {
 			late = seg
 		}
 	}
-	if early.Codec != codecV3 || late == nil || len(early.Blocks) < 2 {
+	if early.Codec != codecV3 || late == nil || early.NBlocks < 2 {
 		t.Fatal("fixture: want two v3 segments of different months, the first with several blocks")
 	}
 	want := flipStripeBit(t, sh.Store, early, 1)

@@ -247,12 +247,13 @@ func TestLegacyFixture(t *testing.T) {
 	}
 	seg := man.Segments[0]
 	checkV3(t, dir, seg)
-	if b := seg.Bloom; b.V != 1 || b.M&(b.M-1) != 0 {
+	ix := mustIndex(t, rw, seg)
+	if b := ix.bloom; b.V != 1 || b.M&(b.M-1) != 0 {
 		t.Fatalf("migrated Bloom filter v=%d m=%d, want v=1 over a power of two", b.V, b.M)
 	}
-	if seg.MinSeq != 0 || seg.MaxSeq != 99 || seg.Records != 100 || len(seg.Blocks) < 2 || man.NextSeq != 100 {
+	if seg.MinSeq != 0 || seg.MaxSeq != 99 || seg.Records != 100 || len(ix.blocks) < 2 || man.NextSeq != 100 {
 		t.Fatalf("migrated segment seqs [%d, %d], %d records in %d blocks, next_seq %d",
-			seg.MinSeq, seg.MaxSeq, seg.Records, len(seg.Blocks), man.NextSeq)
+			seg.MinSeq, seg.MaxSeq, seg.Records, len(ix.blocks), man.NextSeq)
 	}
 	for i := 0; i < 2; i++ {
 		if exists(filepath.Join(dir, segFileName(i))) {

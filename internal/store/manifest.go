@@ -3,11 +3,14 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -15,11 +18,17 @@ import (
 // and only once — the manifest referencing it has been atomically
 // renamed into place and fsynced. Everything else on disk (a partially
 // written segment from a crashed seal, a WAL the seal already folded
-// in) is recovered or discarded against it on Open.
+// in) is recovered or discarded against it on Open. It only lists
+// segments, with what opening, pruning and metadata answers read; a
+// segment's Bloom filter and block index are in its own footer
+// (segment.go), read when the segment is first read.
 
 const (
-	manifestName    = "MANIFEST.json"
-	manifestVersion = 1
+	manifestName = "MANIFEST.json"
+	// manifestVersion 2 lists segments that carry their index in a
+	// footer; a version 1 manifest, whose entries all hold it inline,
+	// is read too.
+	manifestVersion = 2
 	walName         = "wal.jsonl"
 	walSealingName  = "wal-sealing.jsonl" // WAL rotated aside for a background seal
 	monthLayout     = "2006-01"
@@ -43,7 +52,8 @@ type blockMeta struct {
 
 // segmentMeta describes one sealed, immutable segment: a single month's
 // worth of records from one seal, with the per-segment aggregates the
-// query engine prunes and rolls up on.
+// query engine prunes and rolls up on. Its index — Bloom filter and
+// block index — is in the segment's footer, read on first use.
 type segmentMeta struct {
 	File    string    `json:"file"`
 	Month   string    `json:"month"` // "2006-01"
@@ -62,15 +72,49 @@ type segmentMeta struct {
 	// LZ-compressed stripes), the only one written and read; "" or
 	// "flate" (HNSTORE1) and "lz" (HNSTORE2) the row layouts older
 	// stores sealed, which compaction rewrites as v3.
-	Codec  string      `json:"codec,omitempty"`
-	Bloom  *Bloom      `json:"bloom"` // over client IPs
-	Blocks []blockMeta `json:"blocks"`
+	Codec string `json:"codec,omitempty"`
+	// NBlocks lets a segment answered by metadata or pruned by its
+	// Bloom filter count its blocks skipped without a footer read.
+	NBlocks int `json:"nblocks,omitempty"`
+	// Bloom (over client IPs) and Blocks are the index of an entry
+	// written before segments had footers; neither is written now.
+	Bloom  *Bloom      `json:"bloom,omitempty"`
+	Blocks []blockMeta `json:"blocks,omitempty"`
 
-	// enc caches this segment's marshaled JSON. Segments are immutable
-	// once committed, so each is encoded once: without the cache every
-	// seal re-encodes every older segment (Bloom base64 included) and
-	// manifest writes degrade quadratically as the store grows.
-	enc json.RawMessage `json:"-"`
+	idxOnce sync.Once
+	idx     *segIndex
+	idxErr  error
+
+	// enc caches the entry's JSON, marshaled or as read: segments are
+	// immutable, so a seal marshals only the entries it adds, not every
+	// older one, which would make manifest writes quadratic.
+	enc json.RawMessage
+}
+
+// segIndex is what reading a segment's blocks needs beyond its manifest
+// entry: the Bloom filter over its client IPs and its block index.
+type segIndex struct {
+	bloom  *Bloom
+	blocks []blockMeta
+}
+
+// setIndex gives sm its index without a read: a segment just written,
+// or an entry holding its index inline.
+func (sm *segmentMeta) setIndex(ix *segIndex) { sm.idxOnce.Do(func() { sm.idx = ix }) }
+
+// index returns sm's index, read on first use from its footer, through f
+// if the caller has the file open; a failed read fails every call.
+func (sm *segmentMeta) index(dir string, f *os.File) (*segIndex, error) {
+	sm.idxOnce.Do(func() {
+		if f == nil {
+			if f, sm.idxErr = os.Open(filepath.Join(dir, sm.File)); sm.idxErr != nil {
+				return
+			}
+			defer f.Close()
+		}
+		sm.idx, sm.idxErr = readFooter(f, sm)
+	})
+	return sm.idx, sm.idxErr
 }
 
 // month parses the segment's partition month.
@@ -102,14 +146,11 @@ func loadManifest(dir string) (*manifest, error) {
 		}
 		return nil, err
 	}
-	m, ok := decodeManifestFast(data)
-	if !ok {
-		m = &manifest{}
-		if err := json.Unmarshal(data, m); err != nil {
-			return nil, fmt.Errorf("store: corrupt manifest: %w", err)
-		}
+	m, err := decodeManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: corrupt manifest: %w", err)
 	}
-	if m.Version != manifestVersion {
+	if m.Version != 1 && m.Version != manifestVersion {
 		return nil, fmt.Errorf("store: manifest version %d not supported", m.Version)
 	}
 	for i, sm := range m.Segments {
@@ -123,16 +164,65 @@ func loadManifest(dir string) (*manifest, error) {
 	return m, nil
 }
 
+// decodeManifest decodes data in one json.Decoder pass, which leaves
+// each segment entry's bytes in data for its enc. Unmarshaling the
+// entries as raw messages and then each one scans every entry three
+// times more, a cost an open pays per segment.
+func decodeManifest(data []byte) (*manifest, error) {
+	m := &manifest{}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	delim := func(want json.Delim) error {
+		if t, err := dec.Token(); err != nil || t != want {
+			return fmt.Errorf("want %v, have %v (%v)", want, t, err)
+		}
+		return nil
+	}
+	head := map[json.Token]any{"version": &m.Version, "next_seg": &m.NextSeg, "next_seq": &m.NextSeq}
+	err := delim('{')
+	for err == nil && dec.More() {
+		var key json.Token
+		if key, err = dec.Token(); err != nil {
+			break
+		}
+		switch v := head[key]; {
+		case key == "segments":
+			for err = delim('['); err == nil && dec.More(); {
+				start, sm := dec.InputOffset(), (*segmentMeta)(nil)
+				if err = dec.Decode(&sm); err == nil && sm != nil {
+					sm.enc = bytes.TrimLeft(data[start:dec.InputOffset()], ", \t\r\n")
+				}
+				m.Segments = append(m.Segments, sm)
+			}
+			if err == nil {
+				err = delim(']')
+			}
+		case v != nil:
+			err = dec.Decode(v)
+		default:
+			err = dec.Decode(new(json.RawMessage))
+		}
+	}
+	if err == nil {
+		err = delim('}')
+	}
+	if _, end := dec.Token(); err == nil && end != io.EOF {
+		err = errors.New("data after the manifest object")
+	}
+	return m, err
+}
+
 // maxExpand bounds a block's declared uncompressed length by its
 // compressed one. DEFLATE, the denser of the block codecs, tops out at
-// 1032:1, so no genuine block exceeds it, and a hostile manifest cannot
+// 1032:1, so no genuine block exceeds it, and a hostile index cannot
 // make a reader allocate more than that multiple of a file it names.
 const maxExpand = 1032
 
 // validate checks every value of the entry a reader later opens, indexes,
 // slices or allocates by, so a corrupt or hostile manifest fails Open
 // with the field named instead of panicking (or reading outside dir, or
-// filing records under the zero month) at the first query.
+// filing records under the zero month) at the first query. An inline
+// index is checked here and becomes the entry's index; a footer is
+// checked when it is read.
 func (sm *segmentMeta) validate(dir string, m *manifest) error {
 	digits, _ := strings.CutPrefix(sm.File, "seg-")
 	digits, _ = strings.CutSuffix(digits, ".hns")
@@ -147,12 +237,6 @@ func (sm *segmentMeta) validate(dir string, m *manifest) error {
 	default:
 		return fmt.Errorf("codec: unknown tag %q", sm.Codec)
 	}
-	if b := sm.Bloom; b != nil && (b.K < 1 || b.K > 32 || b.M == 0 || uint64(len(b.Bits))*8 < b.M) {
-		return fmt.Errorf("bloom: k=%d, m=%d over %d bytes", b.K, b.M, len(b.Bits))
-	}
-	if b := sm.Bloom; b != nil && !sm.legacy() && (b.V != 1 || b.M&(b.M-1) != 0) {
-		return fmt.Errorf("bloom: v=%d, m=%d; a v3 segment's filter is v=1 over a power-of-two m", b.V, b.M)
-	}
 	if sm.MinSeq > sm.MaxSeq || sm.MaxSeq >= m.NextSeq {
 		return fmt.Errorf("min_seq/max_seq: [%d, %d] not below next_seq %d", sm.MinSeq, sm.MaxSeq, m.NextSeq)
 	}
@@ -160,11 +244,36 @@ func (sm *segmentMeta) validate(dir string, m *manifest) error {
 	if err != nil {
 		return err
 	}
+	if sm.Blocks == nil {
+		if sm.legacy() || sm.NBlocks <= 0 || sm.NBlocks > sm.Records {
+			return fmt.Errorf("nblocks: %d for %d records, and no inline index", sm.NBlocks, sm.Records)
+		}
+		return nil
+	}
+	sm.NBlocks = len(sm.Blocks)
+	ix := &segIndex{bloom: sm.Bloom, blocks: sm.Blocks}
+	sm.setIndex(ix) // a failed check fails the open, so nothing reads it
+	return ix.check(sm, fi.Size())
+}
+
+// check holds an index, inline or from a footer, to its entry and to
+// end, the offset its blocks lie below: every value a reader later
+// indexes, slices or allocates by.
+func (ix *segIndex) check(sm *segmentMeta, end int64) error {
+	if b := ix.bloom; b != nil && (b.K < 1 || b.K > 32 || b.M == 0 || uint64(len(b.Bits))*8 < b.M) {
+		return fmt.Errorf("bloom: k=%d, m=%d over %d bytes", b.K, b.M, len(b.Bits))
+	}
+	if b := ix.bloom; b != nil && !sm.legacy() && (b.V != 1 || b.M&(b.M-1) != 0) {
+		return fmt.Errorf("bloom: v=%d, m=%d; a v3 segment's filter is v=1 over a power-of-two m", b.V, b.M)
+	}
+	if len(ix.blocks) != sm.NBlocks {
+		return fmt.Errorf("nblocks: %d, but the index lists %d blocks", sm.NBlocks, len(ix.blocks))
+	}
 	records := 0
-	for bi, b := range sm.Blocks {
+	for bi, b := range ix.blocks {
 		switch {
-		case b.Off < int64(len(segMagicV3)) || b.CLen <= 0 || b.Off > fi.Size()-int64(b.CLen):
-			return fmt.Errorf("block %d: off=%d clen=%d outside the %d-byte file", bi, b.Off, b.CLen, fi.Size())
+		case b.Off < int64(len(segMagicV3)) || b.CLen <= 0 || b.Off > end-int64(b.CLen):
+			return fmt.Errorf("block %d: off=%d clen=%d outside the %d bytes of blocks", bi, b.Off, b.CLen, end)
 		case b.DirLen < 0 || b.DirLen > b.CLen:
 			return fmt.Errorf("block %d: dlen=%d outside clen=%d", bi, b.DirLen, b.CLen)
 		case b.ULen < 0 || int64(b.ULen) > maxExpand*int64(b.CLen):
@@ -179,10 +288,6 @@ func (sm *segmentMeta) validate(dir string, m *manifest) error {
 	}
 	return nil
 }
-
-// savedManifest, when set, sees the bytes of every manifest save
-// writes. The package's tests set it; it is nil in production.
-var savedManifest func(data []byte)
 
 // save writes the manifest atomically: temp file, fsync, rename over
 // the live name, fsync the directory. A crash at any point leaves
@@ -211,9 +316,6 @@ func (m *manifest) save(dir string) error {
 	}
 	buf.WriteString("]}\n")
 	data := buf.Bytes()
-	if savedManifest != nil {
-		savedManifest(data)
-	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -51,12 +53,34 @@ func rewriteManifest(t testing.TB, dir string, edit func(*manifest)) {
 	}
 }
 
+// mixedIndexFixture builds the store the manifest tests corrupt: a copy
+// of testdata/inline, whose segments 0–3 alternate between two months
+// and hold their index inline, plus one more daemon session whose seal
+// adds footer-form segments 4 and 5.
+func mixedIndexFixture(t testing.TB, dir string) {
+	t.Helper()
+	copyInline(t, dir)
+	s, err := Open(dir, Options{BlockBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 120; i < 180; i++ {
+		if err := s.Append(mkRecord(i%2, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // hostileManifests is the table TestHostileManifest runs and
 // FuzzLoadManifest seeds from: each edit makes one segment entry lie
 // about something a reader opens, indexes, slices or allocates by.
 // Before loadManifest validated its input every row either panicked a
 // later query or was silently accepted. field is what the Open error
-// must name.
+// must name. The bloom and block rows edit the index the fixture's
+// inline entries hold; TestHostileFooter runs them against footers.
 var hostileManifests = []struct {
 	name  string
 	field string
@@ -81,6 +105,7 @@ var hostileManifests = []struct {
 	{"count zero", "block 0", func(m *manifest) { m.Segments[0].Blocks[0].Count = 0 }},
 	{"count negative", "block 0", func(m *manifest) { m.Segments[0].Blocks[0].Count = -3 }},
 	{"counts do not sum to records", "records", func(m *manifest) { m.Segments[1].Records++ }},
+	{"footer-form entry without a block count", "nblocks", func(m *manifest) { m.Segments[4].NBlocks = 0 }},
 	{"file escapes the directory", "file", func(m *manifest) { m.Segments[0].File = "../../../../etc/hostname" }},
 	{"file not of the segment shape", "file", func(m *manifest) { m.Segments[0].File = "seg-1.hns" }},
 	{"file at next_seg: the next seal would overwrite it", "file", func(m *manifest) { m.NextSeg = 3 }},
@@ -96,7 +121,7 @@ func TestHostileManifest(t *testing.T) {
 	// One store for every row: Open fails in loadManifest, before it
 	// writes anything, so only the manifest needs restoring in between.
 	dir := t.TempDir()
-	sealedFixture(t, dir)
+	mixedIndexFixture(t, dir)
 	path := filepath.Join(dir, manifestName)
 	good, err := os.ReadFile(path)
 	if err != nil {
@@ -127,7 +152,7 @@ func TestHostileManifest(t *testing.T) {
 // never panic.
 func FuzzLoadManifest(f *testing.F) {
 	dir := f.TempDir()
-	sealedFixture(f, dir)
+	mixedIndexFixture(f, dir)
 	path := filepath.Join(dir, manifestName)
 	good, err := os.ReadFile(path)
 	if err != nil {
@@ -164,4 +189,73 @@ func FuzzLoadManifest(f *testing.F) {
 		}
 		st.Close()
 	})
+}
+
+// TestReopenedSealMarshalsOnlyNewSegments: a reopened store keeps each
+// segment entry's bytes from the manifest it read, so a seal after the
+// reopen marshals only the segments it adds, and the manifest it writes
+// is byte for byte the one with every entry marshalled afresh.
+func TestReopenedSealMarshalsOnlyNewSegments(t *testing.T) {
+	dir := t.TempDir()
+	sealedFixture(t, dir)
+	s, err := Open(dir, Options{BlockBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.RLock()
+	old := slices.Clone(s.man.Segments)
+	s.mu.RUnlock()
+	if len(old) == 0 {
+		t.Fatal("the fixture has no segments")
+	}
+	encs := make([]*byte, len(old))
+	for i, sm := range old {
+		if len(sm.enc) == 0 {
+			t.Fatalf("reopened segment %d (%s) has no encoding: the next save marshals it again", i, sm.File)
+		}
+		encs[i] = &sm.enc[0]
+	}
+	for i := 120; i < 180; i++ {
+		if err := s.Append(mkRecord(i%2, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	n := len(s.man.Segments)
+	s.mu.RUnlock()
+	if n <= len(old) {
+		t.Fatalf("the seal added no segment: %d before, %d after", len(old), n)
+	}
+	for i, sm := range old {
+		if len(sm.enc) == 0 || &sm.enc[0] != encs[i] {
+			t.Errorf("segment %d (%s) was marshalled again by the seal", i, sm.File)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &manifest{}
+	if err := json.Unmarshal(got, fresh); err != nil {
+		t.Fatal(err)
+	}
+	other := t.TempDir()
+	if err := fresh.save(other); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(other, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the manifest after the reopened seal differs from one with every entry marshalled afresh:\n got %.300s\nwant %.300s", got, want)
+	}
 }

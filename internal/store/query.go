@@ -132,11 +132,8 @@ func (s *Store) planParts(p *plan, tab *aggTable, stats *PlanStats) []part {
 				stats.TimePruned++
 			}
 		}
-		// For IP scans the address is hashed once per statement and each
-		// month's filters are batch-probed: a cheap first-probe sweep
-		// rejects most segments before the full probe sequence runs.
 		if p.ip != "" && len(cand) > 0 {
-			keep = bloomPrune(cand, p.h1, p.h2, keep)
+			keep = bloomPrune(cand, s.dir, p.ip, keep)
 			if stats != nil {
 				stats.BloomChecked += len(cand)
 			}
@@ -146,11 +143,11 @@ func (s *Store) planParts(p *plan, tab *aggTable, stats *PlanStats) []part {
 			case p.ip != "" && !keep[i]:
 				if stats != nil {
 					stats.BloomPruned++
-					stats.BlocksSkipped += int64(len(seg.Blocks))
+					stats.BlocksSkipped += int64(seg.NBlocks)
 				}
 			case tab != nil && p.segFromMetadata(seg, zones[i], tab):
 				stats.MetaSegments++
-				stats.BlocksSkipped += int64(len(seg.Blocks))
+				stats.BlocksSkipped += int64(seg.NBlocks)
 			default:
 				parts = append(parts, part{seg: seg, all: p.tri(zones[i]) == triTrue})
 				if stats != nil {

@@ -987,10 +987,9 @@ type plan struct {
 	mask    session.FieldMask // fields the statement reads: outMask plus the predicate's
 	outMask session.FieldMask // fields the statement returns
 	tr      TimeRange         // start-time range the predicate implies
-	ip      string            // required client IP, probed as h1, h2
-	h1, h2  uint64
-	empty   bool    // the predicate contradicts itself
-	splits  []Field // see metaSplits
+	ip      string            // required client IP, probed against segment Bloom filters
+	empty   bool              // the predicate contradicts itself
+	splits  []Field           // see metaSplits
 }
 
 // lower validates q and compiles it into a plan.
@@ -1009,9 +1008,7 @@ func lower(q *Query) (*plan, error) {
 		}
 		p.tr = prog.root.timeRange()
 		ip, ok := predIP(q.Where)
-		if p.ip = ip; ip != "" {
-			p.h1, p.h2 = fnvHashes(ip)
-		}
+		p.ip = ip
 		p.empty = !ok || emptyRange(p.tr)
 	}
 

@@ -123,11 +123,12 @@ func (c *SeqCursor) Next() bool {
 // openStream opens seg, skips entries below the cursor's start, and
 // pushes the stream onto the heap (unless empty).
 func (c *SeqCursor) openStream(seg *segmentMeta) bool {
-	br, err := c.s.openColReader(seg)
+	cs, err := c.s.openColSeg(seg, nil)
 	if err != nil {
 		c.err = err
 		return false
 	}
+	br := &colReader{cs: cs}
 	st := &segStream{br: br}
 	for {
 		seq, line, err := br.next()

@@ -827,7 +827,7 @@ func (cc *colCursor) next() (r *session.Record, decided bool, err error) {
 // the bitmap, loading the columns its mask decodes. Returns false at
 // EOF.
 func (cc *colCursor) nextBlock() (bool, error) {
-	for cc.bi < len(cc.cs.meta.Blocks) {
+	for cc.bi < len(cc.cs.blocks) {
 		bi := cc.bi
 		cc.bi++
 		if err := cc.cs.readDir(bi, &cc.dir); err != nil {

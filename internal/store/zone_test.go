@@ -76,10 +76,11 @@ func openZoned(t *testing.T) (*Store, []zoned) {
 	var out []zoned
 	man, _ := s.snapshot()
 	for _, seg := range man.Segments {
-		br, err := s.openColReader(seg)
+		cs, err := s.openColSeg(seg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		br := &colReader{cs: cs}
 		var recs []*session.Record
 		for {
 			_, line, err := br.next()
@@ -114,12 +115,12 @@ func openZoned(t *testing.T) (*Store, []zoned) {
 			}
 		}
 
-		cs, err := s.openColSeg(seg, nil)
+		cs, err = s.openColSeg(seg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rest := recs
-		for bi, bm := range seg.Blocks {
+		for bi, bm := range cs.blocks {
 			var d colDir
 			if err := cs.readDir(bi, &d); err != nil {
 				t.Fatal(err)

@@ -30,7 +30,14 @@ var (
 	ErrNotDir     = errors.New("not a directory")
 	ErrExist      = errors.New("file exists")
 	ErrPermission = errors.New("permission denied")
+	ErrNoSpace    = errors.New("no space left on device")
 )
+
+// Budget bounds the bytes held by the files an FS's own writes made: a
+// write that would take them past it fails with ErrNoSpace. The shared
+// base image is not charged. Without it a session that doubles a file
+// (cat a a > b; mv b a) holds 256 MiB after 45 commands.
+const Budget = 64 << 20
 
 // Node is a file or directory in the virtual filesystem. Nodes returned
 // by Stat and List, and the bytes returned by ReadFile, may be shared
@@ -50,6 +57,26 @@ type Node struct {
 	// owner is the FS that may change this node in place; any other FS
 	// copies it first.
 	owner *FS
+	// held marks content an FS wrote, which counts against its Budget.
+	held bool
+}
+
+// heldBytes sums what n and the nodes below it count against Budget.
+func heldBytes(n *Node) int64 {
+	switch {
+	case n == nil:
+		return 0
+	case !n.Dir:
+		if n.held {
+			return n.Size
+		}
+		return 0
+	}
+	var sum int64
+	for _, c := range n.Children {
+		sum += heldBytes(c)
+	}
+	return sum
 }
 
 // copyFor returns a copy of n owned by fs. A directory's copy gets its
@@ -107,6 +134,7 @@ type FS struct {
 	root    *Node
 	cwd     string
 	changes []Change
+	used    int64 // bytes its own writes hold, against Budget
 }
 
 // base is the seeded tree every FS starts from. Its nodes are owned by
@@ -361,20 +389,28 @@ func (fs *FS) own(p string) *Node {
 }
 
 // WriteFile creates or replaces the file at p with content, recording the
-// change and the content hash.
+// change and the content hash. It fails with ErrNoSpace if the content
+// would take what fs's writes hold past Budget.
 func (fs *FS) WriteFile(p string, content []byte) error {
 	abs := fs.Abs(p)
-	if n := fs.lookup(abs); n != nil && n.Dir {
+	old := fs.lookup(abs)
+	if old != nil && old.Dir {
 		return fmt.Errorf("%s: %w", p, ErrIsDir)
 	}
 	kind := ChangeModify
-	if fs.lookup(abs) == nil {
+	if old == nil {
 		kind = ChangeCreate
+	}
+	grow := int64(len(content)) - heldBytes(old)
+	if fs.used+grow > Budget {
+		return fmt.Errorf("%s: %w", p, ErrNoSpace)
 	}
 	n, err := fs.writeInternal(abs, content, time.Now())
 	if err != nil {
 		return err
 	}
+	n.held = true
+	fs.used += grow
 	fs.changes = append(fs.changes, Change{Kind: kind, Path: abs, Hash: n.Hash, Size: n.Size})
 	return nil
 }
@@ -422,6 +458,7 @@ func (fs *FS) Remove(p string, recursive bool) error {
 	if n.Dir && !recursive && len(n.Children) > 0 {
 		return fmt.Errorf("%s: directory not empty", p)
 	}
+	fs.used -= heldBytes(n)
 	delete(fs.own(path.Dir(abs)).Children, path.Base(abs))
 	fs.changes = append(fs.changes, Change{Kind: ChangeDelete, Path: abs})
 	return nil
@@ -455,6 +492,9 @@ func (fs *FS) Rename(oldp, newp string) error {
 	}
 	if strings.HasPrefix(absNew, strings.TrimSuffix(absOld, "/")+"/") {
 		return fmt.Errorf("%s: %w", newp, ErrPermission)
+	}
+	if absNew != absOld {
+		fs.used -= heldBytes(fs.lookup(absNew)) // replaced
 	}
 	n := fs.own(absOld)
 	delete(fs.own(path.Dir(absOld)).Children, path.Base(absOld))

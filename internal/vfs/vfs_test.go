@@ -487,3 +487,40 @@ func BenchmarkNewSeededFS(b *testing.B) {
 		New()
 	}
 }
+
+// TestBudgetChargesOwnWrites: what an FS's writes hold counts against
+// Budget, and what it removes, overwrites or renames over is released;
+// the base image is never charged.
+func TestBudgetChargesOwnWrites(t *testing.T) {
+	fs := New()
+	big := make([]byte, Budget/2)
+	for _, p := range []string{"/tmp/a", "/tmp/b"} {
+		if err := fs.WriteFile(p, big); err != nil {
+			t.Fatalf("write %s: %v", p, err)
+		}
+	}
+	if err := fs.WriteFile("/tmp/c", []byte("x")); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("a byte past the budget: %v, want ErrNoSpace", err)
+	}
+	if err := fs.WriteFile("/tmp/a", big); err != nil {
+		t.Fatalf("overwriting a file with as many bytes: %v", err)
+	}
+	if err := fs.Rename("/tmp/b", "/tmp/a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/tmp/c", big[:Budget/4]); err != nil {
+		t.Fatalf("after a rename over a charged file: %v", err)
+	}
+	if err := fs.Remove("/tmp", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove("/etc", true); err != nil {
+		t.Fatal(err)
+	}
+	if fs.used != 0 {
+		t.Fatalf("%d bytes charged after every written file was removed", fs.used)
+	}
+	if err := fs.WriteFile("/var/tmp/x", big); err != nil {
+		t.Fatal(err)
+	}
+}
