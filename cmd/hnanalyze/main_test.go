@@ -85,13 +85,18 @@ func TestStoreAndJSONLByteIdentical(t *testing.T) {
 	}
 
 	storeDir := filepath.Join(dir, "store")
-	st, err := store.Open(storeDir, store.Options{SealBytes: 1 << 18})
+	st, err := store.Open(storeDir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
+	for i, r := range recs {
 		if err := st.Append(r); err != nil {
 			t.Fatal(err)
+		}
+		if i%2000 == 1999 { // many segments, each a few months
+			if err := st.Seal(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := st.Close(); err != nil {

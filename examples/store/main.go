@@ -121,16 +121,13 @@ func main() {
 	// Route three: raw ingest. Group commit makes the append path fast
 	// enough to absorb a scanning wave: a burst of records lands at
 	// hundreds of thousands per second on one core, each one
-	// crash-safe in the WAL within MaxDelay.
+	// crash-safe in the WAL within 2 ms.
 	burstDir, err := os.MkdirTemp("", "honeynet-burst-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(burstDir)
-	bs, err := store.Open(burstDir, store.Options{
-		MaxBatch: 512,
-		MaxDelay: 2 * time.Millisecond,
-	})
+	bs, err := store.Open(burstDir, store.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

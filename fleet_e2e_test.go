@@ -149,8 +149,8 @@ func waitCount(t *testing.T, path string, want int, timeout time.Duration) {
 }
 
 // waitLocalRecords polls a store directory read-only until it holds at
-// least want records on disk. The WAL sync cadence (Options.SyncEvery,
-// 1s by default) bounds how long freshly appended records sit in the
+// least want records on disk. The store's one-second WAL sync cadence
+// bounds how long freshly appended records sit in the
 // writer's buffer before they become visible here.
 func waitLocalRecords(t *testing.T, dir string, want uint64, timeout time.Duration) {
 	t.Helper()

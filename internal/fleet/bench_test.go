@@ -37,7 +37,7 @@ func BenchmarkFleetForward(b *testing.B) {
 	}
 
 	b.ResetTimer()
-	fwd, err := NewForwarder(addr.String(), "bench-edge", st, Options{Batch: 512, AckWindow: 4096})
+	fwd, err := NewForwarder(addr.String(), "bench-edge", st, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

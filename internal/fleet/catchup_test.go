@@ -20,7 +20,7 @@ import (
 // returns it with a registry its counters are on.
 func sealedEdge(tb testing.TB, n int) (*store.Store, *obs.Registry) {
 	tb.Helper()
-	st, err := store.Open(tb.TempDir(), store.Options{SealBytes: 256 << 10, BlockBytes: 8 << 10})
+	st, err := store.Open(tb.TempDir(), store.Options{BlockBytes: 8 << 10})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -28,9 +28,11 @@ func sealedEdge(tb testing.TB, n int) (*store.Store, *obs.Registry) {
 		if err := st.Append(mkRec(i)); err != nil {
 			tb.Fatal(err)
 		}
-	}
-	if err := st.Seal(); err != nil {
-		tb.Fatal(err)
+		if (i+1)%3500 == 0 || i == n-1 {
+			if err := st.Seal(); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
 	reg := obs.NewRegistry()
 	st.Register(reg)
@@ -125,10 +127,10 @@ func TestCatchUpReadsEachBlockOnce(t *testing.T) {
 			}
 
 			var sends atomic.Int64
-			fwd, err := NewForwarder(addr, "edge-1", st, Options{
-				RetryMin: time.Millisecond,
-				RetryMax: 10 * time.Millisecond,
-				Fault: func(op string) error {
+			fwd, err := NewForwarder(addr, "edge-1", st, Options{tuning: tuning{
+				retryMin: time.Millisecond,
+				retryMax: 10 * time.Millisecond,
+				fault: func(op string) error {
 					if op != "send" {
 						return nil
 					}
@@ -140,7 +142,7 @@ func TestCatchUpReadsEachBlockOnce(t *testing.T) {
 					}
 					return nil
 				},
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,89 +15,47 @@ import (
 	"honeynet/internal/store"
 )
 
-// Options parameterizes a Forwarder. The zero value selects every
-// default; Validate rejects out-of-range values rather than silently
-// correcting them (mirroring store.Options).
+// The forwarder's tuning. Every forwarder runs with these values; the
+// package's own tests change some through Options.tuning.
+const (
+	// batchRecords caps how many records one batch frame carries.
+	batchRecords = 256
+	// ackWindowBatches is how many full batches may be in flight (sent
+	// but not acknowledged) before the forwarder waits for acks.
+	ackWindowBatches = 4
+	// dialTimeout bounds one connection attempt and its hello.
+	dialTimeout = 5 * time.Second
+	// retryMin and retryMax bound the reconnect backoff.
+	retryMin = 100 * time.Millisecond
+	retryMax = 5 * time.Second
+	// batchSpacing is the least time between two batches when the next
+	// is not full. A partial batch leaves at once unless the previous
+	// batch left less than batchSpacing ago, and then it leaves
+	// batchSpacing after that one. So a record appended to an idle edge
+	// goes out the moment it is seen, while under load partial batches
+	// still leave at most once per spacing, each covering one edge fsync
+	// and one collector fsync.
+	batchSpacing = 2 * time.Millisecond
+)
+
+// Options parameterizes a Forwarder. It has no exported fields: every
+// forwarder runs with the package's constants, and cmd/hnbench passes
+// Options{} until ROADMAP item 1(b) retires the parameter.
 type Options struct {
-	// Batch caps how many records one batch frame carries. Zero means
-	// 256; negative is rejected.
-	Batch int
-	// AckWindow caps how many records may be in flight (sent but not
-	// acknowledged) before the forwarder waits for acks. Zero means
-	// 4x Batch; a positive value smaller than Batch is rejected (the
-	// window could never fit one batch); negative is rejected.
-	AckWindow int
-	// DialTimeout bounds one connection attempt (default 5s).
-	DialTimeout time.Duration
-	// RetryMin/RetryMax bound the reconnect backoff (default 100ms..5s).
-	RetryMin, RetryMax time.Duration
-	// Fault, if set, is called before every dial, send, and receive
+	tuning tuning
+}
+
+// tuning overrides the forwarder's constants in the package's tests. A
+// zero field keeps its constant.
+type tuning struct {
+	batch              int // the ack window stays ackWindowBatches batches
+	retryMin, retryMax time.Duration
+	spacing            time.Duration
+	// fault, if set, is called before every dial, send, and receive
 	// with the operation name; a non-nil return injects that error as
-	// a connection fault. Test hook: the race soak drops connections
-	// through it.
-	Fault func(op string) error
+	// a connection fault.
+	fault func(op string) error
 }
-
-// Validate rejects option values outside their documented range.
-func (o *Options) Validate() error {
-	switch {
-	case o.Batch < 0:
-		return fmt.Errorf("fleet: negative Batch %d", o.Batch)
-	case o.AckWindow < 0:
-		return fmt.Errorf("fleet: negative AckWindow %d", o.AckWindow)
-	case o.AckWindow > 0 && o.AckWindow < o.batch():
-		return fmt.Errorf("fleet: AckWindow %d smaller than Batch %d", o.AckWindow, o.batch())
-	case o.DialTimeout < 0:
-		return fmt.Errorf("fleet: negative DialTimeout %v", o.DialTimeout)
-	case o.RetryMin < 0 || o.RetryMax < 0:
-		return fmt.Errorf("fleet: negative retry backoff %v/%v", o.RetryMin, o.RetryMax)
-	}
-	return nil
-}
-
-func (o *Options) batch() int {
-	if o.Batch == 0 {
-		return 256
-	}
-	return o.Batch
-}
-
-func (o *Options) ackWindow() int {
-	if o.AckWindow == 0 {
-		return 4 * o.batch()
-	}
-	return o.AckWindow
-}
-
-func (o *Options) dialTimeout() time.Duration {
-	if o.DialTimeout == 0 {
-		return 5 * time.Second
-	}
-	return o.DialTimeout
-}
-
-func (o *Options) retryMin() time.Duration {
-	if o.RetryMin == 0 {
-		return 100 * time.Millisecond
-	}
-	return o.RetryMin
-}
-
-func (o *Options) retryMax() time.Duration {
-	if o.RetryMax == 0 {
-		return 5 * time.Second
-	}
-	return o.RetryMax
-}
-
-// batchSpacing is the least time between two batches when the next is
-// not full. A partial batch leaves at once unless the previous batch
-// left less than batchSpacing ago, and then it leaves batchSpacing
-// after that one. So a record appended to an idle edge goes out the
-// moment it is seen, while under load partial batches still leave at
-// most once per spacing, each covering one edge fsync and one collector
-// fsync. Only the package's tests change it.
-var batchSpacing = 2 * time.Millisecond
 
 // errStopped ends the run loop when Close is called.
 var errStopped = errors.New("fleet: forwarder stopped")
@@ -122,7 +81,7 @@ var errStopped = errors.New("fleet: forwarder stopped")
 type Forwarder struct {
 	addr, node string
 	st         *store.Store
-	opts       Options
+	tune       tuning
 
 	stop chan struct{}
 	done chan struct{}
@@ -149,14 +108,16 @@ type Forwarder struct {
 // management (dial, backoff, resume) runs in the background until
 // Close.
 func NewForwarder(addr, node string, st *store.Store, opts Options) (*Forwarder, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if !store.ValidNodeID(node) {
 		return nil, fmt.Errorf("fleet: invalid node id %q", node)
 	}
+	t := opts.tuning
+	t.batch = cmp.Or(t.batch, batchRecords)
+	t.retryMin = cmp.Or(t.retryMin, retryMin)
+	t.retryMax = cmp.Or(t.retryMax, retryMax)
+	t.spacing = cmp.Or(t.spacing, batchSpacing)
 	f := &Forwarder{
-		addr: addr, node: node, st: st, opts: opts,
+		addr: addr, node: node, st: st, tune: t,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -167,7 +128,7 @@ func NewForwarder(addr, node string, st *store.Store, opts Options) (*Forwarder,
 // run dials, streams, and redials with exponential backoff until Close.
 func (f *Forwarder) run() {
 	defer close(f.done)
-	backoff := f.opts.retryMin()
+	backoff := f.tune.retryMin
 	for {
 		select {
 		case <-f.stop:
@@ -183,7 +144,7 @@ func (f *Forwarder) run() {
 			f.lastErr.Store(err.Error())
 		}
 		if established {
-			backoff = f.opts.retryMin()
+			backoff = f.tune.retryMin
 		}
 		f.reconnects.Add(1)
 		t := time.NewTimer(backoff)
@@ -193,18 +154,18 @@ func (f *Forwarder) run() {
 			return
 		case <-t.C:
 		}
-		if backoff *= 2; backoff > f.opts.retryMax() {
-			backoff = f.opts.retryMax()
+		if backoff *= 2; backoff > f.tune.retryMax {
+			backoff = f.tune.retryMax
 		}
 	}
 }
 
 // fault runs the injection hook, if any.
 func (f *Forwarder) fault(op string) error {
-	if f.opts.Fault == nil {
+	if f.tune.fault == nil {
 		return nil
 	}
-	return f.opts.Fault(op)
+	return f.tune.fault(op)
 }
 
 // session runs one connection lifetime: hello/resume handshake, then
@@ -214,7 +175,7 @@ func (f *Forwarder) session() (established bool, err error) {
 	if err := f.fault("dial"); err != nil {
 		return false, err
 	}
-	conn, err := net.DialTimeout("tcp", f.addr, f.opts.dialTimeout())
+	conn, err := net.DialTimeout("tcp", f.addr, dialTimeout)
 	if err != nil {
 		return false, err
 	}
@@ -228,7 +189,7 @@ func (f *Forwarder) session() (established bool, err error) {
 	if err := bw.Flush(); err != nil {
 		return false, err
 	}
-	conn.SetReadDeadline(time.Now().Add(f.opts.dialTimeout()))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var rbuf []byte
 	typ, payload, err := readFrame(br, maxFrame, &rbuf)
@@ -359,8 +320,8 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 
 		// A partial batch waits only for the spacing after the previous
 		// one, filling from whatever is appended meanwhile.
-		if int(avail) < f.opts.batch() {
-			if wait := time.Until(lastSent.Add(batchSpacing)); wait > 0 {
+		if int(avail) < f.tune.batch {
+			if wait := time.Until(lastSent.Add(f.tune.spacing)); wait > 0 {
 				t := time.NewTimer(wait)
 				select {
 				case <-f.stop:
@@ -378,7 +339,7 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 		}
 
 		// Window: wait for acks while a full batch would overshoot.
-		if int(cursor-acked)+f.opts.batch() > f.opts.ackWindow() {
+		if int(cursor-acked)+f.tune.batch > ackWindowBatches*f.tune.batch {
 			select {
 			case <-f.stop:
 				return errStopped
@@ -398,7 +359,7 @@ func (f *Forwarder) sendLoop(conn net.Conn, bw *bufio.Writer, ackCh chan struct{
 		}
 		count := 0
 		body = body[:0]
-		for count < f.opts.batch() {
+		for count < f.tune.batch {
 			if snap == nil {
 				snap = f.st.ScanSeq(cursor + uint64(count))
 			}

@@ -79,44 +79,14 @@ func assertShardEquals(t *testing.T, srv *Server, node string, edge *store.Store
 }
 
 func TestFleetOptionsValidate(t *testing.T) {
-	ok := []Options{
-		{},
-		{Batch: 64, AckWindow: 256},
-		{AckWindow: 256}, // default batch 256 fits exactly
-		{DialTimeout: time.Second, RetryMin: time.Millisecond, RetryMax: time.Second},
-	}
-	for i, o := range ok {
-		if err := o.Validate(); err != nil {
-			t.Errorf("options %d: unexpected error: %v", i, err)
-		}
-	}
-	bad := []Options{
-		{Batch: -1},
-		{AckWindow: -1},
-		{Batch: 100, AckWindow: 50}, // window can never fit one batch
-		{AckWindow: 255},            // below the default batch
-		{DialTimeout: -time.Second},
-		{RetryMin: -time.Millisecond},
-	}
-	for i, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Errorf("options %d (%+v): expected validation error", i, o)
-		}
-	}
-	// NewForwarder rejects invalid options and node ids up front.
+	// NewForwarder rejects invalid node ids up front.
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := NewForwarder("127.0.0.1:1", "n", st, Options{Batch: -1}); err == nil {
-		t.Error("NewForwarder accepted invalid options")
-	}
 	if _, err := NewForwarder("127.0.0.1:1", "bad/node", st, Options{}); err == nil {
 		t.Error("NewForwarder accepted invalid node id")
-	}
-	if _, err := NewServer(t.TempDir(), ServerOptions{Store: store.Options{MaxBatch: -1}}); err == nil {
-		t.Error("NewServer accepted invalid store options")
 	}
 }
 
@@ -265,17 +235,17 @@ func TestForwardReconnectResume(t *testing.T) {
 	defer st.Close()
 
 	var ops atomic.Int64
-	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{
-		Batch:    16,
-		RetryMin: time.Millisecond,
-		RetryMax: 10 * time.Millisecond,
-		Fault: func(op string) error {
+	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{tuning: tuning{
+		batch:    16,
+		retryMin: time.Millisecond,
+		retryMax: 10 * time.Millisecond,
+		fault: func(op string) error {
 			if ops.Add(1)%23 == 0 {
 				return errors.New("injected fault")
 			}
 			return nil
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +372,6 @@ func TestCollectorRestartResumesCursor(t *testing.T) {
 // and there is none; a second record appended just after it waits out
 // the spacing.
 func TestIdleEdgeRecordLeavesAtOnce(t *testing.T) {
-	defer func(d time.Duration) { batchSpacing = d }(batchSpacing)
-	batchSpacing = time.Hour
 	srv, err := NewServer(t.TempDir(), ServerOptions{SyncAck: true})
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +386,7 @@ func TestIdleEdgeRecordLeavesAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{})
+	fwd, err := NewForwarder(addr.String(), "edge-1", st, Options{tuning: tuning{spacing: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,15 +170,7 @@ func pipePeer(t *testing.T, srv *Server, node string) (peer net.Conn, wait func(
 // has not fully arrived holds nothing up, and a batch that makes no
 // progress is never folded into a progressing ack.
 func TestAckGroupCommit(t *testing.T) {
-	// Only Flush writes the shard's WAL here (no linger expiry, no
-	// periodic sync), so where a case ends in a single fsync the shard's
-	// group-commit write count says so. (After the first, the store's
-	// flusher is awake and may split a write; those cases leave the
-	// count unchecked.)
-	srv, err := NewServer(t.TempDir(), ServerOptions{
-		SyncAck: true,
-		Store:   store.Options{MaxDelay: time.Hour, SyncEvery: -1},
-	})
+	srv, err := NewServer(t.TempDir(), ServerOptions{SyncAck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +206,7 @@ func TestAckGroupCommit(t *testing.T) {
 		name    string
 		steps   []step
 		batches float64
-		flushes float64 // shard WAL writes; 0: not checked
+		flushes int // shard fsyncs the acks cost
 		gaps    float64
 	}{
 		{
@@ -228,7 +220,7 @@ func TestAckGroupCommit(t *testing.T) {
 				{frames(0, m)[:len(frames(0))+half], []uint64{m}},
 				{frames(m)[half:], []uint64{2 * m}},
 			},
-			batches: 2,
+			batches: 2, flushes: 2,
 		},
 		{
 			name:    "gap behind progress",
@@ -248,15 +240,13 @@ func TestAckGroupCommit(t *testing.T) {
 		{
 			name:    "group is bounded",
 			steps:   []step{{frames(seq(maxAckGroup + 2)...), []uint64{maxAckGroup * m, (maxAckGroup + 2) * m}}},
-			batches: maxAckGroup + 2,
+			batches: maxAckGroup + 2, flushes: 2,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			node := fmt.Sprintf("gc-%d", i)
 			peer, wait := pipePeer(t, srv, node)
 			defer wait()
-			shardReg := obs.NewRegistry()
-			shardOf(t, srv, node).Register(shardReg)
 			before := reg.Snapshot()
 
 			var last uint64
@@ -284,8 +274,14 @@ func TestAckGroupCommit(t *testing.T) {
 					t.Errorf("%s moved %v, want %v", name, got, want)
 				}
 			}
-			if got := shardReg.Snapshot()["honeynet_store_batch_flushes_total"]; tc.flushes > 0 && got != tc.flushes {
-				t.Errorf("shard flushed %v times, want %v", got, tc.flushes)
+			srv.mu.Lock()
+			n := srv.shards[node]
+			srv.mu.Unlock()
+			n.mu.Lock()
+			flushes := n.flushes
+			n.mu.Unlock()
+			if flushes != tc.flushes {
+				t.Errorf("shard flushed %d times, want %d", flushes, tc.flushes)
 			}
 			assertShardLines(t, srv, node, src[:last])
 		})

@@ -91,10 +91,11 @@ func forwardDelivers(t *testing.T, srv *Server, addr, node string) {
 }
 
 // TestClaimedFrameLengthNotAllocated: 8 connections that each send
-// only a 5-byte frame prefix claiming 64 MiB — as their first frame, or
-// as a batch after a valid hello — leave the collector holding under
-// 4 MiB more live heap. Each used to cost the 64 MiB it claimed, until
-// the peer hung up. A forwarder on another connection still delivers.
+// only a 5-byte frame prefix — a 4 KiB hello as their first frame, or a
+// 64 MiB batch after a valid hello — leave the collector holding under
+// 512 KiB and 4 MiB more live heap. A claimed batch used to cost the
+// 64 MiB it claimed, and a connection its batch-sized buffers before it
+// said hello. A forwarder on another connection still delivers.
 func TestClaimedFrameLengthNotAllocated(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -118,42 +119,60 @@ func TestClaimedFrameLengthNotAllocated(t *testing.T) {
 			c0.Close()
 			before := liveHeap()
 
-			prefix := binary.BigEndian.AppendUint32(nil, maxFrame)
+			// Each peer claims the largest frame it may send next, a
+			// hello or a batch, and sends none of it.
+			prefix := binary.BigEndian.AppendUint32(nil, maxHello)
 			prefix = append(prefix, frameHello)
+			bound := uint64(512 << 10)
 			if tc.hello {
-				prefix[4] = frameBatch
+				prefix = binary.BigEndian.AppendUint32(nil, maxFrame)
+				prefix = append(prefix, frameBatch)
+				bound = 4 << 20
 			}
-			for i := 0; i < 8; i++ {
-				var c net.Conn
+			conns := make([]net.Conn, 8)
+			for i := range conns {
 				if tc.hello {
-					c, _ = helloRaw(t, addr.String(), "hostile")
+					conns[i], _ = helloRaw(t, addr.String(), "hostile")
 				} else {
-					c = dialRaw(t, addr.String())
+					conns[i] = dialRaw(t, addr.String())
 				}
-				defer c.Close()
-				if _, err := c.Write(prefix); err != nil {
+				defer conns[i].Close()
+				if _, err := conns[i].Write(prefix); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// Nothing marks the moment a handler has read a prefix; the
-			// claimed 64 MiB was allocated within microseconds of it.
+			// Nothing marks the moment a handler has read a prefix; an
+			// allocation of the claimed length came within microseconds
+			// of it.
 			time.Sleep(300 * time.Millisecond)
-			const bound = 4 << 20
 			after := liveHeap()
 			t.Logf("8 prefix-only connections: %d KiB more live heap", (int64(after)-int64(before))>>10)
 			if after > before+bound {
 				t.Errorf("8 prefix-only connections hold %d KiB more live heap, want under %d KiB",
 					(after-before)>>10, bound>>10)
 			}
-			// A first frame past maxHello closes its connection, and each
-			// close counts as a reject.
-			for end := time.Now().Add(5 * time.Second); !tc.hello && time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
-				if reg.Snapshot()["honeynet_fleet_rejects_total"] >= 8 {
-					break
+			if !tc.hello {
+				// A connection closed before its hello, and a first frame
+				// past maxHello, each count as a reject.
+				for _, c := range conns {
+					c.Close()
 				}
-			}
-			if n := reg.Snapshot()["honeynet_fleet_rejects_total"]; !tc.hello && n != 8 {
-				t.Errorf("honeynet_fleet_rejects_total = %v after 8 over-size first frames, want 8", n)
+				over := append(binary.BigEndian.AppendUint32(nil, maxHello+1), frameHello)
+				for i := 0; i < 8; i++ {
+					c := dialRaw(t, addr.String())
+					defer c.Close()
+					if _, err := c.Write(over); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+					if reg.Snapshot()["honeynet_fleet_rejects_total"] >= 16 {
+						break
+					}
+				}
+				if n := reg.Snapshot()["honeynet_fleet_rejects_total"]; n != 16 {
+					t.Errorf("honeynet_fleet_rejects_total = %v after 8 closed and 8 over-size first frames, want 16", n)
+				}
 			}
 			forwardDelivers(t, srv, addr.String(), "edge-1")
 		})

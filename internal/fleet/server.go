@@ -17,8 +17,6 @@ import (
 
 // ServerOptions parameterizes a collector.
 type ServerOptions struct {
-	// Store configures every per-node shard the collector opens.
-	Store store.Options
 	// SyncAck makes the collector flush a shard's WAL before each ack,
 	// so an acknowledged record survives a collector kill -9. Off, a
 	// collector crash can lose acked records — the edge keeps them
@@ -59,6 +57,7 @@ type nodeIngest struct {
 
 	mu      sync.Mutex // held while a batch is applied to st
 	durable uint64     // every sequence below it has been flushed
+	flushes int        // st.Flush calls by sendCursor; the tests read it
 }
 
 // Server is the collector: it accepts edge connections, writes one
@@ -90,9 +89,6 @@ type Server struct {
 // NewServer creates a collector over the fleet directory dir, stamping
 // the fleet marker and opening any shards left by a previous run.
 func NewServer(dir string, opts ServerOptions) (*Server, error) {
-	if err := opts.Store.Validate(); err != nil {
-		return nil, err
-	}
 	if err := store.WriteFleetMarker(dir); err != nil {
 		return nil, err
 	}
@@ -171,7 +167,7 @@ func (s *Server) shard(node string) (*nodeIngest, error) {
 	if n, ok := s.shards[node]; ok {
 		return n, nil
 	}
-	st, err := store.Open(store.ShardDir(s.dir, node), s.opts.Store)
+	st, err := store.Open(store.ShardDir(s.dir, node), store.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -199,17 +195,18 @@ func (s *Server) shard(node string) (*nodeIngest, error) {
 // progress to the forwarder, whose rewind signal that is.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 256<<10)
-	bw := bufio.NewWriterSize(conn, 16<<10)
 	var buf []byte
 
-	// A peer that has not said hello is held to a hello's size and time.
+	// A peer that has not said hello is held to a hello's size and time,
+	// and to a hello-sized read buffer.
+	hr := bufio.NewReaderSize(conn, maxHello)
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	typ, payload, err := readFrame(br, maxHello, &buf)
+	typ, payload, err := readFrame(hr, maxHello, &buf)
 	if err != nil {
 		s.rejected.Add(1) // over-size, past the deadline, or closed: no error frame to send
 		return
 	}
+	bw := bufio.NewWriterSize(conn, 16<<10)
 	var hello helloMsg
 	if typ != frameHello || json.Unmarshal(payload, &hello) != nil {
 		s.reject(bw, "expected hello frame")
@@ -237,6 +234,10 @@ func (s *Server) handle(conn net.Conn) {
 	s.sessions.Add(1)
 	defer s.sessions.Add(-1)
 
+	// Batches are read through hr, so what it buffered past the hello
+	// comes first; once it is drained, hr passes reads of its own size
+	// or more straight to conn.
+	br := bufio.NewReaderSize(hr, 256<<10)
 	dec := &session.JSONDecoder{}
 	var next uint64 // node cursor after the last applied batch
 	pending := 0    // earlier batches, appended in full, that the next ack will cover
@@ -334,6 +335,7 @@ func (s *Server) sendCursor(n *nodeIngest, bw *bufio.Writer, typ byte, next uint
 		if next > n.durable {
 			// Nothing is appended while mu is held, so the flush covers
 			// the shard up to its cursor now, which may be past next.
+			n.flushes++
 			if err = n.st.Flush(); err == nil {
 				n.durable = n.st.NextSeq()
 			}

@@ -47,17 +47,17 @@ func TestFleetSoak(t *testing.T) {
 		}
 		var ops atomic.Int64
 		drop := int64(151 + 64*i) // different drop cadence per edge
-		fwds[i], err = NewForwarder(addr.String(), node, edges[i], Options{
-			Batch:    32,
-			RetryMin: time.Millisecond,
-			RetryMax: 20 * time.Millisecond,
-			Fault: func(op string) error {
+		fwds[i], err = NewForwarder(addr.String(), node, edges[i], Options{tuning: tuning{
+			batch:    32,
+			retryMin: time.Millisecond,
+			retryMax: 20 * time.Millisecond,
+			fault: func(op string) error {
 				if ops.Add(1)%drop == 0 {
 					return errors.New("soak fault")
 				}
 				return nil
 			},
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,13 +67,22 @@ func TestFleetSoak(t *testing.T) {
 	var writers, scanners sync.WaitGroup
 	stopScan := make(chan struct{})
 
-	// Writers: each edge appends until the deadline.
+	// Writers: each edge appends until the deadline, waiting while it is
+	// maxAhead records past its collector's acks, so the backlog left to
+	// drain stays the same however long the soak runs.
+	const maxAhead = 4096
 	counts := make([]int, len(nodes))
 	for i := range nodes {
 		writers.Add(1)
 		go func(i int) {
 			defer writers.Done()
 			for n := 0; time.Now().Before(deadline); n++ {
+				for edges[i].NextSeq() >= fwds[i].Acked()+maxAhead {
+					if time.Now().After(deadline) {
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
 				if err := edges[i].Append(mkRec(n*len(nodes) + i)); err != nil {
 					t.Errorf("edge %d append: %v", i, err)
 					return
@@ -138,6 +147,7 @@ func TestFleetSoak(t *testing.T) {
 			t.Fatalf("edge %d never caught up: acked %d of %d", i, fwd.Acked(), edges[i].NextSeq())
 		}
 	}
+	t.Logf("edges appended %v records; every one acked %v after the deadline", counts, time.Since(deadline).Round(time.Millisecond))
 	close(stopScan)
 	scanners.Wait()
 	for i, fwd := range fwds {

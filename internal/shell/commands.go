@@ -204,19 +204,25 @@ func cmdCat(sh *Shell, args []string, stdin string) (string, int) {
 	if len(args) == 0 {
 		return stdin, 0
 	}
-	var b strings.Builder
-	exit := 0
+	// The output is sized before it is built, so it is allocated once.
+	parts := make([][]byte, 0, len(args))
+	size, exit := 0, 0
 	for _, p := range args {
 		if strings.HasPrefix(p, "-") {
 			continue
 		}
 		content, err := sh.FS.ReadFile(p)
 		if err != nil {
-			fmt.Fprintf(&b, "cat: %s: No such file or directory\n", p)
+			content = fmt.Appendf(nil, "cat: %s: No such file or directory\n", p)
 			exit = 1
-			continue
 		}
-		b.Write(content)
+		parts = append(parts, content)
+		size += len(content)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, c := range parts {
+		b.Write(c)
 	}
 	return b.String(), exit
 }

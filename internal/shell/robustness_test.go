@@ -157,8 +157,9 @@ func TestSplitSegmentsNoEmptySegments(t *testing.T) {
 // TestDoublingFileStopsAtBudget: a session that doubles a file with
 // cat a a > b; mv b a holds at most vfs.Budget. The write that would
 // pass it fails with bash's ENOSPC message, the file stops growing, and
-// the live heap after the session stays under the budget. Unbounded,
-// these 22 rounds leave a 128 MiB file.
+// the live heap after the session stays under the budget, and a refused
+// round allocates its output once. Unbounded, these 22 rounds leave a
+// 128 MiB file.
 func TestDoublingFileStopsAtBudget(t *testing.T) {
 	sh := newTestShell()
 	sh.Run("echo 0123456789abcdef0123456789abcde > /tmp/a") // 32 bytes
@@ -175,6 +176,16 @@ func TestDoublingFileStopsAtBudget(t *testing.T) {
 	}
 	if want := "cat: write error: No space left on device\n"; !strings.HasPrefix(out, want) {
 		t.Errorf("the last round printed %q, want it to start %q", out, want)
+	}
+	// A refused round allocates cat's output once, and nothing else of
+	// its size.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sh.Run("cat /tmp/a /tmp/a > /tmp/b; mv /tmp/b /tmp/a")
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*n.Size)+1<<20; got > limit {
+		t.Errorf("a refused round allocated %d KiB, want at most %d KiB (its %d KiB output once)",
+			got>>10, limit>>10, 2*n.Size>>10)
 	}
 	runtime.GC()
 	var ms runtime.MemStats

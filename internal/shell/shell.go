@@ -213,10 +213,13 @@ func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
 		out, e := sh.runSimple(pc, cur)
 		exit = e
 		if pc.redir != nil {
-			err := sh.applyRedirect(pc.redir, out)
-			out = ""
-			if errors.Is(err, vfs.ErrNoSpace) {
+			switch err := sh.applyRedirect(pc.redir, out); {
+			case err == nil:
+				out = ""
+			case errors.Is(err, vfs.ErrNoSpace):
 				out, exit = pc.words[0]+": write error: No space left on device\n", 1
+			default:
+				out, exit = "-bash: "+pc.redir.target+": "+strerror(err)+"\n", 1
 			}
 		}
 		cur = out
@@ -224,11 +227,35 @@ func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
 	return cur, exit
 }
 
+// applyRedirect writes content to the redirect's target. It asks the
+// vfs whether the write can go through before it copies content, so a
+// refused write costs no copy.
 func (sh *Shell) applyRedirect(r *redirect, content string) error {
+	size := int64(len(content))
+	if r.append {
+		if old, err := sh.FS.ReadFile(r.target); err == nil {
+			size += int64(len(old))
+		}
+	}
+	if err := sh.FS.CanWrite(r.target, size); err != nil {
+		return err
+	}
 	if r.append {
 		return sh.FS.AppendFile(r.target, []byte(content))
 	}
 	return sh.FS.WriteFile(r.target, []byte(content))
+}
+
+// strerror is bash's text for a vfs error a write returns other than
+// ErrNoSpace.
+func strerror(err error) string {
+	switch {
+	case errors.Is(err, vfs.ErrIsDir):
+		return "Is a directory"
+	case errors.Is(err, vfs.ErrNotDir):
+		return "Not a directory"
+	}
+	return "No such file or directory"
 }
 
 // expand performs $VAR / ${VAR} expansion and $(...) / backtick command

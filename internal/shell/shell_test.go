@@ -206,6 +206,33 @@ func TestRedirectionsCreateFiles(t *testing.T) {
 	}
 }
 
+// TestRedirectErrorsPrintLikeBash: a redirect the vfs refuses prints
+// bash's message for it, names the target as typed, and fails the
+// command.
+func TestRedirectErrorsPrintLikeBash(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{"echo x > /nonexistent/f", "-bash: /nonexistent/f: No such file or directory\n"},
+		{"echo x >> /nonexistent/f", "-bash: /nonexistent/f: No such file or directory\n"},
+		{"cd /tmp; echo x > nodir/f", "-bash: nodir/f: No such file or directory\n"},
+		{"echo x > /tmp", "-bash: /tmp: Is a directory\n"},
+		{"echo x >> /tmp", "-bash: /tmp: Is a directory\n"},
+		{"echo x > /etc/passwd/f", "-bash: /etc/passwd/f: Not a directory\n"},
+		{"echo x > /tmp/f", ""},
+	} {
+		sh := newTestShell()
+		if got := sh.Run(tc.line); got != tc.want {
+			t.Errorf("%s: printed %q, want %q", tc.line, got, tc.want)
+		}
+		want := "0\n"
+		if tc.want != "" {
+			want = "1\n"
+		}
+		if got := sh.Run(tc.line + " && echo 0 || echo 1"); !strings.HasSuffix(got, want) {
+			t.Errorf("%s: exit status printed %q, want %q", tc.line, got, want)
+		}
+	}
+}
+
 func TestVariableAndCommandSubstitution(t *testing.T) {
 	sh := newTestShell()
 	if out := sh.Run(`echo $SHELL`); out != "/bin/bash\n" {

@@ -41,7 +41,7 @@ func benchRecord(i int) *session.Record {
 // periodic sealing, reporting records/s.
 func BenchmarkStoreIngest(b *testing.B) {
 	dir := b.TempDir()
-	s, err := Open(dir, Options{SealBytes: 8 << 20, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: tuning{sealBytes: 8 << 20, syncEvery: -1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkStoreIngest(b *testing.B) {
 func BenchmarkStoreScanMonth(b *testing.B) {
 	const n = 20000
 	dir := b.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -138,14 +138,14 @@ func BenchmarkStoreScanMonth(b *testing.B) {
 }
 
 // BenchmarkStoreSeal measures the seal path in isolation: framing a
-// WAL tail into blocks, compressing them across SealWorkers, and
+// WAL tail into blocks, compressing them on GOMAXPROCS workers, and
 // committing the manifest. One iteration seals a fresh 32k-record tail
 // (roughly one 16 MiB auto-seal unit), so the per-seal fsyncs are
 // amortized the way production sealing amortizes them.
 func BenchmarkStoreSeal(b *testing.B) {
 	const n = 32768
 	dir := b.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestScanMemoryBounded(t *testing.T) {
 	}
 	const n = 30000
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1, BlockBytes: 128 << 10})
+	s, err := Open(dir, Options{tuning: manual, BlockBytes: 128 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestScanMemoryBounded(t *testing.T) {
 // stripes at the byte level.
 func BenchmarkQueryProjectionColumnar(b *testing.B) {
 	const n = 30000
-	s, err := Open(b.TempDir(), Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(b.TempDir(), Options{tuning: manual})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func BenchmarkStreamLoad(b *testing.B) {
 	// Records round-robin all twelve months, so the seq merge keeps
 	// every month's segment open at once; modest blocks keep the
 	// stream's resident set to what the merge actually needs.
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1, BlockBytes: 64 << 10})
+	s, err := Open(dir, Options{tuning: manual, BlockBytes: 64 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func BenchmarkStreamLoad(b *testing.B) {
 func BenchmarkOrderByLimitPushdown(b *testing.B) {
 	const n, k = 30000, 20
 	dir := b.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -341,7 +341,7 @@ func encodeColDir(dst []byte, be *colBlockEnc, clens [numStripes]int, crcs [numS
 // returns its metadata; a seal and a compaction both write through it.
 // The lines are shredded as they are, no re-marshal, and the
 // per-segment aggregates fold in the same pass; stripes then compress
-// in parallel across SealWorkers, one (block, stripe) pair per job. The
+// in parallel on GOMAXPROCS workers, one (block, stripe) pair per job. The
 // footer follows the last block, and the file is fsynced before return;
 // the caller commits it via the manifest.
 func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte, seqs []uint64) (*segmentMeta, error) {
@@ -358,7 +358,6 @@ func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte
 	}
 	cw := s.sealCol
 	cw.reset()
-	blockBytes := s.opts.blockBytes()
 	arena := s.sealFrames[:0]
 	defer func() { s.sealFrames = arena[:0] }()
 	var blocks []colBlockEnc
@@ -381,7 +380,7 @@ func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte
 			meta.MaxTime = r.Start
 		}
 
-		if cw.bytes >= blockBytes {
+		if cw.bytes >= s.opts.BlockBytes {
 			var be colBlockEnc
 			arena, be = cw.encode(arena)
 			blocks = append(blocks, be)
@@ -404,7 +403,7 @@ func (s *Store) writeSegment(file string, recs []*session.Record, lines [][]byte
 			}
 		}
 	}
-	workers := s.sealWorkers(len(jobs))
+	workers := max(1, min(parallel.Workers(0), len(jobs)))
 	for len(s.sealCodecs) < workers {
 		s.sealCodecs = append(s.sealCodecs, &lzCodec{})
 	}

@@ -64,7 +64,7 @@ func (s *Store) compact() error {
 		}
 		byMonth[sm.Month] = append(byMonth[sm.Month], sm)
 	}
-	limit := s.opts.sealBytes()
+	limit := s.opts.tuning.sealBytes
 	var runs [][]*segmentMeta
 	for _, m := range months {
 		var run []*segmentMeta

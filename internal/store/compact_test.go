@@ -232,7 +232,7 @@ func TestMigrationSplitsAtSealSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{SealBytes: man.Segments[0].RawBytes + 1})
+	s, err := Open(dir, Options{tuning: tuning{sealBytes: man.Segments[0].RawBytes + 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestFollowAcrossMigration(t *testing.T) {
 		t.Fatalf("poll over a legacy store: %d records, %d failed polls; want none and one", len(got), cursors[""].fails)
 	}
 	for round := 0; round < 3; round++ {
-		s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+		s, err := Open(dir, Options{tuning: manual})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+		s, err := Open(dir, Options{tuning: manual})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // duplicates.
 func TestStaleWALDiscarded(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func buildFleet(t *testing.T, dir string, nodes []string, perNode, seals int) *F
 // the open store's tail.
 func openWithTail(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir(), Options{BlockBytes: 2048, SealBytes: -1})
+	s, err := Open(t.TempDir(), Options{BlockBytes: 2048, tuning: tuning{sealBytes: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func BenchmarkFleetAggregate(b *testing.B) {
 	const perShard = 24000
 	dir := b.TempDir()
 	for n, node := range []string{"a", "b"} {
-		s, err := Open(ShardDir(dir, node), Options{SealBytes: -1, SyncEvery: -1})
+		s, err := Open(ShardDir(dir, node), Options{tuning: manual})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -385,7 +385,7 @@ func TestAggregateAllocatesPerBlockNotPerRow(t *testing.T) {
 	dir := t.TempDir()
 	const perShard = 6000
 	for n, node := range []string{"a", "b"} {
-		s, err := Open(ShardDir(dir, node), Options{SealBytes: -1, SyncEvery: -1})
+		s, err := Open(ShardDir(dir, node), Options{tuning: manual})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,30 +6,30 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
+
+// manual is the tuning of a store that seals and syncs only when told
+// to.
+var manual = tuning{sealBytes: -1, syncEvery: -1}
 
 func TestOptionsValidate(t *testing.T) {
 	ok := []Options{
 		{},
-		{SealBytes: -1, SyncEvery: -1}, // documented disable sentinels
-		{BlockBytes: 4096, MaxBatch: 64, MaxDelay: time.Millisecond, SealWorkers: 2},
+		{tuning: manual}, // documented disable sentinels
+		{BlockBytes: 4096},
 	}
 	for i, o := range ok {
-		if err := o.Validate(); err != nil {
+		s, err := Open(t.TempDir(), o)
+		if err != nil {
 			t.Errorf("options %d: unexpected error: %v", i, err)
+			continue
 		}
+		s.Close()
 	}
 	bad := []Options{
 		{BlockBytes: -1},
-		{MaxBatch: -1},
-		{MaxDelay: -time.Millisecond},
-		{SealWorkers: -1},
 	}
 	for i, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Errorf("options %d (%+v): expected validation error", i, o)
-		}
 		if _, err := Open(t.TempDir(), o); err == nil {
 			t.Errorf("options %d (%+v): Open accepted invalid options", i, o)
 		}
@@ -37,13 +37,13 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestBackgroundSealOverlapsAppends drives enough data through a small
-// SealBytes that several auto-seals trigger while appends keep coming.
+// sealBytes that several auto-seals trigger while appends keep coming.
 // The seals must run in the background (sealBackground counts them),
 // and the final history must be the exact append order with nothing
 // lost or duplicated across the WAL rotations.
 func TestBackgroundSealOverlapsAppends(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: 32 << 10, SyncEvery: -1, MaxDelay: time.Millisecond})
+	s, err := Open(dir, Options{tuning: tuning{sealBytes: 32 << 10, syncEvery: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestBackgroundSealOverlapsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.sealBackground.Load() == 0 {
-		t.Fatal("no background seal ran despite SealBytes being exceeded many times over")
+		t.Fatal("no background seal ran despite sealBytes being exceeded many times over")
 	}
 
 	s2, err := Open(dir, Options{ReadOnly: true})
@@ -80,7 +80,7 @@ func TestBackgroundSealOverlapsAppends(t *testing.T) {
 // the active WAL on top, preserving exact append order.
 func TestCrashDuringBackgroundSealFinished(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCrashDuringBackgroundSealFinished(t *testing.T) {
 // rather than replay records that already live in segments.
 func TestStaleFrozenWALDiscarded(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		t.Fatal(err)
 	}

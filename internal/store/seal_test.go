@@ -151,7 +151,7 @@ func checkImage(t *testing.T, label string, img killImage, want []*session.Recor
 		drops = 1
 	}
 	for _, ro := range []bool{true, false} {
-		s, err := Open(img.dir, Options{ReadOnly: ro, SealBytes: -1, SyncEvery: -1})
+		s, err := Open(img.dir, Options{ReadOnly: ro, tuning: manual})
 		if ro && img.point == "compact:built" {
 			// The migration has not committed: the manifest still lists
 			// the legacy segments, which only a read-write open reads.
@@ -212,7 +212,7 @@ const onePass = "rotate:synced rotate:renamed rotate:created rotate:bound rotate
 // committed).
 func TestSealKillPoints(t *testing.T) {
 	t.Run("size trigger", func(t *testing.T) {
-		s, err := Open(t.TempDir(), Options{SealBytes: 8 << 10, SyncEvery: -1})
+		s, err := Open(t.TempDir(), Options{tuning: tuning{sealBytes: 8 << 10, syncEvery: -1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestSealKillPoints(t *testing.T) {
 	})
 
 	t.Run("close", func(t *testing.T) {
-		s, err := Open(t.TempDir(), Options{SealBytes: -1, SyncEvery: -1})
+		s, err := Open(t.TempDir(), Options{tuning: manual})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestSealKillPoints(t *testing.T) {
 	})
 
 	t.Run("retry", func(t *testing.T) {
-		s, err := Open(t.TempDir(), Options{SealBytes: 8 << 10, SyncEvery: -1})
+		s, err := Open(t.TempDir(), Options{tuning: tuning{sealBytes: 8 << 10, syncEvery: -1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestSealKillPoints(t *testing.T) {
 		// and close an empty store, put the legacy fixture in its place,
 		// and migrate it as the next read-write Open would.
 		dir := t.TempDir()
-		s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1, BlockBytes: 2048})
+		s, err := Open(dir, Options{tuning: manual, BlockBytes: 2048})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestSealKillPoints(t *testing.T) {
 // resumes by itself, with every accepted record present exactly once.
 func TestFailedSealRetries(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: 8 << 10, SyncEvery: 5 * time.Millisecond})
+	s, err := Open(dir, Options{tuning: tuning{sealBytes: 8 << 10, syncEvery: 5 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestFailedSealRetries(t *testing.T) {
 // are built: appends must already be refused, and a reader, a query
 // and a metrics scrape must all return while Close is still in there.
 func TestCloseDoesNotBlockReaders(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(t.TempDir(), Options{tuning: manual})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 // Writers append records to a crash-safe WAL (plain JSONL whose torn
 // tail is truncated on Open, see recoverTail). Appends are group-committed:
 // records enqueue in memory and a latency-bounded flusher amortizes one
-// WAL write over a whole batch (Options.MaxBatch/MaxDelay), fsynced on
-// the SyncEvery cadence. Sealing folds the WAL into immutable per-month
+// WAL write over a whole batch (maxBatch/maxDelay), fsynced on the
+// syncEvery cadence. Sealing folds the WAL into immutable per-month
 // segment files — columnar blocks of per-field compressed stripes
 // behind a block directory, with a block index, per-segment time
 // bounds, kind/protocol counts, and a Bloom filter over client IPs —
@@ -60,6 +60,7 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -73,91 +74,51 @@ import (
 	"time"
 
 	"honeynet/internal/obs"
-	"honeynet/internal/parallel"
 	"honeynet/internal/session"
 )
 
-// Options parameterizes a store. The zero value selects every default;
-// Open validates and rejects out-of-range values rather than silently
-// correcting them.
+// The store's tuning. Every caller runs with these values; the
+// package's own tests shrink or switch off the first two through
+// Options.tuning.
+const (
+	// sealBytes auto-seals the tail into segments once it holds this
+	// many bytes.
+	sealBytes = 16 << 20
+	// syncEvery is the WAL fsync cadence.
+	syncEvery = time.Second
+	// maxBatch caps how many appended records one group-commit WAL
+	// write carries.
+	maxBatch = 512
+	// maxDelay bounds how long an appended record waits in the
+	// group-commit batch before the flusher writes it to the WAL.
+	maxDelay = 2 * time.Millisecond
+	// blockBytes is the block size when Options.BlockBytes is zero.
+	blockBytes = 256 << 10
+)
+
+// Options parameterizes a store. Daemons and tools open the zero value,
+// or set ReadOnly.
 type Options struct {
-	// SealBytes auto-seals the tail into segments once it holds this
-	// many bytes. Zero means 16 MiB; negative disables auto-sealing
-	// (Seal/Close still seal).
-	SealBytes int64
 	// BlockBytes is the target uncompressed block size inside sealed
 	// segments — the unit of scan memory. Zero means 256 KiB; negative
-	// is rejected.
+	// is rejected. Only tests set it: a few hundred records make a
+	// multi-block segment only with small blocks.
 	BlockBytes int
-	// SyncEvery is the WAL fsync cadence. Zero means one second;
-	// negative disables the periodic sync (Flush/Seal/Close still sync).
-	SyncEvery time.Duration
-	// MaxBatch caps how many appended records one group-commit WAL
-	// write may carry. Zero means 512; negative is rejected.
-	MaxBatch int
-	// MaxDelay bounds how long an appended record may wait in the
-	// group-commit batch before the flusher writes it to the WAL. Zero
-	// means 2ms; negative is rejected.
-	MaxDelay time.Duration
-	// SealWorkers caps how many goroutines compress blocks during a
-	// seal. Zero means GOMAXPROCS; negative is rejected.
-	SealWorkers int
 	// ReadOnly opens the store for querying only: no WAL truncation or
 	// recovery writes, Append fails. A torn WAL tail is skipped in
 	// memory instead of repaired on disk.
 	ReadOnly bool
+
+	tuning tuning
 }
 
-// Validate rejects option values outside their documented range. A
-// negative SealBytes or SyncEvery is a documented sentinel (disable),
-// not an error.
-func (o *Options) Validate() error {
-	switch {
-	case o.BlockBytes < 0:
-		return fmt.Errorf("store: negative BlockBytes %d", o.BlockBytes)
-	case o.MaxBatch < 0:
-		return fmt.Errorf("store: negative MaxBatch %d", o.MaxBatch)
-	case o.MaxDelay < 0:
-		return fmt.Errorf("store: negative MaxDelay %v", o.MaxDelay)
-	case o.SealWorkers < 0:
-		return fmt.Errorf("store: negative SealWorkers %d", o.SealWorkers)
-	}
-	return nil
-}
-
-func (o *Options) sealBytes() int64 {
-	if o.SealBytes == 0 {
-		return 16 << 20
-	}
-	return o.SealBytes
-}
-
-func (o *Options) blockBytes() int {
-	if o.BlockBytes > 0 {
-		return o.BlockBytes
-	}
-	return 256 << 10
-}
-
-func (o *Options) syncEvery() time.Duration {
-	if o.SyncEvery == 0 {
-		return time.Second
-	}
-	return o.SyncEvery
-}
-
-func (o *Options) maxBatch() int {
-	if o.MaxBatch == 0 {
-		return 512
-	}
-	return o.MaxBatch
-}
-
-func (o *Options) maxDelay() time.Duration {
-	if o.MaxDelay == 0 {
-		return 2 * time.Millisecond
-	}
-	return o.MaxDelay
+// tuning overrides the seal and sync constants in the package's tests.
+// A zero field keeps its constant; a negative sealBytes turns
+// auto-sealing off (Seal and Close still seal), a negative syncEvery
+// the periodic sync (Flush, Seal and Close still sync).
+type tuning struct {
+	sealBytes int64
+	syncEvery time.Duration
 }
 
 // Store is an append-only, month-partitioned session store rooted at a
@@ -240,9 +201,12 @@ type walHeader struct {
 // Open opens (creating if needed) the store at dir, recovering from
 // any crash per the package contract.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
+	if opts.BlockBytes < 0 {
+		return nil, fmt.Errorf("store: negative BlockBytes %d", opts.BlockBytes)
 	}
+	opts.BlockBytes = cmp.Or(opts.BlockBytes, blockBytes)
+	opts.tuning.sealBytes = cmp.Or(opts.tuning.sealBytes, sealBytes)
+	opts.tuning.syncEvery = cmp.Or(opts.tuning.syncEvery, syncEvery)
 	if !opts.ReadOnly {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
@@ -312,9 +276,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.flushDone = make(chan struct{})
 	s.stop = make(chan struct{})
 	go s.flushLoop()
-	if opts.syncEvery() > 0 {
+	if opts.tuning.syncEvery > 0 {
 		s.done = make(chan struct{})
-		go s.syncLoop(opts.syncEvery())
+		go s.syncLoop(opts.tuning.syncEvery)
 	}
 	return s, nil
 }
@@ -482,10 +446,10 @@ var lineScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return
 
 // Append adds one record. The store retains r; callers must not mutate
 // it afterwards. The append is group-committed: the record enqueues in
-// memory and reaches the WAL within MaxDelay (or sooner, when MaxBatch
+// memory and reaches the WAL within maxDelay (or sooner, when maxBatch
 // fills), and is durable after the next Flush, periodic sync, or seal —
 // the same contract as before group commit: an idle-period crash loses
-// at most SyncEvery worth of sessions.
+// at most syncEvery worth of sessions.
 func (s *Store) Append(r *session.Record) error {
 	bp := lineScratch.Get().(*[]byte)
 	line, err := session.AppendJSON((*bp)[:0], r)
@@ -515,7 +479,7 @@ func (s *Store) Append(r *session.Record) error {
 		lineScratch.Put(bp)
 		return fmt.Errorf("store: seal failed, retrying: %w", err)
 	}
-	sb := s.opts.sealBytes()
+	sb := s.opts.tuning.sealBytes
 	// Backpressure: if appends outrun an in-flight background seal by
 	// several seal units, wait for it rather than grow without bound.
 	for s.sealing && sb > 0 && s.tailBytes >= 4*sb {
@@ -530,7 +494,7 @@ func (s *Store) Append(r *session.Record) error {
 	s.tailLines = append(s.tailLines, s.internLine(line))
 	s.tailBytes += int64(len(line)) + 1
 	s.pend++
-	kick := s.pend == 1 || s.pend == s.opts.maxBatch()
+	kick := s.pend == 1 || s.pend == maxBatch
 	needSeal := sb > 0 && !s.sealing && s.tailBytes >= sb
 	s.mu.Unlock()
 	*bp = line[:0]
@@ -581,7 +545,7 @@ func (s *Store) internLine(line []byte) []byte {
 }
 
 // flushLoop is the group-commit flusher: woken by the first append of a
-// batch, it lingers up to MaxDelay so later appends can join, then
+// batch, it lingers up to maxDelay so later appends can join, then
 // writes the whole batch to the WAL in one go.
 func (s *Store) flushLoop() {
 	defer close(s.flushDone)
@@ -592,10 +556,10 @@ func (s *Store) flushLoop() {
 		case <-s.kick:
 		}
 		s.mu.Lock()
-		full := s.pend >= s.opts.maxBatch()
+		full := s.pend >= maxBatch
 		s.mu.Unlock()
 		if !full {
-			t := time.NewTimer(s.opts.maxDelay())
+			t := time.NewTimer(maxDelay)
 			select {
 			case <-t.C:
 			case <-s.kick: // batch filled early
@@ -647,7 +611,7 @@ func (s *Store) drainPendingLocked() error {
 	// Push the batch to the OS now: one syscall per batch keeps the
 	// group-commit amortization, and external ReadOnly followers (Follow,
 	// hnquery -follow) observe progress without waiting for a sync or
-	// seal. Durability is still governed by SyncEvery.
+	// seal. Durability is still governed by syncEvery.
 	if err := s.walW.Flush(); err != nil {
 		s.walErr = fmt.Errorf("store: wal flush: %w", err)
 		return s.walErr
@@ -668,7 +632,7 @@ func (s *Store) drainPendingLocked() error {
 func (s *Store) rotateAndSealAsync() {
 	s.walMu.Lock()
 	s.mu.Lock()
-	ok := !s.closed && !s.sealing && s.sealErr == nil && s.tailBytes >= s.opts.sealBytes()
+	ok := !s.closed && !s.sealing && s.sealErr == nil && s.tailBytes >= s.opts.tuning.sealBytes
 	if ok {
 		ok = s.rotateLocked() == nil // a failed rotation left a sticky walErr for appends to surface
 	}
@@ -958,7 +922,7 @@ func (s *Store) Close() error {
 }
 
 // syncLoop periodically drains the batch and fsyncs dirty WAL data, so
-// an idle-period crash loses at most SyncEvery worth of sessions. The
+// an idle-period crash loses at most syncEvery worth of sessions. The
 // same tick retries a failed seal, so ingestion resumes by itself once
 // the cause (a full disk, say) is gone.
 func (s *Store) syncLoop(every time.Duration) {
@@ -1028,18 +992,6 @@ func (s *Store) CompressedBytes() int64 {
 // RecoveredBytes returns the torn-tail bytes truncated from the WAL
 // when the store was opened.
 func (s *Store) RecoveredBytes() int64 { return s.recoveredBytes.Load() }
-
-// sealWorkers resolves the compression worker count for one seal.
-func (s *Store) sealWorkers(blocks int) int {
-	w := parallel.Workers(s.opts.SealWorkers)
-	if w > blocks {
-		w = blocks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // Register exposes the store's counters and gauges on reg:
 //

@@ -191,7 +191,7 @@ func TestSealPartitionsByMonth(t *testing.T) {
 
 func TestScanSealedPlusTailAndFilter(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1})
+	s, err := Open(dir, Options{tuning: tuning{sealBytes: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestScanSealedPlusTailAndFilter(t *testing.T) {
 
 func TestScanIPBloomPruning(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1})
+	s, err := Open(dir, Options{tuning: tuning{sealBytes: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestReopenAppendsContinue(t *testing.T) {
 
 func TestUnsealedTailSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestStoreSoak(t *testing.T) {
 	// Race-hunting soak: concurrent appenders, scanners, metadata
 	// aggregates, and seals over a live store. Run under -race in CI.
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1, BlockBytes: 4096})
+	s, err := Open(dir, Options{tuning: manual, BlockBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // missed, no line ever corrupt).
 func TestSeqStreamUnderConcurrentSeal(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: 4 << 10, SyncEvery: -1, MaxDelay: time.Millisecond})
+	s, err := Open(dir, Options{tuning: tuning{sealBytes: 4 << 10, syncEvery: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func tail(ctx context.Context, s *Store, from uint64, fn func(seq uint64, line [
 // in dense order.
 func TestTailStreamsLiveAppends(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestTailStreamsLiveAppends(t *testing.T) {
 // callback failed) closes the cursor and leaves the store appendable.
 func TestTailPropagatesCallbackError(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestTailPropagatesCallbackError(t *testing.T) {
 // (a separate writable handle on the same dir).
 func TestFollowSingleStore(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SealBytes: -1, SyncEvery: -1})
+	s, err := Open(dir, Options{tuning: manual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestFollowFleetDiscoversShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	openShard := func(node string) *Store {
-		s, err := Open(ShardDir(dir, node), Options{SealBytes: -1, SyncEvery: -1})
+		s, err := Open(ShardDir(dir, node), Options{tuning: manual})
 		if err != nil {
 			t.Fatal(err)
 		}

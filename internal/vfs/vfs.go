@@ -388,23 +388,49 @@ func (fs *FS) own(p string) *Node {
 	return n
 }
 
-// WriteFile creates or replaces the file at p with content, recording the
-// change and the content hash. It fails with ErrNoSpace if the content
-// would take what fs's writes hold past Budget.
-func (fs *FS) WriteFile(p string, content []byte) error {
-	abs := fs.Abs(p)
+// CanWrite returns the error WriteFile would return for size bytes of
+// content at p, without writing: ErrNotExist or ErrNotDir for a missing
+// or non-directory parent, ErrIsDir for a directory, and ErrNoSpace if
+// the content would take what fs's writes hold past Budget. A caller
+// asks it before it copies a large write.
+func (fs *FS) CanWrite(p string, size int64) error {
+	_, err := fs.canWrite(p, fs.Abs(p), size)
+	return err
+}
+
+// canWrite is CanWrite for p's absolute path abs; it also returns the
+// node a write would replace, if any.
+func (fs *FS) canWrite(p, abs string, size int64) (*Node, error) {
+	parent := fs.lookup(path.Dir(abs))
+	if parent == nil {
+		return nil, fmt.Errorf("%s: %w", path.Dir(p), ErrNotExist)
+	}
+	if !parent.Dir {
+		return nil, fmt.Errorf("%s: %w", path.Dir(p), ErrNotDir)
+	}
 	old := fs.lookup(abs)
 	if old != nil && old.Dir {
-		return fmt.Errorf("%s: %w", p, ErrIsDir)
+		return nil, fmt.Errorf("%s: %w", p, ErrIsDir)
+	}
+	if fs.used+size-heldBytes(old) > Budget {
+		return nil, fmt.Errorf("%s: %w", p, ErrNoSpace)
+	}
+	return old, nil
+}
+
+// WriteFile creates or replaces the file at p with content, recording the
+// change and the content hash. It fails as CanWrite says it would.
+func (fs *FS) WriteFile(p string, content []byte) error {
+	abs := fs.Abs(p)
+	old, err := fs.canWrite(p, abs, int64(len(content)))
+	if err != nil {
+		return err
 	}
 	kind := ChangeModify
 	if old == nil {
 		kind = ChangeCreate
 	}
 	grow := int64(len(content)) - heldBytes(old)
-	if fs.used+grow > Budget {
-		return fmt.Errorf("%s: %w", p, ErrNoSpace)
-	}
 	n, err := fs.writeInternal(abs, content, time.Now())
 	if err != nil {
 		return err
@@ -415,11 +441,15 @@ func (fs *FS) WriteFile(p string, content []byte) error {
 	return nil
 }
 
-// AppendFile appends content to the file at p, creating it if needed.
+// AppendFile appends content to the file at p, creating it if needed. A
+// write that would not fit fails before the two are joined.
 func (fs *FS) AppendFile(p string, content []byte) error {
 	abs := fs.Abs(p)
 	existing, err := fs.ReadFile(abs)
 	if err != nil && !errors.Is(err, ErrNotExist) {
+		return err
+	}
+	if err := fs.CanWrite(p, int64(len(existing)+len(content))); err != nil {
 		return err
 	}
 	return fs.WriteFile(abs, append(append([]byte{}, existing...), content...))

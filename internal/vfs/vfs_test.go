@@ -502,6 +502,17 @@ func TestBudgetChargesOwnWrites(t *testing.T) {
 	if err := fs.WriteFile("/tmp/c", []byte("x")); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("a byte past the budget: %v, want ErrNoSpace", err)
 	}
+	// A refused append fails before it joins the file to the new bytes.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := fs.AppendFile("/tmp/a", []byte("x"))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("appending a byte past the budget: %v, want ErrNoSpace", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("a refused append allocated %d KiB", got>>10)
+	}
 	if err := fs.WriteFile("/tmp/a", big); err != nil {
 		t.Fatalf("overwriting a file with as many bytes: %v", err)
 	}
