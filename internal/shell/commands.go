@@ -213,7 +213,7 @@ func cmdCat(sh *Shell, args []string, stdin string) (string, int) {
 		}
 		content, err := sh.FS.ReadFile(p)
 		if err != nil {
-			content = fmt.Appendf(nil, "cat: %s: No such file or directory\n", p)
+			content = fmt.Appendf(nil, "cat: %s: %s\n", p, strerror(err))
 			exit = 1
 		}
 		parts = append(parts, content)

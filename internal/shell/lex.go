@@ -83,15 +83,17 @@ type redirect struct {
 	append bool
 }
 
-// parsedCmd is a simple command after word splitting.
+// parsedCmd is a simple command after word splitting: its words, its
+// standard output redirect and its standard error redirect (2>, 2>>).
 type parsedCmd struct {
-	words []string
-	redir *redirect
+	words  []string
+	redir  *redirect
+	stderr *redirect
 }
 
 // splitWords tokenizes a simple command into words, honoring single and
 // double quotes and backslash escapes (quotes removed), and extracts
-// output redirections (>, >>, 2>, &>, 2>&1), including glued forms like
+// output redirections (>, >>, 2>, 2>>, &>, 2>&1), including glued forms like
 // `echo "key">>file`.
 //
 // Backslash semantics follow bash: outside quotes it escapes the next
@@ -167,9 +169,14 @@ func splitWords(text string) parsedCmd {
 	for i < len(words) {
 		w := words[i]
 		switch w {
-		case ">", ">>", "2>", "1>", "&>":
+		case ">", ">>", "1>", "&>", "2>", "2>>":
 			if i+1 < len(words) {
-				out.redir = &redirect{target: words[i+1], append: w == ">>"}
+				r := &redirect{target: words[i+1], append: strings.HasSuffix(w, ">>")}
+				if w[0] == '2' {
+					out.stderr = r
+				} else {
+					out.redir = r
+				}
 				i += 2
 				continue
 			}

@@ -212,14 +212,21 @@ func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
 		}
 		out, e := sh.runSimple(pc, cur)
 		exit = e
-		if pc.redir != nil {
-			switch err := sh.applyRedirect(pc.redir, out); {
-			case err == nil:
-				out = ""
-			case errors.Is(err, vfs.ErrNoSpace):
-				out, exit = pc.words[0]+": write error: No space left on device\n", 1
-			default:
-				out, exit = "-bash: "+pc.redir.target+": "+strerror(err)+"\n", 1
+		redirected := false
+		if pc.stderr != nil {
+			// The shell keeps one output stream; its own error text
+			// ("-bash: …") is the part known to be standard error.
+			errText := ""
+			if strings.HasPrefix(out, "-bash: ") {
+				errText, out = out, ""
+			}
+			if msg := sh.applyRedirect(pc.stderr, pc.words[0], errText); msg != "" {
+				out, exit, redirected = msg, 1, true
+			}
+		}
+		if pc.redir != nil && !redirected {
+			if out = sh.applyRedirect(pc.redir, pc.words[0], out); out != "" {
+				exit = 1
 			}
 		}
 		cur = out
@@ -227,27 +234,33 @@ func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
 	return cur, exit
 }
 
-// applyRedirect writes content to the redirect's target. It asks the
-// vfs whether the write can go through before it copies content, so a
-// refused write costs no copy.
-func (sh *Shell) applyRedirect(r *redirect, content string) error {
+// applyRedirect writes content to the redirect's target for the command
+// name and returns what the terminal shows: nothing, or bash's message
+// for a refused write. It asks the vfs whether the write can go through
+// before it copies content, so a refused write costs no copy.
+func (sh *Shell) applyRedirect(r *redirect, name, content string) string {
 	size := int64(len(content))
 	if r.append {
 		if old, err := sh.FS.ReadFile(r.target); err == nil {
 			size += int64(len(old))
 		}
 	}
-	if err := sh.FS.CanWrite(r.target, size); err != nil {
-		return err
+	err := sh.FS.CanWrite(r.target, size)
+	if err == nil && r.append {
+		err = sh.FS.AppendFile(r.target, []byte(content))
+	} else if err == nil {
+		err = sh.FS.WriteFile(r.target, []byte(content))
 	}
-	if r.append {
-		return sh.FS.AppendFile(r.target, []byte(content))
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, vfs.ErrNoSpace):
+		return name + ": write error: No space left on device\n"
 	}
-	return sh.FS.WriteFile(r.target, []byte(content))
+	return "-bash: " + r.target + ": " + strerror(err) + "\n"
 }
 
-// strerror is bash's text for a vfs error a write returns other than
-// ErrNoSpace.
+// strerror is bash's text for a vfs error other than ErrNoSpace.
 func strerror(err error) string {
 	switch {
 	case errors.Is(err, vfs.ErrIsDir):

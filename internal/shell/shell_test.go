@@ -218,6 +218,9 @@ func TestRedirectErrorsPrintLikeBash(t *testing.T) {
 		{"echo x >> /tmp", "-bash: /tmp: Is a directory\n"},
 		{"echo x > /etc/passwd/f", "-bash: /etc/passwd/f: Not a directory\n"},
 		{"echo x > /tmp/f", ""},
+		{"echo x > /var/log/wtmp", ""},
+		{"cat /tmp", "cat: /tmp: Is a directory\n"},
+		{"echo x 2>/nonexistent/f", "-bash: /nonexistent/f: No such file or directory\n"},
 	} {
 		sh := newTestShell()
 		if got := sh.Run(tc.line); got != tc.want {
@@ -229,6 +232,26 @@ func TestRedirectErrorsPrintLikeBash(t *testing.T) {
 		}
 		if got := sh.Run(tc.line + " && echo 0 || echo 1"); !strings.HasSuffix(got, want) {
 			t.Errorf("%s: exit status printed %q, want %q", tc.line, got, want)
+		}
+	}
+}
+
+// TestStderrRedirectKeepsStdout: 2> and 2>> take the shell's own error
+// text; standard output still reaches the terminal or the pipe.
+func TestStderrRedirectKeepsStdout(t *testing.T) {
+	sh := newTestShell()
+	for _, tc := range []struct{ line, want string }{
+		{"echo x 2>/dev/null", "x\n"},
+		{"echo x 2>/dev/null | cat", "x\n"},
+		{"echo x 2>>/tmp/err", "x\n"},
+		{"cat /tmp/err", ""},
+		{"nosuchcmd 2>/dev/null || echo failed", "failed\n"},
+		{"nosuchcmd 2>/tmp/err; nosuchcmd 2>>/tmp/err", ""},
+		{"cat /tmp/err", "-bash: nosuchcmd: command not found\n-bash: nosuchcmd: command not found\n"},
+		{"echo y >/tmp/out 2>/dev/null; cat /tmp/out", "y\n"},
+	} {
+		if got := sh.Run(tc.line); got != tc.want {
+			t.Errorf("%s: printed %q, want %q", tc.line, got, tc.want)
 		}
 	}
 }

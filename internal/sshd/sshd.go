@@ -56,33 +56,24 @@ func (s *Session) Write(p []byte) (int, error) { return s.ch.Write(p) }
 // Exit sends the exit status, EOF and CLOSE in one write.
 func (s *Session) Exit(status uint32) error { return s.ch.Exit(status) }
 
-// Config parameterizes the server.
+// maxAuthTries is how many failed password attempts a connection gets
+// before it is disconnected: OpenSSH's default MaxAuthTries.
+const maxAuthTries = 6
+
+// Config parameterizes the server. It presents
+// sshwire.DefaultServerVersion.
 type Config struct {
 	// HostKey is the server identity. Required.
 	HostKey *sshwire.HostKey
-	// Version is the SSH banner; defaults to sshwire.DefaultServerVersion.
-	Version string
 	// Auth decides whether a password login succeeds. Required.
 	Auth func(meta ConnMeta, user, password string) bool
 	// OnAuthAttempt observes every attempt (for honeypot recording).
 	OnAuthAttempt func(meta ConnMeta, user, password string, ok bool)
 	// Handler runs each accepted shell/exec session. Required.
 	Handler func(s *Session)
-	// MaxAuthTries disconnects clients after this many failed attempts.
-	// Zero means the OpenSSH default of 6.
-	MaxAuthTries int
 	// ConnTimeout is the hard deadline for a whole connection, emulating
 	// the honeynet's 3-minute session cap. Zero disables it.
 	ConnTimeout time.Duration
-	// HandshakeTimeout bounds the transport handshake.
-	HandshakeTimeout time.Duration
-}
-
-func (c *Config) maxTries() int {
-	if c.MaxAuthTries > 0 {
-		return c.MaxAuthTries
-	}
-	return 6
 }
 
 // Server runs the SSH protocol over connections the caller accepted.
@@ -112,18 +103,9 @@ func (s *Server) HandleConn(nc net.Conn) error {
 	if s.cfg.ConnTimeout > 0 {
 		_ = nc.SetDeadline(time.Now().Add(s.cfg.ConnTimeout))
 	}
-	tcfg := &sshwire.Config{
-		Version:          s.cfg.Version,
-		HostKey:          s.cfg.HostKey,
-		HandshakeTimeout: s.cfg.HandshakeTimeout,
-	}
-	conn, err := sshwire.ServerHandshake(nc, tcfg)
+	conn, err := sshwire.ServerHandshake(nc, &sshwire.Config{HostKey: s.cfg.HostKey})
 	if err != nil {
 		return fmt.Errorf("sshd: handshake: %w", err)
-	}
-	// Re-apply the overall deadline: the handshake may have cleared it.
-	if s.cfg.ConnTimeout > 0 {
-		_ = nc.SetDeadline(time.Now().Add(s.cfg.ConnTimeout))
 	}
 	if _, err := conn.AcceptService("ssh-userauth"); err != nil {
 		return err
@@ -179,7 +161,7 @@ func (s *Server) authenticate(conn *sshwire.Conn, meta *ConnMeta) (string, error
 				return user, nil
 			}
 			tries++
-			if tries >= s.cfg.maxTries() {
+			if tries >= maxAuthTries {
 				_ = conn.Disconnect(sshwire.DisconnectNoMoreAuthMethods, "too many authentication failures")
 				return "", errors.New("sshd: too many authentication failures")
 			}

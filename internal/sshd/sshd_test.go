@@ -235,7 +235,7 @@ func TestAuthPolicyAndRecording(t *testing.T) {
 }
 
 func TestMaxAuthTries(t *testing.T) {
-	addr, _ := startServer(t, func(c *Config) { c.MaxAuthTries = 2 })
+	addr, _ := startServer(t, nil)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -261,10 +261,12 @@ func TestMaxAuthTries(t *testing.T) {
 		}
 		return conn.ReadPacket()
 	}
-	if p, err := try("root"); err != nil || p[0] != sshwire.MsgUserauthFailure {
-		t.Fatalf("first failure: %v %v", p, err)
+	for i := 1; i < maxAuthTries; i++ {
+		if p, err := try("root"); err != nil || p[0] != sshwire.MsgUserauthFailure {
+			t.Fatalf("failure %d: %v %v", i, p, err)
+		}
 	}
-	// Second failure exceeds MaxAuthTries=2 -> disconnect.
+	// The sixth failure reaches maxAuthTries -> disconnect.
 	_, err = try("root")
 	var d *sshwire.DisconnectMsg
 	if !errors.As(err, &d) {

@@ -2,8 +2,11 @@ package sshwire
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"net"
 	"testing"
+	"time"
 )
 
 // FuzzWireDecoders throws arbitrary bytes at every payload parser the
@@ -40,6 +43,51 @@ func FuzzPacketReader(f *testing.F) {
 				return
 			}
 		}
+	})
+}
+
+// FuzzServerKex runs a server handshake over net.Pipe on a valid client
+// version line and KEXINIT followed by arbitrary bytes: it must return,
+// never panic or hang. Once the input is read the server's reads time
+// out at once, as on a silent peer, while its writes still drain.
+func FuzzServerKex(f *testing.F) {
+	hk, err := HostKeyFromSeed(make([]byte, 32))
+	if err != nil {
+		f.Fatal(err)
+	}
+	init, err := (&Conn{cipherPrefs: (*Config)(nil).cipherPrefs(), macPrefs: (*Config)(nil).macPrefs()}).makeKexInit()
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame := func(payloads ...[]byte) []byte {
+		var out []byte
+		for _, p := range payloads {
+			out, _ = appendFrame(out, p)
+		}
+		return out
+	}
+	prefix := append([]byte(DefaultClientVersion+"\r\n"), frame(init.Marshal())...)
+	_, ecdhInit, err := kexClientInit()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame(ecdhInit, []byte{MsgNewKeys}))
+	f.Add(frame([]byte{MsgIgnore, 0, 0, 0, 0}, ecdhInit, []byte{MsgDebug}))
+	f.Add(frame([]byte{MsgKexECDHInit, 0, 0, 0, 7, 1, 2, 3, 4, 5, 6, 7}))
+	f.Add(frame(ecdhInit, init.Marshal()))
+	f.Add(frame((&DisconnectMsg{Reason: 2, Description: "x"}).Marshal()))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		srvEnd, cliEnd := net.Pipe()
+		defer srvEnd.Close()
+		defer cliEnd.Close()
+		go io.Copy(io.Discard, cliEnd) //nolint:errcheck // ends at Close
+		go func() {
+			if _, err := cliEnd.Write(append(prefix[:len(prefix):len(prefix)], tail...)); err == nil {
+				srvEnd.SetReadDeadline(time.Now()) //nolint:errcheck // fails only after Close
+			}
+		}()
+		_, _ = ServerHandshake(srvEnd, &Config{HostKey: hk, HandshakeTimeout: 2 * time.Second})
 	})
 }
 

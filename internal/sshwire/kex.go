@@ -1,6 +1,7 @@
 package sshwire
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
@@ -172,9 +173,10 @@ func kexClientInit() (*ecdh.PrivateKey, []byte, error) {
 }
 
 // kexClientFinish consumes the server's SSH_MSG_KEX_ECDH_REPLY and
-// verifies the host signature. hostKeyCheck, if non-nil, vets the server
-// host key blob before the signature is trusted.
-func kexClientFinish(priv *ecdh.PrivateKey, in exchangeHashInputs, replyPayload []byte, hostKeyCheck func(blob []byte) error) (*kexResult, error) {
+// verifies the host signature. The result owns its host key blob: the
+// reply is a slice of the packet reader's buffer, which the next read
+// overwrites.
+func kexClientFinish(priv *ecdh.PrivateKey, in exchangeHashInputs, replyPayload []byte) (*kexResult, error) {
 	r := NewReader(replyPayload)
 	if t := r.Byte(); t != MsgKexECDHReply {
 		return nil, fmt.Errorf("sshwire: expected KEX_ECDH_REPLY, got %s", MsgName(t))
@@ -201,13 +203,8 @@ func kexClientFinish(priv *ecdh.PrivateKey, in exchangeHashInputs, replyPayload 
 	in.sharedSecret = secret
 	h := in.hash()
 
-	if hostKeyCheck != nil {
-		if err := hostKeyCheck(hostKeyBlob); err != nil {
-			return nil, err
-		}
-	}
 	if err := VerifyHostSignature(hostKeyBlob, sigBlob, h); err != nil {
 		return nil, err
 	}
-	return &kexResult{K: secret, H: h, HostKeyBlob: hostKeyBlob}, nil
+	return &kexResult{K: secret, H: h, HostKeyBlob: bytes.Clone(hostKeyBlob)}, nil
 }

@@ -6,64 +6,44 @@ import (
 	"fmt"
 )
 
-// Rekeying (RFC 4253 section 9). Either side may initiate a new key
-// exchange at any time after the initial handshake by sending
-// SSH_MSG_KEXINIT; application packets are forbidden between a side's
-// KEXINIT and its NEWKEYS. The session identifier keeps the value of the
-// first exchange hash.
-//
-// The read loop (ReadPacket) detects an inbound KEXINIT and completes the
-// exchange inline while a condition variable gates application writes.
+// Key exchange (RFC 4253 sections 7 to 9). The handshake's exchange and
+// every rekey run the same code: either side sends SSH_MSG_KEXINIT, and
+// the read path (ReadPacket, or the handshake before it) hands the
+// peer's KEXINIT to kex, which completes the exchange inline while a
+// condition variable gates application writes; application packets are
+// forbidden between a side's KEXINIT and its NEWKEYS. The session
+// identifier keeps the value of the first exchange hash.
 
 // RequestRekey initiates a key re-exchange. It returns once our KEXINIT
 // is on the wire; the exchange completes inside the connection's read
 // loop (so the caller — or the Mux — must keep reading). Calling it
 // while a rekey is already in flight is a no-op.
 func (c *Conn) RequestRekey() error {
-	init, err := c.makeKexInit()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.sendKexInitLocked()
+}
+
+// sendKexInitLocked sends our KEXINIT unless one is already pending and
+// holds application writes until kex installs the new keys. The caller
+// holds wmu.
+func (c *Conn) sendKexInitLocked() error {
+	if c.ourPendingInit != nil {
+		return nil
+	}
+	m, err := c.makeKexInit()
 	if err != nil {
 		return err
 	}
-	initBytes := init.Marshal()
-
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.rekeying {
-		return nil
+	raw := m.Marshal()
+	if err := c.writeLocked(raw); err != nil {
+		return err
 	}
-	c.rekeying = true
-	c.ourPendingInit = initBytes
-	if err = c.writeLocked(initBytes); err != nil {
-		c.rekeying = false
-		c.ourPendingInit = nil
-		c.wcond.Broadcast()
-	}
-	return err
+	c.ourPendingInit, c.ourPendingMsg = raw, m
+	return nil
 }
 
-// beginPeerRekey marks the connection as rekeying (peer initiated) and
-// sends our KEXINIT if we have not already sent one. It returns our
-// KEXINIT payload.
-func (c *Conn) beginPeerRekey() ([]byte, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.rekeying && c.ourPendingInit != nil {
-		return c.ourPendingInit, nil
-	}
-	init, err := c.makeKexInit()
-	if err != nil {
-		return nil, err
-	}
-	initBytes := init.Marshal()
-	c.rekeying = true
-	c.ourPendingInit = initBytes
-	if err := c.writeLocked(initBytes); err != nil {
-		return nil, err
-	}
-	return initBytes, nil
-}
-
-// writeKexPacket sends a packet during a rekey, bypassing the
+// writeKexPacket sends a packet during a key exchange, bypassing the
 // application-write gate.
 func (c *Conn) writeKexPacket(payload []byte) error {
 	c.wmu.Lock()
@@ -71,9 +51,9 @@ func (c *Conn) writeKexPacket(payload []byte) error {
 	return c.writeLocked(payload)
 }
 
-// readKexPacket reads the next packet during a rekey. The caller already
-// holds rmu (we are inside ReadPacket). IGNORE/DEBUG are skipped; any
-// non-kex message is a protocol error.
+// readKexPacket reads the next packet during a key exchange. The caller
+// holds rmu. IGNORE/DEBUG are skipped and DISCONNECT is returned as an
+// error.
 func (c *Conn) readKexPacket() ([]byte, error) {
 	for {
 		payload, err := c.reader.readPacket(c.br, c.readSeq)
@@ -82,7 +62,7 @@ func (c *Conn) readKexPacket() ([]byte, error) {
 			return nil, err
 		}
 		if len(payload) == 0 {
-			return nil, errors.New("sshwire: empty packet during rekey")
+			return nil, errors.New("sshwire: empty packet during key exchange")
 		}
 		switch payload[0] {
 		case MsgIgnore, MsgDebug:
@@ -99,85 +79,44 @@ func (c *Conn) readKexPacket() ([]byte, error) {
 	}
 }
 
-// handleRekey completes a key re-exchange after the peer's KEXINIT
-// payload arrived on the read path. It is called with rmu held.
-func (c *Conn) handleRekey(theirInitBytes []byte) error {
-	theirInit, err := ParseKexInit(theirInitBytes)
+// kex runs one key exchange from the peer's KEXINIT payload, which the
+// caller has just read and holds rmu for. It sends our KEXINIT if this
+// side has not, negotiates, runs the role's ECDH step, exchanges NEWKEYS
+// and installs the new ciphers. The first exchange sets the session ID;
+// each later one counts as a rekey.
+func (c *Conn) kex(theirInit []byte) error {
+	theirInit = bytes.Clone(theirInit) // hashed after the next read
+	theirMsg, err := ParseKexInit(theirInit)
 	if err != nil {
 		return err
 	}
-	ourInitBytes, err := c.beginPeerRekey()
-	if err != nil {
-		return err
-	}
-	ourInit, err := ParseKexInit(ourInitBytes)
+	c.wmu.Lock()
+	err = c.sendKexInitLocked()
+	ourInit, ourMsg := c.ourPendingInit, c.ourPendingMsg
+	c.wmu.Unlock()
 	if err != nil {
 		return err
 	}
 
-	var res *kexResult
-	var algs negotiatedAlgs
+	in := exchangeHashInputs{
+		clientVersion: c.localVersion, serverVersion: c.remoteVersion,
+		clientKexInit: ourInit, serverKexInit: theirInit,
+	}
+	client, server := ourMsg, theirMsg
 	if c.isServer {
-		a, err := negotiateAlgs(theirInit, ourInit)
-		if err != nil {
-			return err
-		}
-		algs = a
-		if c.hostKey == nil {
-			return errors.New("sshwire: server rekey without host key")
-		}
-		in := exchangeHashInputs{
-			clientVersion: c.remoteVersion,
-			serverVersion: c.localVersion,
-			clientKexInit: theirInitBytes,
-			serverKexInit: ourInitBytes,
-		}
-		ecdhInit, err := c.readKexPacket()
-		if err != nil {
-			return err
-		}
-		reply, r, err := kexServer(c.hostKey, in, ecdhInit)
-		if err != nil {
-			return err
-		}
-		if err := c.writeKexPacket(reply); err != nil {
-			return err
-		}
-		res = r
-	} else {
-		a, err := negotiateAlgs(ourInit, theirInit)
-		if err != nil {
-			return err
-		}
-		algs = a
-		priv, initPayload, err := kexClientInit()
-		if err != nil {
-			return err
-		}
-		if err := c.writeKexPacket(initPayload); err != nil {
-			return err
-		}
-		replyPayload, err := c.readKexPacket()
-		if err != nil {
-			return err
-		}
-		if replyPayload[0] != MsgKexECDHReply {
-			return fmt.Errorf("sshwire: expected KEX_ECDH_REPLY during rekey, got %s", MsgName(replyPayload[0]))
-		}
-		in := exchangeHashInputs{
-			clientVersion: c.localVersion,
-			serverVersion: c.remoteVersion,
-			clientKexInit: ourInitBytes,
-			serverKexInit: theirInitBytes,
-		}
-		r, err := kexClientFinish(priv, in, replyPayload, c.hostKeyCheck)
-		if err != nil {
-			return err
-		}
-		res = r
+		in.clientVersion, in.serverVersion = in.serverVersion, in.clientVersion
+		in.clientKexInit, in.serverKexInit = in.serverKexInit, in.clientKexInit
+		client, server = server, client
+	}
+	algs, err := negotiateAlgs(client, server)
+	if err != nil {
+		return err
+	}
+	res, err := c.ecdh(in)
+	if err != nil {
+		return err
 	}
 
-	// NEWKEYS both ways; the session ID keeps the FIRST exchange hash.
 	if err := c.writeKexPacket([]byte{MsgNewKeys}); err != nil {
 		return err
 	}
@@ -186,9 +125,15 @@ func (c *Conn) handleRekey(theirInitBytes []byte) error {
 		return err
 	}
 	if nk[0] != MsgNewKeys {
-		return fmt.Errorf("sshwire: expected NEWKEYS during rekey, got %s", MsgName(nk[0]))
+		return fmt.Errorf("sshwire: expected NEWKEYS, got %s", MsgName(nk[0]))
 	}
 
+	first := c.sessionID == nil
+	if first {
+		c.sessionID = res.H
+	}
+	// Direction tags per RFC 4253 section 7.2: client-to-server uses
+	// 'A' (IV), 'C' (key), 'E' (MAC); server-to-client 'B', 'D', 'F'.
 	c2sKey, c2sIV, c2sMAC := directionKeys(res.K, res.H, c.sessionID, algs.c2sCipher, algs.c2sMAC, 'A', 'C', 'E')
 	s2cKey, s2cIV, s2cMAC := directionKeys(res.K, res.H, c.sessionID, algs.s2cCipher, algs.s2cMAC, 'B', 'D', 'F')
 	c2s, err := newCTRCipher(algs.c2sCipher, algs.c2sMAC, c2sKey, c2sIV, c2sMAC)
@@ -207,13 +152,53 @@ func (c *Conn) handleRekey(theirInitBytes []byte) error {
 		c.reader, c.writer = s2c, c2s
 	}
 	c.algs = algs
-	c.hostKeyBlob = bytes.Clone(res.HostKeyBlob)
-	c.rekeys++
-	c.rekeying = false
-	c.ourPendingInit = nil
+	c.hostKeyBlob = res.HostKeyBlob
+	if !first {
+		c.rekeys++
+	}
+	c.ourPendingInit, c.ourPendingMsg = nil, nil
 	c.wcond.Broadcast()
 	c.wmu.Unlock()
 	return nil
+}
+
+// failKex ends a connection whose key exchange failed: it closes it and
+// releases the writers waiting for new keys, whose writes then fail.
+func (c *Conn) failKex() {
+	c.conn.Close()
+	c.wmu.Lock()
+	c.ourPendingInit, c.ourPendingMsg = nil, nil
+	c.wcond.Broadcast()
+	c.wmu.Unlock()
+}
+
+// ecdh runs this side's curve25519-sha256 step over the connection: the
+// server answers the client's KEX_ECDH_INIT, the client sends it and
+// checks the server's reply.
+func (c *Conn) ecdh(in exchangeHashInputs) (*kexResult, error) {
+	if c.isServer {
+		init, err := c.readKexPacket()
+		if err != nil {
+			return nil, err
+		}
+		reply, res, err := kexServer(c.hostKey, in, init)
+		if err != nil {
+			return nil, err
+		}
+		return res, c.writeKexPacket(reply)
+	}
+	priv, init, err := kexClientInit()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.writeKexPacket(init); err != nil {
+		return nil, err
+	}
+	reply, err := c.readKexPacket()
+	if err != nil {
+		return nil, err
+	}
+	return kexClientFinish(priv, in, reply)
 }
 
 // Rekeys reports how many successful re-exchanges have completed.

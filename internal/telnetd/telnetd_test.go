@@ -160,15 +160,15 @@ func TestLoginFailureAndRetry(t *testing.T) {
 }
 
 func TestMaxTriesDisconnect(t *testing.T) {
-	addr := startTelnet(t, func(cfg *Config) { cfg.MaxAuthTries = 2 })
+	addr := startTelnet(t, nil)
 	c := dialTelnet(t, addr)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxAuthTries; i++ {
 		c.readUntil(t, "login: ")
 		c.send(t, "nobody")
 		c.readUntil(t, "Password: ")
 		c.send(t, "nothing")
 	}
-	// Third read should hit connection close.
+	// The next read should hit connection close.
 	tmp := make([]byte, 64)
 	c.nc.SetReadDeadline(time.Now().Add(2 * time.Second))
 	for {

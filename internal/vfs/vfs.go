@@ -158,7 +158,7 @@ func seeded() *FS {
 	for _, d := range []string{
 		"/bin", "/boot", "/dev", "/etc", "/etc/init.d", "/home", "/lib",
 		"/mnt", "/opt", "/proc", "/root", "/run", "/sbin", "/srv", "/sys",
-		"/tmp", "/usr", "/usr/bin", "/usr/sbin", "/var", "/var/run",
+		"/tmp", "/usr", "/usr/bin", "/usr/sbin", "/var", "/var/log", "/var/run",
 		"/var/tmp", "/var/spool", "/var/spool/cron",
 	} {
 		fs.mkdirAllInternal(d, when)
