@@ -1143,9 +1143,7 @@ func cmdXargs(sh *Shell, args []string, stdin string) (string, int) {
 	if len(args) == 0 {
 		return "", 0
 	}
-	full := strings.Join(args, " ") + " " + strings.Join(strings.Fields(stdin), " ")
-	out, exit := sh.eval(full, "")
-	return out, exit
+	return sh.runSimple(append(args[:len(args):len(args)], strings.Fields(stdin)...), "")
 }
 
 // cmdPrintf implements the printf subset droppers use: %s/%d pass-through
@@ -1325,14 +1323,13 @@ func cmdFind(sh *Shell, args []string, _ string) (string, int) {
 	return strings.Join(out, "\n") + "\n", 0
 }
 
-// cmdNohup runs the rest of the line, discarding the "ignoring input"
-// notice real nohup prints.
+// cmdNohup runs its arguments as a command, discarding the "ignoring
+// input" notice real nohup prints.
 func cmdNohup(sh *Shell, args []string, stdin string) (string, int) {
 	if len(args) == 0 {
 		return "nohup: missing operand\n", 125
 	}
-	out, exit := sh.eval(strings.Join(args, " "), stdin)
-	return out, exit
+	return sh.runSimple(args, stdin)
 }
 
 func cmdDmesg(*Shell, []string, string) (string, int) {

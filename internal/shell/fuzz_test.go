@@ -49,6 +49,9 @@ func FuzzShellRun(f *testing.F) {
 		"chmod 700 / /etc /bin/busybox; mv /usr/bin /tmp; rm -rf /etc; mkdir -p /etc/passwd/x",
 		"echo x >> /etc/hosts; cp /etc/passwd /tmp; mv /tmp /tmp/y; mv / /var",
 	}
+	for _, tc := range bashRows {
+		seeds = append(seeds, tc.line)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -65,17 +68,53 @@ func FuzzShellRun(f *testing.F) {
 	})
 }
 
-// FuzzTokenizers covers the lexer layers in isolation.
-func FuzzTokenizers(f *testing.F) {
+// FuzzParse covers the parser in isolation: it never panics, never
+// emits an empty simple command, and consumes every operator and
+// redirect.
+func FuzzParse(f *testing.F) {
 	f.Add(`echo "a b" 'c' \d>>out`)
 	f.Add("a;b&&c||d|e&f\ng")
+	f.Add("echo $(echo a; echo `id`) ${HOME}$? 1>>f &>>g 2>&1 <in")
 	f.Fuzz(func(t *testing.T, text string) {
-		for _, seg := range splitSegments(text) {
-			if strings.TrimSpace(seg.text) == "" {
-				t.Fatal("empty segment emitted")
-			}
-			splitWords(seg.text)
+		if msg := checkParse(parse(text)); msg != "" {
+			t.Fatalf("%q: %s", text, msg)
 		}
 		decodeEchoEscapes(text)
 	})
+}
+
+// checkParse describes the first way a parsed list breaks the parser's
+// promises, or returns "".
+func checkParse(list []pipeline) string {
+	var words []word
+	for _, pl := range list {
+		if len(pl.cmds) == 0 || pl.next == opPipe {
+			return fmt.Sprintf("pipeline %+v", pl)
+		}
+		for _, c := range pl.cmds {
+			if len(c.words) == 0 && c.stdout == nil && c.stderr == nil {
+				return "empty simple command"
+			}
+			words = append(words, c.words...)
+			for _, r := range []*redirect{c.stdout, c.stderr} {
+				if r != nil {
+					words = append(words, r.target)
+				}
+			}
+		}
+	}
+	for _, w := range words {
+		if len(w) == 0 {
+			return "empty word"
+		}
+		for _, pt := range w {
+			if pt.kind == partLit && !pt.quoted && strings.ContainsAny(pt.text, " \t\n;&|<>") {
+				return fmt.Sprintf("unconsumed operator in %q", pt.text)
+			}
+			if msg := checkParse(pt.body); msg != "" {
+				return msg
+			}
+		}
+	}
+	return ""
 }

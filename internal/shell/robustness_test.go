@@ -122,14 +122,10 @@ func TestRootDirectoryIndestructible(t *testing.T) {
 	}
 }
 
-// TestSegmentsAndWordsNeverPanic covers the tokenizers directly.
+// TestSegmentsAndWordsNeverPanic covers the parser directly.
 func TestSegmentsAndWordsNeverPanic(t *testing.T) {
 	f := func(text string) bool {
-		segs := splitSegments(text)
-		for _, s := range segs {
-			splitWords(s.text)
-		}
-		splitWords(text)
+		parse(text)
 		decodeEchoEscapes(text)
 		return true
 	}
@@ -138,17 +134,10 @@ func TestSegmentsAndWordsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestSplitSegmentsNoEmptySegments: the segment splitter never emits
-// empty command texts.
+// TestSplitSegmentsNoEmptySegments: the parser never emits an empty
+// simple command.
 func TestSplitSegmentsNoEmptySegments(t *testing.T) {
-	f := func(text string) bool {
-		for _, s := range splitSegments(text) {
-			if strings.TrimSpace(s.text) == "" {
-				return false
-			}
-		}
-		return true
-	}
+	f := func(text string) bool { return checkParse(parse(text)) == "" }
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
@@ -194,4 +183,37 @@ func TestDoublingFileStopsAtBudget(t *testing.T) {
 		t.Errorf("live heap %d bytes after the session, over the %d-byte budget", ms.HeapAlloc, vfs.Budget)
 	}
 	runtime.KeepAlive(sh)
+}
+
+// TestLineOutputBounded: one line that prints an 8 MiB file 16 times
+// returns at most outputCap bytes, and the live heap after it holds the
+// file and the output, not 128 MiB. A variable doubled past the cap
+// stops at it.
+func TestLineOutputBounded(t *testing.T) {
+	sh := newTestShell()
+	sh.Run("echo 0123456789abcdef0123456789abcde > /tmp/a") // 32 bytes
+	for i := 0; i < 18; i++ {
+		sh.Run("cat /tmp/a /tmp/a > /tmp/b; mv /tmp/b /tmp/a")
+	}
+	n, err := sh.FS.Stat("/tmp/a")
+	if err != nil || n.Size != 8<<20 {
+		t.Fatalf("/tmp/a: %v, %v; want 8 MiB", n, err)
+	}
+	out := sh.Run(strings.Repeat("cat /tmp/a; ", 16))
+	if len(out) > outputCap {
+		t.Errorf("the line returned %d bytes, want at most %d", len(out), outputCap)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if limit := uint64(n.Size) + outputCap + 8<<20; ms.HeapAlloc > limit {
+		t.Errorf("live heap %d MiB after the line, want at most %d MiB", ms.HeapAlloc>>20, limit>>20)
+	}
+	runtime.KeepAlive(out)
+	runtime.KeepAlive(sh)
+
+	sh.Run("X=0123456789abcdef" + strings.Repeat("; X=$X$X", 17)) // 2 MiB unbounded
+	if got := len(sh.Env["X"]); got > outputCap {
+		t.Errorf("$X holds %d bytes, want at most %d", got, outputCap)
+	}
 }

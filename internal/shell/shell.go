@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"net/url"
+	"strconv"
 	"strings"
 
 	"honeynet/internal/session"
@@ -42,6 +43,7 @@ type Shell struct {
 
 	exited bool
 	depth  int
+	status int // the last pipeline's exit status, $?
 }
 
 // New returns a shell over a fresh honeypot filesystem.
@@ -120,50 +122,50 @@ func (sh *Shell) Run(line string) string {
 	if line == "" {
 		return ""
 	}
-	segs := splitSegments(line)
-	sh.commands = append(sh.commands, session.Command{Raw: line, Known: sh.segmentsKnown(segs)})
-	out, _ := sh.evalSegments(segs, "")
+	list := parse(line)
+	sh.commands = append(sh.commands, session.Command{Raw: line, Known: sh.known(list)})
+	out, _ := sh.evalList(list, "")
 	return out
 }
 
-// segmentsKnown reports whether every simple command of a line's
-// segments is emulated.
-func (sh *Shell) segmentsKnown(segs []segment) bool {
-	for _, seg := range segs {
-		pc := splitWords(seg.text)
-		if len(pc.words) == 0 {
-			continue
-		}
-		name := pc.words[0]
-		if !sh.isKnownCommand(name) {
-			return false
+// known reports whether every simple command of a line is emulated,
+// reading each one's first word before expansion.
+func (sh *Shell) known(list []pipeline) bool {
+	for _, pl := range list {
+		for _, c := range pl.cmds {
+			if len(c.words) > 0 && !sh.isKnownCommand(c.words[0].source()) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
+// isKnownCommand reports whether name is emulated: a builtin, or a
+// direct path invocation, which the honeypot "executes" whether or not
+// the file exists.
 func (sh *Shell) isKnownCommand(name string) bool {
-	base := name[strings.LastIndexByte(name, '/')+1:]
-	if _, ok := builtins[base]; ok {
-		return true
-	}
-	// A direct path invocation of an existing file counts as known
-	// (the honeypot "executes" it); a missing file is also handled.
-	if strings.HasPrefix(name, "./") || strings.HasPrefix(name, "/") {
-		return true
-	}
-	return false
+	_, ok := builtins[name[strings.LastIndexByte(name, '/')+1:]]
+	return ok || strings.HasPrefix(name, "./") || strings.HasPrefix(name, "/")
 }
+
+// outputCap bounds what one line keeps: the output eval returns and the
+// bytes a command's expanded arguments hold. Output past it is dropped;
+// the commands still run.
+const outputCap = 1 << 20
+
+// maxDepth bounds how deep eval nests: sh -c and substitutions.
+const maxDepth = 8
 
 // eval runs a full line (sequences, pipelines) with the given stdin and
 // returns (output, exitStatus).
 func (sh *Shell) eval(line, stdin string) (string, int) {
-	return sh.evalSegments(splitSegments(line), stdin)
+	return sh.evalList(parse(line), stdin)
 }
 
-// evalSegments is eval of a line already split into segments.
-func (sh *Shell) evalSegments(segs []segment, stdin string) (string, int) {
-	if sh.depth > 8 {
+// evalList is eval of a parsed line.
+func (sh *Shell) evalList(list []pipeline, stdin string) (string, int) {
+	if sh.depth > maxDepth {
 		return "", 1
 	}
 	sh.depth++
@@ -171,61 +173,46 @@ func (sh *Shell) evalSegments(segs []segment, stdin string) (string, int) {
 
 	var out strings.Builder
 	lastExit := 0
-	i := 0
-	for i < len(segs) {
-		// Collect a pipeline: segments joined by opPipe.
-		j := i
-		for j < len(segs) && segs[j].next == opPipe {
-			j++
-		}
-		pipeline := segs[i : j+1]
-
-		// Honor && / || using the PREVIOUS segment's operator.
-		runIt := true
-		if i > 0 {
-			switch segs[i-1].next {
-			case opAnd:
-				runIt = lastExit == 0
-			case opOr:
-				runIt = lastExit != 0
-			}
-		}
+	prev := opSeq
+	for _, pl := range list {
+		// && and || read the status of the last pipeline that ran.
+		runIt := prev == opSeq || (prev == opAnd) == (lastExit == 0)
 		if runIt && !sh.exited {
-			pout, pexit := sh.runPipeline(pipeline, stdin)
-			out.WriteString(pout)
-			lastExit = pexit
+			pout, pexit := sh.runPipeline(pl.cmds, stdin)
+			out.WriteString(pout[:min(len(pout), outputCap-out.Len())])
+			lastExit, sh.status = pexit, pexit
 		}
-		i = j + 1
+		prev = pl.next
 	}
 	return out.String(), lastExit
 }
 
-// runPipeline executes the segments of one pipeline, feeding each
+// runPipeline executes the commands of one pipeline, feeding each
 // command's output to the next command's stdin.
-func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
+func (sh *Shell) runPipeline(cmds []command, stdin string) (string, int) {
 	cur := stdin
 	exit := 0
-	for _, seg := range segs {
-		pc := splitWords(sh.expand(seg.text))
-		if len(pc.words) == 0 {
+	for _, c := range cmds {
+		args := sh.fields(c.words)
+		if len(args) == 0 {
 			continue
 		}
-		out, e := sh.runSimple(pc, cur)
+		out, e := sh.runSimple(args, cur)
 		exit = e
 		redirected := false
-		if pc.stderr != nil {
+		if c.stderr != nil {
 			// The shell keeps one output stream; its own error text
 			// ("-bash: …") is the part known to be standard error.
 			errText := ""
 			if strings.HasPrefix(out, "-bash: ") {
 				errText, out = out, ""
 			}
-			if msg := sh.applyRedirect(pc.stderr, pc.words[0], errText); msg != "" {
+			if msg := sh.applyRedirect(c.stderr, args[0], errText); msg != "" {
 				out, exit, redirected = msg, 1, true
 			}
 		}
-		if pc.redir != nil && !redirected {
-			if out = sh.applyRedirect(pc.redir, pc.words[0], out); out != "" {
+		if c.stdout != nil && !redirected {
+			if out = sh.applyRedirect(c.stdout, args[0], out); out != "" {
 				exit = 1
 			}
 		}
@@ -234,22 +221,77 @@ func (sh *Shell) runPipeline(segs []segment, stdin string) (string, int) {
 	return cur, exit
 }
 
+// fields turns words into arguments. A variable, $? or substitution
+// takes its value, and an unquoted value splits into fields at blanks
+// and newlines; nothing is lexed again. The arguments hold at most
+// outputCap bytes.
+func (sh *Shell) fields(words []word) []string {
+	args := make([]string, 0, len(words))
+	room := outputCap
+	for _, w := range words {
+		if len(w) == 1 && w[0].kind == partLit {
+			t := w[0].text[:min(len(w[0].text), room)]
+			room -= len(t)
+			args = append(args, t)
+			continue
+		}
+		var f strings.Builder
+		started := false // f holds a field, perhaps an empty quoted one
+		for _, pt := range w {
+			v := pt.text
+			switch pt.kind {
+			case partVar:
+				v = sh.Env[pt.text]
+			case partStatus:
+				v = strconv.Itoa(sh.status)
+			case partSubst:
+				out, _ := sh.evalList(pt.body, "")
+				v = strings.TrimRight(out, "\n")
+			}
+			v = v[:min(len(v), room)]
+			room -= len(v)
+			if pt.kind == partLit || pt.quoted {
+				f.WriteString(v)
+				started = true
+				continue
+			}
+			for i := strings.IndexAny(v, " \t\n"); i >= 0; i = strings.IndexAny(v, " \t\n") {
+				f.WriteString(v[:i])
+				if started || i > 0 {
+					args = append(args, f.String())
+					f.Reset()
+				}
+				started, v = false, v[i+1:]
+			}
+			if v != "" {
+				f.WriteString(v)
+				started = true
+			}
+		}
+		if started {
+			args = append(args, f.String())
+		}
+	}
+	return args
+}
+
 // applyRedirect writes content to the redirect's target for the command
 // name and returns what the terminal shows: nothing, or bash's message
 // for a refused write. It asks the vfs whether the write can go through
 // before it copies content, so a refused write costs no copy.
 func (sh *Shell) applyRedirect(r *redirect, name, content string) string {
+	target := strings.Join(sh.fields([]word{r.target}), " ")
 	size := int64(len(content))
 	if r.append {
-		if old, err := sh.FS.ReadFile(r.target); err == nil {
+		if old, err := sh.FS.ReadFile(target); err == nil {
 			size += int64(len(old))
 		}
 	}
-	err := sh.FS.CanWrite(r.target, size)
+	err := sh.FS.CanWrite(target, size)
 	if err == nil && r.append {
-		err = sh.FS.AppendFile(r.target, []byte(content))
+		err = sh.FS.AppendFile(target, []byte(content))
 	} else if err == nil {
-		err = sh.FS.WriteFile(r.target, []byte(content))
+		err = sh.FS.WriteFile(target, []byte(content))
 	}
 	switch {
 	case err == nil:
@@ -257,7 +299,7 @@ func (sh *Shell) applyRedirect(r *redirect, name, content string) string {
 	case errors.Is(err, vfs.ErrNoSpace):
 		return name + ": write error: No space left on device\n"
 	}
-	return "-bash: " + r.target + ": " + strerror(err) + "\n"
+	return "-bash: " + target + ": " + strerror(err) + "\n"
 }
 
 // strerror is bash's text for a vfs error other than ErrNoSpace.
@@ -271,104 +313,9 @@ func strerror(err error) string {
 	return "No such file or directory"
 }
 
-// expand performs $VAR / ${VAR} expansion and $(...) / backtick command
-// substitution outside single quotes.
-func (sh *Shell) expand(text string) string {
-	// Command substitution first.
-	text = sh.substituteCommands(text)
-
-	var b strings.Builder
-	inSingle := false
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		switch {
-		case c == '\'':
-			inSingle = !inSingle
-			b.WriteByte(c)
-		case c == '$' && !inSingle && i+1 < len(text):
-			name, consumed := parseVarName(text[i+1:])
-			if consumed == 0 {
-				b.WriteByte(c)
-				continue
-			}
-			b.WriteString(sh.Env[name])
-			i += consumed
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-func parseVarName(s string) (string, int) {
-	if s == "" {
-		return "", 0
-	}
-	if s[0] == '{' {
-		end := strings.IndexByte(s, '}')
-		if end < 0 {
-			return "", 0
-		}
-		return s[1:end], end + 1
-	}
-	n := 0
-	for n < len(s) && (isAlnum(s[n]) || s[n] == '_') {
-		n++
-	}
-	if n == 0 {
-		return "", 0
-	}
-	return s[:n], n
-}
-
-func isAlnum(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-// substituteCommands replaces $(cmd) and `cmd` with the command output.
-func (sh *Shell) substituteCommands(text string) string {
-	for iter := 0; iter < 4; iter++ {
-		start := strings.Index(text, "$(")
-		if start >= 0 {
-			depth := 0
-			end := -1
-			for i := start + 2; i < len(text); i++ {
-				if text[i] == '(' {
-					depth++
-				} else if text[i] == ')' {
-					if depth == 0 {
-						end = i
-						break
-					}
-					depth--
-				}
-			}
-			if end < 0 {
-				break
-			}
-			inner, _ := sh.eval(text[start+2:end], "")
-			text = text[:start] + strings.TrimRight(inner, "\n") + text[end+1:]
-			continue
-		}
-		tick := strings.IndexByte(text, '`')
-		if tick >= 0 {
-			end := strings.IndexByte(text[tick+1:], '`')
-			if end < 0 {
-				break
-			}
-			inner, _ := sh.eval(text[tick+1:tick+1+end], "")
-			text = text[:tick] + strings.TrimRight(inner, "\n") + text[tick+2+end:]
-			continue
-		}
-		break
-	}
-	return text
-}
-
 // runSimple executes one simple command.
-func (sh *Shell) runSimple(pc parsedCmd, stdin string) (string, int) {
-	name := pc.words[0]
-	args := pc.words[1:]
+func (sh *Shell) runSimple(words []string, stdin string) (string, int) {
+	name, args := words[0], words[1:]
 	base := name[strings.LastIndexByte(name, '/')+1:]
 
 	// VAR=value assignments.
@@ -378,8 +325,6 @@ func (sh *Shell) runSimple(pc parsedCmd, stdin string) (string, int) {
 	}
 
 	if fn, ok := builtins[base]; ok {
-		// Path-qualified invocations must reference a real binary, except
-		// for the well-known locations bots use blindly.
 		return fn(sh, args, stdin)
 	}
 
@@ -422,7 +367,7 @@ func (sh *Shell) fetch(uri, saveAs string) (content []byte, hash string, err err
 				hash = h
 			}
 		} else {
-			dl.Hash = vfsHash(content)
+			dl.Hash = vfs.HashBytes(content)
 			hash = dl.Hash
 		}
 		dl.Size = int64(len(content))
@@ -430,8 +375,6 @@ func (sh *Shell) fetch(uri, saveAs string) (content []byte, hash string, err err
 	sh.downloads = append(sh.downloads, dl)
 	return content, hash, err
 }
-
-func vfsHash(b []byte) string { return vfs.HashBytes(b) }
 
 // hostIPFromURI returns the host portion of a URI when it is an IP
 // literal, else the hostname.

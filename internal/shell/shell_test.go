@@ -198,6 +198,15 @@ func TestRedirectionsCreateFiles(t *testing.T) {
 	if !sh.FS.Exists("/tmp/b.txt") {
 		t.Error(">file without space must work")
 	}
+	// 1>> and &>> append like >>.
+	sh.Run(`echo x 1>>/tmp/f; echo y 1>>/tmp/f`)
+	if content, _ = sh.FS.ReadFile("/tmp/f"); string(content) != "x\ny\n" {
+		t.Errorf("1>> = %q", content)
+	}
+	sh.Run(`echo x &>>/tmp/g; echo y &>>/tmp/g`)
+	if content, _ = sh.FS.ReadFile("/tmp/g"); string(content) != "x\ny\n" {
+		t.Errorf("&>> = %q", content)
+	}
 	// Clearing a file: "echo > /etc/hosts.deny" (the mdrfckr variant).
 	sh.Run(`echo > /etc/hosts.deny`)
 	content, _ = sh.FS.ReadFile("/etc/hosts.deny")
@@ -277,6 +286,34 @@ func TestVariableAndCommandSubstitution(t *testing.T) {
 	sh.Run(`BAZ=qux`)
 	if out := sh.Run(`echo $BAZ`); out != "qux\n" {
 		t.Errorf("assignment = %q", out)
+	}
+}
+
+// bashRows are lines whose output bash was run to produce: quoting,
+// substitution, expansion, wrapped commands and $?.
+var bashRows = []struct{ line, want string }{
+	{`echo '$(id)'`, "$(id)\n"},
+	{"echo '`id`'", "`id`\n"},
+	{`echo $(echo a; echo b)`, "a b\n"},
+	{`echo $(echo a | tr a b)`, "b\n"},
+	{`X='>/tmp/h'; echo $X; cat /tmp/h`, ">/tmp/h\ncat: /tmp/h: No such file or directory\n"},
+	{`nohup sh -c "echo a; echo b"`, "a\nb\n"},
+	{`setsid sh -c "echo a; echo b"`, "a\nb\n"},
+	{`echo x | xargs echo 'a;b'`, "a;b x\n"},
+	{`echo x 1>>/tmp/f; echo y 1>>/tmp/f; cat /tmp/f`, "x\ny\n"},
+	{`echo x &>>/tmp/g; echo y &>>/tmp/g; cat /tmp/g`, "x\ny\n"},
+	{`nosuch >/dev/null 2>&1; echo $?`, "127\n"},
+	{`true; echo $?`, "0\n"},
+	{`false || echo $?`, "1\n"},
+	{`X='a;id'; echo $X`, "a;id\n"},
+}
+
+// TestParseMatchesBash runs each of bashRows in a fresh shell.
+func TestParseMatchesBash(t *testing.T) {
+	for _, tc := range bashRows {
+		if got := newTestShell().Run(tc.line); got != tc.want {
+			t.Errorf("%s: printed %q, bash prints %q", tc.line, got, tc.want)
+		}
 	}
 }
 
@@ -444,34 +481,50 @@ func TestEchoHexDropELF(t *testing.T) {
 	}
 }
 
+// commandsOf flattens a parsed line into its simple commands, each with
+// the operator after it (opPipe inside a pipeline).
+func commandsOf(list []pipeline) (cmds []command, ops []opKind) {
+	for _, pl := range list {
+		for i, c := range pl.cmds {
+			cmds = append(cmds, c)
+			if i < len(pl.cmds)-1 {
+				ops = append(ops, opPipe)
+			} else {
+				ops = append(ops, pl.next)
+			}
+		}
+	}
+	return cmds, ops
+}
+
 func TestSplitSegments(t *testing.T) {
-	segs := splitSegments(`a && b || c; d | e`)
-	if len(segs) != 5 {
-		t.Fatalf("segments = %+v", segs)
+	cmds, ops := commandsOf(parse(`a && b || c; d | e`))
+	if len(cmds) != 5 {
+		t.Fatalf("commands = %+v", cmds)
 	}
 	wantOps := []opKind{opAnd, opOr, opSeq, opPipe, opSeq}
 	wantText := []string{"a", "b", "c", "d", "e"}
-	for i, s := range segs {
-		if s.text != wantText[i] || s.next != wantOps[i] {
-			t.Errorf("seg %d = %+v", i, s)
+	for i, c := range cmds {
+		if len(c.words) != 1 || c.words[0].source() != wantText[i] || ops[i] != wantOps[i] {
+			t.Errorf("command %d = %+v, op %v", i, c, ops[i])
 		}
 	}
 	// Quoted operators are literal.
-	segs = splitSegments(`echo "a && b"`)
-	if len(segs) != 1 {
-		t.Errorf("quoted operator split: %+v", segs)
+	cmds, _ = commandsOf(parse(`echo "a && b"`))
+	if len(cmds) != 1 {
+		t.Errorf("quoted operator split: %+v", cmds)
 	}
 }
 
 func TestSplitWordsQuoting(t *testing.T) {
-	pc := splitWords(`echo "hello world" 'single quoted' plain`)
+	cmds, _ := commandsOf(parse(`echo "hello world" 'single quoted' plain`))
 	want := []string{"echo", "hello world", "single quoted", "plain"}
-	if len(pc.words) != len(want) {
-		t.Fatalf("words = %v", pc.words)
+	if len(cmds) != 1 || len(cmds[0].words) != len(want) {
+		t.Fatalf("commands = %+v", cmds)
 	}
 	for i := range want {
-		if pc.words[i] != want[i] {
-			t.Errorf("word %d = %q, want %q", i, pc.words[i], want[i])
+		if got := cmds[0].words[i].source(); got != want[i] {
+			t.Errorf("word %d = %q, want %q", i, got, want[i])
 		}
 	}
 }
