@@ -13,8 +13,9 @@ import (
 )
 
 // builtinFunc executes one emulated command: args (no command name),
-// stdin text; returns stdout text and exit status.
-type builtinFunc func(sh *Shell, args []string, stdin string) (string, int)
+// stdin text; it writes through the shell's fd table (print, fail) and
+// returns its exit status.
+type builtinFunc func(sh *Shell, args []string, stdin string) int
 
 // builtins maps command base names to their emulations. This is the
 // honeypot's "known command" set; anything else is recorded as unknown.
@@ -22,33 +23,35 @@ var builtins map[string]builtinFunc
 
 func init() {
 	builtins = map[string]builtinFunc{
-		"cd":        cmdCd,
-		"pwd":       cmdPwd,
-		"ls":        cmdLs,
-		"echo":      cmdEcho,
-		"cat":       cmdCat,
-		"rm":        cmdRm,
-		"mkdir":     cmdMkdir,
-		"cp":        cmdCp,
-		"mv":        cmdMv,
-		"chmod":     cmdChmod,
-		"chown":     cmdOk,
-		"chattr":    cmdOk,
-		"touch":     cmdTouch,
-		"wget":      cmdWget,
-		"curl":      cmdCurl,
-		"tftp":      cmdTftp,
-		"ftpget":    cmdFtpget,
-		"uname":     cmdUname,
-		"id":        cmdId,
-		"whoami":    cmdWhoami,
-		"hostname":  cmdHostname,
-		"nproc":     cmdNproc,
-		"uptime":    cmdUptime,
-		"w":         cmdW,
+		"cd":       cmdCd,
+		"pwd":      func(sh *Shell, _ []string, _ string) int { return sh.print(sh.FS.Cwd() + "\n") },
+		"ls":       cmdLs,
+		"echo":     cmdEcho,
+		"cat":      cmdCat,
+		"rm":       cmdRm,
+		"mkdir":    cmdMkdir,
+		"cp":       cmdCp,
+		"mv":       cmdMv,
+		"chmod":    cmdChmod,
+		"chown":    cmdOk,
+		"chattr":   cmdOk,
+		"touch":    cmdTouch,
+		"wget":     cmdWget,
+		"curl":     cmdCurl,
+		"tftp":     cmdTftp,
+		"ftpget":   cmdFtpget,
+		"uname":    cmdUname,
+		"id":       text("uid=0(root) gid=0(root) groups=0(root)\n"),
+		"whoami":   func(sh *Shell, _ []string, _ string) int { return sh.print(sh.User + "\n") },
+		"hostname": func(sh *Shell, _ []string, _ string) int { return sh.print(sh.Hostname + "\n") },
+		"nproc":    text("2\n"),
+		"uptime":   text(uptime),
+		"w": text(uptime +
+			"USER     TTY      FROM             LOGIN@   IDLE   JCPU   PCPU WHAT\n" +
+			"root     pts/0    203.0.113.7      11:52    0.00s  0.00s  0.00s w\n"),
 		"free":      cmdFree,
-		"ps":        cmdPs,
-		"top":       cmdTop,
+		"ps":        text("  PID TTY          TIME CMD\n    1 ?        00:00:02 systemd\n  612 ?        00:00:00 sshd\n 1028 pts/0    00:00:00 bash\n 1243 pts/0    00:00:00 ps\n"),
+		"top":       text("top -" + uptime + "Tasks:  81 total,   1 running,  80 sleeping,   0 stopped,   0 zombie\n%Cpu(s):  0.3 us,  0.3 sy,  0.0 ni, 99.3 id,  0.0 wa,  0.0 hi,  0.0 si,  0.0 st\n"),
 		"kill":      cmdOk,
 		"pkill":     cmdOk,
 		"killall":   cmdOk,
@@ -62,16 +65,16 @@ func init() {
 		"grep":      cmdGrep,
 		"egrep":     cmdGrep,
 		"wc":        cmdWc,
-		"head":      cmdHead,
-		"tail":      cmdTail,
+		"head":      func(sh *Shell, args []string, stdin string) int { return headTail(sh, args, stdin, true) },
+		"tail":      func(sh *Shell, args []string, stdin string) int { return headTail(sh, args, stdin, false) },
 		"sort":      cmdSort,
 		"history":   cmdHistory,
-		"lscpu":     cmdLscpu,
-		"df":        cmdDf,
-		"mount":     cmdMount,
-		"ifconfig":  cmdIfconfig,
+		"lscpu":     text("Architecture:        x86_64\nCPU op-mode(s):      32-bit, 64-bit\nByte Order:          Little Endian\nCPU(s):              2\nVendor ID:           GenuineIntel\nModel name:          Intel(R) Xeon(R) CPU E5-2686 v4 @ 2.30GHz\n"),
+		"df":        text("Filesystem     1K-blocks    Used Available Use% Mounted on\n/dev/sda1       20509264 3524204  15920196  19% /\ntmpfs            1024000       0   1024000   0% /dev/shm\n"),
+		"mount":     text("/dev/sda1 on / type ext4 (rw,relatime,errors=remount-ro)\nproc on /proc type proc (rw,nosuid,nodev,noexec,relatime)\n"),
+		"ifconfig":  text("eth0: flags=4163<UP,BROADCAST,RUNNING,MULTICAST>  mtu 1500\n        inet 192.168.1.105  netmask 255.255.255.0  broadcast 192.168.1.255\n        ether 52:54:00:2f:35:a1  txqueuelen 1000  (Ethernet)\n"),
 		"ip":        cmdIp,
-		"netstat":   cmdNetstat,
+		"netstat":   text("Active Internet connections (servers and established)\nProto Recv-Q Send-Q Local Address           Foreign Address         State\ntcp        0      0 0.0.0.0:22              0.0.0.0:*               LISTEN\n"),
 		"sleep":     cmdOk,
 		"sync":      cmdOk,
 		"ulimit":    cmdOk,
@@ -92,49 +95,62 @@ func init() {
 		"exit":      cmdExit,
 		"logout":    cmdExit,
 		"su":        cmdOk,
-		"last":      cmdLast,
-		"lspci":     cmdLspci,
+		"last":      text("root     pts/0        203.0.113.7      Mon Jan  1 11:50   still logged in\nreboot   system boot  5.10.0-8-amd64   Mon Dec 18 08:10   still running\n"),
+		"lspci":     text("00:00.0 Host bridge: Intel Corporation 440FX - 82441FX PMC [Natoma]\n00:03.0 Ethernet controller: Red Hat, Inc. Virtio network device\n"),
 		"openssl":   cmdOpenssl,
 		"awk":       cmdAwk,
 		"tr":        cmdTr,
 		"cut":       cmdCut,
 		"xargs":     cmdXargs,
 		"true":      cmdOk,
-		"false":     func(*Shell, []string, string) (string, int) { return "", 1 },
-		"uptime2":   cmdUptime,
+		"false":     func(*Shell, []string, string) int { return 1 },
+		"uptime2":   text(uptime),
+		"printf":    cmdPrintf,
+		"env":       cmdEnv,
+		"ln":        cmdLn,
+		"stat":      cmdStat,
+		"file":      cmdFile,
+		"find":      cmdFind,
+		"nohup":     cmdNohup,
+		"setsid":    cmdNohup,
+		"dmesg":     text("[    0.000000] Linux version 5.10.0-8-amd64 (debian-kernel@lists.debian.org)\n[    0.004000] Command line: BOOT_IMAGE=/boot/vmlinuz-5.10.0-8-amd64 root=/dev/sda1 ro quiet\n"),
+		"route":     text("Kernel IP routing table\nDestination     Gateway         Genmask         Flags Metric Ref    Use Iface\ndefault         192.168.1.1     0.0.0.0         UG    0      0        0 eth0\n192.168.1.0     0.0.0.0         255.255.255.0   U     0      0        0 eth0\n"),
+		"arp":       text("Address                  HWtype  HWaddress           Flags Mask            Iface\n192.168.1.1              ether   00:1a:2b:3c:4d:5e   C                     eth0\n"),
+		// A fixed plausible timestamp: the honeypot must not leak wall
+		// time drift between sessions.
+		"date": text("Mon Jan  1 11:52:43 UTC 2024\n"),
 	}
 }
 
-func cmdOk(*Shell, []string, string) (string, int) { return "", 0 }
+// uptime is the load line of uptime, w and top.
+const uptime = " 11:52:43 up 12 days,  3:42,  1 user,  load average: 0.08, 0.02, 0.01\n"
 
-func cmdCd(sh *Shell, args []string, _ string) (string, int) {
+// text is a builtin that prints fixed text.
+func text(s string) builtinFunc {
+	return func(sh *Shell, _ []string, _ string) int { return sh.print(s) }
+}
+
+func cmdOk(sh *Shell, _ []string, _ string) int { return 0 }
+
+func cmdCd(sh *Shell, args []string, _ string) int {
 	target := "/root"
 	if len(args) > 0 {
 		target = args[0]
 	}
 	if err := sh.FS.Chdir(target); err != nil {
-		return fmt.Sprintf("-bash: cd: %s: No such file or directory\n", target), 1
+		return sh.fail(1, "-bash: cd: %s: No such file or directory\n", target)
 	}
 	sh.Env["PWD"] = sh.FS.Cwd()
-	return "", 0
+	return 0
 }
 
-func cmdPwd(sh *Shell, _ []string, _ string) (string, int) {
-	return sh.FS.Cwd() + "\n", 0
-}
-
-func cmdLs(sh *Shell, args []string, _ string) (string, int) {
-	long := false
-	all := false
+func cmdLs(sh *Shell, args []string, _ string) int {
+	long, all := false, false
 	var paths []string
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
-			if strings.Contains(a, "l") {
-				long = true
-			}
-			if strings.Contains(a, "a") {
-				all = true
-			}
+			long = long || strings.Contains(a, "l")
+			all = all || strings.Contains(a, "a")
 			continue
 		}
 		paths = append(paths, a)
@@ -142,13 +158,11 @@ func cmdLs(sh *Shell, args []string, _ string) (string, int) {
 	if len(paths) == 0 {
 		paths = []string{sh.FS.Cwd()}
 	}
-	var b strings.Builder
 	exit := 0
 	for _, p := range paths {
 		nodes, err := sh.FS.List(p)
 		if err != nil {
-			fmt.Fprintf(&b, "ls: cannot access '%s': No such file or directory\n", p)
-			exit = 2
+			exit = sh.fail(2, "ls: cannot access '%s': No such file or directory\n", p)
 			continue
 		}
 		for _, n := range nodes {
@@ -160,34 +174,29 @@ func cmdLs(sh *Shell, args []string, _ string) (string, int) {
 				if n.Dir {
 					kind = "d"
 				}
-				fmt.Fprintf(&b, "%srwxr-xr-x 1 root root %8d %s %s\n",
+				fmt.Fprintf(sh.fd[1], "%srwxr-xr-x 1 root root %8d %s %s\n",
 					kind, n.Size, n.ModTime.Format("Jan _2 15:04"), n.Name)
 			} else {
-				b.WriteString(n.Name)
-				b.WriteByte('\n')
+				sh.print(n.Name + "\n")
 			}
 		}
 	}
-	return b.String(), exit
+	return exit
 }
 
-func cmdEcho(sh *Shell, args []string, _ string) (string, int) {
-	interpret := false
-	newline := true
-	i := 0
-	for i < len(args) && strings.HasPrefix(args[i], "-") {
+func cmdEcho(sh *Shell, args []string, _ string) int {
+	interpret, newline, i := false, true, 0
+	for ; i < len(args); i++ {
 		switch args[i] {
 		case "-e":
 			interpret = true
 		case "-n":
 			newline = false
 		case "-ne", "-en":
-			interpret = true
-			newline = false
+			interpret, newline = true, false
 		default:
 			goto done
 		}
-		i++
 	}
 done:
 	out := strings.Join(args[i:], " ")
@@ -197,52 +206,38 @@ done:
 	if newline {
 		out += "\n"
 	}
-	return out, 0
+	return sh.print(out)
 }
 
-func cmdCat(sh *Shell, args []string, stdin string) (string, int) {
+func cmdCat(sh *Shell, args []string, stdin string) int {
 	if len(args) == 0 {
-		return stdin, 0
+		return sh.print(stdin)
 	}
-	// The output is sized before it is built, so it is allocated once.
-	parts := make([][]byte, 0, len(args))
-	size, exit := 0, 0
+	exit := 0
 	for _, p := range args {
 		if strings.HasPrefix(p, "-") {
 			continue
 		}
-		content, err := sh.FS.ReadFile(p)
-		if err != nil {
-			content = fmt.Appendf(nil, "cat: %s: %s\n", p, strerror(err))
-			exit = 1
+		if content, err := sh.FS.ReadFile(p); err != nil {
+			exit = sh.fail(1, "cat: %s: %s\n", p, strerror(err))
+		} else {
+			sh.fd[1].Write(content)
 		}
-		parts = append(parts, content)
-		size += len(content)
 	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, c := range parts {
-		b.Write(c)
-	}
-	return b.String(), exit
+	return exit
 }
 
-func cmdRm(sh *Shell, args []string, _ string) (string, int) {
+func cmdRm(sh *Shell, args []string, _ string) int {
 	recursive, force := false, false
 	var paths []string
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
-			if strings.Contains(a, "r") || strings.Contains(a, "R") {
-				recursive = true
-			}
-			if strings.Contains(a, "f") {
-				force = true
-			}
+			recursive = recursive || strings.ContainsAny(a, "rR")
+			force = force || strings.Contains(a, "f")
 			continue
 		}
 		paths = append(paths, a)
 	}
-	var b strings.Builder
 	exit := 0
 	for _, p := range paths {
 		if strings.ContainsAny(p, "*?") {
@@ -251,11 +246,10 @@ func cmdRm(sh *Shell, args []string, _ string) (string, int) {
 			continue
 		}
 		if err := sh.FS.Remove(p, recursive); err != nil && !force {
-			fmt.Fprintf(&b, "rm: cannot remove '%s': No such file or directory\n", p)
-			exit = 1
+			exit = sh.fail(1, "rm: cannot remove '%s': No such file or directory\n", p)
 		}
 	}
-	return b.String(), exit
+	return exit
 }
 
 // removeGlob deletes children matching a trailing-star pattern like
@@ -297,37 +291,28 @@ func matchStar(pattern, name string) bool {
 	return strings.HasSuffix(name, parts[len(parts)-1])
 }
 
-func cmdMkdir(sh *Shell, args []string, _ string) (string, int) {
+func cmdMkdir(sh *Shell, args []string, _ string) int {
 	parents := false
 	var paths []string
 	for _, a := range args {
 		if a == "-p" {
 			parents = true
-			continue
+		} else if !strings.HasPrefix(a, "-") {
+			paths = append(paths, a)
 		}
-		if strings.HasPrefix(a, "-") {
-			continue
-		}
-		paths = append(paths, a)
 	}
-	var b strings.Builder
 	exit := 0
 	for _, p := range paths {
-		var err error
 		if parents {
-			err = sh.FS.MkdirAll(p)
-		} else {
-			err = sh.FS.Mkdir(p)
-		}
-		if err != nil && !parents {
-			fmt.Fprintf(&b, "mkdir: cannot create directory '%s': File exists\n", p)
-			exit = 1
+			_ = sh.FS.MkdirAll(p)
+		} else if err := sh.FS.Mkdir(p); err != nil {
+			exit = sh.fail(1, "mkdir: cannot create directory '%s': %s\n", p, strerror(err))
 		}
 	}
-	return b.String(), exit
+	return exit
 }
 
-func cmdCp(sh *Shell, args []string, _ string) (string, int) {
+func cmdCp(sh *Shell, args []string, _ string) int {
 	var paths []string
 	for _, a := range args {
 		if !strings.HasPrefix(a, "-") {
@@ -335,23 +320,23 @@ func cmdCp(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if len(paths) < 2 {
-		return "cp: missing file operand\n", 1
+		return sh.fail(1, "cp: missing file operand\n")
 	}
 	content, err := sh.FS.ReadFile(paths[0])
 	if err != nil {
-		return fmt.Sprintf("cp: cannot stat '%s': No such file or directory\n", paths[0]), 1
+		return sh.fail(1, "cp: cannot stat '%s': No such file or directory\n", paths[0])
 	}
 	dst := paths[len(paths)-1]
 	if n, err := sh.FS.Stat(dst); err == nil && n.Dir {
 		dst = dst + "/" + paths[0][strings.LastIndexByte(paths[0], '/')+1:]
 	}
 	if errors.Is(sh.FS.WriteFile(dst, content), vfs.ErrNoSpace) {
-		return fmt.Sprintf("cp: error writing '%s': No space left on device\n", dst), 1
+		return sh.fail(1, "cp: error writing '%s': No space left on device\n", dst)
 	}
-	return "", 0
+	return 0
 }
 
-func cmdMv(sh *Shell, args []string, _ string) (string, int) {
+func cmdMv(sh *Shell, args []string, _ string) int {
 	var paths []string
 	for _, a := range args {
 		if !strings.HasPrefix(a, "-") {
@@ -359,27 +344,27 @@ func cmdMv(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if len(paths) < 2 {
-		return "mv: missing file operand\n", 1
+		return sh.fail(1, "mv: missing file operand\n")
 	}
 	src, dst := paths[0], paths[1]
 	err := sh.FS.Rename(src, dst)
 	switch {
 	case err == nil:
-		return "", 0
+		return 0
 	case errors.Is(err, vfs.ErrPermission):
 		// Rename puts a node moved onto a directory inside it.
 		if n, err := sh.FS.Stat(dst); err == nil && n.Dir {
 			dst = strings.TrimSuffix(dst, "/") + "/" + path.Base(src)
 		}
-		return fmt.Sprintf("mv: cannot move '%s' to a subdirectory of itself, '%s'\n", src, dst), 1
+		return sh.fail(1, "mv: cannot move '%s' to a subdirectory of itself, '%s'\n", src, dst)
 	}
 	if _, err := sh.FS.Stat(src); err != nil {
-		return fmt.Sprintf("mv: cannot stat '%s': No such file or directory\n", src), 1
+		return sh.fail(1, "mv: cannot stat '%s': No such file or directory\n", src)
 	}
-	return fmt.Sprintf("mv: cannot move '%s' to '%s': No such file or directory\n", src, dst), 1
+	return sh.fail(1, "mv: cannot move '%s' to '%s': No such file or directory\n", src, dst)
 }
 
-func cmdChmod(sh *Shell, args []string, _ string) (string, int) {
+func cmdChmod(sh *Shell, args []string, _ string) int {
 	var paths []string
 	mode := uint32(0o755)
 	for _, a := range args {
@@ -395,18 +380,16 @@ func cmdChmod(sh *Shell, args []string, _ string) (string, int) {
 		}
 		paths = append(paths, a)
 	}
-	var b strings.Builder
 	exit := 0
 	for _, p := range paths {
 		if err := sh.FS.Chmod(p, mode); err != nil {
-			fmt.Fprintf(&b, "chmod: cannot access '%s': No such file or directory\n", p)
-			exit = 1
+			exit = sh.fail(1, "chmod: cannot access '%s': No such file or directory\n", p)
 		}
 	}
-	return b.String(), exit
+	return exit
 }
 
-func cmdTouch(sh *Shell, args []string, _ string) (string, int) {
+func cmdTouch(sh *Shell, args []string, _ string) int {
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
 			continue
@@ -415,10 +398,10 @@ func cmdTouch(sh *Shell, args []string, _ string) (string, int) {
 			_ = sh.FS.WriteFile(a, nil)
 		}
 	}
-	return "", 0
+	return 0
 }
 
-func cmdWget(sh *Shell, args []string, _ string) (string, int) {
+func cmdWget(sh *Shell, args []string, _ string) int {
 	var uri, output string
 	quiet := false
 	for i := 0; i < len(args); i++ {
@@ -439,7 +422,7 @@ func cmdWget(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if uri == "" {
-		return "wget: missing URL\n", 1
+		return sh.fail(1, "wget: missing URL\n")
 	}
 	if !strings.Contains(uri, "://") {
 		uri = "http://" + uri
@@ -449,12 +432,12 @@ func cmdWget(sh *Shell, args []string, _ string) (string, int) {
 	}
 	_, _, err := sh.fetch(uri, output)
 	if err != nil {
-		return fmt.Sprintf("wget: unable to resolve host address\n"), 4
+		return sh.fail(4, "wget: unable to resolve host address\n")
 	}
 	if quiet {
-		return "", 0
+		return 0
 	}
-	return fmt.Sprintf("--2024-01-01 00:00:00--  %s\nHTTP request sent, awaiting response... 200 OK\nSaving to: '%s'\n\n%s saved\n", uri, output, output), 0
+	return sh.fail(0, "--2024-01-01 00:00:00--  %s\nHTTP request sent, awaiting response... 200 OK\nSaving to: '%s'\n\n%s saved\n", uri, output, output) // wget logs to standard error
 }
 
 func uriBasename(uri string) string {
@@ -472,7 +455,7 @@ func uriBasename(uri string) string {
 	return base
 }
 
-func cmdCurl(sh *Shell, args []string, _ string) (string, int) {
+func cmdCurl(sh *Shell, args []string, _ string) int {
 	var uri, output string
 	remoteName, silent := false, false
 	for i := 0; i < len(args); i++ {
@@ -498,7 +481,7 @@ func cmdCurl(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if uri == "" {
-		return "curl: try 'curl --help' for more information\n", 2
+		return sh.fail(2, "curl: try 'curl --help' for more information\n")
 	}
 	if !strings.Contains(uri, "://") {
 		uri = "http://" + uri
@@ -509,17 +492,17 @@ func cmdCurl(sh *Shell, args []string, _ string) (string, int) {
 	content, _, err := sh.fetch(uri, output)
 	if err != nil {
 		if silent {
-			return "", 6
+			return 6
 		}
-		return fmt.Sprintf("curl: (6) Could not resolve host\n"), 6
+		return sh.fail(6, "curl: (6) Could not resolve host\n")
 	}
-	if output != "" {
-		return "", 0
+	if output == "" {
+		sh.fd[1].Write(content)
 	}
-	return string(content), 0
+	return 0
 }
 
-func cmdTftp(sh *Shell, args []string, _ string) (string, int) {
+func cmdTftp(sh *Shell, args []string, _ string) int {
 	// Forms seen in the wild:
 	//   tftp -g -r FILE HOST      (busybox)
 	//   tftp HOST -c get FILE
@@ -545,16 +528,16 @@ func cmdTftp(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if host == "" || file == "" {
-		return "tftp: usage\n", 1
+		return sh.fail(1, "tftp: usage\n")
 	}
 	uri := "tftp://" + host + "/" + file
 	if _, _, err := sh.fetch(uri, file); err != nil {
-		return "tftp: timeout\n", 1
+		return sh.fail(1, "tftp: timeout\n")
 	}
-	return "", 0
+	return 0
 }
 
-func cmdFtpget(sh *Shell, args []string, _ string) (string, int) {
+func cmdFtpget(sh *Shell, args []string, _ string) int {
 	// busybox ftpget [-u user -p pass] HOST LOCAL REMOTE
 	var rest []string
 	for i := 0; i < len(args); i++ {
@@ -568,7 +551,7 @@ func cmdFtpget(sh *Shell, args []string, _ string) (string, int) {
 		rest = append(rest, args[i])
 	}
 	if len(rest) < 2 {
-		return "ftpget: usage\n", 1
+		return sh.fail(1, "ftpget: usage\n")
 	}
 	host, local := rest[0], rest[1]
 	remote := local
@@ -577,12 +560,12 @@ func cmdFtpget(sh *Shell, args []string, _ string) (string, int) {
 	}
 	uri := "ftp://" + host + "/" + remote
 	if _, _, err := sh.fetch(uri, local); err != nil {
-		return "ftpget: can't connect to remote host\n", 1
+		return sh.fail(1, "ftpget: can't connect to remote host\n")
 	}
-	return "", 0
+	return 0
 }
 
-func cmdUname(sh *Shell, args []string, _ string) (string, int) {
+func cmdUname(sh *Shell, args []string, _ string) int {
 	const (
 		s = "Linux"
 		n = "svr04"
@@ -592,7 +575,7 @@ func cmdUname(sh *Shell, args []string, _ string) (string, int) {
 		i = "unknown"
 	)
 	if len(args) == 0 {
-		return s + "\n", 0
+		return sh.print(s + "\n")
 	}
 	var fields []string
 	for _, a := range args {
@@ -614,36 +597,12 @@ func cmdUname(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if len(fields) == 0 {
-		return s + "\n", 0
+		return sh.print(s + "\n")
 	}
-	return strings.Join(fields, " ") + "\n", 0
+	return sh.print(strings.Join(fields, " ") + "\n")
 }
 
-func cmdId(sh *Shell, _ []string, _ string) (string, int) {
-	return "uid=0(root) gid=0(root) groups=0(root)\n", 0
-}
-
-func cmdWhoami(sh *Shell, _ []string, _ string) (string, int) {
-	return sh.User + "\n", 0
-}
-
-func cmdHostname(sh *Shell, _ []string, _ string) (string, int) {
-	return sh.Hostname + "\n", 0
-}
-
-func cmdNproc(*Shell, []string, string) (string, int) { return "2\n", 0 }
-
-func cmdUptime(*Shell, []string, string) (string, int) {
-	return " 11:52:43 up 12 days,  3:42,  1 user,  load average: 0.08, 0.02, 0.01\n", 0
-}
-
-func cmdW(sh *Shell, _ []string, _ string) (string, int) {
-	return " 11:52:43 up 12 days,  3:42,  1 user,  load average: 0.08, 0.02, 0.01\n" +
-		"USER     TTY      FROM             LOGIN@   IDLE   JCPU   PCPU WHAT\n" +
-		"root     pts/0    203.0.113.7      11:52    0.00s  0.00s  0.00s w\n", 0
-}
-
-func cmdFree(_ *Shell, args []string, _ string) (string, int) {
+func cmdFree(sh *Shell, args []string, _ string) int {
 	div := 1
 	for _, a := range args {
 		if a == "-m" {
@@ -651,93 +610,86 @@ func cmdFree(_ *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	total, used, free := 2048000/div, 472000/div, 1576000/div
-	return fmt.Sprintf("              total        used        free      shared  buff/cache   available\nMem:        %7d     %7d     %7d        2580      320000     %7d\nSwap:             0           0           0\n",
-		total, used, free, 1720000/div), 0
+	fmt.Fprintf(sh.fd[1], "              total        used        free      shared  buff/cache   available\nMem:        %7d     %7d     %7d        2580      320000     %7d\nSwap:             0           0           0\n",
+		total, used, free, 1720000/div)
+	return 0
 }
 
-func cmdPs(*Shell, []string, string) (string, int) {
-	return "  PID TTY          TIME CMD\n    1 ?        00:00:02 systemd\n  612 ?        00:00:00 sshd\n 1028 pts/0    00:00:00 bash\n 1243 pts/0    00:00:00 ps\n", 0
-}
-
-func cmdTop(*Shell, []string, string) (string, int) {
-	return "top - 11:52:43 up 12 days,  3:42,  1 user,  load average: 0.08, 0.02, 0.01\nTasks:  81 total,   1 running,  80 sleeping,   0 stopped,   0 zombie\n%Cpu(s):  0.3 us,  0.3 sy,  0.0 ni, 99.3 id,  0.0 wa,  0.0 hi,  0.0 si,  0.0 st\n", 0
-}
-
-func cmdCrontab(sh *Shell, args []string, stdin string) (string, int) {
+func cmdCrontab(sh *Shell, args []string, stdin string) int {
 	if len(args) == 0 {
 		if stdin != "" {
 			_ = sh.FS.WriteFile("/var/spool/cron/root", []byte(stdin))
-			return "", 0
+			return 0
 		}
-		return "usage: crontab [-l|-r|file]\n", 1
+		return sh.fail(1, "usage: crontab [-l|-r|file]\n")
 	}
 	switch args[0] {
 	case "-l":
 		content, err := sh.FS.ReadFile("/var/spool/cron/root")
 		if err != nil {
-			return "no crontab for root\n", 1
+			return sh.fail(1, "no crontab for root\n")
 		}
-		return string(content), 0
+		sh.fd[1].Write(content)
+		return 0
 	case "-r":
 		_ = sh.FS.Remove("/var/spool/cron/root", false)
-		return "", 0
+		return 0
 	default:
 		content, err := sh.FS.ReadFile(args[0])
 		if err != nil {
-			return fmt.Sprintf("crontab: %s: No such file or directory\n", args[0]), 1
+			return sh.fail(1, "crontab: %s: No such file or directory\n", args[0])
 		}
 		_ = sh.FS.WriteFile("/var/spool/cron/root", content)
-		return "", 0
+		return 0
 	}
 }
 
-func cmdPasswd(sh *Shell, _ []string, _ string) (string, int) {
+func cmdPasswd(sh *Shell, _ []string, _ string) int {
 	// Non-interactive honeypot: pretend success and mark shadow touched.
 	_ = sh.FS.WriteFile("/etc/shadow", []byte("root:$6$changed$:19000:0:99999:7:::\n"))
-	return "passwd: password updated successfully\n", 0
+	return sh.print("passwd: password updated successfully\n")
 }
 
-func cmdChpasswd(sh *Shell, _ []string, stdin string) (string, int) {
+func cmdChpasswd(sh *Shell, _ []string, stdin string) int {
 	if strings.TrimSpace(stdin) == "" {
-		return "", 0
+		return 0
 	}
 	_ = sh.FS.WriteFile("/etc/shadow", []byte("root:$6$"+vfs.HashBytes([]byte(stdin))[:16]+"$:19000:0:99999:7:::\n"))
-	return "", 0
+	return 0
 }
 
-func cmdExport(sh *Shell, args []string, _ string) (string, int) {
+func cmdExport(sh *Shell, args []string, _ string) int {
 	for _, a := range args {
 		if eq := strings.IndexByte(a, '='); eq > 0 {
 			sh.Env[a[:eq]] = a[eq+1:]
 		}
 	}
-	return "", 0
+	return 0
 }
 
-func cmdUnset(sh *Shell, args []string, _ string) (string, int) {
+func cmdUnset(sh *Shell, args []string, _ string) int {
 	for _, a := range args {
 		delete(sh.Env, a)
 	}
-	return "", 0
+	return 0
 }
 
-func cmdWhich(sh *Shell, args []string, _ string) (string, int) {
-	var b strings.Builder
+func cmdWhich(sh *Shell, args []string, _ string) int {
 	exit := 0
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
 			continue
 		}
 		if _, ok := builtins[a]; ok {
-			fmt.Fprintf(&b, "/usr/bin/%s\n", a)
+			sh.print("/usr/bin/" + a + "\n")
 		} else {
 			exit = 1
 		}
 	}
-	return b.String(), exit
+	return exit
 }
 
-func cmdGrep(sh *Shell, args []string, stdin string) (string, int) {
+func cmdGrep(sh *Shell, args []string, stdin string) int {
 	invert, countOnly, ignoreCase := false, false, false
 	var pattern string
 	var files []string
@@ -782,41 +734,89 @@ func cmdGrep(sh *Shell, args []string, stdin string) (string, int) {
 		}
 	}
 	if countOnly {
-		return fmt.Sprintf("%d\n", len(out)), boolExit(len(out) > 0)
+		sh.print(strconv.Itoa(len(out)) + "\n")
+	} else if len(out) > 0 {
+		sh.print(strings.Join(out, "\n") + "\n")
 	}
 	if len(out) == 0 {
-		return "", 1
+		return 1
 	}
-	return strings.Join(out, "\n") + "\n", 0
+	return 0
 }
 
-func boolExit(ok bool) int {
-	if ok {
-		return 0
-	}
-	return 1
-}
-
-func cmdWc(_ *Shell, args []string, stdin string) (string, int) {
-	lines := strings.Count(stdin, "\n")
+// cmdWc counts the lines, words and bytes of each file operand, or of
+// stdin: those -l, -w and -c ask for, else all three. Like GNU wc, it
+// pads each count to the digits of the files' total size, or to 7 for
+// stdin, and prints one count of one input bare.
+func cmdWc(sh *Shell, args []string, stdin string) int {
+	flags, files := "", []string(nil)
 	for _, a := range args {
-		if a == "-l" {
-			return fmt.Sprintf("%d\n", lines), 0
+		if len(a) > 1 && a[0] == '-' {
+			flags += a
+		} else {
+			files = append(files, a)
 		}
 	}
-	words := len(strings.Fields(stdin))
-	return fmt.Sprintf("%7d %7d %7d\n", lines, words, len(stdin)), 0
+	type input struct {
+		name string
+		n    [3]int
+		err  error
+	}
+	ins, width, size, total := []input{{n: wcCount(stdin)}}, 7, 0, [3]int{}
+	if len(files) > 0 {
+		ins, width = nil, 1
+	}
+	for _, f := range files {
+		content, err := sh.FS.ReadFile(f)
+		n := wcCount(content)
+		total = [3]int{total[0] + n[0], total[1] + n[1], total[2] + n[2]}
+		ins, size = append(ins, input{" " + f, n, err}), size+len(content)
+	}
+	var pick []int
+	for i, c := range "lwc" {
+		if !strings.ContainsAny(flags, "lwc") || strings.ContainsRune(flags, c) {
+			pick = append(pick, i)
+		}
+	}
+	if width = max(width, len(strconv.Itoa(size))); len(pick) == 1 && len(ins) == 1 {
+		width = 1
+	}
+	if len(ins) > 1 {
+		ins = append(ins, input{" total", total, nil})
+	}
+	exit := 0
+	for _, in := range ins {
+		if in.err != nil {
+			exit = sh.fail(1, "wc: %s: %s\n", in.name[1:], strerror(in.err))
+			continue
+		}
+		line := ""
+		for _, i := range pick {
+			line += fmt.Sprintf(" %*d", width, in.n[i])
+		}
+		sh.print(line[1:] + in.name + "\n")
+	}
+	return exit
 }
 
-func cmdHead(sh *Shell, args []string, stdin string) (string, int) {
-	return headTail(sh, args, stdin, true)
+// wcCount returns the lines, words and bytes of text.
+func wcCount[T string | []byte](text T) [3]int {
+	lines, words, blank := 0, 0, true
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c == '\n' {
+			lines++
+		}
+		if c == ' ' || c >= '\t' && c <= '\r' {
+			blank = true
+		} else if blank {
+			words, blank = words+1, false
+		}
+	}
+	return [3]int{lines, words, len(text)}
 }
 
-func cmdTail(sh *Shell, args []string, stdin string) (string, int) {
-	return headTail(sh, args, stdin, false)
-}
-
-func headTail(sh *Shell, args []string, stdin string, head bool) (string, int) {
+func headTail(sh *Shell, args []string, stdin string, head bool) int {
 	n := 10
 	var files []string
 	for i := 0; i < len(args); i++ {
@@ -848,7 +848,7 @@ func headTail(sh *Shell, args []string, stdin string, head bool) (string, int) {
 	if len(files) > 0 {
 		content, err := sh.FS.ReadFile(files[0])
 		if err != nil {
-			return fmt.Sprintf("head: cannot open '%s' for reading: No such file or directory\n", files[0]), 1
+			return sh.fail(1, "head: cannot open '%s' for reading: No such file or directory\n", files[0])
 		}
 		input = string(content)
 	}
@@ -861,69 +861,42 @@ func headTail(sh *Shell, args []string, stdin string, head bool) (string, int) {
 		}
 	}
 	if len(lines) == 1 && lines[0] == "" {
-		return "", 0
+		return 0
 	}
-	return strings.Join(lines, "\n") + "\n", 0
+	return sh.print(strings.Join(lines, "\n") + "\n")
 }
 
-func cmdSort(_ *Shell, _ []string, stdin string) (string, int) {
+func cmdSort(sh *Shell, _ []string, stdin string) int {
 	lines := strings.Split(strings.TrimRight(stdin, "\n"), "\n")
-	// Simple lexicographic sort without importing sort in a hot path.
-	for i := 1; i < len(lines); i++ {
-		for j := i; j > 0 && lines[j] < lines[j-1]; j-- {
-			lines[j], lines[j-1] = lines[j-1], lines[j]
-		}
-	}
+	sort.Strings(lines)
 	if len(lines) == 1 && lines[0] == "" {
-		return "", 0
+		return 0
 	}
-	return strings.Join(lines, "\n") + "\n", 0
+	return sh.print(strings.Join(lines, "\n") + "\n")
 }
 
-func cmdHistory(sh *Shell, args []string, _ string) (string, int) {
+func cmdHistory(sh *Shell, args []string, _ string) int {
 	if len(args) > 0 && args[0] == "-c" {
-		return "", 0
+		return 0
 	}
-	var b strings.Builder
 	for i, c := range sh.commands {
-		fmt.Fprintf(&b, "%5d  %s\n", i+1, c.Raw)
+		fmt.Fprintf(sh.fd[1], "%5d  %s\n", i+1, c.Raw)
 	}
-	return b.String(), 0
+	return 0
 }
 
-func cmdLscpu(*Shell, []string, string) (string, int) {
-	return "Architecture:        x86_64\nCPU op-mode(s):      32-bit, 64-bit\nByte Order:          Little Endian\nCPU(s):              2\nVendor ID:           GenuineIntel\nModel name:          Intel(R) Xeon(R) CPU E5-2686 v4 @ 2.30GHz\n", 0
-}
-
-func cmdDf(*Shell, []string, string) (string, int) {
-	return "Filesystem     1K-blocks    Used Available Use% Mounted on\n/dev/sda1       20509264 3524204  15920196  19% /\ntmpfs            1024000       0   1024000   0% /dev/shm\n", 0
-}
-
-func cmdMount(*Shell, []string, string) (string, int) {
-	return "/dev/sda1 on / type ext4 (rw,relatime,errors=remount-ro)\nproc on /proc type proc (rw,nosuid,nodev,noexec,relatime)\n", 0
-}
-
-func cmdIfconfig(*Shell, []string, string) (string, int) {
-	return "eth0: flags=4163<UP,BROADCAST,RUNNING,MULTICAST>  mtu 1500\n        inet 192.168.1.105  netmask 255.255.255.0  broadcast 192.168.1.255\n        ether 52:54:00:2f:35:a1  txqueuelen 1000  (Ethernet)\n", 0
-}
-
-func cmdIp(_ *Shell, args []string, _ string) (string, int) {
+func cmdIp(sh *Shell, args []string, _ string) int {
 	if len(args) > 0 && (args[0] == "a" || args[0] == "addr") {
-		return "1: lo: <LOOPBACK,UP,LOWER_UP> mtu 65536\n    inet 127.0.0.1/8 scope host lo\n2: eth0: <BROADCAST,MULTICAST,UP,LOWER_UP> mtu 1500\n    inet 192.168.1.105/24 brd 192.168.1.255 scope global eth0\n", 0
+		return sh.print("1: lo: <LOOPBACK,UP,LOWER_UP> mtu 65536\n    inet 127.0.0.1/8 scope host lo\n2: eth0: <BROADCAST,MULTICAST,UP,LOWER_UP> mtu 1500\n    inet 192.168.1.105/24 brd 192.168.1.255 scope global eth0\n")
 	}
-	return "", 0
+	return 0
 }
 
-func cmdNetstat(*Shell, []string, string) (string, int) {
-	return "Active Internet connections (servers and established)\nProto Recv-Q Send-Q Local Address           Foreign Address         State\ntcp        0      0 0.0.0.0:22              0.0.0.0:*               LISTEN\n", 0
-}
-
-func cmdSh(sh *Shell, args []string, stdin string) (string, int) {
+func cmdSh(sh *Shell, args []string, stdin string) int {
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		if a == "-c" && i+1 < len(args) {
-			out, exit := sh.eval(args[i+1], stdin)
-			return out, exit
+			return sh.eval(args[i+1], stdin)
 		}
 		if strings.HasPrefix(a, "-") {
 			continue
@@ -931,7 +904,7 @@ func cmdSh(sh *Shell, args []string, stdin string) (string, int) {
 		// "sh file": execute the file — a file-exec attempt.
 		return sh.attemptExec(a)
 	}
-	return "", 0
+	return 0
 }
 
 // busyboxApplets are the applets our busybox emulation dispatches; the
@@ -942,18 +915,18 @@ var busyboxApplets = map[string]bool{
 	"ls": true, "ps": true, "kill": true, "dd": true, "sh": true,
 }
 
-func cmdBusybox(sh *Shell, args []string, stdin string) (string, int) {
+func cmdBusybox(sh *Shell, args []string, stdin string) int {
 	if len(args) == 0 {
-		return "BusyBox v1.30.1 (Debian 1:1.30.1-6+b3) multi-call binary.\nBusyBox is copyrighted by many authors between 1998-2015.\nUsage: busybox [function [arguments]...]\n", 0
+		return sh.print("BusyBox v1.30.1 (Debian 1:1.30.1-6+b3) multi-call binary.\nBusyBox is copyrighted by many authors between 1998-2015.\nUsage: busybox [function [arguments]...]\n")
 	}
 	applet := args[0]
 	if fn, ok := builtins[applet]; ok && busyboxApplets[applet] {
 		return fn(sh, args[1:], stdin)
 	}
-	return fmt.Sprintf("%s: applet not found\n", applet), 127
+	return sh.fail(127, "%s: applet not found\n", applet)
 }
 
-func cmdDd(sh *Shell, args []string, _ string) (string, int) {
+func cmdDd(sh *Shell, args []string, _ string) int {
 	var input string
 	count := -1
 	bs := 512
@@ -972,26 +945,28 @@ func cmdDd(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if input == "" {
-		return "", 0
+		return 0
 	}
 	content, err := sh.FS.ReadFile(input)
 	if err != nil {
-		return fmt.Sprintf("dd: failed to open '%s': No such file or directory\n", input), 1
+		return sh.fail(1, "dd: failed to open '%s': No such file or directory\n", input)
 	}
 	if count > 0 && bs*count < len(content) {
 		content = content[:bs*count]
 	}
-	return string(content) + fmt.Sprintf("\n%d+0 records in\n%d+0 records out\n", count, count), 0
+	sh.fd[1].Write(content)
+	return sh.fail(0, "%d+0 records in\n%d+0 records out\n", count, count) // as dd's statistics go
 }
 
-func cmdApt(_ *Shell, args []string, _ string) (string, int) {
+func cmdApt(sh *Shell, args []string, _ string) int {
 	if len(args) > 0 && args[0] == "install" {
-		return "Reading package lists... Done\nBuilding dependency tree... Done\nE: Unable to locate package " + strings.Join(args[1:], " ") + "\n", 100
+		sh.print("Reading package lists... Done\nBuilding dependency tree... Done\nE: Unable to locate package " + strings.Join(args[1:], " ") + "\n")
+		return 100
 	}
-	return "Reading package lists... Done\n", 0
+	return sh.print("Reading package lists... Done\n")
 }
 
-func cmdBase64(_ *Shell, args []string, stdin string) (string, int) {
+func cmdBase64(sh *Shell, args []string, stdin string) int {
 	decode := false
 	for _, a := range args {
 		if a == "-d" || a == "--decode" {
@@ -1002,58 +977,51 @@ func cmdBase64(_ *Shell, args []string, stdin string) (string, int) {
 	if decode {
 		out, err := base64.StdEncoding.DecodeString(data)
 		if err != nil {
-			return "base64: invalid input\n", 1
+			return sh.fail(1, "base64: invalid input\n")
 		}
-		return string(out), 0
+		return sh.print(string(out))
 	}
-	return base64.StdEncoding.EncodeToString([]byte(stdin)) + "\n", 0
+	return sh.print(base64.StdEncoding.EncodeToString([]byte(stdin)) + "\n")
 }
 
-func cmdHashFile(sh *Shell, args []string, stdin string) (string, int) {
-	var b strings.Builder
+func cmdHashFile(sh *Shell, args []string, stdin string) int {
+	files := 0
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
 			continue
 		}
+		files++
 		if h, ok := sh.FS.HashOf(a); ok {
-			fmt.Fprintf(&b, "%s  %s\n", h, a)
+			sh.print(h + "  " + a + "\n")
 		} else {
-			fmt.Fprintf(&b, "sha256sum: %s: No such file or directory\n", a)
+			sh.fail(1, "sha256sum: %s: No such file or directory\n", a)
 		}
 	}
-	if b.Len() == 0 && stdin != "" {
-		fmt.Fprintf(&b, "%s  -\n", vfs.HashBytes([]byte(stdin)))
+	if files == 0 && stdin != "" {
+		sh.print(vfs.HashBytes([]byte(stdin)) + "  -\n")
 	}
-	return b.String(), 0
+	return 0
 }
 
-func cmdExit(sh *Shell, _ []string, _ string) (string, int) {
+func cmdExit(sh *Shell, _ []string, _ string) int {
 	sh.exited = true
-	return "", 0
+	return 0
 }
 
-func cmdLast(*Shell, []string, string) (string, int) {
-	return "root     pts/0        203.0.113.7      Mon Jan  1 11:50   still logged in\nreboot   system boot  5.10.0-8-amd64   Mon Dec 18 08:10   still running\n", 0
-}
-
-func cmdLspci(*Shell, []string, string) (string, int) {
-	return "00:00.0 Host bridge: Intel Corporation 440FX - 82441FX PMC [Natoma]\n00:03.0 Ethernet controller: Red Hat, Inc. Virtio network device\n", 0
-}
-
-func cmdOpenssl(_ *Shell, args []string, stdin string) (string, int) {
+func cmdOpenssl(sh *Shell, args []string, stdin string) int {
 	if len(args) > 0 && args[0] == "passwd" {
 		// openssl passwd -1 SALTPASS style: return a fake MD5-crypt hash.
 		seed := strings.Join(args[1:], "")
 		if stdin != "" {
 			seed += stdin
 		}
-		return "$1$" + vfs.HashBytes([]byte(seed))[:8] + "$" + vfs.HashBytes([]byte(seed))[8:30] + "\n", 0
+		return sh.print("$1$" + vfs.HashBytes([]byte(seed))[:8] + "$" + vfs.HashBytes([]byte(seed))[8:30] + "\n")
 	}
-	return "OpenSSL 1.1.1n  15 Mar 2022\n", 0
+	return sh.print("OpenSSL 1.1.1n  15 Mar 2022\n")
 }
 
 // cmdAwk implements the '{print $N,...}' subset bots use for recon.
-func cmdAwk(_ *Shell, args []string, stdin string) (string, int) {
+func cmdAwk(sh *Shell, args []string, stdin string) int {
 	var prog string
 	for _, a := range args {
 		if strings.Contains(a, "print") {
@@ -1061,7 +1029,7 @@ func cmdAwk(_ *Shell, args []string, stdin string) (string, int) {
 		}
 	}
 	if prog == "" {
-		return "", 0
+		return 0
 	}
 	start := strings.Index(prog, "print")
 	spec := strings.Trim(prog[start+5:], " {};'")
@@ -1073,7 +1041,6 @@ func cmdAwk(_ *Shell, args []string, stdin string) (string, int) {
 			}
 		}
 	}
-	var out strings.Builder
 	for _, line := range strings.Split(strings.TrimRight(stdin, "\n"), "\n") {
 		fields := strings.Fields(line)
 		var parts []string
@@ -1084,24 +1051,21 @@ func cmdAwk(_ *Shell, args []string, stdin string) (string, int) {
 				parts = append(parts, fields[c-1])
 			}
 		}
-		out.WriteString(strings.Join(parts, " "))
-		out.WriteByte('\n')
+		sh.print(strings.Join(parts, " ") + "\n")
 	}
-	return out.String(), 0
+	return 0
 }
 
-func cmdTr(_ *Shell, args []string, stdin string) (string, int) {
+func cmdTr(sh *Shell, args []string, stdin string) int {
 	if len(args) >= 2 && len(args[0]) == len(args[1]) {
-		out := stdin
 		for i := 0; i < len(args[0]); i++ {
-			out = strings.ReplaceAll(out, string(args[0][i]), string(args[1][i]))
+			stdin = strings.ReplaceAll(stdin, string(args[0][i]), string(args[1][i]))
 		}
-		return out, 0
 	}
-	return stdin, 0
+	return sh.print(stdin)
 }
 
-func cmdCut(_ *Shell, args []string, stdin string) (string, int) {
+func cmdCut(sh *Shell, args []string, stdin string) int {
 	delim := "\t"
 	var field int
 	for i := 0; i < len(args); i++ {
@@ -1126,77 +1090,69 @@ func cmdCut(_ *Shell, args []string, stdin string) (string, int) {
 		}
 	}
 	if field == 0 {
-		return stdin, 0
+		return sh.print(stdin)
 	}
-	var out strings.Builder
 	for _, line := range strings.Split(strings.TrimRight(stdin, "\n"), "\n") {
-		parts := strings.Split(line, delim)
-		if field-1 < len(parts) {
-			out.WriteString(parts[field-1])
+		if parts := strings.Split(line, delim); field-1 < len(parts) {
+			sh.print(parts[field-1])
 		}
-		out.WriteByte('\n')
+		sh.print("\n")
 	}
-	return out.String(), 0
+	return 0
 }
 
-func cmdXargs(sh *Shell, args []string, stdin string) (string, int) {
+func cmdXargs(sh *Shell, args []string, stdin string) int {
 	if len(args) == 0 {
-		return "", 0
+		return 0
 	}
-	return sh.runSimple(append(args[:len(args):len(args)], strings.Fields(stdin)...), "")
+	return sh.exec(append(args[:len(args):len(args)], strings.Fields(stdin)...), "")
 }
 
 // cmdPrintf implements the printf subset droppers use: %s/%d pass-through
 // and the same escape sequences as echo -e. `printf '\x7f\x45\x4c\x46'`
 // is a common ELF-drop vector.
-func cmdPrintf(_ *Shell, args []string, _ string) (string, int) {
+func cmdPrintf(sh *Shell, args []string, _ string) int {
 	if len(args) == 0 {
-		return "", 1
+		return 1
 	}
-	format := decodeEchoEscapes(args[0])
-	rest := args[1:]
-	var b strings.Builder
-	ri := 0
-	for i := 0; i < len(format); i++ {
-		c := format[i]
-		if c != '%' || i+1 >= len(format) {
-			b.WriteByte(c)
-			continue
+	format, rest := decodeEchoEscapes(args[0]), args[1:]
+	for {
+		i := strings.IndexByte(format, '%')
+		if i < 0 || i+1 == len(format) {
+			return sh.print(format)
 		}
-		i++
-		switch format[i] {
-		case 's', 'd', 'x', 'b':
-			if ri < len(rest) {
-				b.WriteString(rest[ri])
-				ri++
+		sh.print(format[:i])
+		switch c := format[i+1]; {
+		case c == 's' || c == 'd' || c == 'x' || c == 'b':
+			if len(rest) > 0 {
+				sh.print(rest[0])
+				rest = rest[1:]
 			}
-		case '%':
-			b.WriteByte('%')
+		case c == '%':
+			sh.print("%")
 		default:
-			b.WriteByte('%')
-			b.WriteByte(format[i])
+			sh.print(format[i : i+2])
 		}
+		format = format[i+2:]
 	}
-	return b.String(), 0
 }
 
 // cmdEnv prints the environment, one VAR=value per line, sorted.
-func cmdEnv(sh *Shell, _ []string, _ string) (string, int) {
+func cmdEnv(sh *Shell, _ []string, _ string) int {
 	keys := make([]string, 0, len(sh.Env))
 	for k := range sh.Env {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s\n", k, sh.Env[k])
+		sh.print(k + "=" + sh.Env[k] + "\n")
 	}
-	return b.String(), 0
+	return 0
 }
 
 // cmdLn emulates hard/symbolic links as content copies — enough for the
 // persistence tricks bots attempt.
-func cmdLn(sh *Shell, args []string, _ string) (string, int) {
+func cmdLn(sh *Shell, args []string, _ string) int {
 	var paths []string
 	for _, a := range args {
 		if !strings.HasPrefix(a, "-") {
@@ -1204,19 +1160,18 @@ func cmdLn(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if len(paths) < 2 {
-		return "ln: missing file operand\n", 1
+		return sh.fail(1, "ln: missing file operand\n")
 	}
 	content, err := sh.FS.ReadFile(paths[0])
 	if err != nil {
-		return fmt.Sprintf("ln: failed to access '%s': No such file or directory\n", paths[0]), 1
+		return sh.fail(1, "ln: failed to access '%s': No such file or directory\n", paths[0])
 	}
 	_ = sh.FS.WriteFile(paths[1], content)
-	return "", 0
+	return 0
 }
 
 // cmdStat prints minimal stat(1) output.
-func cmdStat(sh *Shell, args []string, _ string) (string, int) {
-	var b strings.Builder
+func cmdStat(sh *Shell, args []string, _ string) int {
 	exit := 0
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
@@ -1224,51 +1179,45 @@ func cmdStat(sh *Shell, args []string, _ string) (string, int) {
 		}
 		n, err := sh.FS.Stat(a)
 		if err != nil {
-			fmt.Fprintf(&b, "stat: cannot stat '%s': No such file or directory\n", a)
-			exit = 1
+			exit = sh.fail(1, "stat: cannot stat '%s': No such file or directory\n", a)
 			continue
 		}
 		kind := "regular file"
 		if n.Dir {
 			kind = "directory"
 		}
-		fmt.Fprintf(&b, "  File: %s\n  Size: %d\t%s\nModify: %s\n",
+		fmt.Fprintf(sh.fd[1], "  File: %s\n  Size: %d\t%s\nModify: %s\n",
 			a, n.Size, kind, n.ModTime.Format("2006-01-02 15:04:05"))
 	}
-	return b.String(), exit
+	return exit
 }
 
 // cmdFile reports a coarse file type: ELF binaries, scripts, text.
-func cmdFile(sh *Shell, args []string, _ string) (string, int) {
-	var b strings.Builder
+func cmdFile(sh *Shell, args []string, _ string) int {
 	exit := 0
 	for _, a := range args {
 		if strings.HasPrefix(a, "-") {
 			continue
 		}
-		n, err := sh.FS.Stat(a)
-		if err != nil {
-			fmt.Fprintf(&b, "%s: cannot open: No such file or directory\n", a)
-			exit = 1
-			continue
-		}
-		switch {
+		kind := "ASCII text"
+		switch n, err := sh.FS.Stat(a); {
+		case err != nil:
+			kind, exit = "cannot open: No such file or directory", 1
 		case n.Dir:
-			fmt.Fprintf(&b, "%s: directory\n", a)
+			kind = "directory"
 		case strings.HasPrefix(string(n.Content), "\x7fELF"):
-			fmt.Fprintf(&b, "%s: ELF 64-bit LSB executable, x86-64\n", a)
+			kind = "ELF 64-bit LSB executable, x86-64"
 		case strings.HasPrefix(string(n.Content), "#!"):
-			fmt.Fprintf(&b, "%s: POSIX shell script, ASCII text executable\n", a)
-		default:
-			fmt.Fprintf(&b, "%s: ASCII text\n", a)
+			kind = "POSIX shell script, ASCII text executable"
 		}
+		sh.print(a + ": " + kind + "\n")
 	}
-	return b.String(), exit
+	return exit
 }
 
 // cmdFind lists paths beneath a directory, with the -name glob bots use
 // to locate planted files.
-func cmdFind(sh *Shell, args []string, _ string) (string, int) {
+func cmdFind(sh *Shell, args []string, _ string) int {
 	root := sh.FS.Cwd()
 	pattern := ""
 	for i := 0; i < len(args); i++ {
@@ -1308,9 +1257,9 @@ func cmdFind(sh *Shell, args []string, _ string) (string, int) {
 		}
 	}
 	if n, err := sh.FS.Stat(root); err != nil {
-		return fmt.Sprintf("find: '%s': No such file or directory\n", root), 1
+		return sh.fail(1, "find: '%s': No such file or directory\n", root)
 	} else if !n.Dir {
-		return sh.FS.Abs(root) + "\n", 0
+		return sh.print(sh.FS.Abs(root) + "\n")
 	}
 	abs := sh.FS.Abs(root)
 	if pattern == "" {
@@ -1318,49 +1267,16 @@ func cmdFind(sh *Shell, args []string, _ string) (string, int) {
 	}
 	walk(abs)
 	if len(out) == 0 {
-		return "", 0
+		return 0
 	}
-	return strings.Join(out, "\n") + "\n", 0
+	return sh.print(strings.Join(out, "\n") + "\n")
 }
 
 // cmdNohup runs its arguments as a command, discarding the "ignoring
 // input" notice real nohup prints.
-func cmdNohup(sh *Shell, args []string, stdin string) (string, int) {
+func cmdNohup(sh *Shell, args []string, stdin string) int {
 	if len(args) == 0 {
-		return "nohup: missing operand\n", 125
+		return sh.fail(125, "nohup: missing operand\n")
 	}
-	return sh.runSimple(args, stdin)
-}
-
-func cmdDmesg(*Shell, []string, string) (string, int) {
-	return "[    0.000000] Linux version 5.10.0-8-amd64 (debian-kernel@lists.debian.org)\n[    0.004000] Command line: BOOT_IMAGE=/boot/vmlinuz-5.10.0-8-amd64 root=/dev/sda1 ro quiet\n", 0
-}
-
-func cmdRoute(*Shell, []string, string) (string, int) {
-	return "Kernel IP routing table\nDestination     Gateway         Genmask         Flags Metric Ref    Use Iface\ndefault         192.168.1.1     0.0.0.0         UG    0      0        0 eth0\n192.168.1.0     0.0.0.0         255.255.255.0   U     0      0        0 eth0\n", 0
-}
-
-func cmdArp(*Shell, []string, string) (string, int) {
-	return "Address                  HWtype  HWaddress           Flags Mask            Iface\n192.168.1.1              ether   00:1a:2b:3c:4d:5e   C                     eth0\n", 0
-}
-
-func cmdDate(*Shell, []string, string) (string, int) {
-	// A fixed plausible timestamp: the honeypot must not leak wall time
-	// drift between sessions.
-	return "Mon Jan  1 11:52:43 UTC 2024\n", 0
-}
-
-func init() {
-	builtins["printf"] = cmdPrintf
-	builtins["env"] = cmdEnv
-	builtins["ln"] = cmdLn
-	builtins["stat"] = cmdStat
-	builtins["file"] = cmdFile
-	builtins["find"] = cmdFind
-	builtins["nohup"] = cmdNohup
-	builtins["setsid"] = cmdNohup
-	builtins["dmesg"] = cmdDmesg
-	builtins["route"] = cmdRoute
-	builtins["arp"] = cmdArp
-	builtins["date"] = cmdDate
+	return sh.exec(args, stdin)
 }

@@ -154,7 +154,7 @@ func TestCmdWhich(t *testing.T) {
 		t.Errorf("which = %q", out)
 	}
 	sh := newTestShell()
-	if _, code := sh.eval("which notacommand", ""); code == 0 {
+	if sh.Run("which notacommand"); sh.status == 0 {
 		t.Error("which unknown should fail")
 	}
 }
@@ -173,7 +173,7 @@ func TestCmdGrepModes(t *testing.T) {
 	if out := sh.Run("grep -i ROOT /etc/passwd"); !strings.Contains(out, "root") {
 		t.Errorf("grep -i = %q", out)
 	}
-	if _, code := sh.eval("grep absent /etc/passwd", ""); code != 1 {
+	if sh.Run("grep absent /etc/passwd"); sh.status != 1 {
 		t.Error("grep without match should exit 1")
 	}
 }
@@ -410,7 +410,7 @@ func TestCmdPrintfDropsELF(t *testing.T) {
 	if out := sh.Run(`printf '%%'`); out != "%" {
 		t.Errorf("printf %%%% = %q", out)
 	}
-	if _, code := sh.eval("printf", ""); code != 1 {
+	if sh.Run("printf"); sh.status != 1 {
 		t.Error("printf without args should fail")
 	}
 }

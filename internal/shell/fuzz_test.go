@@ -32,8 +32,10 @@ func baseTree() string {
 }
 
 // FuzzShellRun drives the full interpreter with fuzzer-generated input.
-// The honeypot's contract: never panic, always record the line, and
-// never change the base filesystem every session starts from.
+// The honeypot's contract: never panic, always record the line, print at
+// most outputCap bytes, leave the fd table bound to the terminal (a
+// later echo prints to it), and never change the base filesystem every
+// session starts from.
 func FuzzShellRun(f *testing.F) {
 	seeds := []string{
 		`echo -e "\x6F\x6B"`,
@@ -48,6 +50,9 @@ func FuzzShellRun(f *testing.F) {
 		"$((((", "`\\", ">>>", "2>&1|",
 		"chmod 700 / /etc /bin/busybox; mv /usr/bin /tmp; rm -rf /etc; mkdir -p /etc/passwd/x",
 		"echo x >> /etc/hosts; cp /etc/passwd /tmp; mv /tmp /tmp/y; mv / /var",
+		"wget -q -O - http://198.51.100.3/x > /nonexistent/f",
+		"echo x >&7; echo y 2>&1 >&2 | cat; cat /nope &>>/tmp/e; X=$(cat /tmp/e 2>&1) echo $X",
+		"wc -0; wc -lc /etc/passwd /nope /etc/hosts",
 	}
 	for _, tc := range bashRows {
 		seeds = append(seeds, tc.line)
@@ -58,9 +63,14 @@ func FuzzShellRun(f *testing.F) {
 	pristine := baseTree()
 	f.Fuzz(func(t *testing.T, line string) {
 		sh := New("svr04", func(string) ([]byte, error) { return []byte("x"), nil })
-		sh.Run(line)
+		if out := sh.Run(line); len(out) > outputCap {
+			t.Fatalf("input %q printed %d bytes, over the %d-byte cap", line, len(out), outputCap)
+		}
 		if strings.TrimSpace(line) != "" && len(sh.Commands()) != 1 {
 			t.Fatalf("input %q recorded %d commands", line, len(sh.Commands()))
+		}
+		if out := sh.Run("echo ok"); !sh.Exited() && out != "ok\n" {
+			t.Fatalf("after input %q, echo ok printed %q", line, out)
 		}
 		if baseTree() != pristine {
 			t.Fatalf("input %q changed the shared base filesystem", line)
@@ -92,12 +102,12 @@ func checkParse(list []pipeline) string {
 			return fmt.Sprintf("pipeline %+v", pl)
 		}
 		for _, c := range pl.cmds {
-			if len(c.words) == 0 && c.stdout == nil && c.stderr == nil {
+			if len(c.words) == 0 && len(c.redirs) == 0 {
 				return "empty simple command"
 			}
 			words = append(words, c.words...)
-			for _, r := range []*redirect{c.stdout, c.stderr} {
-				if r != nil {
+			for _, r := range c.redirs {
+				if r.target != nil {
 					words = append(words, r.target)
 				}
 			}

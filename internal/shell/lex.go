@@ -27,18 +27,21 @@ type pipeline struct {
 	next opKind
 }
 
-// command is one simple command: its words and its standard output and
-// standard error redirects.
+// command is one simple command: its words, the first assigns of which
+// are NAME=value assignments, and its redirects, in the order they apply.
 type command struct {
-	words          []word
-	stdout, stderr *redirect
+	words   []word
+	assigns int
+	redirs  []redirect
 }
 
-// redirect is an output redirection: >, >>, 1>, 1>>, &> and &>> for
-// standard output, 2> and 2>> for standard error.
+// redirect rebinds descriptor fd (1 or 2) before the command runs: to
+// the file target names, or, when target is nil, to what descriptor dup
+// is bound to.
 type redirect struct {
-	target word
-	append bool
+	fd, dup int
+	target  word
+	append  bool
 }
 
 // word is one shell word: a sequence of parts.
@@ -89,7 +92,7 @@ func (p *parser) list(end byte) []pipeline {
 	var pl pipeline
 	var cmd command
 	endCmd := func(op opKind) {
-		if len(cmd.words) > 0 || cmd.stdout != nil || cmd.stderr != nil {
+		if len(cmd.words) > 0 || len(cmd.redirs) > 0 {
 			pl.cmds = append(pl.cmds, cmd)
 			cmd = command{}
 		} else if len(pl.cmds) == 0 {
@@ -128,46 +131,55 @@ func (p *parser) list(end byte) []pipeline {
 			p.redirect(&cmd, end)
 		default:
 			cmd.words = append(cmd.words, p.word(end))
+			if w := cmd.words[len(cmd.words)-1]; len(cmd.words) == cmd.assigns+1 && isAssignment(w) {
+				for i := range w {
+					w[i].quoted = true // the value is not split
+				}
+				cmd.assigns++
+			}
 		}
 	}
 	endCmd(opSeq)
 	return list
 }
 
-// redirect parses the redirection at the position and its target word.
-// Input redirection (<) and descriptor duplication (2>&1, >&2) are read
-// and dropped: the shell has no input files and one output stream.
+// redirect parses the redirection at the position: n>, n>>, n>&m, and
+// &>, &>> and >&file, which send both streams to the file. Input
+// redirection (<) is read and dropped: the shell has no input files.
 func (p *parser) redirect(cmd *command, end byte) {
-	fd := p.src[p.i]
-	if fd != '>' && fd != '<' {
+	r, both := redirect{fd: 1}, p.at(0) == '&'
+	if p.at(0) == '2' {
+		r.fd = 2
+	}
+	if c := p.at(0); c != '>' && c != '<' {
 		p.i++ // the 1, 2 or & before '>'
 	}
 	input := p.at(0) == '<'
 	p.i++
-	app := p.at(0) == '>'
-	if app {
+	if r.append = p.at(0) == '>'; r.append {
 		p.i++
 	}
+	n := 0 // the digits of the descriptor n>&m duplicates
 	if p.at(0) == '&' {
 		p.i++
-		if c := p.at(0); c >= '0' && c <= '9' {
-			p.i++
-			return
+		for !both && p.at(n) >= '0' && p.at(n) <= '9' {
+			n++
 		}
-		fd = '&' // >&file is &>file
+		r.dup, _ = strconv.Atoi(p.src[p.i : p.i+n])
+		p.i, both = p.i+n, n == 0
 	}
-	for p.at(0) == ' ' || p.at(0) == '\t' {
-		p.i++
+	if n == 0 {
+		for p.at(0) == ' ' || p.at(0) == '\t' {
+			p.i++
+		}
+		r.target = p.word(end)
 	}
-	target := p.word(end)
-	if input || len(target) == 0 {
+	if input || n == 0 && len(r.target) == 0 {
 		return
 	}
-	r := &redirect{target: target, append: app}
-	if fd == '2' {
-		cmd.stderr = r
-	} else {
-		cmd.stdout = r
+	cmd.redirs = append(cmd.redirs, r)
+	if both {
+		cmd.redirs = append(cmd.redirs, redirect{fd: 2, dup: 1})
 	}
 }
 
@@ -254,10 +266,7 @@ func (p *parser) dollar(w word, quoted bool) word {
 	if braced {
 		name = name[1:]
 	}
-	n := 0
-	for n < len(name) && (name[n] == '_' || name[n] >= 'a' && name[n] <= 'z' || name[n] >= 'A' && name[n] <= 'Z' || name[n] >= '0' && name[n] <= '9') {
-		n++
-	}
+	n := nameLen(name)
 	switch {
 	case c == '$' && braced && n < len(name) && name[n] == '}':
 		p.i += n + 3
@@ -268,6 +277,25 @@ func (p *parser) dollar(w word, quoted bool) word {
 		return append(w, part{text: p.src[p.i-1 : p.i], quoted: quoted})
 	}
 	return append(w, part{kind: partVar, quoted: quoted, text: name[:n]})
+}
+
+// nameLen is the length of the variable name s starts with.
+func nameLen(s string) int {
+	n := 0
+	for n < len(s) && (s[n] == '_' || s[n] >= 'a' && s[n] <= 'z' || s[n] >= 'A' && s[n] <= 'Z' || s[n] >= '0' && s[n] <= '9') {
+		n++
+	}
+	return n
+}
+
+// isAssignment reports whether w is NAME=value: an unquoted name that
+// does not start with a digit, then '='.
+func isAssignment(w word) bool {
+	if len(w) == 0 || w[0].kind != partLit || w[0].quoted {
+		return false
+	}
+	n := nameLen(w[0].text)
+	return n > 0 && n < len(w[0].text) && w[0].text[n] == '=' && w[0].text[0] > '9'
 }
 
 // sigils show the parts source does not expand.

@@ -147,8 +147,8 @@ func TestSplitSegmentsNoEmptySegments(t *testing.T) {
 // cat a a > b; mv b a holds at most vfs.Budget. The write that would
 // pass it fails with bash's ENOSPC message, the file stops growing, and
 // the live heap after the session stays under the budget, and a refused
-// round allocates its output once. Unbounded, these 22 rounds leave a
-// 128 MiB file.
+// round allocates what the file can hold once. Unbounded, these 22
+// rounds leave a 128 MiB file.
 func TestDoublingFileStopsAtBudget(t *testing.T) {
 	sh := newTestShell()
 	sh.Run("echo 0123456789abcdef0123456789abcde > /tmp/a") // 32 bytes
@@ -166,15 +166,16 @@ func TestDoublingFileStopsAtBudget(t *testing.T) {
 	if want := "cat: write error: No space left on device\n"; !strings.HasPrefix(out, want) {
 		t.Errorf("the last round printed %q, want it to start %q", out, want)
 	}
-	// A refused round allocates cat's output once, and nothing else of
-	// its size.
+	// A refused round allocates the file sink's bytes once, and nothing
+	// else of their size: the sink keeps at most what the budget takes,
+	// and the file keeps the sink's bytes.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sh.Run("cat /tmp/a /tmp/a > /tmp/b; mv /tmp/b /tmp/a")
 	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*n.Size)+1<<20; got > limit {
-		t.Errorf("a refused round allocated %d KiB, want at most %d KiB (its %d KiB output once)",
-			got>>10, limit>>10, 2*n.Size>>10)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n.Size)+1<<20; got > limit {
+		t.Errorf("a refused round allocated %d KiB, want at most %d KiB (the %d KiB the file holds once)",
+			got>>10, limit>>10, n.Size>>10)
 	}
 	runtime.GC()
 	var ms runtime.MemStats
@@ -187,8 +188,9 @@ func TestDoublingFileStopsAtBudget(t *testing.T) {
 
 // TestLineOutputBounded: one line that prints an 8 MiB file 16 times
 // returns at most outputCap bytes, and the live heap after it holds the
-// file and the output, not 128 MiB. A variable doubled past the cap
-// stops at it.
+// file and the output, not 128 MiB. One command that prints it 16 times
+// into a pipe allocates what the pipe holds, not 128 MiB. A variable
+// doubled past the cap stops at it.
 func TestLineOutputBounded(t *testing.T) {
 	sh := newTestShell()
 	sh.Run("echo 0123456789abcdef0123456789abcde > /tmp/a") // 32 bytes
@@ -211,6 +213,17 @@ func TestLineOutputBounded(t *testing.T) {
 	}
 	runtime.KeepAlive(out)
 	runtime.KeepAlive(sh)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out = sh.Run("cat" + strings.Repeat(" /tmp/a", 16) + " | wc -c")
+	runtime.ReadMemStats(&after)
+	if out != "1048576\n" {
+		t.Errorf("cat of 16 × 8 MiB into wc -c printed %q, want the pipe's 1 MiB counted", out)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*outputCap+2<<20); got > limit {
+		t.Errorf("cat of 16 × 8 MiB into a pipe allocated %d MiB, want at most %d MiB", got>>20, limit>>20)
+	}
 
 	sh.Run("X=0123456789abcdef" + strings.Repeat("; X=$X$X", 17)) // 2 MiB unbounded
 	if got := len(sh.Env["X"]); got > outputCap {

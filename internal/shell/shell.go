@@ -20,6 +20,7 @@ import (
 // DownloadFunc produces the content behind a URI for emulated wget/curl/
 // tftp fetches. The simulator installs a deterministic synthetic payload
 // generator; returning an error emulates an unreachable server.
+// A saved download keeps the returned bytes, which must not change.
 type DownloadFunc func(uri string) ([]byte, error)
 
 // Shell is one login session's command interpreter. Not safe for
@@ -43,7 +44,9 @@ type Shell struct {
 
 	exited bool
 	depth  int
-	status int // the last pipeline's exit status, $?
+	status int      // the last pipeline's exit status, $?
+	fd     [3]*sink // where descriptors 0, 1 and 2 write
+	term   sink     // the terminal, which Run empties into its result
 }
 
 // New returns a shell over a fresh honeypot filesystem.
@@ -116,7 +119,8 @@ func (sh *Shell) DroppedHashes() []string {
 }
 
 // Run executes one input line (which may contain several commands) and
-// returns the combined output. The line is recorded in the command log.
+// returns what it printed, standard output and standard error in the
+// order they were written. The line is recorded in the command log.
 func (sh *Shell) Run(line string) string {
 	line = strings.TrimSpace(line)
 	if line == "" {
@@ -124,7 +128,10 @@ func (sh *Shell) Run(line string) string {
 	}
 	list := parse(line)
 	sh.commands = append(sh.commands, session.Command{Raw: line, Known: sh.known(list)})
-	out, _ := sh.evalList(list, "")
+	sh.fd = [3]*sink{&sh.term, &sh.term, &sh.term}
+	sh.evalList(list, "")
+	out := string(sh.term.buf)
+	sh.term.buf = nil // an idle session holds no output
 	return out
 }
 
@@ -149,76 +156,108 @@ func (sh *Shell) isKnownCommand(name string) bool {
 	return ok || strings.HasPrefix(name, "./") || strings.HasPrefix(name, "/")
 }
 
-// outputCap bounds what one line keeps: the output eval returns and the
-// bytes a command's expanded arguments hold. Output past it is dropped;
-// the commands still run.
+// outputCap bounds what the terminal, a pipe and a substitution keep of
+// one line, and the bytes a command's expanded arguments hold. Output
+// past it is dropped; the commands still run.
 const outputCap = 1 << 20
 
 // maxDepth bounds how deep eval nests: sh -c and substitutions.
 const maxDepth = 8
 
 // eval runs a full line (sequences, pipelines) with the given stdin and
-// returns (output, exitStatus).
-func (sh *Shell) eval(line, stdin string) (string, int) {
+// returns its exit status.
+func (sh *Shell) eval(line, stdin string) int {
 	return sh.evalList(parse(line), stdin)
 }
 
 // evalList is eval of a parsed line.
-func (sh *Shell) evalList(list []pipeline, stdin string) (string, int) {
+func (sh *Shell) evalList(list []pipeline, stdin string) int {
 	if sh.depth > maxDepth {
-		return "", 1
+		return 1
 	}
 	sh.depth++
 	defer func() { sh.depth-- }()
 
-	var out strings.Builder
-	lastExit := 0
-	prev := opSeq
+	status, prev := 0, opSeq
 	for _, pl := range list {
 		// && and || read the status of the last pipeline that ran.
-		runIt := prev == opSeq || (prev == opAnd) == (lastExit == 0)
-		if runIt && !sh.exited {
-			pout, pexit := sh.runPipeline(pl.cmds, stdin)
-			out.WriteString(pout[:min(len(pout), outputCap-out.Len())])
-			lastExit, sh.status = pexit, pexit
+		if (prev == opSeq || (prev == opAnd) == (status == 0)) && !sh.exited {
+			status = sh.runPipeline(pl.cmds, stdin)
+			sh.status = status
 		}
 		prev = pl.next
 	}
-	return out.String(), lastExit
+	return status
 }
 
-// runPipeline executes the commands of one pipeline, feeding each
-// command's output to the next command's stdin.
-func (sh *Shell) runPipeline(cmds []command, stdin string) (string, int) {
-	cur := stdin
-	exit := 0
-	for _, c := range cmds {
-		args := sh.fields(c.words)
-		if len(args) == 0 {
+// runPipeline runs the commands of one pipeline. Each command but the
+// last writes its standard output to a fresh pipe, which the next one
+// reads as its stdin; standard error is the pipeline's own.
+func (sh *Shell) runPipeline(cmds []command, stdin string) int {
+	for _, c := range cmds[:len(cmds)-1] {
+		stdin = sh.capture(func() { sh.runCommand(c, stdin) })
+	}
+	return sh.runCommand(cmds[len(cmds)-1], stdin)
+}
+
+// capture runs fn with standard output bound to a fresh pipe and returns
+// what fn wrote there.
+func (sh *Shell) capture(fn func()) string {
+	out, pipe := sh.fd[1], &sink{}
+	sh.fd[1] = pipe
+	fn()
+	sh.fd[1] = out
+	return string(pipe.buf)
+}
+
+// runCommand runs one simple command. Its redirects rebind the fd
+// table, left to right, until it returns; one that fails prints bash's
+// message and the command does not run. Its assignments set variables:
+// for the command alone if it has a name, else for the shell.
+func (sh *Shell) runCommand(c command, stdin string) (status int) {
+	args := sh.fields(c.words[c.assigns:])
+	saved, files := sh.fd, []*sink(nil)
+	defer func() {
+		for _, f := range files {
+			if f.full && len(args) > 0 {
+				status = sh.fail(1, "%s: write error: No space left on device\n", args[0])
+			}
+			f.flush()
+		}
+		sh.fd = saved
+	}()
+	for _, r := range c.redirs {
+		if r.target == nil {
+			if r.dup > 2 {
+				return sh.fail(1, "-bash: %d: Bad file descriptor\n", r.dup)
+			}
+			sh.fd[r.fd] = sh.fd[r.dup]
 			continue
 		}
-		out, e := sh.runSimple(args, cur)
-		exit = e
-		redirected := false
-		if c.stderr != nil {
-			// The shell keeps one output stream; its own error text
-			// ("-bash: …") is the part known to be standard error.
-			errText := ""
-			if strings.HasPrefix(out, "-bash: ") {
-				errText, out = out, ""
-			}
-			if msg := sh.applyRedirect(c.stderr, args[0], errText); msg != "" {
-				out, exit, redirected = msg, 1, true
-			}
+		target := strings.Join(sh.fields([]word{r.target}), " ")
+		f := &sink{fs: sh.FS, path: sh.FS.Abs(target), app: r.append}
+		if old, err := sh.FS.ReadFile(f.path); err == nil && f.app {
+			f.base = len(old)
 		}
-		if c.stdout != nil && !redirected {
-			if out = sh.applyRedirect(c.stdout, args[0], out); out != "" {
-				exit = 1
-			}
+		if err := sh.FS.CanWrite(f.path, int64(f.base)); err != nil {
+			return sh.fail(1, "-bash: %s: %s\n", target, strerror(err))
 		}
-		cur = out
+		sh.fd[r.fd] = f
+		files = append(files, f)
 	}
-	return cur, exit
+	for _, w := range c.words[:c.assigns] {
+		name, value, _ := strings.Cut(sh.fields([]word{w})[0], "=")
+		if old, ok := sh.Env[name]; ok && len(args) > 0 {
+			defer func() { sh.Env[name] = old }()
+		} else if len(args) > 0 {
+			defer delete(sh.Env, name)
+		}
+		sh.Env[name] = value
+	}
+	if len(args) == 0 {
+		return 0
+	}
+	return sh.exec(args, stdin)
 }
 
 // fields turns words into arguments. A variable, $? or substitution
@@ -245,8 +284,7 @@ func (sh *Shell) fields(words []word) []string {
 			case partStatus:
 				v = strconv.Itoa(sh.status)
 			case partSubst:
-				out, _ := sh.evalList(pt.body, "")
-				v = strings.TrimRight(out, "\n")
+				v = strings.TrimRight(sh.capture(func() { sh.evalList(pt.body, "") }), "\n")
 			}
 			v = v[:min(len(v), room)]
 			room -= len(v)
@@ -275,31 +313,57 @@ func (sh *Shell) fields(words []word) []string {
 	return args
 }
 
-// applyRedirect writes content to the redirect's target for the command
-// name and returns what the terminal shows: nothing, or bash's message
-// for a refused write. It asks the vfs whether the write can go through
-// before it copies content, so a refused write costs no copy.
-func (sh *Shell) applyRedirect(r *redirect, name, content string) string {
-	target := strings.Join(sh.fields([]word{r.target}), " ")
-	size := int64(len(content))
-	if r.append {
-		if old, err := sh.FS.ReadFile(target); err == nil {
-			size += int64(len(old))
+// sink is where one output stream goes: the terminal, a pipe or a
+// file. It keeps what it can hold and drops the rest, and the command
+// writing to it goes on running. The terminal and a pipe hold outputCap
+// bytes. A file holds what the vfs would accept, and flush writes it
+// once, when the command ends.
+type sink struct {
+	buf  []byte
+	fs   *vfs.FS // a file sink's filesystem, else nil
+	path string
+	app  bool // append to the file
+	base int  // the bytes the file held when opened to append
+	full bool // the vfs refused a write
+}
+
+// Write and WriteString let fmt.Fprintf and the vfs's bytes reach a sink.
+func (s *sink) Write(p []byte) (int, error)       { return put(s, p) }
+func (s *sink) WriteString(p string) (int, error) { return put(s, p) }
+
+// put appends what of p the sink can hold.
+func put[T string | []byte](s *sink, p T) (int, error) {
+	n := min(len(p), outputCap-len(s.buf))
+	if s.fs != nil {
+		n = len(p)
+		if s.full || s.fs.CanWrite(s.path, int64(s.base+len(s.buf)+n)) != nil {
+			s.full, n = true, 0
 		}
 	}
-	err := sh.FS.CanWrite(target, size)
-	if err == nil && r.append {
-		err = sh.FS.AppendFile(target, []byte(content))
-	} else if err == nil {
-		err = sh.FS.WriteFile(target, []byte(content))
+	s.buf = append(s.buf, p[:n]...)
+	return len(p), nil
+}
+
+// flush writes a file sink's bytes to its file. It fails only if the
+// command removed the file's directory: the bytes go nowhere, as on Linux.
+func (s *sink) flush() {
+	if s.app {
+		_ = s.fs.AppendFile(s.path, s.buf)
+	} else {
+		_ = s.fs.WriteFile(s.path, s.buf)
 	}
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, vfs.ErrNoSpace):
-		return name + ": write error: No space left on device\n"
-	}
-	return "-bash: " + target + ": " + strerror(err) + "\n"
+}
+
+// print writes text to standard output and returns status 0.
+func (sh *Shell) print(text string) int {
+	sh.fd[1].WriteString(text)
+	return 0
+}
+
+// fail writes a message to standard error and returns status.
+func (sh *Shell) fail(status int, format string, a ...any) int {
+	fmt.Fprintf(sh.fd[2], format, a...)
+	return status
 }
 
 // strerror is bash's text for a vfs error other than ErrNoSpace.
@@ -309,35 +373,27 @@ func strerror(err error) string {
 		return "Is a directory"
 	case errors.Is(err, vfs.ErrNotDir):
 		return "Not a directory"
+	case errors.Is(err, vfs.ErrExist):
+		return "File exists"
 	}
 	return "No such file or directory"
 }
 
-// runSimple executes one simple command.
-func (sh *Shell) runSimple(words []string, stdin string) (string, int) {
+// exec runs a command given its expanded arguments.
+func (sh *Shell) exec(words []string, stdin string) int {
 	name, args := words[0], words[1:]
-	base := name[strings.LastIndexByte(name, '/')+1:]
-
-	// VAR=value assignments.
-	if eq := strings.IndexByte(name, '='); eq > 0 && !strings.ContainsAny(name[:eq], "/. ") {
-		sh.Env[name[:eq]] = name[eq+1:]
-		return "", 0
-	}
-
-	if fn, ok := builtins[base]; ok {
+	if fn, ok := builtins[name[strings.LastIndexByte(name, '/')+1:]]; ok {
 		return fn(sh, args, stdin)
 	}
-
 	// Direct invocation of a file path: an execution attempt.
 	if strings.HasPrefix(name, "./") || strings.HasPrefix(name, "/") || strings.HasPrefix(name, "~/") {
 		return sh.attemptExec(name)
 	}
-
-	return fmt.Sprintf("-bash: %s: command not found\n", name), 127
+	return sh.fail(127, "-bash: %s: command not found\n", name)
 }
 
 // attemptExec records an attempt to run the file at path.
-func (sh *Shell) attemptExec(path string) (string, int) {
+func (sh *Shell) attemptExec(path string) int {
 	hash, ok := sh.FS.HashOf(path)
 	sh.execAttempts = append(sh.execAttempts, session.ExecAttempt{
 		Path:       sh.FS.Abs(path),
@@ -345,11 +401,11 @@ func (sh *Shell) attemptExec(path string) (string, int) {
 		Hash:       hash,
 	})
 	if !ok {
-		return fmt.Sprintf("-bash: %s: No such file or directory\n", path), 127
+		return sh.fail(127, "-bash: %s: No such file or directory\n", path)
 	}
 	// The honeypot pretends execution succeeded silently, as Cowrie does
 	// for foreign binaries.
-	return "", 0
+	return 0
 }
 
 // fetch runs the download hook and records the result.

@@ -1,7 +1,10 @@
 package shell
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -306,6 +309,36 @@ var bashRows = []struct{ line, want string }{
 	{`true; echo $?`, "0\n"},
 	{`false || echo $?`, "1\n"},
 	{`X='a;id'; echo $X`, "a;id\n"},
+	// Standard error is its own stream: 2> takes a builtin's errors too,
+	// and a pipe or a substitution carries standard output only.
+	{`cat /nope 2>/dev/null`, ""},
+	{`ls /nope 2>/dev/null`, ""},
+	{`rm /nope 2>/dev/null`, ""},
+	{`head /nope 2>/dev/null`, ""},
+	{`chmod +x /nope 2>/dev/null`, ""},
+	{`sh -c 'cat /nope' 2>/dev/null`, ""},
+	{`echo /nope | xargs cat 2>/dev/null`, ""},
+	{`cat /nope | wc -l`, "cat: /nope: No such file or directory\n0\n"},
+	{`nosuch > /tmp/f; cat /tmp/f | wc -l`, "-bash: nosuch: command not found\n0\n"},
+	{`echo a > /tmp/x; cat /tmp/x /nope > /tmp/y 2>/dev/null; cat /tmp/y`, "a\n"},
+	{`echo $(cat /nope) x`, "cat: /nope: No such file or directory\nx\n"},
+	{`echo x 2>/dev/null >&2`, ""},
+	{`cat /nope 2>&1 >/dev/null | wc -l`, "1\n"},
+	{`cat /nope >/dev/null 2>&1 | wc -l`, "0\n"},
+	{`x=$(nosuch); echo "[$x]"`, "-bash: nosuch: command not found\n[]\n"},
+	// An assignment is one word, and before a command it is the
+	// command's alone.
+	{`x=$(echo a b); echo $x`, "a b\n"},
+	{`X=1 echo hi`, "hi\n"},
+	{`X=1 true; echo "[$X]"`, "[]\n"},
+	{`A=1 B=$A; echo "[$B]"`, "[1]\n"},
+	// wc prints what its flags ask for, and names its file operands.
+	{`echo abc | wc -c`, "4\n"},
+	{`echo abc > /tmp/f; wc -c /tmp/f`, "4 /tmp/f\n"},
+	{`wc -l /nope 2>/dev/null`, ""},
+	{`echo abc > /tmp/a; cat /tmp/a /nope 2>/dev/null | wc -c`, "4\n"},
+	{`mkdir /nope/x`, "mkdir: cannot create directory '/nope/x': No such file or directory\n"},
+	{`mkdir /tmp`, "mkdir: cannot create directory '/tmp': File exists\n"},
 }
 
 // TestParseMatchesBash runs each of bashRows in a fresh shell.
@@ -314,6 +347,46 @@ func TestParseMatchesBash(t *testing.T) {
 		if got := newTestShell().Run(tc.line); got != tc.want {
 			t.Errorf("%s: printed %q, bash prints %q", tc.line, got, tc.want)
 		}
+	}
+}
+
+// TestBashRowsAreBash runs each of bashRows under bash itself, with an
+// empty environment, in a temporary directory that stands for /tmp/, and
+// with bash's "bash: line 1: " read as the login shell's "-bash: ". The
+// rows write only under /tmp and to /dev/null. Without bash the test
+// skips, except under CI, where it fails.
+func TestBashRowsAreBash(t *testing.T) {
+	bash, err := exec.LookPath("bash")
+	if err != nil {
+		if os.Getenv("CI") != "" {
+			t.Fatal("bash is not on PATH")
+		}
+		t.Skip("bash is not on PATH")
+	}
+	tmp := t.TempDir() + "/"
+	for _, tc := range bashRows {
+		cmd := exec.Command(bash, "--norc", "--noprofile", "-c", strings.ReplaceAll(tc.line, "/tmp/", tmp))
+		cmd.Args[0], cmd.Env, cmd.Dir = "bash", []string{"PATH=/usr/bin:/bin"}, tmp
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		_ = cmd.Run() // a row may exit non-zero
+		got := strings.ReplaceAll(out.String(), "bash: line 1: ", "-bash: ")
+		if want := strings.ReplaceAll(tc.want, "/tmp/", tmp); got != want {
+			t.Errorf("%s: bash prints %q, the row says %q", tc.line, got, want)
+		}
+	}
+}
+
+// TestFailedRedirectSkipsCommand: a command whose redirect fails does
+// not run, so a download behind it is never made.
+func TestFailedRedirectSkipsCommand(t *testing.T) {
+	sh := newTestShell()
+	out := sh.Run("wget -q -O - http://198.51.100.3/x > /nonexistent/f")
+	if want := "-bash: /nonexistent/f: No such file or directory\n"; out != want {
+		t.Errorf("printed %q, want %q", out, want)
+	}
+	if n := len(sh.Downloads()); n != 0 {
+		t.Errorf("recorded %d downloads, want 0", n)
 	}
 }
 

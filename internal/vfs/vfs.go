@@ -419,7 +419,8 @@ func (fs *FS) canWrite(p, abs string, size int64) (*Node, error) {
 }
 
 // WriteFile creates or replaces the file at p with content, recording the
-// change and the content hash. It fails as CanWrite says it would.
+// change and the content hash. It fails as CanWrite says it would. The
+// file keeps content, which the caller must not change afterwards.
 func (fs *FS) WriteFile(p string, content []byte) error {
 	abs := fs.Abs(p)
 	old, err := fs.canWrite(p, abs, int64(len(content)))
@@ -467,7 +468,7 @@ func (fs *FS) writeInternal(p string, content []byte, when time.Time) (*Node, er
 	if n.Dir {
 		return nil, fmt.Errorf("%s: %w", p, ErrIsDir)
 	}
-	n.Content = append([]byte(nil), content...)
+	n.Content = content
 	n.Size = int64(len(content))
 	n.ModTime = when
 	n.Hash = hashBytes(content)
