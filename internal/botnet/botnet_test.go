@@ -59,18 +59,6 @@ func TestWavesAlternate(t *testing.T) {
 	}
 }
 
-func TestRampMonotone(t *testing.T) {
-	s := Ramp(D(2022, 1, 1), D(2023, 1, 1), 100, 1200)
-	prev := -1.0
-	for m := 0; m < 12; m++ {
-		r := s.Rate(D(2022, time.Month(m+1), 15))
-		if r < prev {
-			t.Errorf("ramp not monotone at month %d: %v < %v", m, r, prev)
-		}
-		prev = r
-	}
-}
-
 func TestMdrfckrDropWindows(t *testing.T) {
 	if !InMdrfckrDrop(D(2022, 10, 12)) {
 		t.Error("Oct 2022 Sandworm window should be a drop")

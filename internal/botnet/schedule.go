@@ -67,29 +67,6 @@ func Waves(from, to time.Time, on, off int, rate float64) Schedule {
 	return s
 }
 
-// Ramp approximates a linearly changing rate with monthly steps.
-func Ramp(from, to time.Time, startRate, endRate float64) Schedule {
-	var s Schedule
-	months := 0
-	for t := from; t.Before(to); t = t.AddDate(0, 1, 0) {
-		months++
-	}
-	if months == 0 {
-		return nil
-	}
-	i := 0
-	for t := from; t.Before(to); t = t.AddDate(0, 1, 0) {
-		end := t.AddDate(0, 1, 0)
-		if end.After(to) {
-			end = to
-		}
-		frac := float64(i) / float64(months)
-		s = append(s, Window{From: t, To: end, Rate: startRate + (endRate-startRate)*frac})
-		i++
-	}
-	return s
-}
-
 // Noisy scales a day's rate by ±jitter using the provided RNG, for the
 // daily variation the monthly boxplots of Figure 1 show.
 func Noisy(rate float64, jitter float64, rng *rand.Rand) float64 {

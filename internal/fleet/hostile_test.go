@@ -3,10 +3,12 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -229,6 +231,89 @@ func TestSilentConnectionClosedAtHelloDeadline(t *testing.T) {
 		t.Fatalf("idle connection's ack: cursor %d, err %v; want %d", got, err, next+1)
 	}
 	forwardDelivers(t, srv, addr.String(), "edge-1")
+}
+
+// TestSlowBodyClosedAtDeadline: a peer that says hello, sends a batch
+// frame's length prefix and then trickles its body a byte every 100 ms
+// is closed helloTimeout after the frame began, and a forwarder on
+// another connection still delivers. The trickle used to hold the
+// handler and its buffers for as long as it went on. An edge whose
+// batch arrived in two writes, and so was paced, then idles past the
+// deadline and is still served. This test waits out the deadline, so
+// it runs for about five seconds.
+func TestSlowBodyClosedAtDeadline(t *testing.T) {
+	srv, err := NewServer(t.TempDir(), ServerOptions{SyncAck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := lines(t, fillStore(t, 2))
+	split, next := helloRaw(t, addr.String(), "split")
+	defer split.Close()
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, frameBatch, batchHeader(nil, next, 1), appendBatchRecord(nil, recs[0])); err != nil {
+		t.Fatal(err)
+	}
+	pacedAt := time.Now()
+	for _, part := range [][]byte{frame.Bytes()[:3], frame.Bytes()[3:]} {
+		if _, err := split.Write(part); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := readAck(t, split); got != next+1 {
+		t.Fatalf("split batch acked at cursor %d, want %d", got, next+1)
+	}
+
+	c, _ := helloRaw(t, addr.String(), "slow")
+	defer c.Close()
+	start := time.Now()
+	if _, err := c.Write(append(binary.BigEndian.AppendUint32(nil, 1<<10), frameBatch)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := c.Write([]byte{0}); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	c.SetReadDeadline(start.Add(helloTimeout + 10*time.Second))
+	var buf []byte
+	if _, _, err := readFrame(c, maxFrame, &buf); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("slow-body connection: %v after %v, want it closed by the collector", err, time.Since(start))
+	}
+	if d := time.Since(start); d < helloTimeout-time.Second || d > helloTimeout+3*time.Second {
+		t.Errorf("slow-body connection closed after %v, want about the %v deadline", d, helloTimeout)
+	}
+	forwardDelivers(t, srv, addr.String(), "edge-1")
+
+	// The edge whose batch was paced has idled past that batch's
+	// deadline, and is still served.
+	time.Sleep(helloTimeout + 100*time.Millisecond - time.Since(pacedAt))
+	frame.Reset()
+	if err := writeFrame(&frame, frameBatch, batchHeader(nil, next+1, 1), appendBatchRecord(nil, recs[1])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := split.Write(frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAck(t, split); got != next+2 {
+		t.Fatalf("batch after an idle past the paced deadline acked at cursor %d, want %d", got, next+2)
+	}
 }
 
 // FuzzBatchFrame drives arbitrary bytes through the collector's frame

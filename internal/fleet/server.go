@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -220,9 +221,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.reject(bw, fmt.Sprintf("invalid node id %q", hello.Node))
 		return
 	}
-	// An accepted edge may stay idle between batches for as long as it
-	// has nothing to send.
-	conn.SetReadDeadline(time.Time{})
 	n, err := s.shard(hello.Node)
 	if err != nil {
 		s.reject(bw, "shard open failed")
@@ -238,11 +236,21 @@ func (s *Server) handle(conn net.Conn) {
 	// comes first; once it is drained, hr passes reads of its own size
 	// or more straight to conn.
 	br := bufio.NewReaderSize(hr, 256<<10)
+	body := &pacedReader{r: br, conn: conn}
 	dec := &session.JSONDecoder{}
 	var next uint64 // node cursor after the last applied batch
 	pending := 0    // earlier batches, appended in full, that the next ack will cover
 	for {
-		typ, payload, err := readFrame(br, maxFrame, &buf)
+		// An accepted edge may stay idle between batches for as long as
+		// it has nothing to send; a frame it has begun is paced.
+		if br.Buffered() == 0 {
+			conn.SetReadDeadline(time.Time{})
+			if _, err := br.Peek(1); err != nil {
+				return
+			}
+		}
+		body.left = 0
+		typ, payload, err := readFrame(body, maxFrame, &buf)
 		if err != nil {
 			return
 		}
@@ -272,6 +280,26 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		pending = 0
 	}
+}
+
+// pacedReader holds a frame that has begun to the collector's pace:
+// each frameStep bytes of it, the length prefix included, must arrive
+// within helloTimeout, so a peer that trickles a frame cannot hold its
+// handler and buffers for longer than the frame's size allows.
+type pacedReader struct {
+	r    io.Reader
+	conn net.Conn
+	left int // bytes the current read deadline still covers
+}
+
+func (p *pacedReader) Read(b []byte) (int, error) {
+	if p.left == 0 {
+		p.conn.SetReadDeadline(time.Now().Add(helloTimeout))
+		p.left = frameStep
+	}
+	n, err := p.r.Read(b[:min(len(b), p.left)])
+	p.left -= n
+	return n, err
 }
 
 // applyBatch commits one batch frame to the node's shard and returns

@@ -607,8 +607,7 @@ func (n *Node) HandleTelnetConn(nc net.Conn) {
 	n.stats.connsTelnet.Add(1)
 	st := &connState{rec: n.newRecord(session.ProtoTelnet, nc.RemoteAddr())}
 	start := time.Now()
-	srv, err := telnetd.New(telnetd.Config{
-		Banner:      "Debian GNU/Linux 11",
+	_ = telnetd.Serve(nc, telnetd.Config{
 		ConnTimeout: n.cfg.Timeout,
 		Auth:        AllowLogin,
 		OnAuthAttempt: func(user, password string, ok bool) {
@@ -627,11 +626,5 @@ func (n *Node) HandleTelnetConn(nc net.Conn) {
 			n.interactive(st, sh, rw, rw)
 		},
 	})
-	if err != nil {
-		nc.Close()
-		n.finish(nc, st, false)
-		return
-	}
-	_ = srv.HandleConn(nc)
 	n.finish(nc, st, n.cfg.Timeout > 0 && time.Since(start) >= n.cfg.Timeout)
 }

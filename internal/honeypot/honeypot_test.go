@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -269,6 +270,53 @@ func TestTelnetSession(t *testing.T) {
 	}
 	if len(rec.Commands) == 0 || rec.Commands[0].Raw != "uname" {
 		t.Errorf("commands = %+v", rec.Commands)
+	}
+}
+
+// TestTelnetCarriageReturnNul: a client that ends every line with CR
+// NUL (RFC 854's bare CR) logs in, and its shell lines are recorded
+// as typed, with no NUL carried into the next one. Such a client used to
+// sit at the login prompt until its deadline.
+func TestTelnetCarriageReturnNul(t *testing.T) {
+	_, _, addr, sk := startNode(t)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	readUntil := func(marker string) {
+		var seen []byte
+		tmp := make([]byte, 256)
+		for !bytes.Contains(seen, []byte(marker)) {
+			n, err := nc.Read(tmp)
+			seen = append(seen, tmp[:n]...)
+			if err != nil {
+				t.Fatalf("waiting for %q: %v (read %q)", marker, err, seen)
+			}
+		}
+	}
+	readUntil("login: ")
+	nc.Write([]byte("root\r\x00"))
+	readUntil("Password: ")
+	nc.Write([]byte("12345\r\x00"))
+	readUntil("# ")
+	nc.Write([]byte("uname\r\x00"))
+	readUntil("# ")
+	nc.Write([]byte("pwd\r\x00"))
+	readUntil("# ")
+	nc.Write([]byte("exit\r\x00"))
+
+	rec := sk.wait(t)
+	if len(rec.Logins) != 1 || !rec.Logins[0].Success {
+		t.Errorf("logins = %+v, want one success", rec.Logins)
+	}
+	var cmds []string
+	for _, c := range rec.Commands {
+		cmds = append(cmds, c.Raw)
+	}
+	if want := []string{"uname", "pwd", "exit"}; !slices.Equal(cmds, want) {
+		t.Errorf("commands = %q, want %q", cmds, want)
 	}
 }
 

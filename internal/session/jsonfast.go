@@ -333,13 +333,6 @@ type JSONDecoder struct {
 	scratch [3][]byte
 }
 
-// DecodeJSON decodes one record line into r, overwriting it — the
-// result is identical to json.Unmarshal(data, r) on a zeroed r.
-func DecodeJSON(data []byte, r *Record) error {
-	var d JSONDecoder
-	return d.Decode(data, r)
-}
-
 // Decode decodes one record line into r, overwriting it. The fast path
 // accepts exactly the canonical encoding AppendJSON/json.Marshal
 // produce; any other input — reordered or unknown keys, whitespace,

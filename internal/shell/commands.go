@@ -1,6 +1,7 @@
 package shell
 
 import (
+	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -1205,9 +1206,9 @@ func cmdFile(sh *Shell, args []string, _ string) int {
 			kind, exit = "cannot open: No such file or directory", 1
 		case n.Dir:
 			kind = "directory"
-		case strings.HasPrefix(string(n.Content), "\x7fELF"):
+		case bytes.HasPrefix(n.Content, []byte("\x7fELF")):
 			kind = "ELF 64-bit LSB executable, x86-64"
-		case strings.HasPrefix(string(n.Content), "#!"):
+		case bytes.HasPrefix(n.Content, []byte("#!")):
 			kind = "POSIX shell script, ASCII text executable"
 		}
 		sh.print(a + ": " + kind + "\n")

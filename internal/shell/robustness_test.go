@@ -230,3 +230,23 @@ func TestLineOutputBounded(t *testing.T) {
 		t.Errorf("$X holds %d bytes, want at most %d", got, outputCap)
 	}
 }
+
+// TestFileReadsOnlyAPrefix: file on an 8 MiB ELF allocates well under
+// a megabyte; it used to copy the content to a string for each of its
+// two prefix checks, 16 MiB.
+func TestFileReadsOnlyAPrefix(t *testing.T) {
+	sh := newTestShell()
+	if err := sh.FS.WriteFile("/tmp/big", append([]byte("\x7fELF"), make([]byte, 8<<20)...)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := sh.Run("file /tmp/big")
+	runtime.ReadMemStats(&after)
+	if want := "/tmp/big: ELF 64-bit LSB executable, x86-64\n"; out != want {
+		t.Errorf("printed %q, want %q", out, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("file allocated %d KiB, want under 1 MiB", got>>10)
+	}
+}

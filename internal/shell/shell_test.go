@@ -337,6 +337,7 @@ var bashRows = []struct{ line, want string }{
 	{`echo abc > /tmp/f; wc -c /tmp/f`, "4 /tmp/f\n"},
 	{`wc -l /nope 2>/dev/null`, ""},
 	{`echo abc > /tmp/a; cat /tmp/a /nope 2>/dev/null | wc -c`, "4\n"},
+	{`echo x > /dev/null; cat /dev/null | wc -c`, "0\n"},
 	{`mkdir /nope/x`, "mkdir: cannot create directory '/nope/x': No such file or directory\n"},
 	{`mkdir /tmp`, "mkdir: cannot create directory '/tmp': File exists\n"},
 }
@@ -387,6 +388,21 @@ func TestFailedRedirectSkipsCommand(t *testing.T) {
 	}
 	if n := len(sh.Downloads()); n != 0 {
 		t.Errorf("recorded %d downloads, want 0", n)
+	}
+}
+
+// TestDevNullIsADevice: the catalog's perl_dred_miner line writes its
+// output to /dev/null, which keeps nothing and changes nothing, so the
+// record carries no dropped hash; it used to carry the hash of what was
+// written there, and a later cat printed it.
+func TestDevNullIsADevice(t *testing.T) {
+	sh := newTestShell()
+	out := sh.Run(`perl /tmp/dred.pl dred > /dev/null; echo y >> /dev/null 2>&1; cat /dev/null`)
+	if want := "-bash: perl: command not found\n"; out != want {
+		t.Errorf("printed %q, want %q", out, want)
+	}
+	if sh.FS.Changed() || len(sh.DroppedHashes()) != 0 {
+		t.Errorf("changes %+v, dropped hashes %v; want none", sh.FS.Changes(), sh.DroppedHashes())
 	}
 }
 

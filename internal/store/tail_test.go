@@ -46,6 +46,7 @@ func TestSeqStreamUnderConcurrentSeal(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		w := s.Watch()
+		var dec session.JSONDecoder
 		var next uint64
 		for next < n {
 			c := s.ScanSeq(next)
@@ -56,7 +57,7 @@ func TestSeqStreamUnderConcurrentSeal(t *testing.T) {
 					return
 				}
 				var r session.Record
-				if err := session.DecodeJSON(c.Line(), &r); err != nil {
+				if err := dec.Decode(c.Line(), &r); err != nil {
 					t.Errorf("seq %d: bad line: %v", c.Seq(), err)
 					c.Close()
 					return
@@ -184,6 +185,7 @@ func TestTailStreamsLiveAppends(t *testing.T) {
 	defer cancel()
 	const total = 120
 	var got atomic.Uint64
+	var dec session.JSONDecoder
 	done := make(chan error, 1)
 	go func() {
 		done <- tail(ctx, s, 0, func(seq uint64, line []byte) error {
@@ -191,7 +193,7 @@ func TestTailStreamsLiveAppends(t *testing.T) {
 				return errors.New("gap")
 			}
 			var r session.Record
-			if err := session.DecodeJSON(line, &r); err != nil {
+			if err := dec.Decode(line, &r); err != nil {
 				return err
 			}
 			got.Store(seq + 1)

@@ -1,38 +1,38 @@
-// Package telnetd implements the Telnet (RFC 854) side of the honeypot
-// for one connection: option negotiation refusal, a login/password
-// prompt, and a line-oriented shell hookup. The caller accepts and
-// admits connections and hands each to HandleConn. The honeynet in the
-// paper listens on both 22 and 23 with the same authentication rules.
+// Package telnetd serves one Telnet (RFC 854) connection for the
+// honeypot: one decoder for the network virtual terminal, a fixed option
+// table, the login prompts and a line-oriented shell hookup. The caller
+// accepts and admits connections and hands each to Serve. The honeynet
+// in the paper listens on both 22 and 23 with the same login rules.
 package telnetd
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"io"
 	"net"
 	"time"
 )
 
-// Telnet protocol bytes.
+// Telnet commands (RFC 854), and the two options the server offers:
+// ECHO (RFC 857) and SUPPRESS-GO-AHEAD (RFC 858).
 const (
-	iac  = 255
-	dont = 254
-	do   = 253
-	wont = 252
-	will = 251
-	sb   = 250
-	se   = 240
+	se, sb, will, wont, do, dont, iac = 240, 250, 251, 252, 253, 254, 255
+	optEcho, optSGA                   = 1, 3
 )
 
-// Config parameterizes the Telnet server.
+// banner is printed before the first login prompt.
+const banner = "Debian GNU/Linux 11"
+
+// Config parameterizes one Telnet connection.
 type Config struct {
-	// Banner is printed before the login prompt.
-	Banner string
 	// Auth decides whether a login succeeds. Required.
 	Auth func(user, password string) bool
-	// OnAuthAttempt observes every attempt.
+	// OnAuthAttempt, if set, observes every attempt.
 	OnAuthAttempt func(user, password string, ok bool)
-	// Handler runs the post-login interaction over rw. Required.
+	// Handler runs the post-login interaction over rw, from one
+	// goroutine. Required. Reads return the peer's data with each line
+	// end as one '\n'.
 	Handler func(user string, rw io.ReadWriter)
 	// ConnTimeout is the hard session deadline (the honeynet's 3 min).
 	ConnTimeout time.Duration
@@ -41,208 +41,208 @@ type Config struct {
 // maxAuthTries caps login attempts per connection, as classic telnetd.
 const maxAuthTries = 3
 
-// Server runs the Telnet protocol over connections the caller accepted.
-type Server struct {
-	cfg Config
-}
-
-// New validates cfg and returns a Server.
-func New(cfg Config) (*Server, error) {
-	if cfg.Auth == nil || cfg.Handler == nil {
-		return nil, errors.New("telnetd: Auth and Handler are required")
-	}
-	return &Server{cfg: cfg}, nil
-}
-
-// conn wraps a net.Conn with telnet IAC stripping on read and IAC
-// escaping on write.
-type conn struct {
-	nc  net.Conn
-	br  *bufio.Reader
-	one [1]byte // readLine's byte
-}
-
-// Read returns decoded NVT data, transparently answering IAC
-// negotiation sequences.
-func (c *conn) Read(p []byte) (int, error) {
-	n := 0
-	for n == 0 {
-		b, err := c.br.ReadByte()
-		if err != nil {
-			return n, err
-		}
-		if b != iac {
-			p[n] = b
-			n++
-			// Drain whatever is immediately available without blocking.
-			for n < len(p) && c.br.Buffered() > 0 {
-				b, err = c.br.ReadByte()
-				if err != nil {
-					return n, err
-				}
-				if b == iac {
-					if err := c.handleIAC(); err != nil {
-						return n, err
-					}
-					continue
-				}
-				p[n] = b
-				n++
-			}
-			return n, nil
-		}
-		if err := c.handleIAC(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// handleIAC consumes one IAC sequence (the IAC byte itself already read)
-// and refuses every option: we are a dumb NVT.
-func (c *conn) handleIAC() error {
-	cmd, err := c.br.ReadByte()
-	if err != nil {
-		return err
-	}
-	switch cmd {
-	case do, dont:
-		opt, err := c.br.ReadByte()
-		if err != nil {
-			return err
-		}
-		if cmd == do {
-			_, err = c.nc.Write([]byte{iac, wont, opt})
-		}
-		return err
-	case will, wont:
-		opt, err := c.br.ReadByte()
-		if err != nil {
-			return err
-		}
-		if cmd == will {
-			_, err = c.nc.Write([]byte{iac, dont, opt})
-		}
-		return err
-	case sb:
-		// Skip subnegotiation until IAC SE.
-		for {
-			b, err := c.br.ReadByte()
-			if err != nil {
-				return err
-			}
-			if b == iac {
-				b2, err := c.br.ReadByte()
-				if err != nil {
-					return err
-				}
-				if b2 == se {
-					return nil
-				}
-			}
-		}
-	case iac:
-		// Escaped 0xFF data byte: rare in login flows; drop it.
-		return nil
-	default:
-		return nil
-	}
-}
-
-// Write sends data to the peer, doubling literal IAC (0xFF) bytes as
-// the protocol requires.
-func (c *conn) Write(p []byte) (int, error) {
-	// Escape IAC bytes in output.
-	start := 0
-	written := 0
-	for i, b := range p {
-		if b == iac {
-			if _, err := c.nc.Write(p[start : i+1]); err != nil {
-				return written, err
-			}
-			if _, err := c.nc.Write([]byte{iac}); err != nil {
-				return written, err
-			}
-			written = i + 1
-			start = i + 1
-		}
-	}
-	if start < len(p) {
-		n, err := c.nc.Write(p[start:])
-		return written + n, err
-	}
-	return written, nil
-}
-
 // maxLoginLine caps a login or password line; the rest of a longer
-// line is read and dropped up to its newline.
+// line is read and dropped up to its line end.
 const maxLoginLine = 4096
 
-// readLine reads a CR/LF-terminated line, tolerating both CRLF and bare
-// LF endings (and the CR NUL form some clients send). Past maxLoginLine
-// bytes the rest of the line is discarded, so it cannot answer the
-// next prompt.
-func (c *conn) readLine() (string, error) {
-	var buf []byte
-	for {
-		if _, err := c.Read(c.one[:]); err != nil {
-			return string(buf), err
+const (
+	sData  = iota // the decoder's states: data
+	sCR           // data, right after a CR
+	sIAC          // after an IAC
+	sOpt          // after IAC WILL, WONT, DO or DONT: the option is next
+	sSB           // inside a subnegotiation
+	sSBIAC        // after an IAC inside a subnegotiation
+)
+
+// conn is one connection's network virtual terminal: Read decodes the
+// peer's bytes, Write escapes ours. It is used from one goroutine.
+type conn struct {
+	nc    net.Conn
+	br    *bufio.Reader
+	state byte
+	verb  byte             // the WILL, WONT, DO or DONT before sOpt's option
+	off   [optSGA + 1]bool // an offered option the peer turned off
+	quiet bool             // reading a password: echo its line end only
+	out   []byte           // owed to the peer: replies, echo, escaped output
+}
+
+// step feeds one byte from the peer through the decoder and returns the
+// data byte it completes, if any. IAC IAC is a 0xFF data byte. A CR or
+// an LF is a line end, '\n', and the LF after a CR belongs to the CR's;
+// NUL is the NVT's no-op and keeps a CR's state, so CR NUL is a line
+// end too, however the bytes are split across reads.
+func (c *conn) step(b byte) (byte, bool) {
+	switch c.state {
+	case sIAC:
+		c.state = sData
+		switch b {
+		case iac:
+			return iac, true
+		case will, wont, do, dont:
+			c.state, c.verb = sOpt, b
+		case sb:
+			c.state = sSB
 		}
-		switch b := c.one[0]; {
-		case b == '\n':
-			return string(buf), nil
-		case b == '\r', b == 0, len(buf) == maxLoginLine:
-			// swallow
+	case sOpt:
+		// The option table. ECHO and SGA start on, as offered, and a DO or
+		// DONT for either is answered only when it changes the option
+		// (RFC 1143), so the DO that accepts an offer needs no reply. A
+		// DO for any other option is refused with WONT, a WILL with DONT.
+		c.state = sData
+		switch {
+		case (b == optEcho || b == optSGA) && (c.verb == do || c.verb == dont):
+			if off := c.verb == dont; c.off[b] != off {
+				c.off[b] = off
+				c.out = append(c.out, iac, c.verb-2, b) // DO → WILL, DONT → WONT
+			}
+		case c.verb == do:
+			c.out = append(c.out, iac, wont, b)
+		case c.verb == will:
+			c.out = append(c.out, iac, dont, b)
+		}
+	case sSB:
+		if b == iac {
+			c.state = sSBIAC
+		}
+	case sSBIAC:
+		c.state = sSB
+		if b == se {
+			c.state = sData
+		}
+	default: // sData, sCR
+		switch {
+		case b == 0:
+		case b == '\n' && c.state == sCR:
+			c.state = sData
+		case b == iac:
+			c.state = sIAC
 		default:
-			buf = append(buf, b)
+			c.state = sData
+			if b == '\r' {
+				c.state, b = sCR, '\n'
+			}
+			return b, true
+		}
+	}
+	return 0, false
+}
+
+// next returns the next data byte from the peer, echoed while ECHO is
+// on, and false if none has arrived and wait is false. What the decoder
+// owes the peer is written before it would block.
+func (c *conn) next(wait bool) (byte, bool, error) {
+	for wait || c.br.Buffered() > 0 {
+		if c.br.Buffered() == 0 {
+			if err := c.flush(); err != nil {
+				return 0, false, err
+			}
+		}
+		b, err := c.br.ReadByte()
+		if err != nil {
+			return 0, false, err
+		}
+		if d, ok := c.step(b); ok {
+			if !c.off[optEcho] && (!c.quiet || d == '\n') {
+				if d == '\n' {
+					c.out = append(c.out, '\r')
+				}
+				c.put(d)
+			}
+			return d, true, nil
+		}
+	}
+	return 0, false, nil
+}
+
+// Read returns the peer's decoded data: it waits for one byte, then
+// takes what has already arrived. Replies and echo go out first.
+func (c *conn) Read(p []byte) (n int, err error) {
+	for ok := true; ok && err == nil && n < len(p); {
+		if p[n], ok, err = c.next(n == 0); ok {
+			n++
+		}
+	}
+	return n, cmp.Or(err, c.flush())
+}
+
+// Write sends p, each IAC doubled, in one write with all else owed.
+func (c *conn) Write(p []byte) (int, error) {
+	c.put(p...)
+	return len(p), c.flush()
+}
+
+// put queues data bytes for the peer, escaping IAC.
+func (c *conn) put(p ...byte) {
+	for _, b := range p {
+		if c.out = append(c.out, b); b == iac {
+			c.out = append(c.out, iac)
 		}
 	}
 }
 
-// HandleConn runs the Telnet lifecycle for one connection: negotiation,
-// login, handler.
-func (s *Server) HandleConn(nc net.Conn) error {
-	defer nc.Close()
-	if s.cfg.ConnTimeout > 0 {
-		_ = nc.SetDeadline(time.Now().Add(s.cfg.ConnTimeout))
+// flush writes what is owed to the peer, and drops a buffer a large write grew.
+func (c *conn) flush() error {
+	if len(c.out) == 0 {
+		return nil
 	}
-	c := &conn{nc: nc, br: bufio.NewReader(nc)}
+	_, err := c.nc.Write(c.out)
+	if c.out = c.out[:0]; cap(c.out) > 64<<10 {
+		c.out = nil
+	}
+	return err
+}
 
-	// Ask the peer to not echo locally, as BusyBox telnetd does.
-	if _, err := nc.Write([]byte{iac, will, 1, iac, will, 3}); err != nil {
-		return err
+// ask writes prompt and reads the line that answers it, echoing only
+// its line end if quiet. Past maxLoginLine bytes the rest of the line
+// is dropped, so it cannot answer the next prompt.
+func (c *conn) ask(prompt string, quiet bool) (string, error) {
+	if _, err := io.WriteString(c, prompt); err != nil {
+		return "", err
 	}
-	if s.cfg.Banner != "" {
-		if _, err := io.WriteString(c, s.cfg.Banner+"\r\n"); err != nil {
-			return err
+	c.quiet = quiet
+	defer func() { c.quiet = false }()
+	var line []byte
+	for {
+		b, _, err := c.next(true)
+		if err != nil || b == '\n' {
+			return string(line), err
+		}
+		if len(line) < maxLoginLine {
+			line = append(line, b)
 		}
 	}
+}
+
+// Serve runs the Telnet lifecycle on one connection and closes it: the
+// option offers, login, then cfg.Handler.
+func Serve(nc net.Conn, cfg Config) error {
+	defer nc.Close()
+	if cfg.ConnTimeout > 0 {
+		_ = nc.SetDeadline(time.Now().Add(cfg.ConnTimeout))
+	}
+	// Offer to echo and to suppress go-ahead, as BusyBox telnetd does,
+	// so the peer neither echoes locally nor waits for a go-ahead.
+	c := &conn{nc: nc, br: bufio.NewReader(nc), out: []byte{iac, will, optEcho, iac, will, optSGA}}
+	msg := banner + "\r\n"
 	for try := 0; try < maxAuthTries; try++ {
-		if _, err := io.WriteString(c, "login: "); err != nil {
-			return err
-		}
-		user, err := c.readLine()
+		user, err := c.ask(msg+"login: ", false)
 		if err != nil {
 			return err
 		}
-		if _, err := io.WriteString(c, "Password: "); err != nil {
-			return err
-		}
-		pass, err := c.readLine()
+		pass, err := c.ask("Password: ", true)
 		if err != nil {
 			return err
 		}
-		ok := s.cfg.Auth(user, pass)
-		if s.cfg.OnAuthAttempt != nil {
-			s.cfg.OnAuthAttempt(user, pass, ok)
+		ok := cfg.Auth(user, pass)
+		if cfg.OnAuthAttempt != nil {
+			cfg.OnAuthAttempt(user, pass, ok)
 		}
 		if ok {
-			s.cfg.Handler(user, c)
+			cfg.Handler(user, c)
 			return nil
 		}
-		if _, err := io.WriteString(c, "\r\nLogin incorrect\r\n"); err != nil {
-			return err
-		}
+		msg = "\r\nLogin incorrect\r\n"
 	}
+	_, _ = io.WriteString(c, msg) // the error below says why the session ended
 	return errors.New("telnetd: too many login failures")
 }

@@ -6,16 +6,16 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// startTelnet launches a server with an echo handler.
-func startTelnet(t *testing.T, mutate func(*Config)) string {
-	t.Helper()
+// testConfig is a login rule and a handler that answers each line
+// "echo:<line>", changed by mutate if it is not nil.
+func testConfig(mutate func(*Config)) Config {
 	cfg := Config{
-		Banner: "Debian GNU/Linux 11",
-		Auth:   func(user, pass string) bool { return user == "root" && pass != "root" },
+		Auth: func(user, pass string) bool { return user == "root" && pass != "root" },
 		Handler: func(user string, rw io.ReadWriter) {
 			fmt.Fprintf(rw, "# ")
 			buf := make([]byte, 256)
@@ -42,16 +42,19 @@ func startTelnet(t *testing.T, mutate func(*Config)) string {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return cfg
+}
+
+// startTelnet launches a server with testConfig's echo handler.
+func startTelnet(t *testing.T, mutate func(*Config)) string {
+	t.Helper()
+	cfg := testConfig(mutate)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go acceptLoop(ln, srv.HandleConn)
+	go acceptLoop(ln, func(nc net.Conn) error { return Serve(nc, cfg) })
 	return ln.Addr().String()
 }
 
@@ -209,12 +212,6 @@ func TestIACEscapingInOutput(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("empty config must be rejected")
-	}
-}
-
 func TestConnTimeout(t *testing.T) {
 	addr := startTelnet(t, func(cfg *Config) { cfg.ConnTimeout = 200 * time.Millisecond })
 	c := dialTelnet(t, addr)
@@ -265,15 +262,20 @@ func TestNegotiationReplies(t *testing.T) {
 	// Swallow the server's own negotiation + banner first.
 	buf := make([]byte, 512)
 	nc.Read(buf)
-	// DO ECHO must be answered WONT ECHO; WILL NAWS with DONT NAWS.
+	// DO ECHO accepts the server's own WILL ECHO and needs no reply;
+	// WILL NAWS is refused with DONT NAWS. Both replies would go out in
+	// one write, so once DONT NAWS is in, a WONT ECHO would be too.
 	nc.Write([]byte{255, 253, 1, 255, 251, 31})
 	deadline := time.Now().Add(3 * time.Second)
 	var got []byte
 	for time.Now().Before(deadline) {
 		n, err := nc.Read(buf)
 		got = append(got, buf[:n]...)
-		if bytes.Contains(got, []byte{255, 252, 1}) && bytes.Contains(got, []byte{255, 254, 31}) {
-			return // both replies observed
+		if bytes.Contains(got, []byte{255, 254, 31}) {
+			if bytes.Contains(got, []byte{255, 252, 1}) {
+				t.Errorf("DO ECHO answered WONT ECHO, withdrawing the server's offer; wire: %x", got)
+			}
+			return
 		}
 		if err != nil {
 			break
@@ -353,4 +355,211 @@ func TestLongUsernameTailDropped(t *testing.T) {
 		t.Errorf("a second login attempt as a user of %d bytes", len(a.user))
 	default:
 	}
+}
+
+// countedConn counts the writes made on a net.Conn.
+type countedConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// dialCounted serves testConfig on one TCP connection whose server end
+// counts its writes, and returns the client end.
+func dialCounted(t *testing.T, mutate func(*Config)) (*telnetClient, *countedConn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c := dialTelnet(t, ln.Addr().String())
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countedConn{Conn: nc}
+	go Serve(cc, testConfig(mutate)) //nolint:errcheck
+	return c, cc
+}
+
+// login answers the login prompts as root.
+func (c *telnetClient) login(t *testing.T) {
+	t.Helper()
+	c.readUntil(t, "login: ")
+	c.send(t, "root")
+	c.readUntil(t, "Password: ")
+	c.send(t, "12345")
+	c.readUntil(t, "# ")
+}
+
+// TestCarriageReturnNulLogin: RFC 854's CR NUL ends a login line and a
+// shell line, also when the NUL comes in a later read; the NUL is not
+// data on the next line. The login used to wait for an LF that never
+// came.
+func TestCarriageReturnNulLogin(t *testing.T) {
+	c := dialTelnet(t, startTelnet(t, nil))
+	c.readUntil(t, "login: ")
+	c.nc.Write([]byte("root\r\x00"))
+	c.readUntil(t, "Password: ")
+	c.nc.Write([]byte("pw\r\x00"))
+	c.readUntil(t, "# ")
+	c.nc.Write([]byte("pwd\r"))
+	if out := c.readUntil(t, "# "); !strings.Contains(out, "echo:pwd\r\n") {
+		t.Errorf("CR-ended line answered %q, want echo:pwd", out)
+	}
+	c.nc.Write([]byte("\x00id\r\x00"))
+	if out := c.readUntil(t, "# "); !strings.Contains(out, "echo:id\r\n") {
+		t.Errorf("line after a split CR NUL answered %q, want echo:id", out)
+	}
+}
+
+// TestEchoesLoginNotPassword: with ECHO on, as offered, the server
+// echoes the login name and each shell line, and of the password only
+// its line end.
+func TestEchoesLoginNotPassword(t *testing.T) {
+	c := dialTelnet(t, startTelnet(t, nil))
+	c.readUntil(t, "login: ")
+	c.send(t, "root")
+	if out := c.readUntil(t, "Password: "); out != "root\r\nPassword: " {
+		t.Errorf("after the login name: %q, want its echo", out)
+	}
+	c.send(t, "s3cret")
+	if out := c.readUntil(t, "# "); strings.Contains(out, "s3cret") {
+		t.Errorf("password echoed: %q", out)
+	}
+	c.send(t, "uname")
+	if out := c.readUntil(t, "# "); out != "uname\r\necho:uname\r\n# " {
+		t.Errorf("after a shell line: %q, want its echo, then the answer", out)
+	}
+}
+
+// TestEscapedIACIsData: IAC IAC in a login name is one 0xFF byte of
+// it, not dropped.
+func TestEscapedIACIsData(t *testing.T) {
+	users := make(chan string, 1)
+	c := dialTelnet(t, startTelnet(t, func(cfg *Config) {
+		cfg.OnAuthAttempt = func(user, _ string, _ bool) { users <- user }
+	}))
+	c.readUntil(t, "login: ")
+	c.nc.Write([]byte("ro\xff\xffot\r\n"))
+	c.readUntil(t, "Password: ")
+	c.send(t, "pw")
+	if u := <-users; u != "ro\xffot" {
+		t.Errorf("login name %q, want %q", u, "ro\xffot")
+	}
+}
+
+// TestIACHeavyOutputOneWrite: 1 024 bytes of 0xFF output leave in one
+// write, escaped; they used to cost two writes each.
+func TestIACHeavyOutputOneWrite(t *testing.T) {
+	c, cc := dialCounted(t, func(cfg *Config) {
+		cfg.Handler = func(_ string, rw io.ReadWriter) { rw.Write(bytes.Repeat([]byte{0xff}, 1024)) }
+	})
+	c.readUntil(t, "login: ")
+	c.send(t, "root")
+	c.readUntil(t, "Password: ")
+	before := cc.writes.Load()
+	c.send(t, "12345")
+	got, err := io.ReadAll(c.nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cc.writes.Load() - before; n != 1 || !bytes.Equal(got, append([]byte("\r\n"), bytes.Repeat([]byte{0xff}, 2048)...)) {
+		t.Errorf("%d writes of %d bytes, want one write of the password's line end and 2 048 bytes of 0xFF", n, len(got))
+	}
+}
+
+// TestOptionRequestsCostOneWrite: six option requests from the peer
+// ahead of a shell line cost at most one write more than the line
+// alone; each reply used to be a write of its own.
+func TestOptionRequestsCostOneWrite(t *testing.T) {
+	line := func(opts []byte) int64 {
+		c, cc := dialCounted(t, nil)
+		c.login(t)
+		before := cc.writes.Load()
+		c.nc.Write(opts)
+		c.send(t, "uname")
+		c.readUntil(t, "# ")
+		return cc.writes.Load() - before
+	}
+	alone := line(nil)
+	// DO TTYPE, DO NAWS, WILL TTYPE, WILL TSPEED, DO NEW-ENVIRON, WILL NEW-ENVIRON.
+	with := line([]byte{255, 253, 24, 255, 253, 31, 255, 251, 24, 255, 251, 32, 255, 253, 39, 255, 251, 39})
+	if with > alone+1 {
+		t.Errorf("a line cost %d writes after six option requests, %d alone", with, alone)
+	}
+}
+
+// TestNegotiationTable: the replies the decoder owes for each option
+// command, answered only on a change of state for the offered options.
+func TestNegotiationTable(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		in, want []byte
+	}{
+		{"DO ECHO, DO SGA accept the offers", []byte{iac, do, optEcho, iac, do, optSGA}, nil},
+		{"DONT ECHO once", []byte{iac, dont, optEcho, iac, dont, optEcho}, []byte{iac, wont, optEcho}},
+		{"DONT then DO ECHO", []byte{iac, dont, optEcho, iac, do, optEcho, iac, do, optEcho}, []byte{iac, wont, optEcho, iac, will, optEcho}},
+		{"DO for another option", []byte{iac, do, 24}, []byte{iac, wont, 24}},
+		{"WILL for any option", []byte{iac, will, 31, iac, will, optEcho}, []byte{iac, dont, 31, iac, dont, optEcho}},
+		{"WONT and DONT for an option off", []byte{iac, wont, 31, iac, dont, 24}, nil},
+		{"subnegotiation", []byte{iac, sb, 31, iac, iac, iac, do, 24, iac, se}, nil},
+	} {
+		c := &conn{}
+		for _, b := range tc.in {
+			if d, ok := c.step(b); ok {
+				t.Errorf("%s: data byte %#x decoded", tc.name, d)
+			}
+		}
+		if !bytes.Equal(c.out, tc.want) {
+			t.Errorf("%s: replies %x, want %x", tc.name, c.out, tc.want)
+		}
+	}
+}
+
+// FuzzTelnetConn serves any byte stream over net.Pipe: the session
+// must end within its deadline, and the server may write at most twice
+// what it read plus its fixed prompts, which bounds what a peer can
+// make the honeypot send.
+func FuzzTelnetConn(f *testing.F) {
+	f.Add([]byte("root\r\nhunter2\r\nuname\r\nexit\r\n"))
+	f.Add([]byte("root\r\x00pw\r\x00\r\r\r\n\n"))
+	f.Add([]byte{255, 253, 1, 255, 254, 1, 255, 251, 31, 255, 250, 31, 0, 80, 255, 255, 255, 240, 'a', '\r', 255, 255})
+	f.Add(bytes.Repeat([]byte{255, 253, 24}, 100))
+	f.Add([]byte("x\r\ny\r\nx\r\ny\r\nx\r\ny\r\nx\r\n"))
+	const timeout = 10 * time.Millisecond
+	f.Fuzz(func(t *testing.T, in []byte) {
+		srv, cli := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			Serve(srv, Config{ //nolint:errcheck
+				Auth:        func(_, pass string) bool { return pass != "root" },
+				Handler:     func(_ string, rw io.ReadWriter) { io.Copy(io.Discard, rw) }, //nolint:errcheck
+				ConnTimeout: timeout,
+			})
+		}()
+		read := make(chan int64)
+		go func() {
+			n, _ := io.Copy(io.Discard, cli)
+			read <- n
+		}()
+		cli.Write(in) //nolint:errcheck // cut short if the session ends first
+		select {
+		case <-done:
+		case <-time.After(timeout + 5*time.Second):
+			t.Fatal("session outlived its deadline")
+		}
+		cli.Close()
+		// The banner, three rounds of prompts and failures, the offers.
+		const fixed = 256
+		if n := <-read; n > 2*int64(len(in))+fixed {
+			t.Errorf("server wrote %d bytes for %d read", n, len(in))
+		}
+	})
 }

@@ -33,6 +33,9 @@ var (
 	ErrNoSpace    = errors.New("no space left on device")
 )
 
+// devNull reads as empty and discards what is written to it.
+const devNull = "/dev/null"
+
 // Budget bounds the bytes held by the files an FS's own writes made: a
 // write that would take them past it fails with ErrNoSpace. The shared
 // base image is not charged. Without it a session that doubles a file
@@ -164,6 +167,7 @@ func seeded() *FS {
 		fs.mkdirAllInternal(d, when)
 	}
 	seed := map[string]string{
+		"/dev/null":        "",
 		"/etc/hostname":    "svr04\n",
 		"/etc/passwd":      "root:x:0:0:root:/root:/bin/bash\ndaemon:x:1:1:daemon:/usr/sbin:/usr/sbin/nologin\nbin:x:2:2:bin:/bin:/usr/sbin/nologin\nsshd:x:104:65534::/run/sshd:/usr/sbin/nologin\n",
 		"/etc/shadow":      "root:$6$mZ1t0Yy1$Y:18000:0:99999:7:::\n",
@@ -421,10 +425,11 @@ func (fs *FS) canWrite(p, abs string, size int64) (*Node, error) {
 // WriteFile creates or replaces the file at p with content, recording the
 // change and the content hash. It fails as CanWrite says it would. The
 // file keeps content, which the caller must not change afterwards.
+// devNull is a device: what is written to it is discarded, unrecorded.
 func (fs *FS) WriteFile(p string, content []byte) error {
 	abs := fs.Abs(p)
 	old, err := fs.canWrite(p, abs, int64(len(content)))
-	if err != nil {
+	if err != nil || abs == devNull {
 		return err
 	}
 	kind := ChangeModify
